@@ -87,7 +87,7 @@
 //! enough to prove the harness end to end in CI.
 
 use rsse_bench::workload::{paper_corpus, rare_terms, top_terms, ZipfSampler, HOT_KEYWORD};
-use rsse_cloud::entities::{CloudServer, DataOwner, Deployment};
+use rsse_cloud::entities::{CloudServer, DataOwner, Deployment, Storage};
 use rsse_cloud::server_loop::{PoolOptions, ServerHandle};
 use rsse_cloud::{
     ChannelTransport, CloudError, Connection, ErrorKind, FileCrypter, Message, RouterOptions,
@@ -284,7 +284,7 @@ fn run_config(
     let msg = Message::decode(outsource_frame.clone()).unwrap();
     let (server, seg_path) = if scenario.segment {
         let path = scratch_path(scenario.name);
-        let server = CloudServer::from_outsource_segment(msg, &path, scenario.cache_budget)
+        let server = CloudServer::boot(msg, &Storage::Segment(path.clone()), scenario.cache_budget)
             .expect("outsource frame persists and boots the segment server");
         (server, Some(path))
     } else {
@@ -296,7 +296,7 @@ fn run_config(
     if let Some(delay) = scenario.io_delay {
         options = options.with_io_delay(delay);
     }
-    let handle = ServerHandle::spawn_pool_with(server, options);
+    let handle = ServerHandle::spawn_pool_shared(Arc::new(server), options);
 
     let start = Instant::now();
     let per_client: Vec<(Vec<Duration>, u64)> = std::thread::scope(|scope| {
@@ -439,7 +439,8 @@ fn run_transport(
         let t = TcpTransport::new(srv.addr());
         (Box::new(t), TransportServer::Tcp(srv))
     } else {
-        let handle = ServerHandle::spawn_pool_with(server, PoolOptions::new(workers, backlog));
+        let handle =
+            ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(workers, backlog));
         let t = ChannelTransport::new(handle.client());
         (Box::new(t), TransportServer::Channel(handle))
     };
@@ -628,7 +629,8 @@ fn run_churn(
     let dir = scratch_dir(name);
     let server = CloudServer::from_outsource_generational(msg, &dir, 0)
         .expect("outsource frame persists and boots the generational server");
-    let handle = ServerHandle::spawn_pool_with(server, PoolOptions::new(workers, BACKLOG));
+    let handle =
+        ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(workers, BACKLOG));
     let server = handle.server();
 
     // Owner-side update machinery, shared by every client thread.
@@ -820,11 +822,12 @@ fn run_sharded(
     seed: u64,
 ) -> ConfigResult {
     let params = RsseParams::default();
-    let cloud = ShardedDeployment::bootstrap_tuned(
+    let cloud = ShardedDeployment::bootstrap(
         b"throughput seed",
         params,
         docs,
         shards,
+        &Storage::Mem,
         PoolOptions::new(1, BACKLOG),
         RouterOptions::new()
             .with_pruning()
@@ -1058,7 +1061,8 @@ fn run_conjunctive(
     let msg = Message::decode(outsource_frame.clone()).unwrap();
     let server = CloudServer::from_outsource_with_cache(msg, cache_budget)
         .expect("outsource frame boots the server");
-    let handle = ServerHandle::spawn_pool_with(server, PoolOptions::new(workers, BACKLOG));
+    let handle =
+        ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(workers, BACKLOG));
 
     let start = Instant::now();
     let per_client: Vec<(Vec<Duration>, u64)> = std::thread::scope(|scope| {
@@ -1179,11 +1183,12 @@ fn run_conjunctive_sharded(
     ndcg_at_10: f64,
 ) -> ConfigResult {
     let params = RsseParams::default();
-    let cloud = ShardedDeployment::bootstrap_tuned(
+    let cloud = ShardedDeployment::bootstrap(
         b"throughput seed",
         params,
         docs,
         shards,
+        &Storage::Mem,
         PoolOptions::new(1, BACKLOG),
         RouterOptions::new()
             .with_pruning()
@@ -1316,7 +1321,7 @@ struct ColdStart {
     index_segment_open_s: f64,
     /// `Deployment::bootstrap` (index rebuilt from plaintext) + search.
     deploy_rebuild_s: f64,
-    /// `Deployment::bootstrap_from_segment` (no index build) + search.
+    /// `Deployment::reopen` from the segment (no index build) + search.
     deploy_from_segment_s: f64,
 }
 
@@ -1351,12 +1356,19 @@ fn run_cold_start(docs: &[Document]) -> ColdStart {
     );
 
     let t = Instant::now();
-    let rebuilt = Deployment::bootstrap(b"throughput seed", params, docs).expect("bootstrap");
+    let rebuilt = Deployment::bootstrap(
+        b"throughput seed",
+        params,
+        docs,
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .expect("bootstrap");
     let (rebuilt_docs, _) = rebuilt.rsse_search(HOT_KEYWORD, Some(10)).expect("query");
     let deploy_rebuild_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let warm = Deployment::bootstrap_from_segment(
+    let warm = Deployment::reopen(
         b"throughput seed",
         params,
         docs,

@@ -1,5 +1,5 @@
 //! **Extension** — retrieval integrity via Merkle authentication, plus the
-//! server-side audit log.
+//! server-side audit counters.
 //!
 //! The paper's server is honest-but-curious, so it always returns the
 //! right files. A deployable system should *verify* that: the owner
@@ -11,14 +11,8 @@
 //! completeness needs further machinery).
 //!
 //! [`AuditCounters`] is the operational half: the server records every
-//! handled request so operators (and the concurrency tests) can account
-//! for exactly what was served. Early versions kept an [`AuditLog`] behind
-//! a `parking_lot::RwLock` inside
-//! [`CloudServer`](crate::entities::CloudServer); the per-request
-//! `audit.write()` turned out to serialize the whole worker pool on
-//! CPU-bound workloads, so the hot path now bumps lock-free
-//! [`AuditCounters`] instead and `AuditLog` remains as the offline,
-//! ring-retaining form used by operators and tests.
+//! handled request in lock-free counters so operators (and the
+//! concurrency tests) can account for exactly what was served.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,7 +46,7 @@ pub enum RequestKind {
     Panicked,
 }
 
-/// Aggregated serving counters, cheap to copy out of the log.
+/// Aggregated serving counters, cheap to copy out of [`AuditCounters`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServingReport {
     /// Total requests handled (including rejected ones).
@@ -85,74 +79,14 @@ pub struct ServingReport {
     pub cache_misses: u64,
 }
 
-/// The server's request audit log: aggregate counters plus a bounded
-/// ring of the most recent request kinds.
-#[derive(Debug)]
-pub struct AuditLog {
-    report: ServingReport,
-    recent: std::collections::VecDeque<RequestKind>,
-    capacity: usize,
-}
-
-impl AuditLog {
-    /// Default number of recent records retained.
-    pub const DEFAULT_CAPACITY: usize = 1024;
-
-    /// An empty log retaining at most `capacity` recent records.
-    pub fn with_capacity(capacity: usize) -> Self {
-        AuditLog {
-            report: ServingReport::default(),
-            recent: std::collections::VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Records one handled request.
-    pub fn record(&mut self, kind: RequestKind) {
-        self.report.total += 1;
-        match kind {
-            RequestKind::Search => self.report.searches += 1,
-            RequestKind::Fetch => self.report.fetches += 1,
-            RequestKind::Conjunctive => self.report.conjunctive += 1,
-            RequestKind::ShardQuery => self.report.shard_queries += 1,
-            RequestKind::ConjunctiveShard => self.report.conjunctive_shard_queries += 1,
-            RequestKind::Batch => self.report.batches += 1,
-            RequestKind::Update => self.report.updates += 1,
-            RequestKind::Filter => self.report.filter_fetches += 1,
-            RequestKind::Rejected => self.report.rejected += 1,
-            RequestKind::Panicked => self.report.panics += 1,
-        }
-        if self.recent.len() == self.capacity {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(kind);
-    }
-
-    /// The aggregate counters.
-    pub fn report(&self) -> ServingReport {
-        self.report
-    }
-
-    /// The retained recent request kinds, oldest first.
-    pub fn recent(&self) -> impl Iterator<Item = RequestKind> + '_ {
-        self.recent.iter().copied()
-    }
-}
-
-impl Default for AuditLog {
-    fn default() -> Self {
-        AuditLog::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-}
-
 /// Lock-free serving counters for the hot path.
 ///
 /// Every worker thread calls [`AuditCounters::record`] once per request;
-/// with the earlier `RwLock<AuditLog>` that write lock serialized the
-/// whole pool on CPU-bound workloads (the `cpu` throughput scenario scaled
-/// *negatively* past one worker). Relaxed atomics cost one uncontended
-/// RMW per field and impose no ordering on the serving path — the counters
-/// are statistics, not synchronization.
+/// a write lock there serialized the whole pool on CPU-bound workloads
+/// (the `cpu` throughput scenario scaled *negatively* past one worker).
+/// Relaxed atomics cost one uncontended RMW per field and impose no
+/// ordering on the serving path — the counters are statistics, not
+/// synchronization.
 #[derive(Debug, Default)]
 pub struct AuditCounters {
     total: AtomicU64,
@@ -443,71 +377,32 @@ mod tests {
     }
 
     #[test]
-    fn audit_log_counts_and_caps_recent() {
-        let mut log = AuditLog::with_capacity(4);
-        for _ in 0..3 {
-            log.record(RequestKind::Search);
-        }
-        log.record(RequestKind::Update);
-        log.record(RequestKind::Rejected);
-        log.record(RequestKind::Fetch);
-        let report = log.report();
-        assert_eq!(report.total, 6);
-        assert_eq!(report.searches, 3);
-        assert_eq!(report.updates, 1);
-        assert_eq!(report.rejected, 1);
-        assert_eq!(report.fetches, 1);
-        assert_eq!(report.conjunctive, 0);
-        assert_eq!(report.shard_queries, 0);
-        assert_eq!(report.conjunctive_shard_queries, 0);
-        assert_eq!(report.panics, 0);
-        // Only the 4 most recent records survive.
-        let recent: Vec<RequestKind> = log.recent().collect();
-        assert_eq!(
-            recent,
-            vec![
-                RequestKind::Search,
-                RequestKind::Update,
-                RequestKind::Rejected,
-                RequestKind::Fetch
-            ]
-        );
-    }
-
-    #[test]
-    fn shard_query_legs_are_counted() {
-        let mut log = AuditLog::with_capacity(4);
-        log.record(RequestKind::ShardQuery);
-        log.record(RequestKind::ShardQuery);
-        let report = log.report();
-        assert_eq!(report.total, 2);
-        assert_eq!(report.shard_queries, 2);
-        assert_eq!(report.searches, 0);
-        assert!(log.recent().all(|k| k == RequestKind::ShardQuery));
-    }
-
-    #[test]
-    fn atomic_counters_match_log_semantics() {
-        let counters = AuditCounters::new();
-        let mut log = AuditLog::with_capacity(16);
-        let kinds = [
-            RequestKind::Search,
-            RequestKind::Search,
-            RequestKind::Batch,
-            RequestKind::ShardQuery,
-            RequestKind::Update,
-            RequestKind::Rejected,
-            RequestKind::Panicked,
-            RequestKind::Fetch,
-            RequestKind::Conjunctive,
-            RequestKind::ConjunctiveShard,
-            RequestKind::Filter,
+    fn each_request_kind_bumps_exactly_its_own_counter() {
+        type Field = fn(&mut ServingReport) -> &mut u64;
+        let table: [(RequestKind, Field); 10] = [
+            (RequestKind::Search, |r| &mut r.searches),
+            (RequestKind::Fetch, |r| &mut r.fetches),
+            (RequestKind::Conjunctive, |r| &mut r.conjunctive),
+            (RequestKind::ShardQuery, |r| &mut r.shard_queries),
+            (RequestKind::ConjunctiveShard, |r| {
+                &mut r.conjunctive_shard_queries
+            }),
+            (RequestKind::Batch, |r| &mut r.batches),
+            (RequestKind::Update, |r| &mut r.updates),
+            (RequestKind::Filter, |r| &mut r.filter_fetches),
+            (RequestKind::Rejected, |r| &mut r.rejected),
+            (RequestKind::Panicked, |r| &mut r.panics),
         ];
-        for kind in kinds {
+        for (kind, field) in table {
+            let counters = AuditCounters::new();
             counters.record(kind);
-            log.record(kind);
+            let mut want = ServingReport {
+                total: 1,
+                ..ServingReport::default()
+            };
+            *field(&mut want) = 1;
+            assert_eq!(counters.report(), want, "{kind:?}");
         }
-        assert_eq!(counters.report(), log.report());
     }
 
     #[test]
@@ -545,17 +440,5 @@ mod tests {
         assert_eq!(report.total, 4000);
         assert_eq!(report.searches, 4000);
         assert_eq!(report.cache_hits, 4000);
-    }
-
-    #[test]
-    fn contained_panics_are_counted_and_retained() {
-        let mut log = AuditLog::with_capacity(4);
-        log.record(RequestKind::Search);
-        log.record(RequestKind::Panicked);
-        let report = log.report();
-        assert_eq!(report.total, 2);
-        assert_eq!(report.panics, 1);
-        assert_eq!(report.searches, 1);
-        assert!(log.recent().any(|k| k == RequestKind::Panicked));
     }
 }

@@ -129,6 +129,16 @@ pub type RankingCache = EpochCache<Label, Vec<RankedResult>>;
 /// back to the query's order (see `rsse_core::canonical_label_order`).
 pub type ConjunctiveCache = EpochCache<Vec<Label>, Vec<rsse_core::ConjunctiveResult>>;
 
+/// Inverts a canonical label order: canonical slot `k` holds query part
+/// `order[k]`, so query part `i` reads canonical slot `inverse[i]`.
+pub(crate) fn inverse_order(order: &[usize]) -> Vec<usize> {
+    let mut inverse = vec![0usize; order.len()];
+    for (k, &i) in order.iter().enumerate() {
+        inverse[i] = k;
+    }
+    inverse
+}
+
 /// Approximate budget charge of one cached entry.
 fn entry_bytes<K, V: CacheWeight>(value: &V) -> usize {
     std::mem::size_of::<Arc<V>>()
@@ -186,6 +196,15 @@ impl<K: Eq + Hash + Clone, V: CacheWeight> EpochCache<K, V> {
                 None
             }
         }
+    }
+
+    /// [`Self::get`] plus the fill discipline in one step: the cached
+    /// value, or on a miss the epoch to pass to
+    /// [`Self::insert_if_current`] — `None` when the cache is disabled and
+    /// the caller should compute without filling.
+    pub(crate) fn lookup(&self, key: &K) -> Result<Arc<V>, Option<u64>> {
+        self.get(key)
+            .ok_or_else(|| self.is_enabled().then_some(self.epoch))
     }
 
     /// Fills `key` with a value computed while the cache was at

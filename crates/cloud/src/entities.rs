@@ -14,7 +14,7 @@
 //!    round two — saving bandwidth, paying an extra round trip.
 
 use crate::audit::{AuditCounters, RequestKind, ServingReport};
-use crate::cache::{CacheStats, ConjunctiveCache, RankingCache};
+use crate::cache::{inverse_order, CacheStats, ConjunctiveCache, RankingCache};
 use crate::codec::{BatchResult, Label, Message, SearchMode};
 use crate::error::CloudError;
 use crate::files::{EncryptedFile, FileCrypter, FileStore};
@@ -30,6 +30,7 @@ use rsse_opse::OpseParams;
 use rsse_sse::scheme::open_entries;
 use rsse_sse::{BasicEncryptedIndex, BasicScheme};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -97,7 +98,8 @@ impl DataOwner {
 
     /// Sharded `Setup`: builds the global encrypted index **once**, then
     /// partitions its ciphertexts across the partitioner's shards by
-    /// file-id hash, emitting one `Outsource` message per shard.
+    /// file-id hash, emitting one `Outsource` message per shard plus the
+    /// per-shard **exact** label filters.
     ///
     /// Partitioning the *built* index — rather than building one index per
     /// shard — is what makes sharded ranking byte-identical to the
@@ -112,19 +114,7 @@ impl DataOwner {
     /// id; the basic-scheme index is not sharded (single-server protocols
     /// 2 and 3 stay on the unsharded deployment).
     ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures.
-    pub fn outsource_sharded(
-        &self,
-        docs: &[Document],
-        partitioner: &crate::shard::IndexPartitioner,
-    ) -> Result<Vec<Message>, CloudError> {
-        Ok(self.outsource_sharded_with_filters(docs, partitioner)?.0)
-    }
-
-    /// [`DataOwner::outsource_sharded`] plus the per-shard **exact** label
-    /// filters: for each shard, the sorted set of posting-list labels whose
+    /// A shard's filter is the sorted set of posting-list labels whose
     /// partition on that shard contains at least one *real* (non-padding)
     /// entry. Padding-only partitions rank to nothing
     /// (`RsseIndex::search` drops entries that fail authenticated
@@ -188,15 +178,36 @@ impl DataOwner {
     }
 }
 
-/// The fields of a decoded [`Message::Outsource`]: RSSE posting lists,
-/// basic-scheme posting lists, validated OPSE parameters, and the
-/// encrypted collection.
-type OutsourceParts = (
-    Vec<(Label, Vec<Vec<u8>>)>,
-    Vec<(Label, Vec<Vec<u8>>)>,
-    OpseParams,
-    Vec<EncryptedFile>,
-);
+/// One query of a [`Message::BatchRequest`]: `(label, list key, top_k)`.
+type BatchQuery = (Label, [u8; 32], Option<u32>);
+
+/// Where a [`CloudServer`] keeps its encrypted index.
+///
+/// A sharded deployment reads the path as the directory holding every
+/// shard's store: `shard-<i>.idx` for segments, `shard-<i>/` for
+/// generational stores.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Storage {
+    /// In memory, as the paper's server.
+    Mem,
+    /// One `RSSEIDX2` segment file at this path; updates accumulate in an
+    /// in-memory overlay until [`CloudServer::compact_index`].
+    Segment(PathBuf),
+    /// A generational store (immutable generations under a manifest) in
+    /// this directory, for update-heavy deployments.
+    Generational(PathBuf),
+}
+
+impl Storage {
+    /// Shard `shard`'s store under this one.
+    pub(crate) fn for_shard(&self, shard: usize) -> Storage {
+        match self {
+            Storage::Mem => Storage::Mem,
+            Storage::Segment(dir) => Storage::Segment(dir.join(format!("shard-{shard}.idx"))),
+            Storage::Generational(dir) => Storage::Generational(dir.join(format!("shard-{shard}"))),
+        }
+    }
+}
 
 /// The honest-but-curious cloud server.
 ///
@@ -254,136 +265,34 @@ impl CloudServer {
     /// growth.
     pub const DEFAULT_CACHE_BUDGET: usize = 32 << 20;
 
-    /// Boots the server from the owner's `Outsource` message with the
-    /// default ranking-cache budget.
+    /// Boots the server from the owner's `Outsource` message onto
+    /// `storage`, with a ranking-cache budget of `cache_budget_bytes`
+    /// (`0` disables caching: every search ranks from the index).
+    ///
+    /// * [`Storage::Mem`] serves the received index from memory.
+    /// * [`Storage::Segment`] persists it as one `RSSEIDX2` segment file
+    ///   and serves it from disk via the label→offset directory: each
+    ///   query reads only its posting list.
+    /// * [`Storage::Generational`] persists it as a base generation plus
+    ///   manifest. Later updates flush into cheap L0 delta generations
+    ///   ([`CloudServer::flush_index`]) and fold back together with a
+    ///   live compaction that never stops serving
+    ///   ([`CloudServer::compact_index_live`]).
+    ///
+    /// A later restart can skip this step on either on-disk store with
+    /// [`CloudServer::reopen`].
     ///
     /// # Errors
     ///
-    /// [`CloudError::UnexpectedMessage`] for any other message type, or an
-    /// OPSE parameter error for inconsistent public parameters.
-    pub fn from_outsource(msg: Message) -> Result<Self, CloudError> {
-        Self::from_outsource_with_cache(msg, Self::DEFAULT_CACHE_BUDGET)
-    }
-
-    /// Boots the server with an explicit ranking-cache byte budget; `0`
-    /// disables caching entirely (every search ranks from the index).
-    ///
-    /// # Errors
-    ///
-    /// As [`CloudServer::from_outsource`].
-    pub fn from_outsource_with_cache(
+    /// [`CloudError::UnexpectedMessage`] for any other message type, an
+    /// OPSE parameter error for inconsistent public parameters, and
+    /// [`CloudError::Persist`] for failures writing or reopening the
+    /// store.
+    pub fn boot(
         msg: Message,
+        storage: &Storage,
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
-        let (rsse_lists, basic_lists, opse, files) = Self::split_outsource(msg)?;
-        Ok(Self::assemble(
-            RsseIndex::from_parts(rsse_lists, opse),
-            basic_lists,
-            files,
-            cache_budget_bytes,
-        ))
-    }
-
-    /// Boots the server from the owner's `Outsource` message **onto the
-    /// segment backend**: the received index is persisted to
-    /// `segment_path` as an `RSSEIDX2` segment and then served from disk
-    /// via its label→offset directory — only the touched posting list is
-    /// read per query, and a later restart can skip this step entirely by
-    /// calling [`CloudServer::from_segment`] on the same path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CloudServer::from_outsource`], plus [`CloudError::Persist`]
-    /// for failures writing or reopening the segment.
-    pub fn from_outsource_segment(
-        msg: Message,
-        segment_path: impl AsRef<std::path::Path>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let (rsse_lists, basic_lists, opse, files) = Self::split_outsource(msg)?;
-        let staged = RsseIndex::from_parts(rsse_lists, opse);
-        staged
-            .save(
-                std::fs::File::create(segment_path.as_ref())
-                    .map_err(rsse_core::PersistError::from)?,
-            )
-            .map_err(rsse_core::PersistError::from)?;
-        let index = RsseIndex::open_segment(segment_path)?;
-        Ok(Self::assemble(
-            index,
-            basic_lists,
-            files,
-            cache_budget_bytes,
-        ))
-    }
-
-    /// Warm restart: boots the server straight from a previously saved
-    /// segment file — no `Outsource` message, no index rebuild, no
-    /// materialization; the first query is answerable as soon as the
-    /// directory is read. The basic-scheme index is not persisted (it
-    /// exists for the paper's baseline protocols), so a segment-booted
-    /// server serves the RSSE protocol only.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on malformed or unreadable segment files.
-    pub fn from_segment(
-        segment_path: impl AsRef<std::path::Path>,
-        files: Vec<EncryptedFile>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let index = RsseIndex::open_segment(segment_path)?;
-        Ok(Self::assemble(index, Vec::new(), files, cache_budget_bytes))
-    }
-
-    /// Boots the server from the owner's `Outsource` message **onto the
-    /// generational store**: the received index is persisted under `dir`
-    /// as a base generation plus manifest and served from disk. Unlike
-    /// the single-segment backend, later updates flush into cheap L0
-    /// delta generations ([`CloudServer::flush_index`]) and fold back
-    /// together with a *live* compaction that never stops serving
-    /// ([`CloudServer::compact_index_live`]) — the boot path for
-    /// update-heavy deployments.
-    ///
-    /// # Errors
-    ///
-    /// As [`CloudServer::from_outsource`], plus [`CloudError::Persist`]
-    /// for failures writing or reopening the store.
-    pub fn from_outsource_generational(
-        msg: Message,
-        dir: impl AsRef<std::path::Path>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let (rsse_lists, basic_lists, opse, files) = Self::split_outsource(msg)?;
-        let staged = RsseIndex::from_parts(rsse_lists, opse);
-        let index = staged.save_generational(dir)?;
-        Ok(Self::assemble(
-            index,
-            basic_lists,
-            files,
-            cache_budget_bytes,
-        ))
-    }
-
-    /// Warm restart from a generational store directory — the
-    /// generational counterpart of [`CloudServer::from_segment`]: no
-    /// `Outsource` message, no rebuild; the manifest and per-generation
-    /// directories are read and the first query is served from disk.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on a malformed manifest or generation
-    /// file.
-    pub fn from_generation_dir(
-        dir: impl AsRef<std::path::Path>,
-        files: Vec<EncryptedFile>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let index = RsseIndex::open_generational(dir)?;
-        Ok(Self::assemble(index, Vec::new(), files, cache_budget_bytes))
-    }
-
-    fn split_outsource(msg: Message) -> Result<OutsourceParts, CloudError> {
         let Message::Outsource {
             rsse_lists,
             basic_lists,
@@ -398,7 +307,86 @@ impl CloudServer {
         };
         let opse = OpseParams::new(opse_domain, opse_range)
             .map_err(|e| CloudError::Rsse(rsse_core::RsseError::Opse(e)))?;
-        Ok((rsse_lists, basic_lists, opse, files))
+        let staged = RsseIndex::from_parts(rsse_lists, opse);
+        let index = match storage {
+            Storage::Mem => staged,
+            Storage::Segment(path) => {
+                staged
+                    .save(std::fs::File::create(path).map_err(rsse_core::PersistError::from)?)
+                    .map_err(rsse_core::PersistError::from)?;
+                RsseIndex::open_segment(path)?
+            }
+            Storage::Generational(dir) => staged.save_generational(dir)?,
+        };
+        Ok(Self::assemble(
+            index,
+            basic_lists,
+            files,
+            cache_budget_bytes,
+        ))
+    }
+
+    /// Warm restart from a store an earlier [`CloudServer::boot`] left
+    /// on disk: a generational store when `path` is a directory, a
+    /// segment file otherwise. No `Outsource` message, no index rebuild;
+    /// the first query is answerable as soon as the directory is read.
+    /// The basic-scheme index is not persisted (it exists for the paper's
+    /// baseline protocols), so a reopened server serves the RSSE protocol
+    /// only, and the owner re-supplies the file ciphertexts.
+    ///
+    /// # Errors
+    ///
+    /// [`CloudError::Persist`] on a malformed or unreadable store.
+    pub fn reopen(
+        path: impl AsRef<std::path::Path>,
+        files: Vec<EncryptedFile>,
+        cache_budget_bytes: usize,
+    ) -> Result<Self, CloudError> {
+        let path = path.as_ref();
+        let index = if path.is_dir() {
+            RsseIndex::open_generational(path)?
+        } else {
+            RsseIndex::open_segment(path)?
+        };
+        Ok(Self::assemble(index, Vec::new(), files, cache_budget_bytes))
+    }
+
+    /// [`CloudServer::boot`] in memory with the default cache budget.
+    ///
+    /// # Errors
+    ///
+    /// As [`CloudServer::boot`].
+    pub fn from_outsource(msg: Message) -> Result<Self, CloudError> {
+        Self::boot(msg, &Storage::Mem, Self::DEFAULT_CACHE_BUDGET)
+    }
+
+    /// [`CloudServer::boot`] in memory.
+    ///
+    /// # Errors
+    ///
+    /// As [`CloudServer::boot`].
+    pub fn from_outsource_with_cache(
+        msg: Message,
+        cache_budget_bytes: usize,
+    ) -> Result<Self, CloudError> {
+        Self::boot(msg, &Storage::Mem, cache_budget_bytes)
+    }
+
+    /// [`CloudServer::boot`] onto a generational store under `dir`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CloudServer::boot`].
+    pub fn from_outsource_generational(
+        msg: Message,
+        dir: impl AsRef<std::path::Path>,
+        cache_budget_bytes: usize,
+    ) -> Result<Self, CloudError> {
+        Self::boot(
+            msg,
+            &Storage::Generational(dir.as_ref().into()),
+            cache_budget_bytes,
+        )
     }
 
     fn assemble(
@@ -478,22 +466,16 @@ impl CloudServer {
         top_k: Option<usize>,
     ) -> Vec<RankedResult> {
         let trapdoor = RsseTrapdoor::from_parts(label, SecretKey::from_bytes(list_key));
-        let fill_epoch = {
-            // The hot path holds only the read lock: `get` takes `&self`,
-            // so concurrent hits never serialize against each other.
-            let cache = self.cache.read();
-            if !cache.is_enabled() {
-                drop(cache);
-                return self.rsse_index.read().search(&trapdoor, top_k);
+        // The hot path holds only the read lock: `lookup` takes `&self`,
+        // so concurrent hits never serialize against each other.
+        let lookup = self.cache.read().lookup(&label);
+        let fill_epoch = match lookup {
+            Ok(ranking) => {
+                self.counters.record_cache(true);
+                return ranked_prefix(&ranking, top_k);
             }
-            match cache.get(&label) {
-                Some(ranking) => {
-                    drop(cache);
-                    self.counters.record_cache(true);
-                    return ranked_prefix(&ranking, top_k);
-                }
-                None => cache.epoch(),
-            }
+            Err(None) => return self.rsse_index.read().search(&trapdoor, top_k),
+            Err(Some(epoch)) => epoch,
         };
         self.counters.record_cache(false);
         // Rank the full list so every later top-k is a prefix of this fill.
@@ -506,14 +488,19 @@ impl CloudServer {
     }
 
     /// Ranked ids + the matching encrypted files for one query — the body
-    /// shared by the single, sharded, and batched search arms.
+    /// shared by the single and sharded search arms.
     fn ranked_search_with_files(
         &self,
         label: Label,
         list_key: [u8; 32],
         top_k: Option<u32>,
-    ) -> (Vec<(u64, u64)>, Vec<EncryptedFile>) {
-        let results = self.ranked_search(label, list_key, top_k.map(|k| k as usize));
+    ) -> BatchResult {
+        self.with_files(&self.ranked_search(label, list_key, top_k.map(|k| k as usize)))
+    }
+
+    /// A ranking as wire `(file id, OPM score)` pairs plus the ranked
+    /// files, fetched under one read lock.
+    fn with_files(&self, results: &[RankedResult]) -> BatchResult {
         let ids: Vec<FileId> = results.iter().map(|r| r.file).collect();
         (
             results
@@ -538,10 +525,7 @@ impl CloudServer {
     /// single-query fill. Cache hit/miss counters follow serial order: a
     /// label missing at batch start counts one miss, its duplicates count
     /// hits (they would have hit the just-filled entry).
-    fn ranked_search_batch(
-        &self,
-        queries: Vec<(Label, [u8; 32], Option<u32>)>,
-    ) -> Vec<BatchResult> {
+    fn ranked_search_batch(&self, queries: Vec<BatchQuery>) -> Vec<BatchResult> {
         /// How one query of the batch resolves: a cached full ranking, or
         /// an index into the batched miss-fill rankings.
         enum Plan {
@@ -606,15 +590,7 @@ impl CloudServer {
                         &full[*slot]
                     }
                 };
-                let results = ranked_prefix(ranking, top_k.map(|k| k as usize));
-                let ids: Vec<FileId> = results.iter().map(|r| r.file).collect();
-                (
-                    results
-                        .iter()
-                        .map(|r| (r.file.as_u64(), r.encrypted_score))
-                        .collect(),
-                    self.files.read().fetch_many(&ids),
-                )
+                self.with_files(&ranked_prefix(ranking, top_k.map(|k| k as usize)))
             })
             .collect()
     }
@@ -659,33 +635,22 @@ impl CloudServer {
         }
         let order = canonical_label_order(&labels);
         let key: Vec<Label> = order.iter().map(|&i| labels[i]).collect();
-        let fill_epoch = {
-            let cache = self.conjunctive_cache.read();
-            if !cache.is_enabled() {
-                drop(cache);
-                return self.rsse_index.read().search_conjunctive(&multi, top_k);
-            }
-            match cache.get(&key) {
-                Some(canonical) => {
-                    drop(cache);
-                    self.counters.record_cache(true);
-                    // Canonical slot k holds query part order[k]; invert so
-                    // query part i reads from canonical slot inv[i].
-                    let mut inv = vec![0usize; order.len()];
-                    for (k, &i) in order.iter().enumerate() {
-                        inv[i] = k;
-                    }
-                    let take = top_k.unwrap_or(canonical.len()).min(canonical.len());
-                    return canonical[..take]
-                        .iter()
-                        .map(|r| ConjunctiveResult {
-                            file: r.file,
-                            mapped_scores: inv.iter().map(|&k| r.mapped_scores[k]).collect(),
-                            score_sum: r.score_sum,
-                        })
-                        .collect();
-                }
-                None => cache.epoch(),
+        let lookup = self.conjunctive_cache.read().lookup(&key);
+        let fill_epoch = match lookup {
+            Err(None) => return self.rsse_index.read().search_conjunctive(&multi, top_k),
+            Err(Some(epoch)) => epoch,
+            Ok(canonical) => {
+                self.counters.record_cache(true);
+                let inv = inverse_order(&order);
+                let take = top_k.unwrap_or(canonical.len()).min(canonical.len());
+                return canonical[..take]
+                    .iter()
+                    .map(|r| ConjunctiveResult {
+                        file: r.file,
+                        mapped_scores: inv.iter().map(|&k| r.mapped_scores[k]).collect(),
+                        score_sum: r.score_sum,
+                    })
+                    .collect();
             }
         };
         self.counters.record_cache(false);
@@ -882,7 +847,9 @@ impl CloudServer {
     /// Applies an owner-issued score-dynamics update.
     ///
     /// Takes the write locks briefly; concurrent searches observe either
-    /// the pre- or post-update index, never a torn state. Ranking-cache
+    /// the pre- or post-update index, never a torn state. The new files
+    /// are stored *before* the index learns their postings, so a search
+    /// that ranks a new file always finds its ciphertext. Ranking-cache
     /// entries for the touched labels are invalidated *after* the index
     /// write completes, so a concurrent miss-fill that snapshotted its
     /// epoch before this update either read the post-update index (valid
@@ -890,8 +857,8 @@ impl CloudServer {
     /// park a pre-update ranking.
     pub fn apply_update(&self, update: rsse_core::IndexUpdate, new_files: Vec<EncryptedFile>) {
         let touched: Vec<Label> = update.labels().copied().collect();
-        update.apply_to(&mut self.rsse_index.write());
         self.files.write().ingest(new_files);
+        update.apply_to(&mut self.rsse_index.write());
         {
             let mut cache = self.cache.write();
             for label in &touched {
@@ -968,10 +935,7 @@ impl CloudServer {
     pub fn compact_index_live(&self) -> Result<Option<CompactionStats>, CloudError> {
         let flushed = self.rsse_index.write().flush_updates()?;
         let job = self.rsse_index.read().begin_live_compact()?;
-        let stats = match job {
-            Some(job) => Some(job.run()?),
-            None => None,
-        };
+        let stats = job.map(|job| job.run()).transpose()?;
         if flushed || stats.is_some() {
             self.note_index_rewrite();
         }
@@ -1124,10 +1088,7 @@ impl User {
                 expected: "RsseResponse",
             });
         };
-        files
-            .iter()
-            .map(|f| self.files.decrypt(f).map_err(CloudError::from))
-            .collect()
+        self.decrypt_files(&files)
     }
 
     /// Ranks a basic-scheme response client-side (decrypting the scores
@@ -1199,17 +1160,25 @@ impl User {
         keywords: &[&str],
         top_k: Option<u32>,
     ) -> Result<Message, CloudError> {
-        let queries = keywords
+        Ok(Message::BatchRequest {
+            queries: self.batch_queries(keywords, top_k)?,
+            shard_id: None,
+        })
+    }
+
+    /// One `(label, list key, top_k)` RSSE query per keyword.
+    fn batch_queries(
+        &self,
+        keywords: &[&str],
+        top_k: Option<u32>,
+    ) -> Result<Vec<BatchQuery>, CloudError> {
+        keywords
             .iter()
             .map(|kw| {
                 let t = self.rsse.trapdoor(kw)?;
                 Ok((*t.label(), *t.list_key().as_bytes(), top_k))
             })
-            .collect::<Result<Vec<_>, CloudError>>()?;
-        Ok(Message::BatchRequest {
-            queries,
-            shard_id: None,
-        })
+            .collect()
     }
 
     /// Builds the batched scatter legs of a sharded multi-keyword search:
@@ -1226,13 +1195,7 @@ impl User {
         top_k: Option<u32>,
         num_shards: u32,
     ) -> Result<Vec<Message>, CloudError> {
-        let queries = keywords
-            .iter()
-            .map(|kw| {
-                let t = self.rsse.trapdoor(kw)?;
-                Ok((*t.label(), *t.list_key().as_bytes(), top_k))
-            })
-            .collect::<Result<Vec<_>, CloudError>>()?;
+        let queries = self.batch_queries(keywords, top_k)?;
         Ok((0..num_shards)
             .map(|shard_id| Message::BatchRequest {
                 queries: queries.clone(),
@@ -1252,15 +1215,20 @@ impl User {
         query: &str,
         top_k: Option<u32>,
     ) -> Result<Message, CloudError> {
-        let multi = self.rsse.multi_trapdoor(query)?;
         Ok(Message::ConjunctiveRequest {
-            trapdoors: multi
-                .parts()
-                .iter()
-                .map(|t| (*t.label(), *t.list_key().as_bytes()))
-                .collect(),
+            trapdoors: self.conjunctive_trapdoors(query)?,
             top_k,
         })
+    }
+
+    /// The `(label, list key)` trapdoor of every keyword of `query`.
+    fn conjunctive_trapdoors(&self, query: &str) -> Result<Vec<(Label, [u8; 32])>, CloudError> {
+        let multi = self.rsse.multi_trapdoor(query)?;
+        Ok(multi
+            .parts()
+            .iter()
+            .map(|t| (*t.label(), *t.list_key().as_bytes()))
+            .collect())
     }
 
     /// Builds the scatter legs of a sharded conjunctive search: one
@@ -1278,12 +1246,7 @@ impl User {
         top_k: Option<u32>,
         num_shards: u32,
     ) -> Result<Vec<Message>, CloudError> {
-        let multi = self.rsse.multi_trapdoor(query)?;
-        let trapdoors: Vec<(Label, [u8; 32])> = multi
-            .parts()
-            .iter()
-            .map(|t| (*t.label(), *t.list_key().as_bytes()))
-            .collect();
+        let trapdoors = self.conjunctive_trapdoors(query)?;
         Ok((0..num_shards)
             .map(|shard_id| Message::ConjunctiveShardQuery {
                 trapdoors: trapdoors.clone(),
@@ -1311,180 +1274,64 @@ impl core::fmt::Debug for Deployment {
 }
 
 impl Deployment {
-    /// Bootstraps the whole system over `docs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures.
-    pub fn bootstrap(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-    ) -> Result<Self, CloudError> {
-        Self::bootstrap_with_cache(master_seed, params, docs, CloudServer::DEFAULT_CACHE_BUDGET)
-    }
-
-    /// [`Deployment::bootstrap`] with an explicit ranking-cache byte
-    /// budget; `0` disables the cache (used by the coherence tests and the
-    /// cache-off bench legs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures.
-    pub fn bootstrap_with_cache(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let owner = DataOwner::new(master_seed, params);
-        let mut channel = MeteredChannel::new();
-        let outsource = owner.outsource(docs)?;
-        // Encode/decode across the metered wire, exactly as deployed.
-        let frame = outsource.encode();
-        channel.send_up(frame.len());
-        let server =
-            CloudServer::from_outsource_with_cache(Message::decode(frame)?, cache_budget_bytes)?;
-        let user = owner.authorize_user();
-        Ok(Deployment {
-            server: Arc::new(server),
-            user,
-            owner,
-            setup_traffic: channel.report(),
-        })
-    }
-
-    /// [`Deployment::bootstrap`] onto the on-disk segment backend: the
-    /// built index is persisted to `segment_path` and served from disk
-    /// (see [`CloudServer::from_outsource_segment`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction and segment I/O failures.
-    pub fn bootstrap_segmented(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        segment_path: impl AsRef<std::path::Path>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let owner = DataOwner::new(master_seed, params);
-        let mut channel = MeteredChannel::new();
-        let outsource = owner.outsource(docs)?;
-        let frame = outsource.encode();
-        channel.send_up(frame.len());
-        let server = CloudServer::from_outsource_segment(
-            Message::decode(frame)?,
-            segment_path,
-            cache_budget_bytes,
-        )?;
-        let user = owner.authorize_user();
-        Ok(Deployment {
-            server: Arc::new(server),
-            user,
-            owner,
-            setup_traffic: channel.report(),
-        })
-    }
-
-    /// Warm restart from a previously saved segment: derives the owner's
-    /// and user's keys from the seed, re-encrypts the file collection
-    /// (deterministic under the owner's key), and boots the server with
-    /// [`CloudServer::from_segment`] — the encrypted index is **not**
-    /// rebuilt; the first query is served straight off the segment file.
-    /// `setup_traffic` is zero: nothing crossed the outsourcing wire.
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on malformed or unreadable segments.
-    pub fn bootstrap_from_segment(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        segment_path: impl AsRef<std::path::Path>,
-        cache_budget_bytes: usize,
-    ) -> Result<Self, CloudError> {
-        let owner = DataOwner::new(master_seed, params);
-        let server =
-            CloudServer::from_segment(segment_path, owner.encrypt_files(docs), cache_budget_bytes)?;
-        let user = owner.authorize_user();
-        Ok(Deployment {
-            server: Arc::new(server),
-            user,
-            owner,
-            setup_traffic: TrafficReport::default(),
-        })
-    }
-
-    /// [`Deployment::bootstrap`] onto the generational store: the built
-    /// index is persisted under `dir` (base generation + manifest) and
-    /// served from disk, with updates flushing into L0 deltas and live
-    /// compaction available (see
-    /// [`CloudServer::from_outsource_generational`]).
+    /// Bootstraps the whole system over `docs`: the owner builds and
+    /// outsources the index across the metered wire, and the server boots
+    /// from the decoded frame onto `storage` ([`CloudServer::boot`]).
     ///
     /// # Errors
     ///
     /// Propagates index-construction and store I/O failures.
-    pub fn bootstrap_generational(
+    pub fn bootstrap(
         master_seed: &[u8],
         params: RsseParams,
         docs: &[Document],
-        dir: impl AsRef<std::path::Path>,
+        storage: &Storage,
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
         let owner = DataOwner::new(master_seed, params);
         let mut channel = MeteredChannel::new();
-        let outsource = owner.outsource(docs)?;
-        let frame = outsource.encode();
+        // Encode/decode across the metered wire, exactly as deployed.
+        let frame = owner.outsource(docs)?.encode();
         channel.send_up(frame.len());
-        let server = CloudServer::from_outsource_generational(
-            Message::decode(frame)?,
-            dir,
-            cache_budget_bytes,
-        )?;
-        let user = owner.authorize_user();
-        Ok(Deployment {
-            server: Arc::new(server),
-            user,
-            owner,
-            setup_traffic: channel.report(),
-        })
+        let server = CloudServer::boot(Message::decode(frame)?, storage, cache_budget_bytes)?;
+        Ok(Self::wire(owner, server, channel.report()))
     }
 
-    /// Warm restart from a generational store directory — the
-    /// generational counterpart of [`Deployment::bootstrap_from_segment`]:
-    /// keys are re-derived from the seed, files re-encrypted, and the
-    /// server boots straight off the manifest with no index rebuild.
-    /// `setup_traffic` is zero: nothing crossed the outsourcing wire.
+    /// Warm restart from a store on disk ([`CloudServer::reopen`]): keys
+    /// are re-derived from the seed and the file collection re-encrypted
+    /// (deterministic under the owner's key), but the encrypted index is
+    /// **not** rebuilt. `setup_traffic` is zero: nothing crossed the
+    /// outsourcing wire.
     ///
     /// # Errors
     ///
-    /// [`CloudError::Persist`] on a malformed manifest or generation
-    /// file.
-    pub fn bootstrap_from_generations(
+    /// [`CloudError::Persist`] on a malformed or unreadable store.
+    pub fn reopen(
         master_seed: &[u8],
         params: RsseParams,
         docs: &[Document],
-        dir: impl AsRef<std::path::Path>,
+        path: impl AsRef<std::path::Path>,
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
         let owner = DataOwner::new(master_seed, params);
-        let server =
-            CloudServer::from_generation_dir(dir, owner.encrypt_files(docs), cache_budget_bytes)?;
-        let user = owner.authorize_user();
-        Ok(Deployment {
+        let server = CloudServer::reopen(path, owner.encrypt_files(docs), cache_budget_bytes)?;
+        Ok(Self::wire(owner, server, TrafficReport::default()))
+    }
+
+    fn wire(owner: DataOwner, server: CloudServer, setup_traffic: TrafficReport) -> Self {
+        Deployment {
             server: Arc::new(server),
-            user,
+            user: owner.authorize_user(),
             owner,
-            setup_traffic: TrafficReport::default(),
-        })
+            setup_traffic,
+        }
     }
 
     /// Persists the server's current index to `path` as an `RSSEIDX2`
     /// segment (holding the index read lock for the write), so a later
-    /// process can [`Deployment::bootstrap_from_segment`] without
-    /// rebuilding. Pending segment-overlay entries are folded into the
-    /// written file (`save` exports the merged view).
+    /// process can [`Deployment::reopen`] it without rebuilding. Pending
+    /// segment-overlay entries are folded into the written file (`save`
+    /// exports the merged view).
     ///
     /// # Errors
     ///
@@ -1623,15 +1470,8 @@ impl Deployment {
         query: &str,
         top_k: Option<u32>,
     ) -> Result<(Vec<Document>, TrafficReport), CloudError> {
-        let mut channel = MeteredChannel::new();
-        let request = self.user.conjunctive_request(query, top_k)?;
-        let response = self.round_trip(&mut channel, request)?;
-        let Message::ConjunctiveResponse { files, .. } = response else {
-            return Err(CloudError::UnexpectedMessage {
-                expected: "ConjunctiveResponse",
-            });
-        };
-        Ok((self.user.decrypt_files(&files)?, channel.report()))
+        let (_, docs, traffic) = self.conjunctive_search_ranked(query, top_k)?;
+        Ok((docs, traffic))
     }
 
     /// Extension — conjunctive search returning the server's wire ranking

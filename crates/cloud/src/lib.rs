@@ -17,13 +17,19 @@
 //! # Example
 //!
 //! ```
-//! use rsse_cloud::entities::Deployment;
+//! use rsse_cloud::entities::{CloudServer, Deployment, Storage};
 //! use rsse_core::RsseParams;
 //! use rsse_ir::corpus::{CorpusParams, SyntheticCorpus};
 //!
 //! # fn main() -> Result<(), rsse_cloud::CloudError> {
 //! let corpus = SyntheticCorpus::generate(&CorpusParams::small(3));
-//! let cloud = Deployment::bootstrap(b"seed", RsseParams::default(), corpus.documents())?;
+//! let cloud = Deployment::bootstrap(
+//!     b"seed",
+//!     RsseParams::default(),
+//!     corpus.documents(),
+//!     &Storage::Mem,
+//!     CloudServer::DEFAULT_CACHE_BUDGET,
+//! )?;
 //! let (docs, traffic) = cloud.rsse_search("network", Some(5))?;
 //! assert_eq!(docs.len(), 5);
 //! assert_eq!(traffic.round_trips, 1);
@@ -48,13 +54,13 @@ pub mod shard;
 pub mod tcp;
 pub mod transport;
 
-pub use audit::{AuditCounters, AuditLog, RequestKind, ServingReport};
+pub use audit::{AuditCounters, RequestKind, ServingReport};
 pub use cache::{CacheStats, ConjunctiveCache, RankingCache};
 pub use codec::{
     frame_message, BatchResult, CodecError, ErrorKind, FrameAssembler, Message, SearchMode,
     FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
-pub use entities::{CloudServer, DataOwner, Deployment, User};
+pub use entities::{CloudServer, DataOwner, Deployment, Storage, User};
 pub use error::CloudError;
 pub use files::{EncryptedFile, FileCrypter, FileStore};
 pub use network::{MeteredChannel, NetworkParams, TrafficReport};

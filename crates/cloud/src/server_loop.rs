@@ -6,12 +6,12 @@
 //! the closest this simulation gets to a deployed service, and the harness
 //! for the multi-user and throughput experiments.
 //!
-//! [`ServerHandle::spawn_pool`] starts **N worker threads** pulling from one
-//! shared bounded MPMC request channel. Every worker serves from the same
-//! `Arc<CloudServer>`: the server's mutable state (score-dynamics appends,
-//! file store, audit log) sits behind `parking_lot::RwLock`s, so concurrent
-//! searches take read locks and never serialize against each other.
-//! [`ServerHandle::spawn`] remains the single-worker special case.
+//! [`ServerHandle::spawn_pool_shared`] starts **N worker threads** pulling
+//! from one shared bounded MPMC request channel. Every worker serves from
+//! the same `Arc<CloudServer>`: the server's mutable state (score-dynamics
+//! appends, file store, caches) sits behind `parking_lot::RwLock`s, so
+//! concurrent searches take read locks and never serialize against each
+//! other.
 //!
 //! # Failure semantics
 //!
@@ -79,7 +79,7 @@ pub type FaultHook = Arc<dyn Fn(&Message) -> Option<Fault> + Send + Sync>;
 /// tell an injected worker death apart from an ordinary serving panic.
 struct WorkerDeath;
 
-/// Tuning knobs for [`ServerHandle::spawn_pool_with`].
+/// Tuning knobs for [`ServerHandle::spawn_pool_shared`].
 #[derive(Clone)]
 pub struct PoolOptions {
     /// Number of worker threads (clamped to at least 1).
@@ -215,16 +215,17 @@ pub fn serve_frame(server: &CloudServer, frame: &[u8], fault: Option<&FaultHook>
 ///
 /// ```
 /// use rsse_cloud::entities::{CloudServer, DataOwner};
-/// use rsse_cloud::server_loop::ServerHandle;
+/// use rsse_cloud::server_loop::{PoolOptions, ServerHandle};
 /// use rsse_cloud::{Message, SearchMode};
 /// use rsse_core::RsseParams;
 /// use rsse_ir::{Document, FileId};
+/// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let owner = DataOwner::new(b"seed", RsseParams::default());
 /// let docs = vec![Document::new(FileId::new(1), "network notes")];
 /// let server = CloudServer::from_outsource(owner.outsource(&docs)?)?;
-/// let handle = ServerHandle::spawn_pool(server, 4, 8);
+/// let handle = ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(4, 8));
 ///
 /// let client = handle.client();
 /// let user = owner.authorize_user();
@@ -276,28 +277,12 @@ fn worker_loop(
 }
 
 impl ServerHandle {
-    /// Spawns a single-worker server — [`ServerHandle::spawn_pool`] with
-    /// one thread, kept for API compatibility with the pre-pool loop.
-    pub fn spawn(server: CloudServer, backlog: usize) -> Self {
-        Self::spawn_pool(server, 1, backlog)
-    }
-
-    /// Spawns `workers` server threads sharing one bounded request queue
-    /// of `backlog` envelopes.
-    pub fn spawn_pool(server: CloudServer, workers: usize, backlog: usize) -> Self {
-        Self::spawn_pool_with(server, PoolOptions::new(workers, backlog))
-    }
-
-    /// Spawns a pool with full [`PoolOptions`] control.
-    pub fn spawn_pool_with(server: CloudServer, options: PoolOptions) -> Self {
-        Self::spawn_pool_shared(Arc::new(server), options)
-    }
-
-    /// Spawns a pool over an *already shared* server. Several pools over
-    /// the same `Arc<CloudServer>` act as replicas of one shard: they serve
-    /// from the same index, ranking cache and label filter, but each has
-    /// its own request queue and worker threads — so a router can spread
-    /// read legs across them.
+    /// Spawns `options.workers` server threads sharing one request queue
+    /// bounded at `options.backlog` envelopes. Several pools over the same
+    /// `Arc<CloudServer>` act as replicas of one shard: they serve from the
+    /// same index, ranking cache and label filter, but each has its own
+    /// request queue and worker threads — so a router can spread read legs
+    /// across them.
     pub fn spawn_pool_shared(server: Arc<CloudServer>, options: PoolOptions) -> Self {
         let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = bounded(options.backlog.max(1));
         let workers = (0..options.workers.max(1))
@@ -613,7 +598,11 @@ mod tests {
         let server =
             CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
         let n = corpus.documents().len();
-        (owner, ServerHandle::spawn_pool(server, workers, 16), n)
+        (
+            owner,
+            ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(workers, 16)),
+            n,
+        )
     }
 
     #[test]
@@ -752,7 +741,7 @@ mod tests {
         let owner = DataOwner::new(seed, RsseParams::default());
         let server =
             CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
-        let handle = ServerHandle::spawn_pool(server, 2, 8);
+        let handle = ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(2, 8));
         let client = handle.client();
         let user = owner.authorize_user();
 

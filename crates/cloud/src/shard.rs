@@ -16,15 +16,16 @@
 //!    the index once — scores computed against global collection
 //!    statistics, each OPM value seeded per `(keyword, file)` — and then
 //!    routes the *finished* entries to shards by file-id hash
-//!    ([`DataOwner::outsource_sharded`]). Rebuilding per shard would
-//!    change IDF and OPM randomness, and with them the ranking.
+//!    ([`DataOwner::outsource_sharded_with_filters`]). Rebuilding per
+//!    shard would change IDF and OPM randomness, and with them the
+//!    ranking.
 //! 2. **Files partition disjointly**, so a shard's local top-k contains
 //!    every one of its files that can appear in the global top-k: the
 //!    union of per-shard top-k lists is a superset of the global top-k.
 //! 3. **[`RankedResult`]'s order is total** (OPM score descending, ties
 //!    toward the smaller file id), so the k-way merge
-//!    ([`rsse_core::merge_ranked_streams`]) reproduces the single-server
-//!    sort exactly, tie-breaks included.
+//!    ([`merge_shard_replies`]) reproduces the single-server sort exactly,
+//!    tie-breaks included.
 //!
 //! The `tests/shard_equivalence.rs` proptest suite pins this equivalence
 //! for shard counts 1–8 against random corpora.
@@ -42,7 +43,7 @@
 //!
 //! A naive scatter pays one leg per shard per query even though most
 //! posting lists live on a few shards. Three opt-in features
-//! ([`RouterOptions`], wired by [`ShardedDeployment::bootstrap_tuned`])
+//! ([`RouterOptions`], wired by [`ShardedDeployment::bootstrap`])
 //! cut that fan-out without changing a single result byte — DESIGN.md
 //! §6.5 carries the full protocol and leakage argument:
 //!
@@ -64,15 +65,15 @@
 //!   less-loaded of two pseudo-randomly chosen replicas
 //!   (power-of-two-choices on in-flight counts).
 
-use crate::cache::{CacheStats, CacheWeight, EpochCache};
+use crate::cache::{inverse_order, CacheStats, CacheWeight, EpochCache};
 use crate::codec::{ErrorKind, Message};
-use crate::entities::{CloudServer, DataOwner, User};
+use crate::entities::{CloudServer, DataOwner, Storage, User};
 use crate::error::CloudError;
 use crate::files::EncryptedFile;
 use crate::network::TrafficReport;
 use crate::server_loop::{PendingReply, PoolOptions, ServerClient, ServerHandle};
 use parking_lot::{Mutex, RwLock};
-use rsse_core::{canonical_label_order, merge_ranked_streams, Label, RankedResult, RsseParams};
+use rsse_core::{canonical_label_order, Label, RankedResult, RsseParams};
 use rsse_ir::{Document, FileId};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -117,8 +118,8 @@ impl IndexPartitioner {
     }
 }
 
-/// Opt-in shard-routing efficiency knobs (all off by default, so a plain
-/// [`ShardRouter::new`] behaves exactly like the pre-tuning router).
+/// Opt-in shard-routing efficiency knobs (all off by default: one
+/// replica, and every query scatters to every shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterOptions {
     /// Skip scatter legs to shards whose label filter proves they hold no
@@ -128,7 +129,7 @@ pub struct RouterOptions {
     /// it.
     pub merged_cache_budget: usize,
     /// Serving pools per shard (clamped to at least 1). Only
-    /// [`ShardedDeployment::bootstrap_tuned`] consumes this — a router
+    /// [`ShardedDeployment::bootstrap`] consumes this — a router
     /// built directly from clients takes its replica count from the
     /// client lists it is given.
     pub replicas: usize,
@@ -327,30 +328,41 @@ pub struct DegradedLeg {
     pub error: CloudError,
 }
 
-/// The outcome of one scatter-gather query.
+/// The outcome of one scatter-gather query: single-keyword
+/// ([`ShardRouter::scatter`]; entries are [`RankedResult`]s) or
+/// conjunctive ([`ShardRouter::scatter_conjunctive`]; see
+/// [`ConjunctiveScatterOutcome`]).
 #[derive(Debug)]
-pub struct ScatterOutcome {
+pub struct ScatterOutcome<R = RankedResult> {
     /// Globally ranked results, best first — byte-identical to what the
     /// unsharded server would return *if no leg degraded*.
-    pub ranking: Vec<RankedResult>,
+    pub ranking: Vec<R>,
     /// The ranked encrypted files, same order as `ranking`.
     pub files: Vec<EncryptedFile>,
     /// Aggregated traffic of every leg, shed attempts and error frames
-    /// included ([`TrafficReport::shard_legs`] counts the legs).
+    /// included ([`TrafficReport::shard_legs`] or
+    /// [`TrafficReport::conjunctive_legs`] counts the legs).
     pub traffic: TrafficReport,
-    /// Shards that answered with a usable reply.
+    /// Shards that answered with a usable reply (pruned shards included).
     pub shards_ok: u32,
     /// Legs that failed — degraded coverage, reported, never silent. Empty
     /// means the ranking is complete.
     pub degraded: Vec<DegradedLeg>,
 }
 
-impl ScatterOutcome {
+impl<R> ScatterOutcome<R> {
     /// Whether every shard contributed (no degraded coverage).
     pub fn is_complete(&self) -> bool {
         self.degraded.is_empty()
     }
 }
+
+/// The outcome of one conjunctive scatter-gather: every shard intersects
+/// its own disjoint file partition locally, and the router k-way merges
+/// the partial rankings by `score_sum`. Entries are wire pairs `(file id,
+/// per-keyword mapped scores in trapdoor order)`, best `score_sum` first
+/// (file id ascending on ties).
+pub type ConjunctiveScatterOutcome = ScatterOutcome<(u64, Vec<u64>)>;
 
 /// The outcome of one *batched* scatter-gather
 /// ([`ShardRouter::scatter_batch`]): several keywords resolved against
@@ -378,170 +390,102 @@ impl BatchScatterOutcome {
     }
 }
 
-/// The outcome of one conjunctive scatter-gather
-/// ([`ShardRouter::scatter_conjunctive`]): every shard intersects its own
-/// disjoint file partition locally, and the router k-way merges the
-/// partial rankings by `score_sum`.
-#[derive(Debug)]
-pub struct ConjunctiveScatterOutcome {
-    /// Globally ranked wire pairs `(file id, per-keyword mapped scores in
-    /// trapdoor order)`, best `score_sum` first (file id ascending on
-    /// ties) — byte-identical to the unsharded server's conjunctive
-    /// ranking *if no leg degraded*.
-    pub ranking: Vec<(u64, Vec<u64>)>,
-    /// The ranked encrypted files, same order as `ranking`.
-    pub files: Vec<EncryptedFile>,
-    /// Aggregated traffic of every leg
-    /// ([`TrafficReport::conjunctive_legs`] counts the legs).
-    pub traffic: TrafficReport,
-    /// Shards that answered with a usable reply (pruned shards included).
-    pub shards_ok: u32,
-    /// Legs that failed — degraded coverage, reported, never silent.
-    pub degraded: Vec<DegradedLeg>,
-}
-
-impl ConjunctiveScatterOutcome {
-    /// Whether every shard contributed (no degraded coverage).
-    pub fn is_complete(&self) -> bool {
-        self.degraded.is_empty()
-    }
-}
-
-/// Sum of one wire entry's per-keyword mapped scores — the conjunctive
-/// rank key, widened so it cannot overflow.
-fn conjunctive_sum(entry: &(u64, Vec<u64>)) -> u128 {
-    entry.1.iter().map(|&s| u128::from(s)).sum()
-}
-
-/// Merges per-shard conjunctive replies into one globally ranked list
-/// with the files aligned to it.
+/// Merges per-shard replies into one globally ranked list with the files
+/// aligned to it — the coordinator half of every scatter.
 ///
-/// `rankings[s]` and `files[s]` are shard `s`'s reply, each already in
-/// its local `(score_sum desc, file asc)` order. Files partition
-/// disjointly across shards and the order is total (file id breaks every
-/// tie), so repeatedly taking the best shard head reproduces the
-/// single-server sort exactly. Files are *moved* out of the replies; a
-/// file that does not match its claimed entry — a misbehaving shard — is
-/// dropped rather than misattributed.
-pub fn merge_conjunctive_replies(
-    rankings: Vec<Vec<(u64, Vec<u64>)>>,
+/// `rankings[s]` and `files[s]` are shard `s`'s reply, already in its
+/// local rank order (files aligned to its ranking); `rank` keys an entry,
+/// greater first. Files partition disjointly across shards and each
+/// family's order is total (file id breaks every score tie), so
+/// repeatedly taking the best shard head reproduces the single-server
+/// sort exactly, tie-breaks included; exact duplicates (reachable only
+/// with a byzantine shard) drain toward the lower shard index. The cost
+/// is O(shards) allocations, never O(results). Files are *moved* out of
+/// the replies, not cloned. A shard's file is consumed only when it
+/// matches the entry just merged: a file that does not match — a
+/// misbehaving shard — is dropped rather than misattributed, and an
+/// entry whose file is missing leaves the shard's later files in place.
+fn merge_replies<R, K: Ord>(
+    rankings: Vec<Vec<R>>,
     files: Vec<Vec<EncryptedFile>>,
     top_k: Option<usize>,
-) -> (Vec<(u64, Vec<u64>)>, Vec<EncryptedFile>) {
+    rank: impl Fn(&R) -> K,
+    file_id: impl Fn(&R) -> u64,
+) -> (Vec<R>, Vec<EncryptedFile>) {
     let total: usize = rankings.iter().map(Vec::len).sum();
     let take = top_k.unwrap_or(total).min(total);
-    let mut entry_iters: Vec<std::vec::IntoIter<(u64, Vec<u64>)>> =
-        rankings.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(u64, Vec<u64>)>> =
-        entry_iters.iter_mut().map(Iterator::next).collect();
-    let mut file_iters: Vec<std::vec::IntoIter<EncryptedFile>> =
-        files.into_iter().map(Vec::into_iter).collect();
+    let mut heads: Vec<_> = rankings
+        .into_iter()
+        .map(|ranking| ranking.into_iter().peekable())
+        .collect();
+    let mut file_iters: Vec<_> = files
+        .into_iter()
+        .map(|files| files.into_iter().peekable())
+        .collect();
     let mut out = Vec::with_capacity(take);
     let mut out_files = Vec::with_capacity(take);
     while out.len() < take {
         let best = heads
-            .iter()
+            .iter_mut()
             .enumerate()
-            .filter_map(|(s, head)| head.as_ref().map(|h| (s, conjunctive_sum(h), h.0)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)))
-            .map(|(s, _, _)| s);
-        let Some(source) = best else { break };
-        let entry = heads[source].take().expect("picked a live head");
-        heads[source] = entry_iters[source].next();
-        match file_iters[source].next() {
-            Some(file) if file.id().as_u64() == entry.0 => out_files.push(file),
-            _ => {} // shard sent fewer/misaligned files; drop, don't misattribute
-        }
+            .filter_map(|(s, head)| head.peek().map(|entry| (s, rank(entry))))
+            .reduce(|best, next| if next.1 > best.1 { next } else { best });
+        let Some((source, _)) = best else { break };
+        let entry = heads[source].next().expect("picked a live head");
+        out_files.extend(file_iters[source].next_if(|file| file.id().as_u64() == file_id(&entry)));
         out.push(entry);
     }
     (out, out_files)
 }
 
-/// Merges per-shard replies into one globally ranked result list with the
-/// files aligned to it.
-///
-/// `rankings[s]` and `files[s]` are shard `s`'s reply, already in its
-/// local rank order (files aligned to its ranking). The coordinator's
-/// cost here is O(shards) allocations — the head heap, the cursor table,
-/// the file iterators, and two pre-sized output vectors — never
-/// O(results); the alloc-count regression suite pins the merge half of
-/// this. Files are *moved* out of the replies, not cloned.
-///
-/// Provenance is recovered by per-shard cursors instead of a hash map:
-/// the merged order restricted to one shard is a prefix of that shard's
-/// local order, so whichever shard's cursor head equals the next merged
-/// result is its source (ties drain toward the lower shard index, exactly
-/// like the merge). A file that does not match its claimed result — a
-/// misbehaving shard — is dropped rather than misattributed.
+/// [`merge_replies`] for single-keyword replies, ranked by
+/// [`RankedResult`]'s order (OPM score descending, ties toward the
+/// smaller file id).
 pub fn merge_shard_replies(
-    rankings: &[Vec<RankedResult>],
+    rankings: Vec<Vec<RankedResult>>,
     files: Vec<Vec<EncryptedFile>>,
     top_k: Option<usize>,
 ) -> (Vec<RankedResult>, Vec<EncryptedFile>) {
-    let streams: Vec<&[RankedResult]> = rankings.iter().map(Vec::as_slice).collect();
-    let merged = merge_ranked_streams(&streams, top_k);
-    let mut cursors = vec![0usize; rankings.len()];
-    let mut file_iters: Vec<std::vec::IntoIter<EncryptedFile>> =
-        files.into_iter().map(Vec::into_iter).collect();
-    let mut out_files = Vec::with_capacity(merged.len());
-    for result in &merged {
-        let source = (0..rankings.len())
-            .find(|&s| rankings[s].get(cursors[s]) == Some(result))
-            .expect("every merged result heads exactly one stream");
-        cursors[source] += 1;
-        match file_iters[source].next() {
-            Some(file) if file.id() == result.file => out_files.push(file),
-            _ => {} // shard sent fewer/misaligned files; drop, don't misattribute
-        }
-    }
-    (merged, out_files)
+    merge_replies(rankings, files, top_k, |r| *r, |r| r.file.as_u64())
 }
 
-/// When every leg is a [`Message::ShardQuery`] for one label whose
-/// `top_k` agrees with the merge's, that label keys the routing features
-/// (pruning, merged cache). Anything else — mixed labels, hand-built
-/// legs, a `top_k` mismatch — falls back to the plain full scatter.
-fn uniform_query_label(legs: &[Message], top_k: Option<usize>) -> Option<Label> {
-    let mut query_label = None;
-    for leg in legs {
-        match leg {
-            Message::ShardQuery {
-                label, top_k: k, ..
-            } if k.map(|k| k as usize) == top_k => match query_label {
-                None => query_label = Some(*label),
-                Some(prev) if prev == *label => {}
-                Some(_) => return None,
-            },
-            _ => return None,
-        }
-    }
-    query_label
+/// [`merge_replies`] for conjunctive wire entries `(file id, per-keyword
+/// mapped scores)`, ranked by `score_sum` descending (widened so it
+/// cannot overflow), ties toward the smaller file id.
+pub fn merge_conjunctive_replies(
+    rankings: Vec<Vec<(u64, Vec<u64>)>>,
+    files: Vec<Vec<EncryptedFile>>,
+    top_k: Option<usize>,
+) -> (Vec<(u64, Vec<u64>)>, Vec<EncryptedFile>) {
+    let rank = |(id, scores): &(u64, Vec<u64>)| {
+        let score_sum: u128 = scores.iter().map(|&s| u128::from(s)).sum();
+        (score_sum, std::cmp::Reverse(*id))
+    };
+    merge_replies(rankings, files, top_k, rank, |entry| entry.0)
 }
 
-/// When every leg is a [`Message::ConjunctiveShardQuery`] carrying the
-/// same trapdoor sequence and a `top_k` that agrees with the merge's,
-/// the query's label sequence (trapdoor order) keys the routing features.
-/// Anything else falls back to the plain full scatter.
-fn uniform_conjunctive_labels(legs: &[Message], top_k: Option<usize>) -> Option<Vec<Label>> {
-    let mut query_labels: Option<Vec<Label>> = None;
-    for leg in legs {
-        match leg {
-            Message::ConjunctiveShardQuery {
-                trapdoors,
-                top_k: k,
-                ..
-            } if k.map(|k| k as usize) == top_k => {
-                let labels: Vec<Label> = trapdoors.iter().map(|(label, _)| *label).collect();
-                match &query_labels {
-                    None => query_labels = Some(labels),
-                    Some(prev) if *prev == labels => {}
-                    Some(_) => return None,
-                }
-            }
-            _ => return None,
-        }
-    }
-    query_labels.filter(|labels| !labels.is_empty())
+/// Wire `(file id, OPM score)` pairs as ranked results.
+fn ranked_results(ranking: Vec<(u64, u64)>) -> Vec<RankedResult> {
+    ranking
+        .into_iter()
+        .map(|(id, encrypted_score)| RankedResult {
+            file: FileId::new(id),
+            encrypted_score,
+        })
+        .collect()
+}
+
+/// Prices one scatter attempt: `(bytes up, bytes down, is error frame)`.
+type LegMeter = fn(usize, usize, bool) -> TrafficReport;
+
+/// What [`ShardRouter::gather`] reports besides the replies, which its
+/// `accept` callback keeps.
+struct Gathered {
+    /// Legs queued on a replica.
+    sent: u32,
+    /// Shards that answered with an accepted reply, plus pruned shards.
+    shards_ok: u32,
+    degraded: Vec<DegradedLeg>,
 }
 
 /// The scatter-gather coordinator: one replica set per shard, a per-leg
@@ -562,23 +506,14 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// A router over `clients` (shard `i` is `clients[i]`) with a 5 s
-    /// per-leg deadline and 3 overload-retry attempts at 2 ms base
-    /// backoff. All routing features are off — this router scatters to
-    /// every shard, every query, exactly like the pre-tuning router.
-    pub fn new(clients: Vec<ServerClient>) -> Self {
-        Self::tuned(
-            clients.into_iter().map(|c| vec![c]).collect(),
-            Vec::new(),
-            RouterOptions::default(),
-        )
-    }
-
     /// A router over `replicas` (shard `i` is served by any client in
-    /// `replicas[i]`) with `options`'s features armed. `watches[i]` is
-    /// shard `i`'s filter-epoch watch ([`CloudServer::filter_watch`]);
-    /// the router re-fetches a shard's label filter and flushes its
-    /// merged cache whenever a watch moves.
+    /// `replicas[i]`) with a 5 s per-leg deadline, 3 overload-retry
+    /// attempts at 2 ms base backoff, and `options`'s features armed.
+    /// `watches[i]` is shard `i`'s filter-epoch watch
+    /// ([`CloudServer::filter_watch`]); the router re-fetches a shard's
+    /// label filter and flushes its merged cache whenever a watch moves.
+    /// With [`RouterOptions::default`] the router scatters to every
+    /// shard, every query.
     ///
     /// # Panics
     ///
@@ -711,67 +646,86 @@ impl ShardRouter {
         let reply = set.clients[replica]
             .call_async(request)
             .and_then(|pending| pending.wait(Some(self.deadline)));
-        match reply {
-            Ok(Message::FilterReply {
-                shard_id,
-                epoch,
-                labels,
-            }) if shard_id == shard as u32 => {
-                let down = Message::FilterReply {
-                    shard_id,
-                    epoch,
-                    labels: labels.clone(),
-                }
-                .wire_len();
-                traffic.absorb(&TrafficReport::filter_fetch(up, down));
-                if let Some(labels) = labels {
-                    let mut cached = state.cached.lock();
-                    cached.labels = labels.into_iter().collect();
-                    cached.epoch = Some(epoch);
-                }
+        let down = match reply {
+            Ok(reply) => {
+                let down = reply.wire_len();
                 // A `labels: None` reply means "unchanged since
                 // known_epoch" — the cached set already matches that
-                // epoch, so there is nothing to store; any other epoch
+                // epoch, so there is nothing to store; any other reply
                 // keeps the filter stale (and unprunable).
+                if let Message::FilterReply {
+                    shard_id,
+                    epoch,
+                    labels: Some(labels),
+                } = reply
+                {
+                    if shard_id == shard as u32 {
+                        let mut cached = state.cached.lock();
+                        cached.labels = labels.into_iter().collect();
+                        cached.epoch = Some(epoch);
+                    }
+                }
+                down
             }
-            Ok(other) => {
-                traffic.absorb(&TrafficReport::filter_fetch(up, other.wire_len()));
-            }
-            Err(CloudError::Server { kind, detail }) => {
-                let down = Message::Error { kind, detail }.wire_len();
-                traffic.absorb(&TrafficReport::filter_fetch(up, down));
-            }
-            Err(_) => {
-                traffic.absorb(&TrafficReport::filter_fetch(up, 0));
-            }
-        }
-    }
-
-    /// Whether shard `shard` can be skipped for `label`: pruning armed,
-    /// the shard's filter confirmed current against its live watch, and
-    /// the label absent from it. Filters only grow under updates, so a
-    /// *stale* filter could miss a label the shard has since gained —
-    /// which is why a stale filter never prunes.
-    fn can_prune(&self, shard: usize, query_label: Option<Label>) -> bool {
-        if !self.pruning {
-            return false;
-        }
-        let (Some(label), Some(state)) = (query_label, self.filters.get(shard)) else {
-            return false;
+            Err(CloudError::Server { kind, detail }) => Message::Error { kind, detail }.wire_len(),
+            Err(_) => 0,
         };
-        let cached = state.cached.lock();
-        cached.epoch == Some(state.watch.load(Ordering::Acquire)) && !cached.labels.contains(&label)
+        traffic.absorb(&TrafficReport::filter_fetch(up, down));
     }
 
-    /// Whether shard `shard` can be skipped for a conjunctive query over
-    /// `labels`: pruning armed, the shard's filter confirmed current, and
-    /// *any* queried label absent from it — a shard missing even one
-    /// posting list provably contributes an empty intersection.
-    fn can_prune_conjunctive(&self, shard: usize, query_labels: Option<&[Label]>) -> bool {
+    /// The label set every leg queries, in trapdoor order, when the legs
+    /// are all [`Message::ShardQuery`]s (a one-label set) or all
+    /// [`Message::ConjunctiveShardQuery`]s carrying the same trapdoor
+    /// sequence, with a `top_k` that agrees with the merge's. The set keys
+    /// the routing features (pruning, merged cache). Anything else — mixed
+    /// legs, hand-built legs, a `top_k` mismatch — falls back to the plain
+    /// full scatter.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `legs.len()` differs from the router's shard count —
+    /// a misassembled scatter is a programming error, not a wire fault.
+    fn query_labels(&self, legs: &[Message], top_k: Option<usize>) -> Option<Vec<Label>> {
+        assert_eq!(
+            legs.len(),
+            self.shards.len(),
+            "one leg per shard, in shard order"
+        );
+        let mut query: Option<Vec<Label>> = None;
+        for leg in legs {
+            let (labels, k) = match leg {
+                Message::ShardQuery { label, top_k, .. } => (vec![*label], top_k),
+                Message::ConjunctiveShardQuery {
+                    trapdoors, top_k, ..
+                } => (trapdoors.iter().map(|(label, _)| *label).collect(), top_k),
+                _ => return None,
+            };
+            let same_kind = std::mem::discriminant(&legs[0]) == std::mem::discriminant(leg);
+            if !same_kind || k.map(|k| k as usize) != top_k {
+                return None;
+            }
+            match &query {
+                None => query = Some(labels),
+                Some(prev) if *prev == labels => {}
+                Some(_) => return None,
+            }
+        }
+        query.filter(|labels| !labels.is_empty())
+    }
+
+    /// Whether shard `shard` can be skipped for a query over `labels`:
+    /// pruning armed, the shard's filter confirmed current against its
+    /// live watch, and *any* queried label absent from it — a shard
+    /// missing even one posting list holds no real entry for a
+    /// single-keyword query and provably contributes an empty
+    /// intersection to a conjunctive one. Filters only grow under
+    /// updates, so a *stale* filter could miss a label the shard has
+    /// since gained — which is why a stale filter never prunes.
+    fn can_prune(&self, shard: usize, labels: Option<&[Label]>) -> bool {
         if !self.pruning {
             return false;
         }
-        let (Some(labels), Some(state)) = (query_labels, self.filters.get(shard)) else {
+        let (Some(labels), Some(state)) = (labels, self.filters.get(shard)) else {
             return false;
         };
         let cached = state.cached.lock();
@@ -779,27 +733,121 @@ impl ShardRouter {
             && labels.iter().any(|label| !cached.labels.contains(label))
     }
 
-    /// Scatters `legs` (leg `i` to shard `i`) and gathers the merged
-    /// top-`top_k` ranking.
+    /// The one scatter-gather loop behind every query family.
     ///
-    /// All legs are queued before any reply is awaited
+    /// Prunes the shards whose current filter excludes `labels`, then
+    /// queues every remaining leg (leg `i` to shard `i`, each to its
+    /// least-loaded replica) before any reply is awaited
     /// ([`ServerClient::call_async`]), so shards serve in parallel. A leg
     /// shed by a full backlog is retried within the router's retry
-    /// budget; every other failure — an error frame, a deadline expiry, a
-    /// dead worker, an out-of-protocol or misaddressed reply — degrades
-    /// that shard's coverage and is reported in
-    /// [`ScatterOutcome::degraded`]. Every attempt's bytes are metered,
-    /// error frames included; a timed-out leg contributes its upstream
-    /// bytes and an empty downstream.
+    /// budget. Each queued leg is then gathered under the per-leg
+    /// deadline. `accept(shard, reply)` keeps a reply and returns `true`
+    /// when it is the family's reply addressed to `shard`; every other
+    /// outcome — a refused (out-of-protocol or misaddressed) reply, an
+    /// error frame, a deadline expiry, a dead worker — degrades that
+    /// shard's coverage. Every attempt is priced with `meter`, error
+    /// frames included; a timed-out leg contributes its upstream bytes
+    /// and an empty downstream. A pruned leg costs zero bytes and counts
+    /// in [`TrafficReport::pruned_legs`] and toward `shards_ok`, since an
+    /// empty contribution is a complete answer.
     ///
-    /// With [`RouterOptions`] features armed, a leg may instead be
-    /// **pruned** (the shard's current filter excludes the label — zero
-    /// bytes, counted in [`TrafficReport::pruned_legs`] and in
-    /// [`ScatterOutcome::shards_ok`], since an empty contribution is a
-    /// complete answer), or the whole query may be served from the
-    /// merged-result cache (zero legs). Both paths return byte-identical
-    /// results to the full scatter; a query whose every shard is pruned
-    /// succeeds with an empty ranking.
+    /// # Errors
+    ///
+    /// [`CloudError::AllShardsFailed`] when no shard produced a usable
+    /// reply (pruned shards count as answered).
+    fn gather(
+        &self,
+        legs: &[Message],
+        labels: Option<&[Label]>,
+        traffic: &mut TrafficReport,
+        meter: LegMeter,
+        expected: &'static str,
+        mut accept: impl FnMut(u32, Message) -> bool,
+    ) -> Result<Gathered, CloudError> {
+        let mut pruned = 0u32;
+        let mut sent = 0u32;
+        let mut states: Vec<Option<(Result<PendingReply, CloudError>, LegTicket)>> =
+            Vec::with_capacity(legs.len());
+        for (shard, leg) in legs.iter().enumerate() {
+            if self.can_prune(shard, labels) {
+                traffic.absorb(&TrafficReport::pruned_leg());
+                pruned += 1;
+                states.push(None);
+                continue;
+            }
+            let set = &self.shards[shard];
+            let replica = set.pick();
+            let ticket = set.ticket(replica);
+            let state = self.queue_with_retry(&set.clients[replica], leg, traffic, meter);
+            sent += u32::from(state.is_ok());
+            states.push(Some((state, ticket)));
+        }
+
+        let mut accepted = 0u32;
+        let mut degraded = Vec::new();
+        for (shard, (state, leg)) in states.into_iter().zip(legs).enumerate() {
+            let shard = shard as u32;
+            let Some((state, _ticket)) = state else {
+                continue; // pruned — nothing to gather
+            };
+            let error = match state.map(|pending| pending.wait(Some(self.deadline))) {
+                // Never queued; the queueing attempts are already metered.
+                Err(error) => error,
+                Ok(Ok(reply)) => {
+                    traffic.absorb(&meter(leg.wire_len(), reply.wire_len(), false));
+                    if accept(shard, reply) {
+                        accepted += 1;
+                        continue;
+                    }
+                    CloudError::UnexpectedMessage { expected }
+                }
+                Ok(Err(CloudError::Server { kind, detail })) => {
+                    // The codec is canonical, so rebuilding the frame
+                    // reproduces its exact wire size.
+                    let frame_len = Message::Error {
+                        kind,
+                        detail: detail.clone(),
+                    }
+                    .wire_len();
+                    traffic.absorb(&meter(leg.wire_len(), frame_len, true));
+                    CloudError::Server { kind, detail }
+                }
+                Ok(Err(error)) => {
+                    traffic.absorb(&meter(leg.wire_len(), 0, false));
+                    error
+                }
+            };
+            degraded.push(DegradedLeg {
+                shard_id: shard,
+                error,
+            });
+        }
+
+        // A pruned shard *did* answer — with the empty partial result its
+        // filter proved — so it counts toward coverage; only a query
+        // where every sent leg failed and nothing was pruned has no
+        // usable answer at all.
+        let shards_ok = accepted + pruned;
+        if shards_ok == 0 {
+            return Err(CloudError::AllShardsFailed {
+                shards: self.shards.len() as u32,
+            });
+        }
+        Ok(Gathered {
+            sent,
+            shards_ok,
+            degraded,
+        })
+    }
+
+    /// Scatters `legs` (leg `i` to shard `i`) and gathers the merged
+    /// top-`top_k` ranking through [`Self::gather`]'s pruning, retry,
+    /// deadline and degradation rules; a misaddressed reply degrades its
+    /// leg, reported in [`ScatterOutcome::degraded`].
+    ///
+    /// With the merged-result cache armed, a whole query may be served
+    /// from it (zero legs), byte-identical to the full scatter. A query
+    /// whose every shard is pruned succeeds with an empty ranking.
     ///
     /// # Errors
     ///
@@ -815,167 +863,72 @@ impl ShardRouter {
         legs: Vec<Message>,
         top_k: Option<usize>,
     ) -> Result<ScatterOutcome, CloudError> {
-        assert_eq!(
-            legs.len(),
-            self.shards.len(),
-            "one leg per shard, in shard order"
-        );
         let mut traffic = TrafficReport::default();
-        let query_label = uniform_query_label(&legs, top_k);
+        let labels = self.query_labels(&legs, top_k);
+        let key = match (legs.first(), labels.as_deref()) {
+            (Some(Message::ShardQuery { .. }), Some(&[label])) => Some((label, top_k)),
+            _ => None,
+        };
 
         // Routing features: observe shard epochs (refreshing any stale
         // filter), then try the merged cache — a hit costs zero legs.
-        if !self.filters.is_empty() {
-            self.observe_filter_epochs(&mut traffic);
-        }
-        let fill_epoch = {
-            let merged = self.merged.read();
-            match (merged.is_enabled(), query_label) {
-                (true, Some(label)) => {
-                    if let Some(hit) = merged.get(&(label, top_k)) {
-                        return Ok(ScatterOutcome {
-                            ranking: hit.ranking.clone(),
-                            files: hit.files.clone(),
-                            traffic,
-                            shards_ok: self.shards.len() as u32,
-                            degraded: Vec::new(),
-                        });
-                    }
-                    Some(merged.epoch())
-                }
-                _ => None,
+        self.observe_filter_epochs(&mut traffic);
+        let lookup = key.as_ref().map(|key| self.merged.read().lookup(key));
+        let fill_epoch = match lookup {
+            Some(Ok(hit)) => {
+                return Ok(ScatterOutcome {
+                    ranking: hit.ranking.clone(),
+                    files: hit.files.clone(),
+                    traffic,
+                    shards_ok: self.shards.len() as u32,
+                    degraded: Vec::new(),
+                })
             }
+            Some(Err(fill_epoch)) => fill_epoch,
+            None => None,
         };
 
-        // Scatter: prune provably empty shards; queue every remaining leg
-        // (each to its least-loaded replica) before waiting on any.
-        // Overload sheds are answered round trips (the front door priced
-        // them), so each attempt meters as its own leg.
-        let mut pruned = 0u32;
-        let mut states: Vec<Option<(Result<PendingReply, CloudError>, LegTicket)>> =
-            Vec::with_capacity(legs.len());
-        for (shard, leg) in legs.iter().enumerate() {
-            if self.can_prune(shard, query_label) {
-                traffic.absorb(&TrafficReport::pruned_leg());
-                pruned += 1;
-                states.push(None);
-                continue;
-            }
-            let set = &self.shards[shard];
-            let replica = set.pick();
-            let ticket = set.ticket(replica);
-            let state = self.queue_with_retry(&set.clients[replica], leg, &mut traffic);
-            states.push(Some((state, ticket)));
-        }
-
-        // Gather: collect every pending leg under the per-leg deadline.
-        let mut rankings: Vec<Vec<RankedResult>> = Vec::with_capacity(states.len());
-        let mut shard_files: Vec<Vec<EncryptedFile>> = Vec::with_capacity(states.len());
-        let mut degraded = Vec::new();
-        for (shard, (state, leg)) in states.into_iter().zip(&legs).enumerate() {
-            let shard = shard as u32;
-            let up = leg.wire_len();
-            let Some((state, _ticket)) = state else {
-                continue; // pruned — nothing to gather
-            };
-            let pending = match state {
-                Ok(p) => p,
-                Err(error) => {
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error,
-                    });
-                    continue;
-                }
-            };
-            match pending.wait(Some(self.deadline)) {
-                Ok(Message::ShardReply {
+        let mut rankings = Vec::with_capacity(legs.len());
+        let mut shard_files = Vec::with_capacity(legs.len());
+        let gathered = self.gather(
+            &legs,
+            labels.as_deref(),
+            &mut traffic,
+            TrafficReport::shard_leg,
+            "ShardReply addressed to this shard",
+            |shard, reply| match reply {
+                Message::ShardReply {
                     shard_id,
                     ranking,
                     files,
-                }) if shard_id == shard => {
-                    let reply_len = Message::ShardReply {
-                        shard_id,
-                        ranking: ranking.clone(),
-                        files: files.clone(),
-                    }
-                    .wire_len();
-                    traffic.absorb(&TrafficReport::shard_leg(up, reply_len, false));
-                    rankings.push(
-                        ranking
-                            .into_iter()
-                            .map(|(id, encrypted_score)| RankedResult {
-                                file: FileId::new(id),
-                                encrypted_score,
-                            })
-                            .collect(),
-                    );
+                } if shard_id == shard => {
+                    rankings.push(ranked_results(ranking));
                     shard_files.push(files);
+                    true
                 }
-                Ok(other) => {
-                    traffic.absorb(&TrafficReport::shard_leg(up, other.wire_len(), false));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error: CloudError::UnexpectedMessage {
-                            expected: "ShardReply addressed to this shard",
-                        },
-                    });
-                }
-                Err(CloudError::Server { kind, detail }) => {
-                    // The codec is canonical, so rebuilding the frame
-                    // reproduces its exact wire size.
-                    let frame_len = Message::Error {
-                        kind,
-                        detail: detail.clone(),
-                    }
-                    .wire_len();
-                    traffic.absorb(&TrafficReport::shard_leg(up, frame_len, true));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error: CloudError::Server { kind, detail },
-                    });
-                }
-                Err(error) => {
-                    traffic.absorb(&TrafficReport::shard_leg(up, 0, false));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error,
-                    });
-                }
-            }
-        }
-
-        // A pruned shard *did* answer — with the empty partial result its
-        // filter proved — so it counts toward coverage; only a query
-        // where every sent leg failed and nothing was pruned has no
-        // usable answer at all.
-        let shards_ok = rankings.len() as u32 + pruned;
-        if shards_ok == 0 {
-            return Err(CloudError::AllShardsFailed {
-                shards: self.shards.len() as u32,
-            });
-        }
-        let (ranking, files) = merge_shard_replies(&rankings, shard_files, top_k);
-        if degraded.is_empty() {
-            if let (Some(fill_epoch), Some(label)) = (fill_epoch, query_label) {
-                // Complete outcomes only: a degraded merge is missing a
-                // partition and must not be replayed from cache.
-                self.merged.write().insert_if_current(
-                    (label, top_k),
-                    Arc::new(MergedResult {
-                        ranking: ranking.clone(),
-                        files: files.clone(),
-                    }),
-                    fill_epoch,
-                );
-            }
+                _ => false,
+            },
+        )?;
+        let (ranking, files) = merge_shard_replies(rankings, shard_files, top_k);
+        if let (true, Some(fill_epoch), Some(key)) = (gathered.degraded.is_empty(), fill_epoch, key)
+        {
+            // Complete outcomes only: a degraded merge is missing a
+            // partition and must not be replayed from cache.
+            self.merged.write().insert_if_current(
+                key,
+                Arc::new(MergedResult {
+                    ranking: ranking.clone(),
+                    files: files.clone(),
+                }),
+                fill_epoch,
+            );
         }
         Ok(ScatterOutcome {
             ranking,
             files,
             traffic,
-            shards_ok,
-            degraded,
+            shards_ok: gathered.shards_ok,
+            degraded: gathered.degraded,
         })
     }
 
@@ -1011,204 +964,103 @@ impl ShardRouter {
         legs: Vec<Message>,
         top_k: Option<usize>,
     ) -> Result<ConjunctiveScatterOutcome, CloudError> {
-        assert_eq!(
-            legs.len(),
-            self.shards.len(),
-            "one leg per shard, in shard order"
-        );
         let mut traffic = TrafficReport {
             conjunctive_queries: 1,
             ..TrafficReport::default()
         };
-        let query_labels = uniform_conjunctive_labels(&legs, top_k);
+        let labels = self.query_labels(&legs, top_k);
 
-        if !self.filters.is_empty() {
-            self.observe_filter_epochs(&mut traffic);
-        }
+        self.observe_filter_epochs(&mut traffic);
         // Cache key: the label multiset, order-erased. The stored scores
         // are canonical-ordered; `order`/`inv` translate between the
         // asking query's trapdoor order and the canonical one.
-        let canonical = query_labels.as_ref().map(|labels| {
+        let conjunctive_legs = matches!(legs.first(), Some(Message::ConjunctiveShardQuery { .. }));
+        let canonical = labels.as_ref().filter(|_| conjunctive_legs).map(|labels| {
             let order = canonical_label_order(labels);
             let key: Vec<Label> = order.iter().map(|&i| labels[i]).collect();
             (order, key)
         });
-        let fill_epoch = {
-            let cache = self.conjunctive_merged.read();
-            match (cache.is_enabled(), &canonical) {
-                (true, Some((order, key))) => {
-                    if let Some(hit) = cache.get(&(key.clone(), top_k)) {
-                        let mut inv = vec![0usize; order.len()];
-                        for (k, &i) in order.iter().enumerate() {
-                            inv[i] = k;
-                        }
-                        let ranking = hit
-                            .ranking
-                            .iter()
-                            .map(|(id, scores)| (*id, inv.iter().map(|&k| scores[k]).collect()))
-                            .collect();
-                        return Ok(ConjunctiveScatterOutcome {
-                            ranking,
-                            files: hit.files.clone(),
-                            traffic,
-                            shards_ok: self.shards.len() as u32,
-                            degraded: Vec::new(),
-                        });
-                    }
-                    Some(cache.epoch())
-                }
-                _ => None,
+        let lookup = canonical
+            .as_ref()
+            .map(|(_, key)| self.conjunctive_merged.read().lookup(&(key.clone(), top_k)));
+        let fill_epoch = match (lookup, &canonical) {
+            (Some(Ok(hit)), Some((order, _))) => {
+                let inv = inverse_order(order);
+                let ranking = hit
+                    .ranking
+                    .iter()
+                    .map(|(id, scores)| (*id, inv.iter().map(|&k| scores[k]).collect()))
+                    .collect();
+                return Ok(ScatterOutcome {
+                    ranking,
+                    files: hit.files.clone(),
+                    traffic,
+                    shards_ok: self.shards.len() as u32,
+                    degraded: Vec::new(),
+                });
             }
+            (Some(Err(fill_epoch)), _) => fill_epoch,
+            _ => None,
         };
 
-        // Scatter: prune shards whose filter proves an empty local
-        // intersection; queue every remaining leg before waiting on any.
-        let mut pruned = 0u32;
-        let mut states: Vec<Option<(Result<PendingReply, CloudError>, LegTicket)>> =
-            Vec::with_capacity(legs.len());
-        for (shard, leg) in legs.iter().enumerate() {
-            if self.can_prune_conjunctive(shard, query_labels.as_deref()) {
-                traffic.absorb(&TrafficReport::pruned_leg());
-                pruned += 1;
-                states.push(None);
-                continue;
-            }
-            let set = &self.shards[shard];
-            let replica = set.pick();
-            let ticket = set.ticket(replica);
-            let state = self.queue_with_retry_metered(
-                &set.clients[replica],
-                leg,
-                &mut traffic,
-                TrafficReport::conjunctive_leg,
-            );
-            states.push(Some((state, ticket)));
-        }
-
-        // Gather: collect every pending leg under the per-leg deadline.
-        let mut rankings: Vec<Vec<(u64, Vec<u64>)>> = Vec::with_capacity(states.len());
-        let mut shard_files: Vec<Vec<EncryptedFile>> = Vec::with_capacity(states.len());
-        let mut degraded = Vec::new();
-        for (shard, (state, leg)) in states.into_iter().zip(&legs).enumerate() {
-            let shard = shard as u32;
-            let up = leg.wire_len();
-            let Some((state, _ticket)) = state else {
-                continue; // pruned — nothing to gather
-            };
-            let pending = match state {
-                Ok(p) => p,
-                Err(error) => {
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error,
-                    });
-                    continue;
-                }
-            };
-            match pending.wait(Some(self.deadline)) {
-                Ok(Message::ConjunctiveShardReply {
+        let mut rankings = Vec::with_capacity(legs.len());
+        let mut shard_files = Vec::with_capacity(legs.len());
+        let gathered = self.gather(
+            &legs,
+            labels.as_deref(),
+            &mut traffic,
+            TrafficReport::conjunctive_leg,
+            "ConjunctiveShardReply addressed to this shard",
+            |shard, reply| match reply {
+                Message::ConjunctiveShardReply {
                     shard_id,
                     ranking,
                     files,
-                }) if shard_id == shard => {
-                    let reply_len = Message::ConjunctiveShardReply {
-                        shard_id,
-                        ranking: ranking.clone(),
-                        files: files.clone(),
-                    }
-                    .wire_len();
-                    traffic.absorb(&TrafficReport::conjunctive_leg(up, reply_len, false));
+                } if shard_id == shard => {
                     rankings.push(ranking);
                     shard_files.push(files);
+                    true
                 }
-                Ok(other) => {
-                    traffic.absorb(&TrafficReport::conjunctive_leg(up, other.wire_len(), false));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error: CloudError::UnexpectedMessage {
-                            expected: "ConjunctiveShardReply addressed to this shard",
-                        },
-                    });
-                }
-                Err(CloudError::Server { kind, detail }) => {
-                    let frame_len = Message::Error {
-                        kind,
-                        detail: detail.clone(),
-                    }
-                    .wire_len();
-                    traffic.absorb(&TrafficReport::conjunctive_leg(up, frame_len, true));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error: CloudError::Server { kind, detail },
-                    });
-                }
-                Err(error) => {
-                    traffic.absorb(&TrafficReport::conjunctive_leg(up, 0, false));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error,
-                    });
-                }
-            }
-        }
-
-        let shards_ok = rankings.len() as u32 + pruned;
-        if shards_ok == 0 {
-            return Err(CloudError::AllShardsFailed {
-                shards: self.shards.len() as u32,
-            });
-        }
+                _ => false,
+            },
+        )?;
         let (ranking, files) = merge_conjunctive_replies(rankings, shard_files, top_k);
-        if degraded.is_empty() {
-            if let (Some(fill_epoch), Some((order, key))) = (fill_epoch, canonical) {
-                // Complete outcomes only, scores permuted to canonical
-                // label order so any keyword ordering can serve the entry.
-                let canonical_ranking = ranking
-                    .iter()
-                    .map(|(id, scores)| {
-                        (*id, order.iter().map(|&i| scores[i]).collect::<Vec<u64>>())
-                    })
-                    .collect();
-                self.conjunctive_merged.write().insert_if_current(
-                    (key, top_k),
-                    Arc::new(ConjunctiveMerged {
-                        ranking: canonical_ranking,
-                        files: files.clone(),
-                    }),
-                    fill_epoch,
-                );
-            }
+        if let (true, Some(fill_epoch), Some((order, key))) =
+            (gathered.degraded.is_empty(), fill_epoch, canonical)
+        {
+            // Complete outcomes only, scores permuted to canonical
+            // label order so any keyword ordering can serve the entry.
+            let canonical_ranking = ranking
+                .iter()
+                .map(|(id, scores)| (*id, order.iter().map(|&i| scores[i]).collect::<Vec<u64>>()))
+                .collect();
+            self.conjunctive_merged.write().insert_if_current(
+                (key, top_k),
+                Arc::new(ConjunctiveMerged {
+                    ranking: canonical_ranking,
+                    files: files.clone(),
+                }),
+                fill_epoch,
+            );
         }
-        Ok(ConjunctiveScatterOutcome {
+        Ok(ScatterOutcome {
             ranking,
             files,
             traffic,
-            shards_ok,
-            degraded,
+            shards_ok: gathered.shards_ok,
+            degraded: gathered.degraded,
         })
     }
 
-    /// Queues one leg under the router's overload-retry budget, metering
-    /// every shed attempt; `Err` is a leg that never got queued.
+    /// Queues one leg under the router's overload-retry budget, pricing
+    /// every shed attempt with `meter`; `Err` is a leg that never got
+    /// queued.
     fn queue_with_retry(
         &self,
         client: &ServerClient,
         leg: &Message,
         traffic: &mut TrafficReport,
-    ) -> Result<PendingReply, CloudError> {
-        self.queue_with_retry_metered(client, leg, traffic, TrafficReport::shard_leg)
-    }
-
-    /// [`Self::queue_with_retry`] with the per-attempt meter chosen by the
-    /// caller — conjunctive scatters price their legs as
-    /// [`TrafficReport::conjunctive_leg`]s, everything else as
-    /// [`TrafficReport::shard_leg`]s.
-    fn queue_with_retry_metered(
-        &self,
-        client: &ServerClient,
-        leg: &Message,
-        traffic: &mut TrafficReport,
-        meter: impl Fn(usize, usize, bool) -> TrafficReport,
+        meter: LegMeter,
     ) -> Result<PendingReply, CloudError> {
         let shed_frame_len =
             Message::error(ErrorKind::Overloaded, "request backlog is full").wire_len();
@@ -1271,11 +1123,7 @@ impl ShardRouter {
         legs: Vec<Message>,
         top_k: Option<usize>,
     ) -> Result<BatchScatterOutcome, CloudError> {
-        assert_eq!(
-            legs.len(),
-            self.shards.len(),
-            "one leg per shard, in shard order"
-        );
+        let labels = self.query_labels(&legs, top_k);
         let num_queries = legs
             .iter()
             .map(|leg| match leg {
@@ -1294,83 +1142,25 @@ impl ShardRouter {
             }
         }
         let mut traffic = TrafficReport::default();
-
-        let mut states = Vec::with_capacity(legs.len());
-        for (shard, leg) in legs.iter().enumerate() {
-            let set = &self.shards[shard];
-            let replica = set.pick();
-            let ticket = set.ticket(replica);
-            let state = self.queue_with_retry(&set.clients[replica], leg, &mut traffic);
-            if state.is_ok() {
-                traffic.batched_queries += num_queries as u32;
-            }
-            states.push((state, ticket));
-        }
-
-        let mut per_shard: Vec<Vec<crate::BatchResult>> = Vec::with_capacity(states.len());
-        let mut degraded = Vec::new();
-        for (shard, ((state, _ticket), leg)) in states.into_iter().zip(&legs).enumerate() {
-            let shard = shard as u32;
-            let up = leg.wire_len();
-            let pending = match state {
-                Ok(p) => p,
-                Err(error) => {
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error,
-                    });
-                    continue;
-                }
-            };
-            match pending.wait(Some(self.deadline)) {
-                Ok(Message::BatchReply { shard_id, results })
+        let mut per_shard: Vec<Vec<crate::BatchResult>> = Vec::with_capacity(legs.len());
+        let gathered = self.gather(
+            &legs,
+            labels.as_deref(),
+            &mut traffic,
+            TrafficReport::shard_leg,
+            "BatchReply addressed to this shard",
+            |shard, reply| match reply {
+                Message::BatchReply { shard_id, results }
                     if shard_id == Some(shard) && results.len() == num_queries =>
                 {
-                    let reply_len = Message::BatchReply {
-                        shard_id,
-                        results: results.clone(),
-                    }
-                    .wire_len();
-                    traffic.absorb(&TrafficReport::shard_leg(up, reply_len, false));
                     per_shard.push(results);
+                    true
                 }
-                Ok(other) => {
-                    traffic.absorb(&TrafficReport::shard_leg(up, other.wire_len(), false));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error: CloudError::UnexpectedMessage {
-                            expected: "BatchReply addressed to this shard",
-                        },
-                    });
-                }
-                Err(CloudError::Server { kind, detail }) => {
-                    let frame_len = Message::Error {
-                        kind,
-                        detail: detail.clone(),
-                    }
-                    .wire_len();
-                    traffic.absorb(&TrafficReport::shard_leg(up, frame_len, true));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error: CloudError::Server { kind, detail },
-                    });
-                }
-                Err(error) => {
-                    traffic.absorb(&TrafficReport::shard_leg(up, 0, false));
-                    degraded.push(DegradedLeg {
-                        shard_id: shard,
-                        error,
-                    });
-                }
-            }
-        }
+                _ => false,
+            },
+        )?;
+        traffic.batched_queries += gathered.sent * num_queries as u32;
 
-        let shards_ok = per_shard.len() as u32;
-        if shards_ok == 0 {
-            return Err(CloudError::AllShardsFailed {
-                shards: self.shards.len() as u32,
-            });
-        }
         // Transpose shard-major replies into query-major merges: query q's
         // partial rankings across the surviving shards merge exactly like
         // a single scattered query's.
@@ -1382,24 +1172,16 @@ impl ShardRouter {
             let mut files: Vec<Vec<EncryptedFile>> = Vec::with_capacity(shard_iters.len());
             for iter in &mut shard_iters {
                 let (ranking, shard_files) = iter.next().expect("length validated at gather");
-                rankings.push(
-                    ranking
-                        .into_iter()
-                        .map(|(id, encrypted_score)| RankedResult {
-                            file: FileId::new(id),
-                            encrypted_score,
-                        })
-                        .collect(),
-                );
+                rankings.push(ranked_results(ranking));
                 files.push(shard_files);
             }
-            queries.push(merge_shard_replies(&rankings, files, top_k));
+            queries.push(merge_shard_replies(rankings, files, top_k));
         }
         Ok(BatchScatterOutcome {
             queries,
             traffic,
-            shards_ok,
-            degraded,
+            shards_ok: gathered.shards_ok,
+            degraded: gathered.degraded,
         })
     }
 }
@@ -1428,80 +1210,37 @@ impl core::fmt::Debug for ShardedDeployment {
 }
 
 impl ShardedDeployment {
-    /// Bootstraps `num_shards` shard pools over `docs`, each with the
-    /// same `options` (workers, backlog, deadline, faults).
+    /// Bootstraps `num_shards` shards over `docs`. The owner builds the
+    /// index once and partitions it; each shard boots from its own
+    /// decoded Outsource frame onto `storage`
+    /// ([`Storage::Segment`] and [`Storage::Generational`] name the
+    /// directory holding every shard's store, `shard-<i>.idx` or
+    /// `shard-<i>/`) with the default cache budget, and gets the owner's
+    /// exact label filter installed
+    /// ([`CloudServer::install_label_filter`]).
+    /// `router_options.replicas` serving pools with `options` (workers,
+    /// backlog, deadline, faults) share each shard's one
+    /// `Arc<CloudServer>`, and the router is wired with every shard's
+    /// filter watch so pruning and the merged-result cache can invalidate
+    /// on updates. Same ciphertexts on every storage, so sharded rankings
+    /// stay byte-identical to the in-memory path; with
+    /// [`RouterOptions::default`] every query scatters to every shard.
     ///
     /// # Errors
     ///
-    /// Propagates index-construction failures.
+    /// Propagates index-construction and store I/O failures.
     pub fn bootstrap(
         master_seed: &[u8],
         params: RsseParams,
         docs: &[Document],
         num_shards: usize,
-        options: PoolOptions,
-    ) -> Result<Self, CloudError> {
-        Self::bootstrap_with(master_seed, params, docs, num_shards, |_| options.clone())
-    }
-
-    /// [`Self::bootstrap`] with per-shard pool options — how the fault
-    /// tests wedge exactly one shard while the others serve.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures.
-    pub fn bootstrap_with(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        num_shards: usize,
-        mut options_for: impl FnMut(usize) -> PoolOptions,
-    ) -> Result<Self, CloudError> {
-        let owner = DataOwner::new(master_seed, params);
-        let partitioner = IndexPartitioner::new(num_shards);
-        let handles: Vec<ServerHandle> = owner
-            .outsource_sharded(docs, &partitioner)?
-            .into_iter()
-            .enumerate()
-            .map(|(shard, outsource)| {
-                // Over the wire exactly as deployed: each shard boots from
-                // its own decoded Outsource frame.
-                let frame = outsource.encode();
-                let server = CloudServer::from_outsource(Message::decode(frame)?)?;
-                Ok(ServerHandle::spawn_pool_with(server, options_for(shard)))
-            })
-            .collect::<Result<_, CloudError>>()?;
-        let router = ShardRouter::new(handles.iter().map(ServerHandle::client).collect());
-        let user = owner.authorize_user();
-        Ok(ShardedDeployment {
-            owner,
-            user,
-            partitioner,
-            handles,
-            replicas_per_shard: 1,
-            router,
-        })
-    }
-
-    /// [`Self::bootstrap`] with the shard-routing efficiency features
-    /// armed: every shard gets an owner-exact label filter installed
-    /// ([`CloudServer::install_label_filter`]),
-    /// `router_options.replicas` serving pools sharing its one
-    /// `Arc<CloudServer>` (index, ranking cache and filter included), and
-    /// the router is wired with each shard's filter watch so pruning and
-    /// the merged-result cache can invalidate on updates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures.
-    pub fn bootstrap_tuned(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        num_shards: usize,
+        storage: &Storage,
         options: PoolOptions,
         router_options: RouterOptions,
     ) -> Result<Self, CloudError> {
+        if let Storage::Segment(dir) | Storage::Generational(dir) = storage {
+            std::fs::create_dir_all(dir).map_err(rsse_core::PersistError::from)?;
+        }
         let owner = DataOwner::new(master_seed, params);
         let partitioner = IndexPartitioner::new(num_shards);
         let replicas = router_options.replicas.max(1);
@@ -1509,9 +1248,15 @@ impl ShardedDeployment {
         let mut handles = Vec::with_capacity(frames.len() * replicas);
         let mut replica_clients = Vec::with_capacity(frames.len());
         let mut watches = Vec::with_capacity(frames.len());
-        for (outsource, labels) in frames.into_iter().zip(shard_labels) {
+        for (shard, (outsource, labels)) in frames.into_iter().zip(shard_labels).enumerate() {
+            // Over the wire exactly as deployed: each shard boots from
+            // its own decoded Outsource frame.
             let frame = outsource.encode();
-            let server = Arc::new(CloudServer::from_outsource(Message::decode(frame)?)?);
+            let server = Arc::new(CloudServer::boot(
+                Message::decode(frame)?,
+                &storage.for_shard(shard),
+                CloudServer::DEFAULT_CACHE_BUDGET,
+            )?);
             server.install_label_filter(labels);
             watches.push(server.filter_watch());
             let clients: Vec<ServerClient> = (0..replicas)
@@ -1533,103 +1278,6 @@ impl ShardedDeployment {
             partitioner,
             handles,
             replicas_per_shard: replicas,
-            router,
-        })
-    }
-
-    /// [`Self::bootstrap`] onto the on-disk segment backend: each shard's
-    /// partition of the (globally built) index is persisted to
-    /// `segment_dir/shard-<i>.idx` and served from disk via
-    /// [`CloudServer::from_outsource_segment`] — one segment per shard,
-    /// same ciphertexts, so sharded rankings stay byte-identical to the
-    /// in-memory path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures and segment I/O failures.
-    pub fn bootstrap_segmented(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        num_shards: usize,
-        segment_dir: impl AsRef<std::path::Path>,
-        options: PoolOptions,
-    ) -> Result<Self, CloudError> {
-        let segment_dir = segment_dir.as_ref();
-        std::fs::create_dir_all(segment_dir).map_err(rsse_core::PersistError::from)?;
-        let owner = DataOwner::new(master_seed, params);
-        let partitioner = IndexPartitioner::new(num_shards);
-        let handles: Vec<ServerHandle> = owner
-            .outsource_sharded(docs, &partitioner)?
-            .into_iter()
-            .enumerate()
-            .map(|(shard, outsource)| {
-                let frame = outsource.encode();
-                let server = CloudServer::from_outsource_segment(
-                    Message::decode(frame)?,
-                    segment_dir.join(format!("shard-{shard}.idx")),
-                    CloudServer::DEFAULT_CACHE_BUDGET,
-                )?;
-                Ok(ServerHandle::spawn_pool_with(server, options.clone()))
-            })
-            .collect::<Result<_, CloudError>>()?;
-        let router = ShardRouter::new(handles.iter().map(ServerHandle::client).collect());
-        let user = owner.authorize_user();
-        Ok(ShardedDeployment {
-            owner,
-            user,
-            partitioner,
-            handles,
-            replicas_per_shard: 1,
-            router,
-        })
-    }
-
-    /// [`Self::bootstrap`] onto the generational store: each shard's
-    /// partition is persisted under `store_dir/shard-<i>/` (base
-    /// generation + manifest) and served from disk via
-    /// [`CloudServer::from_outsource_generational`]. Per-shard update
-    /// streams flush into per-shard L0 deltas and compact live without
-    /// stalling that shard's serving pool — same ciphertexts, so sharded
-    /// rankings stay byte-identical to the in-memory path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction failures and store I/O failures.
-    pub fn bootstrap_generational(
-        master_seed: &[u8],
-        params: RsseParams,
-        docs: &[Document],
-        num_shards: usize,
-        store_dir: impl AsRef<std::path::Path>,
-        options: PoolOptions,
-    ) -> Result<Self, CloudError> {
-        let store_dir = store_dir.as_ref();
-        std::fs::create_dir_all(store_dir).map_err(rsse_core::PersistError::from)?;
-        let owner = DataOwner::new(master_seed, params);
-        let partitioner = IndexPartitioner::new(num_shards);
-        let handles: Vec<ServerHandle> = owner
-            .outsource_sharded(docs, &partitioner)?
-            .into_iter()
-            .enumerate()
-            .map(|(shard, outsource)| {
-                let frame = outsource.encode();
-                let server = CloudServer::from_outsource_generational(
-                    Message::decode(frame)?,
-                    store_dir.join(format!("shard-{shard}")),
-                    CloudServer::DEFAULT_CACHE_BUDGET,
-                )?;
-                Ok(ServerHandle::spawn_pool_with(server, options.clone()))
-            })
-            .collect::<Result<_, CloudError>>()?;
-        let router = ShardRouter::new(handles.iter().map(ServerHandle::client).collect());
-        let user = owner.authorize_user();
-        Ok(ShardedDeployment {
-            owner,
-            user,
-            partitioner,
-            handles,
-            replicas_per_shard: 1,
             router,
         })
     }
@@ -1808,13 +1456,13 @@ mod tests {
             vec![],
         ];
         let files = vec![vec![ef(4), ef(1)], vec![ef(2), ef(7)], vec![]];
-        let (ranking, out_files) = merge_shard_replies(&rankings, files, Some(3));
+        let (ranking, out_files) = merge_shard_replies(rankings.clone(), files, Some(3));
         assert_eq!(ranking, vec![rr(2, 90), rr(4, 90), rr(7, 50)]);
         let ids: Vec<u64> = out_files.iter().map(|f| f.id().as_u64()).collect();
         assert_eq!(ids, vec![2, 4, 7], "files track the merged rank order");
         // k beyond the total returns everything, still aligned.
         let files = vec![vec![ef(4), ef(1)], vec![ef(2), ef(7)], vec![]];
-        let (all, all_files) = merge_shard_replies(&rankings, files, Some(99));
+        let (all, all_files) = merge_shard_replies(rankings, files, Some(99));
         assert_eq!(all.len(), 4);
         assert_eq!(all_files.len(), 4);
     }
@@ -1824,26 +1472,59 @@ mod tests {
         let rankings = vec![vec![rr(4, 90)]];
         // The shard claims result 4 but ships file 9.
         let files = vec![vec![ef(9)]];
-        let (ranking, out_files) = merge_shard_replies(&rankings, files, None);
+        let (ranking, out_files) = merge_shard_replies(rankings, files, None);
         assert_eq!(ranking, vec![rr(4, 90)]);
         assert!(out_files.is_empty(), "a lying shard's file is dropped");
+    }
+
+    #[test]
+    fn merge_keeps_later_files_after_a_missing_one() {
+        // The shard ranks 1, 2, 3 but ships only the files of 2 and 3:
+        // result 1 goes without its file, 2 and 3 keep theirs.
+        let rankings = vec![vec![rr(1, 90), rr(2, 80), rr(3, 70)]];
+        let (ranking, out_files) =
+            merge_shard_replies(rankings.clone(), vec![vec![ef(2), ef(3)]], None);
+        assert_eq!(ranking, rankings[0]);
+        let ids: Vec<u64> = out_files.iter().map(|f| f.id().as_u64()).collect();
+        assert_eq!(ids, vec![2, 3]);
+
+        let conjunctive = vec![vec![(1, vec![90]), (2, vec![80]), (3, vec![70])]];
+        let (ranking, out_files) =
+            merge_conjunctive_replies(conjunctive.clone(), vec![vec![ef(2), ef(3)]], None);
+        assert_eq!(ranking, conjunctive[0]);
+        let ids: Vec<u64> = out_files.iter().map(|f| f.id().as_u64()).collect();
+        assert_eq!(ids, vec![2, 3]);
     }
 
     fn small_docs(seed: u64) -> SyntheticCorpus {
         SyntheticCorpus::generate(&CorpusParams::small(seed))
     }
 
+    /// An in-memory deployment over `docs`: `shards` shards, single-worker
+    /// pools with a `backlog`-deep queue, `router` features armed.
+    fn deploy(
+        seed: &[u8],
+        docs: &[Document],
+        shards: usize,
+        backlog: usize,
+        router: RouterOptions,
+    ) -> ShardedDeployment {
+        let pool = PoolOptions::new(1, backlog);
+        let params = RsseParams::default();
+        ShardedDeployment::bootstrap(seed, params, docs, shards, &Storage::Mem, pool, router)
+            .unwrap()
+    }
+
     #[test]
     fn sharded_search_round_trips_and_meters_legs() {
         let corpus = small_docs(71);
-        let cloud = ShardedDeployment::bootstrap(
+        let cloud = deploy(
             b"shard seed",
-            RsseParams::default(),
             corpus.documents(),
             3,
-            PoolOptions::new(1, 8),
-        )
-        .unwrap();
+            8,
+            RouterOptions::default(),
+        );
         let (docs, outcome) = cloud.rsse_search("network", Some(5)).unwrap();
         assert_eq!(outcome.ranking.len(), 5);
         assert_eq!(docs.len(), 5);
@@ -1864,14 +1545,13 @@ mod tests {
     #[test]
     fn batched_scatter_matches_per_keyword_scatter() {
         let corpus = small_docs(75);
-        let cloud = ShardedDeployment::bootstrap(
+        let cloud = deploy(
             b"batch shard seed",
-            RsseParams::default(),
             corpus.documents(),
             3,
-            PoolOptions::new(1, 16),
-        )
-        .unwrap();
+            16,
+            RouterOptions::default(),
+        );
         let keywords = ["network", "data"];
 
         // Reference: one scatter per keyword.
@@ -1902,14 +1582,13 @@ mod tests {
     #[test]
     fn batched_scatter_misaddressed_reply_degrades() {
         let corpus = small_docs(76);
-        let cloud = ShardedDeployment::bootstrap(
+        let cloud = deploy(
             b"batch misroute seed",
-            RsseParams::default(),
             corpus.documents(),
             2,
-            PoolOptions::new(1, 8),
-        )
-        .unwrap();
+            8,
+            RouterOptions::default(),
+        );
         let mut legs = cloud
             .user()
             .batch_shard_query(&["network"], Some(3), 2)
@@ -1925,21 +1604,17 @@ mod tests {
         quiet_injected_panics();
         let corpus = small_docs(72);
         let faulty = 1usize;
-        let cloud = ShardedDeployment::bootstrap_with(
+        let cloud = ShardedDeployment::bootstrap(
             b"degrade seed",
             RsseParams::default(),
             corpus.documents(),
             3,
-            |shard| {
-                let options = PoolOptions::new(1, 8);
-                if shard == faulty {
-                    options.with_fault(|msg| {
-                        matches!(msg, Message::ShardQuery { .. }).then_some(Fault::Panic("boom"))
-                    })
-                } else {
-                    options
-                }
-            },
+            &Storage::Mem,
+            PoolOptions::new(1, 8).with_fault(move |msg| {
+                matches!(msg, Message::ShardQuery { shard_id, .. } if *shard_id == faulty as u32)
+                    .then_some(Fault::Panic("boom"))
+            }),
+            RouterOptions::default(),
         )
         .unwrap();
 
@@ -1977,16 +1652,16 @@ mod tests {
     fn all_shards_failing_is_an_error_not_an_empty_result() {
         quiet_injected_panics();
         let corpus = small_docs(73);
-        let cloud = ShardedDeployment::bootstrap_with(
+        let cloud = ShardedDeployment::bootstrap(
             b"total loss seed",
             RsseParams::default(),
             corpus.documents(),
             2,
-            |_| {
-                PoolOptions::new(1, 8).with_fault(|msg| {
-                    matches!(msg, Message::ShardQuery { .. }).then_some(Fault::Panic("boom"))
-                })
-            },
+            &Storage::Mem,
+            PoolOptions::new(1, 8).with_fault(|msg| {
+                matches!(msg, Message::ShardQuery { .. }).then_some(Fault::Panic("boom"))
+            }),
+            RouterOptions::default(),
         )
         .unwrap();
         let err = cloud.rsse_search("network", Some(3)).unwrap_err();
@@ -2012,23 +1687,14 @@ mod tests {
     fn pruning_skips_filtered_shards_and_preserves_the_ranking() {
         let docs = pruning_corpus();
         let shards = 4usize;
-        let plain = ShardedDeployment::bootstrap(
+        let plain = deploy(b"prune seed", &docs, shards, 16, RouterOptions::default());
+        let tuned = deploy(
             b"prune seed",
-            RsseParams::default(),
             &docs,
             shards,
-            PoolOptions::new(1, 16),
-        )
-        .unwrap();
-        let tuned = ShardedDeployment::bootstrap_tuned(
-            b"prune seed",
-            RsseParams::default(),
-            &docs,
-            shards,
-            PoolOptions::new(1, 16),
+            16,
             RouterOptions::new().with_pruning(),
-        )
-        .unwrap();
+        );
 
         let (_, want) = plain.rsse_search("quasar", None).unwrap();
         let (_, got) = tuned.rsse_search("quasar", None).unwrap();
@@ -2068,15 +1734,13 @@ mod tests {
     #[test]
     fn merged_cache_hit_costs_zero_legs() {
         let docs = pruning_corpus();
-        let tuned = ShardedDeployment::bootstrap_tuned(
+        let tuned = deploy(
             b"merge cache seed",
-            RsseParams::default(),
             &docs,
             3,
-            PoolOptions::new(1, 16),
+            16,
             RouterOptions::new().with_merged_cache(1 << 20),
-        )
-        .unwrap();
+        );
         let (_, first) = tuned.rsse_search("alpha", Some(5)).unwrap();
         assert_eq!(first.traffic.shard_legs, 3);
         let (cached_docs, second) = tuned.rsse_search("alpha", Some(5)).unwrap();
@@ -2110,17 +1774,15 @@ mod tests {
         let shards = 4usize;
         let master = b"router coherence seed";
         let params = RsseParams::default();
-        let tuned = ShardedDeployment::bootstrap_tuned(
+        let tuned = deploy(
             master,
-            params,
             &docs,
             shards,
-            PoolOptions::new(1, 16),
+            16,
             RouterOptions::new()
                 .with_pruning()
                 .with_merged_cache(1 << 20),
-        )
-        .unwrap();
+        );
         let partitioner = tuned.partitioner();
 
         let (_, first) = tuned.rsse_search("quasar", None).unwrap();
@@ -2168,15 +1830,13 @@ mod tests {
         let corpus = small_docs(77);
         let shards = 2usize;
         let replicas = 3usize;
-        let tuned = ShardedDeployment::bootstrap_tuned(
+        let tuned = deploy(
             b"replica seed",
-            RsseParams::default(),
             corpus.documents(),
             shards,
-            PoolOptions::new(1, 16),
+            16,
             RouterOptions::new().with_replicas(replicas),
-        )
-        .unwrap();
+        );
         let queries = 30u64;
         let mut want: Option<Vec<RankedResult>> = None;
         for _ in 0..queries {
@@ -2210,16 +1870,17 @@ mod tests {
             b"conj shard seed",
             RsseParams::default(),
             corpus.documents(),
+            &Storage::Mem,
+            CloudServer::DEFAULT_CACHE_BUDGET,
         )
         .unwrap();
-        let sharded = ShardedDeployment::bootstrap(
+        let sharded = deploy(
             b"conj shard seed",
-            RsseParams::default(),
             corpus.documents(),
             3,
-            PoolOptions::new(1, 8),
-        )
-        .unwrap();
+            8,
+            RouterOptions::default(),
+        );
         for top_k in [None, Some(1), Some(5), Some(100)] {
             let (want, want_docs, _) = single
                 .conjunctive_search_ranked("network data", top_k)
@@ -2259,23 +1920,20 @@ mod tests {
     fn conjunctive_pruning_skips_shards_missing_any_label() {
         let docs = pruning_corpus();
         let shards = 4usize;
-        let plain = ShardedDeployment::bootstrap(
+        let plain = deploy(
             b"conj prune seed",
-            RsseParams::default(),
             &docs,
             shards,
-            PoolOptions::new(1, 16),
-        )
-        .unwrap();
-        let tuned = ShardedDeployment::bootstrap_tuned(
+            16,
+            RouterOptions::default(),
+        );
+        let tuned = deploy(
             b"conj prune seed",
-            RsseParams::default(),
             &docs,
             shards,
-            PoolOptions::new(1, 16),
+            16,
             RouterOptions::new().with_pruning(),
-        )
-        .unwrap();
+        );
 
         // Only one document holds "quasar", so only its shard can hold
         // both labels; every other shard's filter proves an empty
@@ -2310,15 +1968,13 @@ mod tests {
         let shards = 3usize;
         let master = b"conj cache seed";
         let params = RsseParams::default();
-        let tuned = ShardedDeployment::bootstrap_tuned(
+        let tuned = deploy(
             master,
-            params,
             &docs,
             shards,
-            PoolOptions::new(1, 16),
+            16,
             RouterOptions::new().with_merged_cache(1 << 20),
-        )
-        .unwrap();
+        );
 
         let (_, first) = tuned.conjunctive_search("alpha beta", Some(5)).unwrap();
         assert_eq!(first.traffic.conjunctive_legs, shards as u32);
@@ -2375,14 +2031,13 @@ mod tests {
     fn misaddressed_reply_degrades_the_leg() {
         // A leg whose reply echoes the wrong shard id is out of protocol.
         let corpus = small_docs(74);
-        let cloud = ShardedDeployment::bootstrap(
+        let cloud = deploy(
             b"misroute seed",
-            RsseParams::default(),
             corpus.documents(),
             2,
-            PoolOptions::new(1, 8),
-        )
-        .unwrap();
+            8,
+            RouterOptions::default(),
+        );
         // Hand-build legs that swap the shard ids: each shard answers with
         // an echo that fails the router's correlation check.
         let mut legs = cloud.user().shard_query("network", Some(3), 2).unwrap();

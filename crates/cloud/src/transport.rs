@@ -231,7 +231,7 @@ mod tests {
         let owner = DataOwner::new(b"transport seed", RsseParams::default());
         let server =
             CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
-        let handle = ServerHandle::spawn_pool_with(server, PoolOptions::new(2, 32));
+        let handle = ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(2, 32));
         (owner, handle)
     }
 
@@ -279,8 +279,8 @@ mod tests {
         let owner = DataOwner::new(b"transport seed", RsseParams::default());
         let server =
             CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
-        let handle = ServerHandle::spawn_pool_with(
-            server,
+        let handle = ServerHandle::spawn_pool_shared(
+            Arc::new(server),
             PoolOptions::new(1, 1).with_io_delay(Duration::from_millis(20)),
         );
         let transport = ChannelTransport::new(handle.client());

@@ -92,8 +92,8 @@ fn tcp_and_channel_transports_are_byte_identical() {
     let phases = request_log(&owner, &corpus);
     let total_requests: usize = phases.iter().map(Vec::len).sum();
 
-    let handle = ServerHandle::spawn_pool_with(
-        CloudServer::from_outsource(outsource.clone()).unwrap(),
+    let handle = ServerHandle::spawn_pool_shared(
+        Arc::new(CloudServer::from_outsource(outsource.clone()).unwrap()),
         PoolOptions::new(2, 64),
     );
     let channel = ChannelTransport::new(handle.client());

@@ -13,7 +13,7 @@
 //! cargo run --release --example email_search
 //! ```
 
-use rsse::cloud::{Deployment, NetworkParams};
+use rsse::cloud::{CloudServer, Deployment, NetworkParams, Storage};
 use rsse::core::RsseParams;
 use rsse::ir::corpus::{CorpusParams, HotKeyword, SyntheticCorpus};
 
@@ -37,6 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b"acme-corp master secret",
         RsseParams::default(),
         corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
     )?;
     println!(
         "setup: outsourced {} encrypted messages ({} KiB on the wire)\n",

@@ -10,7 +10,7 @@
 //! cargo run --release --example health_records
 //! ```
 
-use rsse::cloud::{Deployment, SearchMode};
+use rsse::cloud::{CloudServer, Deployment, SearchMode, Storage};
 use rsse::core::RsseParams;
 use rsse::ir::corpus::{CorpusParams, HotKeyword, SyntheticCorpus};
 use std::thread;
@@ -33,6 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b"clinic master secret",
         RsseParams::default(),
         corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
     )?;
     println!("outsourced {} encrypted records", corpus.documents().len());
 

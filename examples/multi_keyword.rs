@@ -10,7 +10,7 @@
 //! cargo run --release --example multi_keyword
 //! ```
 
-use rsse::cloud::Deployment;
+use rsse::cloud::{CloudServer, Deployment, Storage};
 use rsse::core::{Rsse, RsseParams};
 use rsse::ir::corpus::{CorpusParams, HotKeyword, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
@@ -29,7 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 314,
     });
     let seed: &[u8] = b"multi keyword secret";
-    let cloud = Deployment::bootstrap(seed, RsseParams::default(), corpus.documents())?;
+    let cloud = Deployment::bootstrap(
+        seed,
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )?;
 
     let query = "kubernetes outage";
     let (docs, traffic) = cloud.conjunctive_search(query, Some(5))?;

@@ -9,17 +9,18 @@
 //! ```
 
 use rsse::cloud::entities::{CloudServer, DataOwner};
-use rsse::cloud::server_loop::ServerHandle;
+use rsse::cloud::server_loop::{PoolOptions, ServerHandle};
 use rsse::cloud::{Message, SearchMode};
 use rsse::core::RsseParams;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(77));
     let owner = DataOwner::new(b"throughput secret", RsseParams::default());
     let server = CloudServer::from_outsource(owner.outsource(corpus.documents())?)?;
-    let handle = ServerHandle::spawn(server, 64);
+    let handle = ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(1, 64));
 
     let clients = 6;
     let queries_per_client = 200;

@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# The end-to-end benchmark is its own workspace and builds against this
+# repository's public API by path, so a refactor that breaks the API it
+# calls fails here rather than at the next benchmark run.
+echo "==> cargo build --release --manifest-path e2ebench/Cargo.toml"
+cargo build --release --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

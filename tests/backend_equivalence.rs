@@ -20,7 +20,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rsse::cloud::{
-    CloudServer, Deployment, FileCrypter, Message, PoolOptions, SearchMode, ShardedDeployment,
+    CloudServer, Deployment, FileCrypter, Message, PoolOptions, RouterOptions, SearchMode,
+    ShardedDeployment, Storage,
 };
 use rsse::core::{BackendKind, Rsse, RsseIndex, RsseParams};
 use rsse::ir::{Document, FileId, InvertedIndex};
@@ -199,30 +200,52 @@ proptest! {
         let master = seed.to_be_bytes();
         let params = RsseParams::default();
 
-        let mem = Deployment::bootstrap(&master, params, &docs).unwrap();
+        let mem = Deployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            &Storage::Mem,
+            CloudServer::DEFAULT_CACHE_BUDGET,
+        ).unwrap();
         // Persist the serving index, then restart warm from the file: no
         // Outsource message, no index rebuild.
         let seg_path = temp_path("deploy_seg");
         mem.save_segment(&seg_path).unwrap();
-        let warm = Deployment::bootstrap_from_segment(
-            &master, params, &docs, &seg_path, CloudServer::DEFAULT_CACHE_BUDGET,
+        let warm = Deployment::reopen(
+            &master,
+            params,
+            &docs,
+            &seg_path,
+            CloudServer::DEFAULT_CACHE_BUDGET,
         ).unwrap();
         prop_assert_eq!(warm.setup_traffic, Default::default(), "warm restart crosses no wire");
         // And a deployment that outsourced straight onto the segment
         // backend (persist-then-serve in one step).
         let built_path = temp_path("deploy_built");
-        let built = Deployment::bootstrap_segmented(
-            &master, params, &docs, &built_path, CloudServer::DEFAULT_CACHE_BUDGET,
+        let built = Deployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            &Storage::Segment(built_path.clone()),
+            CloudServer::DEFAULT_CACHE_BUDGET,
         ).unwrap();
         // And a generational deployment: outsource onto the generation
         // store, shut it down, then warm-restart from the directory —
         // both generational boot paths in one arm.
         let gen_dir = temp_path("deploy_gen");
-        drop(Deployment::bootstrap_generational(
-            &master, params, &docs, &gen_dir, CloudServer::DEFAULT_CACHE_BUDGET,
+        drop(Deployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            &Storage::Generational(gen_dir.clone()),
+            CloudServer::DEFAULT_CACHE_BUDGET,
         ).unwrap());
-        let gen = Deployment::bootstrap_from_generations(
-            &master, params, &docs, &gen_dir, CloudServer::DEFAULT_CACHE_BUDGET,
+        let gen = Deployment::reopen(
+            &master,
+            params,
+            &docs,
+            &gen_dir,
+            CloudServer::DEFAULT_CACHE_BUDGET,
         ).unwrap();
         prop_assert_eq!(gen.setup_traffic, Default::default(), "warm restart crosses no wire");
 
@@ -311,15 +334,33 @@ proptest! {
         let options = PoolOptions::new(1, 16);
 
         let mem = ShardedDeployment::bootstrap(
-            &master, params, &docs, num_shards, options.clone(),
+            &master,
+            params,
+            &docs,
+            num_shards,
+            &Storage::Mem,
+            options.clone(),
+            RouterOptions::default(),
         ).unwrap();
         let dir = temp_path("shards");
-        let seg = ShardedDeployment::bootstrap_segmented(
-            &master, params, &docs, num_shards, &dir, options.clone(),
+        let seg = ShardedDeployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            num_shards,
+            &Storage::Segment(dir.clone()),
+            options.clone(),
+            RouterOptions::default(),
         ).unwrap();
         let gen_dir = temp_path("shards_gen");
-        let gens = ShardedDeployment::bootstrap_generational(
-            &master, params, &docs, num_shards, &gen_dir, options,
+        let gens = ShardedDeployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            num_shards,
+            &Storage::Generational(gen_dir.clone()),
+            options,
+            RouterOptions::default(),
         ).unwrap();
         let partitioner = mem.partitioner();
 

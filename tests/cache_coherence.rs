@@ -14,7 +14,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rsse::cloud::{Deployment, FileCrypter, Message, PoolOptions, SearchMode, ShardedDeployment};
+use rsse::cloud::{
+    CloudServer, Deployment, FileCrypter, Message, PoolOptions, RouterOptions, SearchMode,
+    ShardedDeployment, Storage,
+};
 use rsse::core::{Rsse, RsseParams};
 use rsse::ir::{Document, FileId, InvertedIndex};
 
@@ -62,8 +65,14 @@ proptest! {
         let master = seed.to_be_bytes();
         let params = RsseParams::default();
 
-        let cached = Deployment::bootstrap(&master, params, &docs).unwrap();
-        let plain = Deployment::bootstrap_with_cache(&master, params, &docs, 0).unwrap();
+        let cached = Deployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            &Storage::Mem,
+            CloudServer::DEFAULT_CACHE_BUDGET,
+        ).unwrap();
+        let plain = Deployment::bootstrap(&master, params, &docs, &Storage::Mem, 0).unwrap();
 
         // Owner-side update machinery, shared by both servers: the *same*
         // IndexUpdate (cloned) lands on each, so any divergence in what a
@@ -150,7 +159,13 @@ proptest! {
         let params = RsseParams::default();
 
         let sharded = ShardedDeployment::bootstrap(
-            &master, params, &docs, num_shards, PoolOptions::new(1, 16),
+            &master,
+            params,
+            &docs,
+            num_shards,
+            &Storage::Mem,
+            PoolOptions::new(1, 16),
+            RouterOptions::default(),
         ).unwrap();
         let partitioner = sharded.partitioner();
 

@@ -1,7 +1,7 @@
 //! Conjunctive multi-keyword ranked search (the §VIII extension), end to
 //! end through the deployment.
 
-use rsse::cloud::Deployment;
+use rsse::cloud::{CloudServer, Deployment, Storage};
 use rsse::core::{Rsse, RsseParams};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
@@ -12,6 +12,8 @@ fn setup(seed: u64) -> (SyntheticCorpus, Deployment) {
         b"conjunctive master secret",
         RsseParams::default(),
         corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
     )
     .unwrap();
     (corpus, cloud)
@@ -125,7 +127,7 @@ fn exact_rerank_agrees_with_dominance() {
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rsse::cloud::{CloudServer, FileCrypter, PoolOptions, ShardedDeployment};
+use rsse::cloud::{FileCrypter, PoolOptions, RouterOptions, ShardedDeployment};
 use rsse::ir::{Document, FileId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -167,18 +169,38 @@ proptest! {
         let master = seed.to_be_bytes();
         let params = RsseParams::default();
 
-        let mem = Deployment::bootstrap(&master, params, &docs).unwrap();
-        let nocache = Deployment::bootstrap_with_cache(&master, params, &docs, 0).unwrap();
+        let mem = Deployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            &Storage::Mem,
+            CloudServer::DEFAULT_CACHE_BUDGET,
+        ).unwrap();
+        let nocache = Deployment::bootstrap(&master, params, &docs, &Storage::Mem, 0).unwrap();
         let seg_path = temp_path("seg");
-        let seg = Deployment::bootstrap_segmented(
-            &master, params, &docs, &seg_path, CloudServer::DEFAULT_CACHE_BUDGET,
+        let seg = Deployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            &Storage::Segment(seg_path.clone()),
+            CloudServer::DEFAULT_CACHE_BUDGET,
         ).unwrap();
         let gen_dir = temp_path("gen");
-        let gen = Deployment::bootstrap_generational(
-            &master, params, &docs, &gen_dir, CloudServer::DEFAULT_CACHE_BUDGET,
+        let gen = Deployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            &Storage::Generational(gen_dir.clone()),
+            CloudServer::DEFAULT_CACHE_BUDGET,
         ).unwrap();
         let sharded = ShardedDeployment::bootstrap(
-            &master, params, &docs, num_shards, PoolOptions::new(1, 16),
+            &master,
+            params,
+            &docs,
+            num_shards,
+            &Storage::Mem,
+            PoolOptions::new(1, 16),
+            RouterOptions::default(),
         ).unwrap();
         let partitioner = sharded.partitioner();
 

@@ -1,7 +1,7 @@
 //! End-to-end protocol tests over the full deployment: owner → server →
 //! user, through the real wire codec.
 
-use rsse::cloud::{Deployment, NetworkParams};
+use rsse::cloud::{CloudServer, Deployment, NetworkParams, Storage};
 use rsse::core::RsseParams;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
@@ -12,6 +12,8 @@ fn deployment(seed: u64) -> (SyntheticCorpus, Deployment) {
         b"integration master secret",
         RsseParams::default(),
         corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
     )
     .expect("bootstrap");
     (corpus, cloud)

@@ -3,7 +3,7 @@
 //! wrong answers.
 
 use bytes_shim::corrupt_each_byte;
-use rsse::cloud::{CloudServer, Deployment, Message, SearchMode};
+use rsse::cloud::{CloudServer, Deployment, Message, SearchMode, Storage};
 use rsse::core::{Rsse, RsseParams, RsseTrapdoor};
 use rsse::crypto::SecretKey;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
@@ -24,7 +24,14 @@ mod bytes_shim {
 
 fn small_deployment(seed: u64) -> Deployment {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(seed));
-    Deployment::bootstrap(b"failure seed", RsseParams::default(), corpus.documents()).unwrap()
+    Deployment::bootstrap(
+        b"failure seed",
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap()
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! cargo test --release --test full_scale -- --ignored
 //! ```
 
-use rsse::cloud::Deployment;
+use rsse::cloud::{CloudServer, Deployment, Storage};
 use rsse::core::{Rsse, RsseParams};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
@@ -48,6 +48,8 @@ fn rfc_scale_deployment_protocols() {
         b"full scale seed",
         RsseParams::default(),
         corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
     )
     .unwrap();
     let (docs, traffic) = cloud.rsse_search("network", Some(20)).unwrap();

@@ -8,7 +8,7 @@
 //! answers `Overloaded` without blocking, and error frames are metered on
 //! the wire like any other response.
 
-use rsse::cloud::entities::{CloudServer, DataOwner, Deployment};
+use rsse::cloud::entities::{CloudServer, DataOwner, Deployment, Storage};
 use rsse::cloud::server_loop::{Fault, PoolOptions, ServerHandle};
 use rsse::cloud::{CloudError, ErrorKind, Message, MeteredChannel, SearchMode};
 use rsse::core::RsseParams;
@@ -43,7 +43,10 @@ fn spawn_with(options: PoolOptions) -> (DataOwner, ServerHandle) {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(57));
     let owner = DataOwner::new(b"fault seed", RsseParams::default());
     let server = CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
-    (owner, ServerHandle::spawn_pool_with(server, options))
+    (
+        owner,
+        ServerHandle::spawn_pool_shared(Arc::new(server), options),
+    )
 }
 
 fn search(owner: &DataOwner, top_k: Option<u32>) -> Message {
@@ -267,8 +270,14 @@ fn dropping_a_handle_with_a_full_backlog_returns() {
 #[test]
 fn out_of_protocol_round_trip_meters_the_error_frame() {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(58));
-    let cloud =
-        Deployment::bootstrap(b"meter seed", RsseParams::default(), corpus.documents()).unwrap();
+    let cloud = Deployment::bootstrap(
+        b"meter seed",
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap();
     let mut channel = MeteredChannel::new();
 
     // A response message sent as a request is out of protocol: the server

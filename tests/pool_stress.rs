@@ -5,11 +5,12 @@
 //! for exactly the requests issued.
 
 use rsse::cloud::entities::{CloudServer, DataOwner};
-use rsse::cloud::server_loop::ServerHandle;
+use rsse::cloud::server_loop::{PoolOptions, ServerHandle};
 use rsse::cloud::{FileCrypter, Message, SearchMode};
 use rsse::core::{Rsse, RsseParams};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::{Document, FileId, InvertedIndex};
+use std::sync::Arc;
 
 const SEARCHER_THREADS: usize = 12;
 const SEARCHES_PER_THREAD: usize = 15;
@@ -22,7 +23,7 @@ fn sixteen_threads_mixed_search_and_dynamics_against_four_workers() {
     let seed: &[u8] = b"pool stress seed";
     let owner = DataOwner::new(seed, RsseParams::default());
     let server = CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
-    let handle = ServerHandle::spawn_pool(server, 4, 32);
+    let handle = ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(4, 32));
     assert_eq!(handle.num_workers(), 4);
 
     // 12 searcher threads + 4 updater threads = 16 concurrent clients.

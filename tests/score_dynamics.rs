@@ -3,7 +3,7 @@
 
 use rsse::baselines::bucket::{BucketError, BucketMapper};
 use rsse::baselines::cdf::CdfMapper;
-use rsse::cloud::{DataOwner, Deployment, FileCrypter, Message, SearchMode};
+use rsse::cloud::{CloudServer, DataOwner, Deployment, FileCrypter, Message, SearchMode, Storage};
 use rsse::core::{Rsse, RsseParams};
 use rsse::crypto::SecretKey;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
@@ -13,7 +13,14 @@ use rsse::ir::{Document, FileId, InvertedIndex};
 fn live_update_through_the_deployment() {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(41));
     let seed: &[u8] = b"dynamics seed";
-    let cloud = Deployment::bootstrap(seed, RsseParams::default(), corpus.documents()).unwrap();
+    let cloud = Deployment::bootstrap(
+        seed,
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap();
 
     let before: Vec<u64> = {
         let (docs, _) = cloud.rsse_search("network", None).unwrap();
@@ -138,7 +145,14 @@ fn owner_and_fresh_user_agree_after_updates() {
     // A user authorized *after* updates must see the updated collection.
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(44));
     let seed: &[u8] = b"late user seed";
-    let cloud = Deployment::bootstrap(seed, RsseParams::default(), corpus.documents()).unwrap();
+    let cloud = Deployment::bootstrap(
+        seed,
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap();
     let owner = DataOwner::new(seed, RsseParams::default());
 
     let plain_index = InvertedIndex::build(corpus.documents());

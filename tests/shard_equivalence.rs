@@ -12,7 +12,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rsse::cloud::{FileCrypter, PoolOptions, RouterOptions, ShardedDeployment};
+use rsse::cloud::{FileCrypter, PoolOptions, RouterOptions, ShardedDeployment, Storage};
 use rsse::core::{Rsse, RsseParams};
 use rsse::ir::{Document, FileId, InvertedIndex};
 
@@ -68,9 +68,10 @@ proptest! {
             RsseParams::default(),
             &docs,
             num_shards,
+            &Storage::Mem,
             PoolOptions::new(1, 16),
-        )
-        .unwrap();
+            RouterOptions::default(),
+        ).unwrap();
         let (ranked_docs, outcome) = cloud.rsse_search(VOCAB[keyword], k).unwrap();
 
         // Byte-identical ranking: file ids, OPM ciphertexts, tie order.
@@ -118,14 +119,22 @@ proptest! {
         // Reference: the same corpus and master seed behind a plain
         // full-scatter router (all features off).
         let plain = ShardedDeployment::bootstrap(
-            &master, params, &docs, num_shards, PoolOptions::new(1, 16),
+            &master,
+            params,
+            &docs,
+            num_shards,
+            &Storage::Mem,
+            PoolOptions::new(1, 16),
+            RouterOptions::default(),
         ).unwrap();
-        let tuned = ShardedDeployment::bootstrap_tuned(
-            &master, params, &docs, num_shards, PoolOptions::new(1, 16),
-            RouterOptions::new()
-                .with_pruning()
-                .with_merged_cache(1 << 20)
-                .with_replicas(2),
+        let tuned = ShardedDeployment::bootstrap(
+            &master,
+            params,
+            &docs,
+            num_shards,
+            &Storage::Mem,
+            PoolOptions::new(1, 16),
+            RouterOptions::new().with_pruning().with_merged_cache(1 << 20).with_replicas(2),
         ).unwrap();
         let partitioner = tuned.partitioner();
 
