@@ -1,6 +1,6 @@
 //! Closed-loop multi-client throughput benchmark for the worker-pool
-//! server ([`ServerHandle::spawn_pool`]), over the paper-scale corpus
-//! (1000 files, hot keyword in every one).
+//! server ([`ServerHandle::spawn_pool_shared`]), over the paper-scale
+//! corpus (1000 files, hot keyword in every one).
 //!
 //! ```text
 //! cargo run --release -p rsse-bench --bin throughput -- [--smoke] [out.json] [seed]
@@ -40,9 +40,10 @@
 //!   (gated below — the fan-out overhead may no longer swamp the
 //!   routing wins).
 //! * **cpu_segment** — the cpu scenario again, but the server serves
-//!   straight from an on-disk `RSSEIDX2` segment (per-label positional
-//!   reads + delta overlay) instead of the in-memory arena. Steady state
-//!   must hold at least 0.5x the mem backend's requests/s (gated below).
+//!   straight from a one-generation on-disk store (one `RSSEIDX2` file,
+//!   one positional read per posting list) instead of the in-memory
+//!   arena. Steady state must hold at least 0.5x the mem backend's
+//!   requests/s (gated below).
 //! * **conjunctive** — multi-keyword intersection serving: single-frame
 //!   `ConjunctiveRequest`s drawn Zipf from a small pool of two-keyword
 //!   queries, run with the conjunctive result cache at its default
@@ -72,9 +73,9 @@
 //!
 //! Before the closed loops, a **cold-start** pair times warm restarts:
 //! fully loading a saved index into memory versus opening it as a
-//! segment (directory only), and rebuilding a whole deployment from
-//! plaintext versus bootstrapping it from the saved segment — each
-//! through its first answered query, results asserted identical.
+//! one-generation store (manifest and directory only), and rebuilding a
+//! whole deployment from plaintext versus reopening it from that store —
+//! each through its first answered query, results asserted identical.
 //!
 //! Results are written as `BENCH_throughput.json` (requests/s, p50/p99
 //! latency, cache hits/misses, speedup vs the single-worker loop per
@@ -162,13 +163,13 @@ struct Scenario {
     /// Draw keywords Zipf-distributed from the top terms instead of
     /// hammering the single hot keyword.
     zipf: bool,
-    /// Serve from an on-disk `RSSEIDX2` segment instead of the in-memory
+    /// Serve from a one-generation on-disk store instead of the in-memory
     /// arena.
     segment: bool,
     workers: &'static [usize],
 }
 
-/// Unique scratch path for a segment file, so concurrent runs never
+/// Unique scratch path for a saved index file, so concurrent runs never
 /// collide.
 fn scratch_path(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -282,11 +283,15 @@ fn run_config(
     seed: u64,
 ) -> ConfigResult {
     let msg = Message::decode(outsource_frame.clone()).unwrap();
-    let (server, seg_path) = if scenario.segment {
-        let path = scratch_path(scenario.name);
-        let server = CloudServer::boot(msg, &Storage::Segment(path.clone()), scenario.cache_budget)
-            .expect("outsource frame persists and boots the segment server");
-        (server, Some(path))
+    let (server, store_dir) = if scenario.segment {
+        let dir = scratch_dir(scenario.name);
+        let server = CloudServer::boot(
+            msg,
+            &Storage::Generational(dir.clone()),
+            scenario.cache_budget,
+        )
+        .expect("outsource frame persists and boots the on-disk server");
+        (server, Some(dir))
     } else {
         let server = CloudServer::from_outsource_with_cache(msg, scenario.cache_budget)
             .expect("outsource frame boots the server");
@@ -359,8 +364,8 @@ fn run_config(
     let cache = handle.server().cache_stats();
     let served = handle.shutdown();
     assert_eq!(served, frames as u64, "pool lost or double-counted frames");
-    if let Some(path) = seg_path {
-        let _ = std::fs::remove_file(path);
+    if let Some(dir) = store_dir {
+        let _ = std::fs::remove_dir_all(dir);
     }
     if scenario.cache_budget == 0 {
         assert_eq!(
@@ -1317,37 +1322,40 @@ fn run_conjunctive_sharded(
 struct ColdStart {
     /// `RsseIndex::load` (full file into the in-memory arena) + search.
     index_full_load_s: f64,
-    /// `RsseIndex::open_segment` (header + directory only) + search.
+    /// `RsseIndex::open_generational` on a one-generation store
+    /// (manifest + directory only) + search.
     index_segment_open_s: f64,
     /// `Deployment::bootstrap` (index rebuilt from plaintext) + search.
     deploy_rebuild_s: f64,
-    /// `Deployment::reopen` from the segment (no index build) + search.
+    /// `Deployment::reopen` from that store (no index build) + search.
     deploy_from_segment_s: f64,
 }
 
-/// Time-to-first-query, mem versus segment, at both layers. The mem leg
-/// pays for materializing every posting list (index layer) or rebuilding
-/// the whole encrypted index from plaintext (deployment layer); the
-/// segment leg opens the saved `RSSEIDX2` file and reads only the one
-/// posting list the query touches. First-query results are asserted
+/// Time-to-first-query, mem versus on-disk store, at both layers. The mem
+/// leg pays for materializing every posting list (index layer) or
+/// rebuilding the whole encrypted index from plaintext (deployment
+/// layer); the store leg opens a one-generation store and reads only the
+/// one posting list the query touches. First-query results are asserted
 /// identical before any number is published.
 fn run_cold_start(docs: &[Document]) -> ColdStart {
     let params = RsseParams::default();
     let scheme = Rsse::new(b"throughput seed", params);
     let index = scheme.build_index(docs).expect("index build");
-    let seg_path = scratch_path("cold");
+    let index_path = scratch_path("cold");
     index
-        .save(std::fs::File::create(&seg_path).expect("create segment"))
-        .expect("save segment");
+        .save(std::fs::File::create(&index_path).expect("create index file"))
+        .expect("save index");
+    let store_dir = scratch_dir("cold");
+    drop(index.save_generational(&store_dir).expect("save store"));
     let trapdoor = scheme.trapdoor(HOT_KEYWORD).expect("trapdoor");
 
     let t = Instant::now();
-    let mem = RsseIndex::load(std::fs::File::open(&seg_path).expect("open")).expect("load");
+    let mem = RsseIndex::load(std::fs::File::open(&index_path).expect("open")).expect("load");
     let mem_first = mem.search(&trapdoor, Some(10));
     let index_full_load_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let seg = RsseIndex::open_segment(&seg_path).expect("open segment");
+    let seg = RsseIndex::open_generational(&store_dir).expect("open store");
     let seg_first = seg.search(&trapdoor, Some(10));
     let index_segment_open_s = t.elapsed().as_secs_f64();
     assert_eq!(
@@ -1372,10 +1380,10 @@ fn run_cold_start(docs: &[Document]) -> ColdStart {
         b"throughput seed",
         params,
         docs,
-        &seg_path,
+        &store_dir,
         CloudServer::DEFAULT_CACHE_BUDGET,
     )
-    .expect("bootstrap from segment");
+    .expect("reopen from the store");
     let (warm_docs, _) = warm.rsse_search(HOT_KEYWORD, Some(10)).expect("query");
     let deploy_from_segment_s = t.elapsed().as_secs_f64();
     assert_eq!(
@@ -1383,7 +1391,8 @@ fn run_cold_start(docs: &[Document]) -> ColdStart {
         "warm restart must retrieve the same ranked documents"
     );
 
-    let _ = std::fs::remove_file(&seg_path);
+    let _ = std::fs::remove_file(&index_path);
+    let _ = std::fs::remove_dir_all(&store_dir);
     ColdStart {
         index_full_load_s,
         index_segment_open_s,
@@ -1608,8 +1617,8 @@ fn main() {
             workers: &[1, 4],
         },
         // The storage-engine pair to "cpu": same batched compute-bound
-        // workload, but every posting list is read from the on-disk
-        // segment by position instead of the in-memory arena.
+        // workload, but every posting list is read by position from a
+        // one-generation on-disk store instead of the in-memory arena.
         Scenario {
             name: "cpu_segment",
             io_delay: None,
@@ -1623,11 +1632,11 @@ fn main() {
         },
     ];
 
-    eprintln!("measuring cold start (mem load vs segment open)...");
+    eprintln!("measuring cold start (mem load vs store open)...");
     let cold = run_cold_start(corpus.documents());
     eprintln!(
-        "cold start: index load {:.1} ms vs segment open {:.1} ms; \
-         deployment rebuild {:.1} ms vs from-segment {:.1} ms",
+        "cold start: index load {:.1} ms vs store open {:.1} ms; \
+         deployment rebuild {:.1} ms vs from-store {:.1} ms",
         cold.index_full_load_s * 1e3,
         cold.index_segment_open_s * 1e3,
         cold.deploy_rebuild_s * 1e3,
@@ -1887,15 +1896,16 @@ fn main() {
         );
     }
 
-    // Acceptance gate 4: steady-state serving from the on-disk segment
-    // holds at least half the in-memory arena's throughput on the
-    // compute-bound path — positional reads are the only difference.
+    // Acceptance gate 4: steady-state serving from a one-generation
+    // on-disk store holds at least half the in-memory arena's throughput
+    // on the compute-bound path — positional reads are the only
+    // difference.
     for &workers in &[1usize, 4] {
         let ratio = find("cpu_segment", workers).rps / find("cpu", workers).rps;
         eprintln!("cpu_segment vs cpu at {workers} worker(s): {ratio:.2}x");
         assert!(
             ratio >= 0.5,
-            "segment backend must hold >= 0.5x mem throughput \
+            "on-disk store must hold >= 0.5x mem throughput \
              (workers={workers}), got {ratio:.2}x"
         );
     }
@@ -1961,18 +1971,18 @@ fn main() {
     );
 
     // Acceptance gate 6: the warm restart actually is warm — opening the
-    // segment through the first query beats materializing the full index,
-    // and a deployment bootstrapped from the segment beats rebuilding the
+    // store through the first query beats materializing the full index,
+    // and a deployment reopened from the store beats rebuilding the
     // encrypted index from plaintext.
     assert!(
         cold.index_segment_open_s <= cold.index_full_load_s,
-        "segment open ({:.1} ms) must not exceed full load ({:.1} ms)",
+        "store open ({:.1} ms) must not exceed full load ({:.1} ms)",
         cold.index_segment_open_s * 1e3,
         cold.index_full_load_s * 1e3,
     );
     assert!(
         cold.deploy_from_segment_s < cold.deploy_rebuild_s,
-        "from-segment bootstrap ({:.1} ms) must beat a rebuild ({:.1} ms)",
+        "reopen from the store ({:.1} ms) must beat a rebuild ({:.1} ms)",
         cold.deploy_from_segment_s * 1e3,
         cold.deploy_rebuild_s * 1e3,
     );

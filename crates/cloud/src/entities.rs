@@ -89,8 +89,8 @@ impl DataOwner {
     }
 
     /// Encrypts the collection without touching either index — the
-    /// warm-restart path: the server reopens its index from a persisted
-    /// segment, and only the file ciphertexts (deterministic under the
+    /// warm-restart path: the server reopens its index from its on-disk
+    /// store, and only the file ciphertexts (deterministic under the
     /// owner's key) need re-supplying.
     pub fn encrypt_files(&self, docs: &[Document]) -> Vec<EncryptedFile> {
         self.files.encrypt_collection(docs)
@@ -184,17 +184,14 @@ type BatchQuery = (Label, [u8; 32], Option<u32>);
 /// Where a [`CloudServer`] keeps its encrypted index.
 ///
 /// A sharded deployment reads the path as the directory holding every
-/// shard's store: `shard-<i>.idx` for segments, `shard-<i>/` for
-/// generational stores.
+/// shard's store, one `shard-<i>/` store per shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Storage {
     /// In memory, as the paper's server.
     Mem,
-    /// One `RSSEIDX2` segment file at this path; updates accumulate in an
-    /// in-memory overlay until [`CloudServer::compact_index`].
-    Segment(PathBuf),
     /// A generational store (immutable generations under a manifest) in
-    /// this directory, for update-heavy deployments.
+    /// this directory: served from disk, updates parked in an in-memory
+    /// overlay until [`CloudServer::flush_index`].
     Generational(PathBuf),
 }
 
@@ -203,7 +200,6 @@ impl Storage {
     pub(crate) fn for_shard(&self, shard: usize) -> Storage {
         match self {
             Storage::Mem => Storage::Mem,
-            Storage::Segment(dir) => Storage::Segment(dir.join(format!("shard-{shard}.idx"))),
             Storage::Generational(dir) => Storage::Generational(dir.join(format!("shard-{shard}"))),
         }
     }
@@ -270,16 +266,15 @@ impl CloudServer {
     /// (`0` disables caching: every search ranks from the index).
     ///
     /// * [`Storage::Mem`] serves the received index from memory.
-    /// * [`Storage::Segment`] persists it as one `RSSEIDX2` segment file
-    ///   and serves it from disk via the label→offset directory: each
-    ///   query reads only its posting list.
     /// * [`Storage::Generational`] persists it as a base generation plus
-    ///   manifest. Later updates flush into cheap L0 delta generations
+    ///   manifest and serves it from disk via each generation's
+    ///   label→offset directory: a query reads only its posting list.
+    ///   Later updates flush into cheap L0 delta generations
     ///   ([`CloudServer::flush_index`]) and fold back together with a
     ///   live compaction that never stops serving
     ///   ([`CloudServer::compact_index_live`]).
     ///
-    /// A later restart can skip this step on either on-disk store with
+    /// A later restart can skip this step on the on-disk store with
     /// [`CloudServer::reopen`].
     ///
     /// # Errors
@@ -310,12 +305,6 @@ impl CloudServer {
         let staged = RsseIndex::from_parts(rsse_lists, opse);
         let index = match storage {
             Storage::Mem => staged,
-            Storage::Segment(path) => {
-                staged
-                    .save(std::fs::File::create(path).map_err(rsse_core::PersistError::from)?)
-                    .map_err(rsse_core::PersistError::from)?;
-                RsseIndex::open_segment(path)?
-            }
             Storage::Generational(dir) => staged.save_generational(dir)?,
         };
         Ok(Self::assemble(
@@ -326,10 +315,10 @@ impl CloudServer {
         ))
     }
 
-    /// Warm restart from a store an earlier [`CloudServer::boot`] left
-    /// on disk: a generational store when `path` is a directory, a
-    /// segment file otherwise. No `Outsource` message, no index rebuild;
-    /// the first query is answerable as soon as the directory is read.
+    /// Warm restart from the generational store an earlier
+    /// [`CloudServer::boot`] left on disk in `dir`. No `Outsource`
+    /// message, no index rebuild; the first query is answerable as soon
+    /// as the manifest and the generation directories are read.
     /// The basic-scheme index is not persisted (it exists for the paper's
     /// baseline protocols), so a reopened server serves the RSSE protocol
     /// only, and the owner re-supplies the file ciphertexts.
@@ -338,16 +327,11 @@ impl CloudServer {
     ///
     /// [`CloudError::Persist`] on a malformed or unreadable store.
     pub fn reopen(
-        path: impl AsRef<std::path::Path>,
+        dir: impl AsRef<std::path::Path>,
         files: Vec<EncryptedFile>,
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
-        let path = path.as_ref();
-        let index = if path.is_dir() {
-            RsseIndex::open_generational(path)?
-        } else {
-            RsseIndex::open_segment(path)?
-        };
+        let index = RsseIndex::open_generational(dir)?;
         Ok(Self::assemble(index, Vec::new(), files, cache_budget_bytes))
     }
 
@@ -881,33 +865,11 @@ impl CloudServer {
         self.filter_watch.store(filter.epoch, Ordering::Release);
     }
 
-    /// Compacts a segment-backed index: folds the delta overlay into a
-    /// freshly written segment file (atomic rename) and reopens it.
-    /// Returns `true` when a rewrite happened — `false` for the in-memory
-    /// backend or an empty overlay. Holds the index write lock for the
-    /// rewrite, and flushes the ranking cache afterwards: compaction
-    /// preserves every ranking, but the conservative flush keeps the
-    /// cache's epoch story simple (a fill racing the compaction can never
-    /// straddle two file identities).
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on I/O or re-validation failures; the old
-    /// segment remains intact and serving.
-    pub fn compact_index(&self) -> Result<bool, CloudError> {
-        let compacted = self.rsse_index.write().compact()?;
-        if compacted {
-            self.note_index_rewrite();
-        }
-        Ok(compacted)
-    }
-
-    /// Flushes pending overlay updates to durable storage. On a
+    /// Flushes pending overlay updates to durable storage: on a
     /// generational index this seals the overlay into a new L0 delta
     /// generation under a brief write lock — cost proportional to the
-    /// *overlay*, never the index; on a single-segment index it is a
-    /// full stop-the-world compaction. Either way the logical content is
-    /// unchanged, so cached rankings stay valid and are kept.
+    /// *overlay*, never the index. The logical content is unchanged, so
+    /// cached rankings stay valid and are kept.
     ///
     /// # Errors
     ///
@@ -924,8 +886,7 @@ impl CloudServer {
     /// pause is the atomic pointer flip, reported as
     /// [`rsse_core::CompactionStats::install_pause`]. Returns the merge
     /// statistics, or `None` when there was nothing to merge (fewer than
-    /// two generations, or a non-generational backend — those compact
-    /// stop-the-world via [`CloudServer::compact_index`]).
+    /// two generations, or the in-memory backend).
     ///
     /// # Errors
     ///
@@ -979,8 +940,8 @@ impl CloudServer {
         self.rsse_index.read().generation_stats()
     }
 
-    /// After any durable index rewrite (segment compaction, generational
-    /// flush + merge): flush the ranking cache and bump the filter epoch.
+    /// After any durable index rewrite (generational flush + merge):
+    /// flush the ranking cache and bump the filter epoch.
     /// Rewrites preserve every ranking and every label owner, but the
     /// conservative flush keeps the epoch story simple — a fill or a
     /// router decision racing the rewrite re-validates instead of
@@ -1297,11 +1258,11 @@ impl Deployment {
         Ok(Self::wire(owner, server, channel.report()))
     }
 
-    /// Warm restart from a store on disk ([`CloudServer::reopen`]): keys
-    /// are re-derived from the seed and the file collection re-encrypted
-    /// (deterministic under the owner's key), but the encrypted index is
-    /// **not** rebuilt. `setup_traffic` is zero: nothing crossed the
-    /// outsourcing wire.
+    /// Warm restart from the generational store in `dir`
+    /// ([`CloudServer::reopen`]): keys are re-derived from the seed and
+    /// the file collection re-encrypted (deterministic under the owner's
+    /// key), but the encrypted index is **not** rebuilt. `setup_traffic`
+    /// is zero: nothing crossed the outsourcing wire.
     ///
     /// # Errors
     ///
@@ -1310,11 +1271,11 @@ impl Deployment {
         master_seed: &[u8],
         params: RsseParams,
         docs: &[Document],
-        path: impl AsRef<std::path::Path>,
+        dir: impl AsRef<std::path::Path>,
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
         let owner = DataOwner::new(master_seed, params);
-        let server = CloudServer::reopen(path, owner.encrypt_files(docs), cache_budget_bytes)?;
+        let server = CloudServer::reopen(dir, owner.encrypt_files(docs), cache_budget_bytes)?;
         Ok(Self::wire(owner, server, TrafficReport::default()))
     }
 
@@ -1325,25 +1286,6 @@ impl Deployment {
             owner,
             setup_traffic,
         }
-    }
-
-    /// Persists the server's current index to `path` as an `RSSEIDX2`
-    /// segment (holding the index read lock for the write), so a later
-    /// process can [`Deployment::reopen`] it without rebuilding. Pending
-    /// segment-overlay entries are folded into the written file (`save`
-    /// exports the merged view).
-    ///
-    /// # Errors
-    ///
-    /// [`CloudError::Persist`] on I/O failures.
-    pub fn save_segment(&self, path: impl AsRef<std::path::Path>) -> Result<(), CloudError> {
-        let file = std::fs::File::create(path.as_ref()).map_err(rsse_core::PersistError::from)?;
-        self.server
-            .rsse_index
-            .read()
-            .save(file)
-            .map_err(rsse_core::PersistError::from)?;
-        Ok(())
     }
 
     /// The authorized user.

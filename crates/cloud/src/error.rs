@@ -44,8 +44,8 @@ pub enum CloudError {
         /// Number of shards queried, all of which failed.
         shards: u32,
     },
-    /// Index persistence failure (saving, opening, or compacting an
-    /// on-disk segment).
+    /// Index persistence failure (creating, opening, flushing, or
+    /// compacting an on-disk store).
     Persist(PersistError),
     /// RSSE scheme failure.
     Rsse(RsseError),

@@ -438,7 +438,7 @@ fn merge_replies<R, K: Ord>(
     (out, out_files)
 }
 
-/// [`merge_replies`] for single-keyword replies, ranked by
+/// `merge_replies` for single-keyword replies, ranked by
 /// [`RankedResult`]'s order (OPM score descending, ties toward the
 /// smaller file id).
 pub fn merge_shard_replies(
@@ -449,7 +449,7 @@ pub fn merge_shard_replies(
     merge_replies(rankings, files, top_k, |r| *r, |r| r.file.as_u64())
 }
 
-/// [`merge_replies`] for conjunctive wire entries `(file id, per-keyword
+/// `merge_replies` for conjunctive wire entries `(file id, per-keyword
 /// mapped scores)`, ranked by `score_sum` descending (widened so it
 /// cannot overflow), ties toward the smaller file id.
 pub fn merge_conjunctive_replies(
@@ -841,7 +841,7 @@ impl ShardRouter {
     }
 
     /// Scatters `legs` (leg `i` to shard `i`) and gathers the merged
-    /// top-`top_k` ranking through [`Self::gather`]'s pruning, retry,
+    /// top-`top_k` ranking through the shared gather core's pruning, retry,
     /// deadline and degradation rules; a misaddressed reply degrades its
     /// leg, reported in [`ScatterOutcome::degraded`].
     ///
@@ -1212,12 +1212,10 @@ impl core::fmt::Debug for ShardedDeployment {
 impl ShardedDeployment {
     /// Bootstraps `num_shards` shards over `docs`. The owner builds the
     /// index once and partitions it; each shard boots from its own
-    /// decoded Outsource frame onto `storage`
-    /// ([`Storage::Segment`] and [`Storage::Generational`] name the
-    /// directory holding every shard's store, `shard-<i>.idx` or
-    /// `shard-<i>/`) with the default cache budget, and gets the owner's
-    /// exact label filter installed
-    /// ([`CloudServer::install_label_filter`]).
+    /// decoded Outsource frame onto `storage` ([`Storage::Generational`]
+    /// names the directory holding every shard's `shard-<i>/` store) with
+    /// the default cache budget, and gets the owner's exact label filter
+    /// installed ([`CloudServer::install_label_filter`]).
     /// `router_options.replicas` serving pools with `options` (workers,
     /// backlog, deadline, faults) share each shard's one
     /// `Arc<CloudServer>`, and the router is wired with every shard's
@@ -1238,9 +1236,6 @@ impl ShardedDeployment {
         options: PoolOptions,
         router_options: RouterOptions,
     ) -> Result<Self, CloudError> {
-        if let Storage::Segment(dir) | Storage::Generational(dir) = storage {
-            std::fs::create_dir_all(dir).map_err(rsse_core::PersistError::from)?;
-        }
         let owner = DataOwner::new(master_seed, params);
         let partitioner = IndexPartitioner::new(num_shards);
         let replicas = router_options.replicas.max(1);

@@ -8,7 +8,7 @@
 //!
 //! * [`ChannelTransport`] — the deterministic in-process harness: frames
 //!   travel over the bounded crossbeam queue of a
-//!   [`ServerClient`](crate::server_loop::ServerClient) pool, exactly as
+//!   [`crate::server_loop::ServerClient`] pool, exactly as
 //!   every pre-socket test drove it.
 //! * [`crate::tcp::TcpTransport`] — real length-delimited frames over a
 //!   loopback/remote TCP socket, served by the non-blocking event loop
@@ -16,10 +16,10 @@
 //!
 //! Both put the *same bytes* on their wire: message bodies come from the
 //! one canonical [`Message::encode`](crate::codec::Message::encode), and
-//! the envelope from the one [`frame_message`]. The equivalence suite
-//! (`tests/transport_equivalence.rs`) replays a shared request log
-//! through both and requires byte-identical reply frames, rankings, and
-//! [`TrafficReport`]s.
+//! the envelope from the one [`crate::codec::frame_message`]. The
+//! equivalence suite (`tests/transport_equivalence.rs`) replays a shared
+//! request log through both and requires byte-identical reply frames,
+//! rankings, and [`TrafficReport`]s.
 //!
 //! # Metering
 //!

@@ -11,10 +11,10 @@
 //! * [`MemBackend`] — the flat [`PostingStore`] arena, everything
 //!   resident; zero per-entry allocations on the search path (pinned by
 //!   the alloc-count regression suite).
-//! * [`crate::segment::SegmentBackend`] — a persisted `RSSEIDX2` segment
-//!   file served via a per-label offset directory, reading only the
-//!   touched posting list per query, with score-dynamics appends parked
-//!   in an in-memory delta overlay.
+//! * [`crate::generation::GenerationalBackend`] — a stack of persisted
+//!   `RSSEIDX2` generation files, each served via a per-label offset
+//!   directory that reads only the touched posting list per query, with
+//!   score-dynamics appends parked in an in-memory delta overlay.
 //!
 //! Both containers hold the *same ciphertexts*, so every ranking they
 //! serve is byte-identical — `tests/backend_equivalence.rs` proves it
@@ -52,7 +52,7 @@ pub trait IndexBackend: Send + Sync + core::fmt::Debug {
     fn append(&mut self, label: Label, entries: &[Vec<u8>]);
 
     /// Visits every entry of the list under `label` in insertion order
-    /// (for a segment: base entries first, then the delta overlay).
+    /// (on disk: generations base first, then the delta overlay).
     /// Returns `false` when the label is unknown.
     fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool;
 }
@@ -63,8 +63,6 @@ pub trait IndexBackend: Send + Sync + core::fmt::Debug {
 pub enum BackendKind {
     /// The in-memory [`MemBackend`] arena.
     Mem,
-    /// The on-disk [`crate::segment::SegmentBackend`].
-    Segment,
     /// The on-disk [`crate::generation::GenerationalBackend`]: a stack of
     /// generation files with L0 delta flushes and live compaction.
     Generational,

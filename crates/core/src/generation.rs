@@ -1,10 +1,10 @@
-//! The generational segment store: L0 delta flushes, live background
-//! compaction, and epoch-based reclaim.
+//! The generational store — the on-disk index engine: L0 delta flushes,
+//! live background compaction, and epoch-based reclaim.
 //!
-//! [`crate::segment::SegmentBackend`] rewrites its whole file on every
-//! compaction, stop-the-world. This module grows that single file into a
-//! small LSM-shaped **generation stack** so heavy update streams never
-//! force a full rewrite on the serving path:
+//! The store is a small LSM-shaped **generation stack** of immutable
+//! `RSSEIDX2` files (each read through [`crate::segment`]) plus an
+//! in-memory overlay, so heavy update streams never force a full rewrite
+//! on the serving path:
 //!
 //! ```text
 //!  dir/MANIFEST        which generations exist, in merge order
@@ -13,17 +13,19 @@
 //!  dir/gen-000002.seg  another delta ...
 //! ```
 //!
-//! Updates land in the in-memory overlay exactly as before; a **flush**
+//! Score-dynamics updates land in the in-memory overlay; a **flush**
 //! seals the overlay into a new delta generation (cheap: proportional to
 //! the overlay, not the index). A **live compaction** merges the whole
 //! stack into one fresh generation on a background thread *while queries
 //! keep serving* from the old stack + overlay, then installs it with an
-//! atomic pointer flip. A query ranks each generation's list as one
-//! stream and merges them with [`merge_ranked_streams`] — the same
-//! total-order argument that makes base+overlay merging byte-identical
-//! makes the N-generation merge byte-identical to the in-memory ranking,
-//! because generations hold disjoint *time slices* of each posting list
-//! in insertion order.
+//! atomic pointer flip. A query reads the touched list with one
+//! positional read per generation, ranks each generation's list and the
+//! overlay's as separate streams, and merges them with
+//! [`merge_ranked_streams`]. Because [`crate::RankedResult`]'s order is
+//! total (OPM score descending, ties toward the smaller file id) and the
+//! generations plus the overlay hold disjoint *time slices* of each
+//! posting list — exactly the ciphertexts the in-memory arena would hold
+//! — the merged ranking is byte-identical to the in-memory one.
 //!
 //! # The flip/reclaim protocol
 //!
@@ -47,11 +49,12 @@
 //! flow through [`SegmentIo`]. Every mutation follows the same
 //! discipline: data file synced *before* the manifest references it,
 //! manifest replaced atomically, directory fsynced so the rename itself
-//! survives power loss. A crash at any boundary therefore leaves the
-//! durable manifest at exactly the previous or the next state — never a
-//! torn mix — which `crates/core/tests/crash_torture.rs` proves by
-//! killing the writer at *every* boundary and diffing rankings after
-//! reopen.
+//! survives power loss; creating a store also fsyncs the parent of the
+//! new directory, so the store itself cannot vanish. A crash at any
+//! boundary therefore leaves the durable manifest at exactly the previous
+//! or the next state — never a torn mix — which
+//! `crates/core/tests/crash_torture.rs` proves by killing the writer at
+//! *every* boundary and diffing rankings after reopen.
 //!
 //! # Leakage
 //!
@@ -61,7 +64,7 @@
 //! server process, now persisted. Compaction folds the generations back
 //! into one file whose layout is a deterministic function of the public
 //! shape (label set + list lengths), so the steady state leaks nothing
-//! beyond the single-segment backend. See DESIGN.md §6.6.
+//! beyond what the in-memory backend reveals. See DESIGN.md §6.6.
 
 use crate::backend::IndexBackend;
 use crate::index::{merge_ranked_streams, rank_entries, Label, RankedResult, RsseTrapdoor};
@@ -301,7 +304,7 @@ impl GenerationPin {
 /// an in-memory overlay — see the module docs for layout and protocol.
 ///
 /// Cloning shares the generation stack (and compaction state); each
-/// clone carries its own overlay, like [`crate::SegmentBackend`].
+/// clone carries its own overlay.
 #[derive(Debug, Clone)]
 pub struct GenerationalBackend {
     dir: PathBuf,
@@ -314,7 +317,9 @@ pub struct GenerationalBackend {
 
 impl GenerationalBackend {
     /// Creates a new store at `dir`: writes the base generation from
-    /// `index` and the initial manifest, all durably.
+    /// `index` and the initial manifest, all durably. The parent
+    /// directory is fsynced before the first file sync, so the store
+    /// directory's own entry survives power loss too.
     pub fn create(
         io: Arc<dyn SegmentIo>,
         dir: impl AsRef<Path>,
@@ -322,6 +327,11 @@ impl GenerationalBackend {
     ) -> Result<Self, PersistError> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir)?;
+        let parent = dir
+            .parent()
+            .filter(|p| !p.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        io.fsync_dir(parent)?;
         let opse = index
             .opse_params()
             .copied()
@@ -545,7 +555,9 @@ impl GenerationalBackend {
     }
 
     /// Ranked search across every generation plus the overlay (see
-    /// [`crate::RsseIndex::search_with_scratch`] for the contract).
+    /// [`crate::RsseIndex::search_with_scratch`] for the contract): one
+    /// positional read of the touched list per generation, then
+    /// [`Self::rank_merged`].
     ///
     /// Takes an instant snapshot of the generation stack and never
     /// touches compaction state again — a query in flight across a flip
@@ -557,42 +569,12 @@ impl GenerationalBackend {
         scratch: &mut Vec<u8>,
     ) -> Vec<RankedResult> {
         let set = self.shared.current_set();
-        let overlay_list = self.overlay.list(trapdoor.label());
-        let in_base = set
+        let lists: Vec<ListBytes> = set
             .segments
             .iter()
-            .any(|s| s.reader.directory().contains_key(trapdoor.label()));
-        if !in_base && overlay_list.is_none() {
-            return Vec::new();
-        }
-        let cipher = SemanticCipher::new(trapdoor.list_key());
-        let mut streams: Vec<Vec<RankedResult>> = Vec::new();
-        for seg in &set.segments {
-            if let Some(ranked) = seg
-                .reader
-                .rank_label(trapdoor.label(), &cipher, top_k, scratch)
-            {
-                if !ranked.is_empty() {
-                    streams.push(ranked);
-                }
-            }
-        }
-        if let Some(pl) = overlay_list {
-            if !pl.is_empty() {
-                let ranked = rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch);
-                if !ranked.is_empty() {
-                    streams.push(ranked);
-                }
-            }
-        }
-        match streams.len() {
-            0 => Vec::new(),
-            1 => streams.pop().expect("one stream"),
-            _ => {
-                let refs: Vec<&[RankedResult]> = streams.iter().map(Vec::as_slice).collect();
-                merge_ranked_streams(&refs, top_k)
-            }
-        }
+            .filter_map(|s| s.reader.read_label(trapdoor.label()))
+            .collect();
+        self.rank_merged(trapdoor, lists.iter(), top_k, scratch)
     }
 
     /// Batched [`Self::search`]: every generation file reads the posting
@@ -601,7 +583,7 @@ impl GenerationalBackend {
     /// query ranks against the prefetched bytes. One generation snapshot
     /// covers the whole batch, and per-query results are byte-identical
     /// to serial [`Self::search`] calls against that snapshot: the bytes
-    /// fetched and the rank/merge code are the same.
+    /// fetched are the same, and both rank through [`Self::rank_merged`].
     pub(crate) fn search_batch(
         &self,
         trapdoors: &[RsseTrapdoor],
@@ -625,41 +607,44 @@ impl GenerationalBackend {
         trapdoors
             .iter()
             .map(|trapdoor| {
-                let overlay_list = self.overlay.list(trapdoor.label());
-                let in_base = per_segment.iter().any(|m| m.contains_key(trapdoor.label()));
-                if !in_base && overlay_list.is_none() {
-                    return Vec::new();
-                }
-                let cipher = SemanticCipher::new(trapdoor.list_key());
-                let mut streams: Vec<Vec<RankedResult>> = Vec::new();
-                for lists in &per_segment {
-                    if let Some(list) = lists.get(trapdoor.label()) {
-                        let ranked =
-                            rank_entries(list.entries(), list.len(), &cipher, top_k, scratch);
-                        if !ranked.is_empty() {
-                            streams.push(ranked);
-                        }
-                    }
-                }
-                if let Some(pl) = overlay_list {
-                    if !pl.is_empty() {
-                        let ranked = rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch);
-                        if !ranked.is_empty() {
-                            streams.push(ranked);
-                        }
-                    }
-                }
-                match streams.len() {
-                    0 => Vec::new(),
-                    1 => streams.pop().expect("one stream"),
-                    _ => {
-                        let refs: Vec<&[RankedResult]> =
-                            streams.iter().map(Vec::as_slice).collect();
-                        merge_ranked_streams(&refs, top_k)
-                    }
-                }
+                let lists = per_segment.iter().filter_map(|m| m.get(trapdoor.label()));
+                self.rank_merged(trapdoor, lists, top_k, scratch)
             })
             .collect()
+    }
+
+    /// Ranks the touched list of each generation (`lists`, base first)
+    /// and the overlay's as separate streams and merges them with
+    /// [`merge_ranked_streams`] — byte-identical to the in-memory ranking
+    /// (see the module docs).
+    fn rank_merged<'l>(
+        &self,
+        trapdoor: &RsseTrapdoor,
+        lists: impl Iterator<Item = &'l ListBytes>,
+        top_k: Option<usize>,
+        scratch: &mut Vec<u8>,
+    ) -> Vec<RankedResult> {
+        let mut lists = lists.peekable();
+        let overlay = self.overlay.list(trapdoor.label());
+        if lists.peek().is_none() && overlay.is_none() {
+            return Vec::new();
+        }
+        let cipher = SemanticCipher::new(trapdoor.list_key());
+        let mut streams: Vec<Vec<RankedResult>> = lists
+            .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k, scratch))
+            .collect();
+        if let Some(pl) = overlay {
+            streams.push(rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch));
+        }
+        streams.retain(|s| !s.is_empty());
+        match streams.len() {
+            0 => Vec::new(),
+            1 => streams.pop().expect("one stream"),
+            _ => {
+                let refs: Vec<&[RankedResult]> = streams.iter().map(Vec::as_slice).collect();
+                merge_ranked_streams(&refs, top_k)
+            }
+        }
     }
 
     /// Counters of the batched-read path since open.
@@ -897,6 +882,7 @@ mod tests {
     fn create_open_roundtrip_preserves_content() {
         let (io, store) = mem_store();
         assert_eq!(store.stats().segments, 1);
+        assert_eq!(store.size_bytes(), sample_index().size_bytes());
         drop(store);
         let store = GenerationalBackend::open(io.shared(), Path::new("/gen")).unwrap();
         assert_eq!(store.num_lists(), 3);
@@ -1043,5 +1029,28 @@ mod tests {
             .is_none());
         assert!(io.read(&Path::new("/gen").join(MANIFEST_TMP)).is_none());
         assert_eq!(store.stats().segments, 2);
+    }
+
+    #[test]
+    fn batch_reads_match_serial_and_count_saved_seeks() {
+        let (_io, mut store) = mem_store();
+        store.append(label(1), &[vec![0xA9; 6]]);
+        let key = rsse_crypto::SecretKey::derive(b"k", "t");
+        // Labels are written in sorted order, so offsets ascend with the
+        // label: querying 3, 2, 1 (with a duplicate) makes every unique
+        // hop a backward seek the sorted schedule eliminates.
+        let trapdoors: Vec<RsseTrapdoor> = [3u8, 2, 3, 1]
+            .iter()
+            .map(|b| RsseTrapdoor::from_parts(label(*b), key.clone()))
+            .collect();
+        let mut scratch = Vec::new();
+        let batched = store.search_batch(&trapdoors, None, &mut scratch);
+        for (t, got) in trapdoors.iter().zip(&batched) {
+            assert_eq!(*got, store.search(t, None, &mut scratch));
+        }
+        let stats = store.batch_read_stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.lists_read, 3, "unique lists read once each");
+        assert_eq!(stats.seeks_saved, 2, "3→2 and 2→1 were both backward");
     }
 }

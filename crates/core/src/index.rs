@@ -8,15 +8,15 @@
 //!
 //! The index dispatches over a pluggable storage engine (see
 //! [`crate::backend`]): the in-memory [`MemBackend`] arena, or the on-disk
-//! [`SegmentBackend`] opened from a persisted `RSSEIDX2` segment via
-//! [`RsseIndex::open_segment`].
+//! [`GenerationalBackend`] written by [`RsseIndex::save_generational`] and
+//! reopened by [`RsseIndex::open_generational`].
 
 use crate::backend::{BackendKind, IndexBackend, MemBackend};
 use crate::entry::{decode_entry, ENTRY_CT_LEN, ENTRY_PLAIN_LEN};
 use crate::generation::{GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction};
 use crate::persist::PersistError;
 use crate::segio::{SegmentIo, StdIo};
-use crate::segment::{BatchReadStats, SegmentBackend};
+use crate::segment::BatchReadStats;
 use crate::store::PostingStore;
 use rsse_crypto::{SecretKey, SemanticCipher};
 use rsse_ir::FileId;
@@ -96,7 +96,6 @@ impl Ord for RankedResult {
 #[derive(Debug, Clone)]
 enum Backend {
     Mem(MemBackend),
-    Segment(SegmentBackend),
     Generational(GenerationalBackend),
 }
 
@@ -111,9 +110,10 @@ impl Default for Backend {
 /// Posting lists live behind a pluggable [`IndexBackend`]: by default the
 /// flat [`MemBackend`] arena — one contiguous byte buffer plus a label
 /// table, so a query walks a dense range with zero per-entry allocations
-/// (see [`crate::store`]) — or, via [`RsseIndex::open_segment`], an
-/// on-disk [`SegmentBackend`] that reads only the touched posting list per
-/// query and parks updates in a delta overlay (see [`crate::segment`]).
+/// (see [`crate::store`]) — or, via [`RsseIndex::save_generational`] and
+/// [`RsseIndex::open_generational`], the on-disk [`GenerationalBackend`]
+/// that reads only the touched posting list per query and parks updates
+/// in a delta overlay (see [`crate::generation`]).
 #[derive(Debug, Clone, Default)]
 pub struct RsseIndex {
     backend: Backend,
@@ -150,40 +150,11 @@ impl RsseIndex {
         }
     }
 
-    /// Opens an index served from a persisted segment file *without*
-    /// materializing it: only the label→offset directory is read, and each
-    /// query fetches exactly the touched posting list — the warm-restart
-    /// path, and the one that serves indexes larger than resident memory.
-    /// Accepts `RSSEIDX2` and legacy `RSSEIDX1` files (see
-    /// [`SegmentBackend::open`]).
-    ///
-    /// # Errors
-    ///
-    /// Any [`PersistError`] on malformed, inconsistent, or unreadable
-    /// segment files.
-    pub fn open_segment(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Self::open_segment_with_io(StdIo::shared(), path)
-    }
-
-    /// [`Self::open_segment`] over an injected io layer — the
-    /// crash-torture seam.
-    pub fn open_segment_with_io(
-        io: Arc<dyn SegmentIo>,
-        path: impl AsRef<Path>,
-    ) -> Result<Self, PersistError> {
-        let segment = SegmentBackend::open_with_io(io, path)?;
-        let opse = *segment.opse_params();
-        Ok(RsseIndex {
-            backend: Backend::Segment(segment),
-            opse_params: Some(opse),
-            conjunctive: Default::default(),
-        })
-    }
-
     /// Opens an index served from a generational store directory (see
-    /// [`crate::generation`]): a stack of generation files merged at
-    /// query time, with L0 delta flushes and live background compaction.
-    /// The warm-restart path for update-heavy deployments.
+    /// [`crate::generation`]) *without* materializing it: only each
+    /// generation's label→offset directory is read, and each query fetches
+    /// exactly the touched posting list per generation — the warm-restart
+    /// path, and the one that serves indexes larger than resident memory.
     ///
     /// # Errors
     ///
@@ -209,7 +180,7 @@ impl RsseIndex {
 
     /// Writes this index out as a new generational store at `dir` (base
     /// generation + manifest, durably) and returns the index now serving
-    /// from it — the outsource path for update-heavy deployments.
+    /// from it — the outsource path for on-disk deployments.
     ///
     /// # Errors
     ///
@@ -237,27 +208,24 @@ impl RsseIndex {
     pub fn backend_kind(&self) -> BackendKind {
         match &self.backend {
             Backend::Mem(_) => BackendKind::Mem,
-            Backend::Segment(_) => BackendKind::Segment,
             Backend::Generational(_) => BackendKind::Generational,
         }
     }
 
-    /// Entries appended since the segment was opened or last compacted,
+    /// Entries appended since the store was opened or last flushed,
     /// still parked in the in-memory delta overlay. Always zero for the
     /// in-memory backend (appends land in the arena directly).
     pub fn pending_overlay_entries(&self) -> usize {
         match &self.backend {
             Backend::Mem(_) => 0,
-            Backend::Segment(s) => s.overlay_entries(),
             Backend::Generational(g) => g.overlay_entries(),
         }
     }
 
     /// Makes pending overlay updates durable without a full rewrite: on a
     /// generational backend this seals the overlay into an L0 delta
-    /// generation (cost proportional to the overlay); on a single-segment
-    /// backend durability requires the full [`Self::compact`] rewrite, so
-    /// that is what runs. Returns `true` when anything was written.
+    /// generation (cost proportional to the overlay). Returns `true` when
+    /// anything was written; always `false` for the in-memory backend.
     ///
     /// # Errors
     ///
@@ -265,14 +233,13 @@ impl RsseIndex {
     pub fn flush_updates(&mut self) -> Result<bool, PersistError> {
         match &mut self.backend {
             Backend::Mem(_) => Ok(false),
-            Backend::Segment(s) => s.compact(),
             Backend::Generational(g) => g.flush(),
         }
     }
 
     /// Starts a live background compaction on a generational backend;
-    /// `Ok(None)` for other backends or when there is nothing to merge.
-    /// The returned job runs entirely off the serving path (see
+    /// `Ok(None)` for the in-memory backend or when there is nothing to
+    /// merge. The returned job runs entirely off the serving path (see
     /// [`LiveCompaction::run`]); searches issued meanwhile never block on
     /// it.
     ///
@@ -282,7 +249,7 @@ impl RsseIndex {
     /// already running — immediately, never blocking behind it.
     pub fn begin_live_compact(&self) -> Result<Option<LiveCompaction>, PersistError> {
         match &self.backend {
-            Backend::Mem(_) | Backend::Segment(_) => Ok(None),
+            Backend::Mem(_) => Ok(None),
             Backend::Generational(g) => g.begin_live_compact(),
         }
     }
@@ -305,26 +272,23 @@ impl RsseIndex {
     }
 
     /// Folds pending updates back into compact on-disk form; returns
-    /// `true` when a rewrite happened. On a segment backend the delta
-    /// overlay merges into a freshly written segment file (atomic
-    /// rename and directory fsync) which is then reopened. On a generational
-    /// backend the overlay is flushed and the whole generation stack is
-    /// merged *inline* — the synchronous maintenance path; use
-    /// [`Self::begin_live_compact`] to do the same work off the serving
-    /// path. A no-op returning `false` for the in-memory backend or when
-    /// there is nothing to fold. Callers holding derived state (e.g. a
-    /// ranking cache) need no invalidation — compaction preserves every
-    /// ranking — but the on-disk file changes identity.
+    /// `true` when a rewrite happened. The overlay is flushed and the
+    /// whole generation stack is merged *inline* — the synchronous
+    /// maintenance path; use [`Self::begin_live_compact`] to do the same
+    /// work off the serving path. A no-op returning `false` for the
+    /// in-memory backend or when there is nothing to fold. Callers
+    /// holding derived state (e.g. a ranking cache) need no invalidation
+    /// — compaction preserves every ranking — but the on-disk files
+    /// change identity.
     ///
     /// # Errors
     ///
     /// [`PersistError::CompactInProgress`] when a live compaction is
-    /// already running on a generational backend; any [`PersistError`]
-    /// writing, renaming, or re-validating otherwise.
+    /// already running; any [`PersistError`] writing, renaming, or
+    /// re-validating otherwise.
     pub fn compact(&mut self) -> Result<bool, PersistError> {
         match &mut self.backend {
             Backend::Mem(_) => Ok(false),
-            Backend::Segment(s) => s.compact(),
             Backend::Generational(g) => {
                 if g.compact_in_progress() {
                     return Err(PersistError::CompactInProgress);
@@ -345,7 +309,6 @@ impl RsseIndex {
     fn backend(&self) -> &dyn IndexBackend {
         match &self.backend {
             Backend::Mem(m) => m,
-            Backend::Segment(s) => s,
             Backend::Generational(g) => g,
         }
     }
@@ -388,9 +351,10 @@ impl RsseIndex {
     /// serving loop issuing many queries allocates nothing per entry and
     /// (after warm-up) nothing per query beyond the result vector.
     ///
-    /// On a segment backend the touched posting list is read off disk and
-    /// ranked together with the delta overlay; the ranking is byte-identical
-    /// to the in-memory backend's (see [`crate::segment`]).
+    /// On a generational backend the touched posting list is read off disk
+    /// and ranked together with the delta overlay; the ranking is
+    /// byte-identical to the in-memory backend's (see
+    /// [`crate::generation`]).
     pub fn search_with_scratch(
         &self,
         trapdoor: &RsseTrapdoor,
@@ -405,14 +369,13 @@ impl RsseIndex {
                 let cipher = SemanticCipher::new(trapdoor.list_key());
                 rank_entries(list.iter(), list.len(), &cipher, top_k, scratch)
             }
-            Backend::Segment(s) => s.search(trapdoor, top_k, scratch),
             Backend::Generational(g) => g.search(trapdoor, top_k, scratch),
         }
     }
 
     /// Serves a whole batch frame's queries in one call. On the disk
-    /// backends every posting list the batch touches is fetched up front
-    /// with the reads sorted into file-offset order (per segment file),
+    /// backend every posting list the batch touches is fetched up front
+    /// with the reads sorted into file-offset order (per generation file),
     /// so a batch that hops around the keyword space no longer drags the
     /// file cursor backwards between queries; [`Self::batch_read_stats`]
     /// counts the seeks this saves. Per-query results are byte-identical
@@ -442,7 +405,6 @@ impl RsseIndex {
                 .iter()
                 .map(|t| self.search_with_scratch(t, top_k, scratch))
                 .collect(),
-            Backend::Segment(s) => s.search_batch(trapdoors, top_k, scratch),
             Backend::Generational(g) => g.search_batch(trapdoors, top_k, scratch),
         }
     }
@@ -452,7 +414,6 @@ impl RsseIndex {
     pub fn batch_read_stats(&self) -> BatchReadStats {
         match &self.backend {
             Backend::Mem(_) => BatchReadStats::default(),
-            Backend::Segment(s) => s.batch_read_stats(),
             Backend::Generational(g) => g.batch_read_stats(),
         }
     }
@@ -473,8 +434,8 @@ impl RsseIndex {
         self.backend().list_len(label)
     }
 
-    /// Total index size in bytes (labels + entries; for a segment backend,
-    /// base file payload plus the delta overlay).
+    /// Total index size in bytes (labels + entries; for a generational
+    /// backend, every generation's payload plus the delta overlay).
     pub fn size_bytes(&self) -> usize {
         self.backend().size_bytes()
     }
@@ -497,8 +458,9 @@ impl RsseIndex {
     /// Appends freshly encrypted entries to a (possibly new) posting list —
     /// the *score dynamics* operation of §VII. Existing entries are never
     /// touched; OPM guarantees their order relative to the new ones stays
-    /// correct. On a segment backend the entries land in the in-memory
-    /// delta overlay (merged at query time) until [`Self::compact`].
+    /// correct. On a generational backend the entries land in the
+    /// in-memory delta overlay (merged at query time) until
+    /// [`Self::flush_updates`].
     ///
     /// Note: growth of a list is visible to the server (an inherent leakage
     /// of dynamic updates, acknowledged by the update literature).
@@ -506,14 +468,13 @@ impl RsseIndex {
         debug_assert!(entries.iter().all(|e| e.len() == ENTRY_CT_LEN));
         match &mut self.backend {
             Backend::Mem(m) => m.append(label, &entries),
-            Backend::Segment(s) => s.append(label, &entries),
             Backend::Generational(g) => g.append(label, &entries),
         }
     }
 
     /// Raw encrypted entries of one list (what an adversary observes
-    /// *before* any trapdoor is issued). Owned bytes: a segment backend
-    /// reads them off disk, so no borrow into an arena is possible.
+    /// *before* any trapdoor is issued). Owned bytes: a generational
+    /// backend reads them off disk, so no borrow into an arena is possible.
     pub fn raw_list(&self, label: &Label) -> Option<Vec<Vec<u8>>> {
         let mut out = Vec::new();
         self.backend()
@@ -606,8 +567,8 @@ pub(crate) fn rank_entries<'a>(
 /// a streaming k-way merge reproduces the single-server ranking exactly.
 /// Exact duplicates across streams (impossible under a disjoint partition,
 /// but reachable with a byzantine shard) drain in stream-index order, so
-/// the output stays deterministic. The segment backend leans on the same
-/// property to merge its base list with the delta overlay.
+/// the output stays deterministic. The generational store leans on the
+/// same property to merge its generations with the delta overlay.
 ///
 /// The merge performs exactly two allocations — the O(#streams) head heap
 /// and the output vector — never O(total results); the coordinator

@@ -190,7 +190,7 @@ impl RsseIndex {
     /// not per-keyword materialization: every label's list length is
     /// probed first (a label with no list answers the query empty with
     /// zero decryption work), all surviving lists are fetched in **one**
-    /// [`RsseIndex::search_batch`] pass — on the disk backends a single
+    /// [`RsseIndex::search_batch`] pass — on the on-disk store a single
     /// forward-only read schedule in file-offset order — and then the
     /// *smallest* list drives the intersection while the others are
     /// hash-probed. [`RsseIndex::conjunctive_stats`] counts what this
@@ -231,8 +231,8 @@ impl RsseIndex {
                 return Vec::new();
             }
         }
-        // One batched pass over every surviving list: the disk backends
-        // sort the reads into file-offset order, so an n-keyword query
+        // One batched pass over every surviving list: the on-disk store
+        // sorts the reads into file-offset order, so an n-keyword query
         // costs one forward sweep instead of n independent seeks.
         let rankings = self.search_batch_with_scratch(parts, None, scratch);
         let driver = (0..rankings.len())

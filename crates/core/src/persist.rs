@@ -2,7 +2,8 @@
 //!
 //! The owner builds an index once and may want to re-upload, back up, or
 //! version it; the server wants to survive restarts — warm, without a
-//! rebuild, via [`crate::segment::SegmentBackend`]. The current format is
+//! rebuild, from its generational store ([`crate::generation`]), every
+//! generation of which is one file in this format. The current format is
 //! `RSSEIDX2`: the `RSSEIDX1` body followed by a trailing label→offset
 //! directory, so a segment reader can serve any single posting list with
 //! one positional read instead of materializing the file:
@@ -22,9 +23,10 @@
 //! the slice a segment read needs. The final 8 bytes locate the
 //! directory from the end of the file.
 //!
-//! `RSSEIDX1` files (no directory, no trailer) still load: the body
-//! layout is unchanged, so a v1 file is converted on load by scanning it
-//! once. [`RsseIndex::save`] always writes v2.
+//! `RSSEIDX1` files (no directory, no trailer) still load through
+//! [`RsseIndex::load`]: the body layout is unchanged, so a v1 file is
+//! converted on load by scanning it once. [`RsseIndex::save`] and every
+//! generation file always write v2.
 //!
 //! Readers take `R: Read` and writers `W: Write` by value (a `&mut`
 //! reference also works, per the std blanket impls); both are buffered
@@ -116,13 +118,13 @@ impl From<io::Error> for PersistError {
     }
 }
 
-pub(crate) fn read_u64(mut r: impl Read) -> Result<u64, PersistError> {
+fn read_u64(mut r: impl Read) -> Result<u64, PersistError> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
     Ok(u64::from_be_bytes(buf))
 }
 
-pub(crate) fn read_len(r: impl Read) -> Result<u64, PersistError> {
+fn read_len(r: impl Read) -> Result<u64, PersistError> {
     let n = read_u64(r)?;
     if n > MAX_LEN {
         return Err(PersistError::Oversize(n));
@@ -142,9 +144,10 @@ pub(crate) struct DirRecord {
     pub count: u64,
 }
 
-/// Streaming v2 writer shared by [`RsseIndex::save`] and segment
-/// compaction: tracks the write position, accumulates the directory, and
-/// emits it (plus the trailer) on [`SegmentWriter::finish`].
+/// Streaming v2 writer shared by [`RsseIndex::save`] and the generational
+/// store's create, flush, and compaction: tracks the write position,
+/// accumulates the directory, and emits it (plus the trailer) on
+/// [`SegmentWriter::finish`].
 pub(crate) struct SegmentWriter<W: Write> {
     w: W,
     pos: u64,
@@ -188,7 +191,7 @@ impl<W: Write> SegmentWriter<W> {
     }
 
     /// Copies pre-encoded entry records verbatim (the compaction fast
-    /// path: a segment's base range is already in wire shape).
+    /// path: a generation's list range is already in wire shape).
     pub fn write_raw_entries(&mut self, records: &[u8]) -> io::Result<()> {
         self.w.write_all(records)?;
         self.pos += records.len() as u64;
@@ -257,8 +260,9 @@ impl RsseIndex {
 
     /// Deserializes an index from `reader`, materializing it in memory
     /// (the [`crate::backend::MemBackend`]). Accepts both `RSSEIDX2` and
-    /// legacy `RSSEIDX1` files; to serve a v2 file *without*
-    /// materializing it, use [`RsseIndex::open_segment`]. The reader is
+    /// legacy `RSSEIDX1` files; to serve an index from disk *without*
+    /// materializing it, write it out with [`RsseIndex::save_generational`]
+    /// and reopen it with [`RsseIndex::open_generational`]. The reader is
     /// buffered internally.
     ///
     /// For v2 input the trailing directory is required to mirror the body

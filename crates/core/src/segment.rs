@@ -1,32 +1,19 @@
-//! The on-disk segment backend: serve rankings straight from a persisted
-//! `RSSEIDX2` file.
+//! The read side of one immutable `RSSEIDX2` segment file: the unit the
+//! generational store ([`crate::generation`]) stacks, one file per
+//! generation.
 //!
-//! A [`SegmentBackend`] keeps the index *on disk* and holds only the
-//! trailing label→offset directory in memory (44 bytes per posting list).
-//! A query resolves the trapdoor's label in the directory and issues one
+//! A segment reader keeps the file *on disk* and holds only its trailing
+//! label→offset directory in memory (44 bytes per posting list). A query
+//! resolves the trapdoor's label in the directory and issues one
 //! positional read for exactly the touched posting list — the rest of the
-//! segment is never paged in, so the server restarts warm from a saved
-//! file and can serve indexes larger than resident memory.
-//!
-//! Score-dynamics appends do not rewrite the file: they land in an
-//! in-memory **delta overlay** (a small [`PostingStore`]), and a query
-//! ranks the base list and the overlay list separately, merging the two
-//! ranked streams with [`merge_ranked_streams`]. Because
-//! [`crate::RankedResult`]'s order is total (OPM score descending, ties
-//! toward the smaller file id) and both halves hold the exact ciphertexts
-//! a [`MemBackend`](crate::backend::MemBackend) would hold, the merged
-//! ranking is byte-identical to the single-stream one. [`SegmentBackend::compact`]
-//! folds the overlay back into a fresh segment file (written beside the
-//! old one, atomically renamed over it, parent directory fsynced so the
-//! flip survives power loss) and reopens — the overlay drains to empty
-//! and the file is once again the whole index.
+//! file is never paged in, so a server restarts warm from its store and
+//! can serve indexes larger than resident memory. Opening validates the
+//! directory against the file before anything is served, so a hostile
+//! length claim is rejected before any allocation larger than the file.
 //!
 //! All file access flows through the injectable [`SegmentIo`] layer (see
 //! [`crate::segio`]), which is what lets the crash-torture suite kill the
-//! writer at every fsync and rename boundary. The shared read-side
-//! machinery — directory parsing, validation, per-list positional reads —
-//! lives in the crate-internal [`SegmentReader`], reused by the
-//! generational store ([`crate::generation`]).
+//! writer at every fsync and rename boundary.
 //!
 //! Serving from disk leaks nothing beyond the in-memory backend: the
 //! server already sees which label each trapdoor touches and how many
@@ -34,19 +21,13 @@
 //! the file layout is a deterministic function of exactly that public
 //! shape plus the ciphertexts the server stores either way.
 
-use crate::backend::IndexBackend;
-use crate::index::{merge_ranked_streams, rank_entries, Label, RankedResult, RsseTrapdoor};
-use crate::persist::{
-    read_len, read_u64, PersistError, SegmentWriter, DIR_RECORD_LEN, HEADER_LEN, MAGIC, MAGIC_V2,
-    MAX_LEN,
-};
-use crate::segio::{SegmentIo, SegmentRead, StdIo};
-use crate::store::PostingStore;
-use rsse_crypto::SemanticCipher;
+use crate::index::Label;
+use crate::persist::{PersistError, DIR_RECORD_LEN, HEADER_LEN, MAGIC_V2, MAX_LEN};
+use crate::segio::{SegmentIo, SegmentRead};
 use rsse_opse::OpseParams;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{self, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,7 +48,7 @@ pub struct BatchReadStats {
 }
 
 /// Shared mutable home of [`BatchReadStats`] — lives in an `Arc` so
-/// backend clones (and the compaction reopen) keep one counter set.
+/// backend clones keep one counter set.
 #[derive(Debug, Default)]
 pub(crate) struct BatchReadCounters {
     batches: AtomicU64,
@@ -110,8 +91,8 @@ pub(crate) struct ListBytes {
 }
 
 impl ListBytes {
-    /// The degraded stand-in for a list that failed to read — ranks to
-    /// nothing, exactly like [`SegmentReader::rank_label`]'s `Some(empty)`.
+    /// The degraded stand-in for a list that failed to read: it ranks to
+    /// nothing.
     fn empty() -> Self {
         ListBytes {
             buf: Vec::new(),
@@ -132,34 +113,9 @@ fn corrupt(why: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
-/// Sequential-read adapter over a positional [`SegmentRead`] handle, for
-/// the legacy-v1 scan path.
-struct ReadAtCursor {
-    file: Arc<dyn SegmentRead>,
-    pos: u64,
-    len: u64,
-}
-
-impl Read for ReadAtCursor {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let left = (self.len - self.pos) as usize;
-        let n = buf.len().min(left);
-        if n == 0 {
-            return Ok(0);
-        }
-        self.file.read_exact_at(&mut buf[..n], self.pos)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
 /// The read side of one immutable segment file: its validated directory
 /// plus a shared positional-read handle. Cloning is cheap (the directory
 /// is 44 bytes per list; the handle is shared).
-///
-/// This is the unit both disk backends compose: a [`SegmentBackend`] is
-/// one `SegmentReader` plus an overlay; a generational store is a *stack*
-/// of them plus an overlay.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentReader {
     file: Arc<dyn SegmentRead>,
@@ -170,22 +126,25 @@ pub(crate) struct SegmentReader {
 }
 
 impl SegmentReader {
-    /// Opens and validates a segment file through the io layer. See
-    /// [`SegmentBackend::open`] for the format/validation contract.
+    /// Opens a segment file through the io layer in O(directory) — three
+    /// positional reads (header, directory, trailer), no posting payload
+    /// touched — after validating the directory against the file: list
+    /// ranges must be in bounds, non-overlapping, sorted, sized
+    /// consistently with their entry counts, and account for the whole
+    /// body.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::BadDirectory`] on any directory inconsistency;
+    /// `BadMagic` for anything but an `RSSEIDX2` file; `Oversize` /
+    /// `BadParameters` / `Io` as for [`crate::RsseIndex::load`].
     pub fn open(io: &dyn SegmentIo, path: &Path) -> Result<Self, PersistError> {
         let file = io.open_read(path)?;
         let mut magic = [0u8; 8];
         file.read_exact_at(&mut magic, 0)?;
-        if &magic == MAGIC_V2 {
-            Self::open_v2(file)
-        } else if &magic == MAGIC {
-            Self::open_v1(file)
-        } else {
-            Err(PersistError::BadMagic(magic))
+        if &magic != MAGIC_V2 {
+            return Err(PersistError::BadMagic(magic));
         }
-    }
-
-    fn open_v2(file: Arc<dyn SegmentRead>) -> Result<Self, PersistError> {
         let file_len = file.len()?;
         if file_len < HEADER_LEN + 8 {
             return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
@@ -287,57 +246,6 @@ impl SegmentReader {
         })
     }
 
-    fn open_v1(file: Arc<dyn SegmentRead>) -> Result<Self, PersistError> {
-        let len = file.len()?;
-        let mut r = BufReader::new(ReadAtCursor {
-            file: Arc::clone(&file),
-            pos: 8,
-            len,
-        });
-        let domain = read_u64(&mut r)?;
-        let range = read_u64(&mut r)?;
-        let opse = OpseParams::new(domain, range)
-            .map_err(|_| PersistError::BadParameters { domain, range })?;
-        let num_lists = read_len(&mut r)?;
-        let mut pos = HEADER_LEN;
-        let mut directory = BTreeMap::new();
-        let mut base_payload = 0usize;
-        for _ in 0..num_lists {
-            let mut label: Label = [0u8; 20];
-            r.read_exact(&mut label)?;
-            let count = read_len(&mut r)?;
-            pos += 28;
-            let offset = pos;
-            for _ in 0..count {
-                let entry_len = read_len(&mut r)?;
-                // Skip the payload; only the directory is kept in memory.
-                let skipped = io::copy(&mut r.by_ref().take(entry_len), &mut io::sink())?;
-                if skipped != entry_len {
-                    return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
-                }
-                pos += 8 + entry_len;
-                base_payload += entry_len as usize;
-            }
-            let prior = directory.insert(
-                label,
-                SegmentList {
-                    offset,
-                    byte_len: pos - offset,
-                    count,
-                },
-            );
-            if prior.is_some() {
-                return Err(PersistError::BadDirectory("duplicate label in legacy file"));
-            }
-        }
-        Ok(SegmentReader {
-            file,
-            directory,
-            base_payload,
-            opse,
-        })
-    }
-
     pub fn opse(&self) -> &OpseParams {
         &self.opse
     }
@@ -353,7 +261,7 @@ impl SegmentReader {
     /// Reads one posting list's byte range off the file and parses the
     /// entry bounds, rejecting ranges whose length prefixes do not tile
     /// the range exactly.
-    pub fn read_list(&self, meta: &SegmentList) -> io::Result<ListBytes> {
+    fn read_list(&self, meta: &SegmentList) -> io::Result<ListBytes> {
         let buf = self.read_raw(meta)?;
         let mut bounds = Vec::with_capacity(meta.count as usize);
         let mut pos = 0usize;
@@ -387,27 +295,12 @@ impl SegmentReader {
         Ok(buf)
     }
 
-    /// Ranks this segment's list under `label`, if present. A list that
+    /// Reads this segment's list under `label`, if present. A list that
     /// fails to read (e.g. the file was truncated behind a live handle)
-    /// degrades to an empty stream rather than failing the query.
-    pub fn rank_label(
-        &self,
-        label: &Label,
-        cipher: &SemanticCipher,
-        top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
-    ) -> Option<Vec<RankedResult>> {
+    /// degrades to an empty one rather than failing the query.
+    pub fn read_label(&self, label: &Label) -> Option<ListBytes> {
         let meta = self.directory.get(label)?;
-        match self.read_list(meta) {
-            Ok(list) => Some(rank_entries(
-                list.entries(),
-                list.len(),
-                cipher,
-                top_k,
-                scratch,
-            )),
-            Err(_) => Some(Vec::new()),
-        }
+        Some(self.read_list(meta).unwrap_or_else(|_| ListBytes::empty()))
     }
 
     /// Reads every base list a batch of labels touches, **in file order**:
@@ -417,7 +310,7 @@ impl SegmentReader {
     /// ever moves forward within the segment. Returns the lists keyed by
     /// label plus the number of backward seeks eliminated; a list that
     /// fails to read degrades to an empty one, exactly like
-    /// [`Self::rank_label`].
+    /// [`Self::read_label`].
     pub fn read_lists_sorted<'a>(
         &self,
         labels: impl Iterator<Item = &'a Label>,
@@ -448,480 +341,12 @@ impl SegmentReader {
     /// Returns `false` when the label is not in this segment; a failed
     /// read visits nothing (degraded, like the search path).
     pub fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
-        let Some(meta) = self.directory.get(label) else {
+        let Some(list) = self.read_label(label) else {
             return false;
         };
-        if let Ok(list) = self.read_list(meta) {
-            for entry in list.entries() {
-                visit(entry);
-            }
+        for entry in list.entries() {
+            visit(entry);
         }
         true
-    }
-}
-
-/// A posting-list container served from a persisted segment file, with an
-/// in-memory delta overlay for updates (see the module docs).
-///
-/// Cloning is cheap — clones share the read-only file handle; each clone
-/// carries its own copy of the (small) directory and overlay.
-#[derive(Debug, Clone)]
-pub struct SegmentBackend {
-    io: Arc<dyn SegmentIo>,
-    reader: SegmentReader,
-    path: PathBuf,
-    overlay: PostingStore,
-    batch: Arc<BatchReadCounters>,
-}
-
-impl SegmentBackend {
-    /// Opens a segment file for serving (production io: `std::fs`).
-    ///
-    /// An `RSSEIDX2` file opens in O(directory) — three positional reads
-    /// (header, directory, trailer), no posting payload touched — after
-    /// validating the directory against the file: list ranges must be
-    /// in bounds, non-overlapping, sorted, sized consistently with their
-    /// entry counts, and account for the whole body. A legacy `RSSEIDX1`
-    /// file is converted by a single buffered scan that builds the
-    /// directory in memory (payload bytes are skipped, not stored) and is
-    /// then served directly — the v1 body layout is identical.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::BadDirectory`] on any directory inconsistency;
-    /// `BadMagic` / `Oversize` / `BadParameters` / `Io` as for
-    /// [`crate::RsseIndex::load`]. Hostile length claims are rejected
-    /// before any allocation larger than the actual file.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Self::open_with_io(StdIo::shared(), path)
-    }
-
-    /// [`Self::open`] over an injected io layer — the crash-torture seam.
-    pub fn open_with_io(
-        io: Arc<dyn SegmentIo>,
-        path: impl AsRef<Path>,
-    ) -> Result<Self, PersistError> {
-        let path = path.as_ref().to_path_buf();
-        let reader = SegmentReader::open(io.as_ref(), &path)?;
-        Ok(SegmentBackend {
-            io,
-            reader,
-            path,
-            overlay: PostingStore::new(),
-            batch: Arc::new(BatchReadCounters::default()),
-        })
-    }
-
-    /// The OPSE parameters stored in the segment header.
-    pub fn opse_params(&self) -> &OpseParams {
-        self.reader.opse()
-    }
-
-    /// The path the segment was opened from (and that [`Self::compact`]
-    /// rewrites).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Entries currently parked in the delta overlay (not yet compacted
-    /// into the file).
-    pub fn overlay_entries(&self) -> usize {
-        self.overlay
-            .labels()
-            .filter_map(|l| self.overlay.list_len(l))
-            .sum()
-    }
-
-    /// Ranked search over base-file entries merged with the delta overlay
-    /// (see [`crate::RsseIndex::search_with_scratch`] for the contract).
-    ///
-    /// The base list and the overlay list are ranked as two streams and
-    /// merged with [`merge_ranked_streams`]; the module docs argue why
-    /// that is byte-identical to the in-memory single-stream ranking. A
-    /// base list that fails to read (e.g. the file was truncated behind a
-    /// live handle) degrades to serving the overlay alone rather than
-    /// failing the query.
-    pub(crate) fn search(
-        &self,
-        trapdoor: &RsseTrapdoor,
-        top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
-    ) -> Vec<RankedResult> {
-        let in_base = self.reader.directory().contains_key(trapdoor.label());
-        let overlay_list = self.overlay.list(trapdoor.label());
-        if !in_base && overlay_list.is_none() {
-            return Vec::new();
-        }
-        let cipher = SemanticCipher::new(trapdoor.list_key());
-        let base = self
-            .reader
-            .rank_label(trapdoor.label(), &cipher, top_k, scratch)
-            .unwrap_or_default();
-        let overlay = match overlay_list {
-            Some(pl) if !pl.is_empty() => {
-                rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch)
-            }
-            _ => Vec::new(),
-        };
-        match (base.is_empty(), overlay.is_empty()) {
-            (false, true) => base,
-            (true, false) => overlay,
-            (true, true) => Vec::new(),
-            (false, false) => merge_ranked_streams(&[&base, &overlay], top_k),
-        }
-    }
-
-    /// Batched [`Self::search`]: all base posting lists the batch touches
-    /// are fetched up front through [`SegmentReader::read_lists_sorted`]
-    /// — one read per unique list, issued in file-offset order — and each
-    /// query then ranks against the prefetched bytes. Per-query results
-    /// are byte-identical to calling [`Self::search`] one at a time: the
-    /// fetched bytes are the same, and ranking/merging is the same code.
-    pub(crate) fn search_batch(
-        &self,
-        trapdoors: &[RsseTrapdoor],
-        top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
-    ) -> Vec<Vec<RankedResult>> {
-        let (lists, seeks_saved) = self
-            .reader
-            .read_lists_sorted(trapdoors.iter().map(RsseTrapdoor::label));
-        self.batch.note(lists.len() as u64, seeks_saved);
-        trapdoors
-            .iter()
-            .map(|trapdoor| {
-                let in_base = lists.contains_key(trapdoor.label());
-                let overlay_list = self.overlay.list(trapdoor.label());
-                if !in_base && overlay_list.is_none() {
-                    return Vec::new();
-                }
-                let cipher = SemanticCipher::new(trapdoor.list_key());
-                let base = lists
-                    .get(trapdoor.label())
-                    .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k, scratch))
-                    .unwrap_or_default();
-                let overlay = match overlay_list {
-                    Some(pl) if !pl.is_empty() => {
-                        rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch)
-                    }
-                    _ => Vec::new(),
-                };
-                match (base.is_empty(), overlay.is_empty()) {
-                    (false, true) => base,
-                    (true, false) => overlay,
-                    (true, true) => Vec::new(),
-                    (false, false) => merge_ranked_streams(&[&base, &overlay], top_k),
-                }
-            })
-            .collect()
-    }
-
-    /// Counters of the batched-read path since open (survives
-    /// [`Self::compact`]'s reopen).
-    pub fn batch_read_stats(&self) -> BatchReadStats {
-        self.batch.snapshot()
-    }
-
-    /// Folds the delta overlay into a fresh segment file and reopens it.
-    ///
-    /// The merged segment is written beside the current one
-    /// (`<path>.compact`), fsynced, atomically renamed over it, and the
-    /// parent directory is fsynced so the flip itself survives power loss
-    /// — without the directory fsync a crash after the rename could
-    /// resurrect the old segment (torture-suite regression). A crash
-    /// mid-compaction leaves the old segment intact. Base entry records
-    /// are copied verbatim (they are already in wire shape); overlay
-    /// entries append after them, preserving exactly the order a query
-    /// would have visited. Returns `false` without touching the file when
-    /// the overlay is empty.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures writing, renaming, or fsyncing, or any
-    /// [`PersistError`] re-validating the freshly written segment.
-    pub fn compact(&mut self) -> Result<bool, PersistError> {
-        if self.overlay.num_lists() == 0 {
-            return Ok(false);
-        }
-        let tmp = self.path.with_extension("compact");
-        {
-            let directory = self.reader.directory();
-            let mut labels: Vec<Label> = directory.keys().copied().collect();
-            labels.extend(
-                self.overlay
-                    .labels()
-                    .filter(|l| !directory.contains_key(*l)),
-            );
-            labels.sort_unstable();
-            let out = self.io.create(&tmp)?;
-            let mut w = SegmentWriter::new(out, self.reader.opse(), labels.len() as u64)?;
-            for label in &labels {
-                let base = directory.get(label);
-                let overlay = self.overlay.list(label);
-                let total =
-                    base.map_or(0, |m| m.count) + overlay.as_ref().map_or(0, |pl| pl.len() as u64);
-                w.begin_list(*label, total)?;
-                if let Some(meta) = base {
-                    w.write_raw_entries(&self.reader.read_raw(meta)?)?;
-                }
-                if let Some(pl) = overlay {
-                    for entry in pl.iter() {
-                        w.write_entry(entry)?;
-                    }
-                }
-                w.end_list();
-            }
-            let mut out = w.finish()?;
-            out.sync()?;
-        }
-        self.io.rename(&tmp, &self.path)?;
-        if let Some(parent) = self.path.parent() {
-            self.io.fsync_dir(parent)?;
-        }
-        let batch = Arc::clone(&self.batch);
-        *self = SegmentBackend::open_with_io(Arc::clone(&self.io), &self.path)?;
-        self.batch = batch;
-        Ok(true)
-    }
-}
-
-impl IndexBackend for SegmentBackend {
-    fn contains_label(&self, label: &Label) -> bool {
-        self.reader.directory().contains_key(label) || self.overlay.contains_label(label)
-    }
-
-    fn num_lists(&self) -> usize {
-        let directory = self.reader.directory();
-        directory.len()
-            + self
-                .overlay
-                .labels()
-                .filter(|l| !directory.contains_key(*l))
-                .count()
-    }
-
-    fn list_len(&self, label: &Label) -> Option<usize> {
-        let base = self.reader.directory().get(label).map(|m| m.count as usize);
-        let over = self.overlay.list_len(label);
-        if base.is_none() && over.is_none() {
-            return None;
-        }
-        Some(base.unwrap_or(0) + over.unwrap_or(0))
-    }
-
-    fn size_bytes(&self) -> usize {
-        // Labels once per list, payloads from both halves; overlay labels
-        // shared with the base are not double-counted.
-        self.num_lists() * 20
-            + self.reader.base_payload()
-            + (self.overlay.size_bytes() - 20 * self.overlay.num_lists())
-    }
-
-    fn labels(&self) -> Vec<Label> {
-        let directory = self.reader.directory();
-        let mut labels: Vec<Label> = directory.keys().copied().collect();
-        labels.extend(
-            self.overlay
-                .labels()
-                .filter(|l| !directory.contains_key(*l)),
-        );
-        labels
-    }
-
-    fn append(&mut self, label: Label, entries: &[Vec<u8>]) {
-        self.overlay.append(label, entries);
-    }
-
-    fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
-        let in_base = self.reader.for_each_entry(label, visit);
-        let over = self.overlay.list(label);
-        if !in_base && over.is_none() {
-            return false;
-        }
-        if let Some(pl) = over {
-            for entry in pl.iter() {
-                visit(entry);
-            }
-        }
-        true
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::segio::MemIo;
-    use crate::RsseIndex;
-    use std::fs::File;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-
-    fn temp_path(tag: &str) -> PathBuf {
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("rsse_segment_{tag}_{}_{n}.idx", std::process::id()))
-    }
-
-    fn label(b: u8) -> Label {
-        [b; 20]
-    }
-
-    fn sample_parts() -> Vec<(Label, Vec<Vec<u8>>)> {
-        vec![
-            (label(1), vec![vec![0xA1; 6], vec![0xA2; 6]]),
-            (label(2), vec![]),
-            (label(3), vec![vec![0xB1; 3], vec![0xB2; 9], vec![0xB3; 1]]),
-        ]
-    }
-
-    fn saved_segment(tag: &str) -> (PathBuf, RsseIndex) {
-        let index = RsseIndex::from_parts(sample_parts(), OpseParams::default());
-        let path = temp_path(tag);
-        index.save(File::create(&path).unwrap()).unwrap();
-        (path, index)
-    }
-
-    #[test]
-    fn open_serves_the_saved_lists_without_materializing() {
-        let (path, index) = saved_segment("open");
-        let seg = SegmentBackend::open(&path).unwrap();
-        assert_eq!(seg.opse_params(), index.opse_params().unwrap());
-        assert_eq!(seg.num_lists(), 3);
-        assert_eq!(seg.list_len(&label(2)), Some(0));
-        assert_eq!(seg.size_bytes(), index.size_bytes());
-        for (l, entries) in sample_parts() {
-            let mut got = Vec::new();
-            assert!(seg.for_each_entry(&l, &mut |e| got.push(e.to_vec())));
-            assert_eq!(got, entries);
-        }
-        assert!(!seg.for_each_entry(&label(9), &mut |_| panic!("unknown label")));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn overlay_appends_are_visible_and_compaction_folds_them_in() {
-        let (path, _) = saved_segment("compact");
-        let mut seg = SegmentBackend::open(&path).unwrap();
-        assert!(!seg.compact().unwrap(), "empty overlay is a no-op");
-        seg.append(label(1), &[vec![0xA3; 6]]);
-        seg.append(label(9), &[vec![0xC1; 2]]);
-        assert_eq!(seg.overlay_entries(), 2);
-        assert_eq!(seg.list_len(&label(1)), Some(3));
-        assert_eq!(seg.num_lists(), 4);
-        let before: Vec<Vec<u8>> = {
-            let mut v = Vec::new();
-            seg.for_each_entry(&label(1), &mut |e| v.push(e.to_vec()));
-            v
-        };
-        let size_before = seg.size_bytes();
-        assert!(seg.compact().unwrap());
-        assert_eq!(seg.overlay_entries(), 0, "overlay drained");
-        assert_eq!(seg.list_len(&label(1)), Some(3));
-        assert_eq!(seg.num_lists(), 4);
-        assert_eq!(seg.size_bytes(), size_before);
-        let mut after = Vec::new();
-        seg.for_each_entry(&label(1), &mut |e| after.push(e.to_vec()));
-        assert_eq!(after, before, "compaction preserves entry order");
-        // The rewritten file reloads through the ordinary loader too.
-        let reloaded = RsseIndex::load(File::open(&path).unwrap()).unwrap();
-        assert_eq!(reloaded.list_len(&label(9)), Some(1));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn compact_fsyncs_the_parent_directory() {
-        // Regression for the durability bug this PR fixes: the rename was
-        // fsynced nowhere, so a completed compaction could vanish on power
-        // loss. On MemIo the whole sequence must be: temp-file fsync, then
-        // rename, then parent-directory fsync — and the post-compaction
-        // state must survive power_loss().
-        let io = MemIo::new();
-        let dir = Path::new("/store");
-        let path = dir.join("seg.idx");
-        let index = RsseIndex::from_parts(sample_parts(), OpseParams::default());
-        let mut bytes = Vec::new();
-        index.save(&mut bytes).unwrap();
-        {
-            use std::io::Write;
-            let mut w = io.create(&path).unwrap();
-            w.write_all(&bytes).unwrap();
-            w.sync().unwrap();
-        }
-        io.fsync_dir(dir).unwrap();
-        let before = io.sync_points();
-        let mut seg = SegmentBackend::open_with_io(io.shared(), &path).unwrap();
-        seg.append(label(9), &[vec![0xC1; 2]]);
-        assert!(seg.compact().unwrap());
-        assert_eq!(
-            io.sync_points() - before,
-            3,
-            "compaction = file fsync + rename + directory fsync"
-        );
-        io.power_loss();
-        let reopened = SegmentBackend::open_with_io(io.shared(), &path).unwrap();
-        assert_eq!(
-            reopened.list_len(&label(9)),
-            Some(1),
-            "the flip is durable across power loss"
-        );
-    }
-
-    #[test]
-    fn legacy_v1_file_opens_and_serves() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&128u64.to_be_bytes());
-        buf.extend_from_slice(&(1u64 << 40).to_be_bytes());
-        buf.extend_from_slice(&1u64.to_be_bytes());
-        buf.extend_from_slice(&label(5));
-        buf.extend_from_slice(&2u64.to_be_bytes());
-        for payload in [[0x11u8; 4], [0x22u8; 4]] {
-            buf.extend_from_slice(&4u64.to_be_bytes());
-            buf.extend_from_slice(&payload);
-        }
-        let path = temp_path("v1");
-        std::fs::write(&path, &buf).unwrap();
-        let seg = SegmentBackend::open(&path).unwrap();
-        assert_eq!(seg.num_lists(), 1);
-        let mut got = Vec::new();
-        assert!(seg.for_each_entry(&label(5), &mut |e| got.push(e.to_vec())));
-        assert_eq!(got, vec![vec![0x11; 4], vec![0x22; 4]]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn batch_reads_match_serial_and_count_saved_seeks() {
-        let (path, _) = saved_segment("batch");
-        let mut seg = SegmentBackend::open(&path).unwrap();
-        seg.append(label(1), &[vec![0xA9; 6]]);
-        let key = rsse_crypto::SecretKey::derive(b"k", "t");
-        // Labels are written in sorted order, so offsets ascend with the
-        // label: querying 3, 2, 1 (with a duplicate) makes every unique
-        // hop a backward seek the sorted schedule eliminates.
-        let trapdoors: Vec<RsseTrapdoor> = [3u8, 2, 3, 1]
-            .iter()
-            .map(|b| RsseTrapdoor::from_parts(label(*b), key.clone()))
-            .collect();
-        let mut scratch = Vec::new();
-        let batched = seg.search_batch(&trapdoors, None, &mut scratch);
-        for (t, got) in trapdoors.iter().zip(&batched) {
-            assert_eq!(*got, seg.search(t, None, &mut scratch));
-        }
-        let stats = seg.batch_read_stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.lists_read, 3, "unique lists read once each");
-        assert_eq!(stats.seeks_saved, 2, "3→2 and 2→1 were both backward");
-        // The counters survive compaction's reopen.
-        assert!(seg.compact().unwrap());
-        assert_eq!(seg.batch_read_stats(), stats);
-    }
-
-    #[test]
-    fn truncated_tail_is_rejected_at_open() {
-        let (path, _) = saved_segment("trunc");
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(SegmentBackend::open(&path).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -17,11 +17,10 @@
 //! * the recovered store stays fully writable (update → flush →
 //!   compact still round-trips).
 //!
-//! Alongside the exhaustive sweep: the single-file compaction torture
-//! (including the directory-fsync durability regression), the
-//! double-compact typed error, flushes proceeding during a live
-//! compaction, searches served while a compaction is stalled mid-write,
-//! and pin-based reclaim.
+//! Alongside the exhaustive sweep: the ordering of store creation's
+//! fsyncs (the new directory's parent first), the double-compact typed
+//! error, flushes proceeding during a live compaction, searches served
+//! while a compaction is stalled mid-write, and pin-based reclaim.
 
 use rsse_core::persist::PersistError;
 use rsse_core::{
@@ -262,94 +261,6 @@ fn generational_store_survives_a_kill_at_every_sync_point() {
 }
 
 // ---------------------------------------------------------------------------
-// Single-file segment compaction torture.
-// ---------------------------------------------------------------------------
-
-const SEG_DIR: &str = "/torture/seg";
-
-/// Durably lays out a single-segment store, appends one update batch
-/// (mirrored into the reference), then compacts with an optional crash.
-/// Returns the io, the pre-/post-compaction reference parts, and the
-/// compaction outcome.
-#[allow(clippy::type_complexity)]
-fn seg_replay(
-    fx: &Fixture,
-    crash_at: Option<u64>,
-) -> (MemIo, Parts, Parts, Result<bool, PersistError>) {
-    let io = MemIo::new();
-    let dir = Path::new(SEG_DIR);
-    let path = dir.join("index.seg");
-    let mut mem = fx.base();
-    let mut bytes = Vec::new();
-    mem.save(&mut bytes).expect("serialize");
-    let mut w = io.create(&path).expect("create");
-    w.write_all(&bytes).expect("write");
-    w.sync().expect("fsync");
-    drop(w);
-    io.fsync_dir(dir).expect("dir fsync");
-    let mut store = RsseIndex::open_segment_with_io(io.shared(), &path).expect("open");
-    let pre = mem.export_parts();
-    fx.apply(0, &mut store, &mut mem);
-    let post = mem.export_parts();
-    if let Some(k) = crash_at {
-        io.crash_at_sync_point(k);
-    }
-    let result = store.compact();
-    (io, pre, post, result)
-}
-
-#[test]
-fn segment_compaction_survives_a_kill_at_every_sync_point() {
-    let fx = fixture();
-    let path = Path::new(SEG_DIR).join("index.seg");
-    // Uncrashed: the compacted state must survive power loss — this is
-    // the directory-fsync durability regression. Without the parent
-    // fsync the rename is volatile and the appended entries vanish.
-    let (io, _, post, result) = seg_replay(&fx, None);
-    assert!(result.expect("compaction"), "overlay had entries to fold");
-    let boundaries = io.sync_points() - 2; // setup spent 2 (file + dir)
-    assert_eq!(
-        boundaries, 3,
-        "compaction = file fsync + rename + directory fsync"
-    );
-    io.power_loss();
-    let reopened = RsseIndex::open_segment_with_io(io.shared(), &path).expect("reopen");
-    assert_eq!(
-        reopened.export_parts(),
-        post,
-        "compacted segment must survive power loss (directory-fsync regression)"
-    );
-    assert_same_rankings(
-        &fx.scheme,
-        &reopened,
-        &RsseIndex::from_parts(post, fx.opse),
-        "uncrashed segment compaction",
-    );
-    // Killed at any of the three boundaries: the old segment serves,
-    // byte-identical, with the unflushed overlay rolled back.
-    for k in 0..boundaries {
-        let ctx = format!("segment compaction crash at sync point {k}");
-        let (io, pre, _, result) = seg_replay(&fx, Some(k));
-        assert!(result.is_err(), "{ctx}: compaction must report the failure");
-        assert!(io.crash_fired(), "{ctx}: boundary was never reached");
-        io.power_loss();
-        let reopened = RsseIndex::open_segment_with_io(io.shared(), &path)
-            .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-        assert_eq!(
-            reopened.export_parts(),
-            pre,
-            "{ctx}: must recover the pre-compaction segment exactly"
-        );
-        assert_same_rankings(
-            &fx.scheme,
-            &reopened,
-            &RsseIndex::from_parts(pre, fx.opse),
-            &ctx,
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Concurrency contracts: typed double-compact error, flushes during a
 // live pass, searches while the compactor is stalled, pinned reclaim.
 // ---------------------------------------------------------------------------
@@ -449,8 +360,9 @@ fn pinned_generations_survive_compaction_until_released() {
 }
 
 // ---------------------------------------------------------------------------
-// Searches never block on compaction: stall the compactor mid-write and
-// serve queries meanwhile.
+// Probed io: store creation fsyncs in a durable order, and searches never
+// block on compaction — stall the compactor mid-write and serve queries
+// meanwhile.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -504,20 +416,40 @@ impl Gate {
     }
 }
 
-/// Delegating [`SegmentIo`] whose write handles stall at [`Gate`] on
+/// What a [`ProbeIo`] observes and controls: the directory creations and
+/// fsyncs it forwarded, in order, and the [`Gate`] its write handles
+/// stall at.
+#[derive(Debug, Default)]
+struct Probe {
+    gate: Gate,
+    ops: Mutex<Vec<String>>,
+}
+
+impl Probe {
+    fn note(&self, op: &str, path: &Path) {
+        self.ops
+            .lock()
+            .unwrap()
+            .push(format!("{op} {}", path.display()));
+    }
+}
+
+/// Delegating [`SegmentIo`] that logs directory creations and fsyncs into
+/// its [`Probe`] and whose write handles stall at the probe's [`Gate`] on
 /// fsync — freezing a compactor mid-write without touching readers.
 #[derive(Debug)]
-struct GateIo {
+struct ProbeIo {
     inner: Arc<dyn SegmentIo>,
-    gate: Arc<Gate>,
+    probe: Arc<Probe>,
 }
 
-struct GateWrite {
+struct ProbeWrite {
     inner: Box<dyn SegmentWrite>,
-    gate: Arc<Gate>,
+    path: PathBuf,
+    probe: Arc<Probe>,
 }
 
-impl Write for GateWrite {
+impl Write for ProbeWrite {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.inner.write(buf)
     }
@@ -527,22 +459,24 @@ impl Write for GateWrite {
     }
 }
 
-impl SegmentWrite for GateWrite {
+impl SegmentWrite for ProbeWrite {
     fn sync(&mut self) -> io::Result<()> {
-        self.gate.pass();
+        self.probe.gate.pass();
+        self.probe.note("sync", &self.path);
         self.inner.sync()
     }
 }
 
-impl SegmentIo for GateIo {
+impl SegmentIo for ProbeIo {
     fn open_read(&self, path: &Path) -> io::Result<Arc<dyn SegmentRead>> {
         self.inner.open_read(path)
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn SegmentWrite>> {
-        Ok(Box::new(GateWrite {
+        Ok(Box::new(ProbeWrite {
             inner: self.inner.create(path)?,
-            gate: Arc::clone(&self.gate),
+            path: path.to_path_buf(),
+            probe: Arc::clone(&self.probe),
         }))
     }
 
@@ -551,6 +485,7 @@ impl SegmentIo for GateIo {
     }
 
     fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.probe.note("fsync_dir", dir);
         self.inner.fsync_dir(dir)
     }
 
@@ -559,6 +494,7 @@ impl SegmentIo for GateIo {
     }
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.probe.note("create_dir_all", dir);
         self.inner.create_dir_all(dir)
     }
 
@@ -567,15 +503,49 @@ impl SegmentIo for GateIo {
     }
 }
 
+fn probed(probe: &Arc<Probe>) -> Arc<dyn SegmentIo> {
+    Arc::new(ProbeIo {
+        inner: MemIo::new().shared(),
+        probe: Arc::clone(probe),
+    })
+}
+
+/// A freshly created store directory is an entry in its *parent*: unless
+/// the parent is fsynced, power loss after a successful boot can drop the
+/// whole store. The parent fsync must follow the directory creation and
+/// precede the first file sync (so a crash there still recovers as "no
+/// store"); a relative one-component path fsyncs `.`.
+#[test]
+fn store_creation_fsyncs_the_parent_before_any_file() {
+    let fx = fixture();
+    for (dir, parent) in [("/torture/new/store", "/torture/new"), ("store", ".")] {
+        let probe = Arc::new(Probe::default());
+        fx.base()
+            .save_generational_with_io(probed(&probe), Path::new(dir))
+            .expect("create");
+        let ops = probe.ops.lock().unwrap().clone();
+        let at = |op: &str| ops.iter().position(|o| o == op);
+        let made = at(&format!("create_dir_all {dir}"));
+        let parent_synced = at(&format!("fsync_dir {parent}"));
+        let first_sync = ops.iter().position(|o| o.starts_with("sync "));
+        assert!(
+            made.is_some(),
+            "{dir}: store directory never created: {ops:?}"
+        );
+        assert!(
+            parent_synced > made && parent_synced < first_sync,
+            "{dir}: parent {parent} must be fsynced after the directory is made \
+             and before the first file sync: {ops:?}"
+        );
+    }
+}
+
 #[test]
 fn searches_are_served_while_a_live_compaction_is_stalled() {
     let fx = fixture();
-    let mem_io = MemIo::new();
-    let gate = Arc::new(Gate::default());
-    let io: Arc<dyn SegmentIo> = Arc::new(GateIo {
-        inner: mem_io.shared(),
-        gate: Arc::clone(&gate),
-    });
+    let probe = Arc::new(Probe::default());
+    let gate = &probe.gate;
+    let io = probed(&probe);
     let dir = PathBuf::from("/torture/gate");
     let mut mem = fx.base();
     let mut store = mem

@@ -6,25 +6,23 @@
 //! not just the uniform padded lists the scheme happens to produce. And a
 //! loader fed hostile bytes (wrong magic, absurd length claims, files cut
 //! off mid-entry) must fail with the matching [`PersistError`], never
-//! panic or mis-load.
+//! panic or mis-load — both the materializing loader and the generational
+//! store, whose every generation file is one `RSSEIDX2` file.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rsse_core::persist::{PersistError, MAGIC, MAGIC_V2};
-use rsse_core::{Label, Rsse, RsseIndex, RsseParams, SegmentBackend};
+use rsse_core::{Label, Rsse, RsseIndex, RsseParams};
 use rsse_ir::{Document, FileId};
 use rsse_opse::OpseParams;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Unique temp paths so parallel tests never collide on a segment file.
+/// Unique temp paths so parallel tests never collide on a store.
 fn temp_path(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "rsse_roundtrip_{tag}_{}_{n}.idx",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("rsse_roundtrip_{tag}_{}_{n}", std::process::id()))
 }
 
 /// Distinct 20-byte labels: proptest drives only the salt, the counter
@@ -168,20 +166,14 @@ fn rsseidx1_files_written_before_the_directory_still_load() {
         RsseIndex::load(&upgraded[..]).unwrap().export_parts(),
         loaded.export_parts()
     );
-
-    // And through the segment path: the v1 body is served in place.
-    let path = temp_path("v1compat");
-    std::fs::write(&path, &buf).unwrap();
-    let seg = RsseIndex::open_segment(&path).unwrap();
-    assert_eq!(seg.num_lists(), 3);
-    for (l, entries) in &lists {
-        assert_eq!(seg.raw_list(l).as_ref(), Some(entries), "segment {l:02x?}");
-    }
-    let _ = std::fs::remove_file(&path);
 }
 
-/// Builds a saved v2 segment plus the byte offset of its directory, for
-/// the hostile-directory cases to patch.
+/// The base generation's file name inside a store directory.
+const BASE_GENERATION: &str = "gen-000000.seg";
+
+/// Saves a generational store (one base generation), returning its
+/// directory, the base generation's bytes, and the byte offset of their
+/// directory, for the hostile-directory cases to patch.
 fn saved_v2_with_dir_offset(tag: &str) -> (PathBuf, Vec<u8>, usize) {
     let lists = vec![
         vec![vec![0x11; 10], vec![0x12; 10]],
@@ -189,22 +181,30 @@ fn saved_v2_with_dir_offset(tag: &str) -> (PathBuf, Vec<u8>, usize) {
         vec![vec![0x31; 6], vec![0x32; 2], vec![0x33; 8]],
     ];
     let index = ragged_index(&lists, 5, 64, 64);
-    let path = temp_path(tag);
-    let mut buf = Vec::new();
-    index.save(&mut buf).unwrap();
+    let dir = temp_path(tag);
+    drop(index.save_generational(&dir).unwrap());
+    let buf = std::fs::read(dir.join(BASE_GENERATION)).unwrap();
     let dir_offset = u64::from_be_bytes(buf[buf.len() - 8..].try_into().unwrap()) as usize;
-    (path, buf, dir_offset)
+    (dir, buf, dir_offset)
 }
 
-/// A segment open over `bytes` must reject with `BadDirectory` — and in
-/// particular must neither panic nor allocate from the hostile claims.
-fn assert_bad_directory(path: &PathBuf, bytes: &[u8], what: &str) {
-    std::fs::write(path, bytes).unwrap();
-    match SegmentBackend::open(path) {
+/// Writes `bytes` as the base generation of the store in `dir` and
+/// reopens the store, removing it afterwards.
+fn open_with_base(dir: &Path, bytes: &[u8]) -> Result<RsseIndex, PersistError> {
+    std::fs::write(dir.join(BASE_GENERATION), bytes).unwrap();
+    let opened = RsseIndex::open_generational(dir);
+    let _ = std::fs::remove_dir_all(dir);
+    opened
+}
+
+/// A store whose base generation is `bytes` must reject with
+/// `BadDirectory` at open — and in particular must neither panic nor
+/// allocate from the hostile claims.
+fn assert_bad_directory(dir: &Path, bytes: &[u8], what: &str) {
+    match open_with_base(dir, bytes) {
         Err(PersistError::BadDirectory(_)) => {}
         other => panic!("{what}: expected BadDirectory, got {other:?}"),
     }
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]
@@ -254,12 +254,10 @@ fn hostile_directory_absurd_counts_never_over_allocate() {
     // Entry count over the sanity cap: Oversize, before any allocation.
     let (path, mut buf, dir) = saved_v2_with_dir_offset("count");
     buf[dir + 36..dir + 44].copy_from_slice(&(2u64 << 30).to_be_bytes());
-    std::fs::write(&path, &buf).unwrap();
     assert!(matches!(
-        SegmentBackend::open(&path).unwrap_err(),
+        open_with_base(&path, &buf).unwrap_err(),
         PersistError::Oversize(_)
     ));
-    let _ = std::fs::remove_file(&path);
 
     // Entry count under the cap but impossible for its byte range (each
     // entry needs an 8-byte prefix): BadDirectory, and the count is never
@@ -281,6 +279,10 @@ fn hostile_trailer_rejected() {
     // Trailer pointing past the end of the file.
     buf[len - 8..].copy_from_slice(&(u64::MAX).to_be_bytes());
     assert_bad_directory(&path, &buf, "trailer out of range");
+
+    // A file cut short: the last 8 bytes are no longer the trailer.
+    let (path, buf, _) = saved_v2_with_dir_offset("truncated");
+    assert_bad_directory(&path, &buf[..buf.len() - 3], "truncated tail");
 }
 
 #[test]

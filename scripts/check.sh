@@ -43,7 +43,7 @@ echo "==> cargo test -q --test cache_coherence"
 cargo test -q --test cache_coherence
 
 # The conjunctive serving path's tentpole guarantee: the intersection
-# pushdown returns byte-identical rankings across mem/segment/
+# pushdown returns byte-identical rankings across the mem and
 # generational backends, cache on vs off, and sharded vs single-node,
 # under random search/update interleavings and both keyword orders.
 echo "==> cargo test -q --test conjunctive"
@@ -52,20 +52,21 @@ cargo test -q --test conjunctive
 echo "==> cargo test -q -p rsse-core --test persist_roundtrip"
 cargo test -q -p rsse-core --test persist_roundtrip
 
-# The storage engine's tentpole guarantee: mem, on-disk segment,
-# compacted segment, and the generational store return byte-identical
-# rankings under interleaved searches, updates, flushes, and live
-# compactions — cached, warm-restarted, and sharded deployments included.
+# The storage engine's tentpole guarantee: mem and the generational
+# on-disk store return byte-identical rankings under interleaved
+# searches, updates, flushes, and live compactions — cached,
+# warm-restarted, and sharded deployments included.
 echo "==> cargo test -q --test backend_equivalence"
 cargo test -q --test backend_equivalence
 
 # The storage engine's crash-consistency guarantee: the writer is killed
-# at every fsync/rename boundary of a create/flush/compact plan (24
-# boundaries) plus every boundary of a single-file compaction, and each
-# reopened store must land on exactly the pre-op or post-op rankings —
-# never a torn state — and keep accepting updates. Also pins the typed
-# double-compact error, epoch-based segment reclaim, and that searches
-# keep being served while a live compaction is stalled mid-merge.
+# at every fsync/rename boundary of a create/flush/compact plan (25
+# boundaries), and each reopened store must land on exactly the pre-op
+# or post-op rankings — never a torn state — and keep accepting updates.
+# Also pins that store creation fsyncs the new directory's parent before
+# any file, the typed double-compact error, epoch-based generation
+# reclaim, and that searches keep being served while a live compaction
+# is stalled mid-merge.
 echo "==> cargo test -q -p rsse-core --test crash_torture"
 cargo test -q -p rsse-core --test crash_torture
 
@@ -102,5 +103,10 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# API docs: a stale or private intra-doc link fails here rather than
+# rotting silently when an item it names is renamed or deleted.
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> all checks passed"

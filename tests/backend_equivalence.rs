@@ -1,21 +1,19 @@
 //! Backend-equivalence harness: the storage engine must be *invisible*.
 //!
-//! The index layer dispatches over pluggable containers — the in-memory
-//! `MemBackend` arena, the on-disk `SegmentBackend` (base file + delta
-//! overlay), and the segment after `compact()` folded the overlay back
-//! into a fresh file. All three hold the same OPM ciphertexts, so for
-//! random interleavings of searches, score-dynamics updates, and
-//! compactions they must return rankings **byte-identical** in every
-//! respect: same files, same encrypted scores, same tie order, same
-//! truncation. The generational store (generation stack + L0 delta
-//! flushes + *live* compaction) is held to the same standard, including
+//! The index layer dispatches over two containers — the in-memory
+//! `MemBackend` arena and the on-disk generational store (generation
+//! stack + delta overlay + L0 delta flushes + *live* compaction). Both
+//! hold the same OPM ciphertexts, so for random interleavings of
+//! searches, score-dynamics updates, flushes, and compactions they must
+//! return rankings **byte-identical** in every respect: same files, same
+//! encrypted scores, same tie order, same truncation — including
 //! mid-flip: a search issued between `begin_live_compact` and the
 //! install must match the in-memory ranking byte-for-byte. The cloud
-//! layer too — a `Deployment` warm-restarted from a saved segment or a
-//! generation directory must match the in-memory deployment down to the
-//! traffic counters, and a sharded deployment serving one store per
-//! shard must match the in-memory shards — caches enabled, exactly as
-//! deployed. See DESIGN.md §6.4 and §6.6.
+//! layer too — a `Deployment` warm-restarted from a generation directory
+//! must match the in-memory deployment down to the traffic counters, and
+//! a sharded deployment serving one store per shard must match the
+//! in-memory shards — caches enabled, exactly as deployed. See DESIGN.md
+//! §6.4 and §6.6.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -34,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const VOCAB: [&str; 5] = ["alpha", "beta", "gamma", "delta", "omega"];
 
 /// Unique temp paths so parallel proptest cases never collide on a
-/// segment file or directory.
+/// store directory.
 fn temp_path(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -62,18 +60,18 @@ fn search_ranking(server: &CloudServer, request: Message) -> Vec<(u64, u64)> {
 
 // One step of a random schedule is `(kind, keyword, k)`: `kind % 3 == 0`
 // searches `VOCAB[keyword]` with limit `k` (0 meaning unlimited), `== 1`
-// appends a fresh document mentioning it (landing in the segment's delta
-// overlay), and `== 2` compacts the segment then searches — so reads hit
-// every overlay state: empty, populated, and freshly folded.
+// appends a fresh document mentioning it (landing in the store's delta
+// overlay), and `== 2` flushes and compacts the store then searches — so
+// reads hit every overlay state: empty, populated, and freshly folded.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Core level: an index reopened from its saved segment, and one that
-    /// keeps compacting, stay byte-identical to the in-memory original
-    /// under interleaved searches and updates.
+    /// Core level: an index served from a generational store that keeps
+    /// flushing and compacting stays byte-identical to the in-memory
+    /// original under interleaved searches and updates.
     #[test]
-    fn mem_segment_and_compacted_rankings_are_byte_identical(
+    fn mem_and_generational_rankings_are_byte_identical(
         seed in any::<u64>(),
         word_ids in vec(vec(0usize..5, 1..10), 3..12),
         steps in vec((0u8..6, 0usize..5, 0u32..8), 1..24),
@@ -84,16 +82,9 @@ proptest! {
         let scheme = Rsse::new(&master, params);
         let mut mem = scheme.build_index(&docs).unwrap();
 
-        let seg_path = temp_path("core_seg");
-        mem.save(std::fs::File::create(&seg_path).unwrap()).unwrap();
-        let compact_path = temp_path("core_compact");
-        std::fs::copy(&seg_path, &compact_path).unwrap();
-        let mut seg = RsseIndex::open_segment(&seg_path).unwrap();
-        let mut compacting = RsseIndex::open_segment(&compact_path).unwrap();
         let gen_dir = temp_path("core_gen");
         let mut gen = mem.save_generational(&gen_dir).unwrap();
         prop_assert_eq!(mem.backend_kind(), BackendKind::Mem);
-        prop_assert_eq!(seg.backend_kind(), BackendKind::Segment);
         prop_assert_eq!(gen.backend_kind(), BackendKind::Generational);
 
         let plain_index = InvertedIndex::build(&docs);
@@ -109,19 +100,14 @@ proptest! {
                 next_id += 1;
                 let update = updater.add_document(&doc).unwrap();
                 update.clone().apply_to(&mut mem);
-                update.clone().apply_to(&mut seg);
-                update.clone().apply_to(&mut gen);
-                update.apply_to(&mut compacting);
+                update.apply_to(&mut gen);
                 continue;
             }
             if kind % 3 == 2 {
-                // Fold the overlay into a fresh file; the merged view must
-                // not move by a byte.
-                compacting.compact().unwrap();
-                prop_assert_eq!(compacting.pending_overlay_entries(), 0);
-                // Generational: flush the overlay into an L0 delta, then
-                // run a *live* pass — and search in the window between
-                // begin and install, where the old stack still serves.
+                // Flush the overlay into an L0 delta, then run a *live*
+                // pass — and search in the window between begin and
+                // install, where the old stack still serves. The merged
+                // view must not move by a byte.
                 gen.flush_updates().unwrap();
                 prop_assert_eq!(gen.pending_overlay_entries(), 0);
                 if let Some(job) = gen.begin_live_compact().unwrap() {
@@ -137,38 +123,26 @@ proptest! {
             let trapdoor = scheme.trapdoor(word).unwrap();
             let want = mem.search(&trapdoor, top_k);
             prop_assert_eq!(
-                seg.search(&trapdoor, top_k), want.clone(),
-                "segment ranking diverged for {} (k={:?})", word, top_k
-            );
-            prop_assert_eq!(
-                gen.search(&trapdoor, top_k), want.clone(),
+                gen.search(&trapdoor, top_k), want,
                 "generational ranking diverged for {} (k={:?})", word, top_k
-            );
-            prop_assert_eq!(
-                compacting.search(&trapdoor, top_k), want,
-                "compacted ranking diverged for {} (k={:?})", word, top_k
             );
         }
 
         // Final sweep: every keyword, unlimited and truncated, plus the
-        // full exported ciphertexts and the re-saved segment bytes.
+        // full exported ciphertexts and the re-saved index bytes.
         for word in VOCAB {
             let t = scheme.trapdoor(word).unwrap();
             for top_k in [None, Some(3)] {
                 let want = mem.search(&t, top_k);
-                prop_assert_eq!(seg.search(&t, top_k), want.clone(), "{}", word);
-                prop_assert_eq!(gen.search(&t, top_k), want.clone(), "{}", word);
-                prop_assert_eq!(compacting.search(&t, top_k), want, "{}", word);
+                prop_assert_eq!(gen.search(&t, top_k), want, "{}", word);
             }
         }
-        prop_assert_eq!(seg.export_parts(), mem.export_parts());
         prop_assert_eq!(gen.export_parts(), mem.export_parts());
-        prop_assert_eq!(compacting.export_parts(), mem.export_parts());
         let mut mem_bytes = Vec::new();
         mem.save(&mut mem_bytes).unwrap();
-        let mut seg_bytes = Vec::new();
-        seg.save(&mut seg_bytes).unwrap();
-        prop_assert_eq!(seg_bytes, mem_bytes, "re-saved segments must be byte-identical");
+        let mut gen_bytes = Vec::new();
+        gen.save(&mut gen_bytes).unwrap();
+        prop_assert_eq!(gen_bytes, mem_bytes, "an index re-saved from disk must be byte-identical");
         // The generation directory is a durable replica of the same
         // content: flush the tail overlay and reopen cold.
         gen.flush_updates().unwrap();
@@ -176,8 +150,6 @@ proptest! {
         let reopened = RsseIndex::open_generational(&gen_dir).unwrap();
         prop_assert_eq!(reopened.export_parts(), mem.export_parts());
 
-        let _ = std::fs::remove_file(&seg_path);
-        let _ = std::fs::remove_file(&compact_path);
         let _ = std::fs::remove_dir_all(&gen_dir);
     }
 }
@@ -185,13 +157,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Cloud level: a deployment warm-restarted from a saved segment
-    /// (and one freshly bootstrapped onto the segment backend) matches
-    /// the in-memory deployment — rankings *and* traffic counters — with
-    /// the ranking cache enabled on all of them, across interleaved
-    /// updates and compactions.
+    /// Cloud level: a deployment warm-restarted from a generation
+    /// directory matches the in-memory deployment — rankings *and*
+    /// traffic counters — with the ranking cache enabled on both, across
+    /// interleaved updates and live compactions.
     #[test]
-    fn segment_deployments_match_mem_deployment_rankings_and_traffic(
+    fn generational_deployments_match_mem_deployment_rankings_and_traffic(
         seed in any::<u64>(),
         word_ids in vec(vec(0usize..5, 1..10), 3..12),
         steps in vec((0u8..6, 0usize..5, 0u32..8), 1..16),
@@ -207,31 +178,10 @@ proptest! {
             &Storage::Mem,
             CloudServer::DEFAULT_CACHE_BUDGET,
         ).unwrap();
-        // Persist the serving index, then restart warm from the file: no
-        // Outsource message, no index rebuild.
-        let seg_path = temp_path("deploy_seg");
-        mem.save_segment(&seg_path).unwrap();
-        let warm = Deployment::reopen(
-            &master,
-            params,
-            &docs,
-            &seg_path,
-            CloudServer::DEFAULT_CACHE_BUDGET,
-        ).unwrap();
-        prop_assert_eq!(warm.setup_traffic, Default::default(), "warm restart crosses no wire");
-        // And a deployment that outsourced straight onto the segment
-        // backend (persist-then-serve in one step).
-        let built_path = temp_path("deploy_built");
-        let built = Deployment::bootstrap(
-            &master,
-            params,
-            &docs,
-            &Storage::Segment(built_path.clone()),
-            CloudServer::DEFAULT_CACHE_BUDGET,
-        ).unwrap();
-        // And a generational deployment: outsource onto the generation
-        // store, shut it down, then warm-restart from the directory —
-        // both generational boot paths in one arm.
+        // A generational deployment: outsource onto the generation store,
+        // shut it down, then warm-restart from the directory — no
+        // Outsource message, no index rebuild; both generational boot
+        // paths in one arm.
         let gen_dir = temp_path("deploy_gen");
         drop(Deployment::bootstrap(
             &master,
@@ -266,17 +216,13 @@ proptest! {
                 let update = updater.add_document(&doc).unwrap();
                 let file = crypter.encrypt(&doc);
                 mem.server().apply_update(update.clone(), vec![file.clone()]);
-                warm.server().apply_update(update.clone(), vec![file.clone()]);
-                gen.server().apply_update(update.clone(), vec![file.clone()]);
-                built.server().apply_update(update, vec![file]);
+                gen.server().apply_update(update, vec![file]);
                 continue;
             }
             if kind % 3 == 2 {
                 // Compaction must be invisible to every later search; the
                 // mem server reports it as a no-op.
-                prop_assert!(!mem.server().compact_index().unwrap());
-                warm.server().compact_index().unwrap();
-                built.server().compact_index().unwrap();
+                prop_assert!(mem.server().compact_index_live().unwrap().is_none());
                 // The generational server compacts *live* — foreground on
                 // even kinds, on a background thread (joined, so the flip
                 // lands before the next comparison) on odd ones.
@@ -291,24 +237,18 @@ proptest! {
                 &mem.server(),
                 mem.user().search_request(word, top_k, SearchMode::Rsse).unwrap(),
             );
-            for (name, d) in [("warm", &warm), ("built", &built), ("gen", &gen)] {
-                let got = search_ranking(
-                    &d.server(),
-                    d.user().search_request(word, top_k, SearchMode::Rsse).unwrap(),
-                );
-                prop_assert_eq!(&got, &want, "{} ranking diverged for {}", name, word);
-            }
+            let got = search_ranking(
+                &gen.server(),
+                gen.user().search_request(word, top_k, SearchMode::Rsse).unwrap(),
+            );
+            prop_assert_eq!(&got, &want, "gen ranking diverged for {}", word);
             // The full metered protocol run agrees down to the byte
             // counts: identical frames up, identical frames down.
             let (_, mem_traffic) = mem.rsse_search(word, top_k).unwrap();
-            let (_, warm_traffic) = warm.rsse_search(word, top_k).unwrap();
             let (_, gen_traffic) = gen.rsse_search(word, top_k).unwrap();
-            prop_assert_eq!(mem_traffic, warm_traffic, "traffic diverged for {}", word);
             prop_assert_eq!(mem_traffic, gen_traffic, "generational traffic diverged for {}", word);
         }
 
-        let _ = std::fs::remove_file(&seg_path);
-        let _ = std::fs::remove_file(&built_path);
         let _ = std::fs::remove_dir_all(&gen_dir);
     }
 }
@@ -318,11 +258,12 @@ proptest! {
     // keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Sharded level: one segment per shard must scatter-gather to the
-    /// same merged rankings as in-memory shards, across lockstep updates
-    /// routed to the owning shard and per-shard compactions.
+    /// Sharded level: one generational store per shard must
+    /// scatter-gather to the same merged rankings as in-memory shards,
+    /// across lockstep updates routed to the owning shard and per-shard
+    /// live compactions.
     #[test]
-    fn sharded_segment_backends_match_mem_shards(
+    fn sharded_generational_backends_match_mem_shards(
         seed in any::<u64>(),
         word_ids in vec(vec(0usize..5, 1..10), 3..12),
         num_shards in 1usize..=3,
@@ -339,16 +280,6 @@ proptest! {
             &docs,
             num_shards,
             &Storage::Mem,
-            options.clone(),
-            RouterOptions::default(),
-        ).unwrap();
-        let dir = temp_path("shards");
-        let seg = ShardedDeployment::bootstrap(
-            &master,
-            params,
-            &docs,
-            num_shards,
-            &Storage::Segment(dir.clone()),
             options.clone(),
             RouterOptions::default(),
         ).unwrap();
@@ -382,13 +313,11 @@ proptest! {
                 let file = crypter.encrypt(&doc);
                 let shard = partitioner.shard_of(doc.id());
                 mem.shard_server(shard).unwrap().apply_update(update.clone(), vec![file.clone()]);
-                seg.shard_server(shard).unwrap().apply_update(update.clone(), vec![file.clone()]);
                 gens.shard_server(shard).unwrap().apply_update(update, vec![file]);
                 continue;
             }
             if kind % 3 == 2 {
                 for shard in 0..num_shards {
-                    seg.shard_server(shard).unwrap().compact_index().unwrap();
                     // Live per-shard compaction under a serving pool.
                     gens.shard_server(shard).unwrap().compact_index_live().unwrap();
                 }
@@ -396,25 +325,21 @@ proptest! {
             let top_k = (k > 0).then_some(k);
             let (_, want) = mem.rsse_search(word, top_k).unwrap();
             prop_assert!(want.is_complete());
-            for (name, d) in [("segment", &seg), ("generational", &gens)] {
-                let (_, got) = d.rsse_search(word, top_k).unwrap();
-                prop_assert!(got.is_complete());
-                prop_assert_eq!(
-                    &got.ranking, &want.ranking,
-                    "sharded {} ranking diverged for {}", name, word
-                );
-                // Batched scatter agrees too (the cached path per shard).
-                let (_, batch) = d.rsse_search_batch(&[word], top_k).unwrap();
-                prop_assert_eq!(
-                    &batch.queries[0].0, &want.ranking,
-                    "batched {} diverged for {}", name, word
-                );
-            }
+            let (_, got) = gens.rsse_search(word, top_k).unwrap();
+            prop_assert!(got.is_complete());
+            prop_assert_eq!(
+                &got.ranking, &want.ranking,
+                "sharded generational ranking diverged for {}", word
+            );
+            // Batched scatter agrees too (the cached path per shard).
+            let (_, batch) = gens.rsse_search_batch(&[word], top_k).unwrap();
+            prop_assert_eq!(
+                &batch.queries[0].0, &want.ranking,
+                "batched generational diverged for {}", word
+            );
         }
         mem.shutdown();
-        seg.shutdown();
         gens.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&gen_dir);
     }
 }
