@@ -4,6 +4,26 @@
 //! deliberately dependency-free (beyond `bytes`) so every byte on the
 //! simulated wire is accounted for explicitly — the bandwidth numbers in
 //! the protocol experiments are exact frame sizes, not estimates.
+//!
+//! A [`Message`] frame is one tag byte, then the variant's fields in a
+//! fixed order. Each field shape has one encoding: integers big-endian,
+//! byte arrays raw, an `Option` as a presence byte (0 or 1) then the
+//! value, a `Vec` or `String` as a `u64` count then the items, tuples and
+//! [`EncryptedFile`]s (id, ciphertext) as their parts back to back, and
+//! [`SearchMode`] and [`ErrorKind`] as one byte. A private trait writes
+//! each shape once, and one table with a `tag => Variant { fields }` row
+//! per variant generates [`Message::encode`], [`Message::decode`] and
+//! [`Message::wire_len`], so the three cannot disagree.
+//!
+//! Decoding is strict: a presence, tag or enum byte out of range, invalid
+//! UTF-8, a count over [`MAX_FRAME_LEN`], a short input or trailing bytes
+//! is a [`CodecError`]. Every decodable frame therefore re-encodes to
+//! exactly its input bytes. A claimed count never reserves more slots
+//! than the remaining input could hold, so a hostile count in a short
+//! frame cannot make the decoder allocate past the frame itself.
+//!
+//! On a byte stream each body travels in the envelope [`frame_message`]
+//! builds and [`FrameAssembler`] reassembles.
 
 use crate::files::EncryptedFile;
 use bytes::{Buf, BufMut, BytesMut};
@@ -73,25 +93,6 @@ pub enum SearchMode {
     BasicEntries,
 }
 
-impl SearchMode {
-    fn to_byte(self) -> u8 {
-        match self {
-            SearchMode::Rsse => 0,
-            SearchMode::BasicFull => 1,
-            SearchMode::BasicEntries => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<Self, CodecError> {
-        match b {
-            0 => Ok(SearchMode::Rsse),
-            1 => Ok(SearchMode::BasicFull),
-            2 => Ok(SearchMode::BasicEntries),
-            other => Err(CodecError::BadTag(other)),
-        }
-    }
-}
-
 /// Failure category carried by a [`Message::Error`] frame, so clients can
 /// react without parsing the human-readable detail string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,29 +110,6 @@ pub enum ErrorKind {
     Overloaded,
     /// The server failed internally (including a contained worker panic).
     Internal,
-}
-
-impl ErrorKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            ErrorKind::BadFrame => 0,
-            ErrorKind::UnknownLabel => 1,
-            ErrorKind::Rejected => 2,
-            ErrorKind::Overloaded => 3,
-            ErrorKind::Internal => 4,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<Self, CodecError> {
-        match b {
-            0 => Ok(ErrorKind::BadFrame),
-            1 => Ok(ErrorKind::UnknownLabel),
-            2 => Ok(ErrorKind::Rejected),
-            3 => Ok(ErrorKind::Overloaded),
-            4 => Ok(ErrorKind::Internal),
-            other => Err(CodecError::BadTag(other)),
-        }
-    }
 }
 
 impl core::fmt::Display for ErrorKind {
@@ -350,627 +328,327 @@ pub enum Message {
     },
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u64(b.len() as u64);
-    buf.put_slice(b);
-}
+/// One field shape on the wire, implemented once per shape. The frame
+/// table below composes these into every [`Message`] layout.
+trait Wire: Sized {
+    /// Fewest bytes any value of this shape encodes to.
+    const MIN_LEN: usize;
 
-fn get_len(buf: &mut BytesMut) -> Result<usize, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let n = buf.get_u64();
-    if n > MAX_FRAME_LEN as u64 {
-        return Err(CodecError::Oversize(n));
-    }
-    Ok(n as usize)
-}
+    fn put(&self, buf: &mut BytesMut);
 
-fn get_bytes(buf: &mut BytesMut) -> Result<Vec<u8>, CodecError> {
-    let n = get_len(buf)?;
-    if buf.remaining() < n {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let mut out = vec![0u8; n];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
+    fn get(buf: &mut BytesMut) -> Result<Self, CodecError>;
 
-fn get_array<const N: usize>(buf: &mut BytesMut) -> Result<[u8; N], CodecError> {
-    if buf.remaining() < N {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let mut out = [0u8; N];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
+    fn wire_len(&self) -> usize;
 
-fn get_u64(buf: &mut BytesMut) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u64())
-}
-
-fn get_u32(buf: &mut BytesMut) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u32())
-}
-
-fn put_opt_u32(buf: &mut BytesMut, v: &Option<u32>) {
-    match v {
-        Some(x) => {
-            buf.put_u8(1);
-            buf.put_u32(*x);
+    /// A sequence: its `u64` count, then each item. `u8` overrides the
+    /// three sequence methods with bulk copies.
+    fn put_seq(items: &[Self], buf: &mut BytesMut) {
+        (items.len() as u64).put(buf);
+        for item in items {
+            item.put(buf);
         }
-        None => buf.put_u8(0),
+    }
+
+    /// The `n` items after a sequence's count. No container reserves more
+    /// slots than the remaining input could encode at `MIN_LEN` bytes an
+    /// item, so a hostile count in a short frame cannot make the decoder
+    /// allocate past the frame itself.
+    fn get_items(n: usize, buf: &mut BytesMut) -> Result<Vec<Self>, CodecError> {
+        let mut items = Vec::with_capacity(n.min(buf.remaining() / Self::MIN_LEN + 1));
+        for _ in 0..n {
+            items.push(Self::get(buf)?);
+        }
+        Ok(items)
+    }
+
+    fn seq_len(items: &[Self]) -> usize {
+        8 + items.iter().map(Self::wire_len).sum::<usize>()
     }
 }
 
-/// Optional-u32 field: one presence byte (strictly 0 or 1, so every
-/// decodable frame re-encodes to exactly itself), then the value if present.
-fn get_opt_u32(buf: &mut BytesMut) -> Result<Option<u32>, CodecError> {
-    match get_array::<1>(buf)?[0] {
-        0 => Ok(None),
-        1 => {
-            if buf.remaining() < 4 {
+/// Unsigned integers, big-endian, with optional sequence overrides.
+macro_rules! wire_uint {
+    ($($ty:ty { $($seq:tt)* })+) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = core::mem::size_of::<$ty>();
+
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_slice(&self.to_be_bytes());
+            }
+
+            fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+                Wire::get(buf).map(<$ty>::from_be_bytes)
+            }
+
+            fn wire_len(&self) -> usize {
+                Self::MIN_LEN
+            }
+
+            $($seq)*
+        }
+    )+};
+}
+
+wire_uint! {
+    // Byte sequences move in one bulk copy, not byte by byte.
+    u8 {
+        fn put_seq(items: &[u8], buf: &mut BytesMut) {
+            (items.len() as u64).put(buf);
+            buf.put_slice(items);
+        }
+
+        fn get_items(n: usize, buf: &mut BytesMut) -> Result<Vec<u8>, CodecError> {
+            if buf.remaining() < n {
                 return Err(CodecError::UnexpectedEof);
             }
-            Ok(Some(buf.get_u32()))
+            let mut out = vec![0u8; n];
+            buf.copy_to_slice(&mut out);
+            Ok(out)
         }
-        other => Err(CodecError::BadTag(other)),
-    }
-}
 
-fn put_opt_u64(buf: &mut BytesMut, v: &Option<u64>) {
-    match v {
-        Some(x) => {
-            buf.put_u8(1);
-            buf.put_u64(*x);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-/// Optional-u64 field, same canonical presence-byte rule as
-/// [`get_opt_u32`].
-fn get_opt_u64(buf: &mut BytesMut) -> Result<Option<u64>, CodecError> {
-    match get_array::<1>(buf)?[0] {
-        0 => Ok(None),
-        1 => get_u64(buf).map(Some),
-        other => Err(CodecError::BadTag(other)),
-    }
-}
-
-/// Pre-allocation bound for a claimed element count `n`: no container may
-/// reserve more slots than the remaining input could possibly encode
-/// (`min_item` bytes each), so a hostile count in a short frame cannot make
-/// the decoder allocate past the frame itself.
-fn bounded_cap(n: usize, buf: &BytesMut, min_item: usize) -> usize {
-    n.min(buf.remaining() / min_item.max(1) + 1)
-}
-
-fn put_lists(buf: &mut BytesMut, lists: &[(Label, Vec<Vec<u8>>)]) {
-    buf.put_u64(lists.len() as u64);
-    for (label, entries) in lists {
-        buf.put_slice(label);
-        buf.put_u64(entries.len() as u64);
-        for e in entries {
-            put_bytes(buf, e);
+        fn seq_len(items: &[u8]) -> usize {
+            8 + items.len()
         }
     }
+    u32 {}
+    u64 {}
 }
 
-fn get_lists(buf: &mut BytesMut) -> Result<WireLists, CodecError> {
-    let n = get_len(buf)?;
-    let mut lists = Vec::with_capacity(bounded_cap(n, buf, 28));
-    for _ in 0..n {
-        let label: Label = get_array(buf)?;
-        let m = get_len(buf)?;
-        let mut entries = Vec::with_capacity(bounded_cap(m, buf, 8));
-        for _ in 0..m {
-            entries.push(get_bytes(buf)?);
+impl<const N: usize> Wire for [u8; N] {
+    const MIN_LEN: usize = N;
+
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_slice(self);
+    }
+
+    fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+        if buf.remaining() < N {
+            return Err(CodecError::UnexpectedEof);
         }
-        lists.push((label, entries));
+        let mut out = [0u8; N];
+        buf.copy_to_slice(&mut out);
+        Ok(out)
     }
-    Ok(lists)
-}
 
-fn put_files(buf: &mut BytesMut, files: &[EncryptedFile]) {
-    buf.put_u64(files.len() as u64);
-    for f in files {
-        buf.put_u64(f.id().as_u64());
-        put_bytes(buf, f.ciphertext());
+    fn wire_len(&self) -> usize {
+        N
     }
 }
 
-fn get_files(buf: &mut BytesMut) -> Result<Vec<EncryptedFile>, CodecError> {
-    let n = get_len(buf)?;
-    let mut files = Vec::with_capacity(bounded_cap(n, buf, 16));
-    for _ in 0..n {
-        let id = get_u64(buf)?;
-        let ct = get_bytes(buf)?;
-        files.push(EncryptedFile::new(FileId::new(id), ct));
+/// A presence byte, strictly 0 or 1, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Some(v) => {
+                1u8.put(buf);
+                v.put(buf);
+            }
+            None => 0u8.put(buf),
+        }
     }
-    Ok(files)
+
+    fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => T::get(buf).map(Some),
+            other => Err(CodecError::BadTag(other)),
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::wire_len)
+    }
 }
 
-fn put_scores(buf: &mut BytesMut, scores: &[(u64, Vec<u8>)]) {
-    buf.put_u64(scores.len() as u64);
-    for (id, ct) in scores {
-        buf.put_u64(*id);
-        put_bytes(buf, ct);
+/// A `u64` count of at most [`MAX_FRAME_LEN`], then the items.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, buf: &mut BytesMut) {
+        T::put_seq(self, buf);
+    }
+
+    fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+        match u64::get(buf)? {
+            n if n > MAX_FRAME_LEN as u64 => Err(CodecError::Oversize(n)),
+            n => T::get_items(n as usize, buf),
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        T::seq_len(self)
     }
 }
 
-fn get_scores(buf: &mut BytesMut) -> Result<Vec<(u64, Vec<u8>)>, CodecError> {
-    let n = get_len(buf)?;
-    let mut scores = Vec::with_capacity(bounded_cap(n, buf, 16));
-    for _ in 0..n {
-        let id = get_u64(buf)?;
-        scores.push((id, get_bytes(buf)?));
+/// Tuples: their fields back to back.
+macro_rules! wire_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
+
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$i.put(buf);)+
+            }
+
+            fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+                Ok(($($t::get(buf)?,)+))
+            }
+
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$i.wire_len())+
+            }
+        }
+    };
+}
+
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+
+/// UTF-8 bytes as a byte sequence.
+impl Wire for String {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, buf: &mut BytesMut) {
+        u8::put_seq(self.as_bytes(), buf);
     }
-    Ok(scores)
+
+    fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+        String::from_utf8(Wire::get(buf)?).map_err(|_| CodecError::BadString)
+    }
+
+    fn wire_len(&self) -> usize {
+        u8::seq_len(self.as_bytes())
+    }
+}
+
+/// The file id, then the ciphertext as a byte sequence.
+impl Wire for EncryptedFile {
+    const MIN_LEN: usize = 16;
+
+    fn put(&self, buf: &mut BytesMut) {
+        self.id().as_u64().put(buf);
+        u8::put_seq(self.ciphertext(), buf);
+    }
+
+    fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+        let (id, ciphertext) = <(u64, Vec<u8>)>::get(buf)?;
+        Ok(EncryptedFile::new(FileId::new(id), ciphertext))
+    }
+
+    fn wire_len(&self) -> usize {
+        8 + u8::seq_len(self.ciphertext())
+    }
+}
+
+/// Field-less enums: one byte per variant; any other byte is
+/// [`CodecError::BadTag`].
+macro_rules! wire_byte_enum {
+    ($($ty:ident { $($variant:ident = $byte:literal),+ })+) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = 1;
+
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_u8(match self {
+                    $($ty::$variant => $byte,)+
+                });
+            }
+
+            fn get(buf: &mut BytesMut) -> Result<Self, CodecError> {
+                match u8::get(buf)? {
+                    $($byte => Ok($ty::$variant),)+
+                    other => Err(CodecError::BadTag(other)),
+                }
+            }
+
+            fn wire_len(&self) -> usize {
+                1
+            }
+        }
+    )+};
+}
+
+wire_byte_enum! {
+    SearchMode { Rsse = 0, BasicFull = 1, BasicEntries = 2 }
+    ErrorKind { BadFrame = 0, UnknownLabel = 1, Rejected = 2, Overloaded = 3, Internal = 4 }
+}
+
+/// The frame table: one `tag => Variant { fields }` row per message. A
+/// frame is its tag byte, then the row's fields in the row's order. The
+/// three codec methods are generated from the table, so they cannot
+/// disagree; their match patterns name every field, so the compiler
+/// rejects a row that drops a field or a table that drops a variant.
+macro_rules! frames {
+    ($($tag:tt => $variant:ident { $($field:ident),+ },)+) => {
+        impl Message {
+            /// Serializes the message into a framed byte buffer.
+            pub fn encode(&self) -> BytesMut {
+                let mut buf = BytesMut::with_capacity(self.wire_len());
+                match self {
+                    $(Message::$variant { $($field),+ } => {
+                        buf.put_u8($tag);
+                        $($field.put(&mut buf);)+
+                    })+
+                }
+                buf
+            }
+
+            /// Deserializes a message, requiring the buffer to be fully consumed.
+            ///
+            /// # Errors
+            ///
+            /// Any [`CodecError`] on malformed input.
+            pub fn decode(mut buf: BytesMut) -> Result<Self, CodecError> {
+                // Struct-literal fields evaluate in source order, which
+                // is the row's wire order.
+                let msg = match u8::get(&mut buf)? {
+                    $($tag => Message::$variant { $($field: Wire::get(&mut buf)?),+ },)+
+                    other => return Err(CodecError::BadTag(other)),
+                };
+                match buf.remaining() {
+                    0 => Ok(msg),
+                    n => Err(CodecError::TrailingBytes(n)),
+                }
+            }
+
+            /// Size of the encoded message in bytes, computed
+            /// arithmetically — no allocation, so bandwidth sampling stays
+            /// cheap. Pinned to `encode().len()` for every variant by the
+            /// codec tests.
+            pub fn wire_len(&self) -> usize {
+                match self {
+                    $(Message::$variant { $($field),+ } => 1 $(+ $field.wire_len())+,)+
+                }
+            }
+        }
+    };
+}
+
+frames! {
+    1 => Outsource { rsse_lists, basic_lists, opse_domain, opse_range, files },
+    2 => SearchRequest { label, list_key, top_k, mode },
+    3 => RsseResponse { ranking, files },
+    4 => BasicFullResponse { scores, files },
+    5 => BasicEntriesResponse { scores },
+    6 => FetchFiles { ids },
+    7 => FilesResponse { files },
+    8 => ConjunctiveRequest { trapdoors, top_k },
+    9 => ConjunctiveResponse { ranking, files },
+    10 => Update { rsse_lists, files },
+    11 => UpdateAck { lists_touched, files_added },
+    ERROR_FRAME_TAG => Error { kind, detail },
+    13 => ShardQuery { label, list_key, top_k, shard_id },
+    14 => ShardReply { shard_id, ranking, files },
+    15 => BatchRequest { queries, shard_id },
+    16 => BatchReply { shard_id, results },
+    17 => FilterRequest { shard_id, known_epoch },
+    18 => FilterReply { shard_id, epoch, labels },
+    19 => ConjunctiveShardQuery { trapdoors, top_k, shard_id },
+    20 => ConjunctiveShardReply { shard_id, ranking, files },
 }
 
 impl Message {
-    /// Serializes the message into a framed byte buffer.
-    pub fn encode(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(256);
-        match self {
-            Message::Outsource {
-                rsse_lists,
-                basic_lists,
-                opse_domain,
-                opse_range,
-                files,
-            } => {
-                buf.put_u8(1);
-                put_lists(&mut buf, rsse_lists);
-                put_lists(&mut buf, basic_lists);
-                buf.put_u64(*opse_domain);
-                buf.put_u64(*opse_range);
-                put_files(&mut buf, files);
-            }
-            Message::SearchRequest {
-                label,
-                list_key,
-                top_k,
-                mode,
-            } => {
-                buf.put_u8(2);
-                buf.put_slice(label);
-                buf.put_slice(list_key);
-                match top_k {
-                    Some(k) => {
-                        buf.put_u8(1);
-                        buf.put_u32(*k);
-                    }
-                    None => buf.put_u8(0),
-                }
-                buf.put_u8(mode.to_byte());
-            }
-            Message::RsseResponse { ranking, files } => {
-                buf.put_u8(3);
-                buf.put_u64(ranking.len() as u64);
-                for (id, score) in ranking {
-                    buf.put_u64(*id);
-                    buf.put_u64(*score);
-                }
-                put_files(&mut buf, files);
-            }
-            Message::BasicFullResponse { scores, files } => {
-                buf.put_u8(4);
-                put_scores(&mut buf, scores);
-                put_files(&mut buf, files);
-            }
-            Message::BasicEntriesResponse { scores } => {
-                buf.put_u8(5);
-                put_scores(&mut buf, scores);
-            }
-            Message::FetchFiles { ids } => {
-                buf.put_u8(6);
-                buf.put_u64(ids.len() as u64);
-                for id in ids {
-                    buf.put_u64(*id);
-                }
-            }
-            Message::FilesResponse { files } => {
-                buf.put_u8(7);
-                put_files(&mut buf, files);
-            }
-            Message::ConjunctiveRequest { trapdoors, top_k } => {
-                buf.put_u8(8);
-                buf.put_u64(trapdoors.len() as u64);
-                for (label, key) in trapdoors {
-                    buf.put_slice(label);
-                    buf.put_slice(key);
-                }
-                match top_k {
-                    Some(k) => {
-                        buf.put_u8(1);
-                        buf.put_u32(*k);
-                    }
-                    None => buf.put_u8(0),
-                }
-            }
-            Message::ConjunctiveResponse { ranking, files } => {
-                buf.put_u8(9);
-                buf.put_u64(ranking.len() as u64);
-                for (id, scores) in ranking {
-                    buf.put_u64(*id);
-                    buf.put_u64(scores.len() as u64);
-                    for s in scores {
-                        buf.put_u64(*s);
-                    }
-                }
-                put_files(&mut buf, files);
-            }
-            Message::Update { rsse_lists, files } => {
-                buf.put_u8(10);
-                put_lists(&mut buf, rsse_lists);
-                put_files(&mut buf, files);
-            }
-            Message::UpdateAck {
-                lists_touched,
-                files_added,
-            } => {
-                buf.put_u8(11);
-                buf.put_u64(*lists_touched);
-                buf.put_u64(*files_added);
-            }
-            Message::Error { kind, detail } => {
-                buf.put_u8(12);
-                buf.put_u8(kind.to_byte());
-                put_bytes(&mut buf, detail.as_bytes());
-            }
-            Message::ShardQuery {
-                label,
-                list_key,
-                top_k,
-                shard_id,
-            } => {
-                buf.put_u8(13);
-                buf.put_slice(label);
-                buf.put_slice(list_key);
-                match top_k {
-                    Some(k) => {
-                        buf.put_u8(1);
-                        buf.put_u32(*k);
-                    }
-                    None => buf.put_u8(0),
-                }
-                buf.put_u32(*shard_id);
-            }
-            Message::ShardReply {
-                shard_id,
-                ranking,
-                files,
-            } => {
-                buf.put_u8(14);
-                buf.put_u32(*shard_id);
-                buf.put_u64(ranking.len() as u64);
-                for (id, score) in ranking {
-                    buf.put_u64(*id);
-                    buf.put_u64(*score);
-                }
-                put_files(&mut buf, files);
-            }
-            Message::BatchRequest { queries, shard_id } => {
-                buf.put_u8(15);
-                buf.put_u64(queries.len() as u64);
-                for (label, key, top_k) in queries {
-                    buf.put_slice(label);
-                    buf.put_slice(key);
-                    put_opt_u32(&mut buf, top_k);
-                }
-                put_opt_u32(&mut buf, shard_id);
-            }
-            Message::BatchReply { shard_id, results } => {
-                buf.put_u8(16);
-                put_opt_u32(&mut buf, shard_id);
-                buf.put_u64(results.len() as u64);
-                for (ranking, files) in results {
-                    buf.put_u64(ranking.len() as u64);
-                    for (id, score) in ranking {
-                        buf.put_u64(*id);
-                        buf.put_u64(*score);
-                    }
-                    put_files(&mut buf, files);
-                }
-            }
-            Message::FilterRequest {
-                shard_id,
-                known_epoch,
-            } => {
-                buf.put_u8(17);
-                buf.put_u32(*shard_id);
-                put_opt_u64(&mut buf, known_epoch);
-            }
-            Message::ConjunctiveShardQuery {
-                trapdoors,
-                top_k,
-                shard_id,
-            } => {
-                buf.put_u8(19);
-                buf.put_u64(trapdoors.len() as u64);
-                for (label, key) in trapdoors {
-                    buf.put_slice(label);
-                    buf.put_slice(key);
-                }
-                put_opt_u32(&mut buf, top_k);
-                buf.put_u32(*shard_id);
-            }
-            Message::ConjunctiveShardReply {
-                shard_id,
-                ranking,
-                files,
-            } => {
-                buf.put_u8(20);
-                buf.put_u32(*shard_id);
-                buf.put_u64(ranking.len() as u64);
-                for (id, scores) in ranking {
-                    buf.put_u64(*id);
-                    buf.put_u64(scores.len() as u64);
-                    for s in scores {
-                        buf.put_u64(*s);
-                    }
-                }
-                put_files(&mut buf, files);
-            }
-            Message::FilterReply {
-                shard_id,
-                epoch,
-                labels,
-            } => {
-                buf.put_u8(18);
-                buf.put_u32(*shard_id);
-                buf.put_u64(*epoch);
-                match labels {
-                    Some(labels) => {
-                        buf.put_u8(1);
-                        buf.put_u64(labels.len() as u64);
-                        for label in labels {
-                            buf.put_slice(label);
-                        }
-                    }
-                    None => buf.put_u8(0),
-                }
-            }
-        }
-        buf
-    }
-
-    /// Deserializes a message, requiring the buffer to be fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] on malformed input.
-    pub fn decode(mut buf: BytesMut) -> Result<Self, CodecError> {
-        if buf.remaining() < 1 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let tag = buf.get_u8();
-        let msg = match tag {
-            1 => Message::Outsource {
-                rsse_lists: get_lists(&mut buf)?,
-                basic_lists: get_lists(&mut buf)?,
-                opse_domain: get_u64(&mut buf)?,
-                opse_range: get_u64(&mut buf)?,
-                files: get_files(&mut buf)?,
-            },
-            2 => {
-                let label: Label = get_array(&mut buf)?;
-                let list_key: [u8; 32] = get_array(&mut buf)?;
-                let top_k = get_opt_u32(&mut buf)?;
-                let mode = SearchMode::from_byte(get_array::<1>(&mut buf)?[0])?;
-                Message::SearchRequest {
-                    label,
-                    list_key,
-                    top_k,
-                    mode,
-                }
-            }
-            3 => {
-                let n = get_len(&mut buf)?;
-                let mut ranking = Vec::with_capacity(bounded_cap(n, &buf, 16));
-                for _ in 0..n {
-                    let id = get_u64(&mut buf)?;
-                    let score = get_u64(&mut buf)?;
-                    ranking.push((id, score));
-                }
-                Message::RsseResponse {
-                    ranking,
-                    files: get_files(&mut buf)?,
-                }
-            }
-            4 => Message::BasicFullResponse {
-                scores: get_scores(&mut buf)?,
-                files: get_files(&mut buf)?,
-            },
-            5 => Message::BasicEntriesResponse {
-                scores: get_scores(&mut buf)?,
-            },
-            6 => {
-                let n = get_len(&mut buf)?;
-                let mut ids = Vec::with_capacity(bounded_cap(n, &buf, 8));
-                for _ in 0..n {
-                    ids.push(get_u64(&mut buf)?);
-                }
-                Message::FetchFiles { ids }
-            }
-            7 => Message::FilesResponse {
-                files: get_files(&mut buf)?,
-            },
-            8 => {
-                let n = get_len(&mut buf)?;
-                let mut trapdoors = Vec::with_capacity(bounded_cap(n, &buf, 52));
-                for _ in 0..n {
-                    let label: Label = get_array(&mut buf)?;
-                    let key: [u8; 32] = get_array(&mut buf)?;
-                    trapdoors.push((label, key));
-                }
-                let top_k = get_opt_u32(&mut buf)?;
-                Message::ConjunctiveRequest { trapdoors, top_k }
-            }
-            9 => {
-                let n = get_len(&mut buf)?;
-                let mut ranking = Vec::with_capacity(bounded_cap(n, &buf, 16));
-                for _ in 0..n {
-                    let id = get_u64(&mut buf)?;
-                    let m = get_len(&mut buf)?;
-                    let mut scores = Vec::with_capacity(bounded_cap(m, &buf, 8));
-                    for _ in 0..m {
-                        scores.push(get_u64(&mut buf)?);
-                    }
-                    ranking.push((id, scores));
-                }
-                Message::ConjunctiveResponse {
-                    ranking,
-                    files: get_files(&mut buf)?,
-                }
-            }
-            10 => Message::Update {
-                rsse_lists: get_lists(&mut buf)?,
-                files: get_files(&mut buf)?,
-            },
-            11 => Message::UpdateAck {
-                lists_touched: get_u64(&mut buf)?,
-                files_added: get_u64(&mut buf)?,
-            },
-            12 => {
-                let kind = ErrorKind::from_byte(get_array::<1>(&mut buf)?[0])?;
-                let detail =
-                    String::from_utf8(get_bytes(&mut buf)?).map_err(|_| CodecError::BadString)?;
-                Message::Error { kind, detail }
-            }
-            13 => {
-                let label: Label = get_array(&mut buf)?;
-                let list_key: [u8; 32] = get_array(&mut buf)?;
-                let top_k = get_opt_u32(&mut buf)?;
-                let shard_id = get_u32(&mut buf)?;
-                Message::ShardQuery {
-                    label,
-                    list_key,
-                    top_k,
-                    shard_id,
-                }
-            }
-            14 => {
-                let shard_id = get_u32(&mut buf)?;
-                let n = get_len(&mut buf)?;
-                let mut ranking = Vec::with_capacity(bounded_cap(n, &buf, 16));
-                for _ in 0..n {
-                    let id = get_u64(&mut buf)?;
-                    let score = get_u64(&mut buf)?;
-                    ranking.push((id, score));
-                }
-                Message::ShardReply {
-                    shard_id,
-                    ranking,
-                    files: get_files(&mut buf)?,
-                }
-            }
-            15 => {
-                let n = get_len(&mut buf)?;
-                // A query is at least label + key + presence byte = 53 bytes.
-                let mut queries = Vec::with_capacity(bounded_cap(n, &buf, 53));
-                for _ in 0..n {
-                    let label: Label = get_array(&mut buf)?;
-                    let key: [u8; 32] = get_array(&mut buf)?;
-                    let top_k = get_opt_u32(&mut buf)?;
-                    queries.push((label, key, top_k));
-                }
-                let shard_id = get_opt_u32(&mut buf)?;
-                Message::BatchRequest { queries, shard_id }
-            }
-            16 => {
-                let shard_id = get_opt_u32(&mut buf)?;
-                let n = get_len(&mut buf)?;
-                // An empty result still costs two u64 length prefixes.
-                let mut results = Vec::with_capacity(bounded_cap(n, &buf, 16));
-                for _ in 0..n {
-                    let m = get_len(&mut buf)?;
-                    let mut ranking = Vec::with_capacity(bounded_cap(m, &buf, 16));
-                    for _ in 0..m {
-                        let id = get_u64(&mut buf)?;
-                        let score = get_u64(&mut buf)?;
-                        ranking.push((id, score));
-                    }
-                    results.push((ranking, get_files(&mut buf)?));
-                }
-                Message::BatchReply { shard_id, results }
-            }
-            17 => Message::FilterRequest {
-                shard_id: get_u32(&mut buf)?,
-                known_epoch: get_opt_u64(&mut buf)?,
-            },
-            18 => {
-                let shard_id = get_u32(&mut buf)?;
-                let epoch = get_u64(&mut buf)?;
-                let labels = match get_array::<1>(&mut buf)?[0] {
-                    0 => None,
-                    1 => {
-                        let n = get_len(&mut buf)?;
-                        let mut labels = Vec::with_capacity(bounded_cap(n, &buf, 20));
-                        for _ in 0..n {
-                            labels.push(get_array::<20>(&mut buf)?);
-                        }
-                        Some(labels)
-                    }
-                    other => return Err(CodecError::BadTag(other)),
-                };
-                Message::FilterReply {
-                    shard_id,
-                    epoch,
-                    labels,
-                }
-            }
-            19 => {
-                let n = get_len(&mut buf)?;
-                let mut trapdoors = Vec::with_capacity(bounded_cap(n, &buf, 52));
-                for _ in 0..n {
-                    let label: Label = get_array(&mut buf)?;
-                    let key: [u8; 32] = get_array(&mut buf)?;
-                    trapdoors.push((label, key));
-                }
-                let top_k = get_opt_u32(&mut buf)?;
-                let shard_id = get_u32(&mut buf)?;
-                Message::ConjunctiveShardQuery {
-                    trapdoors,
-                    top_k,
-                    shard_id,
-                }
-            }
-            20 => {
-                let shard_id = get_u32(&mut buf)?;
-                let n = get_len(&mut buf)?;
-                let mut ranking = Vec::with_capacity(bounded_cap(n, &buf, 16));
-                for _ in 0..n {
-                    let id = get_u64(&mut buf)?;
-                    let m = get_len(&mut buf)?;
-                    let mut scores = Vec::with_capacity(bounded_cap(m, &buf, 8));
-                    for _ in 0..m {
-                        scores.push(get_u64(&mut buf)?);
-                    }
-                    ranking.push((id, scores));
-                }
-                Message::ConjunctiveShardReply {
-                    shard_id,
-                    ranking,
-                    files: get_files(&mut buf)?,
-                }
-            }
-            other => return Err(CodecError::BadTag(other)),
-        };
-        if buf.remaining() > 0 {
-            return Err(CodecError::TrailingBytes(buf.remaining()));
-        }
-        Ok(msg)
-    }
-
     /// Longest detail string [`Message::error`] will put in an error frame.
     pub const MAX_ERROR_DETAIL: usize = 256;
 
@@ -987,100 +665,6 @@ impl Message {
             detail.truncate(cut);
         }
         Message::Error { kind, detail }
-    }
-
-    /// Size of the encoded message in bytes, computed arithmetically — no
-    /// allocation, so bandwidth sampling stays O(1) per message. Pinned to
-    /// `encode().len()` for every variant by the codec tests.
-    pub fn wire_len(&self) -> usize {
-        fn bytes_len(b: &[u8]) -> usize {
-            8 + b.len()
-        }
-        fn lists_len(lists: &[(Label, Vec<Vec<u8>>)]) -> usize {
-            8 + lists
-                .iter()
-                .map(|(_, entries)| 20 + 8 + entries.iter().map(|e| bytes_len(e)).sum::<usize>())
-                .sum::<usize>()
-        }
-        fn files_len(files: &[EncryptedFile]) -> usize {
-            8 + files
-                .iter()
-                .map(|f| 8 + bytes_len(f.ciphertext()))
-                .sum::<usize>()
-        }
-        fn scores_len(scores: &[(u64, Vec<u8>)]) -> usize {
-            8 + scores
-                .iter()
-                .map(|(_, ct)| 8 + bytes_len(ct))
-                .sum::<usize>()
-        }
-        fn opt_u32_len(v: &Option<u32>) -> usize {
-            1 + if v.is_some() { 4 } else { 0 }
-        }
-        fn opt_u64_len(v: &Option<u64>) -> usize {
-            1 + if v.is_some() { 8 } else { 0 }
-        }
-        1 + match self {
-            Message::Outsource {
-                rsse_lists,
-                basic_lists,
-                files,
-                ..
-            } => lists_len(rsse_lists) + lists_len(basic_lists) + 8 + 8 + files_len(files),
-            Message::SearchRequest { top_k, .. } => 20 + 32 + opt_u32_len(top_k) + 1,
-            Message::RsseResponse { ranking, files } => 8 + 16 * ranking.len() + files_len(files),
-            Message::BasicFullResponse { scores, files } => scores_len(scores) + files_len(files),
-            Message::BasicEntriesResponse { scores } => scores_len(scores),
-            Message::FetchFiles { ids } => 8 + 8 * ids.len(),
-            Message::FilesResponse { files } => files_len(files),
-            Message::ConjunctiveRequest { trapdoors, top_k } => {
-                8 + 52 * trapdoors.len() + opt_u32_len(top_k)
-            }
-            Message::ConjunctiveResponse { ranking, files } => {
-                8 + ranking
-                    .iter()
-                    .map(|(_, scores)| 8 + 8 + 8 * scores.len())
-                    .sum::<usize>()
-                    + files_len(files)
-            }
-            Message::Update { rsse_lists, files } => lists_len(rsse_lists) + files_len(files),
-            Message::UpdateAck { .. } => 8 + 8,
-            Message::Error { detail, .. } => 1 + bytes_len(detail.as_bytes()),
-            Message::ShardQuery { top_k, .. } => 20 + 32 + opt_u32_len(top_k) + 4,
-            Message::ShardReply { ranking, files, .. } => {
-                4 + 8 + 16 * ranking.len() + files_len(files)
-            }
-            Message::BatchRequest { queries, shard_id } => {
-                8 + queries
-                    .iter()
-                    .map(|(_, _, top_k)| 20 + 32 + opt_u32_len(top_k))
-                    .sum::<usize>()
-                    + opt_u32_len(shard_id)
-            }
-            Message::BatchReply { shard_id, results } => {
-                opt_u32_len(shard_id)
-                    + 8
-                    + results
-                        .iter()
-                        .map(|(ranking, files)| 8 + 16 * ranking.len() + files_len(files))
-                        .sum::<usize>()
-            }
-            Message::FilterRequest { known_epoch, .. } => 4 + opt_u64_len(known_epoch),
-            Message::FilterReply { labels, .. } => {
-                4 + 8 + 1 + labels.as_ref().map_or(0, |labels| 8 + 20 * labels.len())
-            }
-            Message::ConjunctiveShardQuery {
-                trapdoors, top_k, ..
-            } => 8 + 52 * trapdoors.len() + opt_u32_len(top_k) + 4,
-            Message::ConjunctiveShardReply { ranking, files, .. } => {
-                4 + 8
-                    + ranking
-                        .iter()
-                        .map(|(_, scores)| 8 + 8 + 8 * scores.len())
-                        .sum::<usize>()
-                    + files_len(files)
-            }
-        }
     }
 }
 
@@ -1101,9 +685,10 @@ pub const FRAME_HEADER_LEN: usize = 12;
 ///
 /// # Panics
 ///
-/// If `body` exceeds [`MAX_FRAME_LEN`] — encoded messages are produced by
-/// [`Message::encode`], which cannot exceed the cap without the encoder
-/// itself being out of protocol.
+/// If `body` exceeds [`MAX_FRAME_LEN`]. Callers check first:
+/// [`serve_frame`](crate::server_loop::serve_frame) answers an over-cap
+/// reply with an [`ErrorKind::Rejected`] frame, and the TCP client refuses
+/// an over-cap request with [`CodecError::Oversize`].
 pub fn frame_message(seq: u64, body: &[u8]) -> Vec<u8> {
     assert!(body.len() <= MAX_FRAME_LEN, "frame body over the wire cap");
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
@@ -1385,6 +970,67 @@ mod tests {
         }
     }
 
+    /// Pins the exact bytes of every sample frame, not just the round
+    /// trip: a field order changed the same way in `encode` and `decode`
+    /// would still round-trip, but not match these. For each of
+    /// `sample_messages()`, in order: its `wire_len` and the SHA-256 of
+    /// its encoding.
+    #[test]
+    fn golden_frames_are_byte_identical() {
+        use rsse_crypto::{Digest, Sha256};
+        const LENS: [usize; 34] = [
+            282, 59, 55, 67, 103, 89, 33, 42, 118, 99, 205, 17, 62, 58, 87, 21, 120, 71, 10, 102,
+            62, 10, 14, 6, 62, 22, 14, 122, 66, 119, 21, 28, 10, 24,
+        ];
+        const DIGESTS: [&str; 34] = [
+            "2385490b1d2a7eedd5df3204b21316a1ec5638905b9cc6b0477be2905ac8ea8d",
+            "bc3d12992af6004e07107d00940cc065342ff8fb2236eb665fdbbbae6659c715",
+            "abfbff85d60f6eb4367087ac27d5241da9d8208c6de76c13f728f3e66b90c6e0",
+            "2fd622d8bfb7d6554e7056f21e4ceef349bdde0aa9261e7029516d5b8c6cb8bf",
+            "f87c95257f3c3c4519bf1f2ff48a01ae77ecb95fac69f8b188b10a82b0846e6f",
+            "a5190f1222892c4f2a68587aac27e389382e94aa30ca45692028bc9b9021525e",
+            "88577626e3346c96f8ce3c62b9a5a6dfec1085a1d8c8f0e4a4da37cf03cf75b2",
+            "3111ca928c90347984709ed4c6905b90048e7b28fdb4fedfbee83e695f6a40a5",
+            "3b14ddf4f38472ee55f8069756b27c5c413d30aa5cbdce80d11ef48a0a814480",
+            "caf976e533bca1a3fa148da0e085f3543ca1610929bcde23a4a888a6ed1d7508",
+            "240b75231f597c66e31fc57ef6573d2abcb4784e98d78d17c90f72f9d51c947c",
+            "c7341d9def09c4cff49cf6cd3f69aaff0f2fe10e37ec4ffaa379514d302d4be4",
+            "9684995d076f61e29befbbd2122e5ce2fce21469229dd07a746ed502b94e5ed0",
+            "8ac6854f46fc82beb40d478be9d391e793f7b953d8164f8bfbeace6d5f7c5757",
+            "eaa66216b335035f7be768e83168629f0daf455e05e74df7fbcb1af7092aaca1",
+            "e15020c4598f1af3f5efa14bc44f24fd92e7a3923676ff3f04a4a014f8efa85b",
+            "6a86dd04c2efa4b32404f50c71cfd648726326e6b62f64dec897a4befd62e192",
+            "ecef198d51c56a665d9079f8cad2e4190af77adea701496ded3f87694df12257",
+            "af75bdc43486df4e0877c8eebe597ec1d1bd1d6d3838075190d1fd0070a4c098",
+            "ccc2c707cdec4b0f1ee88586903587afc6f5968eaef7984edbd75cc77962c80e",
+            "05c10c580756007c86ddcac3e00b77b2d2625122a6accae6c30c802e0eb72efd",
+            "816f8bab3a2420f412421c2dbcdef0bfcac325b6525c2be1a9e5e9248dacf542",
+            "39cf099b268b4effb05f0d3b46fc27a00c7e24fa758f4fce33c2ece66ee7d18f",
+            "ac180bd5834e6585c27bbec36e0803a09dd6273b942b6c8b85648a7003faae61",
+            "a1bf341195e5c9329b7a3e5e3cc73181831f67bb206a79345204b549d1ad56d1",
+            "885d4f3c8859b4d0fe8cb073901c4622f9d907fbbe47b29572515dccb3d6a2fa",
+            "f14f8c7dc9691b75632fded4e68327b4d7868245b88c6a016e5ae3466efa9d51",
+            "7957f5304336cad5fd1701d1d71c910e523ed624a825f949e054ba56e7a71f31",
+            "6ed8f58b76843a6cfb1f7d9052d6e4c08fbe1a3074f4f6a2ade081ed6e3af5d0",
+            "da254d051a6aeceee31c123fd277c0ac43aadd92f201f03a99a54c987b232c5d",
+            "0f8e46faf1ab6eaab4e66ef96fc68d286ca64dded46ae1f6c967b6e96eb867e3",
+            "9761921c55ee42633a02c321538c69ef3ac36a65af575db2b77e8676b4e3db1f",
+            "bdb5392f298494e1a0d45495258eae408ff898d9784824ff24f17efd14e9b80b",
+            "3de4f3ab7fd5fdd93058bba6a141035f1f83fca820c308bb8f0c2383ebe5cd7a",
+        ];
+        let msgs = sample_messages();
+        assert_eq!(msgs.len(), LENS.len());
+        for ((msg, len), digest) in msgs.iter().zip(LENS).zip(DIGESTS) {
+            let encoded = msg.encode();
+            let hex: String = Sha256::digest(&encoded)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!((encoded.len(), hex.as_str()), (len, digest), "{msg:?}");
+            assert_eq!(msg.wire_len(), len, "{msg:?}");
+        }
+    }
+
     #[test]
     fn truncation_at_every_boundary_is_an_error_not_a_panic() {
         for msg in sample_messages() {
@@ -1458,8 +1104,8 @@ mod tests {
     fn error_frame_with_invalid_utf8_detail_is_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u8(12);
-        buf.put_u8(ErrorKind::BadFrame.to_byte());
-        put_bytes(&mut buf, &[0xff, 0xfe]);
+        ErrorKind::BadFrame.put(&mut buf);
+        vec![0xffu8, 0xfe].put(&mut buf);
         assert_eq!(Message::decode(buf), Err(CodecError::BadString));
     }
 
@@ -1468,7 +1114,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(12);
         buf.put_u8(9);
-        put_bytes(&mut buf, b"x");
+        b"x".to_vec().put(&mut buf);
         assert_eq!(Message::decode(buf), Err(CodecError::BadTag(9)));
     }
 

@@ -34,7 +34,7 @@
 //!
 //! [`ServingReport::panics`]: crate::audit::ServingReport
 
-use crate::codec::{ErrorKind, Message};
+use crate::codec::{ErrorKind, Message, MAX_FRAME_LEN};
 use crate::entities::CloudServer;
 use crate::error::CloudError;
 use bytes::BytesMut;
@@ -161,8 +161,9 @@ pub(crate) const OVERLOAD_DETAIL: &str = "request backlog is full";
 ///
 /// Never returns an out-of-band error: decode failures become
 /// [`ErrorKind::BadFrame`] frames, handler failures map through
-/// [`CloudError::wire_kind`], and a panic anywhere in the handler is caught
-/// and answered with an [`ErrorKind::Internal`] frame (counted in
+/// [`CloudError::wire_kind`], a reply over [`MAX_FRAME_LEN`] becomes an
+/// [`ErrorKind::Rejected`] frame, and a panic anywhere in the handler is
+/// caught and answered with an [`ErrorKind::Internal`] frame (counted in
 /// [`ServingReport::panics`](crate::audit::ServingReport::panics)).
 ///
 /// # Panics
@@ -190,7 +191,7 @@ pub fn serve_frame(server: &CloudServer, frame: &[u8], fault: Option<&FaultHook>
         }
         server.handle(msg)
     }));
-    let response = match outcome {
+    let mut response = match outcome {
         Ok(Ok(resp)) => resp,
         Ok(Err(e)) => Message::error(e.wire_kind(), e.to_string()),
         Err(payload) if payload.is::<WorkerDeath>() => std::panic::resume_unwind(payload),
@@ -202,6 +203,14 @@ pub fn serve_frame(server: &CloudServer, frame: &[u8], fault: Option<&FaultHook>
             )
         }
     };
+    let len = response.wire_len();
+    if len > MAX_FRAME_LEN {
+        // No byte stream can frame this reply, so no transport serves it.
+        response = Message::error(
+            ErrorKind::Rejected,
+            format!("reply of {len} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap"),
+        );
+    }
     response.encode().to_vec()
 }
 
@@ -481,16 +490,13 @@ impl ServerClient {
         };
         match self.requests.try_send(envelope) {
             Ok(()) => Ok(PendingReply { reply_rx }),
-            Err(TrySendError::Full(_)) => {
-                // Shed: the bounded backlog is the server's admission
-                // control, so a full queue answers like the front door
-                // would — with a decodable Overloaded frame, not a block.
-                let shed = Message::error(ErrorKind::Overloaded, OVERLOAD_DETAIL).encode();
-                let Message::Error { kind, detail } = Message::decode(shed)? else {
-                    unreachable!("an encoded error frame decodes to an error frame");
-                };
-                Err(CloudError::Server { kind, detail })
-            }
+            // Shed: the bounded backlog is the server's admission control,
+            // so a full queue answers like the front door would — with the
+            // Overloaded error its shed frame carries, not a block.
+            Err(TrySendError::Full(_)) => Err(CloudError::Server {
+                kind: ErrorKind::Overloaded,
+                detail: OVERLOAD_DETAIL.to_owned(),
+            }),
             Err(TrySendError::Disconnected(_)) => Err(CloudError::Transport {
                 context: "server pool is shut down",
             }),

@@ -71,7 +71,7 @@ use crate::entities::{CloudServer, DataOwner, Storage, User};
 use crate::error::CloudError;
 use crate::files::EncryptedFile;
 use crate::network::TrafficReport;
-use crate::server_loop::{PendingReply, PoolOptions, ServerClient, ServerHandle};
+use crate::server_loop::{PendingReply, PoolOptions, ServerClient, ServerHandle, OVERLOAD_DETAIL};
 use parking_lot::{Mutex, RwLock};
 use rsse_core::{canonical_label_order, Label, RankedResult, RsseParams};
 use rsse_ir::{Document, FileId};
@@ -1062,8 +1062,7 @@ impl ShardRouter {
         traffic: &mut TrafficReport,
         meter: LegMeter,
     ) -> Result<PendingReply, CloudError> {
-        let shed_frame_len =
-            Message::error(ErrorKind::Overloaded, "request backlog is full").wire_len();
+        let shed_frame_len = Message::error(ErrorKind::Overloaded, OVERLOAD_DETAIL).wire_len();
         let up = leg.wire_len();
         let mut wait = self.backoff;
         let mut attempt = 0;

@@ -42,7 +42,7 @@
 //! the connection: a byte stream that lost framing sync cannot be
 //! trusted to carry another request.
 
-use crate::codec::{frame_message, ErrorKind, FrameAssembler, Message};
+use crate::codec::{frame_message, CodecError, ErrorKind, FrameAssembler, Message, MAX_FRAME_LEN};
 use crate::entities::CloudServer;
 use crate::error::CloudError;
 use crate::network::TrafficReport;
@@ -746,7 +746,16 @@ impl TcpConnection {
 }
 
 impl Connection for TcpConnection {
+    /// # Errors
+    ///
+    /// As [`Connection::send`], plus [`CodecError::Oversize`] (as
+    /// [`CloudError::Codec`]) for a request over [`MAX_FRAME_LEN`], which
+    /// no frame can carry; nothing is sent.
     fn send(&mut self, request: Message) -> Result<u64, CloudError> {
+        let len = request.wire_len();
+        if len > MAX_FRAME_LEN {
+            return Err(CodecError::Oversize(len as u64).into());
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let body = request.encode();

@@ -1,15 +1,16 @@
 //! Behavioural tests of the TCP event loop: pipelined out-of-order
 //! completion matched by sequence id, slow-reader backpressure isolated
 //! to its own connection, overload shedding with the canonical frame,
-//! and garbled-stream hygiene.
+//! garbled-stream hygiene, and replies or requests over the frame cap.
 
 use rsse_cloud::entities::{CloudServer, DataOwner};
 use rsse_cloud::server_loop::{Fault, PoolOptions};
 use rsse_cloud::tcp::{TcpServer, TcpServerOptions, TcpTransport};
-use rsse_cloud::transport::Connection;
-use rsse_cloud::{ErrorKind, Message, SearchMode};
+use rsse_cloud::transport::{Connection, Transport};
+use rsse_cloud::{CloudError, CodecError, EncryptedFile, ErrorKind, Message, SearchMode};
 use rsse_core::RsseParams;
 use rsse_ir::corpus::{CorpusParams, SyntheticCorpus};
+use rsse_ir::FileId;
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -184,5 +185,76 @@ fn garbled_length_prefix_closes_the_connection() {
     let stats = server.stats();
     assert_eq!(stats.garbled, 1);
     assert!(stats.closed >= 1);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_reply_is_rejected_and_the_server_keeps_serving() {
+    // Five 13 MiB files: one fetch of all of them asks for a 65 MiB
+    // reply, over the 64 MiB frame cap. The event loop must not die
+    // framing it: the client gets a Rejected frame, other connections
+    // keep being served, and shutdown returns.
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(61));
+    let owner = DataOwner::new(SEED, RsseParams::default());
+    let mut outsource = owner.outsource(corpus.documents()).unwrap();
+    let Message::Outsource { files, .. } = &mut outsource else {
+        panic!("outsource builds an Outsource message");
+    };
+    let big_ids: Vec<u64> = (1_000_000..1_000_005).collect();
+    files.extend(
+        big_ids
+            .iter()
+            .map(|&id| EncryptedFile::new(FileId::new(id), vec![0xab; 13 << 20])),
+    );
+    let server = Arc::new(CloudServer::from_outsource(outsource).unwrap());
+    let server = TcpServer::spawn(server, TcpServerOptions::new(1, 8)).unwrap();
+    let transport = TcpTransport::new(server.addr());
+
+    let mut greedy = transport.dial().unwrap();
+    let seq = greedy.send(Message::FetchFiles { ids: big_ids }).unwrap();
+    let (got, body) = greedy.recv_any(TIMEOUT).unwrap();
+    assert_eq!(got, seq);
+    match decode(&body) {
+        Message::Error { kind, .. } => assert_eq!(kind, ErrorKind::Rejected),
+        other => panic!("expected a Rejected frame, got {other:?}"),
+    }
+
+    let mut other = transport.dial().unwrap();
+    let user = owner.authorize_user();
+    let seq = other
+        .send(
+            user.search_request("network", Some(3), SearchMode::Rsse)
+                .unwrap(),
+        )
+        .unwrap();
+    let (got, body) = other.recv_any(TIMEOUT).unwrap();
+    assert_eq!(got, seq);
+    assert!(matches!(decode(&body), Message::RsseResponse { .. }));
+    server.shutdown();
+}
+
+#[test]
+fn oversized_request_is_refused_before_it_is_framed() {
+    // A 65 MiB update cannot travel in any frame: send refuses it with
+    // the codec's Oversize error instead of panicking, puts nothing on
+    // the wire, and the connection stays usable.
+    let (_owner, server) = spawn(TcpServerOptions::new(1, 8));
+    let transport = TcpTransport::new(server.addr());
+    let mut conn = transport.dial().unwrap();
+    let update = Message::Update {
+        rsse_lists: vec![],
+        files: vec![EncryptedFile::new(FileId::new(1), vec![0xcd; 65 << 20])],
+    };
+    let len = update.wire_len() as u64;
+    match conn.send(update) {
+        Err(CloudError::Codec(CodecError::Oversize(n))) => assert_eq!(n, len),
+        other => panic!("expected an Oversize error, got {other:?}"),
+    }
+    assert_eq!(transport.traffic().bytes_up, 0);
+
+    let seq = conn.send(Message::FetchFiles { ids: vec![1] }).unwrap();
+    let (got, body) = conn.recv_any(TIMEOUT).unwrap();
+    assert_eq!(got, seq);
+    assert!(matches!(decode(&body), Message::FilesResponse { .. }));
     server.shutdown();
 }

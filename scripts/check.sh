@@ -16,6 +16,12 @@ cargo build --release
 echo "==> cargo build --release --manifest-path e2ebench/Cargo.toml"
 cargo build --release --manifest-path e2ebench/Cargo.toml
 
+# Its own tests drive all four workloads and check every reply, so a
+# change that still compiles but breaks a frame the benchmark sends fails
+# here too.
+echo "==> cargo test -q --release --manifest-path e2ebench/Cargo.toml"
+cargo test -q --release --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -25,6 +31,12 @@ cargo test -q
 # overload shedding).
 echo "==> cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc"
 cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
+
+# The codec's unit tests, golden frames included: the exact bytes and
+# wire_len of every sample frame, so a field order changed the same way
+# in encode and decode still fails.
+echo "==> cargo test -q -p rsse-cloud --lib codec::"
+cargo test -q -p rsse-cloud --lib codec::
 
 echo "==> cargo test -q --test pool_faults"
 cargo test -q --test pool_faults
