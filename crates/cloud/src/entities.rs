@@ -1304,21 +1304,6 @@ impl Deployment {
         Arc::clone(&self.server)
     }
 
-    /// Puts this deployment's server behind a real loopback TCP listener
-    /// (see [`crate::tcp::TcpServer`]): same shared [`CloudServer`], same
-    /// frames, but reached over sockets by any number of pipelined
-    /// connections instead of the in-process channel.
-    ///
-    /// # Errors
-    ///
-    /// Any [`std::io::Error`] binding the listener.
-    pub fn serve_tcp(
-        &self,
-        options: crate::tcp::TcpServerOptions,
-    ) -> std::io::Result<crate::tcp::TcpServer> {
-        crate::tcp::TcpServer::spawn(self.server(), options)
-    }
-
     /// One metered request/response round over the wire: encodes the
     /// request, serves it through the same fault-tolerant path the worker
     /// pool uses ([`crate::server_loop::serve_frame`]), and decodes the

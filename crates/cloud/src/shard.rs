@@ -478,6 +478,13 @@ fn ranked_results(ranking: Vec<(u64, u64)>) -> Vec<RankedResult> {
 /// Prices one scatter attempt: `(bytes up, bytes down, is error frame)`.
 type LegMeter = fn(usize, usize, bool) -> TrafficReport;
 
+/// How long the router waits for one leg's reply.
+const LEG_DEADLINE: Duration = Duration::from_secs(5);
+/// Admission attempts per leg against a shedding replica.
+const LEG_ATTEMPTS: u32 = 3;
+/// Sleep before the first leg retry (doubled each retry).
+const LEG_BACKOFF: Duration = Duration::from_millis(2);
+
 /// What [`ShardRouter::gather`] reports besides the replies, which its
 /// `accept` callback keeps.
 struct Gathered {
@@ -495,9 +502,6 @@ struct Gathered {
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
     shards: Vec<ReplicaSet>,
-    deadline: Duration,
-    attempts: u32,
-    backoff: Duration,
     pruning: bool,
     /// Per-shard filter state; empty when no epoch watches were wired.
     filters: Vec<Arc<FilterState>>,
@@ -534,9 +538,6 @@ impl ShardRouter {
         }
         ShardRouter {
             shards: replicas.into_iter().map(ReplicaSet::new).collect(),
-            deadline: Duration::from_secs(5),
-            attempts: 3,
-            backoff: Duration::from_millis(2),
             pruning: options.pruning,
             filters: watches
                 .into_iter()
@@ -552,22 +553,6 @@ impl ShardRouter {
                 options.merged_cache_budget,
             ))),
         }
-    }
-
-    /// Sets the per-leg gather deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Sets the overload-retry budget: up to `attempts` enqueue attempts
-    /// per leg, sleeping `backoff` (doubled each retry) between them.
-    #[must_use]
-    pub fn with_retry(mut self, attempts: u32, backoff: Duration) -> Self {
-        self.attempts = attempts.max(1);
-        self.backoff = backoff;
-        self
     }
 
     /// Number of shards this router addresses.
@@ -645,7 +630,7 @@ impl ShardRouter {
         let _ticket = set.ticket(replica);
         let reply = set.clients[replica]
             .call_async(request)
-            .and_then(|pending| pending.wait(Some(self.deadline)));
+            .and_then(|pending| pending.wait(Some(LEG_DEADLINE)));
         let down = match reply {
             Ok(reply) => {
                 let down = reply.wire_len();
@@ -738,16 +723,16 @@ impl ShardRouter {
     /// Prunes the shards whose current filter excludes `labels`, then
     /// queues every remaining leg (leg `i` to shard `i`, each to its
     /// least-loaded replica) before any reply is awaited
-    /// ([`ServerClient::call_async`]), so shards serve in parallel. A leg
-    /// shed by a full backlog is retried within the router's retry
-    /// budget. Each queued leg is then gathered under the per-leg
-    /// deadline. `accept(shard, reply)` keeps a reply and returns `true`
-    /// when it is the family's reply addressed to `shard`; every other
-    /// outcome — a refused (out-of-protocol or misaddressed) reply, an
-    /// error frame, a deadline expiry, a dead worker — degrades that
-    /// shard's coverage. Every attempt is priced with `meter`, error
-    /// frames included; a timed-out leg contributes its upstream bytes
-    /// and an empty downstream. A pruned leg costs zero bytes and counts
+    /// ([`ServerClient::queue_with_retry`]), so shards serve in parallel.
+    /// A leg shed by a full backlog is retried up to [`LEG_ATTEMPTS`]
+    /// times, each shed priced with `meter`. Each queued leg is then
+    /// gathered under [`LEG_DEADLINE`]. `accept(shard, reply)` keeps a
+    /// reply and returns `true` when it is the family's reply addressed
+    /// to `shard`; every other outcome — a refused (out-of-protocol or
+    /// misaddressed) reply, an error frame, a deadline expiry, a dead
+    /// worker — degrades that shard's coverage. Every attempt is priced
+    /// with `meter`, error frames included; a timed-out leg contributes
+    /// its upstream bytes and an empty downstream. A pruned leg costs zero bytes and counts
     /// in [`TrafficReport::pruned_legs`] and toward `shards_ok`, since an
     /// empty contribution is a complete answer.
     ///
@@ -764,6 +749,7 @@ impl ShardRouter {
         expected: &'static str,
         mut accept: impl FnMut(u32, Message) -> bool,
     ) -> Result<Gathered, CloudError> {
+        let shed_frame_len = Message::error(ErrorKind::Overloaded, OVERLOAD_DETAIL).wire_len();
         let mut pruned = 0u32;
         let mut sent = 0u32;
         let mut states: Vec<Option<(Result<PendingReply, CloudError>, LegTicket)>> =
@@ -778,7 +764,16 @@ impl ShardRouter {
             let set = &self.shards[shard];
             let replica = set.pick();
             let ticket = set.ticket(replica);
-            let state = self.queue_with_retry(&set.clients[replica], leg, traffic, meter);
+            let up = leg.wire_len();
+            let state =
+                set.clients[replica].queue_with_retry(leg, LEG_ATTEMPTS, LEG_BACKOFF, || {
+                    traffic.absorb(&meter(up, shed_frame_len, true));
+                });
+            if matches!(state, Err(CloudError::Transport { .. })) {
+                // Dead transport: the request never left; meter the
+                // attempted upstream bytes only.
+                traffic.absorb(&meter(up, 0, false));
+            }
             sent += u32::from(state.is_ok());
             states.push(Some((state, ticket)));
         }
@@ -790,7 +785,7 @@ impl ShardRouter {
             let Some((state, _ticket)) = state else {
                 continue; // pruned — nothing to gather
             };
-            let error = match state.map(|pending| pending.wait(Some(self.deadline))) {
+            let error = match state.map(|pending| pending.wait(Some(LEG_DEADLINE))) {
                 // Never queued; the queueing attempts are already metered.
                 Err(error) => error,
                 Ok(Ok(reply)) => {
@@ -1052,47 +1047,6 @@ impl ShardRouter {
         })
     }
 
-    /// Queues one leg under the router's overload-retry budget, pricing
-    /// every shed attempt with `meter`; `Err` is a leg that never got
-    /// queued.
-    fn queue_with_retry(
-        &self,
-        client: &ServerClient,
-        leg: &Message,
-        traffic: &mut TrafficReport,
-        meter: LegMeter,
-    ) -> Result<PendingReply, CloudError> {
-        let shed_frame_len = Message::error(ErrorKind::Overloaded, OVERLOAD_DETAIL).wire_len();
-        let up = leg.wire_len();
-        let mut wait = self.backoff;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            match client.call_async(leg.clone()) {
-                Ok(pending) => return Ok(pending),
-                Err(
-                    e @ CloudError::Server {
-                        kind: ErrorKind::Overloaded,
-                        ..
-                    },
-                ) => {
-                    traffic.absorb(&meter(up, shed_frame_len, true));
-                    if attempt >= self.attempts {
-                        return Err(e);
-                    }
-                    std::thread::sleep(wait);
-                    wait = wait.saturating_mul(2);
-                }
-                Err(e) => {
-                    // Dead transport: the request never left; meter the
-                    // attempted upstream bytes only.
-                    traffic.absorb(&meter(up, 0, false));
-                    return Err(e);
-                }
-            }
-        }
-    }
-
     /// Batched scatter-gather: `legs[i]` is a [`Message::BatchRequest`]
     /// addressed to shard `i` (`shard_id == Some(i)`), every leg carrying
     /// the *same* query sequence. Each query's per-shard partial rankings
@@ -1216,7 +1170,7 @@ impl ShardedDeployment {
     /// the default cache budget, and gets the owner's exact label filter
     /// installed ([`CloudServer::install_label_filter`]).
     /// `router_options.replicas` serving pools with `options` (workers,
-    /// backlog, deadline, faults) share each shard's one
+    /// backlog, simulated I/O, faults) share each shard's one
     /// `Arc<CloudServer>`, and the router is wired with every shard's
     /// filter watch so pruning and the merged-result cache can invalidate
     /// on updates. Same ciphertexts on every storage, so sharded rankings

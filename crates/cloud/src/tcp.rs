@@ -2,8 +2,8 @@
 //! pipelining and backpressure.
 //!
 //! One **event-loop thread** owns the listening socket and every client
-//! connection; a fixed **worker pool** (the same [`serve_frame`] serving
-//! path the channel pool uses) does the ranking work. No
+//! connection; the ranking work is done by a [`ServerHandle`] worker
+//! pool, the one pool the channel wire serves through too. No
 //! thread-per-connection anywhere: 512 idle connections cost 512 socket
 //! fds and their buffers, not 512 stacks.
 //!
@@ -15,22 +15,23 @@
 //! pipelining); flushes write buffers until the kernel pushes back;
 //! reads every readable connection, reassembling frames with
 //! [`FrameAssembler`] from whatever byte splits the stream produced, and
-//! hands each complete frame to the worker queue. A sweep that moves no
-//! bytes parks on the completion channel for a fraction of a millisecond
-//! — the only blocking point — so an idle server costs ~no CPU and a
-//! busy one on a single core yields the core to its workers. This is
-//! level-triggered readiness (`WouldBlock` = not ready) in safe std; the
-//! repo forbids `unsafe`, which rules out `poll(2)` FFI, and the sweep
-//! is behaviourally equivalent for the connection counts we serve.
+//! submits each complete frame to the pool with a reply sink that routes
+//! the reply back to its connection. A sweep that moves no bytes parks
+//! on the completion channel for a fraction of a millisecond — the only
+//! blocking point — so an idle server costs ~no CPU and a busy one on a
+//! single core yields the core to its workers. This is level-triggered
+//! readiness (`WouldBlock` = not ready) in safe std; the repo forbids
+//! `unsafe`, which rules out `poll(2)` FFI, and the sweep is
+//! behaviourally equivalent for the connection counts we serve.
 //!
 //! # Backpressure, composed
 //!
 //! Two independent pressure valves, one per resource:
 //!
-//! * **Worker overload** — the job queue is the same bounded backlog as
-//!   the channel pool. A full queue answers *immediately* with the same
-//!   byte-identical `Overloaded` error frame the in-process path sheds
-//!   with, so clients see one overload protocol on both transports.
+//! * **Worker overload** — admission is the pool's own bounded backlog.
+//!   A full queue answers *immediately* with the same byte-identical
+//!   `Overloaded` error frame the in-process path sheds with, so clients
+//!   see one overload protocol on both transports.
 //! * **Slow reader** — a connection whose un-flushed write buffer
 //!   exceeds its budget stops being *read* until it drains. Its own
 //!   pipeline stalls (and TCP flow control propagates the stall to the
@@ -41,14 +42,21 @@
 //! A frame that fails reassembly (hostile length, garbage bytes) closes
 //! the connection: a byte stream that lost framing sync cannot be
 //! trusted to carry another request.
+//!
+//! # Shutdown
+//!
+//! [`TcpServer::shutdown`] stops reading, drains the completion channel,
+//! runs [`ServerHandle::shutdown`] (every admitted request is still
+//! served, the same contract as the channel wire), then drains the
+//! replies, flushes once and closes every connection.
 
 use crate::codec::{frame_message, CodecError, ErrorKind, FrameAssembler, Message, MAX_FRAME_LEN};
 use crate::entities::CloudServer;
 use crate::error::CloudError;
 use crate::network::TrafficReport;
-use crate::server_loop::{serve_frame, PoolOptions, OVERLOAD_DETAIL};
+use crate::server_loop::{PoolOptions, ServerClient, ServerHandle, OVERLOAD_DETAIL};
 use crate::transport::{Connection, FrameMeter, Transport};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,16 +74,12 @@ const READS_PER_SWEEP: usize = 4;
 const IDLE_PARK: Duration = Duration::from_micros(500);
 /// Consumed write-buffer prefix past which the buffer is compacted.
 const WRITE_COMPACT_THRESHOLD: usize = 64 << 10;
-/// Cap on the post-stop drain: how long shutdown waits for in-flight
-/// jobs and final flushes before abandoning them.
-const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
 /// Configuration of a [`TcpServer`].
 #[derive(Debug, Clone)]
 pub struct TcpServerOptions {
-    /// Worker pool shape and fault injection — the same options the
-    /// channel pool takes ([`PoolOptions::deadline`] does not apply: on a
-    /// byte stream the client owns its deadlines).
+    /// Shape and fault injection of the worker pool the event loop
+    /// submits to — a [`ServerHandle`] like any other.
     pub pool: PoolOptions,
     /// Per-connection write-buffer budget in bytes: above it the
     /// connection stops being read until the peer drains replies.
@@ -83,7 +87,7 @@ pub struct TcpServerOptions {
 }
 
 impl TcpServerOptions {
-    /// `workers` threads over a `backlog`-bounded job queue, with a
+    /// `workers` threads over a `backlog`-bounded request queue, with a
     /// 256 KiB per-connection write budget.
     pub fn new(workers: usize, backlog: usize) -> Self {
         TcpServerOptions {
@@ -146,19 +150,9 @@ impl SharedStats {
     }
 }
 
-/// One frame handed to the worker pool, tagged with enough connection
-/// identity to route the completion back (the `gen` guards against a
-/// connection slot being reused while a job is in flight).
-enum Job {
-    Frame {
-        conn: usize,
-        gen: u64,
-        seq: u64,
-        frame: Vec<u8>,
-    },
-    Shutdown,
-}
-
+/// One reply routed back to the connection its request came from (the
+/// `gen` guards against a connection slot being reused while the request
+/// is in flight).
 struct Completion {
     conn: usize,
     gen: u64,
@@ -200,10 +194,10 @@ pub struct TcpServer {
 }
 
 impl TcpServer {
-    /// Binds `127.0.0.1:0` and spawns the event loop plus the worker
-    /// pool over an already-shared server (replica pools over one
-    /// `Arc<CloudServer>` compose exactly like
-    /// [`crate::server_loop::ServerHandle::spawn_pool_shared`]).
+    /// Binds `127.0.0.1:0`, spawns a worker pool over the already-shared
+    /// server ([`ServerHandle::spawn_pool_shared`], so replica pools over
+    /// one `Arc<CloudServer>` compose exactly as on the channel wire) and
+    /// the event loop that submits to it.
     ///
     /// # Errors
     ///
@@ -214,52 +208,12 @@ impl TcpServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(SharedStats::default());
-        let backlog = options.pool.backlog.max(1);
-        let workers = options.pool.workers.max(1);
-        let (jobs_tx, jobs_rx) = bounded::<Job>(backlog);
-        // Jobs in flight never exceed backlog + workers, and the loop
-        // drains every sweep, so this capacity never blocks a worker.
-        let (done_tx, done_rx) = bounded::<Completion>(backlog + workers + 1);
-        let worker_handles: Vec<JoinHandle<u64>> = (0..workers)
-            .map(|_| {
-                let jobs_rx = jobs_rx.clone();
-                let done_tx = done_tx.clone();
-                let server = Arc::clone(&server);
-                let io_delay = options.pool.io_delay;
-                let fault = options.pool.fault.clone();
-                std::thread::spawn(move || {
-                    let mut served = 0u64;
-                    while let Ok(job) = jobs_rx.recv() {
-                        let Job::Frame {
-                            conn,
-                            gen,
-                            seq,
-                            frame,
-                        } = job
-                        else {
-                            break;
-                        };
-                        if let Some(delay) = io_delay {
-                            std::thread::sleep(delay);
-                        }
-                        let body = serve_frame(&server, &frame, fault.as_ref());
-                        served += 1;
-                        if done_tx
-                            .send(Completion {
-                                conn,
-                                gen,
-                                seq,
-                                body,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    served
-                })
-            })
-            .collect();
+        // After a full drain at most backlog + workers admitted requests
+        // still owe a reply, so once the loop drains before shutdown no
+        // worker can block on this channel while the pool is joined.
+        let (done_tx, done_rx) =
+            bounded::<Completion>(options.pool.backlog.max(1) + options.pool.workers.max(1) + 1);
+        let pool = ServerHandle::spawn_pool_shared(Arc::clone(&server), options.pool);
         let loop_stop = Arc::clone(&stop);
         let loop_stats = Arc::clone(&stats);
         let write_budget = options.write_budget.max(1);
@@ -269,7 +223,8 @@ impl TcpServer {
                 conns: Vec::new(),
                 free: Vec::new(),
                 slot_gens: Vec::new(),
-                jobs_tx,
+                client: pool.client(),
+                done_tx: Arc::new(done_tx),
                 done_rx,
                 stop: loop_stop,
                 stats: loop_stats,
@@ -279,7 +234,7 @@ impl TcpServer {
                     .encode()
                     .to_vec(),
             }
-            .run(worker_handles)
+            .run(pool)
         });
         Ok(TcpServer {
             addr,
@@ -305,10 +260,10 @@ impl TcpServer {
         self.stats.snapshot()
     }
 
-    /// Stops accepting, drains in-flight jobs (bounded), flushes owed
-    /// replies best-effort, joins the workers and the loop, and returns
-    /// the total frames served — the same contract as
-    /// [`crate::server_loop::ServerHandle::shutdown`].
+    /// Stops reading, shuts the pool down with
+    /// [`ServerHandle::shutdown`] (every admitted request is still
+    /// served), flushes the owed replies best-effort, joins the loop, and
+    /// returns the pool's served count.
     pub fn shutdown(mut self) -> u64 {
         self.stop.store(true, Ordering::Release);
         self.event_loop
@@ -337,7 +292,11 @@ struct EventLoop {
     /// Per-slot generation counters, bumped on close, so a completion
     /// for a dead connection can never reach the slot's new tenant.
     slot_gens: Vec<u64>,
-    jobs_tx: Sender<Job>,
+    client: ServerClient,
+    /// Shared by every reply sink rather than cloned per request: a
+    /// clone of the channel's sender takes the channel lock, and so would
+    /// dropping it on the worker right after the send that wakes the loop.
+    done_tx: Arc<Sender<Completion>>,
     done_rx: Receiver<Completion>,
     stop: Arc<AtomicBool>,
     stats: Arc<SharedStats>,
@@ -347,7 +306,7 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn run(mut self, workers: Vec<JoinHandle<u64>>) -> u64 {
+    fn run(mut self, pool: ServerHandle) -> u64 {
         while !self.stop.load(Ordering::Acquire) {
             let mut progress = false;
             progress |= self.accept_sweep();
@@ -357,15 +316,23 @@ impl EventLoop {
             if !progress {
                 // Idle: park on the completion channel so a finishing
                 // worker wakes the loop instantly while a quiet server
-                // burns no CPU.
-                match self.done_rx.recv_timeout(IDLE_PARK) {
-                    Ok(completion) => self.queue_reply(completion),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
+                // burns no CPU. The loop holds a sender, so the channel
+                // never disconnects.
+                if let Ok(completion) = self.done_rx.recv_timeout(IDLE_PARK) {
+                    self.queue_reply(completion);
                 }
             }
         }
-        self.drain_and_join(workers)
+        // No frame is read any more; the pool serves what it admitted,
+        // and those replies get one last flush before every socket closes.
+        self.drain_completions();
+        let served = pool.shutdown();
+        self.drain_completions();
+        self.write_sweep();
+        for slot in 0..self.conns.len() {
+            self.close(slot);
+        }
+        served
     }
 
     /// Accepts every connection waiting on the listener.
@@ -403,7 +370,8 @@ impl EventLoop {
         progress
     }
 
-    /// Moves every finished job into its connection's write buffer.
+    /// Moves every finished request's reply into its connection's write
+    /// buffer.
     fn drain_completions(&mut self) -> bool {
         let mut progress = false;
         while let Ok(completion) = self.done_rx.recv_timeout(Duration::ZERO) {
@@ -539,25 +507,29 @@ impl EventLoop {
         progress
     }
 
-    /// Hands one frame to the pool; a full backlog answers immediately
-    /// with the byte-identical overload frame the channel path sheds
-    /// with.
+    /// Submits one frame to the pool, its reply routed back to this
+    /// connection; a full backlog answers immediately with the
+    /// byte-identical overload frame the channel wire sheds with.
     fn submit(&mut self, slot: usize, gen: u64, seq: u64, frame: Vec<u8>) {
-        match self.jobs_tx.try_send(Job::Frame {
-            conn: slot,
-            gen,
-            seq,
-            frame,
-        }) {
+        let done = Arc::clone(&self.done_tx);
+        let sink = Box::new(move |body| {
+            let _ = done.send(Completion {
+                conn: slot,
+                gen,
+                seq,
+                body,
+            });
+        });
+        match self.client.submit(frame, sink) {
             Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
+            Err(CloudError::Server { .. }) => {
                 self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
                 let reply = frame_message(seq, &self.overload_body);
                 if let Some(Some(conn)) = self.conns.get_mut(slot) {
                     conn.write_buf.extend_from_slice(&reply);
                 }
             }
-            Err(TrySendError::Disconnected(_)) => {
+            Err(_) => {
                 // Every worker died: nothing can be served any more.
                 self.stop.store(true, Ordering::Release);
             }
@@ -571,42 +543,6 @@ impl EventLoop {
             self.slot_gens[slot] += 1;
             self.free.push(slot);
         }
-    }
-
-    /// Post-stop: let queued jobs finish, flush owed replies, retire the
-    /// pool. Bounded by [`SHUTDOWN_DRAIN`] so a wedged peer cannot hang
-    /// shutdown.
-    fn drain_and_join(mut self, workers: Vec<JoinHandle<u64>>) -> u64 {
-        // Sentinels queue *behind* already-accepted jobs (FIFO), so every
-        // admitted request is still served before the workers retire.
-        for _ in &workers {
-            if self.jobs_tx.send(Job::Shutdown).is_err() {
-                break;
-            }
-        }
-        let deadline = Instant::now() + SHUTDOWN_DRAIN;
-        let mut live: Vec<JoinHandle<u64>> = workers;
-        let mut done: Vec<JoinHandle<u64>> = Vec::new();
-        while !live.is_empty() && Instant::now() < deadline {
-            while let Ok(completion) = self.done_rx.recv_timeout(Duration::from_millis(1)) {
-                self.queue_reply(completion);
-            }
-            self.write_sweep();
-            let (finished, running): (Vec<_>, Vec<_>) =
-                live.into_iter().partition(|w| w.is_finished());
-            done.extend(finished);
-            live = running;
-        }
-        // Past the deadline any still-running worker is wedged on a fault
-        // injection; joining it would hang shutdown, so its count is lost.
-        done.extend(live.into_iter().filter(|w| w.is_finished()));
-        let served = done.into_iter().map(|w| w.join().unwrap_or(0)).sum();
-        while self.done_rx.recv_timeout(Duration::ZERO).is_ok() {}
-        self.write_sweep();
-        for slot in 0..self.conns.len() {
-            self.close(slot);
-        }
-        served
     }
 }
 

@@ -7,12 +7,15 @@
 //! concurrently. Two implementations exist:
 //!
 //! * [`ChannelTransport`] — the deterministic in-process harness: frames
-//!   travel over the bounded crossbeam queue of a
-//!   [`crate::server_loop::ServerClient`] pool, exactly as
-//!   every pre-socket test drove it.
+//!   are submitted straight to a [`crate::server_loop::ServerClient`]
+//!   pool, and each reply is pushed onto its connection's completion
+//!   queue as its worker finishes.
 //! * [`crate::tcp::TcpTransport`] — real length-delimited frames over a
 //!   loopback/remote TCP socket, served by the non-blocking event loop
-//!   in `crate::tcp`.
+//!   in `crate::tcp`, which submits to the same kind of pool.
+//!
+//! Both refuse a request over [`MAX_FRAME_LEN`] before it takes a
+//! sequence id, and both return replies in completion order.
 //!
 //! Both put the *same bytes* on their wire: message bodies come from the
 //! one canonical [`Message::encode`](crate::codec::Message::encode), and
@@ -29,13 +32,12 @@
 //! TCP has no simulated ones, so counting anywhere else would make the
 //! two reports drift; counting here makes them equal by construction.
 
-use crate::codec::{Message, ERROR_FRAME_TAG, FRAME_HEADER_LEN};
+use crate::codec::{CodecError, Message, ERROR_FRAME_TAG, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use crate::error::CloudError;
 use crate::network::TrafficReport;
-use crate::server_loop::{PendingReply, ServerClient};
-use std::collections::VecDeque;
+use crate::server_loop::ServerClient;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Shared framed-byte accounting for one transport: every connection
@@ -126,9 +128,10 @@ pub trait Transport {
     fn traffic(&self) -> TrafficReport;
 }
 
-/// The in-process transport: connections multiplex onto a
-/// [`ServerClient`] pool queue. Deterministic (no sockets, no kernel
-/// buffers), which is exactly why it stays around as the test harness.
+/// The in-process transport: connections submit to a [`ServerClient`]
+/// pool, the same worker pool the TCP event loop serves through.
+/// Deterministic (no sockets, no kernel buffers), which is exactly why it
+/// stays around as the test harness.
 #[derive(Debug)]
 pub struct ChannelTransport {
     client: ServerClient,
@@ -147,11 +150,14 @@ impl ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn connect(&self) -> Result<Box<dyn Connection>, CloudError> {
+        let (done_tx, done_rx) = mpsc::channel();
         Ok(Box::new(ChannelConnection {
             client: self.client.clone(),
             meter: Arc::clone(&self.meter),
             next_seq: 0,
-            pending: VecDeque::new(),
+            in_flight: 0,
+            done_tx,
+            done_rx,
         }))
     }
 
@@ -160,58 +166,70 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// One channel-backed connection: in-flight requests are a FIFO of
-/// [`PendingReply`]s. The vendored channel shim has no `select`, so
-/// `recv_any` waits on the *oldest* pending reply; later completions are
-/// still delivered in completion order relative to each other because a
-/// completed reply returns instantly once it reaches the queue front.
+/// One channel-backed connection. Each request's reply sink pushes
+/// `(seq, body)` onto the connection's completion queue, so `recv_any`
+/// returns the next *completed* reply, as a socket does. The queue is an
+/// unbounded `std` channel because the vendored crossbeam channel is
+/// bounded only; each entry answers a request this connection sent, so
+/// a worker never blocks on it.
 struct ChannelConnection {
     client: ServerClient,
     meter: Arc<FrameMeter>,
     next_seq: u64,
-    pending: VecDeque<(u64, PendingState)>,
-}
-
-/// A channel request is either waiting on its worker or already answered
-/// locally (the admission-control shed happens at send time, but the
-/// transport contract delivers the shed frame through `recv_any`).
-enum PendingState {
-    InFlight(PendingReply),
-    Ready(Vec<u8>),
+    /// Requests sent whose reply `recv_any` has not returned yet.
+    in_flight: usize,
+    done_tx: mpsc::Sender<(u64, Vec<u8>)>,
+    done_rx: mpsc::Receiver<(u64, Vec<u8>)>,
 }
 
 impl Connection for ChannelConnection {
+    /// # Errors
+    ///
+    /// As [`Connection::send`], plus [`CodecError::Oversize`] (as
+    /// [`CloudError::Codec`]) for a request over [`MAX_FRAME_LEN`], which
+    /// no frame can carry; nothing is sent, exactly as over TCP.
     fn send(&mut self, request: Message) -> Result<u64, CloudError> {
+        let len = request.wire_len();
+        if len > MAX_FRAME_LEN {
+            return Err(CodecError::Oversize(len as u64).into());
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.meter.note_up(request.wire_len());
-        let state = match self.client.call_async(request) {
-            Ok(reply) => PendingState::InFlight(reply),
+        let done = self.done_tx.clone();
+        let sink = Box::new(move |body| {
+            // A connection dropped with replies owed discards them.
+            let _ = done.send((seq, body));
+        });
+        match self.client.submit(request.encode().to_vec(), sink) {
+            Ok(()) => {}
             Err(CloudError::Server { kind, detail }) => {
-                // The pool shed at admission: materialize the same frame
-                // the TCP event loop writes for a full backlog, so both
-                // transports deliver byte-identical overload replies.
-                PendingState::Ready(Message::error(kind, detail).encode().to_vec())
+                // The pool shed at admission: deliver the same frame the
+                // TCP event loop writes for a full backlog.
+                let shed = Message::error(kind, detail).encode().to_vec();
+                let _ = self.done_tx.send((seq, shed));
             }
             Err(e) => return Err(e),
-        };
-        self.pending.push_back((seq, state));
+        }
+        self.meter.note_up(len);
+        self.in_flight += 1;
         Ok(seq)
     }
 
     fn recv_any(&mut self, timeout: Duration) -> Result<(u64, Vec<u8>), CloudError> {
-        let (seq, state) = self.pending.front().ok_or(CloudError::Transport {
-            context: "recv_any with no request in flight",
-        })?;
-        let seq = *seq;
-        let body = match state {
-            PendingState::Ready(body) => body.clone(),
-            // A timeout leaves the entry in place: the reply stays
-            // collectable by the next call, exactly like unread socket
-            // bytes on the TCP side.
-            PendingState::InFlight(reply) => reply.wait_frame(Some(timeout))?,
-        };
-        self.pending.pop_front();
+        if self.in_flight == 0 {
+            return Err(CloudError::Transport {
+                context: "recv_any with no request in flight",
+            });
+        }
+        // A timeout consumes nothing: the reply stays collectable by the
+        // next call, exactly like unread socket bytes on the TCP side.
+        // The connection holds a sender itself, so the queue never
+        // disconnects; a reply whose worker died never arrives.
+        let (seq, body) = self
+            .done_rx
+            .recv_timeout(timeout)
+            .map_err(|_| CloudError::Timeout { after: timeout })?;
+        self.in_flight -= 1;
         self.meter.note_down(&body);
         Ok((seq, body))
     }

@@ -1,12 +1,13 @@
 //! Behavioural tests of the TCP event loop: pipelined out-of-order
 //! completion matched by sequence id, slow-reader backpressure isolated
 //! to its own connection, overload shedding with the canonical frame,
-//! garbled-stream hygiene, and replies or requests over the frame cap.
+//! garbled-stream hygiene, and replies or requests over the frame cap
+//! (the last refused on the channel transport too).
 
 use rsse_cloud::entities::{CloudServer, DataOwner};
-use rsse_cloud::server_loop::{Fault, PoolOptions};
+use rsse_cloud::server_loop::{Fault, PoolOptions, ServerHandle};
 use rsse_cloud::tcp::{TcpServer, TcpServerOptions, TcpTransport};
-use rsse_cloud::transport::{Connection, Transport};
+use rsse_cloud::transport::{ChannelTransport, Connection, Transport};
 use rsse_cloud::{CloudError, CodecError, EncryptedFile, ErrorKind, Message, SearchMode};
 use rsse_core::RsseParams;
 use rsse_ir::corpus::{CorpusParams, SyntheticCorpus};
@@ -257,4 +258,40 @@ fn oversized_request_is_refused_before_it_is_framed() {
     assert_eq!(got, seq);
     assert!(matches!(decode(&body), Message::FilesResponse { .. }));
     server.shutdown();
+}
+
+#[test]
+fn oversized_request_is_refused_over_the_channel_too() {
+    // The channel arm of the test above: the in-process wire refuses the
+    // same 65 MiB update with the same error before it takes a sequence
+    // id or meters a byte, and the connection still serves a search.
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(61));
+    let owner = DataOwner::new(SEED, RsseParams::default());
+    let server = CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
+    let handle = ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(1, 8));
+    let transport = ChannelTransport::new(handle.client());
+    let mut conn = transport.connect().unwrap();
+    let update = Message::Update {
+        rsse_lists: vec![],
+        files: vec![EncryptedFile::new(FileId::new(1), vec![0xcd; 65 << 20])],
+    };
+    let len = update.wire_len() as u64;
+    match conn.send(update) {
+        Err(CloudError::Codec(CodecError::Oversize(n))) => assert_eq!(n, len),
+        other => panic!("expected an Oversize error, got {other:?}"),
+    }
+    assert_eq!(transport.traffic().bytes_up, 0);
+
+    let user = owner.authorize_user();
+    let seq = conn
+        .send(
+            user.search_request("network", Some(3), SearchMode::Rsse)
+                .unwrap(),
+        )
+        .unwrap();
+    assert_eq!(seq, 0, "the refused request took no sequence id");
+    let (got, body) = conn.recv_any(TIMEOUT).unwrap();
+    assert_eq!(got, seq);
+    assert!(matches!(decode(&body), Message::RsseResponse { .. }));
+    assert_eq!(handle.shutdown(), 1);
 }

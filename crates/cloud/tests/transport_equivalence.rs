@@ -7,10 +7,11 @@
 //! a barriered update, more searches) over each transport. Reply bodies
 //! are compared per sequence id; since both transports share the one
 //! [`frame_message`] envelope, equal bodies make the full wire frames
-//! equal too — asserted literally below.
+//! equal too — asserted literally below. Both wires also hand replies
+//! back in completion order, not request order.
 
 use rsse_cloud::entities::{CloudServer, DataOwner};
-use rsse_cloud::server_loop::{PoolOptions, ServerHandle};
+use rsse_cloud::server_loop::{Fault, PoolOptions, ServerHandle};
 use rsse_cloud::tcp::{TcpServer, TcpServerOptions, TcpTransport};
 use rsse_cloud::transport::{ChannelTransport, Transport};
 use rsse_cloud::{frame_message, FileCrypter, Message, SearchMode};
@@ -138,4 +139,70 @@ fn tcp_and_channel_transports_are_byte_identical() {
     assert_eq!(stats.overloaded, 0);
     assert_eq!(handle.shutdown(), total_requests as u64);
     assert_eq!(tcp_server.shutdown(), total_requests as u64);
+}
+
+/// Sends a fetch, then a search, on one connection and returns the
+/// sequence ids in the order `recv_any` delivered them, checking each
+/// reply's type against its request.
+fn delivery_order(transport: &dyn Transport, owner: &DataOwner) -> (Vec<u64>, u64, u64) {
+    let mut conn = transport.connect().unwrap();
+    let user = owner.authorize_user();
+    let fetch = conn.send(Message::FetchFiles { ids: vec![1] }).unwrap();
+    let search = conn
+        .send(
+            user.search_request("network", Some(3), SearchMode::Rsse)
+                .unwrap(),
+        )
+        .unwrap();
+    let mut order = Vec::new();
+    for _ in 0..2 {
+        let (seq, body) = conn.recv_any(TIMEOUT).unwrap();
+        let reply = Message::decode(bytes::BytesMut::from(&body[..])).unwrap();
+        if seq == fetch {
+            assert!(matches!(reply, Message::FilesResponse { .. }));
+        } else {
+            assert!(matches!(reply, Message::RsseResponse { .. }));
+        }
+        order.push(seq);
+    }
+    (order, fetch, search)
+}
+
+#[test]
+fn both_wires_deliver_replies_in_completion_order() {
+    // Two workers; FetchFiles is wedged for 300ms, so the search sent
+    // behind the fetch completes first. On both wires recv_any must hand
+    // back the search before the fetch.
+    let pool = || {
+        PoolOptions::new(2, 32).with_fault(|msg| {
+            matches!(msg, Message::FetchFiles { .. })
+                .then_some(Fault::Stall(Duration::from_millis(300)))
+        })
+    };
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(61));
+    let owner = DataOwner::new(SEED, RsseParams::default());
+    let outsource = owner.outsource(corpus.documents()).unwrap();
+
+    let handle = ServerHandle::spawn_pool_shared(
+        Arc::new(CloudServer::from_outsource(outsource.clone()).unwrap()),
+        pool(),
+    );
+    let channel = ChannelTransport::new(handle.client());
+    let tcp_server = TcpServer::spawn(
+        Arc::new(CloudServer::from_outsource(outsource).unwrap()),
+        TcpServerOptions::new(2, 32).with_pool(pool()),
+    )
+    .unwrap();
+    let tcp = TcpTransport::new(tcp_server.addr());
+
+    for (wire, transport) in [("channel", &channel as &dyn Transport), ("tcp", &tcp)] {
+        let (order, fetch, search) = delivery_order(transport, &owner);
+        assert_eq!(
+            order,
+            vec![search, fetch],
+            "{wire}: the unwedged search must overtake the stalled fetch"
+        );
+    }
+    assert_eq!(handle.shutdown(), 2);
+    assert_eq!(tcp_server.shutdown(), 2);
 }

@@ -66,7 +66,6 @@
 //! shape (label set + list lengths), so the steady state leaks nothing
 //! beyond what the in-memory backend reveals. See DESIGN.md §6.6.
 
-use crate::backend::IndexBackend;
 use crate::index::{merge_ranked_streams, rank_entries, Label, RankedResult, RsseTrapdoor};
 use crate::persist::{PersistError, SegmentWriter, DIR_RECORD_LEN};
 use crate::segio::{read_file, SegmentIo};
@@ -652,19 +651,9 @@ impl GenerationalBackend {
         self.batch.snapshot()
     }
 
-    fn union_labels(&self) -> BTreeSet<Label> {
-        let set = self.shared.current_set();
-        let mut labels: BTreeSet<Label> = BTreeSet::new();
-        for seg in &set.segments {
-            labels.extend(seg.reader.directory().keys().copied());
-        }
-        labels.extend(self.overlay.labels().copied());
-        labels
-    }
-}
-
-impl IndexBackend for GenerationalBackend {
-    fn contains_label(&self, label: &Label) -> bool {
+    /// Whether a list with this label exists in any generation or the
+    /// overlay.
+    pub(crate) fn contains_label(&self, label: &Label) -> bool {
         self.overlay.contains_label(label)
             || self
                 .shared
@@ -674,11 +663,14 @@ impl IndexBackend for GenerationalBackend {
                 .any(|s| s.reader.directory().contains_key(label))
     }
 
-    fn num_lists(&self) -> usize {
-        self.union_labels().len()
+    /// Number of posting lists (the union over generations and overlay).
+    pub(crate) fn num_lists(&self) -> usize {
+        self.labels().len()
     }
 
-    fn list_len(&self, label: &Label) -> Option<usize> {
+    /// Entry count of the list under `label` across every generation
+    /// and the overlay, if present anywhere.
+    pub(crate) fn list_len(&self, label: &Label) -> Option<usize> {
         let set = self.shared.current_set();
         let mut total = 0usize;
         let mut found = false;
@@ -695,7 +687,8 @@ impl IndexBackend for GenerationalBackend {
         found.then_some(total)
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Live bytes: labels plus entry payloads.
+    pub(crate) fn size_bytes(&self) -> usize {
         // Labels once per (union) list, payloads from every generation
         // plus the overlay — mirrors the mem backend's accounting.
         let set = self.shared.current_set();
@@ -705,15 +698,27 @@ impl IndexBackend for GenerationalBackend {
             + (self.overlay.size_bytes() - 20 * self.overlay.num_lists())
     }
 
-    fn labels(&self) -> Vec<Label> {
-        self.union_labels().into_iter().collect()
+    /// All labels (the union over generations and overlay), in label
+    /// order.
+    pub(crate) fn labels(&self) -> Vec<Label> {
+        let set = self.shared.current_set();
+        let mut labels: BTreeSet<Label> = BTreeSet::new();
+        for seg in &set.segments {
+            labels.extend(seg.reader.directory().keys().copied());
+        }
+        labels.extend(self.overlay.labels().copied());
+        labels.into_iter().collect()
     }
 
-    fn append(&mut self, label: Label, entries: &[Vec<u8>]) {
+    /// Appends `entries` to the delta overlay under `label`, materializing
+    /// the label even when `entries` is empty.
+    pub(crate) fn append(&mut self, label: Label, entries: &[Vec<u8>]) {
         self.overlay.append(label, entries);
     }
 
-    fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
+    /// Visits every entry under `label`, generations base first, then
+    /// the overlay; `false` when the label is unknown.
+    pub(crate) fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
         let set = self.shared.current_set();
         let mut found = false;
         for seg in &set.segments {

@@ -6,12 +6,12 @@
 //! encrypted scores*, and ranks — the whole point of the scheme: ranking
 //! happens server-side without revealing the scores themselves.
 //!
-//! The index dispatches over a pluggable storage engine (see
-//! [`crate::backend`]): the in-memory [`MemBackend`] arena, or the on-disk
+//! The storage seam is one private enum matched in this file: the index
+//! holds either the in-memory [`PostingStore`] arena or the on-disk
 //! [`GenerationalBackend`] written by [`RsseIndex::save_generational`] and
-//! reopened by [`RsseIndex::open_generational`].
+//! reopened by [`RsseIndex::open_generational`] (see [`crate::backend`]).
 
-use crate::backend::{BackendKind, IndexBackend, MemBackend};
+use crate::backend::BackendKind;
 use crate::entry::{decode_entry, ENTRY_CT_LEN, ENTRY_PLAIN_LEN};
 use crate::generation::{GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction};
 use crate::persist::PersistError;
@@ -23,7 +23,6 @@ use rsse_ir::FileId;
 use rsse_opse::OpseParams;
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -91,26 +90,26 @@ impl Ord for RankedResult {
     }
 }
 
-/// The storage engine behind an index (private: the public seam is the
-/// [`IndexBackend`] trait plus [`RsseIndex`]'s constructors).
+/// The storage engine behind an index — the one storage seam: every
+/// method of [`RsseIndex`] that touches posting lists matches on it.
 #[derive(Debug, Clone)]
 enum Backend {
-    Mem(MemBackend),
+    Mem(PostingStore),
     Generational(GenerationalBackend),
 }
 
 impl Default for Backend {
     fn default() -> Self {
-        Backend::Mem(MemBackend::new())
+        Backend::Mem(PostingStore::new())
     }
 }
 
 /// The encrypted searchable index held by the cloud server.
 ///
-/// Posting lists live behind a pluggable [`IndexBackend`]: by default the
-/// flat [`MemBackend`] arena — one contiguous byte buffer plus a label
-/// table, so a query walks a dense range with zero per-entry allocations
-/// (see [`crate::store`]) — or, via [`RsseIndex::save_generational`] and
+/// Posting lists live either in the flat in-memory [`PostingStore`]
+/// arena — one contiguous byte buffer plus a label table, so a query
+/// walks a dense range with zero per-entry allocations (see
+/// [`crate::store`]) — or, via [`RsseIndex::save_generational`] and
 /// [`RsseIndex::open_generational`], the on-disk [`GenerationalBackend`]
 /// that reads only the touched posting list per query and parks updates
 /// in a delta overlay (see [`crate::generation`]).
@@ -124,27 +123,15 @@ pub struct RsseIndex {
 }
 
 impl RsseIndex {
-    pub(crate) fn from_lists(lists: HashMap<Label, Vec<Vec<u8>>>, opse: OpseParams) -> Self {
-        let mut backend = MemBackend::new();
-        for (label, entries) in &lists {
-            backend.append(*label, entries);
-        }
-        RsseIndex {
-            backend: Backend::Mem(backend),
-            opse_params: Some(opse),
-            conjunctive: Default::default(),
-        }
-    }
-
     /// Reassembles an in-memory index from its wire parts (what the cloud
     /// server does on receiving the owner's `Outsource` message).
     pub fn from_parts(parts: Vec<(Label, Vec<Vec<u8>>)>, opse: OpseParams) -> Self {
-        let mut backend = MemBackend::new();
+        let mut store = PostingStore::new();
         for (label, entries) in &parts {
-            backend.append(*label, entries);
+            store.append(*label, entries);
         }
         RsseIndex {
-            backend: Backend::Mem(backend),
+            backend: Backend::Mem(store),
             opse_params: Some(opse),
             conjunctive: Default::default(),
         }
@@ -305,25 +292,40 @@ impl RsseIndex {
         }
     }
 
-    /// The active storage engine, as the trait object.
-    fn backend(&self) -> &dyn IndexBackend {
+    /// All labels, in unspecified order.
+    fn labels(&self) -> Vec<Label> {
         match &self.backend {
-            Backend::Mem(m) => m,
-            Backend::Generational(g) => g,
+            Backend::Mem(m) => m.labels().copied().collect(),
+            Backend::Generational(g) => g.labels(),
+        }
+    }
+
+    /// Visits every entry of the list under `label` in insertion order
+    /// (on disk: generations base first, then the delta overlay).
+    /// Returns `false` when the label is unknown.
+    fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
+        match &self.backend {
+            Backend::Mem(m) => {
+                let Some(list) = m.list(label) else {
+                    return false;
+                };
+                list.iter().for_each(visit);
+                true
+            }
+            Backend::Generational(g) => g.for_each_entry(label, visit),
         }
     }
 
     /// Exports the index as `(label, entries)` pairs in label order (the
     /// owner's side of the `Outsource` message).
     pub fn export_parts(&self) -> Vec<(Label, Vec<Vec<u8>>)> {
-        let mut labels = self.backend().labels();
+        let mut labels = self.labels();
         labels.sort_unstable();
         labels
             .into_iter()
             .map(|label| {
                 let mut entries = Vec::new();
-                self.backend()
-                    .for_each_entry(&label, &mut |e| entries.push(e.to_vec()));
+                self.for_each_entry(&label, &mut |e| entries.push(e.to_vec()));
                 (label, entries)
             })
             .collect()
@@ -363,7 +365,7 @@ impl RsseIndex {
     ) -> Vec<RankedResult> {
         match &self.backend {
             Backend::Mem(m) => {
-                let Some(list) = m.store().list(trapdoor.label()) else {
+                let Some(list) = m.list(trapdoor.label()) else {
                     return Vec::new();
                 };
                 let cipher = SemanticCipher::new(trapdoor.list_key());
@@ -421,23 +423,35 @@ impl RsseIndex {
     /// Whether a list with this label exists (the access-pattern leakage of
     /// any SSE scheme — exposed explicitly for the adversary experiments).
     pub fn contains_label(&self, label: &Label) -> bool {
-        self.backend().contains_label(label)
+        match &self.backend {
+            Backend::Mem(m) => m.contains_label(label),
+            Backend::Generational(g) => g.contains_label(label),
+        }
     }
 
     /// Number of posting lists (`m`, the number of distinct keywords).
     pub fn num_lists(&self) -> usize {
-        self.backend().num_lists()
+        match &self.backend {
+            Backend::Mem(m) => m.num_lists(),
+            Backend::Generational(g) => g.num_lists(),
+        }
     }
 
     /// Length of the list stored under `label`, if present.
     pub fn list_len(&self, label: &Label) -> Option<usize> {
-        self.backend().list_len(label)
+        match &self.backend {
+            Backend::Mem(m) => m.list_len(label),
+            Backend::Generational(g) => g.list_len(label),
+        }
     }
 
     /// Total index size in bytes (labels + entries; for a generational
     /// backend, every generation's payload plus the delta overlay).
     pub fn size_bytes(&self) -> usize {
-        self.backend().size_bytes()
+        match &self.backend {
+            Backend::Mem(m) => m.size_bytes(),
+            Backend::Generational(g) => g.size_bytes(),
+        }
     }
 
     /// Labels whose posting lists hold at least one entry, in unspecified
@@ -448,10 +462,9 @@ impl RsseIndex {
     /// to prune against, never missing a label that could contribute to a
     /// ranking. Reads only the backend directory, no entry payloads.
     pub fn occupied_labels(&self) -> Vec<Label> {
-        self.backend()
-            .labels()
+        self.labels()
             .into_iter()
-            .filter(|label| self.backend().list_len(label).is_some_and(|n| n > 0))
+            .filter(|label| self.list_len(label).is_some_and(|n| n > 0))
             .collect()
     }
 
@@ -477,8 +490,7 @@ impl RsseIndex {
     /// backend reads them off disk, so no borrow into an arena is possible.
     pub fn raw_list(&self, label: &Label) -> Option<Vec<Vec<u8>>> {
         let mut out = Vec::new();
-        self.backend()
-            .for_each_entry(label, &mut |e| out.push(e.to_vec()))
+        self.for_each_entry(label, &mut |e| out.push(e.to_vec()))
             .then_some(out)
     }
 
@@ -502,12 +514,12 @@ impl RsseIndex {
         let n = n.max(1);
         let mut stores: Vec<PostingStore> = (0..n).map(|_| PostingStore::new()).collect();
         // Deterministic label order so shard arenas are reproducible.
-        let mut labels = self.backend().labels();
+        let mut labels = self.labels();
         labels.sort_unstable();
         for label in &labels {
             let mut buckets: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
             let mut i = 0usize;
-            self.backend().for_each_entry(label, &mut |entry| {
+            self.for_each_entry(label, &mut |entry| {
                 buckets[route(label, i, entry).min(n - 1)].push(entry.to_vec());
                 i += 1;
             });
@@ -518,7 +530,7 @@ impl RsseIndex {
         stores
             .into_iter()
             .map(|store| RsseIndex {
-                backend: Backend::Mem(MemBackend::from_store(store)),
+                backend: Backend::Mem(store),
                 opse_params: self.opse_params,
                 conjunctive: Default::default(),
             })
@@ -720,6 +732,30 @@ mod tests {
             merge_ranked_streams(&[&a, &b], None),
             vec![rr(1, 5), rr(1, 5), rr(2, 5)]
         );
+    }
+
+    #[test]
+    fn mem_index_round_trips_lists_through_the_storage_seam() {
+        let label = |b: u8| -> Label { [b; 20] };
+        let entries = vec![vec![1u8; ENTRY_CT_LEN], vec![2u8; ENTRY_CT_LEN]];
+        let mut idx = RsseIndex::default();
+        idx.append_entries(label(1), entries.clone());
+        idx.append_entries(label(2), Vec::new());
+        assert!(idx.contains_label(&label(1)));
+        assert!(
+            idx.contains_label(&label(2)),
+            "an empty list still materializes its label"
+        );
+        assert!(!idx.contains_label(&label(3)));
+        assert_eq!(idx.num_lists(), 2);
+        assert_eq!(idx.list_len(&label(1)), Some(2));
+        assert_eq!(idx.list_len(&label(2)), Some(0));
+        assert_eq!(idx.raw_list(&label(1)), Some(entries));
+        assert!(!idx.for_each_entry(&label(9), &mut |_| panic!("no entries")));
+        let mut labels = idx.labels();
+        labels.sort_unstable();
+        assert_eq!(labels, vec![label(1), label(2)]);
+        assert_eq!(idx.occupied_labels(), vec![label(1)]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod segio;
 pub mod segment;
 pub mod store;
 
-pub use backend::{BackendKind, IndexBackend, MemBackend};
+pub use backend::BackendKind;
 pub use error::RsseError;
 pub use generation::{
     CompactionStats, GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction,

@@ -259,7 +259,7 @@ impl RsseIndex {
     }
 
     /// Deserializes an index from `reader`, materializing it in memory
-    /// (the [`crate::backend::MemBackend`]). Accepts both `RSSEIDX2` and
+    /// (the [`crate::store::PostingStore`] arena). Accepts both `RSSEIDX2` and
     /// legacy `RSSEIDX1` files; to serve an index from disk *without*
     /// materializing it, write it out with [`RsseIndex::save_generational`]
     /// and reopen it with [`RsseIndex::open_generational`]. The reader is

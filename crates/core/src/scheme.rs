@@ -190,15 +190,15 @@ impl Rsse {
 
         let mut raw_time = Duration::ZERO;
         let mut opm_ops = 0u64;
-        let mut lists: HashMap<Label, Vec<Vec<u8>>> = HashMap::with_capacity(index.num_keywords());
+        let mut lists = Vec::with_capacity(index.num_keywords());
         for (term, _) in index.iter() {
             let (label, list, stats) =
                 self.build_posting_list(index, term, &quantizer, opse, nu)?;
             raw_time += stats.raw_time;
             opm_ops += stats.opm_ops;
-            lists.insert(label, list);
+            lists.push((label, list));
         }
-        let built = RsseIndex::from_lists(lists, opse);
+        let built = RsseIndex::from_parts(lists, opse);
         let report = BuildReport {
             num_keywords: index.num_keywords(),
             num_docs: index.num_docs(),
@@ -257,13 +257,11 @@ impl Rsse {
         })
         .expect("crossbeam scope failed");
 
-        let mut lists = HashMap::with_capacity(terms.len());
+        let mut lists = Vec::with_capacity(terms.len());
         for part in results {
-            for (label, list) in part? {
-                lists.insert(label, list);
-            }
+            lists.extend(part?);
         }
-        Ok(RsseIndex::from_lists(lists, opse))
+        Ok(RsseIndex::from_parts(lists, opse))
     }
 
     /// Owner-side inversion: recover the quantized score level behind a

@@ -22,8 +22,11 @@ cargo build --release --manifest-path e2ebench/Cargo.toml
 echo "==> cargo test -q --release --manifest-path e2ebench/Cargo.toml"
 cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
-echo "==> cargo test -q"
-cargo test -q
+# Every crate's tests, not only the root package's: the serving layer's
+# unit tests, the core alloc-count and store-equivalence pins and each
+# crate's property suites run nowhere else in this gate.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # The serving-path hardening suites, named explicitly so a filtered local
 # run cannot silently skip them: codec fuzzing (decode never panics, never
