@@ -10,7 +10,11 @@
 //! byte arrays raw, an `Option` as a presence byte (0 or 1) then the
 //! value, a `Vec` or `String` as a `u64` count then the items, tuples and
 //! [`EncryptedFile`]s (id, ciphertext) as their parts back to back, and
-//! [`SearchMode`] and [`ErrorKind`] as one byte. A private trait writes
+//! [`SearchMode`] and [`ErrorKind`] as one byte. A posting list travels
+//! as one `(label, entry_len, bytes)` tuple, its equal-length entries back
+//! to back, so a whole list costs one `u64` length, not one per entry;
+//! whether the bytes are a whole number of entries is checked where a
+//! list is used, not here. A private trait writes
 //! each shape once, and one table with a `tag => Variant { fields }` row
 //! per variant generates [`Message::encode`], [`Message::decode`] and
 //! [`Message::wire_len`], so the three cannot disagree.
@@ -31,9 +35,6 @@ use rsse_ir::FileId;
 
 /// A posting-list label on the wire.
 pub type Label = [u8; 20];
-
-/// Posting lists on the wire: `(label, entries)` pairs.
-pub type WireLists = Vec<(Label, Vec<Vec<u8>>)>;
 
 /// Maximum accepted frame body (64 MiB) — guards against malicious length
 /// prefixes.
@@ -129,10 +130,11 @@ impl core::fmt::Display for ErrorKind {
 pub enum Message {
     /// Owner → server: the encrypted indexes and file collection.
     Outsource {
-        /// RSSE posting lists `(π_x(w), entries)`.
-        rsse_lists: Vec<(Label, Vec<Vec<u8>>)>,
-        /// Basic-scheme posting lists.
-        basic_lists: Vec<(Label, Vec<Vec<u8>>)>,
+        /// RSSE posting lists `(π_x(w), entry_len, entries)`: each list's
+        /// `entry_len`-byte entries back to back.
+        rsse_lists: Vec<(Label, u32, Vec<u8>)>,
+        /// Basic-scheme posting lists, same shape.
+        basic_lists: Vec<(Label, u32, Vec<u8>)>,
         /// OPSE domain size `M` (public parameter).
         opse_domain: u64,
         /// OPSE range size `N` (public parameter).
@@ -198,8 +200,9 @@ pub enum Message {
     /// Owner → server: a §VII score-dynamics update — new posting entries
     /// to append plus the newly encrypted files.
     Update {
-        /// RSSE append operations `(π_x(w), new entries)`.
-        rsse_lists: Vec<(Label, Vec<Vec<u8>>)>,
+        /// RSSE append operations `(π_x(w), entry_len, new entries)`,
+        /// shaped like [`Message::Outsource`]'s lists.
+        rsse_lists: Vec<(Label, u32, Vec<u8>)>,
         /// Encrypted files for the added documents.
         files: Vec<EncryptedFile>,
     },
@@ -793,8 +796,8 @@ mod tests {
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Outsource {
-                rsse_lists: vec![([1u8; 20], vec![vec![1, 2, 3], vec![4, 5]])],
-                basic_lists: vec![([2u8; 20], vec![vec![9; 40]])],
+                rsse_lists: vec![([1u8; 20], 2, vec![1, 2, 3, 4])],
+                basic_lists: vec![([2u8; 20], 40, vec![9; 40])],
                 opse_domain: 128,
                 opse_range: 1 << 46,
                 files: vec![EncryptedFile::new(FileId::new(7), vec![0xaa; 100])],
@@ -838,7 +841,7 @@ mod tests {
                 files: vec![EncryptedFile::new(FileId::new(1), vec![0xde, 0xad])],
             },
             Message::Update {
-                rsse_lists: vec![([5u8; 20], vec![vec![1; 40], vec![2; 40]])],
+                rsse_lists: vec![([5u8; 20], 40, [[1; 40], [2; 40]].concat())],
                 files: vec![EncryptedFile::new(FileId::new(12), vec![0xbe; 48])],
             },
             Message::UpdateAck {
@@ -979,11 +982,11 @@ mod tests {
     fn golden_frames_are_byte_identical() {
         use rsse_crypto::{Digest, Sha256};
         const LENS: [usize; 34] = [
-            282, 59, 55, 67, 103, 89, 33, 42, 118, 99, 205, 17, 62, 58, 87, 21, 120, 71, 10, 102,
+            265, 59, 55, 67, 103, 89, 33, 42, 118, 99, 193, 17, 62, 58, 87, 21, 120, 71, 10, 102,
             62, 10, 14, 6, 62, 22, 14, 122, 66, 119, 21, 28, 10, 24,
         ];
         const DIGESTS: [&str; 34] = [
-            "2385490b1d2a7eedd5df3204b21316a1ec5638905b9cc6b0477be2905ac8ea8d",
+            "381b9ec29457c531d1e1f9b463f64dbae1567b464d1f0981ab2227fd9f800646",
             "bc3d12992af6004e07107d00940cc065342ff8fb2236eb665fdbbbae6659c715",
             "abfbff85d60f6eb4367087ac27d5241da9d8208c6de76c13f728f3e66b90c6e0",
             "2fd622d8bfb7d6554e7056f21e4ceef349bdde0aa9261e7029516d5b8c6cb8bf",
@@ -993,7 +996,7 @@ mod tests {
             "3111ca928c90347984709ed4c6905b90048e7b28fdb4fedfbee83e695f6a40a5",
             "3b14ddf4f38472ee55f8069756b27c5c413d30aa5cbdce80d11ef48a0a814480",
             "caf976e533bca1a3fa148da0e085f3543ca1610929bcde23a4a888a6ed1d7508",
-            "240b75231f597c66e31fc57ef6573d2abcb4784e98d78d17c90f72f9d51c947c",
+            "01ded58c8d8aad4550bc550d4cde3800f936d1c220d873ef1d16d499b0ce7956",
             "c7341d9def09c4cff49cf6cd3f69aaff0f2fe10e37ec4ffaa379514d302d4be4",
             "9684995d076f61e29befbbd2122e5ce2fce21469229dd07a746ed502b94e5ed0",
             "8ac6854f46fc82beb40d478be9d391e793f7b953d8164f8bfbeace6d5f7c5757",

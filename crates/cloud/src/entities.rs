@@ -20,6 +20,7 @@ use crate::error::CloudError;
 use crate::files::{EncryptedFile, FileCrypter, FileStore};
 use crate::network::{MeteredChannel, TrafficReport};
 use parking_lot::{RwLock, RwLockReadGuard};
+use rsse_core::entry::ENTRY_CT_LEN;
 use rsse_core::{
     canonical_label_order, ranked_prefix, BatchReadStats, CompactionStats, ConjunctiveResult,
     GenerationStats, MultiTrapdoor, RankedResult, Rsse, RsseIndex, RsseParams, RsseTrapdoor,
@@ -73,7 +74,7 @@ impl DataOwner {
             .basic
             .build_index(&plaintext_index, Default::default())?;
         Ok(Message::Outsource {
-            rsse_lists: rsse_index.export_parts(),
+            rsse_lists: rsse_index.export_parts()?,
             basic_lists: basic_index.export_parts(),
             opse_domain: opse.domain_size(),
             opse_range: opse.range_size(),
@@ -142,12 +143,12 @@ impl DataOwner {
             .into_iter()
             .collect();
         let n = partitioner.num_shards();
-        let shard_indexes = rsse_index.split_parts(n, |label, pos, _| {
+        let shard_lists = rsse_index.split_parts(n, |label, pos, _| {
             match owners.get(label).and_then(|files| files.get(pos)) {
                 Some(file) => partitioner.shard_of(*file),
                 None => pos % n, // padding entry
             }
-        });
+        })?;
         let mut shard_labels: Vec<BTreeSet<Label>> = vec![BTreeSet::new(); n];
         for (label, files) in &owners {
             for file in files {
@@ -159,11 +160,11 @@ impl DataOwner {
             shard_files[partitioner.shard_of(file.id())].push(file);
         }
         Ok((
-            shard_indexes
+            shard_lists
                 .into_iter()
                 .zip(shard_files)
-                .map(|(index, files)| Message::Outsource {
-                    rsse_lists: index.export_parts(),
+                .map(|(rsse_lists, files)| Message::Outsource {
+                    rsse_lists,
                     basic_lists: Vec::new(),
                     opse_domain: opse.domain_size(),
                     opse_range: opse.range_size(),
@@ -217,7 +218,10 @@ impl Storage {
 #[derive(Debug)]
 pub struct CloudServer {
     rsse_index: RwLock<RsseIndex>,
-    basic_index: BasicEncryptedIndex,
+    /// The basic scheme's index, for protocols 2 and 3 only: `None` when
+    /// the Outsource frame carried no basic lists (a shard) and on a
+    /// reopened store, which persists the RSSE index alone.
+    basic_index: Option<BasicEncryptedIndex>,
     files: RwLock<FileStore>,
     counters: AuditCounters,
     /// Hot-keyword ranking cache (DESIGN.md §6.3). An `RwLock` whose read
@@ -277,11 +281,19 @@ impl CloudServer {
     /// A later restart can skip this step on the on-disk store with
     /// [`CloudServer::reopen`].
     ///
+    /// Every posting list must be whole: its bytes a whole number of
+    /// `entry_len`-byte entries, and an RSSE list's entries
+    /// [`ENTRY_CT_LEN`] bytes (the length of every entry the scheme
+    /// writes, updates included), unless the list is empty. Nothing is
+    /// stored or written before the lists pass.
+    ///
     /// # Errors
     ///
     /// [`CloudError::UnexpectedMessage`] for any other message type, an
-    /// OPSE parameter error for inconsistent public parameters, and
-    /// [`CloudError::Persist`] for failures writing or reopening the
+    /// OPSE parameter error for inconsistent public parameters,
+    /// [`rsse_core::RsseError::MalformedList`] or
+    /// [`rsse_sse::SseError::MalformedList`] for a list that is not whole,
+    /// and [`CloudError::Persist`] for failures writing or reopening the
     /// store.
     pub fn boot(
         msg: Message,
@@ -302,14 +314,25 @@ impl CloudServer {
         };
         let opse = OpseParams::new(opse_domain, opse_range)
             .map_err(|e| CloudError::Rsse(rsse_core::RsseError::Opse(e)))?;
-        let staged = RsseIndex::from_parts(rsse_lists, opse);
+        // Every RSSE entry the owner writes, updates included, is
+        // ENTRY_CT_LEN bytes: a list of another length could never grow.
+        if let Some((label, ..)) = rsse_lists
+            .iter()
+            .find(|(_, n, bytes)| *n as usize != ENTRY_CT_LEN && !bytes.is_empty())
+        {
+            return Err(rsse_core::RsseError::MalformedList(*label).into());
+        }
+        let basic_index = (!basic_lists.is_empty())
+            .then(|| BasicEncryptedIndex::from_parts(basic_lists))
+            .transpose()?;
+        let staged = RsseIndex::from_parts(rsse_lists, opse)?;
         let index = match storage {
             Storage::Mem => staged,
             Storage::Generational(dir) => staged.save_generational(dir)?,
         };
         Ok(Self::assemble(
             index,
-            basic_lists,
+            basic_index,
             files,
             cache_budget_bytes,
         ))
@@ -332,7 +355,7 @@ impl CloudServer {
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
         let index = RsseIndex::open_generational(dir)?;
-        Ok(Self::assemble(index, Vec::new(), files, cache_budget_bytes))
+        Ok(Self::assemble(index, None, files, cache_budget_bytes))
     }
 
     /// [`CloudServer::boot`] in memory with the default cache budget.
@@ -375,7 +398,7 @@ impl CloudServer {
 
     fn assemble(
         index: RsseIndex,
-        basic_lists: Vec<(Label, Vec<Vec<u8>>)>,
+        basic_index: Option<BasicEncryptedIndex>,
         files: Vec<EncryptedFile>,
         cache_budget_bytes: usize,
     ) -> Self {
@@ -388,7 +411,7 @@ impl CloudServer {
         let labels: BTreeSet<Label> = index.occupied_labels().into_iter().collect();
         CloudServer {
             rsse_index: RwLock::new(index),
-            basic_index: BasicEncryptedIndex::from_parts(basic_lists),
+            basic_index,
             files: RwLock::new(store),
             counters: AuditCounters::new(),
             cache: RwLock::new(RankingCache::new(cache_budget_bytes)),
@@ -687,29 +710,35 @@ impl CloudServer {
                 top_k,
                 mode,
             } => {
-                let key = SecretKey::from_bytes(list_key);
+                if mode == SearchMode::Rsse {
+                    let (ranking, files) = self.ranked_search_with_files(label, list_key, top_k);
+                    return (
+                        RequestKind::Search,
+                        Ok(Message::RsseResponse { ranking, files }),
+                    );
+                }
+                // Protocols 2 and 3 need the basic-scheme index; without
+                // one, an empty reply would read as "no match".
+                let Some(basic) = &self.basic_index else {
+                    return (
+                        RequestKind::Rejected,
+                        Err(CloudError::UnexpectedMessage {
+                            expected: "an RSSE search: this server holds no basic-scheme index",
+                        }),
+                    );
+                };
+                let opened = basic
+                    .search(&label)
+                    .map(|entries| open_entries(&SecretKey::from_bytes(list_key), entries))
+                    .unwrap_or_default();
+                let ids: Vec<FileId> = opened.iter().map(|(f, _)| *f).collect();
+                let scores = opened.into_iter().map(|(f, ct)| (f.as_u64(), ct)).collect();
                 let response = match mode {
-                    SearchMode::Rsse => {
-                        let (ranking, files) =
-                            self.ranked_search_with_files(label, list_key, top_k);
-                        Message::RsseResponse { ranking, files }
-                    }
-                    SearchMode::BasicFull => {
-                        let entries = self.basic_index.search(&label).unwrap_or(&[]);
-                        let opened = open_entries(&key, entries);
-                        let ids: Vec<FileId> = opened.iter().map(|(f, _)| *f).collect();
-                        Message::BasicFullResponse {
-                            scores: opened.into_iter().map(|(f, ct)| (f.as_u64(), ct)).collect(),
-                            files: self.files.read().fetch_many(&ids),
-                        }
-                    }
-                    SearchMode::BasicEntries => {
-                        let entries = self.basic_index.search(&label).unwrap_or(&[]);
-                        let opened = open_entries(&key, entries);
-                        Message::BasicEntriesResponse {
-                            scores: opened.into_iter().map(|(f, ct)| (f.as_u64(), ct)).collect(),
-                        }
-                    }
+                    SearchMode::BasicFull => Message::BasicFullResponse {
+                        scores,
+                        files: self.files.read().fetch_many(&ids),
+                    },
+                    _ => Message::BasicEntriesResponse { scores },
                 };
                 (RequestKind::Search, Ok(response))
             }
@@ -784,7 +813,13 @@ impl CloudServer {
             Message::Update { rsse_lists, files } => {
                 let lists_touched = rsse_lists.len() as u64;
                 let files_added = files.len() as u64;
-                self.apply_update(rsse_core::IndexUpdate::from_parts(rsse_lists), files);
+                // Checked whole before anything changes: a malformed
+                // update is rejected with files, lists, caches and the
+                // filter epoch untouched.
+                match rsse_core::IndexUpdate::from_parts(rsse_lists) {
+                    Ok(update) => self.apply_update(update, files),
+                    Err(e) => return (RequestKind::Rejected, Err(e.into())),
+                }
                 (
                     RequestKind::Update,
                     Ok(Message::UpdateAck {

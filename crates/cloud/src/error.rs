@@ -58,11 +58,14 @@ pub enum CloudError {
 impl CloudError {
     /// The [`ErrorKind`] a server puts on the wire when a request fails
     /// with this error: decode failures are `BadFrame`, out-of-protocol
-    /// messages `Rejected`, everything else `Internal`.
+    /// messages and malformed posting lists `Rejected`, everything else
+    /// `Internal`.
     pub fn wire_kind(&self) -> ErrorKind {
         match self {
             CloudError::Codec(_) => ErrorKind::BadFrame,
-            CloudError::UnexpectedMessage { .. } => ErrorKind::Rejected,
+            CloudError::UnexpectedMessage { .. }
+            | CloudError::Rsse(RsseError::MalformedList(_))
+            | CloudError::Sse(SseError::MalformedList(_)) => ErrorKind::Rejected,
             CloudError::Server { kind, .. } => *kind,
             _ => ErrorKind::Internal,
         }

@@ -4,20 +4,47 @@
 //! the physical frame size. Canonicality is what makes these properties
 //! strong: there is exactly one byte string per message, so a hostile
 //! client cannot smuggle two readings of one frame past the byte-exact
-//! traffic accounting.
+//! traffic accounting. Decodable mutations of the two posting-list frames
+//! (Outsource, Update) must also boot or be served without a panic, or
+//! fail with a typed error.
 
 use bytes::BytesMut;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rsse_cloud::server_loop::serve_frame;
 use rsse_cloud::{
-    frame_message, CodecError, ErrorKind, FrameAssembler, Message, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+    frame_message, CloudServer, CodecError, EncryptedFile, ErrorKind, FrameAssembler, Message,
+    Storage, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
+use rsse_ir::FileId;
+
+/// An Outsource frame in the shape the owner sends: 40-byte RSSE entries,
+/// 56-byte basic-scheme entries, an empty list under entry length 0.
+fn outsource_seed() -> Message {
+    Message::Outsource {
+        rsse_lists: vec![([1u8; 20], 40, vec![0x11; 80]), ([2u8; 20], 0, vec![])],
+        basic_lists: vec![([3u8; 20], 56, vec![0x33; 56])],
+        opse_domain: 128,
+        opse_range: 1 << 46,
+        files: vec![EncryptedFile::new(FileId::new(1), vec![1, 2])],
+    }
+}
+
+/// An Update frame appending one 40-byte entry to a list of
+/// [`outsource_seed`].
+fn update_seed() -> Message {
+    Message::Update {
+        rsse_lists: vec![([1u8; 20], 40, vec![0x44; 40])],
+        files: vec![EncryptedFile::new(FileId::new(2), vec![3, 4])],
+    }
+}
 
 /// Encoded frames of every protocol variant, used as mutation seeds.
 fn seed_frames() -> Vec<Vec<u8>> {
-    use rsse_cloud::{EncryptedFile, SearchMode};
-    use rsse_ir::FileId;
+    use rsse_cloud::SearchMode;
     vec![
+        outsource_seed(),
+        update_seed(),
         Message::SearchRequest {
             label: [3u8; 20],
             list_key: [4u8; 32],
@@ -136,6 +163,41 @@ proptest! {
         let at = corrupt_at as usize % frame.len();
         frame[at] ^= corrupt_with;
         assert_decode_is_total_and_canonical(&frame);
+    }
+
+    /// Posting-list frames past the decoder: every decodable one-byte
+    /// mutation of the Outsource seed boots or fails with a typed error,
+    /// and every decodable mutation of the Update seed is served — an
+    /// ack, or a typed error frame — without a contained panic.
+    #[test]
+    fn mutated_list_frames_boot_or_serve_or_fail_typed(
+        update in any::<bool>(),
+        corrupt_at in any::<u16>(),
+        corrupt_with in 1u8..=255,
+    ) {
+        let seed = if update { update_seed() } else { outsource_seed() };
+        let mut frame = seed.encode().to_vec();
+        let at = corrupt_at as usize % frame.len();
+        frame[at] ^= corrupt_with;
+        let decoded = Message::decode(BytesMut::from(&frame[..]));
+        prop_assume!(decoded.is_ok());
+        let msg = decoded.unwrap();
+        if update {
+            let server = CloudServer::boot(outsource_seed(), &Storage::Mem, 1 << 20).unwrap();
+            let reply = Message::decode(BytesMut::from(&serve_frame(&server, &frame, None)[..]));
+            let reply = reply.expect("replies decode");
+            if matches!(msg, Message::Update { .. }) {
+                prop_assert!(
+                    matches!(reply, Message::UpdateAck { .. } | Message::Error { .. }),
+                    "{:?}",
+                    reply
+                );
+            }
+            prop_assert_eq!(server.serving_report().panics, 0);
+        } else {
+            // `boot` returns; a panic would fail the property.
+            let _ = CloudServer::boot(msg, &Storage::Mem, 1 << 20);
+        }
     }
 
     /// Truncation fuzz: every prefix of a corrupted frame is also handled.

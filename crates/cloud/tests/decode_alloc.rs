@@ -67,13 +67,23 @@ fn hostile_frames() -> Vec<(&'static str, Vec<u8>)> {
     b.put_u64(1 << 20);
     frames.push(("outsource_huge_list_count", b.to_vec()));
 
-    // Outsource with one list whose entry count lies (inner prefix).
+    // Outsource with one list whose byte length lies (inner prefix).
     let mut b = BytesMut::new();
     b.put_u8(1);
     b.put_u64(1); // one rsse list
     b.put_slice(&[0u8; 20]); // label
-    b.put_u64(1 << 40); // claimed entries
+    b.put_u32(40); // entry length
+    b.put_u64(1 << 40); // claimed list bytes
     frames.push(("outsource_huge_entry_count", b.to_vec()));
+
+    // Update with one list whose byte length lies, the same way.
+    let mut b = BytesMut::new();
+    b.put_u8(10);
+    b.put_u64(1); // one rsse list
+    b.put_slice(&[0u8; 20]); // label
+    b.put_u32(40); // entry length
+    b.put_u64(1 << 40); // claimed list bytes
+    frames.push(("update_huge_entry_count", b.to_vec()));
 
     // ConjunctiveRequest claiming 2^30 trapdoors.
     let mut b = BytesMut::new();

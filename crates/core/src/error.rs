@@ -22,6 +22,12 @@ pub enum RsseError {
     },
     /// A document referenced by an update was not scorable.
     UnknownDocument,
+    /// The posting list under this label is not a whole number of
+    /// entries of the length it requires: bytes under an entry length of
+    /// 0, a cut-off last entry, entries of mixed lengths, or entries of
+    /// another length than the list they join (an update's entries must
+    /// be [`crate::entry::ENTRY_CT_LEN`] bytes).
+    MalformedList([u8; 20]),
     /// An order-preserving-encryption failure.
     Opse(OpseError),
     /// An underlying cryptographic failure.
@@ -46,6 +52,11 @@ impl fmt::Display for RsseError {
                 "padding target {configured} smaller than longest posting list {longest_list}"
             ),
             RsseError::UnknownDocument => write!(f, "update references an unknown document"),
+            RsseError::MalformedList(label) => write!(
+                f,
+                "posting list {:02x?}.. is not a whole number of equal-length entries",
+                &label[..4]
+            ),
             RsseError::Opse(e) => write!(f, "order-preserving encryption failure: {e}"),
             RsseError::Crypto(e) => write!(f, "crypto failure: {e}"),
         }

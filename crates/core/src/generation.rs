@@ -66,6 +66,7 @@
 //! shape (label set + list lengths), so the steady state leaks nothing
 //! beyond what the in-memory backend reveals. See DESIGN.md §6.6.
 
+use crate::error::RsseError;
 use crate::index::{merge_ranked_streams, rank_entries, Label, RankedResult, RsseTrapdoor};
 use crate::persist::{PersistError, SegmentWriter, DIR_RECORD_LEN};
 use crate::segio::{read_file, SegmentIo};
@@ -336,15 +337,11 @@ impl GenerationalBackend {
             .copied()
             .unwrap_or_else(|| OpseParams::new(1, 1).expect("1/1 is valid"));
         let path = dir.join(gen_file_name(0));
-        let parts = index.export_parts();
+        let parts = index.export_parts()?;
         let out = io.create(&path)?;
         let mut w = SegmentWriter::new(out, &opse, parts.len() as u64)?;
-        for (label, entries) in parts {
-            w.begin_list(label, entries.len() as u64)?;
-            for e in entries {
-                w.write_entry(&e)?;
-            }
-            w.end_list();
+        for (label, entry_len, bytes) in parts {
+            w.write_list(label, entry_len, &bytes)?;
         }
         let mut out = w.finish()?;
         out.sync()?;
@@ -710,10 +707,15 @@ impl GenerationalBackend {
         labels.into_iter().collect()
     }
 
-    /// Appends `entries` to the delta overlay under `label`, materializing
-    /// the label even when `entries` is empty.
-    pub(crate) fn append(&mut self, label: Label, entries: &[Vec<u8>]) {
-        self.overlay.append(label, entries);
+    /// Appends whole `entry_len`-byte entries to the delta overlay under
+    /// `label` (see [`PostingStore::append`]).
+    pub(crate) fn append(
+        &mut self,
+        label: Label,
+        entry_len: usize,
+        bytes: &[u8],
+    ) -> Result<(), RsseError> {
+        self.overlay.append(label, entry_len, bytes)
     }
 
     /// Visits every entry under `label`, generations base first, then
@@ -868,12 +870,13 @@ mod tests {
     fn sample_index() -> RsseIndex {
         RsseIndex::from_parts(
             vec![
-                (label(1), vec![vec![0xA1; 6], vec![0xA2; 6]]),
-                (label(2), vec![]),
-                (label(3), vec![vec![0xB1; 3], vec![0xB2; 9]]),
+                (label(1), 6, [[0xA1; 6], [0xA2; 6]].concat()),
+                (label(2), 0, vec![]),
+                (label(3), 3, [[0xB1; 3], [0xB2; 3]].concat()),
             ],
             OpseParams::default(),
         )
+        .unwrap()
     }
 
     fn mem_store() -> (MemIo, GenerationalBackend) {
@@ -895,15 +898,15 @@ mod tests {
         assert_eq!(store.list_len(&label(2)), Some(0));
         let mut got = Vec::new();
         assert!(store.for_each_entry(&label(3), &mut |e| got.push(e.to_vec())));
-        assert_eq!(got, vec![vec![0xB1; 3], vec![0xB2; 9]]);
+        assert_eq!(got, vec![vec![0xB1; 3], vec![0xB2; 3]]);
     }
 
     #[test]
     fn flush_seals_the_overlay_into_a_delta_generation() {
         let (io, mut store) = mem_store();
         assert!(!store.flush().unwrap(), "empty overlay is a no-op");
-        store.append(label(1), &[vec![0xA3; 6]]);
-        store.append(label(9), &[vec![0xC1; 2]]);
+        store.append(label(1), 6, &[0xA3; 6]).unwrap();
+        store.append(label(9), 2, &[0xC1; 2]).unwrap();
         assert!(store.flush().unwrap());
         assert_eq!(store.overlay_entries(), 0, "overlay drained");
         let stats = store.stats();
@@ -920,9 +923,9 @@ mod tests {
     #[test]
     fn live_compaction_merges_and_reclaims_after_last_release() {
         let (io, mut store) = mem_store();
-        store.append(label(1), &[vec![0xA3; 6]]);
+        store.append(label(1), 6, &[0xA3; 6]).unwrap();
         store.flush().unwrap();
-        store.append(label(9), &[vec![0xC1; 2]]);
+        store.append(label(9), 2, &[0xC1; 2]).unwrap();
         store.flush().unwrap();
         assert_eq!(store.stats().segments, 3);
         let pin = store.pin(); // an "in-flight query" across the flip
@@ -953,7 +956,7 @@ mod tests {
     #[test]
     fn double_compact_gets_a_typed_error_not_a_block() {
         let (_io, mut store) = mem_store();
-        store.append(label(1), &[vec![0xA3; 6]]);
+        store.append(label(1), 6, &[0xA3; 6]).unwrap();
         store.flush().unwrap();
         let job = store.begin_live_compact().unwrap().expect("work to do");
         assert!(matches!(
@@ -1013,7 +1016,7 @@ mod tests {
     #[test]
     fn orphan_generation_files_are_swept_at_open() {
         let (io, mut store) = mem_store();
-        store.append(label(1), &[vec![0xA3; 6]]);
+        store.append(label(1), 6, &[0xA3; 6]).unwrap();
         store.flush().unwrap();
         drop(store);
         // Fake a crashed compaction: an output file nothing references.
@@ -1039,7 +1042,7 @@ mod tests {
     #[test]
     fn batch_reads_match_serial_and_count_saved_seeks() {
         let (_io, mut store) = mem_store();
-        store.append(label(1), &[vec![0xA9; 6]]);
+        store.append(label(1), 6, &[0xA9; 6]).unwrap();
         let key = rsse_crypto::SecretKey::derive(b"k", "t");
         // Labels are written in sorted order, so offsets ascend with the
         // label: querying 3, 2, 1 (with a duplicate) makes every unique

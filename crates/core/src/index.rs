@@ -12,12 +12,13 @@
 //! reopened by [`RsseIndex::open_generational`] (see [`crate::backend`]).
 
 use crate::backend::BackendKind;
-use crate::entry::{decode_entry, ENTRY_CT_LEN, ENTRY_PLAIN_LEN};
+use crate::entry::{decode_entry, ENTRY_PLAIN_LEN};
+use crate::error::RsseError;
 use crate::generation::{GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction};
 use crate::persist::PersistError;
 use crate::segio::{SegmentIo, StdIo};
 use crate::segment::BatchReadStats;
-use crate::store::PostingStore;
+use crate::store::{entries, PostingStore};
 use rsse_crypto::{SecretKey, SemanticCipher};
 use rsse_ir::FileId;
 use rsse_opse::OpseParams;
@@ -28,6 +29,11 @@ use std::sync::Arc;
 
 /// A posting-list label `π_x(w)` (160 bits).
 pub type Label = [u8; 20];
+
+/// Posting lists in the one shape they take from builder to store: per
+/// list `(label, entry_len, bytes)`, its `entry_len`-byte entries back to
+/// back.
+pub type ListParts = Vec<(Label, u32, Vec<u8>)>;
 
 /// The search trapdoor `T_w = (π_x(w), f_y(w))`.
 #[derive(Clone)]
@@ -124,17 +130,24 @@ pub struct RsseIndex {
 
 impl RsseIndex {
     /// Reassembles an in-memory index from its wire parts (what the cloud
-    /// server does on receiving the owner's `Outsource` message).
-    pub fn from_parts(parts: Vec<(Label, Vec<Vec<u8>>)>, opse: OpseParams) -> Self {
+    /// server does on receiving the owner's `Outsource` message): one
+    /// `(label, entry_len, bytes)` triple per list, its `entry_len`-byte
+    /// entries back to back.
+    ///
+    /// # Errors
+    ///
+    /// [`RsseError::MalformedList`] when a list is not a whole number of
+    /// entries, or repeats a label with another entry length.
+    pub fn from_parts(parts: ListParts, opse: OpseParams) -> Result<Self, RsseError> {
         let mut store = PostingStore::new();
-        for (label, entries) in &parts {
-            store.append(*label, entries);
+        for (label, entry_len, bytes) in parts {
+            store.append(label, entry_len as usize, &bytes)?;
         }
-        RsseIndex {
+        Ok(RsseIndex {
             backend: Backend::Mem(store),
             opse_params: Some(opse),
             conjunctive: Default::default(),
-        }
+        })
     }
 
     /// Opens an index served from a generational store directory (see
@@ -316,17 +329,49 @@ impl RsseIndex {
         }
     }
 
-    /// Exports the index as `(label, entries)` pairs in label order (the
-    /// owner's side of the `Outsource` message).
-    pub fn export_parts(&self) -> Vec<(Label, Vec<Vec<u8>>)> {
+    /// The list under `label` as `(entry_len, bytes)`: its entries back to
+    /// back in one buffer sized up front. An empty or unknown list is
+    /// `(0, [])`.
+    ///
+    /// # Errors
+    ///
+    /// [`RsseError::MalformedList`] when the entries differ in length or
+    /// are empty, which only a hostile on-disk list can.
+    fn flat_list(&self, label: &Label) -> Result<(u32, Vec<u8>), RsseError> {
+        let count = self.list_len(label).unwrap_or(0);
+        let mut entry_len = None;
+        let mut ragged = false;
+        let mut bytes = Vec::new();
+        self.for_each_entry(label, &mut |entry| {
+            let len = *entry_len.get_or_insert_with(|| {
+                bytes.reserve_exact(count * entry.len());
+                entry.len()
+            });
+            ragged |= entry.is_empty() || entry.len() != len;
+            bytes.extend_from_slice(entry);
+        });
+        match ragged {
+            true => Err(RsseError::MalformedList(*label)),
+            false => Ok((entry_len.unwrap_or(0) as u32, bytes)),
+        }
+    }
+
+    /// Exports the index as `(label, entry_len, bytes)` triples in label
+    /// order (the owner's side of the `Outsource` message).
+    ///
+    /// # Errors
+    ///
+    /// [`RsseError::MalformedList`] when a generational store holds a
+    /// list whose entries differ in length or are empty; an in-memory
+    /// index never does.
+    pub fn export_parts(&self) -> Result<ListParts, RsseError> {
         let mut labels = self.labels();
         labels.sort_unstable();
         labels
             .into_iter()
             .map(|label| {
-                let mut entries = Vec::new();
-                self.for_each_entry(&label, &mut |e| entries.push(e.to_vec()));
-                (label, entries)
+                let (entry_len, bytes) = self.flat_list(&label)?;
+                Ok((label, entry_len, bytes))
             })
             .collect()
     }
@@ -477,11 +522,21 @@ impl RsseIndex {
     ///
     /// Note: growth of a list is visible to the server (an inherent leakage
     /// of dynamic updates, acknowledged by the update literature).
-    pub fn append_entries(&mut self, label: Label, entries: Vec<Vec<u8>>) {
-        debug_assert!(entries.iter().all(|e| e.len() == ENTRY_CT_LEN));
+    ///
+    /// # Errors
+    ///
+    /// [`RsseError::MalformedList`], with the index unchanged, when
+    /// `bytes` is not a whole number of `entry_len`-byte entries or the
+    /// list (on disk: its overlay part) holds entries of another length.
+    pub fn append_entries(
+        &mut self,
+        label: Label,
+        entry_len: u32,
+        bytes: &[u8],
+    ) -> Result<(), RsseError> {
         match &mut self.backend {
-            Backend::Mem(m) => m.append(label, &entries),
-            Backend::Generational(g) => g.append(label, &entries),
+            Backend::Mem(m) => m.append(label, entry_len as usize, bytes),
+            Backend::Generational(g) => g.append(label, entry_len as usize, bytes),
         }
     }
 
@@ -494,8 +549,10 @@ impl RsseIndex {
             .then_some(out)
     }
 
-    /// Splits the index into `n` shard-local (in-memory) indexes, routing
-    /// entry `i` of the list under `label` through `route(label, i, entry)`.
+    /// Splits the index into `n` shard-local part lists, each in the shape
+    /// of [`Self::export_parts`] and ready for its shard's `Outsource`
+    /// message, routing entry `i` of the list under `label` through
+    /// `route(label, i, entry)`.
     ///
     /// Every label exists on every shard (possibly with an empty list), so
     /// all shards present the same access-pattern shape and an unknown-label
@@ -504,37 +561,33 @@ impl RsseIndex {
     /// (already built) index — which is what makes sharded ranking
     /// byte-identical to the unsharded one: OPM scores are seeded per
     /// `(keyword, file)`, so re-encrypting per shard would *change* them.
-    /// The OPSE parameters are replicated to every shard. A route outside
-    /// `0..n` is clamped to the last shard rather than panicking.
+    /// A route outside `0..n` is clamped to the last shard rather than
+    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::export_parts`].
     pub fn split_parts(
         &self,
         n: usize,
         mut route: impl FnMut(&Label, usize, &[u8]) -> usize,
-    ) -> Vec<RsseIndex> {
+    ) -> Result<Vec<ListParts>, RsseError> {
         let n = n.max(1);
-        let mut stores: Vec<PostingStore> = (0..n).map(|_| PostingStore::new()).collect();
-        // Deterministic label order so shard arenas are reproducible.
+        let mut shards = vec![Vec::new(); n];
+        // Label order, list by list, so no full copy of the index is held.
         let mut labels = self.labels();
         labels.sort_unstable();
-        for label in &labels {
-            let mut buckets: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-            let mut i = 0usize;
-            self.for_each_entry(label, &mut |entry| {
-                buckets[route(label, i, entry).min(n - 1)].push(entry.to_vec());
-                i += 1;
-            });
-            for (store, bucket) in stores.iter_mut().zip(buckets) {
-                store.append(*label, &bucket);
+        for label in labels {
+            let (entry_len, bytes) = self.flat_list(&label)?;
+            let mut buckets = vec![Vec::new(); n];
+            for (i, entry) in entries(entry_len as usize, &bytes).enumerate() {
+                buckets[route(&label, i, entry).min(n - 1)].extend_from_slice(entry);
+            }
+            for (shard, bucket) in shards.iter_mut().zip(buckets) {
+                shard.push((label, entry_len, bucket));
             }
         }
-        stores
-            .into_iter()
-            .map(|store| RsseIndex {
-                backend: Backend::Mem(store),
-                opse_params: self.opse_params,
-                conjunctive: Default::default(),
-            })
-            .collect()
+        Ok(shards)
     }
 }
 
@@ -663,6 +716,7 @@ fn top_k_desc(iter: impl Iterator<Item = RankedResult>, k: usize) -> Vec<RankedR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::ENTRY_CT_LEN;
 
     fn rr(file: u64, score: u64) -> RankedResult {
         RankedResult {
@@ -739,8 +793,9 @@ mod tests {
         let label = |b: u8| -> Label { [b; 20] };
         let entries = vec![vec![1u8; ENTRY_CT_LEN], vec![2u8; ENTRY_CT_LEN]];
         let mut idx = RsseIndex::default();
-        idx.append_entries(label(1), entries.clone());
-        idx.append_entries(label(2), Vec::new());
+        idx.append_entries(label(1), ENTRY_CT_LEN as u32, &entries.concat())
+            .unwrap();
+        idx.append_entries(label(2), 0, &[]).unwrap();
         assert!(idx.contains_label(&label(1)));
         assert!(
             idx.contains_label(&label(2)),
@@ -760,18 +815,22 @@ mod tests {
 
     #[test]
     fn split_parts_keeps_every_label_on_every_shard() {
-        let lists = vec![
+        let lists = [
             ([1u8; 20], vec![vec![0xA1; 8], vec![0xA2; 8], vec![0xA3; 8]]),
             ([2u8; 20], vec![vec![0xB1; 8]]),
         ];
-        let idx = RsseIndex::from_parts(lists.clone(), OpseParams::default());
-        let shards = idx.split_parts(3, |_, i, _| i % 3);
+        let parts = lists.iter().map(|(l, e)| (*l, 8, e.concat())).collect();
+        let opse = OpseParams::default();
+        let idx = RsseIndex::from_parts(parts, opse).unwrap();
+        let shards: Vec<RsseIndex> = (idx.split_parts(3, |_, i, _| i % 3).unwrap())
+            .into_iter()
+            .map(|parts| RsseIndex::from_parts(parts, opse).unwrap())
+            .collect();
         assert_eq!(shards.len(), 3);
         for (s, shard) in shards.iter().enumerate() {
             // Both labels exist everywhere, even where the list is empty.
             assert!(shard.contains_label(&[1u8; 20]));
             assert!(shard.contains_label(&[2u8; 20]));
-            assert_eq!(shard.opse_params(), idx.opse_params());
             let want: Vec<Vec<u8>> = lists[0].1.iter().skip(s).step_by(3).cloned().collect();
             assert_eq!(shard.raw_list(&[1u8; 20]).unwrap(), want);
         }
@@ -779,6 +838,33 @@ mod tests {
         let total: usize = shards.iter().filter_map(|s| s.list_len(&[1u8; 20])).sum();
         assert_eq!(total, 3);
         assert_eq!(shards[1].list_len(&[2u8; 20]), Some(0));
+        // Out-of-range routes clamp to the last shard instead of panicking.
+        let clamped = idx.split_parts(2, |_, _, _| 99).unwrap();
+        assert!(clamped[0].iter().all(|(_, _, bytes)| bytes.is_empty()));
+        assert_eq!(clamped[1][0], ([1u8; 20], 8, lists[0].1.concat()));
+    }
+
+    #[test]
+    fn hostile_lists_are_refused_whole() {
+        let opse = OpseParams::default();
+        let refused = [
+            ([1u8; 20], 0, vec![7u8; 3]),   // bytes under entry length 0
+            ([2u8; 20], 40, vec![7u8; 50]), // not a whole number of entries
+        ];
+        for (label, entry_len, bytes) in refused {
+            let parts = vec![([9u8; 20], 40, vec![1; 80]), (label, entry_len, bytes)];
+            assert_eq!(
+                RsseIndex::from_parts(parts, opse).unwrap_err(),
+                RsseError::MalformedList(label)
+            );
+        }
+        // A label repeated under another entry length is refused too; an
+        // empty list under entry length 0 is legal and iterates as empty.
+        let twice = vec![([3u8; 20], 40, vec![1; 40]), ([3u8; 20], 8, vec![1; 8])];
+        assert!(RsseIndex::from_parts(twice, opse).is_err());
+        let idx = RsseIndex::from_parts(vec![([4u8; 20], 0, vec![])], opse).unwrap();
+        assert_eq!(idx.raw_list(&[4u8; 20]), Some(vec![]));
+        assert_eq!(idx.export_parts(), Ok(vec![([4u8; 20], 0, vec![])]));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use generation::{
     CompactionStats, GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction,
 };
 pub use index::{
-    merge_ranked_streams, ranked_prefix, Label, RankedResult, RsseIndex, RsseTrapdoor,
+    merge_ranked_streams, ranked_prefix, Label, ListParts, RankedResult, RsseIndex, RsseTrapdoor,
 };
 pub use multi::{canonical_label_order, ConjunctiveResult, ConjunctiveStats, MultiTrapdoor};
 pub use params::{Padding, RangePolicy, RsseParams};

@@ -32,7 +32,9 @@
 //! reference also works, per the std blanket impls); both are buffered
 //! internally, so callers can hand over a bare `File`.
 
+use crate::error::RsseError;
 use crate::index::{Label, RsseIndex};
+use crate::store::entries;
 use rsse_opse::OpseParams;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 
@@ -83,6 +85,9 @@ pub enum PersistError {
     /// and can simply be retried once the running pass installs its
     /// generation.
     CompactInProgress,
+    /// The stored index breaks a scheme invariant: a posting list whose
+    /// entries differ in length ([`RsseError::MalformedList`]).
+    Rsse(RsseError),
 }
 
 impl core::fmt::Display for PersistError {
@@ -99,6 +104,7 @@ impl core::fmt::Display for PersistError {
             PersistError::CompactInProgress => {
                 write!(f, "a live compaction is already running on this store")
             }
+            PersistError::Rsse(e) => write!(f, "malformed stored index: {e}"),
         }
     }
 }
@@ -107,6 +113,7 @@ impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PersistError::Io(e) => Some(e),
+            PersistError::Rsse(e) => Some(e),
             _ => None,
         }
     }
@@ -115,6 +122,12 @@ impl std::error::Error for PersistError {
 impl From<io::Error> for PersistError {
     fn from(e: io::Error) -> Self {
         PersistError::Io(e)
+    }
+}
+
+impl From<RsseError> for PersistError {
+    fn from(e: RsseError) -> Self {
+        PersistError::Rsse(e)
     }
 }
 
@@ -190,6 +203,18 @@ impl<W: Write> SegmentWriter<W> {
         Ok(())
     }
 
+    /// Writes one whole list: `bytes` holds its `entry_len`-byte entries
+    /// back to back, each written as one length-prefixed record.
+    pub fn write_list(&mut self, label: Label, entry_len: u32, bytes: &[u8]) -> io::Result<()> {
+        let list = entries(entry_len as usize, bytes);
+        self.begin_list(label, list.len() as u64)?;
+        for entry in list {
+            self.write_entry(entry)?;
+        }
+        self.end_list();
+        Ok(())
+    }
+
     /// Copies pre-encoded entry records verbatim (the compaction fast
     /// path: a generation's list range is already in wire shape).
     pub fn write_raw_entries(&mut self, records: &[u8]) -> io::Result<()> {
@@ -239,20 +264,19 @@ impl RsseIndex {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
-    pub fn save<W: Write>(&self, writer: W) -> io::Result<()> {
+    /// [`PersistError::Rsse`], before anything is written, when a
+    /// generational store holds a list whose entries differ in length
+    /// (see [`RsseIndex::export_parts`]); [`PersistError::Io`] on I/O
+    /// failures.
+    pub fn save<W: Write>(&self, writer: W) -> Result<(), PersistError> {
         let opse = self
             .opse_params()
             .copied()
             .unwrap_or_else(|| OpseParams::new(1, 1).expect("1/1 is valid"));
-        let parts = self.export_parts();
+        let parts = self.export_parts()?;
         let mut w = SegmentWriter::new(BufWriter::new(writer), &opse, parts.len() as u64)?;
-        for (label, entries) in parts {
-            w.begin_list(label, entries.len() as u64)?;
-            for e in entries {
-                w.write_entry(&e)?;
-            }
-            w.end_list();
+        for (label, entry_len, bytes) in parts {
+            w.write_list(label, entry_len, &bytes)?;
         }
         w.finish()?;
         Ok(())
@@ -267,11 +291,15 @@ impl RsseIndex {
     ///
     /// For v2 input the trailing directory is required to mirror the body
     /// exactly — a file whose directory disagrees with its lists is
-    /// rejected, never part-loaded.
+    /// rejected, never part-loaded. Each list is read into one buffer of
+    /// back-to-back entries, so its entries must share one length, and
+    /// none may be empty (a run of empty entries has no flat form).
     ///
     /// # Errors
     ///
-    /// Any [`PersistError`] on malformed or truncated input.
+    /// [`PersistError::Rsse`] for a list whose entries differ in length
+    /// or are empty; any other [`PersistError`] on malformed or truncated
+    /// input.
     pub fn load<R: Read>(reader: R) -> Result<Self, PersistError> {
         let mut reader = BufReader::new(reader);
         let mut magic = [0u8; 8];
@@ -295,13 +323,17 @@ impl RsseIndex {
             let num_entries = read_len(&mut reader)?;
             pos += 20 + 8;
             let offset = pos;
-            let mut entries = Vec::with_capacity(num_entries.min(1 << 20) as usize);
+            let mut entry_len = None;
+            let mut bytes = Vec::new();
             for _ in 0..num_entries {
-                let len = read_len(&mut reader)? as usize;
-                let mut e = vec![0u8; len];
-                reader.read_exact(&mut e)?;
-                pos += 8 + len as u64;
-                entries.push(e);
+                let len = read_len(&mut reader)?;
+                if len == 0 || *entry_len.get_or_insert(len) != len {
+                    return Err(RsseError::MalformedList(label).into());
+                }
+                let start = bytes.len();
+                bytes.resize(start + len as usize, 0);
+                reader.read_exact(&mut bytes[start..])?;
+                pos += 8 + len;
             }
             if v2 {
                 body_dir.push(DirRecord {
@@ -311,7 +343,7 @@ impl RsseIndex {
                     count: num_entries,
                 });
             }
-            parts.push((label, entries));
+            parts.push((label, entry_len.unwrap_or(0) as u32, bytes));
         }
         if v2 {
             // The directory must mirror the body record for record; any
@@ -338,7 +370,7 @@ impl RsseIndex {
                 ));
             }
         }
-        Ok(RsseIndex::from_parts(parts, opse))
+        Ok(RsseIndex::from_parts(parts, opse)?)
     }
 }
 

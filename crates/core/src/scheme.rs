@@ -3,7 +3,7 @@
 
 use crate::entry::{encode_entry, ENTRY_CT_LEN};
 use crate::error::RsseError;
-use crate::index::{Label, RsseIndex, RsseTrapdoor};
+use crate::index::{Label, ListParts, RsseIndex, RsseTrapdoor};
 use crate::params::{Padding, RsseParams};
 use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
@@ -196,9 +196,9 @@ impl Rsse {
                 self.build_posting_list(index, term, &quantizer, opse, nu)?;
             raw_time += stats.raw_time;
             opm_ops += stats.opm_ops;
-            lists.push((label, list));
+            lists.push((label, ENTRY_CT_LEN as u32, list));
         }
-        let built = RsseIndex::from_parts(lists, opse);
+        let built = RsseIndex::from_parts(lists, opse)?;
         let report = BuildReport {
             num_keywords: index.num_keywords(),
             num_docs: index.num_docs(),
@@ -234,8 +234,7 @@ impl Rsse {
         let terms: Vec<&str> = index.iter().map(|(t, _)| t).collect();
         let chunk = terms.len().div_ceil(threads).max(1);
 
-        type BuiltLists = Vec<(Label, Vec<Vec<u8>>)>;
-        let results: Vec<Result<BuiltLists, RsseError>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Result<ListParts, RsseError>> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = terms
                 .chunks(chunk)
                 .map(|part| {
@@ -244,7 +243,7 @@ impl Rsse {
                         part.iter()
                             .map(|term| {
                                 self.build_posting_list(index, term, quantizer, opse, nu)
-                                    .map(|(label, list, _)| (label, list))
+                                    .map(|(label, list, _)| (label, ENTRY_CT_LEN as u32, list))
                             })
                             .collect::<Result<Vec<_>, _>>()
                     })
@@ -261,7 +260,7 @@ impl Rsse {
         for part in results {
             lists.extend(part?);
         }
-        Ok(RsseIndex::from_parts(lists, opse))
+        RsseIndex::from_parts(lists, opse)
     }
 
     /// Owner-side inversion: recover the quantized score level behind a
@@ -392,7 +391,7 @@ impl Rsse {
         quantizer: &ScoreQuantizer,
         opse: OpseParams,
         nu: usize,
-    ) -> Result<(Label, Vec<Vec<u8>>, ListStats), RsseError> {
+    ) -> Result<(Label, Vec<u8>, ListStats), RsseError> {
         let raw_started = Instant::now();
         let label = KeyedLabel::new(self.keys.label_key()).label(term.as_bytes());
         let list_key = Prf::new(self.keys.entry_key()).derive_key(term.as_bytes());
@@ -407,7 +406,8 @@ impl Rsse {
         let raw_time = raw_started.elapsed();
 
         let opm = self.opm_for(term, opse);
-        let mut list = Vec::with_capacity(nu.max(scored.len()));
+        let list_len = nu.max(scored.len()) * ENTRY_CT_LEN;
+        let mut list = Vec::with_capacity(list_len);
         let mut opm_ops = 0u64;
         for (file, score) in scored {
             let level = quantizer.level(score);
@@ -416,13 +416,13 @@ impl Rsse {
             let plain = encode_entry(file, mapped);
             let mut nonce = [0u8; NONCE_LEN];
             tape.fill_bytes(&mut nonce);
-            list.push(entry_cipher.encrypt_with_nonce(nonce, &plain));
+            entry_cipher.encrypt_with_nonce_into(nonce, &plain, &mut list);
         }
-        while list.len() < nu {
-            let mut pad = vec![0u8; ENTRY_CT_LEN];
-            tape.fill_bytes(&mut pad);
-            list.push(pad);
-        }
+        // Pad to ν with random entries straight off the tape (a stream, so
+        // one draw equals one draw per padding entry).
+        let real = list.len();
+        list.resize(list_len, 0);
+        tape.fill_bytes(&mut list[real..]);
         Ok((label, list, ListStats { raw_time, opm_ops }))
     }
 }
@@ -497,39 +497,61 @@ pub struct IndexUpdater<'a> {
     opms: std::cell::RefCell<HashMap<String, Opm>>,
 }
 
-/// A batch of encrypted posting-list appends produced by the owner.
+/// A batch of encrypted posting-list appends produced by the owner: per
+/// touched list, `(label, entry_len, bytes)` with `entry_len` always
+/// [`ENTRY_CT_LEN`] and `bytes` a whole number of such entries.
 #[derive(Debug, Clone, Default)]
 pub struct IndexUpdate {
-    ops: Vec<(Label, Vec<Vec<u8>>)>,
+    ops: ListParts,
 }
 
 impl IndexUpdate {
-    /// Number of `(label, entries)` operations in the batch.
+    /// Number of `(label, entry_len, bytes)` operations in the batch.
     pub fn num_ops(&self) -> usize {
         self.ops.len()
     }
 
     /// Rebuilds an update from its wire parts (server side of the cloud
     /// `Update` message).
-    pub fn from_parts(ops: Vec<(Label, Vec<Vec<u8>>)>) -> Self {
-        IndexUpdate { ops }
+    ///
+    /// # Errors
+    ///
+    /// [`RsseError::MalformedList`] for an operation whose `entry_len` is
+    /// not [`ENTRY_CT_LEN`] or whose bytes are not a whole number of
+    /// entries.
+    pub fn from_parts(ops: ListParts) -> Result<Self, RsseError> {
+        match ops.iter().find(|(_, entry_len, bytes)| {
+            *entry_len as usize != ENTRY_CT_LEN || !bytes.len().is_multiple_of(ENTRY_CT_LEN)
+        }) {
+            Some((label, ..)) => Err(RsseError::MalformedList(*label)),
+            None => Ok(IndexUpdate { ops }),
+        }
     }
 
-    /// Decomposes the update into `(label, entries)` pairs for the wire.
-    pub fn into_parts(self) -> Vec<(Label, Vec<Vec<u8>>)> {
+    /// Decomposes the update into `(label, entry_len, bytes)` triples for
+    /// the wire.
+    pub fn into_parts(self) -> ListParts {
         self.ops
     }
 
     /// The posting-list labels this update touches — what a serving-side
     /// ranking cache must invalidate before the update becomes visible.
     pub fn labels(&self) -> impl Iterator<Item = &Label> + '_ {
-        self.ops.iter().map(|(label, _)| label)
+        self.ops.iter().map(|(label, ..)| label)
     }
 
     /// Applies the batch to a server-held index.
+    ///
+    /// # Panics
+    ///
+    /// When a touched list holds entries of another length than
+    /// [`ENTRY_CT_LEN`] — a programming error: no list the scheme builds
+    /// does, and the cloud server boots from no such list.
     pub fn apply_to(self, index: &mut RsseIndex) {
-        for (label, entries) in self.ops {
-            index.append_entries(label, entries);
+        for (label, entry_len, bytes) in self.ops {
+            index
+                .append_entries(label, entry_len, &bytes)
+                .expect("update entries fit the index's lists");
         }
     }
 }
@@ -587,7 +609,8 @@ impl IndexUpdater<'_> {
             let plain = encode_entry(doc.id(), mapped);
             let mut nonce = [0u8; NONCE_LEN];
             tape.fill_bytes(&mut nonce);
-            ops.push((label, vec![entry_cipher.encrypt_with_nonce(nonce, &plain)]));
+            let entry = entry_cipher.encrypt_with_nonce(nonce, &plain);
+            ops.push((label, ENTRY_CT_LEN as u32, entry));
         }
         Ok(IndexUpdate { ops })
     }

@@ -1,34 +1,36 @@
 //! Flat posting-list arena backing [`crate::RsseIndex`].
 //!
-//! After padding, every real posting entry has the same ciphertext size
-//! ([`crate::entry::ENTRY_CT_LEN`]), so posting lists do not need the
-//! `HashMap<Label, Vec<Vec<u8>>>` shape of the original implementation —
-//! one heap allocation *per entry* plus pointer-chasing on every search.
+//! After padding, every entry of a posting list has the same ciphertext
+//! size ([`crate::entry::ENTRY_CT_LEN`] for the scheme's lists), so a list
+//! is one run of equal-length entries and needs no per-entry heap box.
 //! The [`PostingStore`] keeps all entries of all lists in one contiguous
-//! `Vec<u8>` arena, with a per-label table of `(offset, entry_len, count)`.
-//! A query walks one dense byte range with perfect locality and zero
-//! per-entry allocations.
+//! `Vec<u8>` arena, with a per-label table of `(offset, entry_len,
+//! count)`. A query walks one dense byte range with perfect locality and
+//! zero per-entry allocations.
 //!
 //! Layout:
 //!
 //! ```text
 //!  arena:  [ list A entries ..... | list B entries ... | list C ... ]
 //!           ^offset_A              ^offset_B            ^offset_C
-//!  table:  A -> { offset_A, entry_len, count_A, lens: None }
-//!          B -> { offset_B, entry_len, count_B, lens: None }
+//!  table:  A -> { offset_A, entry_len_A, count_A }
+//!          B -> { offset_B, entry_len_B, count_B }
 //!          ...
 //! ```
 //!
-//! Lists arriving off the wire are not trusted to be uniform (the codec
-//! round-trips arbitrary entry sizes and the failure-injection tests feed
-//! garbage), so a list whose entries differ in length carries an explicit
-//! per-entry length vector (`lens: Some(..)`) instead of a single
-//! `entry_len`; the dense fast path is unaffected.
+//! A list arrives the way it travels on the wire and through every
+//! export: `(label, entry_len, bytes)`, its entries back to back. The
+//! store admits only whole lists: [`PostingStore::append`] refuses, with
+//! [`RsseError::MalformedList`] and without changing anything, bytes that
+//! are not a whole number of `entry_len`-byte entries (any bytes at all
+//! under an entry length of 0) and entries of another length than the
+//! list already holds.
 //!
 //! Score dynamics append to lists in place when the list is the arena tail;
 //! otherwise the list is relocated to the tail and its old range becomes
 //! dead space, compacted away once it exceeds half the arena.
 
+use crate::error::RsseError;
 use std::collections::HashMap;
 
 /// A posting-list label `π_x(w)` (160 bits). Mirrors [`crate::Label`].
@@ -38,15 +40,24 @@ type Label = [u8; 20];
 struct ListMeta {
     /// Byte offset of the list's first entry in the arena.
     offset: usize,
-    /// Total bytes of the list's entries.
-    byte_len: usize,
     /// Number of entries.
     count: usize,
-    /// Uniform entry size in bytes; meaningful when `lens` is `None` and
-    /// `count > 0`.
+    /// Size of every entry in bytes; meaningful when `count > 0`.
     entry_len: usize,
-    /// Per-entry sizes for non-uniform (untrusted wire) lists.
-    lens: Option<Vec<u32>>,
+}
+
+impl ListMeta {
+    fn byte_len(&self) -> usize {
+        self.count * self.entry_len
+    }
+}
+
+/// The `entry_len`-byte entries of a whole list, in order. An empty list
+/// yields nothing whatever its entry length (`chunks_exact(0)` would
+/// panic, so 0 reads as 1 — sound because a whole list under entry
+/// length 0 holds no bytes).
+pub fn entries(entry_len: usize, bytes: &[u8]) -> PostingIter<'_> {
+    bytes.chunks_exact(entry_len.max(1))
 }
 
 /// Contiguous arena of posting-list entries with a label lookup table.
@@ -61,31 +72,23 @@ pub struct PostingStore {
 #[derive(Debug, Clone, Copy)]
 pub struct PostingList<'a> {
     data: &'a [u8],
-    count: usize,
     entry_len: usize,
-    lens: Option<&'a [u32]>,
 }
 
 impl<'a> PostingList<'a> {
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.count
+        self.iter().len()
     }
 
     /// True when the list holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.data.is_empty()
     }
 
     /// Iterates the entries as borrowed byte slices, in insertion order.
     pub fn iter(&self) -> PostingIter<'a> {
-        PostingIter {
-            data: self.data,
-            remaining: self.count,
-            entry_len: self.entry_len,
-            lens: self.lens,
-            next_len_idx: 0,
-        }
+        entries(self.entry_len, self.data)
     }
 }
 
@@ -98,47 +101,7 @@ impl<'a> IntoIterator for PostingList<'a> {
 }
 
 /// Iterator over the entries of a [`PostingList`].
-#[derive(Debug, Clone)]
-pub struct PostingIter<'a> {
-    data: &'a [u8],
-    remaining: usize,
-    entry_len: usize,
-    lens: Option<&'a [u32]>,
-    next_len_idx: usize,
-}
-
-impl<'a> Iterator for PostingIter<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let len = match self.lens {
-            Some(lens) => lens[self.next_len_idx] as usize,
-            None => self.entry_len,
-        };
-        let (head, tail) = self.data.split_at(len);
-        self.data = tail;
-        self.remaining -= 1;
-        self.next_len_idx += 1;
-        Some(head)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for PostingIter<'_> {}
-
-fn is_uniform(entries: &[Vec<u8>]) -> Option<usize> {
-    let first = entries.first()?.len();
-    entries[1..]
-        .iter()
-        .all(|e| e.len() == first)
-        .then_some(first)
-}
+pub type PostingIter<'a> = std::slice::ChunksExact<'a, u8>;
 
 impl PostingStore {
     /// An empty store.
@@ -165,16 +128,14 @@ impl PostingStore {
     pub fn list(&self, label: &Label) -> Option<PostingList<'_>> {
         let meta = self.table.get(label)?;
         Some(PostingList {
-            data: &self.arena[meta.offset..meta.offset + meta.byte_len],
-            count: meta.count,
+            data: &self.arena[meta.offset..meta.offset + meta.byte_len()],
             entry_len: meta.entry_len,
-            lens: meta.lens.as_deref(),
         })
     }
 
     /// Live bytes: labels plus entry payloads (dead arena space excluded).
     pub fn size_bytes(&self) -> usize {
-        self.table.iter().map(|(k, m)| k.len() + m.byte_len).sum()
+        self.table.iter().map(|(k, m)| k.len() + m.byte_len()).sum()
     }
 
     /// All labels in unspecified order.
@@ -182,109 +143,57 @@ impl PostingStore {
         self.table.keys()
     }
 
-    /// Appends `entries` to the (possibly new) list under `label`.
+    /// Appends `bytes` — whole `entry_len`-byte entries, back to back —
+    /// to the (possibly new) list under `label`. Empty `bytes` still
+    /// materialize the label.
     ///
     /// The list is extended in place when it already sits at the arena tail;
     /// otherwise it is relocated to the tail first (its old range becomes
     /// dead space, compacted once it exceeds half the arena).
-    pub fn append(&mut self, label: Label, entries: &[Vec<u8>]) {
-        if entries.is_empty() {
-            // Still materialize the (empty) list so the label exists.
-            self.table.entry(label).or_insert(ListMeta {
-                offset: self.arena.len(),
-                byte_len: 0,
-                count: 0,
-                entry_len: 0,
-                lens: None,
-            });
-            return;
-        }
-        let added_bytes: usize = entries.iter().map(Vec::len).sum();
-        match self.table.get_mut(&label) {
-            None => {
-                let offset = self.arena.len();
-                for e in entries {
-                    self.arena.extend_from_slice(e);
-                }
-                let uniform = is_uniform(entries);
-                self.table.insert(
-                    label,
-                    ListMeta {
-                        offset,
-                        byte_len: added_bytes,
-                        count: entries.len(),
-                        entry_len: uniform.unwrap_or(0),
-                        lens: if uniform.is_some() {
-                            None
-                        } else {
-                            Some(entries.iter().map(|e| e.len() as u32).collect())
-                        },
-                    },
-                );
-            }
-            Some(meta) => {
-                let at_tail = meta.offset + meta.byte_len == self.arena.len();
-                if !at_tail {
-                    // Relocate to the tail; the old range becomes dead.
-                    let old = meta.offset..meta.offset + meta.byte_len;
-                    meta.offset = self.arena.len();
-                    self.dead_bytes += meta.byte_len;
-                    self.arena.extend_from_within(old);
-                }
-                for e in entries {
-                    self.arena.extend_from_slice(e);
-                }
-                let new_uniform = is_uniform(entries);
-                let stays_uniform =
-                    meta.lens.is_none() && (meta.count == 0 || new_uniform == Some(meta.entry_len));
-                if stays_uniform {
-                    if meta.count == 0 {
-                        meta.entry_len = new_uniform.expect("entries non-empty");
-                    }
-                } else if meta.lens.is_none() {
-                    // Demote to ragged: synthesize lengths for existing
-                    // entries, then record the new ones.
-                    let mut lens = vec![meta.entry_len as u32; meta.count];
-                    lens.extend(entries.iter().map(|e| e.len() as u32));
-                    meta.lens = Some(lens);
-                } else {
-                    meta.lens
-                        .as_mut()
-                        .expect("ragged list")
-                        .extend(entries.iter().map(|e| e.len() as u32));
-                }
-                meta.byte_len += added_bytes;
-                meta.count += entries.len();
-                if self.dead_bytes * 2 > self.arena.len() {
-                    self.compact();
-                }
-            }
-        }
-    }
-
-    /// Splits the list under `label` into `n` ordered buckets, routing
-    /// entry `i` through `route(i, entry)`. Entries keep their list order
-    /// within each bucket, and every bucket exists even when empty, so a
-    /// partitioner gets a stable `n`-way shape. Returns `None` for unknown
-    /// labels. A route outside `0..n` is clamped to the last bucket rather
-    /// than panicking — the caller's hash is trusted to be in range, but a
-    /// sharding bug must corrupt placement, not the process.
     ///
-    /// The read side is zero-copy (entries are borrowed straight out of the
-    /// arena); only the returned buckets own their bytes.
-    pub fn split_list(
-        &self,
-        label: &Label,
-        n: usize,
-        mut route: impl FnMut(usize, &[u8]) -> usize,
-    ) -> Option<Vec<Vec<Vec<u8>>>> {
-        let list = self.list(label)?;
-        let mut buckets: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n.max(1)];
-        let last = buckets.len() - 1;
-        for (i, entry) in list.iter().enumerate() {
-            buckets[route(i, entry).min(last)].push(entry.to_vec());
+    /// # Errors
+    ///
+    /// [`RsseError::MalformedList`], with the store unchanged, when
+    /// `bytes` is not a whole number of entries or the list already holds
+    /// entries of another length.
+    pub fn append(
+        &mut self,
+        label: Label,
+        entry_len: usize,
+        bytes: &[u8],
+    ) -> Result<(), RsseError> {
+        // `is_multiple_of(0)` holds for 0 bytes alone, which is also where
+        // `checked_div` by entry length 0 must read as 0 entries.
+        let count = bytes.len().checked_div(entry_len).unwrap_or(0);
+        let fits = |m: &ListMeta| m.count == 0 || m.entry_len == entry_len;
+        if !bytes.len().is_multiple_of(entry_len)
+            || (count > 0 && !self.table.get(&label).is_none_or(fits))
+        {
+            return Err(RsseError::MalformedList(label));
         }
-        Some(buckets)
+        let tail = self.arena.len();
+        let meta = self.table.entry(label).or_insert(ListMeta {
+            offset: tail,
+            count: 0,
+            entry_len: 0,
+        });
+        if count == 0 {
+            return Ok(());
+        }
+        if meta.offset + meta.byte_len() != tail {
+            // Relocate to the tail; the old range becomes dead.
+            let old = meta.offset..meta.offset + meta.byte_len();
+            meta.offset = tail;
+            self.dead_bytes += old.len();
+            self.arena.extend_from_within(old);
+        }
+        self.arena.extend_from_slice(bytes);
+        meta.count += count;
+        meta.entry_len = entry_len;
+        if self.dead_bytes * 2 > self.arena.len() {
+            self.compact();
+        }
+        Ok(())
     }
 
     /// Rewrites the arena without dead space, preserving per-list layout.
@@ -292,7 +201,7 @@ impl PostingStore {
         let mut fresh = Vec::with_capacity(self.arena.len() - self.dead_bytes);
         for meta in self.table.values_mut() {
             let offset = fresh.len();
-            fresh.extend_from_slice(&self.arena[meta.offset..meta.offset + meta.byte_len]);
+            fresh.extend_from_slice(&self.arena[meta.offset..meta.offset + meta.byte_len()]);
             meta.offset = offset;
         }
         self.arena = fresh;
@@ -306,6 +215,11 @@ mod tests {
 
     fn entries(n: usize, len: usize, tag: u8) -> Vec<Vec<u8>> {
         (0..n).map(|i| vec![tag ^ i as u8; len]).collect()
+    }
+
+    /// Appends whole `entries`, all `len` bytes long.
+    fn append(store: &mut PostingStore, l: Label, len: usize, entries: &[Vec<u8>]) {
+        store.append(l, len, &entries.concat()).unwrap();
     }
 
     fn label(b: u8) -> Label {
@@ -324,8 +238,8 @@ mod tests {
         let mut s = PostingStore::new();
         let a = entries(5, 40, 0x10);
         let b = entries(3, 40, 0x20);
-        s.append(label(1), &a);
-        s.append(label(2), &b);
+        append(&mut s, label(1), 40, &a);
+        append(&mut s, label(2), 40, &b);
         assert_eq!(collect(&s, &label(1)), a);
         assert_eq!(collect(&s, &label(2)), b);
         assert_eq!(s.list_len(&label(1)), Some(5));
@@ -339,28 +253,12 @@ mod tests {
         let a1 = entries(2, 40, 0x01);
         let b = entries(2, 40, 0x02);
         let a2 = entries(2, 40, 0x03);
-        s.append(label(1), &a1);
-        s.append(label(2), &b); // list 1 no longer at tail
-        s.append(label(1), &a2);
+        append(&mut s, label(1), 40, &a1);
+        append(&mut s, label(2), 40, &b); // list 1 no longer at tail
+        append(&mut s, label(1), 40, &a2);
         let want: Vec<Vec<u8>> = a1.into_iter().chain(a2).collect();
         assert_eq!(collect(&s, &label(1)), want);
         assert_eq!(collect(&s, &label(2)), b);
-    }
-
-    #[test]
-    fn ragged_lists_round_trip() {
-        let mut s = PostingStore::new();
-        let mixed = vec![vec![1u8; 3], vec![2u8; 7], vec![3u8; 1]];
-        s.append(label(9), &mixed);
-        assert_eq!(collect(&s, &label(9)), mixed);
-        // Uniform list demoted by a differently-sized append.
-        let mut t = PostingStore::new();
-        t.append(label(1), &entries(2, 4, 0xAA));
-        t.append(label(1), &[vec![5u8; 9]]);
-        let got = collect(&t, &label(1));
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[2], vec![5u8; 9]);
-        assert_eq!(got[0].len(), 4);
     }
 
     #[test]
@@ -373,8 +271,8 @@ mod tests {
         for round in 0..20u8 {
             let ea = entries(3, 40, round);
             let eb = entries(2, 40, round.wrapping_add(100));
-            s.append(label(1), &ea);
-            s.append(label(2), &eb);
+            append(&mut s, label(1), 40, &ea);
+            append(&mut s, label(2), 40, &eb);
             want_a.extend(ea);
             want_b.extend(eb);
         }
@@ -387,38 +285,36 @@ mod tests {
     #[test]
     fn empty_append_materializes_label() {
         let mut s = PostingStore::new();
-        s.append(label(7), &[]);
+        s.append(label(7), 0, &[]).unwrap();
         assert!(s.contains_label(&label(7)));
         assert_eq!(s.list_len(&label(7)), Some(0));
         assert_eq!(s.list(&label(7)).unwrap().iter().count(), 0);
         // A later real append works.
-        s.append(label(7), &entries(2, 8, 1));
+        append(&mut s, label(7), 8, &entries(2, 8, 1));
         assert_eq!(s.list_len(&label(7)), Some(2));
     }
 
     #[test]
-    fn split_list_partitions_and_preserves_order() {
+    fn malformed_appends_are_refused_and_change_nothing() {
         let mut s = PostingStore::new();
-        let all = entries(10, 8, 0x30);
-        s.append(label(1), &all);
-        let buckets = s.split_list(&label(1), 3, |i, _| i % 3).unwrap();
-        assert_eq!(buckets.len(), 3);
-        for (b, bucket) in buckets.iter().enumerate() {
-            let want: Vec<Vec<u8>> = all.iter().skip(b).step_by(3).cloned().collect();
-            assert_eq!(bucket, &want, "bucket {b}");
+        append(&mut s, label(1), 4, &entries(2, 4, 0xAA));
+        let before = collect(&s, &label(1));
+        let refused = [
+            (label(2), 0, vec![1u8; 3]), // bytes under entry length 0
+            (label(2), 4, vec![1u8; 6]), // a cut-off last entry
+            (label(1), 5, vec![1u8; 5]), // another length than the list's
+        ];
+        for (l, len, bytes) in refused {
+            assert_eq!(s.append(l, len, &bytes), Err(RsseError::MalformedList(l)));
         }
-        // Reassembling the buckets round-robin recovers the original list.
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        assert_eq!(total, all.len());
-        // Out-of-range routes clamp to the last bucket instead of panicking.
-        let clamped = s.split_list(&label(1), 2, |_, _| 99).unwrap();
-        assert!(clamped[0].is_empty());
-        assert_eq!(clamped[1].len(), all.len());
-        // Empty buckets still exist; unknown labels are None.
-        let sparse = s.split_list(&label(1), 4, |_, _| 0).unwrap();
-        assert_eq!(sparse.len(), 4);
-        assert!(sparse[1].is_empty() && sparse[2].is_empty() && sparse[3].is_empty());
-        assert!(s.split_list(&label(9), 4, |i, _| i).is_none());
+        assert_eq!(collect(&s, &label(1)), before);
+        assert!(!s.contains_label(&label(2)));
+        assert_eq!(s.size_bytes(), 20 + 8);
+        // An empty list takes any entry length, 0 included.
+        s.append(label(3), 0, &[]).unwrap();
+        s.append(label(1), 9, &[]).unwrap();
+        assert_eq!(s.list(&label(3)).unwrap().iter().count(), 0);
+        assert_eq!(collect(&s, &label(1)), before);
     }
 
     #[test]

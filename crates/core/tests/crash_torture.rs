@@ -38,7 +38,12 @@ use std::time::{Duration, Instant};
 /// operation touches contested labels.
 const VOCAB: [&str; 5] = ["alpha", "beta", "gamma", "delta", "omega"];
 
-type Parts = Vec<(Label, Vec<Vec<u8>>)>;
+type Parts = Vec<(Label, u32, Vec<u8>)>;
+
+/// An index's lists in wire shape (every list here is whole).
+fn parts(index: &RsseIndex) -> Parts {
+    index.export_parts().expect("whole lists")
+}
 
 fn doc(id: u64, words: &[usize]) -> Document {
     let text: Vec<&str> = words.iter().map(|&w| VOCAB[w % VOCAB.len()]).collect();
@@ -66,7 +71,7 @@ fn fixture() -> Fixture {
     ];
     let base = scheme.build_index(&base_docs).expect("base index");
     let opse = *base.opse_params().expect("scheme-built index has params");
-    let base_parts = base.export_parts();
+    let base_parts = parts(&base);
     let updater = scheme
         .updater_for(&InvertedIndex::build(&base_docs))
         .expect("updater");
@@ -89,7 +94,7 @@ fn fixture() -> Fixture {
 
 impl Fixture {
     fn base(&self) -> RsseIndex {
-        RsseIndex::from_parts(self.base_parts.clone(), self.opse)
+        RsseIndex::from_parts(self.base_parts.clone(), self.opse).expect("whole lists")
     }
 
     fn apply(&self, i: usize, a: &mut RsseIndex, b: &mut RsseIndex) {
@@ -164,14 +169,14 @@ fn replay(fx: &Fixture, crash_at: Option<u64>) -> (MemIo, Recovered) {
         Ok(store) => store,
         Err(_) => return (io, Recovered::NoStore),
     };
-    let mut durable = mem.export_parts();
+    let mut durable = parts(&mem);
     for op in PLAN {
         match *op {
             Op::Update(i) => fx.apply(i, &mut store, &mut mem),
             Op::Flush | Op::Compact => {
                 // Both ops seal the whole overlay on success, so their
                 // post state is the reference content at this instant.
-                let post = mem.export_parts();
+                let post = parts(&mem);
                 let result = match op {
                     Op::Flush => store.flush_updates().map(|_| ()),
                     Op::Compact => store.compact().map(|_| ()),
@@ -184,7 +189,7 @@ fn replay(fx: &Fixture, crash_at: Option<u64>) -> (MemIo, Recovered) {
             }
         }
     }
-    let final_state = mem.export_parts();
+    let final_state = parts(&mem);
     (
         io,
         Recovered::States {
@@ -210,7 +215,7 @@ fn verify_recovery(fx: &Fixture, io: &MemIo, recovered: Recovered, ctx: &str) {
         Recovered::States { pre, post } => {
             let mut store = RsseIndex::open_generational_with_io(io.shared(), dir)
                 .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-            let got = store.export_parts();
+            let got = parts(&store);
             let matched = if got == post {
                 post
             } else if got == pre {
@@ -218,7 +223,7 @@ fn verify_recovery(fx: &Fixture, io: &MemIo, recovered: Recovered, ctx: &str) {
             } else {
                 panic!("{ctx}: recovered a torn state (neither pre- nor post-op)");
             };
-            let mut memref = RsseIndex::from_parts(matched, fx.opse);
+            let mut memref = RsseIndex::from_parts(matched, fx.opse).expect("whole lists");
             assert_same_rankings(&fx.scheme, &store, &memref, ctx);
             // Recovery must leave a *working* store: one more update
             // must flush and compact cleanly.

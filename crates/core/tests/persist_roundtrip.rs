@@ -1,18 +1,20 @@
 //! Persistence round-trip properties for the on-disk index format
 //! (`crates/core/src/persist.rs`).
 //!
-//! The format must be lossless over *wire-shaped* indexes — ragged
-//! per-list entry counts and entry lengths, empty lists, empty entries —
-//! not just the uniform padded lists the scheme happens to produce. And a
-//! loader fed hostile bytes (wrong magic, absurd length claims, files cut
-//! off mid-entry) must fail with the matching [`PersistError`], never
-//! panic or mis-load — both the materializing loader and the generational
-//! store, whose every generation file is one `RSSEIDX2` file.
+//! The format must be lossless over *wire-shaped* indexes — lists whose
+//! entry counts and entry lengths differ from list to list, empty lists —
+//! not just the uniform padded lists the scheme happens to produce. Within
+//! one list every entry has the same length: that is the only list shape
+//! an index holds. And a loader fed hostile bytes (wrong magic, absurd
+//! length claims, files cut off mid-entry, a list whose entries differ in
+//! length) must fail with the matching [`PersistError`], never panic or
+//! mis-load — both the materializing loader and the generational store,
+//! whose every generation file is one `RSSEIDX2` file.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rsse_core::persist::{PersistError, MAGIC, MAGIC_V2};
-use rsse_core::{Label, Rsse, RsseIndex, RsseParams};
+use rsse_core::{Label, Rsse, RsseError, RsseIndex, RsseParams};
 use rsse_ir::{Document, FileId};
 use rsse_opse::OpseParams;
 use std::path::{Path, PathBuf};
@@ -33,14 +35,20 @@ fn label(i: usize, salt: u8) -> Label {
     l
 }
 
-fn ragged_index(lists: &[Vec<Vec<u8>>], salt: u8, domain: u64, extra: u64) -> RsseIndex {
+/// One list per `(entry_len, bytes)` item, under distinct labels, with
+/// `bytes` cut to whole `entry_len`-byte entries: lists differ in entry
+/// length and count, the entries of one list share a length.
+fn ragged_index(lists: &[(usize, Vec<u8>)], salt: u8, domain: u64, extra: u64) -> RsseIndex {
     let parts = lists
         .iter()
         .enumerate()
-        .map(|(i, entries)| (label(i, salt), entries.clone()))
+        .map(|(i, (entry_len, bytes))| {
+            let whole = bytes.len() / entry_len.max(&1) * entry_len;
+            (label(i, salt), *entry_len as u32, bytes[..whole].to_vec())
+        })
         .collect();
     let opse = OpseParams::new(domain, domain + extra).unwrap();
-    RsseIndex::from_parts(parts, opse)
+    RsseIndex::from_parts(parts, opse).unwrap()
 }
 
 fn scheme_built_index() -> (Rsse, RsseIndex) {
@@ -57,11 +65,12 @@ fn scheme_built_index() -> (Rsse, RsseIndex) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Save→load is the identity on arbitrary ragged wire-shaped indexes:
-    /// same OPSE parameters, same lists, same entries, byte for byte.
+    /// Save→load is the identity on arbitrary wire-shaped indexes whose
+    /// lists differ in entry length and count: same OPSE parameters, same
+    /// lists, same entries, byte for byte.
     #[test]
     fn save_load_is_identity_on_ragged_indexes(
-        lists in vec(vec(vec(any::<u8>(), 0..40), 0..6), 0..8),
+        lists in vec((0usize..40, vec(any::<u8>(), 0..240)), 0..8),
         salt in any::<u8>(),
         domain in 1u64..512,
         extra in 0u64..(1 << 40),
@@ -84,7 +93,7 @@ proptest! {
     /// silently returns a partial index.
     #[test]
     fn any_truncation_is_rejected(
-        lists in vec(vec(vec(any::<u8>(), 1..20), 1..4), 1..5),
+        lists in vec((1usize..20, vec(any::<u8>(), 20..80)), 1..5),
         cut_seed in any::<u64>(),
     ) {
         let index = ragged_index(&lists, 7, 64, 64);
@@ -148,7 +157,7 @@ fn rsseidx1_files_written_before_the_directory_still_load() {
     let lists = vec![
         (label(0, 9), vec![vec![0xA1; 12], vec![0xA2; 12]]),
         (label(1, 9), vec![]),
-        (label(2, 9), vec![vec![0xB1; 3], vec![0xB2; 7]]),
+        (label(2, 9), vec![vec![0xB1; 3], vec![0xB2; 3]]),
     ];
     let buf = legacy_v1_bytes(&lists, 128, 1 << 46);
 
@@ -176,9 +185,9 @@ const BASE_GENERATION: &str = "gen-000000.seg";
 /// directory, for the hostile-directory cases to patch.
 fn saved_v2_with_dir_offset(tag: &str) -> (PathBuf, Vec<u8>, usize) {
     let lists = vec![
-        vec![vec![0x11; 10], vec![0x12; 10]],
-        vec![vec![0x21; 4]],
-        vec![vec![0x31; 6], vec![0x32; 2], vec![0x33; 8]],
+        (10, [[0x11; 10], [0x12; 10]].concat()),
+        (4, vec![0x21; 4]),
+        (6, [[0x31; 6], [0x32; 6], [0x33; 6]].concat()),
     ];
     let index = ragged_index(&lists, 5, 64, 64);
     let dir = temp_path(tag);
@@ -334,7 +343,7 @@ fn oversize_claims_are_rejected_at_every_depth() {
 fn truncation_mid_entry_is_io_error() {
     // Cut inside the *payload* of the last entry: the header parses, the
     // entry length is honest, but the bytes run out partway through.
-    let lists = vec![vec![vec![0xAB; 16], vec![0xCD; 16]]];
+    let lists = vec![(16, [[0xAB; 16], [0xCD; 16]].concat())];
     let index = ragged_index(&lists, 3, 64, 64);
     let mut buf = Vec::new();
     index.save(&mut buf).unwrap();
@@ -347,4 +356,54 @@ fn truncation_mid_entry_is_io_error() {
             other => panic!("expected Io at cut {cut}, got {other:?}"),
         }
     }
+}
+
+/// A saved one-list index whose two 6-byte entries are re-framed in place
+/// as one 2-byte and one 10-byte entry: the directory (offset, byte-len,
+/// count) still matches the body, so only the mixed entry lengths are
+/// wrong. Returns the bytes and the list's label.
+fn mixed_list_file() -> (Vec<u8>, Label) {
+    let index = ragged_index(&[(6, [[0x41; 6], [0x42; 6]].concat())], 8, 64, 64);
+    let mut buf = Vec::new();
+    index.save(&mut buf).unwrap();
+    let dir = u64::from_be_bytes(buf[buf.len() - 8..].try_into().unwrap()) as usize;
+    let offset = u64::from_be_bytes(buf[dir + 20..dir + 28].try_into().unwrap()) as usize;
+    let mut records = Vec::new();
+    for payload in [&[0x43u8; 2][..], &[0x44u8; 10][..]] {
+        records.extend_from_slice(&(payload.len() as u64).to_be_bytes());
+        records.extend_from_slice(payload);
+    }
+    buf[offset..offset + records.len()].copy_from_slice(&records);
+    (buf, label(0, 8))
+}
+
+#[test]
+fn stored_lists_that_mix_entry_lengths_are_a_typed_error() {
+    let (bytes, mixed) = mixed_list_file();
+    let malformed = |e: &PersistError| matches!(e, PersistError::Rsse(RsseError::MalformedList(l)) if *l == mixed);
+    // The materializing loader refuses the file, in both formats.
+    let err = RsseIndex::load(&bytes[..]).unwrap_err();
+    assert!(malformed(&err), "load: {err:?}");
+    for entries in [vec![vec![1; 3], vec![2; 5]], vec![vec![], vec![]]] {
+        let v1 = legacy_v1_bytes(&[(mixed, entries)], 64, 128);
+        let err = RsseIndex::load(&v1[..]).unwrap_err();
+        assert!(malformed(&err), "v1 load: {err:?}");
+    }
+
+    // A generational store opens it (only the directory is read) and
+    // serves it, but refuses to export or save it.
+    let (dir, _, _) = saved_v2_with_dir_offset("mixed");
+    std::fs::write(dir.join(BASE_GENERATION), &bytes).unwrap();
+    let store = RsseIndex::open_generational(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(store.list_len(&mixed), Some(2));
+    assert_eq!(store.export_parts(), Err(RsseError::MalformedList(mixed)));
+    let err = store.save(Vec::new()).unwrap_err();
+    assert!(malformed(&err), "save: {err:?}");
+    let (scheme, _) = scheme_built_index();
+    let t = rsse_core::RsseTrapdoor::from_parts(
+        mixed,
+        scheme.trapdoor("network").unwrap().list_key().clone(),
+    );
+    assert!(store.search(&t, None).is_empty());
 }

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use rsse_core::entry::decode_entry;
+use rsse_core::store::entries;
 use rsse_core::{RankedResult, Rsse, RsseIndex, RsseParams, RsseTrapdoor};
 use rsse_crypto::SemanticCipher;
 use rsse_ir::{Document, FileId, InvertedIndex};
@@ -19,6 +20,20 @@ fn docs_from(spec: &[Vec<usize>]) -> Vec<Document> {
         .map(|(i, words)| {
             let text: Vec<&str> = words.iter().map(|&w| WORDS[w % WORDS.len()]).collect();
             Document::new(FileId::new(i as u64 + 1), text.join(" "))
+        })
+        .collect()
+}
+
+/// Splits flat `(label, entry_len, bytes)` lists into the reference's
+/// one-box-per-entry shape.
+fn boxed(parts: &[([u8; 20], u32, Vec<u8>)]) -> HashMap<[u8; 20], Vec<Vec<u8>>> {
+    parts
+        .iter()
+        .map(|(label, len, bytes)| {
+            (
+                *label,
+                entries(*len as usize, bytes).map(<[u8]>::to_vec).collect(),
+            )
         })
         .collect()
 }
@@ -65,13 +80,13 @@ proptest! {
         let scheme = Rsse::new(b"equivalence seed", RsseParams::default());
         let enc = scheme.build_index(&docs).unwrap();
         let opse = *enc.opse_params().unwrap();
-        let parts = enc.export_parts();
-        let reference: HashMap<[u8; 20], Vec<Vec<u8>>> = parts.iter().cloned().collect();
+        let parts = enc.export_parts().unwrap();
+        let reference: HashMap<[u8; 20], Vec<Vec<u8>>> = boxed(&parts);
         // Rebuild through the wire path in reversed list order, so the
         // arena lays lists out differently than the original build.
         let mut reversed = parts;
         reversed.reverse();
-        let rebuilt = RsseIndex::from_parts(reversed, opse);
+        let rebuilt = RsseIndex::from_parts(reversed, opse).unwrap();
 
         for word in WORDS {
             let t = scheme.trapdoor(word).unwrap();
@@ -96,7 +111,7 @@ proptest! {
         let plain_index = InvertedIndex::build(&docs);
         let mut enc = scheme.build_index_from(&plain_index).unwrap();
         let mut reference: HashMap<[u8; 20], Vec<Vec<u8>>> =
-            enc.export_parts().into_iter().collect();
+            boxed(&enc.export_parts().unwrap());
 
         // One §VII append, mirrored into the reference map; this forces
         // the arena down its relocate-to-tail path.
@@ -104,9 +119,9 @@ proptest! {
         let text: Vec<&str> = extra.iter().map(|&w| WORDS[w % WORDS.len()]).collect();
         let new_doc = Document::new(FileId::new(9_999), text.join(" "));
         let update = updater.add_document(&new_doc).unwrap();
-        for (label, entries) in update.into_parts() {
-            reference.entry(label).or_default().extend(entries.iter().cloned());
-            enc.append_entries(label, entries);
+        for (label, entry_len, bytes) in update.into_parts() {
+            reference.entry(label).or_default().extend(boxed(&[(label, entry_len, bytes.clone())]).remove(&label).unwrap());
+            enc.append_entries(label, entry_len, &bytes).unwrap();
         }
 
         for word in WORDS {

@@ -65,11 +65,23 @@ impl SemanticCipher {
     /// from a [`crate::Tape`] or an OS RNG.
     pub fn encrypt_with_nonce(&self, nonce: [u8; NONCE_LEN], plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len());
+        self.encrypt_with_nonce_into(nonce, plaintext, &mut out);
+        out
+    }
+
+    /// [`Self::encrypt_with_nonce`] appending the ciphertext to `out`, so
+    /// a caller laying many ciphertexts back to back (a posting list)
+    /// allocates nothing per message.
+    pub fn encrypt_with_nonce_into(
+        &self,
+        nonce: [u8; NONCE_LEN],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
         out.extend_from_slice(&nonce);
         out.extend_from_slice(plaintext);
-        let (_, body) = out.split_at_mut(NONCE_LEN);
-        self.keystream_xor(&nonce, body);
-        out
+        self.keystream_xor(&nonce, &mut out[start + NONCE_LEN..]);
     }
 
     /// Decrypts a ciphertext produced by [`Self::encrypt_with_nonce`].

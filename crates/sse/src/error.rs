@@ -16,6 +16,9 @@ pub enum SseError {
     },
     /// The query produced no searchable keyword (e.g. only stop words).
     EmptyQuery,
+    /// The posting list under this label is not a whole number of
+    /// equal-length entries.
+    MalformedList([u8; 20]),
     /// An underlying cryptographic failure.
     Crypto(CryptoError),
 }
@@ -31,6 +34,11 @@ impl fmt::Display for SseError {
                 "padding target {configured} smaller than longest posting list {longest_list}"
             ),
             SseError::EmptyQuery => write!(f, "query contains no searchable keyword"),
+            SseError::MalformedList(label) => write!(
+                f,
+                "posting list {:02x?}.. is not a whole number of equal-length entries",
+                &label[..4]
+            ),
             SseError::Crypto(e) => write!(f, "crypto failure: {e}"),
         }
     }

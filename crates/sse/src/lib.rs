@@ -19,4 +19,4 @@ pub mod error;
 pub mod scheme;
 
 pub use error::SseError;
-pub use scheme::{BasicEncryptedIndex, BasicScheme, PaddingPolicy, ScoredFile, Trapdoor};
+pub use scheme::{BasicEncryptedIndex, BasicScheme, Entries, PaddingPolicy, ScoredFile, Trapdoor};

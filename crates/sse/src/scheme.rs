@@ -21,6 +21,10 @@ use std::collections::HashMap;
 /// A posting-list label `π_x(w)` (160 bits).
 pub type Label = [u8; 20];
 
+/// The entries of one posting list, each a borrowed slice of its flat
+/// buffer.
+pub type Entries<'a> = std::slice::ChunksExact<'a, u8>;
+
 /// The search trapdoor `T_w = (π_x(w), f_y(w))`.
 ///
 /// The second component is the per-list decryption key; the server uses the
@@ -78,24 +82,42 @@ pub struct ScoredFile {
     pub score: f64,
 }
 
-/// The encrypted searchable index held by the cloud server.
+/// The encrypted searchable index held by the cloud server: per label,
+/// `(entry_len, bytes)` — the list's equal-length entries back to back.
 #[derive(Debug, Clone, Default)]
 pub struct BasicEncryptedIndex {
-    lists: HashMap<Label, Vec<Vec<u8>>>,
+    lists: HashMap<Label, (u32, Vec<u8>)>,
 }
 
 impl BasicEncryptedIndex {
-    /// Reassembles an index from its wire parts.
-    pub fn from_parts(parts: Vec<(Label, Vec<Vec<u8>>)>) -> Self {
-        BasicEncryptedIndex {
-            lists: parts.into_iter().collect(),
+    /// Reassembles an index from its wire parts, one `(label, entry_len,
+    /// bytes)` triple per list.
+    ///
+    /// # Errors
+    ///
+    /// [`SseError::MalformedList`] when a list's bytes are not a whole
+    /// number of `entry_len`-byte entries (any bytes at all under an
+    /// entry length of 0).
+    pub fn from_parts(parts: Vec<(Label, u32, Vec<u8>)>) -> Result<Self, SseError> {
+        let mut lists = HashMap::with_capacity(parts.len());
+        for (label, entry_len, bytes) in parts {
+            // `is_multiple_of(0)` holds for 0 bytes alone.
+            if !bytes.len().is_multiple_of(entry_len as usize) {
+                return Err(SseError::MalformedList(label));
+            }
+            lists.insert(label, (entry_len, bytes));
         }
+        Ok(BasicEncryptedIndex { lists })
     }
 
-    /// Exports the index as `(label, entries)` pairs in label order.
-    pub fn export_parts(&self) -> Vec<(Label, Vec<Vec<u8>>)> {
-        let mut parts: Vec<(Label, Vec<Vec<u8>>)> =
-            self.lists.iter().map(|(k, v)| (*k, v.clone())).collect();
+    /// Exports the index as `(label, entry_len, bytes)` triples in label
+    /// order.
+    pub fn export_parts(&self) -> Vec<(Label, u32, Vec<u8>)> {
+        let mut parts: Vec<_> = self
+            .lists
+            .iter()
+            .map(|(l, (n, b))| (*l, *n, b.clone()))
+            .collect();
         parts.sort_by_key(|a| a.0);
         parts
     }
@@ -104,8 +126,10 @@ impl BasicEncryptedIndex {
     ///
     /// The basic scheme's server cannot rank — it returns the whole
     /// (padded) list of opaque entries.
-    pub fn search(&self, label: &Label) -> Option<&[Vec<u8>]> {
-        self.lists.get(label).map(|v| v.as_slice())
+    pub fn search(&self, label: &Label) -> Option<Entries<'_>> {
+        let (entry_len, bytes) = self.lists.get(label)?;
+        // A whole list under entry length 0 is empty, so 1 reads it alike.
+        Some(bytes.chunks_exact((*entry_len as usize).max(1)))
     }
 
     /// Number of posting lists (`m`, the number of distinct keywords).
@@ -115,14 +139,17 @@ impl BasicEncryptedIndex {
 
     /// The uniform (padded) list length ν, or 0 when empty.
     pub fn padded_len(&self) -> usize {
-        self.lists.values().next().map_or(0, Vec::len)
+        self.lists
+            .values()
+            .next()
+            .map_or(0, |(n, b)| b.len() / (*n).max(1) as usize)
     }
 
     /// Total index size in bytes (labels + entries).
     pub fn size_bytes(&self) -> usize {
         self.lists
             .iter()
-            .map(|(k, v)| k.len() + v.iter().map(Vec::len).sum::<usize>())
+            .map(|(k, (_, bytes))| k.len() + bytes.len())
             .sum()
     }
 }
@@ -243,7 +270,8 @@ impl BasicScheme {
             );
             let list_key = f.derive_key(term.as_bytes());
             let entry_cipher = SemanticCipher::new(&list_key);
-            let mut list = Vec::with_capacity(nu);
+            let list_len = nu.max(postings.len()) * ENTRY_CT_LEN;
+            let mut list = Vec::with_capacity(list_len);
             for posting in postings {
                 let len = index
                     .doc_length(posting.file)
@@ -256,15 +284,14 @@ impl BasicScheme {
                 let plain = encode_entry(posting.file, &score_ct);
                 let mut entry_nonce = [0u8; NONCE_LEN];
                 tape.fill_bytes(&mut entry_nonce);
-                list.push(entry_cipher.encrypt_with_nonce(entry_nonce, &plain));
+                entry_cipher.encrypt_with_nonce_into(entry_nonce, &plain, &mut list);
             }
-            // Pad with random strings of the same size (Fig. 3 step 3).
-            while list.len() < nu {
-                let mut pad = vec![0u8; ENTRY_CT_LEN];
-                tape.fill_bytes(&mut pad);
-                list.push(pad);
-            }
-            lists.insert(pi.label(term.as_bytes()), list);
+            // Pad with random strings of the same size (Fig. 3 step 3),
+            // straight off the tape: one draw equals one per entry.
+            let real = list.len();
+            list.resize(list_len, 0);
+            tape.fill_bytes(&mut list[real..]);
+            lists.insert(pi.label(term.as_bytes()), (ENTRY_CT_LEN as u32, list));
         }
         Ok(BasicEncryptedIndex { lists })
     }
@@ -272,14 +299,14 @@ impl BasicScheme {
     /// User-side post-processing: decrypt the returned entries, drop the
     /// padding, decrypt relevance scores with `z`, and rank (best first,
     /// ties broken by file id for determinism).
-    pub fn rank_entries(&self, trapdoor: &Trapdoor, entries: &[Vec<u8>]) -> Vec<ScoredFile> {
+    pub fn rank_entries(&self, trapdoor: &Trapdoor, entries: Entries<'_>) -> Vec<ScoredFile> {
         let entry_cipher = SemanticCipher::new(trapdoor.list_key());
         let score_cipher = SemanticCipher::new(self.keys.score_key());
         // Two reused scratch buffers instead of two fresh Vecs per entry.
         let mut plain = Vec::new();
         let mut score_bytes = Vec::new();
         let mut out: Vec<ScoredFile> = Vec::with_capacity(entries.len());
-        out.extend(entries.iter().filter_map(|ct| {
+        out.extend(entries.filter_map(|ct| {
             entry_cipher.decrypt_into(ct, &mut plain).ok()?;
             let (file, score_ct) = decode_entry(&plain)?;
             score_cipher.decrypt_into(score_ct, &mut score_bytes).ok()?;
@@ -300,7 +327,7 @@ impl BasicScheme {
     }
 
     /// Convenience: the full user-side top-k flow (decrypt, rank, truncate).
-    pub fn top_k(&self, trapdoor: &Trapdoor, entries: &[Vec<u8>], k: usize) -> Vec<ScoredFile> {
+    pub fn top_k(&self, trapdoor: &Trapdoor, entries: Entries<'_>, k: usize) -> Vec<ScoredFile> {
         let mut ranked = self.rank_entries(trapdoor, entries);
         ranked.truncate(k);
         ranked
@@ -311,10 +338,9 @@ impl BasicScheme {
 /// the trapdoor's list key `f_y(w)`, learning `F(w)` (the access pattern)
 /// and the still-encrypted scores `E_z(S)` — but not the scores themselves,
 /// which is exactly why this server cannot rank.
-pub fn open_entries(list_key: &SecretKey, entries: &[Vec<u8>]) -> Vec<(FileId, Vec<u8>)> {
+pub fn open_entries(list_key: &SecretKey, entries: Entries<'_>) -> Vec<(FileId, Vec<u8>)> {
     let cipher = SemanticCipher::new(list_key);
     entries
-        .iter()
         .filter_map(|ct| {
             let plain = cipher.decrypt(ct).ok()?;
             let (file, score_ct) = decode_entry(&plain)?;
@@ -375,11 +401,7 @@ mod tests {
         assert!(nu >= 3);
         for term in ["network", "cloud", "storage", "packet", "rout"] {
             let t = s.trapdoor(term).unwrap();
-            assert_eq!(
-                enc.search(t.label()).map(<[Vec<u8>]>::len),
-                Some(nu),
-                "{term}"
-            );
+            assert_eq!(enc.search(t.label()).map(|l| l.len()), Some(nu), "{term}");
         }
     }
 
@@ -464,7 +486,10 @@ mod tests {
         let e1 = s.build_index(&sample_index(), Default::default()).unwrap();
         let e2 = s.build_index(&sample_index(), Default::default()).unwrap();
         let t = s.trapdoor("network").unwrap();
-        assert_eq!(e1.search(t.label()), e2.search(t.label()));
+        assert!(e1
+            .search(t.label())
+            .unwrap()
+            .eq(e2.search(t.label()).unwrap()));
     }
 
     #[test]
@@ -475,6 +500,26 @@ mod tests {
             s1.trapdoor("network").unwrap().label(),
             s2.trapdoor("network").unwrap().label()
         );
+    }
+
+    #[test]
+    fn parts_round_trip_and_malformed_lists_are_refused() {
+        let s = scheme();
+        let enc = s.build_index(&sample_index(), Default::default()).unwrap();
+        let parts = enc.export_parts();
+        assert!(parts
+            .iter()
+            .all(|(_, len, _)| *len as usize == ENTRY_CT_LEN));
+        let back = BasicEncryptedIndex::from_parts(parts.clone()).unwrap();
+        assert_eq!(back.export_parts(), parts);
+        for (entry_len, bytes) in [(0, vec![1u8; 5]), (56, vec![1u8; 57])] {
+            assert_eq!(
+                BasicEncryptedIndex::from_parts(vec![([7; 20], entry_len, bytes)]).unwrap_err(),
+                SseError::MalformedList([7; 20])
+            );
+        }
+        let empty = BasicEncryptedIndex::from_parts(vec![([7; 20], 0, vec![])]).unwrap();
+        assert_eq!(empty.search(&[7; 20]).map(|l| l.len()), Some(0));
     }
 
     #[test]

@@ -52,8 +52,7 @@ echo "==> cargo test -q --test shard_equivalence"
 cargo test -q --test shard_equivalence
 
 # The ranking cache's tentpole guarantee: cache on == cache off, byte for
-# byte, under interleaved updates (sharded path included) — plus the
-# persistence format's lossless round-trip and hostile-file rejection.
+# byte, under interleaved updates (sharded path included).
 echo "==> cargo test -q --test cache_coherence"
 cargo test -q --test cache_coherence
 
@@ -64,6 +63,12 @@ cargo test -q --test cache_coherence
 echo "==> cargo test -q --test conjunctive"
 cargo test -q --test conjunctive
 
+# The persistence format's lossless round-trip and hostile-file
+# rejection. An index holds each posting list as one run of equal-length
+# entries, so the round-trip covers lists whose entry lengths differ from
+# list to list, and a stored list whose entries differ in length is a
+# typed error from the loader and from a generational store's export and
+# save — never a panic or a partial load.
 echo "==> cargo test -q -p rsse-core --test persist_roundtrip"
 cargo test -q -p rsse-core --test persist_roundtrip
 

@@ -1,7 +1,7 @@
 //! Backend-equivalence harness: the storage engine must be *invisible*.
 //!
 //! The index layer dispatches over two containers — the in-memory
-//! `MemBackend` arena and the on-disk generational store (generation
+//! `PostingStore` arena and the on-disk generational store (generation
 //! stack + delta overlay + L0 delta flushes + *live* compaction). Both
 //! hold the same OPM ciphertexts, so for random interleavings of
 //! searches, score-dynamics updates, flushes, and compactions they must

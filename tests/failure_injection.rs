@@ -3,11 +3,16 @@
 //! wrong answers.
 
 use bytes_shim::corrupt_each_byte;
-use rsse::cloud::{CloudServer, Deployment, Message, SearchMode, Storage};
-use rsse::core::{Rsse, RsseParams, RsseTrapdoor};
+use rsse::cloud::{
+    CloudError, CloudServer, Deployment, EncryptedFile, ErrorKind, Message, MeteredChannel,
+    SearchMode, Storage,
+};
+use rsse::core::{Label, Rsse, RsseError, RsseParams, RsseTrapdoor};
 use rsse::crypto::SecretKey;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::{Document, FileId};
+use rsse::sse::SseError;
+use std::sync::atomic::Ordering;
 
 mod bytes_shim {
     /// Yields copies of `frame` with one byte flipped at a sample of
@@ -178,4 +183,144 @@ fn update_for_unknown_empty_document_is_rejected() {
     let updater = scheme.updater_for(&index).unwrap();
     let empty = Document::new(FileId::new(777), "the !!!");
     assert!(updater.add_document(&empty).is_err());
+}
+
+/// The label a search for `keyword` asks the server about.
+fn label_of(cloud: &Deployment, keyword: &str) -> Label {
+    match cloud.user().search_request(keyword, None, SearchMode::Rsse) {
+        Ok(Message::SearchRequest { label, .. }) => label,
+        other => panic!("no search request for {keyword}: {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_update_is_rejected_and_changes_nothing() {
+    let cloud = small_deployment(37);
+    let server = cloud.server();
+    // Warm the ranking cache, then note everything an update touches.
+    let (before, _) = cloud.rsse_search("network", Some(5)).unwrap();
+    let label = label_of(&cloud, "network");
+    let list_len = server.rsse_index().list_len(&label);
+    let files = server.num_files();
+    let epoch = server.filter_watch().load(Ordering::Acquire);
+    let invalidations = server.cache_stats().invalidations;
+    let hostile = [
+        (label, 16, vec![7u8; 32]), // entries of another length than 40
+        (label, 40, vec![7u8; 50]), // not a whole number of entries
+        (label, 0, vec![7u8; 3]),   // bytes under an entry length of 0
+    ];
+    for list in hostile {
+        let update = Message::Update {
+            rsse_lists: vec![list],
+            files: vec![EncryptedFile::new(FileId::new(9_999), vec![1; 32])],
+        };
+        match cloud.round_trip(&mut MeteredChannel::new(), update) {
+            Err(CloudError::Server {
+                kind: ErrorKind::Rejected,
+                ..
+            }) => {}
+            other => panic!("expected a Rejected error frame, got {other:?}"),
+        }
+    }
+    assert_eq!(server.num_files(), files, "no file ingested");
+    assert_eq!(server.rsse_index().list_len(&label), list_len, "no entry");
+    assert_eq!(server.filter_watch().load(Ordering::Acquire), epoch);
+    assert_eq!(server.cache_stats().invalidations, invalidations);
+    let report = server.serving_report();
+    assert_eq!((report.updates, report.rejected, report.panics), (0, 3, 0));
+    let (after, _) = cloud.rsse_search("network", Some(5)).unwrap();
+    assert_eq!(after, before);
+}
+
+#[test]
+fn hostile_outsource_lists_fail_boot_with_a_typed_error() {
+    let outsource = |rsse_lists: Vec<(Label, u32, Vec<u8>)>, basic_lists| Message::Outsource {
+        rsse_lists,
+        basic_lists,
+        opse_domain: 128,
+        opse_range: 1 << 46,
+        files: vec![],
+    };
+    let good = ([1u8; 20], 40, vec![1u8; 80]);
+    let rsse_cases = [
+        ([2u8; 20], 0, vec![2u8; 3]),   // bytes under an entry length of 0
+        ([2u8; 20], 40, vec![2u8; 41]), // not a whole number of entries
+        ([2u8; 20], 16, vec![2u8; 32]), // whole, but not 40-byte RSSE entries
+    ];
+    let dir = std::env::temp_dir().join(format!("rsse_hostile_boot_{}", std::process::id()));
+    for bad in rsse_cases {
+        let msg = outsource(vec![good.clone(), bad.clone()], vec![]);
+        match CloudServer::boot(msg, &Storage::Generational(dir.clone()), 0) {
+            Err(CloudError::Rsse(RsseError::MalformedList(label))) => assert_eq!(label, bad.0),
+            other => panic!("expected MalformedList, got {other:?}"),
+        }
+        assert!(!dir.exists(), "a refused boot writes no store");
+    }
+    for bad in [([3u8; 20], 0, vec![3u8; 5]), ([3u8; 20], 56, vec![3u8; 57])] {
+        let msg = outsource(vec![good.clone()], vec![bad]);
+        assert!(matches!(
+            CloudServer::from_outsource(msg),
+            Err(CloudError::Sse(SseError::MalformedList(label))) if label == [3u8; 20]
+        ));
+    }
+    // An empty list under entry length 0 stays legal.
+    let empty = outsource(vec![good, ([4u8; 20], 0, vec![])], vec![]);
+    let server = CloudServer::from_outsource(empty).unwrap();
+    assert_eq!(server.rsse_index().list_len(&[4u8; 20]), Some(0));
+}
+
+#[test]
+fn servers_without_a_basic_index_reject_basic_searches() {
+    // A reopened store persists the RSSE index only.
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(38));
+    let dir = std::env::temp_dir().join(format!("rsse_reopen_basic_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let seed: &[u8] = b"failure seed";
+    let booted = Deployment::bootstrap(
+        seed,
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Generational(dir.clone()),
+        0,
+    )
+    .unwrap();
+    assert!(booted.basic_search_full("network").is_ok());
+    drop(booted);
+    let reopened =
+        Deployment::reopen(seed, RsseParams::default(), corpus.documents(), &dir, 0).unwrap();
+    let rejected = |r: Result<_, CloudError>| {
+        matches!(
+            r,
+            Err(CloudError::Server {
+                kind: ErrorKind::Rejected,
+                ..
+            })
+        )
+    };
+    assert!(rejected(reopened.basic_search_full("network").map(|_| ())));
+    assert!(rejected(
+        reopened.basic_search_top_k("network", 3).map(|_| ())
+    ));
+    assert!(!reopened
+        .rsse_search("network", Some(3))
+        .unwrap()
+        .0
+        .is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A shard's Outsource frame carries no basic lists.
+    let shard = CloudServer::from_outsource(Message::Outsource {
+        rsse_lists: vec![],
+        basic_lists: vec![],
+        opse_domain: 128,
+        opse_range: 1 << 46,
+        files: vec![],
+    })
+    .unwrap();
+    let request = reopened
+        .user()
+        .search_request("network", None, SearchMode::BasicEntries)
+        .unwrap();
+    let err = shard.handle(request).unwrap_err();
+    assert_eq!(err.wire_kind(), ErrorKind::Rejected);
 }
