@@ -39,6 +39,17 @@ fn bench_tape(c: &mut Criterion) {
             black_box(out)
         })
     });
+    // The padding of one ν = 1000 list of 40-byte RSSE entries.
+    c.bench_function("tape_fill_40000_bytes", |b| {
+        let key = SecretKey::derive(b"bench", "tape");
+        let mut out = vec![0u8; 40_000];
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            Tape::new(&key, &i.to_be_bytes()).fill_bytes(&mut out);
+            black_box(out[out.len() - 1])
+        })
+    });
 }
 
 criterion_group!(benches, bench_hashes, bench_ctr, bench_tape);

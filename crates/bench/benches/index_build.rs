@@ -1,5 +1,5 @@
 //! Criterion benchmark behind Table I: secure index construction cost,
-//! serial versus parallel, RSSE versus the basic scheme.
+//! RSSE (its per-list stage on every core) versus the basic scheme.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsse_core::{Rsse, RsseParams};
@@ -16,11 +16,8 @@ fn bench_index_build(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("index_build_200_docs");
     group.sample_size(10);
-    group.bench_function("rsse_serial", |b| {
+    group.bench_function("rsse", |b| {
         b.iter(|| black_box(rsse.build_index_from(&index).unwrap()))
-    });
-    group.bench_function("rsse_parallel_4", |b| {
-        b.iter(|| black_box(rsse.build_index_parallel(&index, 4).unwrap()))
     });
     group.bench_function("basic_scheme", |b| {
         b.iter(|| black_box(basic.build_index(&index, Default::default()).unwrap()))

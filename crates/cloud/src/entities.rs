@@ -36,8 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The data owner: holds the master secret, builds both secure indexes,
-/// encrypts the collection, and authorizes users by sharing the seed
+/// The data owner: holds the master secret, builds the RSSE secure index
+/// (and the basic scheme's, for a deployment that serves protocols 2 and
+/// 3), encrypts the collection, and authorizes users by sharing the seed
 /// (standing in for the paper's broadcast-encryption key distribution).
 #[derive(Debug)]
 pub struct DataOwner {
@@ -58,24 +59,37 @@ impl DataOwner {
         }
     }
 
-    /// The `Setup` phase: build both indexes, encrypt all files, and emit
-    /// the `Outsource` message.
+    /// The `Setup` phase: build the RSSE index, encrypt all files, and
+    /// emit the `Outsource` message. Its `basic_lists` are empty, so a
+    /// server booted from it answers protocols 2 and 3 with `Rejected`;
+    /// [`Deployment::bootstrap_with_basic`] ships the basic scheme's index
+    /// too.
     ///
     /// # Errors
     ///
     /// Propagates index-construction failures.
     pub fn outsource(&self, docs: &[Document]) -> Result<Message, CloudError> {
+        self.outsource_with(docs, false)
+    }
+
+    /// [`Self::outsource`], with the basic scheme's index in `basic_lists`
+    /// when `basic` is set.
+    fn outsource_with(&self, docs: &[Document], basic: bool) -> Result<Message, CloudError> {
         let plaintext_index = InvertedIndex::build(docs);
         let rsse_index = self.rsse.build_index_from(&plaintext_index)?;
         let opse = *rsse_index
             .opse_params()
             .expect("freshly built index carries parameters");
-        let basic_index = self
-            .basic
-            .build_index(&plaintext_index, Default::default())?;
+        let basic_lists = if basic {
+            self.basic
+                .build_index(&plaintext_index, Default::default())?
+                .export_parts()
+        } else {
+            Vec::new()
+        };
         Ok(Message::Outsource {
             rsse_lists: rsse_index.export_parts()?,
-            basic_lists: basic_index.export_parts(),
+            basic_lists,
             opse_domain: opse.domain_size(),
             opse_range: opse.range_size(),
             files: self.files.encrypt_collection(docs),
@@ -113,7 +127,7 @@ impl DataOwner {
     /// real postings) spread round-robin so every shard keeps cover
     /// traffic. Each encrypted file is stored only on the shard owning its
     /// id; the basic-scheme index is not sharded (single-server protocols
-    /// 2 and 3 stay on the unsharded deployment).
+    /// 2 and 3 stay on an unsharded [`Deployment::bootstrap_with_basic`]).
     ///
     /// A shard's filter is the sorted set of posting-list labels whose
     /// partition on that shard contains at least one *real* (non-padding)
@@ -1271,8 +1285,10 @@ impl core::fmt::Debug for Deployment {
 
 impl Deployment {
     /// Bootstraps the whole system over `docs`: the owner builds and
-    /// outsources the index across the metered wire, and the server boots
-    /// from the decoded frame onto `storage` ([`CloudServer::boot`]).
+    /// outsources the RSSE index across the metered wire
+    /// ([`DataOwner::outsource`]), and the server boots from the decoded
+    /// frame onto `storage` ([`CloudServer::boot`]). The server holds no
+    /// basic-scheme index, so protocols 2 and 3 are `Rejected`.
     ///
     /// # Errors
     ///
@@ -1284,10 +1300,46 @@ impl Deployment {
         storage: &Storage,
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
+        Self::outsource_and_boot(
+            master_seed,
+            params,
+            docs,
+            storage,
+            cache_budget_bytes,
+            false,
+        )
+    }
+
+    /// [`Self::bootstrap`] for a deployment that also serves the basic
+    /// scheme's protocols 2 and 3 ([`Self::basic_search_full`],
+    /// [`Self::basic_search_top_k`]): the owner builds the basic scheme's
+    /// index as well and ships it in the same `Outsource` frame.
+    ///
+    /// # Errors
+    ///
+    /// Propagates index-construction and store I/O failures.
+    pub fn bootstrap_with_basic(
+        master_seed: &[u8],
+        params: RsseParams,
+        docs: &[Document],
+        storage: &Storage,
+        cache_budget_bytes: usize,
+    ) -> Result<Self, CloudError> {
+        Self::outsource_and_boot(master_seed, params, docs, storage, cache_budget_bytes, true)
+    }
+
+    fn outsource_and_boot(
+        master_seed: &[u8],
+        params: RsseParams,
+        docs: &[Document],
+        storage: &Storage,
+        cache_budget_bytes: usize,
+        basic: bool,
+    ) -> Result<Self, CloudError> {
         let owner = DataOwner::new(master_seed, params);
         let mut channel = MeteredChannel::new();
         // Encode/decode across the metered wire, exactly as deployed.
-        let frame = owner.outsource(docs)?.encode();
+        let frame = owner.outsource_with(docs, basic)?.encode();
         channel.send_up(frame.len());
         let server = CloudServer::boot(Message::decode(frame)?, storage, cache_budget_bytes)?;
         Ok(Self::wire(owner, server, channel.report()))
@@ -1461,11 +1513,14 @@ impl Deployment {
     }
 
     /// Protocol 2 — basic scheme, naive: all matching files in one round,
-    /// ranked client-side.
+    /// ranked client-side. Needs a deployment from
+    /// [`Self::bootstrap_with_basic`].
     ///
     /// # Errors
     ///
-    /// Propagates trapdoor/protocol failures.
+    /// Propagates trapdoor/protocol failures; [`CloudError::Server`] with
+    /// [`crate::ErrorKind::Rejected`] when the server holds no basic-scheme
+    /// index.
     pub fn basic_search_full(
         &self,
         keyword: &str,
@@ -1488,11 +1543,14 @@ impl Deployment {
         Ok((self.user.decrypt_files(&ranked_files)?, channel.report()))
     }
 
-    /// Protocol 3 — basic scheme, two-round top-k.
+    /// Protocol 3 — basic scheme, two-round top-k. Needs a deployment from
+    /// [`Self::bootstrap_with_basic`].
     ///
     /// # Errors
     ///
-    /// Propagates trapdoor/protocol failures.
+    /// Propagates trapdoor/protocol failures; [`CloudError::Server`] with
+    /// [`crate::ErrorKind::Rejected`] when the server holds no basic-scheme
+    /// index.
     pub fn basic_search_top_k(
         &self,
         keyword: &str,

@@ -18,8 +18,11 @@
 //! submits each complete frame to the pool with a reply sink that routes
 //! the reply back to its connection. A sweep that moves no bytes parks
 //! on the completion channel for a fraction of a millisecond — the only
-//! blocking point — so an idle server costs ~no CPU and a busy one on a
-//! single core yields the core to its workers. This is level-triggered
+//! blocking point — so a busy server on a single core yields the core to
+//! its workers. Idle is not free: the loop still wakes after every park
+//! and makes one non-blocking read per open connection. On a shared
+//! 2-vCPU host an idle 2-worker server used 3–3.6% of a core, and 31%
+//! with 512 idle connections open. This is level-triggered
 //! readiness (`WouldBlock` = not ready) in safe std; the repo forbids
 //! `unsafe`, which rules out `poll(2)` FFI, and the sweep is
 //! behaviourally equivalent for the connection counts we serve.

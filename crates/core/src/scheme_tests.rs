@@ -1,6 +1,7 @@
 use super::*;
 use crate::params::RangePolicy;
 use rsse_crypto::SecretKey;
+use rsse_ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse_ir::score::scores_for_term;
 use rsse_ir::FileId;
 
@@ -150,16 +151,18 @@ fn build_report_statistics() {
 
 #[test]
 fn parallel_build_equals_serial_build() {
+    // Enough lists that four workers interleave on the shared queue.
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(5));
+    let index = InvertedIndex::build(corpus.documents());
     let s = scheme();
-    let index = InvertedIndex::build(&docs());
-    let serial = s.build_index_from(&index).unwrap();
-    let parallel = s.build_index_parallel(&index, 4).unwrap();
-    // Same labels, same decrypted results.
-    assert_eq!(serial.num_lists(), parallel.num_lists());
-    for word in ["network", "cloud", "storage", "packet", "rout"] {
-        let t = s.trapdoor(word).unwrap();
-        assert_eq!(serial.search(&t, None), parallel.search(&t, None), "{word}");
-    }
+    let (serial, one) = s.build_on(&index, 1).unwrap();
+    let (parallel, four) = s.build_on(&index, 4).unwrap();
+    assert_eq!((one.workers, four.workers), (1, 4));
+    assert_eq!(one.opm_operations, four.opm_operations);
+    assert_eq!(
+        serial.export_parts().unwrap(),
+        parallel.export_parts().unwrap()
+    );
 }
 
 #[test]

@@ -9,11 +9,17 @@
 //! one-to-many ciphertext choice.
 //!
 //! [`Tape`] is an HMAC-DRBG-style expander: `seed = HMAC(K, transcript)`,
-//! block_i = `HMAC(seed, i)`. [`Transcript`] provides the canonical,
-//! injective encoding of the tuple.
+//! block_i = `HMAC(seed, i)`. The tape keys one HMAC with the seed when it
+//! is created and clones that keyed state for every block, so a 32-byte
+//! block costs two SHA-256 compressions and no allocation. [`Transcript`]
+//! provides the canonical, injective encoding of the tuple.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, Hmac};
 use crate::keys::SecretKey;
+use crate::Sha256;
+
+/// Bytes per tape block: one HMAC-SHA-256 output.
+const BLOCK: usize = 32;
 
 /// Canonical injective encoder for `TapeGen` inputs.
 ///
@@ -89,12 +95,25 @@ impl Transcript {
 /// let mut b = Tape::new(&key, &t);
 /// assert_eq!(a.next_u64(), b.next_u64()); // same transcript, same coins
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Tape {
-    seed: [u8; 32],
-    block: [u8; 32],
+    /// `HMAC(seed, ·)` with the seed already absorbed into both pads.
+    keyed: Hmac<Sha256>,
+    block: [u8; BLOCK],
     block_index: u64,
     offset: usize,
+}
+
+/// Shows only how far the tape has run: the keyed state stands for the
+/// seed, and the buffered block holds the next coins.
+impl core::fmt::Debug for Tape {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "Tape {{ block_index: {}, seed and block: <redacted> }}",
+            self.block_index
+        )
+    }
 }
 
 impl Tape {
@@ -102,29 +121,34 @@ impl Tape {
     pub fn new(key: &SecretKey, transcript: &[u8]) -> Self {
         let seed = hmac_sha256(key.as_bytes(), transcript);
         let mut tape = Tape {
-            seed,
-            block: [0u8; 32],
+            keyed: Hmac::new(&seed),
+            block: [0u8; BLOCK],
             block_index: 0,
-            offset: 32, // force refill on first read
+            offset: BLOCK,
         };
         tape.refill();
         tape
     }
 
     fn refill(&mut self) {
-        self.block = hmac_sha256(&self.seed, &self.block_index.to_be_bytes());
+        let mut mac = self.keyed.clone();
+        mac.update(&self.block_index.to_be_bytes());
+        self.block = mac.finalize();
         self.block_index += 1;
         self.offset = 0;
     }
 
     /// Fills `out` with pseudorandom bytes.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for b in out.iter_mut() {
-            if self.offset == 32 {
+        let mut filled = 0;
+        while filled < out.len() {
+            if self.offset == BLOCK {
                 self.refill();
             }
-            *b = self.block[self.offset];
-            self.offset += 1;
+            let n = (BLOCK - self.offset).min(out.len() - filled);
+            out[filled..filled + n].copy_from_slice(&self.block[self.offset..self.offset + n]);
+            self.offset += n;
+            filled += n;
         }
     }
 
@@ -314,5 +338,26 @@ mod tests {
             tape2.fill_bytes(chunk);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn debug_redacts_the_seed_and_the_block() {
+        let transcript = Transcript::new("t").u64(9).finish();
+        let tape = Tape::new(&key(), &transcript);
+        let seed = hmac_sha256(key().as_bytes(), &transcript);
+        let mut block = [0u8; BLOCK];
+        tape.clone().fill_bytes(&mut block);
+        let shown = format!("{tape:?}");
+        assert!(shown.contains("block_index: 1"), "{shown}");
+        for secret in [seed, block] {
+            for w in secret.windows(3) {
+                let decimal = format!("{}, {}, {}", w[0], w[1], w[2]);
+                let hex = format!("{:02x}{:02x}{:02x}", w[0], w[1], w[2]);
+                assert!(
+                    !shown.contains(&decimal) && !shown.contains(&hex),
+                    "{shown}"
+                );
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 2026,
     });
 
-    let cloud = Deployment::bootstrap(
+    let cloud = Deployment::bootstrap_with_basic(
         b"acme-corp master secret",
         RsseParams::default(),
         corpus.documents(),

@@ -41,6 +41,13 @@ cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
 echo "==> cargo test -q -p rsse-cloud --lib codec::"
 cargo test -q -p rsse-cloud --lib codec::
 
+# The byte pins: the coin tape's stream and the exact lists both index
+# builders write on a fixed corpus and seed. Padding, nonces and OPM coins
+# all come off the tape, so a speed-up of the tape or of the build that
+# moves one ciphertext byte fails here.
+echo "==> cargo test -q --test byte_pins"
+cargo test -q --test byte_pins
+
 echo "==> cargo test -q --test pool_faults"
 cargo test -q --test pool_faults
 

@@ -5,10 +5,11 @@ use rsse::cloud::{CloudServer, Deployment, NetworkParams, Storage};
 use rsse::core::RsseParams;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
+use rsse::sse::entry::ENTRY_CT_LEN;
 
 fn deployment(seed: u64) -> (SyntheticCorpus, Deployment) {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(seed));
-    let cloud = Deployment::bootstrap(
+    let cloud = Deployment::bootstrap_with_basic(
         b"integration master secret",
         RsseParams::default(),
         corpus.documents(),
@@ -128,6 +129,24 @@ fn setup_traffic_accounts_for_index_and_files() {
     // The outsourcing upload must at least carry the encrypted corpus.
     assert!(cloud.setup_traffic.bytes_up > corpus.total_bytes());
     assert_eq!(cloud.setup_traffic.bytes_down, 0);
+    // Without protocols 2 and 3 the upload skips every padded basic list:
+    // one per keyword, ν entries of 56 bytes each.
+    let lean = Deployment::bootstrap(
+        b"integration master secret",
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap();
+    let index = InvertedIndex::build(corpus.documents());
+    let basic_bytes = index.num_keywords() * index.max_posting_len() * ENTRY_CT_LEN;
+    assert!(
+        lean.setup_traffic.bytes_up + basic_bytes <= cloud.setup_traffic.bytes_up,
+        "{} + {basic_bytes} > {}",
+        lean.setup_traffic.bytes_up,
+        cloud.setup_traffic.bytes_up
+    );
 }
 
 #[test]

@@ -4,8 +4,8 @@
 
 use bytes_shim::corrupt_each_byte;
 use rsse::cloud::{
-    CloudError, CloudServer, Deployment, EncryptedFile, ErrorKind, Message, MeteredChannel,
-    SearchMode, Storage,
+    CloudError, CloudServer, DataOwner, Deployment, EncryptedFile, ErrorKind, Message,
+    MeteredChannel, SearchMode, Storage,
 };
 use rsse::core::{Label, Rsse, RsseError, RsseParams, RsseTrapdoor};
 use rsse::crypto::SecretKey;
@@ -271,12 +271,41 @@ fn hostile_outsource_lists_fail_boot_with_a_typed_error() {
 
 #[test]
 fn servers_without_a_basic_index_reject_basic_searches() {
-    // A reopened store persists the RSSE index only.
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(38));
+    let seed: &[u8] = b"failure seed";
+    let rejected = |r: Result<_, CloudError>| {
+        matches!(
+            r,
+            Err(CloudError::Server {
+                kind: ErrorKind::Rejected,
+                ..
+            })
+        )
+    };
+
+    // By default the owner ships the RSSE index alone.
+    let owner = DataOwner::new(seed, RsseParams::default());
+    let Message::Outsource { basic_lists, .. } = owner.outsource(corpus.documents()).unwrap()
+    else {
+        panic!("outsource emits an Outsource frame");
+    };
+    assert!(basic_lists.is_empty());
+    let lean = Deployment::bootstrap(
+        seed,
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        0,
+    )
+    .unwrap();
+    assert!(rejected(lean.basic_search_full("network").map(|_| ())));
+    assert!(rejected(lean.basic_search_top_k("network", 3).map(|_| ())));
+    assert!(!lean.rsse_search("network", Some(3)).unwrap().0.is_empty());
+
+    // A reopened store persists the RSSE index only.
     let dir = std::env::temp_dir().join(format!("rsse_reopen_basic_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let seed: &[u8] = b"failure seed";
-    let booted = Deployment::bootstrap(
+    let booted = Deployment::bootstrap_with_basic(
         seed,
         RsseParams::default(),
         corpus.documents(),
@@ -288,15 +317,6 @@ fn servers_without_a_basic_index_reject_basic_searches() {
     drop(booted);
     let reopened =
         Deployment::reopen(seed, RsseParams::default(), corpus.documents(), &dir, 0).unwrap();
-    let rejected = |r: Result<_, CloudError>| {
-        matches!(
-            r,
-            Err(CloudError::Server {
-                kind: ErrorKind::Rejected,
-                ..
-            })
-        )
-    };
     assert!(rejected(reopened.basic_search_full("network").map(|_| ())));
     assert!(rejected(
         reopened.basic_search_top_k("network", 3).map(|_| ())

@@ -44,7 +44,7 @@ fn rfc_scale_index_and_search() {
 #[ignore = "bootstraps a full deployment over 5563 documents"]
 fn rfc_scale_deployment_protocols() {
     let corpus = SyntheticCorpus::generate(&CorpusParams::rfc_like(7));
-    let cloud = Deployment::bootstrap(
+    let cloud = Deployment::bootstrap_with_basic(
         b"full scale seed",
         RsseParams::default(),
         corpus.documents(),

@@ -4,13 +4,12 @@
 //! pool shuts down cleanly, and that the per-worker served counts account
 //! for exactly the requests issued.
 
-use rsse::cloud::entities::{CloudServer, DataOwner};
+use rsse::cloud::entities::CloudServer;
 use rsse::cloud::server_loop::{PoolOptions, ServerHandle};
-use rsse::cloud::{FileCrypter, Message, SearchMode};
+use rsse::cloud::{Deployment, FileCrypter, Message, SearchMode, Storage};
 use rsse::core::{Rsse, RsseParams};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::{Document, FileId, InvertedIndex};
-use std::sync::Arc;
 
 const SEARCHER_THREADS: usize = 12;
 const SEARCHES_PER_THREAD: usize = 15;
@@ -21,9 +20,16 @@ const UPDATES_PER_THREAD: usize = 5;
 fn sixteen_threads_mixed_search_and_dynamics_against_four_workers() {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(77));
     let seed: &[u8] = b"pool stress seed";
-    let owner = DataOwner::new(seed, RsseParams::default());
-    let server = CloudServer::from_outsource(owner.outsource(corpus.documents()).unwrap()).unwrap();
-    let handle = ServerHandle::spawn_pool_shared(Arc::new(server), PoolOptions::new(4, 32));
+    let cloud = Deployment::bootstrap_with_basic(
+        seed,
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap();
+    let owner = cloud.owner();
+    let handle = ServerHandle::spawn_pool_shared(cloud.server(), PoolOptions::new(4, 32));
     assert_eq!(handle.num_workers(), 4);
 
     // 12 searcher threads + 4 updater threads = 16 concurrent clients.
