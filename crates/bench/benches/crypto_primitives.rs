@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the from-scratch crypto primitives.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rsse_crypto::ctr::pad_from_tape;
 use rsse_crypto::{hmac_sha256, Digest, SecretKey, SemanticCipher, Sha1, Sha256, Tape};
 use std::hint::black_box;
 
@@ -47,6 +48,18 @@ fn bench_tape(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             Tape::new(&key, &i.to_be_bytes()).fill_bytes(&mut out);
+            black_box(out[out.len() - 1])
+        })
+    });
+    // The same padding as the builders draw it: an AES-CTR keystream under
+    // a key and counter off the list's tape.
+    c.bench_function("aes_ctr_keystream_40000_bytes", |b| {
+        let key = SecretKey::derive(b"bench", "tape");
+        let mut out = vec![0u8; 40_000];
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            pad_from_tape(&mut Tape::new(&key, &i.to_be_bytes()), &mut out);
             black_box(out[out.len() - 1])
         })
     });

@@ -34,23 +34,24 @@ impl EncryptedFile {
     }
 }
 
-/// Owner-side file encryption (AES-CTR under a dedicated file key).
+/// Owner-side file encryption (AES-CTR under a dedicated file key, its
+/// round keys expanded once for every file).
 #[derive(Debug)]
 pub struct FileCrypter {
-    key: SecretKey,
+    cipher: SemanticCipher,
 }
 
 impl FileCrypter {
     /// Derives the file-encryption key from the owner's master seed.
     pub fn new(master_seed: &[u8]) -> Self {
         FileCrypter {
-            key: SecretKey::derive(master_seed, "cloud/files"),
+            cipher: SemanticCipher::new(&SecretKey::derive(master_seed, "cloud/files")),
         }
     }
 
     /// Encrypts one document (nonce bound to the file id).
     pub fn encrypt(&self, doc: &Document) -> EncryptedFile {
-        let mut sealer = Sealer::new(SemanticCipher::new(&self.key), doc.id().as_u64());
+        let mut sealer = Sealer::new(self.cipher.clone(), doc.id().as_u64());
         EncryptedFile::new(doc.id(), sealer.seal(doc.text().as_bytes()))
     }
 
@@ -66,7 +67,7 @@ impl FileCrypter {
     /// [`CryptoError`] on truncated ciphertexts or non-UTF-8 plaintext
     /// (wrong key).
     pub fn decrypt(&self, file: &EncryptedFile) -> Result<Document, CryptoError> {
-        let plain = SemanticCipher::new(&self.key).decrypt(file.ciphertext())?;
+        let plain = self.cipher.decrypt(file.ciphertext())?;
         let text = String::from_utf8(plain).map_err(|_| CryptoError::IntegrityCheckFailed)?;
         Ok(Document::new(file.id(), text))
     }

@@ -6,7 +6,9 @@
 //! holds the trapdoor it unwraps the entry and can compare scores by
 //! numeric order.
 
+use rsse_crypto::aes::{BLOCK_LEN, PARALLEL_BLOCKS};
 use rsse_crypto::ctr::NONCE_LEN;
+use rsse_crypto::SemanticCipher;
 use rsse_ir::FileId;
 
 /// Length of the all-zero validity marker (`0^l` in Fig. 3).
@@ -45,6 +47,71 @@ pub fn decode_entry(plain: &[u8]) -> Option<(FileId, u64)> {
         FileId::from_bytes(id_bytes),
         u64::from_be_bytes(score_bytes),
     ))
+}
+
+// The first keystream block of an entry covers its marker and file id,
+// the second its score.
+const _: () = assert!(MARKER_LEN + ID_LEN == BLOCK_LEN && SCORE_LEN <= BLOCK_LEN);
+
+/// The real entries of a posting list as `(file, opm_score)`, in list
+/// order, decrypted four per kernel call with no heap buffer.
+///
+/// An entry's first keystream block covers the marker and the file id, so
+/// one call decrypts four entries' first blocks and drops every entry whose
+/// marker is not zero (padding, or an entry under another list's key); the
+/// second block, which covers the score, is computed only for the entries
+/// that pass, again four per call. Entries that are not [`ENTRY_CT_LEN`]
+/// bytes long are dropped unread. The output equals
+/// [`SemanticCipher::decrypt_into`] then [`decode_entry`] on each entry.
+pub(crate) fn real_entries<'a, 'c, I: Iterator<Item = &'a [u8]>>(
+    entries: I,
+    cipher: &'c SemanticCipher,
+) -> impl Iterator<Item = (FileId, u64)> + use<'a, 'c, I> {
+    let mut entries = entries.filter(|ct| ct.len() == ENTRY_CT_LEN);
+    let nonce = |ct: &[u8]| -> [u8; NONCE_LEN] {
+        ct[..NONCE_LEN].try_into().expect("entry length checked")
+    };
+    std::iter::from_fn(move || {
+        let mut batch: [&[u8]; PARALLEL_BLOCKS] = [&[]; PARALLEL_BLOCKS];
+        // `zip` stops at the fifth slot without pulling a fifth entry.
+        let mut n = 0;
+        for (slot, ct) in batch.iter_mut().zip(entries.by_ref()) {
+            *slot = ct;
+            n += 1;
+        }
+        if n == 0 {
+            return None;
+        }
+        let mut firsts = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
+        for (block, ct) in firsts.iter_mut().zip(&batch[..n]) {
+            *block = nonce(ct);
+        }
+        cipher.keystream_blocks(&mut firsts);
+        let mut ready = [(FileId::default(), 0u64); PARALLEL_BLOCKS];
+        let mut passed: [&[u8]; PARALLEL_BLOCKS] = [&[]; PARALLEL_BLOCKS];
+        let mut seconds = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
+        let mut len = 0;
+        for (ct, keystream) in batch[..n].iter().zip(&firsts) {
+            let first: [u8; BLOCK_LEN] = core::array::from_fn(|i| ct[NONCE_LEN + i] ^ keystream[i]);
+            if first[..MARKER_LEN] != [0u8; MARKER_LEN] {
+                continue;
+            }
+            let id: [u8; ID_LEN] = first[MARKER_LEN..].try_into().expect("id fills the block");
+            ready[len].0 = FileId::from_bytes(id);
+            seconds[len] = u128::from_be_bytes(nonce(ct)).wrapping_add(1).to_be_bytes();
+            passed[len] = ct;
+            len += 1;
+        }
+        if len > 0 {
+            cipher.keystream_blocks(&mut seconds);
+        }
+        for ((slot, ct), keystream) in ready.iter_mut().zip(passed).zip(&seconds).take(len) {
+            let score = &ct[NONCE_LEN + BLOCK_LEN..];
+            slot.1 = u64::from_be_bytes(core::array::from_fn(|i| score[i] ^ keystream[i]));
+        }
+        Some((ready, len))
+    })
+    .flat_map(|(ready, len)| ready.into_iter().take(len))
 }
 
 #[cfg(test)]

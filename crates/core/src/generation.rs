@@ -551,7 +551,7 @@ impl GenerationalBackend {
     }
 
     /// Ranked search across every generation plus the overlay (see
-    /// [`crate::RsseIndex::search_with_scratch`] for the contract): one
+    /// [`crate::RsseIndex::search`] for the contract): one
     /// positional read of the touched list per generation, then
     /// [`Self::rank_merged`].
     ///
@@ -562,7 +562,6 @@ impl GenerationalBackend {
         &self,
         trapdoor: &RsseTrapdoor,
         top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
     ) -> Vec<RankedResult> {
         let set = self.shared.current_set();
         let lists: Vec<ListBytes> = set
@@ -570,7 +569,7 @@ impl GenerationalBackend {
             .iter()
             .filter_map(|s| s.reader.read_label(trapdoor.label()))
             .collect();
-        self.rank_merged(trapdoor, lists.iter(), top_k, scratch)
+        self.rank_merged(trapdoor, lists.iter(), top_k)
     }
 
     /// Batched [`Self::search`]: every generation file reads the posting
@@ -584,7 +583,6 @@ impl GenerationalBackend {
         &self,
         trapdoors: &[RsseTrapdoor],
         top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
     ) -> Vec<Vec<RankedResult>> {
         let set = self.shared.current_set();
         let mut per_segment: Vec<HashMap<Label, ListBytes>> =
@@ -604,7 +602,7 @@ impl GenerationalBackend {
             .iter()
             .map(|trapdoor| {
                 let lists = per_segment.iter().filter_map(|m| m.get(trapdoor.label()));
-                self.rank_merged(trapdoor, lists, top_k, scratch)
+                self.rank_merged(trapdoor, lists, top_k)
             })
             .collect()
     }
@@ -618,7 +616,6 @@ impl GenerationalBackend {
         trapdoor: &RsseTrapdoor,
         lists: impl Iterator<Item = &'l ListBytes>,
         top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
     ) -> Vec<RankedResult> {
         let mut lists = lists.peekable();
         let overlay = self.overlay.list(trapdoor.label());
@@ -627,10 +624,10 @@ impl GenerationalBackend {
         }
         let cipher = SemanticCipher::new(trapdoor.list_key());
         let mut streams: Vec<Vec<RankedResult>> = lists
-            .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k, scratch))
+            .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k))
             .collect();
         if let Some(pl) = overlay {
-            streams.push(rank_entries(pl.iter(), pl.len(), &cipher, top_k, scratch));
+            streams.push(rank_entries(pl.iter(), pl.len(), &cipher, top_k));
         }
         streams.retain(|s| !s.is_empty());
         match streams.len() {
@@ -1051,10 +1048,9 @@ mod tests {
             .iter()
             .map(|b| RsseTrapdoor::from_parts(label(*b), key.clone()))
             .collect();
-        let mut scratch = Vec::new();
-        let batched = store.search_batch(&trapdoors, None, &mut scratch);
+        let batched = store.search_batch(&trapdoors, None);
         for (t, got) in trapdoors.iter().zip(&batched) {
-            assert_eq!(*got, store.search(t, None, &mut scratch));
+            assert_eq!(*got, store.search(t, None));
         }
         let stats = store.batch_read_stats();
         assert_eq!(stats.batches, 1);

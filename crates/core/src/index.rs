@@ -12,7 +12,7 @@
 //! reopened by [`RsseIndex::open_generational`] (see [`crate::backend`]).
 
 use crate::backend::BackendKind;
-use crate::entry::{decode_entry, ENTRY_PLAIN_LEN};
+use crate::entry::real_entries;
 use crate::error::RsseError;
 use crate::generation::{GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction};
 use crate::persist::PersistError;
@@ -388,35 +388,25 @@ impl RsseIndex {
     ///
     /// With `top_k = Some(k)` a size-k min-heap is used, so the cost is
     /// `O(N_i log k)` rather than a full sort — this is the Fig. 8
-    /// operation. Returns an empty vector for unknown labels.
-    pub fn search(&self, trapdoor: &RsseTrapdoor, top_k: Option<usize>) -> Vec<RankedResult> {
-        let mut scratch = Vec::with_capacity(ENTRY_PLAIN_LEN);
-        self.search_with_scratch(trapdoor, top_k, &mut scratch)
-    }
-
-    /// [`Self::search`] decrypting into a caller-owned scratch buffer, so a
-    /// serving loop issuing many queries allocates nothing per entry and
-    /// (after warm-up) nothing per query beyond the result vector.
+    /// operation. Returns an empty vector for unknown labels. Entries are
+    /// decrypted four per cipher call into stack buffers, so a query
+    /// allocates nothing per entry and nothing beyond its result vector
+    /// (and, with `top_k`, the heap).
     ///
     /// On a generational backend the touched posting list is read off disk
     /// and ranked together with the delta overlay; the ranking is
     /// byte-identical to the in-memory backend's (see
     /// [`crate::generation`]).
-    pub fn search_with_scratch(
-        &self,
-        trapdoor: &RsseTrapdoor,
-        top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
-    ) -> Vec<RankedResult> {
+    pub fn search(&self, trapdoor: &RsseTrapdoor, top_k: Option<usize>) -> Vec<RankedResult> {
         match &self.backend {
             Backend::Mem(m) => {
                 let Some(list) = m.list(trapdoor.label()) else {
                     return Vec::new();
                 };
                 let cipher = SemanticCipher::new(trapdoor.list_key());
-                rank_entries(list.iter(), list.len(), &cipher, top_k, scratch)
+                rank_entries(list.iter(), list.len(), &cipher, top_k)
             }
-            Backend::Generational(g) => g.search(trapdoor, top_k, scratch),
+            Backend::Generational(g) => g.search(trapdoor, top_k),
         }
     }
 
@@ -434,25 +424,10 @@ impl RsseIndex {
         trapdoors: &[RsseTrapdoor],
         top_k: Option<usize>,
     ) -> Vec<Vec<RankedResult>> {
-        let mut scratch = Vec::with_capacity(ENTRY_PLAIN_LEN);
-        self.search_batch_with_scratch(trapdoors, top_k, &mut scratch)
-    }
-
-    /// [`Self::search_batch`] decrypting into a caller-owned scratch
-    /// buffer, like [`Self::search_with_scratch`].
-    pub fn search_batch_with_scratch(
-        &self,
-        trapdoors: &[RsseTrapdoor],
-        top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
-    ) -> Vec<Vec<RankedResult>> {
         match &self.backend {
             // The arena has no seeks to save: per-query dispatch.
-            Backend::Mem(_) => trapdoors
-                .iter()
-                .map(|t| self.search_with_scratch(t, top_k, scratch))
-                .collect(),
-            Backend::Generational(g) => g.search_batch(trapdoors, top_k, scratch),
+            Backend::Mem(_) => trapdoors.iter().map(|t| self.search(t, top_k)).collect(),
+            Backend::Generational(g) => g.search_batch(trapdoors, top_k),
         }
     }
 
@@ -591,25 +566,21 @@ impl RsseIndex {
     }
 }
 
-/// Decrypts and ranks one stream of encrypted posting entries — the shared
-/// core of both backends' search paths. `reserve` sizes the full-sort
-/// output vector (pass the entry count). Entries that fail to decrypt or
-/// decode (padding, other shards' entries) are dropped, exactly as the
-/// paper's server does.
+/// Decrypts and ranks one stream of encrypted posting entries — the one
+/// decrypt path of every search (both backends, batch and conjunctive).
+/// `reserve` sizes the full-sort output vector (pass the entry count).
+/// Entries that fail to decode (padding, entries under another key or of
+/// another length) are dropped, exactly as the paper's server does; the
+/// rest are decrypted four per cipher call ([`real_entries`]).
 pub(crate) fn rank_entries<'a>(
     entries: impl Iterator<Item = &'a [u8]>,
     reserve: usize,
     cipher: &SemanticCipher,
     top_k: Option<usize>,
-    scratch: &mut Vec<u8>,
 ) -> Vec<RankedResult> {
-    let decrypted = entries.filter_map(|ct| {
-        cipher.decrypt_into(ct, scratch).ok()?;
-        let (file, score) = decode_entry(scratch)?;
-        Some(RankedResult {
-            file,
-            encrypted_score: score,
-        })
+    let decrypted = real_entries(entries, cipher).map(|(file, encrypted_score)| RankedResult {
+        file,
+        encrypted_score,
     });
     match top_k {
         Some(k) => top_k_desc(decrypted, k),
@@ -722,6 +693,65 @@ mod tests {
         RankedResult {
             file: FileId::new(file),
             encrypted_score: score,
+        }
+    }
+
+    #[test]
+    fn batched_rank_entries_equal_per_entry_decryption() {
+        use crate::entry::{decode_entry, encode_entry};
+        use rsse_crypto::Tape;
+        let key = SecretKey::derive(b"k", "list");
+        let cipher = SemanticCipher::new(&key);
+        let other = SemanticCipher::new(&SecretKey::derive(b"k", "other list"));
+        let mut coins = Tape::new(&key, b"entries");
+        // Real entries (two of them share a score), padding, an entry under
+        // another list's key, and entries of 39, 41 and 16 bytes.
+        let mut pool: Vec<Vec<u8>> = Vec::new();
+        for i in 0..6u64 {
+            let mut nonce = [0u8; 16];
+            coins.fill_bytes(&mut nonce);
+            let plain = encode_entry(FileId::new(100 + i), 1000 + i % 5);
+            pool.push(cipher.encrypt_with_nonce(nonce, &plain));
+        }
+        let mut padding = vec![0u8; ENTRY_CT_LEN];
+        coins.fill_bytes(&mut padding);
+        pool.push(padding);
+        pool.push(other.encrypt_with_nonce([9; 16], &encode_entry(FileId::new(7), 5)));
+        let real = pool[0].clone();
+        pool.push(real[..ENTRY_CT_LEN - 1].to_vec());
+        pool.push([real.as_slice(), &[0]].concat());
+        pool.push(real[..16].to_vec());
+        let reference = |list: &[Vec<u8>], top_k: Option<usize>| {
+            let mut scratch = Vec::new();
+            let mut all: Vec<RankedResult> = list
+                .iter()
+                .filter_map(|ct| {
+                    cipher.decrypt_into(ct, &mut scratch).ok()?;
+                    let (file, encrypted_score) = decode_entry(&scratch)?;
+                    Some(RankedResult {
+                        file,
+                        encrypted_score,
+                    })
+                })
+                .collect();
+            all.sort_by(|a, b| b.cmp(a));
+            all.truncate(top_k.unwrap_or(usize::MAX));
+            all
+        };
+        for len in 0..=9 {
+            for start in 0..pool.len() {
+                let list: Vec<Vec<u8>> = (0..len)
+                    .map(|i| pool[(start + i * 7) % pool.len()].clone())
+                    .collect();
+                for top_k in [None, Some(0), Some(1), Some(3), Some(20)] {
+                    let got = rank_entries(list.iter().map(Vec::as_slice), len, &cipher, top_k);
+                    assert_eq!(
+                        got,
+                        reference(&list, top_k),
+                        "len {len} start {start} top_k {top_k:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -14,7 +14,6 @@
 //!   candidate set by recovering quantized levels and applying the eq. (1)
 //!   IDF weighting ([`Rsse::rerank_conjunctive`]).
 
-use crate::entry::ENTRY_PLAIN_LEN;
 use crate::error::RsseError;
 use crate::index::{Label, RsseIndex, RsseTrapdoor};
 use crate::scheme::Rsse;
@@ -195,25 +194,14 @@ impl RsseIndex {
     /// *smallest* list drives the intersection while the others are
     /// hash-probed. [`RsseIndex::conjunctive_stats`] counts what this
     /// saves.
+    ///
+    /// The allocation count depends only on the query arity and the
+    /// intersection size, never on posting-list length (pinned by the
+    /// `alloc_count` suite).
     pub fn search_conjunctive(
         &self,
         trapdoor: &MultiTrapdoor,
         top_k: Option<usize>,
-    ) -> Vec<ConjunctiveResult> {
-        let mut scratch = Vec::with_capacity(ENTRY_PLAIN_LEN);
-        self.search_conjunctive_with_scratch(trapdoor, top_k, &mut scratch)
-    }
-
-    /// [`Self::search_conjunctive`] decrypting into a caller-owned scratch
-    /// buffer, like [`RsseIndex::search_with_scratch`]: after warm-up the
-    /// hot path's allocation count depends only on the query arity and the
-    /// intersection size, never on posting-list length (pinned by the
-    /// `alloc_count` suite).
-    pub fn search_conjunctive_with_scratch(
-        &self,
-        trapdoor: &MultiTrapdoor,
-        top_k: Option<usize>,
-        scratch: &mut Vec<u8>,
     ) -> Vec<ConjunctiveResult> {
         let parts = trapdoor.parts();
         if parts.is_empty() {
@@ -234,7 +222,7 @@ impl RsseIndex {
         // One batched pass over every surviving list: the on-disk store
         // sorts the reads into file-offset order, so an n-keyword query
         // costs one forward sweep instead of n independent seeks.
-        let rankings = self.search_batch_with_scratch(parts, None, scratch);
+        let rankings = self.search_batch(parts, None);
         let driver = (0..rankings.len())
             .min_by_key(|&i| rankings[i].len())
             .expect("non-empty parts");
@@ -503,18 +491,14 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_matches_and_stats_count_the_pushdown() {
+    fn repeated_queries_match_and_stats_count_the_pushdown() {
         let s = scheme();
         let enc = s.build_index(&docs()).unwrap();
         assert_eq!(enc.conjunctive_stats(), ConjunctiveStats::default());
 
         let t = s.multi_trapdoor("network storage").unwrap();
         let plain = enc.search_conjunctive(&t, None);
-        let mut scratch = Vec::new();
-        assert_eq!(
-            enc.search_conjunctive_with_scratch(&t, None, &mut scratch),
-            plain
-        );
+        assert_eq!(enc.search_conjunctive(&t, None), plain);
 
         let stats = enc.conjunctive_stats();
         assert_eq!(stats.queries, 2);

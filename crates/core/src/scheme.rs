@@ -5,7 +5,7 @@ use crate::entry::{encode_entry, ENTRY_CT_LEN};
 use crate::error::RsseError;
 use crate::index::{Label, ListParts, RsseIndex, RsseTrapdoor};
 use crate::params::{Padding, RsseParams};
-use rsse_crypto::ctr::NONCE_LEN;
+use rsse_crypto::ctr::{pad_from_tape, NONCE_LEN};
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SemanticCipher, Tape};
 use rsse_ir::score::{scores_for_term_with, CollectionStats};
@@ -46,8 +46,9 @@ pub struct BuildReport {
     /// Time of the per-list stage (OPM, entry encryption and padding),
     /// summed over lists.
     pub list_time: Duration,
-    /// The part of [`Self::list_time`] spent drawing padding entries off
-    /// the tape, summed over lists.
+    /// The part of [`Self::list_time`] spent generating padding entries
+    /// (an AES-CTR keystream keyed off each list's tape), summed over
+    /// lists.
     pub padding_time: Duration,
     /// Worker threads the per-list stage ran on.
     pub workers: usize,
@@ -429,12 +430,12 @@ impl Rsse {
             tape.fill_bytes(&mut nonce);
             cipher.encrypt_with_nonce_into(nonce, &plain, &mut list);
         }
-        // Pad to ν with random entries straight off the tape (a stream, so
-        // one draw equals one draw per padding entry).
+        // Pad to ν with random entries: the AES-CTR keystream under a key
+        // and counter drawn off the tape after the real entries' draws.
         let padding_started = Instant::now();
         let real = list.len();
         list.resize(list_len, 0);
-        tape.fill_bytes(&mut list[real..]);
+        pad_from_tape(&mut tape, &mut list[real..]);
         let padding_time = padding_started.elapsed();
         let stats = ListStats {
             opm_ops,

@@ -2,11 +2,11 @@
 //!
 //! Before the flat arena, `RsseIndex::search` paid one heap allocation per
 //! posting entry per query (a fresh plaintext `Vec` from `decrypt`). With
-//! the [`PostingStore`] arena and `decrypt_into` the per-query allocation
-//! count must be a small constant, *independent of list length* — O(1)
-//! per query instead of O(entries). A counting global allocator verifies
-//! exactly that. (The lib crate forbids `unsafe`; this integration-test
-//! crate hosts the allocator shim instead.)
+//! the `PostingStore` arena and entries decrypted four at a time into
+//! stack buffers, the per-query allocation count must be a small constant,
+//! *independent of list length* — O(1) per query instead of O(entries). A
+//! counting global allocator verifies exactly that. (The lib crate forbids
+//! `unsafe`; this integration-test crate hosts the allocator shim instead.)
 
 use rsse_core::{merge_ranked_streams, ranked_prefix, RankedResult, Rsse, RsseParams};
 use rsse_ir::{Document, FileId};
@@ -73,17 +73,14 @@ fn search_allocations_are_constant_in_list_length() {
     assert_eq!(small.list_len(trapdoor.label()), Some(16));
     assert_eq!(large.list_len(trapdoor.label()), Some(512));
 
-    let mut scratch = Vec::new();
-    // Warm-up: lets the scratch buffer reach its steady-state capacity.
-    let warm = large.search_with_scratch(&trapdoor, Some(8), &mut scratch);
+    // Warm-up: anything allocated once per process is paid here.
+    let warm = large.search(&trapdoor, Some(8));
     assert_eq!(warm.len(), 8);
 
     // Heap-based top-k: the only per-query allocations are the k-sized
     // heap and the result vector, regardless of how long the list is.
-    let (allocs_small, hits_small) =
-        allocations_during(|| small.search_with_scratch(&trapdoor, Some(8), &mut scratch));
-    let (allocs_large, hits_large) =
-        allocations_during(|| large.search_with_scratch(&trapdoor, Some(8), &mut scratch));
+    let (allocs_small, hits_small) = allocations_during(|| small.search(&trapdoor, Some(8)));
+    let (allocs_large, hits_large) = allocations_during(|| large.search(&trapdoor, Some(8)));
     assert_eq!(hits_small.len(), 8);
     assert_eq!(hits_large.len(), 8);
     assert_eq!(
@@ -99,10 +96,8 @@ fn search_allocations_are_constant_in_list_length() {
 
     // Full-sort branch: one pre-sized result vector; sort_unstable is
     // in-place, so the count is constant here too.
-    let (full_small, _) =
-        allocations_during(|| small.search_with_scratch(&trapdoor, None, &mut scratch));
-    let (full_large, _) =
-        allocations_during(|| large.search_with_scratch(&trapdoor, None, &mut scratch));
+    let (full_small, _) = allocations_during(|| small.search(&trapdoor, None));
+    let (full_large, _) = allocations_during(|| large.search(&trapdoor, None));
     assert_eq!(
         full_small, full_large,
         "full-sort search allocations must not scale with list length \
@@ -186,14 +181,12 @@ fn search_allocations_are_constant_in_list_length() {
     let conj = scheme.multi_trapdoor("network storage").unwrap();
     let conj_small = scheme.build_index(&conjunctive_corpus(16)).unwrap();
     let conj_large = scheme.build_index(&conjunctive_corpus(512)).unwrap();
-    let warm = conj_large.search_conjunctive_with_scratch(&conj, None, &mut scratch);
+    let warm = conj_large.search_conjunctive(&conj, None);
     assert_eq!(warm.len(), 8);
-    let (conj_allocs_small, conj_hits_small) = allocations_during(|| {
-        conj_small.search_conjunctive_with_scratch(&conj, None, &mut scratch)
-    });
-    let (conj_allocs_large, conj_hits_large) = allocations_during(|| {
-        conj_large.search_conjunctive_with_scratch(&conj, None, &mut scratch)
-    });
+    let (conj_allocs_small, conj_hits_small) =
+        allocations_during(|| conj_small.search_conjunctive(&conj, None));
+    let (conj_allocs_large, conj_hits_large) =
+        allocations_during(|| conj_large.search_conjunctive(&conj, None));
     assert_eq!(conj_hits_small.len(), 8);
     assert_eq!(conj_hits_large.len(), 8);
     assert_eq!(

@@ -4,11 +4,14 @@
 //! `E : {0,1}^l' x {0,1}^r -> {0,1}^r` — used for `E_z(S_ij)` score
 //! encryption in the basic scheme and for file-content encryption in the
 //! cloud simulation. CTR mode with a fresh nonce per message gives IND-CPA
-//! security; the nonce is carried in the ciphertext header.
+//! security; the nonce is carried in the ciphertext header. Four counter
+//! blocks go through the bitsliced kernel per call ([`crate::aes`]), and
+//! [`pad_from_tape`] draws the builders' padding from the same keystream.
 
-use crate::aes::{Aes128, BLOCK_LEN};
+use crate::aes::{Aes128, BLOCK_LEN, PARALLEL_BLOCKS};
 use crate::error::CryptoError;
 use crate::keys::SecretKey;
+use crate::tape::Tape;
 
 /// Byte length of the per-message nonce prepended to each ciphertext.
 pub const NONCE_LEN: usize = BLOCK_LEN;
@@ -46,16 +49,29 @@ impl SemanticCipher {
         }
     }
 
+    /// XORs `data` with the keystream from counter `nonce` on, the
+    /// counter a big-endian 128-bit integer that wraps at 2^128.
     fn keystream_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
         let mut counter = u128::from_be_bytes(*nonce);
-        for chunk in data.chunks_mut(BLOCK_LEN) {
-            let mut block = counter.to_be_bytes();
-            self.aes.encrypt_block(&mut block);
-            for (d, k) in chunk.iter_mut().zip(block.iter()) {
+        for chunk in data.chunks_mut(PARALLEL_BLOCKS * BLOCK_LEN) {
+            let mut blocks = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
+            for block in &mut blocks {
+                *block = counter.to_be_bytes();
+                counter = counter.wrapping_add(1);
+            }
+            self.aes.encrypt_blocks(&mut blocks);
+            for (d, k) in chunk.iter_mut().zip(blocks.as_flattened()) {
                 *d ^= k;
             }
-            counter = counter.wrapping_add(1);
         }
+    }
+
+    /// Replaces each of four counter blocks with its keystream block
+    /// `AES_k(counter)`: one kernel call for the first keystream blocks
+    /// of four messages under different nonces, which is how the server
+    /// decrypts posting entries four at a time.
+    pub fn keystream_blocks(&self, counters: &mut [[u8; BLOCK_LEN]; PARALLEL_BLOCKS]) {
+        self.aes.encrypt_blocks(counters);
     }
 
     /// Encrypts `plaintext` under the given `nonce`.
@@ -129,6 +145,44 @@ impl SemanticCipher {
         self.keystream_xor(&nonce, scratch);
         Ok(())
     }
+}
+
+/// Fills `out` with padding: the AES-128-CTR keystream under a key and an
+/// initial counter drawn off `tape`, 16 bytes each and in that order.
+///
+/// This is how both index builders pad a posting list to ν (Fig. 3, step
+/// 3): the 32 bytes come off the list's tape right after its last real
+/// entry's draws, so real entries keep their bytes, and the keystream runs
+/// at the kernel's rate rather than the tape's two SHA-256 compressions
+/// per 32 bytes. Without the tape's seed the padding is pseudorandom, as
+/// the tape's own bytes were. An empty `out` draws nothing.
+///
+/// # Example
+///
+/// ```
+/// use rsse_crypto::ctr::pad_from_tape;
+/// use rsse_crypto::{SecretKey, Tape};
+///
+/// let key = SecretKey::derive(b"seed", "pad");
+/// let (mut a, mut b) = ([0u8; 100], [0u8; 100]);
+/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut a);
+/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut b);
+/// assert_eq!(a, b, "same tape, same padding");
+/// assert_ne!(a, [0u8; 100]);
+/// ```
+pub fn pad_from_tape(tape: &mut Tape, out: &mut [u8]) {
+    if out.is_empty() {
+        return;
+    }
+    let mut key = [0u8; 16];
+    let mut counter = [0u8; NONCE_LEN];
+    tape.fill_bytes(&mut key);
+    tape.fill_bytes(&mut counter);
+    let cipher = SemanticCipher {
+        aes: Aes128::new(&key),
+    };
+    out.fill(0);
+    cipher.keystream_xor(&counter, out);
 }
 
 /// A stateful sealer guaranteeing unique nonces for one cipher instance.
@@ -289,6 +343,102 @@ mod tests {
         let mut a = Sealer::new(cipher.clone(), 1);
         let mut b = Sealer::new(cipher, 2);
         assert_ne!(a.seal(b"m")[..NONCE_LEN], b.seal(b"m")[..NONCE_LEN]);
+    }
+
+    /// The byte-wise oracle's CTR: one block per counter, one at a time.
+    fn oracle_ctr(key: &[u8; 16], nonce: [u8; 16], data: &[u8]) -> Vec<u8> {
+        let aes = crate::aes::oracle::Aes128::new(key);
+        let mut counter = u128::from_be_bytes(nonce);
+        let mut out = data.to_vec();
+        for chunk in out.chunks_mut(BLOCK_LEN) {
+            let mut block = counter.to_be_bytes();
+            aes.encrypt_block(&mut block);
+            chunk.iter_mut().zip(block).for_each(|(d, k)| *d ^= k);
+            counter = counter.wrapping_add(1);
+        }
+        out
+    }
+
+    fn cipher_with(aes_key: &[u8; 16]) -> SemanticCipher {
+        let mut key = [0u8; 32];
+        key[..16].copy_from_slice(aes_key);
+        SemanticCipher::new(&SecretKey::from_bytes(key))
+    }
+
+    #[test]
+    fn random_keys_counters_and_lengths_match_the_oracle() {
+        let mut coins = Tape::new(&SecretKey::derive(b"ctr oracle", "k"), b"cases");
+        for case in 0..402 {
+            let mut key = [0u8; 16];
+            let mut nonce = [0u8; 16];
+            coins.fill_bytes(&mut key);
+            coins.fill_bytes(&mut nonce);
+            // Every length 0..=200 twice: partial blocks, 1 to 13 blocks.
+            let len = case % 201;
+            let mut pt = vec![0u8; len];
+            coins.fill_bytes(&mut pt);
+            let cipher = cipher_with(&key);
+            let ct = cipher.encrypt_with_nonce(nonce, &pt);
+            assert_eq!(ct[NONCE_LEN..], oracle_ctr(&key, nonce, &pt), "len {len}");
+            assert_eq!(cipher.decrypt(&ct).unwrap(), pt);
+        }
+    }
+
+    #[test]
+    fn counter_wraps_at_2_pow_128_inside_one_call() {
+        let key = [0x3cu8; 16];
+        // Counters 2^128 - 2, 2^128 - 1, 0, 1, 2: the wrap falls inside
+        // the first four-block call.
+        let nonce = (u128::MAX - 1).to_be_bytes();
+        let pt = [0x5au8; 5 * BLOCK_LEN + 3];
+        let ct = cipher_with(&key).encrypt_with_nonce(nonce, &pt);
+        assert_eq!(ct[NONCE_LEN..], oracle_ctr(&key, nonce, &pt));
+        let zero = cipher_with(&key).encrypt_with_nonce([0; 16], &pt[..BLOCK_LEN]);
+        assert_eq!(
+            ct[NONCE_LEN + 2 * BLOCK_LEN..][..BLOCK_LEN],
+            zero[NONCE_LEN..]
+        );
+    }
+
+    #[test]
+    fn keystream_blocks_are_each_counters_first_block() {
+        let key = [0x71u8; 16];
+        let cipher = cipher_with(&key);
+        let nonces = [[1u8; 16], [0xff; 16], [0; 16], [1u8; 16]];
+        let mut blocks = nonces;
+        cipher.keystream_blocks(&mut blocks);
+        for (nonce, block) in nonces.iter().zip(&blocks) {
+            assert_eq!(block.to_vec(), oracle_ctr(&key, *nonce, &[0; BLOCK_LEN]));
+        }
+    }
+
+    #[test]
+    fn padding_is_the_keystream_under_the_tapes_next_32_bytes() {
+        let key = SecretKey::derive(b"k", "pad");
+        let mut draws = Tape::new(&key, b"list");
+        let mut aes_key = [0u8; 16];
+        let mut counter = [0u8; 16];
+        draws.fill_bytes(&mut aes_key);
+        draws.fill_bytes(&mut counter);
+        let mut tape = Tape::new(&key, b"list");
+        let mut pad = vec![0xeeu8; 123];
+        pad_from_tape(&mut tape, &mut pad);
+        assert_eq!(pad, oracle_ctr(&aes_key, counter, &[0; 123]));
+        assert_eq!(tape.next_u64(), draws.next_u64(), "exactly 32 bytes drawn");
+        let mut untouched = Tape::new(&key, b"list");
+        pad_from_tape(&mut untouched, &mut []);
+        assert_eq!(untouched.next_u64(), Tape::new(&key, b"list").next_u64());
+    }
+
+    #[test]
+    fn debug_redacts_the_key() {
+        let cipher = cipher_with(&[0x42; 16]);
+        assert_eq!(format!("{cipher:?}"), "SemanticCipher { key: <redacted> }");
+        let shown = format!("{:?}", Sealer::new(cipher, 1));
+        assert!(
+            !shown.contains("66") && shown.contains("<redacted>"),
+            "{shown}"
+        );
     }
 
     #[test]

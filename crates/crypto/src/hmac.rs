@@ -5,6 +5,9 @@
 
 use crate::digest::Digest;
 
+/// The longest digest block [`Hmac`] keys: SHA-1's and SHA-256's.
+const MAX_BLOCK_LEN: usize = 64;
+
 /// Streaming HMAC over a generic digest `D`.
 ///
 /// # Example
@@ -35,20 +38,27 @@ impl<D: Digest> Hmac<D> {
     /// Creates an HMAC instance keyed with `key`.
     ///
     /// Keys longer than the digest block size are hashed first, per RFC 2104.
+    /// The padded key lives in one stack buffer, so keying allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `D`'s block is longer than 64 bytes.
     pub fn new(key: &[u8]) -> Self {
-        let mut block_key = vec![0u8; D::BLOCK_LEN];
+        let mut buf = [0u8; MAX_BLOCK_LEN];
+        let block_key = &mut buf[..D::BLOCK_LEN];
         if key.len() > D::BLOCK_LEN {
             let hashed = D::digest(key);
             block_key[..D::OUTPUT_LEN].copy_from_slice(hashed.as_ref());
         } else {
             block_key[..key.len()].copy_from_slice(key);
         }
-        let ipad: Vec<u8> = block_key.iter().map(|b| b ^ 0x36).collect();
-        let opad: Vec<u8> = block_key.iter().map(|b| b ^ 0x5c).collect();
+        block_key.iter_mut().for_each(|b| *b ^= 0x36);
         let mut inner = D::new();
-        inner.update(&ipad);
+        inner.update(block_key);
+        block_key.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
         let mut outer = D::new();
-        outer.update(&opad);
+        outer.update(block_key);
         Hmac { inner, outer }
     }
 

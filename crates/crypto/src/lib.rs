@@ -49,7 +49,7 @@ pub mod sha256;
 pub mod tape;
 
 pub use aead::AuthenticatedCipher;
-pub use aes::{Aes128, Aes256, BLOCK_LEN};
+pub use aes::{Aes128, BLOCK_LEN};
 pub use ct::ct_eq;
 pub use ctr::SemanticCipher;
 pub use digest::Digest;

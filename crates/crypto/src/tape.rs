@@ -11,10 +11,14 @@
 //! [`Tape`] is an HMAC-DRBG-style expander: `seed = HMAC(K, transcript)`,
 //! block_i = `HMAC(seed, i)`. The tape keys one HMAC with the seed when it
 //! is created and clones that keyed state for every block, so a 32-byte
-//! block costs two SHA-256 compressions and no allocation. [`Transcript`]
-//! provides the canonical, injective encoding of the tuple.
+//! block costs two SHA-256 compressions and no allocation; a caller
+//! opening many tapes under one `K` keys `HMAC(K, ·)` once and hands it to
+//! [`Tape::with_keyed`]. Bulk bytes (the builders' padding) come from an
+//! AES-CTR keystream keyed off the tape instead
+//! ([`crate::ctr::pad_from_tape`]). [`Transcript`] provides the canonical,
+//! injective encoding of the tuple.
 
-use crate::hmac::{hmac_sha256, Hmac};
+use crate::hmac::Hmac;
 use crate::keys::SecretKey;
 use crate::Sha256;
 
@@ -119,7 +123,16 @@ impl core::fmt::Debug for Tape {
 impl Tape {
     /// Creates a tape from `key` and an encoded transcript.
     pub fn new(key: &SecretKey, transcript: &[u8]) -> Self {
-        let seed = hmac_sha256(key.as_bytes(), transcript);
+        Self::with_keyed(&Hmac::new(key.as_bytes()), transcript)
+    }
+
+    /// [`Self::new`] from `HMAC(key, ·)` already keyed: a caller opening
+    /// many tapes under one key (an OPSE search tree) keys it once and
+    /// saves the two compressions of keying on every tape.
+    pub fn with_keyed(keyed: &Hmac<Sha256>, transcript: &[u8]) -> Self {
+        let mut mac = keyed.clone();
+        mac.update(transcript);
+        let seed = mac.finalize();
         let mut tape = Tape {
             keyed: Hmac::new(&seed),
             block: [0u8; BLOCK],
@@ -225,6 +238,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::hmac_sha256;
 
     fn key() -> SecretKey {
         SecretKey::derive(b"tape test", "k")
@@ -237,6 +251,20 @@ mod tests {
         let mut b = Tape::new(&key(), &t);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn pre_keyed_tapes_equal_keyed_per_tape() {
+        let keyed = Hmac::<Sha256>::new(key().as_bytes());
+        for i in 0..20u64 {
+            let t = Transcript::new("t").u64(i).bytes(&[7; 70]).finish();
+            let mut a = Tape::new(&key(), &t);
+            let mut b = Tape::with_keyed(&keyed, &t);
+            let (mut x, mut y) = ([0u8; 77], [0u8; 77]);
+            a.fill_bytes(&mut x);
+            b.fill_bytes(&mut y);
+            assert_eq!(x, y, "transcript {i}");
         }
     }
 

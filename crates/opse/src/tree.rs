@@ -18,7 +18,7 @@
 use crate::error::OpseError;
 use crate::params::OpseParams;
 use rsse_crypto::tape::Transcript;
-use rsse_crypto::{SecretKey, Tape};
+use rsse_crypto::{Hmac, SecretKey, Sha256, Tape};
 use rsse_hgd::Hypergeometric;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -77,7 +77,8 @@ pub struct WalkStats {
 /// `(key, node)`.
 #[derive(Debug)]
 pub struct SearchTree {
-    key: SecretKey,
+    /// `HMAC(key, ·)` keyed once; every node's coin tape clones it.
+    keyed: Hmac<Sha256>,
     params: OpseParams,
     cache: Option<Mutex<HashMap<Node, u64>>>,
 }
@@ -87,7 +88,7 @@ impl SearchTree {
     /// encrypting many scores of one posting list under one key).
     pub fn new(key: SecretKey, params: OpseParams) -> Self {
         SearchTree {
-            key,
+            keyed: Hmac::new(key.as_bytes()),
             params,
             cache: Some(Mutex::new(HashMap::new())),
         }
@@ -97,9 +98,8 @@ impl SearchTree {
     /// Fig. 7 benchmarks to measure the honest per-operation cost.
     pub fn new_uncached(key: SecretKey, params: OpseParams) -> Self {
         SearchTree {
-            key,
-            params,
             cache: None,
+            ..Self::new(key, params)
         }
     }
 
@@ -127,7 +127,7 @@ impl SearchTree {
             .u64(0)
             .u64(y)
             .finish();
-        let mut tape = Tape::new(&self.key, &transcript);
+        let mut tape = Tape::with_keyed(&self.keyed, &transcript);
         let draws = y - node.r;
         let hgd = Hypergeometric::new(node.n, node.m, draws)
             .expect("node invariants guarantee valid HGD parameters");
@@ -253,7 +253,7 @@ impl SearchTree {
         if let Some(seed) = extra_seed {
             t = t.bytes(seed);
         }
-        let mut tape = Tape::new(&self.key, &t.finish());
+        let mut tape = Tape::with_keyed(&self.keyed, &t.finish());
         bucket.lo + tape.uniform_below(bucket.len())
     }
 }

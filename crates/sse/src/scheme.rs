@@ -12,7 +12,7 @@
 
 use crate::entry::{decode_entry, encode_entry, ENTRY_CT_LEN, SCORE_CT_LEN};
 use crate::error::SseError;
-use rsse_crypto::ctr::NONCE_LEN;
+use rsse_crypto::ctr::{pad_from_tape, NONCE_LEN};
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SecretKey, SemanticCipher, Tape};
 use rsse_ir::{FileId, InvertedIndex, Tokenizer};
@@ -286,11 +286,11 @@ impl BasicScheme {
                 tape.fill_bytes(&mut entry_nonce);
                 entry_cipher.encrypt_with_nonce_into(entry_nonce, &plain, &mut list);
             }
-            // Pad with random strings of the same size (Fig. 3 step 3),
-            // straight off the tape: one draw equals one per entry.
+            // Pad with random strings of the same size (Fig. 3 step 3):
+            // the AES-CTR keystream under a key and counter off the tape.
             let real = list.len();
             list.resize(list_len, 0);
-            tape.fill_bytes(&mut list[real..]);
+            pad_from_tape(&mut tape, &mut list[real..]);
             lists.insert(pi.label(term.as_bytes()), (ENTRY_CT_LEN as u32, list));
         }
         Ok(BasicEncryptedIndex { lists })

@@ -41,12 +41,19 @@ cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
 echo "==> cargo test -q -p rsse-cloud --lib codec::"
 cargo test -q -p rsse-cloud --lib codec::
 
-# The byte pins: the coin tape's stream and the exact lists both index
-# builders write on a fixed corpus and seed. Padding, nonces and OPM coins
-# all come off the tape, so a speed-up of the tape or of the build that
-# moves one ciphertext byte fails here.
+# The byte pins: the coin tape's stream, the padding keystream, and the
+# exact lists both index builders write on a fixed corpus and seed, whole
+# and cut to their real entries. Nonces and OPM coins come off the tape
+# and padding from an AES-CTR keystream keyed off it, so a speed-up of the
+# tape, the cipher or the build that moves one ciphertext byte fails here.
 echo "==> cargo test -q --test byte_pins"
 cargo test -q --test byte_pins
+
+# The AES-128 kernel and CTR mode against the FIPS-197 and SP 800-38A
+# vectors and the byte-wise reference cipher kept in its tests. Every
+# entry, padding byte and file body goes through this kernel.
+echo "==> cargo test -q -p rsse-crypto"
+cargo test -q -p rsse-crypto
 
 echo "==> cargo test -q --test pool_faults"
 cargo test -q --test pool_faults

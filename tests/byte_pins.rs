@@ -1,18 +1,24 @@
 //! Byte pins: the exact bytes the owner's Setup writes.
 //!
-//! The coin tape feeds every padding entry, entry nonce and OPM coin, and
-//! the two builders turn it into the lists the server stores, so a change
-//! to either that moves one byte changes every ciphertext the owner has
-//! ever outsourced. These tests pin SHA-256 digests of a long tape read
-//! and of both builders' exported lists on a fixed corpus and seed. A
-//! speed-up of the tape or of the build must leave them unchanged.
+//! The coin tape feeds every entry nonce and OPM coin, and the key and
+//! counter of each list's padding, which is the AES-CTR keystream under
+//! them; the two builders turn these into the lists the server stores, so
+//! a change to either that moves one byte changes every ciphertext the
+//! owner has ever outsourced. These tests pin SHA-256 digests of a long
+//! tape read, of 40,000 bytes of padding, and of both builders' exported
+//! lists on a fixed corpus and seed, whole and cut to their real entries.
+//! A speed-up of the tape, the cipher or the build must leave them
+//! unchanged; a change to how padding is drawn moves only the whole-list
+//! pins, and the real-entry pins show that no real entry moved with it.
 
 use rsse::core::{Rsse, RsseParams};
+use rsse::crypto::ctr::pad_from_tape;
 use rsse::crypto::tape::Transcript;
 use rsse::crypto::{Digest, SecretKey, Sha256, Tape};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
 use rsse::sse::BasicScheme;
+use std::collections::HashMap;
 
 const MASTER_SEED: &[u8] = b"byte pin master seed";
 
@@ -89,12 +95,23 @@ fn tape_draws_are_pinned() {
 }
 
 #[test]
+fn padding_keystream_is_pinned() {
+    // One ν = 1000 list of 40-byte entries' padding off the pin tape.
+    let mut out = vec![0u8; 40_000];
+    pad_from_tape(&mut tape(), &mut out);
+    assert_eq!(
+        hex(Sha256::digest(&out).as_ref()),
+        "a55992c917a26bd7268d1eb549b76af9d79caab3046dc51d0f28b1bf19178832"
+    );
+}
+
+#[test]
 fn rsse_build_is_pinned() {
     let scheme = Rsse::new(MASTER_SEED, RsseParams::default());
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&built.export_parts().unwrap()),
-        "1c5785673df70890d4ffda977a67e64e53fa29f7ef3832fd4d324c9a68649a7b"
+        "fba2bbb10f9383ab355d72987872ddb151c37c9a0d39f19985e77278f85b8cb7"
     );
 }
 
@@ -106,6 +123,48 @@ fn basic_build_is_pinned() {
         .unwrap();
     assert_eq!(
         digest_lists(&built.export_parts()),
-        "ade54a81d9e50d328a17e105272aa4fe283355afe9f7d8405c1b22448739d72e"
+        "2bc21da4e5ed66851b95a35824a9d46c424fbd1990a2a93b9d25a10da43202aa"
+    );
+}
+
+/// Each list cut to its real entries: `count × entry_len` bytes, where
+/// `count` is the number of postings behind the label. The basic scheme
+/// derives the same label key from the same master seed, so
+/// [`Rsse::posting_owners`] gives the count for both builders.
+fn real_prefixes(lists: Vec<([u8; 20], u32, Vec<u8>)>) -> Vec<([u8; 20], u32, Vec<u8>)> {
+    let scheme = Rsse::new(MASTER_SEED, RsseParams::default());
+    let counts: HashMap<[u8; 20], usize> = scheme
+        .posting_owners(&plaintext_index())
+        .into_iter()
+        .map(|(label, owners)| (label, owners.len()))
+        .collect();
+    lists
+        .into_iter()
+        .map(|(label, entry_len, mut bytes)| {
+            bytes.truncate(counts[&label] * entry_len as usize);
+            (label, entry_len, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn rsse_real_entries_are_pinned() {
+    let scheme = Rsse::new(MASTER_SEED, RsseParams::default());
+    let built = scheme.build_index_from(&plaintext_index()).unwrap();
+    assert_eq!(
+        digest_lists(&real_prefixes(built.export_parts().unwrap())),
+        "f703b95a9d7fe7906173d00348e7c223abaa7f2d2779911b0106bde660f4221e"
+    );
+}
+
+#[test]
+fn basic_real_entries_are_pinned() {
+    let scheme = BasicScheme::new(MASTER_SEED);
+    let built = scheme
+        .build_index(&plaintext_index(), Default::default())
+        .unwrap();
+    assert_eq!(
+        digest_lists(&real_prefixes(built.export_parts())),
+        "f75338816e920593db1c6d1c50b59e6a8a694d5ab74d664c5fbe6222eb49a1fa"
     );
 }
