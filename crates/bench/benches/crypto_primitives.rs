@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the from-scratch crypto primitives.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rsse_crypto::ctr::pad_from_tape;
+use rsse_crypto::chacha::pad_from_tape;
 use rsse_crypto::{hmac_sha256, Digest, SecretKey, SemanticCipher, Sha1, Sha256, Tape};
 use std::hint::black_box;
 
@@ -51,15 +51,29 @@ fn bench_tape(c: &mut Criterion) {
             black_box(out[out.len() - 1])
         })
     });
-    // The same padding as the builders draw it: an AES-CTR keystream under
-    // a key and counter off the list's tape.
-    c.bench_function("aes_ctr_keystream_40000_bytes", |b| {
+    // The same padding as the builders draw it: a ChaCha20 keystream under
+    // a key and nonce off the list's tape.
+    c.bench_function("padding_40000_bytes", |b| {
         let key = SecretKey::derive(b"bench", "tape");
         let mut out = vec![0u8; 40_000];
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
             pad_from_tape(&mut Tape::new(&key, &i.to_be_bytes()), &mut out);
+            black_box(out[out.len() - 1])
+        })
+    });
+    // E's kernel over the same bytes: AES-128-CTR through `SemanticCipher`,
+    // which every real entry and file body still uses.
+    c.bench_function("aes_ctr_keystream_40000_bytes", |b| {
+        let cipher = SemanticCipher::new(&SecretKey::derive(b"bench", "ctr"));
+        let zeros = vec![0u8; 40_000];
+        let mut out = Vec::with_capacity(16 + zeros.len());
+        let mut i = 0u128;
+        b.iter(|| {
+            i += 1;
+            out.clear();
+            cipher.encrypt_with_nonce_into(i.to_be_bytes(), &zeros, &mut out);
             black_box(out[out.len() - 1])
         })
     });

@@ -76,10 +76,7 @@ impl DataOwner {
     /// when `basic` is set.
     fn outsource_with(&self, docs: &[Document], basic: bool) -> Result<Message, CloudError> {
         let plaintext_index = InvertedIndex::build(docs);
-        let rsse_index = self.rsse.build_index_from(&plaintext_index)?;
-        let opse = *rsse_index
-            .opse_params()
-            .expect("freshly built index carries parameters");
+        let (rsse_lists, opse, _) = self.rsse.build_parts(&plaintext_index)?;
         let basic_lists = if basic {
             self.basic
                 .build_index(&plaintext_index, Default::default())?
@@ -88,7 +85,7 @@ impl DataOwner {
             Vec::new()
         };
         Ok(Message::Outsource {
-            rsse_lists: rsse_index.export_parts()?,
+            rsse_lists,
             basic_lists,
             opse_domain: opse.domain_size(),
             opse_range: opse.range_size(),

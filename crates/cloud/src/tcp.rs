@@ -541,8 +541,10 @@ impl EventLoop {
 
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+            // Counted before the shutdown: a peer that reads EOF then
+            // reads the count with its own close in it.
             self.stats.closed.fetch_add(1, Ordering::Relaxed);
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             self.slot_gens[slot] += 1;
             self.free.push(slot);
         }

@@ -139,7 +139,8 @@ impl RsseIndex {
     /// [`RsseError::MalformedList`] when a list is not a whole number of
     /// entries, or repeats a label with another entry length.
     pub fn from_parts(parts: ListParts, opse: OpseParams) -> Result<Self, RsseError> {
-        let mut store = PostingStore::new();
+        let total = parts.iter().map(|(_, _, bytes)| bytes.len()).sum();
+        let mut store = PostingStore::with_capacity(parts.len(), total);
         for (label, entry_len, bytes) in parts {
             store.append(label, entry_len as usize, &bytes)?;
         }

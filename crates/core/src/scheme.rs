@@ -5,7 +5,8 @@ use crate::entry::{encode_entry, ENTRY_CT_LEN};
 use crate::error::RsseError;
 use crate::index::{Label, ListParts, RsseIndex, RsseTrapdoor};
 use crate::params::{Padding, RsseParams};
-use rsse_crypto::ctr::{pad_from_tape, NONCE_LEN};
+use rsse_crypto::chacha::pad_from_tape;
+use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SemanticCipher, Tape};
 use rsse_ir::score::{scores_for_term_with, CollectionStats};
@@ -15,15 +16,16 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Statistics reported by [`Rsse::build_index_with_report`] — the Table I
-/// quantities.
+/// Statistics reported by [`Rsse::build_index_with_report`] and
+/// [`Rsse::build_parts`] — the Table I quantities.
 ///
-/// The build runs in two stages. A serial stage derives every list's
-/// label, keys, tape and scores ([`Self::raw_index_time`]); the per-list
-/// stage (OPM, entry encryption, padding) then runs on [`Self::workers`]
-/// threads. Its times are summed over lists, so they are CPU time and may
-/// exceed the wall-clock [`Self::build_time`] when the build ran on more
-/// than one worker.
+/// The build runs in two stages. A serial stage scores every term once,
+/// fits the quantizer and the OPSE parameters to those scores, and
+/// derives every list's label, keys and tape ([`Self::raw_index_time`]);
+/// the per-list stage (OPM, entry encryption, padding) then runs on
+/// [`Self::workers`] threads. Its times are summed over lists, so they are
+/// CPU time and may exceed the wall-clock [`Self::build_time`] when the
+/// build ran on more than one worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildReport {
     /// Number of distinct keywords `m`.
@@ -38,16 +40,18 @@ pub struct BuildReport {
     pub opm_operations: u64,
     /// Resolved OPSE range size in bits.
     pub range_bits: u32,
-    /// Wall-clock time of the whole build.
+    /// Wall-clock time of the whole build (with
+    /// [`Rsse::build_index_with_report`], the in-memory index's assembly
+    /// included).
     pub build_time: Duration,
-    /// Wall-clock time of the serial stage: labels, keys and scores (the
-    /// "raw index" cost, without OPM).
+    /// Wall-clock time of the serial stage: scores, quantizer and OPSE
+    /// parameters, labels and keys (the "raw index" cost, without OPM).
     pub raw_index_time: Duration,
     /// Time of the per-list stage (OPM, entry encryption and padding),
     /// summed over lists.
     pub list_time: Duration,
     /// The part of [`Self::list_time`] spent generating padding entries
-    /// (an AES-CTR keystream keyed off each list's tape), summed over
+    /// (a ChaCha20 keystream keyed off each list's tape), summed over
     /// lists.
     pub padding_time: Duration,
     /// Worker threads the per-list stage ran on.
@@ -192,9 +196,10 @@ impl Rsse {
     }
 
     /// `BuildIndex` with full timing/size statistics (the Table I
-    /// measurement entry point). Every build goes through here: the
-    /// per-list stage runs on one worker per available core, and the
-    /// index is byte-identical whatever the worker count.
+    /// measurement entry point): [`Self::build_parts`] assembled into an
+    /// in-memory index. The per-list stage runs on one worker per
+    /// available core, and the index is byte-identical whatever the worker
+    /// count.
     ///
     /// # Errors
     ///
@@ -203,8 +208,23 @@ impl Rsse {
         &self,
         index: &InvertedIndex,
     ) -> Result<(RsseIndex, BuildReport), RsseError> {
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
-        self.build_on(index, workers)
+        self.build_on(index, build_workers())
+    }
+
+    /// `BuildIndex` as the owner ships it: every posting list as one
+    /// `(label, entry_len, bytes)` triple in label order, the order of
+    /// [`RsseIndex::export_parts`], with the OPSE parameters and the build
+    /// report. No in-memory index is assembled, so an owner that only
+    /// sends the lists copies none of them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates quantizer and padding failures.
+    pub fn build_parts(
+        &self,
+        index: &InvertedIndex,
+    ) -> Result<(ListParts, OpseParams, BuildReport), RsseError> {
+        self.parts_on(index, build_workers())
     }
 
     /// [`Self::build_index_with_report`] on exactly `workers` threads.
@@ -214,16 +234,27 @@ impl Rsse {
         workers: usize,
     ) -> Result<(RsseIndex, BuildReport), RsseError> {
         let started = Instant::now();
-        let quantizer = self.fit_quantizer(index)?;
-        let opse = self.resolve_opse(index);
-        let nu = self.padding_target(index)?;
+        let (parts, opse, mut report) = self.parts_on(index, workers)?;
+        let built = RsseIndex::from_parts(parts, opse)?;
+        report.build_time = started.elapsed();
+        Ok((built, report))
+    }
 
-        let raw_started = Instant::now();
-        let jobs: Vec<ListJob<'_>> = index
-            .iter()
-            .map(|(term, _)| self.list_job(index, term, nu))
+    /// [`Self::build_parts`] on exactly `workers` threads.
+    fn parts_on(
+        &self,
+        index: &InvertedIndex,
+        workers: usize,
+    ) -> Result<(ListParts, OpseParams, BuildReport), RsseError> {
+        let started = Instant::now();
+        let scored = self.score_terms(index);
+        let (quantizer, opse) = self.fit_scored(&scored)?;
+        let nu = self.padding_target(index)?;
+        let jobs: Vec<ListJob<'_>> = scored
+            .into_iter()
+            .map(|(term, scored)| self.list_job(term, scored, nu))
             .collect();
-        let raw_index_time = raw_started.elapsed();
+        let raw_index_time = started.elapsed();
 
         let built = fan_out(jobs, workers, |job| {
             self.encrypt_list(job, &quantizer, opse, nu)
@@ -237,12 +268,15 @@ impl Rsse {
             padding_time += stats.padding_time;
             lists.push((label, ENTRY_CT_LEN as u32, bytes));
         }
-        let built = RsseIndex::from_parts(lists, opse)?;
+        lists.sort_unstable_by_key(|(label, ..)| *label);
         let report = BuildReport {
             num_keywords: index.num_keywords(),
             num_docs: index.num_docs(),
             padded_len: nu,
-            index_bytes: built.size_bytes(),
+            index_bytes: lists
+                .iter()
+                .map(|(label, _, bytes)| label.len() + bytes.len())
+                .sum(),
             opm_operations: opm_ops,
             range_bits: opse.range_bits(),
             build_time: started.elapsed(),
@@ -251,7 +285,7 @@ impl Rsse {
             padding_time,
             workers,
         };
-        Ok((built, report))
+        Ok((lists, opse, report))
     }
 
     /// Owner-side inversion: recover the quantized score level behind a
@@ -294,10 +328,11 @@ impl Rsse {
             .iter()
             .map(|(term, postings)| (term.to_string(), postings.len() as u64))
             .collect();
+        let (quantizer, opse) = self.fit_scored(&self.score_terms(index))?;
         Ok(IndexUpdater {
             scheme: self,
-            quantizer: self.fit_quantizer(index)?,
-            opse: self.resolve_opse(index),
+            quantizer,
+            opse,
             stats: CollectionStats::of(index),
             doc_frequencies,
             opms: std::cell::RefCell::new(HashMap::new()),
@@ -329,33 +364,42 @@ impl Rsse {
             .collect()
     }
 
-    fn resolve_opse(&self, index: &InvertedIndex) -> OpseParams {
-        // Duplicate statistics: per paper §IV-C, `max` is the largest number
-        // of identical quantized scores within any posting list, λ the
-        // average posting-list length.
+    /// Every term's `(file, raw score)` pairs in posting order: the one
+    /// scoring pass of a build.
+    fn score_terms<'i>(&self, index: &'i InvertedIndex) -> Vec<(&'i str, Vec<(FileId, f64)>)> {
+        index
+            .iter()
+            .map(|(term, _)| (term, scores_for_term_with(index, term, self.params.scoring)))
+            .collect()
+    }
+
+    /// The score quantizer ([`Self::fit_quantizer`]) and the OPSE
+    /// parameters, both from the scores of [`Self::score_terms`].
+    ///
+    /// Duplicate statistics: per paper §IV-C, `max` is the largest number
+    /// of identical quantized scores within any posting list, λ the
+    /// average posting-list length.
+    fn fit_scored(
+        &self,
+        scored: &[(&str, Vec<(FileId, f64)>)],
+    ) -> Result<(ScoreQuantizer, OpseParams), RsseError> {
+        let all: Vec<f64> = scored
+            .iter()
+            .flat_map(|(_, list)| list.iter().map(|(_, score)| *score))
+            .collect();
         let quantizer =
-            ScoreQuantizer::fit_index_with(index, self.params.levels, self.params.scoring);
-        let ratio = match quantizer {
-            Some(q) => {
-                let mut max_dup = 0usize;
-                for (term, _) in index.iter() {
-                    let levels: Vec<u64> = scores_for_term_with(index, term, self.params.scoring)
-                        .into_iter()
-                        .map(|(_, s)| q.level(s))
-                        .collect();
-                    let stats = rsse_analysis_free_duplicates(&levels);
-                    max_dup = max_dup.max(stats);
-                }
-                let lambda = index.avg_posting_len();
-                if lambda > 0.0 {
-                    max_dup as f64 / lambda
-                } else {
-                    0.0
-                }
-            }
-            None => 0.0,
-        };
-        self.params.resolve_opse(ratio)
+            ScoreQuantizer::fit(&all, self.params.levels).ok_or(RsseError::UnscorableCollection)?;
+        let max_dup = scored
+            .iter()
+            .map(|(_, list)| {
+                let levels: Vec<u64> = list.iter().map(|(_, s)| quantizer.level(*s)).collect();
+                rsse_analysis_free_duplicates(&levels)
+            })
+            .max()
+            .unwrap_or(0);
+        // A fitted quantizer saw at least one score, so λ > 0.
+        let lambda = all.len() as f64 / scored.len() as f64;
+        Ok((quantizer, self.params.resolve_opse(max_dup as f64 / lambda)))
     }
 
     fn padding_target(&self, index: &InvertedIndex) -> Result<usize, RsseError> {
@@ -376,15 +420,14 @@ impl Rsse {
     }
 
     /// The serial part of one list's build: its label, entry cipher, coin
-    /// tape, scored postings and output buffer. The buffer is allocated
-    /// here, on the calling thread, because it outlives the worker that
-    /// fills it: freed after the index copies it in, it goes back to this
-    /// thread's heap instead of stranding in a finished worker's (on a
-    /// 2-vCPU host, 12 MB of peak RSS in a sharded deployment's serving
-    /// run).
-    fn list_job<'t>(&self, index: &InvertedIndex, term: &'t str, nu: usize) -> ListJob<'t> {
+    /// tape and output buffer, beside its scored postings. The buffer is
+    /// allocated here, on the calling thread, because it outlives the
+    /// worker that fills it: freed once the list is stored or sent, it
+    /// goes back to this thread's heap instead of stranding in a finished
+    /// worker's (on a 2-vCPU host, 12 MB of peak RSS in a sharded
+    /// deployment's serving run).
+    fn list_job<'t>(&self, term: &'t str, scored: Vec<(FileId, f64)>, nu: usize) -> ListJob<'t> {
         let list_key = Prf::new(self.keys.entry_key()).derive_key(term.as_bytes());
-        let scored = scores_for_term_with(index, term, self.params.scoring);
         ListJob {
             list: Vec::with_capacity(nu.max(scored.len()) * ENTRY_CT_LEN),
             term,
@@ -430,8 +473,8 @@ impl Rsse {
             tape.fill_bytes(&mut nonce);
             cipher.encrypt_with_nonce_into(nonce, &plain, &mut list);
         }
-        // Pad to ν with random entries: the AES-CTR keystream under a key
-        // and counter drawn off the tape after the real entries' draws.
+        // Pad to ν with random entries: the ChaCha20 keystream under a key
+        // and nonce drawn off the tape after the real entries' draws.
         let padding_started = Instant::now();
         let real = list.len();
         list.resize(list_len, 0);
@@ -460,6 +503,11 @@ struct ListStats {
     opm_ops: u64,
     time: Duration,
     padding_time: Duration,
+}
+
+/// Worker threads for a build's per-list stage: one per available core.
+fn build_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// Maps `f` over `jobs` on `workers` scoped threads, each taking the next

@@ -166,6 +166,46 @@ fn parallel_build_equals_serial_build() {
 }
 
 #[test]
+fn build_parts_are_the_built_index_exported() {
+    // The owner ships `build_parts` where it used to export a built index:
+    // same lists in the same order, same OPSE parameters, same report.
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(5));
+    let index = InvertedIndex::build(corpus.documents());
+    let s = scheme();
+    let (parts, opse, report) = s.build_parts(&index).unwrap();
+    let (built, built_report) = s.build_index_with_report(&index).unwrap();
+    assert_eq!(parts, built.export_parts().unwrap());
+    assert_eq!(Some(&opse), built.opse_params());
+    assert_eq!(report.index_bytes, built.size_bytes());
+    assert_eq!(report.opm_operations, built_report.opm_operations);
+    // §IV-C's duplicate ratio, from a quantizer fitted and terms scored
+    // afresh: the largest multiplicity of one level in a list over λ.
+    let p = s.params();
+    let q = ScoreQuantizer::fit_index_with(&index, p.levels, p.scoring).unwrap();
+    let max_dup = index
+        .iter()
+        .map(|(term, _)| {
+            let mut counts = HashMap::new();
+            for (_, score) in scores_for_term_with(&index, term, p.scoring) {
+                *counts.entry(q.level(score)).or_insert(0usize) += 1;
+            }
+            counts.into_values().max().unwrap_or(0)
+        })
+        .max()
+        .unwrap();
+    assert_eq!(
+        opse,
+        p.resolve_opse(max_dup as f64 / index.avg_posting_len())
+    );
+    // The updater resolves the parameters the build did.
+    assert_eq!(s.updater_for(&index).unwrap().opse_params(), opse);
+    assert_eq!(
+        s.updater_for(&index).unwrap().quantizer,
+        s.fit_quantizer(&index).unwrap()
+    );
+}
+
+#[test]
 fn score_dynamics_append_preserves_old_entries_and_order() {
     let s = scheme();
     let index = InvertedIndex::build(&docs());

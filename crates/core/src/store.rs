@@ -109,6 +109,16 @@ impl PostingStore {
         Self::default()
     }
 
+    /// An empty store with room for `lists` lists of `bytes` entry bytes
+    /// in all, so filling it copies every list once.
+    pub(crate) fn with_capacity(lists: usize, bytes: usize) -> Self {
+        PostingStore {
+            arena: Vec::with_capacity(bytes),
+            table: HashMap::with_capacity(lists),
+            dead_bytes: 0,
+        }
+    }
+
     /// Number of posting lists.
     pub fn num_lists(&self) -> usize {
         self.table.len()

@@ -1,0 +1,254 @@
+//! The ChaCha20 keystream (Bernstein 2008; RFC 8439) and the builders'
+//! padding drawn from it.
+//!
+//! Padding a posting list to ν (Fig. 3, step 3) carries no plaintext: it
+//! only has to look like ciphertext to anyone without the keys. It is the
+//! bulk of every index the owner builds, so it comes from the fastest
+//! keystream this crate has, not from `E`: ChaCha20's block function is
+//! twenty rounds of 32-bit additions, rotations by constants and XORs on a
+//! 16-word state, so it runs fast in plain scalar code and is
+//! constant-time by construction (no table, no secret-indexed load, no
+//! secret-dependent branch). [`crate::SemanticCipher`] stays AES-128-CTR
+//! for every real entry and file body.
+
+use crate::tape::Tape;
+
+/// ChaCha20 key length in bytes.
+const KEY_LEN: usize = 32;
+
+/// ChaCha20 nonce length in bytes (RFC 8439's 96-bit nonce).
+const NONCE_LEN: usize = 12;
+
+/// Bytes of keystream per block.
+const BLOCK_LEN: usize = 64;
+
+/// The state's first row: "expand 32-byte k" as four little-endian words.
+const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// The quarter round (RFC 8439 §2.1) on state words `a`, `b`, `c`, `d`.
+#[inline(always)]
+fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(16);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(12);
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(8);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(7);
+}
+
+/// The initial state (RFC 8439 §2.3): constants, key, block counter 0 and
+/// nonce, each read as little-endian words.
+fn initial_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
+    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&SIGMA);
+    for (s, k) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
+        *s = word(k);
+    }
+    for (s, n) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
+        *s = word(n);
+    }
+    state
+}
+
+/// The block function on a prepared state: ten double rounds, then the
+/// input added word by word, serialized little-endian.
+#[inline(always)]
+fn block_of(input: &[u32; 16]) -> [u8; BLOCK_LEN] {
+    let mut x = *input;
+    for _ in 0..10 {
+        quarter_round(&mut x, 0, 4, 8, 12);
+        quarter_round(&mut x, 1, 5, 9, 13);
+        quarter_round(&mut x, 2, 6, 10, 14);
+        quarter_round(&mut x, 3, 7, 11, 15);
+        quarter_round(&mut x, 0, 5, 10, 15);
+        quarter_round(&mut x, 1, 6, 11, 12);
+        quarter_round(&mut x, 2, 7, 8, 13);
+        quarter_round(&mut x, 3, 4, 9, 14);
+    }
+    let mut out = [0u8; BLOCK_LEN];
+    for ((o, x), i) in out.chunks_exact_mut(4).zip(x).zip(input) {
+        o.copy_from_slice(&x.wrapping_add(*i).to_le_bytes());
+    }
+    out
+}
+
+/// Fills `out` with the ChaCha20 keystream under `key` and `nonce`, block
+/// counter from 0: RFC 8439 §2.4's encryption of `out.len()` zero bytes,
+/// written straight into `out`.
+///
+/// # Panics
+///
+/// Panics if `out` is longer than 2^32 blocks (256 GiB), where the block
+/// counter would wrap.
+fn keystream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], out: &mut [u8]) {
+    assert!(
+        out.len().div_ceil(BLOCK_LEN) as u64 <= 1 << 32,
+        "ChaCha20 keystream longer than 2^32 blocks"
+    );
+    let mut state = initial_state(key, nonce);
+    for chunk in out.chunks_mut(BLOCK_LEN) {
+        chunk.copy_from_slice(&block_of(&state)[..chunk.len()]);
+        state[12] = state[12].wrapping_add(1);
+    }
+}
+
+/// Fills `out` with padding: the ChaCha20 keystream under a 32-byte key
+/// and a 12-byte nonce drawn off `tape`, in that order.
+///
+/// This is how both index builders pad a posting list to ν (Fig. 3, step
+/// 3): the 44 bytes come off the list's tape right after its last real
+/// entry's draws, so real entries keep their bytes, and the keystream runs
+/// several times faster than `E`'s AES-CTR and far faster than the tape's
+/// two SHA-256 compressions per 32 bytes. Without the tape's seed the
+/// padding is pseudorandom, as the tape's own bytes were. An empty `out`
+/// draws nothing.
+///
+/// # Example
+///
+/// ```
+/// use rsse_crypto::chacha::pad_from_tape;
+/// use rsse_crypto::{SecretKey, Tape};
+///
+/// let key = SecretKey::derive(b"seed", "pad");
+/// let (mut a, mut b) = ([0u8; 100], [0u8; 100]);
+/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut a);
+/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut b);
+/// assert_eq!(a, b, "same tape, same padding");
+/// assert_ne!(a, [0u8; 100]);
+/// ```
+pub fn pad_from_tape(tape: &mut Tape, out: &mut [u8]) {
+    if out.is_empty() {
+        return;
+    }
+    let mut key = [0u8; KEY_LEN];
+    let mut nonce = [0u8; NONCE_LEN];
+    tape.fill_bytes(&mut key);
+    tape.fill_bytes(&mut nonce);
+    keystream(&key, &nonce, out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SecretKey;
+
+    fn from_hex(s: &str) -> Vec<u8> {
+        let s: String = s.split_whitespace().collect();
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The block function (RFC 8439 §2.3): block `counter`'s 64 bytes.
+    fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
+        let mut state = initial_state(key, nonce);
+        state[12] = counter;
+        block_of(&state)
+    }
+
+    /// Key `00 01 .. 1f`, the key of RFC 8439's §2.3.2 and §2.4.2 vectors.
+    fn rfc_key() -> [u8; KEY_LEN] {
+        core::array::from_fn(|i| i as u8)
+    }
+
+    // RFC 8439 §2.1.1.
+    #[test]
+    fn rfc8439_quarter_round() {
+        let mut s = [0u32; 16];
+        s[..4].copy_from_slice(&[0x1111_1111, 0x0102_0304, 0x9b8d_6f43, 0x0123_4567]);
+        quarter_round(&mut s, 0, 1, 2, 3);
+        assert_eq!(s[..4], [0xea2a_92f4, 0xcb1c_f8ce, 0x4581_472e, 0x5881_c4bb]);
+    }
+
+    // RFC 8439 §2.3.2.
+    #[test]
+    fn rfc8439_block_function() {
+        let nonce = from_hex("00 00 00 09 00 00 00 4a 00 00 00 00");
+        let out = block(&rfc_key(), 1, nonce.as_slice().try_into().unwrap());
+        assert_eq!(
+            out.to_vec(),
+            from_hex(
+                "10 f1 e7 e4 d1 3b 59 15 50 0f dd 1f a3 20 71 c4
+                 c7 d1 f4 c7 33 c0 68 03 04 22 aa 9a c3 d4 6c 4e
+                 d2 82 64 46 07 9f aa 09 14 c2 d7 05 d9 8b 02 a2
+                 b5 12 9c d1 de 16 4e b9 cb d0 83 e8 a2 50 3c 4e"
+            )
+        );
+    }
+
+    // RFC 8439 §2.4.2: the keystream from block counter 1 (here, from
+    // byte 64 of the stream from counter 0) XORed onto the plaintext.
+    #[test]
+    fn rfc8439_keystream() {
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it.";
+        let nonce = from_hex("00 00 00 00 00 00 00 4a 00 00 00 00");
+        let mut stream = vec![0u8; BLOCK_LEN + plaintext.len()];
+        keystream(
+            &rfc_key(),
+            nonce.as_slice().try_into().unwrap(),
+            &mut stream,
+        );
+        let ciphertext: Vec<u8> = plaintext
+            .iter()
+            .zip(&stream[BLOCK_LEN..])
+            .map(|(p, k)| p ^ k)
+            .collect();
+        assert_eq!(
+            ciphertext,
+            from_hex(
+                "6e 2e 35 9a 25 68 f9 80 41 ba 07 28 dd 0d 69 81
+                 e9 7e 7a ec 1d 43 60 c2 0a 27 af cc fd 9f ae 0b
+                 f9 1b 65 c5 52 47 33 ab 8f 59 3d ab cd 62 b3 57
+                 16 39 d6 24 e6 51 52 ab 8f 53 0c 35 9f 08 61 d8
+                 07 ca 0d bf 50 0d 6a 61 56 a3 8e 08 8a 22 b6 5e
+                 52 bc 51 4d 16 cc f8 06 81 8c e9 1a b7 79 37 36
+                 5a f9 0b bf 74 a3 5b e6 b4 0b 8e ed f2 78 5e 42
+                 87 4d"
+            )
+        );
+    }
+
+    /// The keystream as the block function gives it, one block at a time.
+    fn blockwise(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], len: usize) -> Vec<u8> {
+        (0u32..)
+            .flat_map(|counter| block(key, counter, nonce))
+            .take(len)
+            .collect()
+    }
+
+    fn pin_tape() -> Tape {
+        Tape::new(&SecretKey::derive(b"k", "pad"), b"list")
+    }
+
+    #[test]
+    fn padding_is_the_keystream_under_the_tapes_next_44_bytes() {
+        let mut draws = pin_tape();
+        let mut key = [0u8; KEY_LEN];
+        let mut nonce = [0u8; NONCE_LEN];
+        draws.fill_bytes(&mut key);
+        draws.fill_bytes(&mut nonce);
+        let want = blockwise(&key, &nonce, 40_000);
+        for len in (0..=300).chain([40_000]) {
+            let mut pad = vec![0xeeu8; len];
+            pad_from_tape(&mut pin_tape(), &mut pad);
+            assert_eq!(pad, want[..len], "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_draws_exactly_44_bytes_and_none_when_empty() {
+        let mut skipped = pin_tape();
+        skipped.fill_bytes(&mut [0u8; KEY_LEN + NONCE_LEN]);
+        let mut padded = pin_tape();
+        pad_from_tape(&mut padded, &mut [0u8; 1]);
+        assert_eq!(padded.next_u64(), skipped.next_u64());
+        let mut untouched = pin_tape();
+        pad_from_tape(&mut untouched, &mut []);
+        assert_eq!(untouched.next_u64(), pin_tape().next_u64());
+    }
+}

@@ -1,17 +1,18 @@
 //! Semantically secure symmetric encryption `E` (AES-128-CTR).
 //!
 //! This is the cipher the paper calls
-//! `E : {0,1}^l' x {0,1}^r -> {0,1}^r` — used for `E_z(S_ij)` score
-//! encryption in the basic scheme and for file-content encryption in the
-//! cloud simulation. CTR mode with a fresh nonce per message gives IND-CPA
-//! security; the nonce is carried in the ciphertext header. Four counter
-//! blocks go through the bitsliced kernel per call ([`crate::aes`]), and
-//! [`pad_from_tape`] draws the builders' padding from the same keystream.
+//! `E : {0,1}^l' x {0,1}^r -> {0,1}^r` — used for every real posting
+//! entry, for `E_z(S_ij)` score encryption in the basic scheme and for
+//! file-content encryption in the cloud simulation. CTR mode with a fresh
+//! nonce per message gives IND-CPA security; the nonce is carried in the
+//! ciphertext header. Four counter blocks go through the bitsliced kernel
+//! per call ([`crate::aes`]). The builders' padding carries no plaintext
+//! and comes from a ChaCha20 keystream instead
+//! ([`crate::chacha::pad_from_tape`]).
 
 use crate::aes::{Aes128, BLOCK_LEN, PARALLEL_BLOCKS};
 use crate::error::CryptoError;
 use crate::keys::SecretKey;
-use crate::tape::Tape;
 
 /// Byte length of the per-message nonce prepended to each ciphertext.
 pub const NONCE_LEN: usize = BLOCK_LEN;
@@ -147,44 +148,6 @@ impl SemanticCipher {
     }
 }
 
-/// Fills `out` with padding: the AES-128-CTR keystream under a key and an
-/// initial counter drawn off `tape`, 16 bytes each and in that order.
-///
-/// This is how both index builders pad a posting list to ν (Fig. 3, step
-/// 3): the 32 bytes come off the list's tape right after its last real
-/// entry's draws, so real entries keep their bytes, and the keystream runs
-/// at the kernel's rate rather than the tape's two SHA-256 compressions
-/// per 32 bytes. Without the tape's seed the padding is pseudorandom, as
-/// the tape's own bytes were. An empty `out` draws nothing.
-///
-/// # Example
-///
-/// ```
-/// use rsse_crypto::ctr::pad_from_tape;
-/// use rsse_crypto::{SecretKey, Tape};
-///
-/// let key = SecretKey::derive(b"seed", "pad");
-/// let (mut a, mut b) = ([0u8; 100], [0u8; 100]);
-/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut a);
-/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut b);
-/// assert_eq!(a, b, "same tape, same padding");
-/// assert_ne!(a, [0u8; 100]);
-/// ```
-pub fn pad_from_tape(tape: &mut Tape, out: &mut [u8]) {
-    if out.is_empty() {
-        return;
-    }
-    let mut key = [0u8; 16];
-    let mut counter = [0u8; NONCE_LEN];
-    tape.fill_bytes(&mut key);
-    tape.fill_bytes(&mut counter);
-    let cipher = SemanticCipher {
-        aes: Aes128::new(&key),
-    };
-    out.fill(0);
-    cipher.keystream_xor(&counter, out);
-}
-
 /// A stateful sealer guaranteeing unique nonces for one cipher instance.
 ///
 /// Each [`Sealer`] combines a caller-chosen 64-bit `instance_id` with a
@@ -248,6 +211,7 @@ impl Sealer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tape::Tape;
 
     fn from_hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -410,24 +374,6 @@ mod tests {
         for (nonce, block) in nonces.iter().zip(&blocks) {
             assert_eq!(block.to_vec(), oracle_ctr(&key, *nonce, &[0; BLOCK_LEN]));
         }
-    }
-
-    #[test]
-    fn padding_is_the_keystream_under_the_tapes_next_32_bytes() {
-        let key = SecretKey::derive(b"k", "pad");
-        let mut draws = Tape::new(&key, b"list");
-        let mut aes_key = [0u8; 16];
-        let mut counter = [0u8; 16];
-        draws.fill_bytes(&mut aes_key);
-        draws.fill_bytes(&mut counter);
-        let mut tape = Tape::new(&key, b"list");
-        let mut pad = vec![0xeeu8; 123];
-        pad_from_tape(&mut tape, &mut pad);
-        assert_eq!(pad, oracle_ctr(&aes_key, counter, &[0; 123]));
-        assert_eq!(tape.next_u64(), draws.next_u64(), "exactly 32 bytes drawn");
-        let mut untouched = Tape::new(&key, b"list");
-        pad_from_tape(&mut untouched, &mut []);
-        assert_eq!(untouched.next_u64(), Tape::new(&key, b"list").next_u64());
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   encryption binary search — here [`tape::Tape`] (an HMAC-DRBG style
 //!   deterministic stream keyed on the encryption key and the transcript).
 //!
+//! The padding that fills every posting list to ν (Fig. 3, step 3) is the
+//! [`chacha`] keystream (ChaCha20, RFC 8439) under a key and nonce drawn
+//! off the list's tape.
+//!
 //! Everything is implemented in this crate from first principles (no external
 //! crypto dependencies) and pinned by known-answer tests from the FIPS / RFC
 //! test vectors.
@@ -37,6 +41,7 @@
 
 pub mod aead;
 pub mod aes;
+pub mod chacha;
 pub mod ct;
 pub mod ctr;
 pub mod digest;

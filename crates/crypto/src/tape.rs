@@ -13,10 +13,10 @@
 //! is created and clones that keyed state for every block, so a 32-byte
 //! block costs two SHA-256 compressions and no allocation; a caller
 //! opening many tapes under one `K` keys `HMAC(K, ·)` once and hands it to
-//! [`Tape::with_keyed`]. Bulk bytes (the builders' padding) come from an
-//! AES-CTR keystream keyed off the tape instead
-//! ([`crate::ctr::pad_from_tape`]). [`Transcript`] provides the canonical,
-//! injective encoding of the tuple.
+//! [`Tape::with_keyed`]. Bulk bytes (the builders' padding) come from a
+//! ChaCha20 keystream keyed off the tape instead
+//! ([`crate::chacha::pad_from_tape`]). [`Transcript`] provides the
+//! canonical, injective encoding of the tuple.
 
 use crate::hmac::Hmac;
 use crate::keys::SecretKey;

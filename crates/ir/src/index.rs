@@ -54,27 +54,54 @@ impl InvertedIndex {
     }
 
     /// Builds the index with an explicit tokenizer.
+    ///
+    /// Each distinct raw token is normalized ([`Tokenizer::normalize`])
+    /// once per build rather than once per occurrence, and term
+    /// frequencies are counted by term id, so the index equals one built
+    /// from [`Tokenizer::tokenize`] on every document.
     pub fn build_with(documents: &[Document], tokenizer: &Tokenizer) -> Self {
-        let mut postings: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
+        // Raw token -> term id (`None`: dropped), and term -> term id.
+        let mut raw_ids: HashMap<&str, Option<usize>> = HashMap::new();
+        let mut term_ids: HashMap<String, usize> = HashMap::new();
+        let mut lists: Vec<(String, Vec<Posting>)> = Vec::new();
+        // This document's count per term id, and the ids it touched.
+        let mut tf: Vec<u32> = Vec::new();
+        let mut touched: Vec<usize> = Vec::new();
         let mut doc_lengths = HashMap::with_capacity(documents.len());
         for doc in documents {
-            let tokens = tokenizer.tokenize(doc.text());
-            doc_lengths.insert(doc.id(), tokens.len() as u32);
-            let mut tf: HashMap<&str, u32> = HashMap::new();
-            for token in &tokens {
-                *tf.entry(token.as_str()).or_insert(0) += 1;
+            let mut len = 0u32;
+            for raw in Tokenizer::raw_tokens(doc.text()) {
+                let id = *raw_ids.entry(raw).or_insert_with(|| {
+                    let term = tokenizer.normalize(raw)?;
+                    Some(*term_ids.entry(term).or_insert_with_key(|term| {
+                        lists.push((term.clone(), Vec::new()));
+                        tf.push(0);
+                        lists.len() - 1
+                    }))
+                });
+                let Some(id) = id else { continue };
+                if tf[id] == 0 {
+                    touched.push(id);
+                }
+                tf[id] += 1;
+                len += 1;
             }
-            for (term, count) in tf {
-                postings.entry(term.to_string()).or_default().push(Posting {
+            doc_lengths.insert(doc.id(), len);
+            for id in touched.drain(..) {
+                lists[id].1.push(Posting {
                     file: doc.id(),
-                    term_frequency: count,
+                    term_frequency: std::mem::take(&mut tf[id]),
                 });
             }
         }
         // Deterministic posting order: by file id.
-        for list in postings.values_mut() {
-            list.sort_by_key(|p| p.file);
-        }
+        let postings = lists
+            .into_iter()
+            .map(|(term, mut list)| {
+                list.sort_by_key(|p| p.file);
+                (term, list)
+            })
+            .collect();
         InvertedIndex {
             postings,
             doc_lengths,
@@ -221,6 +248,47 @@ mod tests {
             idx.postings_for_query("the", &t).is_none(),
             "stop word only"
         );
+    }
+
+    #[test]
+    fn build_equals_an_index_assembled_from_tokenize_per_document() {
+        let docs = vec![
+            Document::new(FileId::new(4), "Networks NETWORK networking; the NOS nos"),
+            Document::new(FileId::new(1), "RFC-793 port=80, TCP/IP 80 x2 it's"),
+            Document::new(FileId::new(7), "Café naïve CAFÉ über-fast ÜBER 東京 東京"),
+            Document::new(FileId::new(2), "the of and to in"),
+            Document::new(FileId::new(3), "running runs ran Runner's routing ROUTES"),
+            Document::new(FileId::new(1), "a second document under file one"),
+        ];
+        let tokenizer = Tokenizer::new();
+        let built = InvertedIndex::build_with(&docs, &tokenizer);
+        let mut want: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
+        let mut lengths = HashMap::new();
+        for doc in &docs {
+            let tokens = tokenizer.tokenize(doc.text());
+            lengths.insert(doc.id(), tokens.len() as u32);
+            let mut tf: BTreeMap<&str, u32> = BTreeMap::new();
+            for token in &tokens {
+                *tf.entry(token).or_default() += 1;
+            }
+            for (term, term_frequency) in tf {
+                want.entry(term.to_string()).or_default().push(Posting {
+                    file: doc.id(),
+                    term_frequency,
+                });
+            }
+        }
+        want.values_mut().for_each(|l| l.sort_by_key(|p| p.file));
+        let got: BTreeMap<String, Vec<Posting>> = built
+            .iter()
+            .map(|(term, list)| (term.to_string(), list.to_vec()))
+            .collect();
+        assert_eq!(got, want);
+        assert!(got.contains_key("network") && !got.contains_key("no"));
+        for doc in &docs {
+            assert_eq!(built.doc_length(doc.id()), lengths.get(&doc.id()).copied());
+        }
+        assert_eq!(built.num_docs(), docs.len() as u64);
     }
 
     #[test]

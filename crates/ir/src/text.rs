@@ -75,36 +75,59 @@ impl Tokenizer {
         STOP_WORDS.binary_search(&word).is_ok()
     }
 
-    /// Splits `text` into index terms.
+    /// Splits `text` into raw tokens: maximal runs of alphanumeric
+    /// characters, as written.
+    pub(crate) fn raw_tokens(text: &str) -> impl Iterator<Item = &str> {
+        text.split(|c: char| !c.is_alphanumeric())
+            .filter(|s| !s.is_empty())
+    }
+
+    /// The index term of one raw token (a run of alphanumeric characters,
+    /// as [`Self::tokenize`] splits a text), or `None` when the token is
+    /// dropped: case folding, stop-word removal, stemming and the minimum
+    /// length, in that order.
     ///
     /// Index terms are stemmer *fixed points* (stemming is iterated until
     /// stable) and are stop-word-filtered both before and after stemming
     /// ("NOS" → "no" would otherwise smuggle a stop word into the index),
-    /// so `tokenize` is idempotent: re-tokenizing its own output yields the
-    /// same terms.
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
-        text.split(|c: char| !c.is_alphanumeric())
-            .filter(|s| !s.is_empty())
-            .map(|raw| raw.to_lowercase())
-            .filter(|lower| !self.config.remove_stop_words || !Self::is_stop_word(lower))
-            .map(|lower| {
-                if self.config.stem {
-                    // Porter is not idempotent on rare inputs; iterate to a
-                    // fixed point (converges in a couple of steps).
-                    let mut word = lower;
-                    loop {
-                        let stemmed = porter_stem(&word);
-                        if stemmed == word {
-                            break word;
-                        }
-                        word = stemmed;
-                    }
-                } else {
-                    lower
+    /// so normalizing a term yields the term itself.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rsse_ir::text::Tokenizer;
+    ///
+    /// let t = Tokenizer::new();
+    /// assert_eq!(t.normalize("Networks").as_deref(), Some("network"));
+    /// assert_eq!(t.normalize("NOS"), None);
+    /// ```
+    pub fn normalize(&self, raw: &str) -> Option<String> {
+        let stop = |word: &str| self.config.remove_stop_words && Self::is_stop_word(word);
+        let lower = raw.to_lowercase();
+        if stop(&lower) {
+            return None;
+        }
+        let mut word = lower;
+        // Porter is not idempotent on rare inputs; iterate to a fixed
+        // point (converges in a couple of steps).
+        if self.config.stem {
+            loop {
+                let stemmed = porter_stem(&word);
+                if stemmed == word {
+                    break;
                 }
-            })
-            .filter(|token| !self.config.remove_stop_words || !Self::is_stop_word(token))
-            .filter(|token| token.chars().count() >= self.config.min_token_len)
+                word = stemmed;
+            }
+        }
+        (!stop(&word) && word.chars().count() >= self.config.min_token_len).then_some(word)
+    }
+
+    /// Splits `text` into index terms: [`Self::normalize`] over each of
+    /// its raw tokens, so `tokenize` is idempotent: re-tokenizing its own
+    /// output yields the same terms.
+    pub fn tokenize(&self, text: &str) -> Vec<String> {
+        Self::raw_tokens(text)
+            .filter_map(|raw| self.normalize(raw))
             .collect()
     }
 }

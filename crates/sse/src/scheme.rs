@@ -12,7 +12,8 @@
 
 use crate::entry::{decode_entry, encode_entry, ENTRY_CT_LEN, SCORE_CT_LEN};
 use crate::error::SseError;
-use rsse_crypto::ctr::{pad_from_tape, NONCE_LEN};
+use rsse_crypto::chacha::pad_from_tape;
+use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SecretKey, SemanticCipher, Tape};
 use rsse_ir::{FileId, InvertedIndex, Tokenizer};
@@ -287,7 +288,7 @@ impl BasicScheme {
                 entry_cipher.encrypt_with_nonce_into(entry_nonce, &plain, &mut list);
             }
             // Pad with random strings of the same size (Fig. 3 step 3):
-            // the AES-CTR keystream under a key and counter off the tape.
+            // the ChaCha20 keystream under a key and nonce off the tape.
             let real = list.len();
             list.resize(list_len, 0);
             pad_from_tape(&mut tape, &mut list[real..]);

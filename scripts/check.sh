@@ -43,15 +43,18 @@ cargo test -q -p rsse-cloud --lib codec::
 
 # The byte pins: the coin tape's stream, the padding keystream, and the
 # exact lists both index builders write on a fixed corpus and seed, whole
-# and cut to their real entries. Nonces and OPM coins come off the tape
-# and padding from an AES-CTR keystream keyed off it, so a speed-up of the
-# tape, the cipher or the build that moves one ciphertext byte fails here.
+# and cut to their real entries. Nonces and OPM coins come off the tape,
+# real entries are AES-CTR ciphertexts, and padding is a ChaCha20
+# keystream keyed off the tape, so a speed-up of the tape, either cipher
+# or the build that moves one ciphertext byte fails here.
 echo "==> cargo test -q --test byte_pins"
 cargo test -q --test byte_pins
 
 # The AES-128 kernel and CTR mode against the FIPS-197 and SP 800-38A
-# vectors and the byte-wise reference cipher kept in its tests. Every
-# entry, padding byte and file body goes through this kernel.
+# vectors and the byte-wise reference cipher kept in its tests, and the
+# ChaCha20 padding keystream against the RFC 8439 vectors. Every real
+# entry and file body goes through the AES kernel, every padding byte
+# through ChaCha20.
 echo "==> cargo test -q -p rsse-crypto"
 cargo test -q -p rsse-crypto
 

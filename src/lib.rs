@@ -6,7 +6,7 @@
 //!
 //! The workspace is organised bottom-up:
 //!
-//! * [`crypto`] — SHA-1/SHA-256, HMAC, AES-CTR, the `TapeGen` coin generator;
+//! * [`crypto`] — SHA-1/SHA-256, HMAC, AES-CTR, ChaCha20, the `TapeGen` coin generator;
 //! * [`hgd`] — exact hypergeometric sampling (`HYGEINV`);
 //! * [`opse`] — order-preserving encryption and the one-to-many
 //!   order-preserving mapping (OPM), the paper's core primitive;

@@ -1,7 +1,7 @@
 //! Byte pins: the exact bytes the owner's Setup writes.
 //!
 //! The coin tape feeds every entry nonce and OPM coin, and the key and
-//! counter of each list's padding, which is the AES-CTR keystream under
+//! nonce of each list's padding, which is the ChaCha20 keystream under
 //! them; the two builders turn these into the lists the server stores, so
 //! a change to either that moves one byte changes every ciphertext the
 //! owner has ever outsourced. These tests pin SHA-256 digests of a long
@@ -12,7 +12,7 @@
 //! pins, and the real-entry pins show that no real entry moved with it.
 
 use rsse::core::{Rsse, RsseParams};
-use rsse::crypto::ctr::pad_from_tape;
+use rsse::crypto::chacha::pad_from_tape;
 use rsse::crypto::tape::Transcript;
 use rsse::crypto::{Digest, SecretKey, Sha256, Tape};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
@@ -101,7 +101,7 @@ fn padding_keystream_is_pinned() {
     pad_from_tape(&mut tape(), &mut out);
     assert_eq!(
         hex(Sha256::digest(&out).as_ref()),
-        "a55992c917a26bd7268d1eb549b76af9d79caab3046dc51d0f28b1bf19178832"
+        "d6160fb52d8ef5ee0c8c4d442d37e72ca5e0a32c14aab1bcfec6b1fac937238a"
     );
 }
 
@@ -111,7 +111,7 @@ fn rsse_build_is_pinned() {
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&built.export_parts().unwrap()),
-        "fba2bbb10f9383ab355d72987872ddb151c37c9a0d39f19985e77278f85b8cb7"
+        "942cb31e89672fb489f81836e75b373548b364d7d78d1b0eb3988270d77d1257"
     );
 }
 
@@ -123,7 +123,7 @@ fn basic_build_is_pinned() {
         .unwrap();
     assert_eq!(
         digest_lists(&built.export_parts()),
-        "2bc21da4e5ed66851b95a35824a9d46c424fbd1990a2a93b9d25a10da43202aa"
+        "576da2e491f812692a5d783af7ebf0715b11332cd0aa28088acd8777f863d90c"
     );
 }
 
