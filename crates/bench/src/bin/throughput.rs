@@ -91,8 +91,9 @@ use rsse_bench::workload::{paper_corpus, rare_terms, top_terms, ZipfSampler, HOT
 use rsse_cloud::entities::{CloudServer, DataOwner, Deployment, Storage};
 use rsse_cloud::server_loop::{PoolOptions, ServerHandle};
 use rsse_cloud::{
-    ChannelTransport, CloudError, Connection, ErrorKind, FileCrypter, Message, RouterOptions,
-    SearchMode, ShardedDeployment, TcpServer, TcpServerOptions, TcpTransport, Transport,
+    CacheStats, ChannelTransport, CloudError, Connection, ErrorKind, FileCrypter, Message,
+    RouterOptions, SearchMode, ShardedDeployment, TcpServer, TcpServerOptions, TcpTransport,
+    Transport,
 };
 use rsse_core::{Rsse, RsseIndex, RsseParams};
 use rsse_ir::{Document, FileId, InvertedIndex};
@@ -222,8 +223,9 @@ struct ConfigResult {
     conjunctive_legs: u64,
     /// Queries that rode inside `BatchRequest` frames.
     batched_queries: u64,
-    cache_hits: u64,
-    cache_misses: u64,
+    /// The serving cache's counters (the merged cache's for the sharded
+    /// arms; all zero where no cache is consulted).
+    cache: CacheStats,
     /// Per-shard, per-replica counts of legs routed by the
     /// power-of-two-choices picker (empty for single-server scenarios).
     replica_routed: Vec<Vec<u64>>,
@@ -239,6 +241,25 @@ struct ConfigResult {
     /// the owner's exact IDF re-rank, averaged over the query pool
     /// (0 for non-conjunctive scenarios).
     ndcg_at_10: f64,
+}
+
+/// Client `client_idx`'s Zipf(s = [`ZIPF_S`]) stream over `n` ranks.
+fn client_sampler(n: usize, seed: u64, client_idx: usize) -> ZipfSampler {
+    ZipfSampler::new(n, ZIPF_S, seed ^ (client_idx as u64) << 17)
+}
+
+/// Distinct ranks among `frames_per_client` draws of every client's
+/// stream ([`client_sampler`]): the distinct keys a run of one sample
+/// per frame asks its cache for.
+fn distinct_keys(n: usize, frames_per_client: usize, seed: u64) -> usize {
+    let mut seen = vec![false; n];
+    for client_idx in 0..CLIENTS {
+        let mut sampler = client_sampler(n, seed, client_idx);
+        for _ in 0..frames_per_client {
+            seen[sampler.sample()] = true;
+        }
+    }
+    seen.into_iter().filter(|&seen| seen).count()
 }
 
 fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
@@ -311,8 +332,7 @@ fn run_config(
                 let user = owner.authorize_user();
                 let n = scenario.frames_per_client;
                 scope.spawn(move || {
-                    let mut sampler =
-                        ZipfSampler::new(vocab.len(), ZIPF_S, seed ^ (client_idx as u64) << 17);
+                    let mut sampler = client_sampler(vocab.len(), seed, client_idx);
                     let mut lats = Vec::with_capacity(n);
                     let mut shed = 0u64;
                     for _ in 0..n {
@@ -397,8 +417,7 @@ fn run_config(
         } else {
             0
         },
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
+        cache,
         replica_routed: Vec::new(),
         compactions: 0,
         compact_max_pause_ms: 0.0,
@@ -574,8 +593,7 @@ fn run_transport(
         filter_fetches: 0,
         conjunctive_legs: 0,
         batched_queries: 0,
-        cache_hits: 0,
-        cache_misses: 0,
+        cache: CacheStats::default(),
         replica_routed: Vec::new(),
         compactions: 0,
         compact_max_pause_ms: 0.0,
@@ -695,8 +713,7 @@ fn run_churn(
                         // scenario: IndexUpdater memoizes OPM state behind a
                         // RefCell, so each client derives its own.
                         let updater = scheme.updater_for(plain_index).expect("updater");
-                        let mut sampler =
-                            ZipfSampler::new(vocab.len(), ZIPF_S, seed ^ (client_idx as u64) << 17);
+                        let mut sampler = client_sampler(vocab.len(), seed, client_idx);
                         let mut lats = Vec::with_capacity(frames_per_client);
                         let mut shed = 0u64;
                         for i in 0..frames_per_client {
@@ -790,8 +807,7 @@ fn run_churn(
         filter_fetches: 0,
         conjunctive_legs: 0,
         batched_queries: 0,
-        cache_hits: 0,
-        cache_misses: 0,
+        cache: CacheStats::default(),
         replica_routed: Vec::new(),
         compactions: compactor.compactions,
         compact_max_pause_ms: compactor.max_pause.as_secs_f64() * 1e3,
@@ -857,8 +873,7 @@ fn run_sharded(
                     // each client thread derives its own (same owner key,
                     // same index -> identical updates).
                     let updater = scheme.updater_for(plain_index).expect("updater");
-                    let mut sampler =
-                        ZipfSampler::new(vocab.len(), ZIPF_S, seed ^ (client_idx as u64) << 17);
+                    let mut sampler = client_sampler(vocab.len(), seed, client_idx);
                     let mut tally = ShardClientTally {
                         lats: Vec::with_capacity(iterations_per_client),
                         shard_legs: 0,
@@ -948,8 +963,7 @@ fn run_sharded(
         filter_fetches,
         conjunctive_legs: 0,
         batched_queries: 0,
-        cache_hits: merged.hits,
-        cache_misses: merged.misses,
+        cache: merged,
         replica_routed,
         compactions: 0,
         compact_max_pause_ms: 0.0,
@@ -1076,8 +1090,7 @@ fn run_conjunctive(
                 let client = handle.client();
                 let user = owner.authorize_user();
                 scope.spawn(move || {
-                    let mut sampler =
-                        ZipfSampler::new(pool.len(), ZIPF_S, seed ^ (client_idx as u64) << 17);
+                    let mut sampler = client_sampler(pool.len(), seed, client_idx);
                     let mut lats = Vec::with_capacity(frames_per_client);
                     let mut shed = 0u64;
                     for _ in 0..frames_per_client {
@@ -1150,8 +1163,7 @@ fn run_conjunctive(
         filter_fetches: 0,
         conjunctive_legs: 0,
         batched_queries: 0,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
+        cache,
         replica_routed: Vec::new(),
         compactions: 0,
         compact_max_pause_ms: 0.0,
@@ -1214,8 +1226,7 @@ fn run_conjunctive_sharded(
                     (&cloud, &scheme, &plain_index, &crypter);
                 scope.spawn(move || {
                     let updater = scheme.updater_for(plain_index).expect("updater");
-                    let mut query_sampler =
-                        ZipfSampler::new(pool.len(), ZIPF_S, seed ^ (client_idx as u64) << 17);
+                    let mut query_sampler = client_sampler(pool.len(), seed, client_idx);
                     let mut word_sampler = ZipfSampler::new(
                         update_vocab.len(),
                         ZIPF_S,
@@ -1308,8 +1319,7 @@ fn run_conjunctive_sharded(
         filter_fetches,
         conjunctive_legs,
         batched_queries: 0,
-        cache_hits: merged.hits,
-        cache_misses: merged.misses,
+        cache: merged,
         replica_routed,
         compactions: 0,
         compact_max_pause_ms: 0.0,
@@ -1481,8 +1491,8 @@ fn write_json(path: &str, seed: u64, cold: &ColdStart, results: &[ConfigResult])
             r.filter_fetches,
             r.conjunctive_legs,
             r.batched_queries,
-            r.cache_hits,
-            r.cache_misses,
+            r.cache.hits,
+            r.cache.misses,
             replica_routed,
             r.compactions,
             r.compact_max_pause_ms,
@@ -1662,8 +1672,8 @@ fn main() {
             r.pruned_legs,
             r.filter_fetches,
             r.conjunctive_legs,
-            r.cache_hits,
-            r.cache_misses,
+            r.cache.hits,
+            r.cache.misses,
             r.compactions,
             r.ndcg_at_10
         );
@@ -1782,42 +1792,47 @@ fn main() {
             .find(|r| r.scenario == scenario && r.workers == workers)
             .unwrap_or_else(|| panic!("missing config {scenario}/{workers}"))
     };
-    for &workers in &[1usize, 4] {
-        let cached = find("hot_keywords", workers);
-        assert!(
-            cached.cache_hits > 0,
-            "Zipf workload must hit the cache (workers={workers})"
-        );
-        // Misses are bounded by the vocabulary plus a small concurrency
-        // slack: workers that race on the same cold label each count a
-        // miss before the first fill lands (the epoch guard keeps the
-        // *answers* coherent, not the counter).
-        let miss_bound = ZIPF_VOCAB + workers;
-        assert!(
-            cached.cache_misses as usize <= miss_bound,
-            "misses are bounded by vocabulary + workers: {} > {miss_bound}",
-            cached.cache_misses
-        );
-        let uncached = find("hot_keywords_nocache", workers);
-        assert_eq!(uncached.cache_hits + uncached.cache_misses, 0);
-    }
-    // Same invariants for the conjunctive pair: the cache is keyed by
-    // the canonical label set, so misses are bounded by the pool's
-    // distinct sets plus the same cold-fill concurrency slack.
-    for &workers in &[1usize, 4] {
-        let cached = find("conjunctive", workers);
-        assert!(
-            cached.cache_hits > 0,
-            "conjunctive Zipf workload must hit the cache (workers={workers})"
-        );
-        let miss_bound = conj_pool.len() + workers;
-        assert!(
-            cached.cache_misses as usize <= miss_bound,
-            "conjunctive misses are bounded by pool + workers: {} > {miss_bound}",
-            cached.cache_misses
-        );
-        let uncached = find("conjunctive_nocache", workers);
-        assert_eq!(uncached.cache_hits + uncached.cache_misses, 0);
+    // Cold fills. The conjunctive pair's cache is keyed by the canonical
+    // label set, one per pool entry, so both pairs ask for one key per
+    // frame. With nothing evicted and no fill rejected, a key's first miss
+    // fills it and each later miss refills it, so misses less refills are
+    // at most the distinct keys; a key is refilled only by workers that
+    // missed it while another was filling it, at most `workers - 1` of
+    // them (the epoch guard keeps the *answers* coherent, not the
+    // counters).
+    for (scenario, pool) in [
+        ("hot_keywords", vocab.len()),
+        ("conjunctive", conj_pool.len()),
+    ] {
+        for &workers in &[1usize, 4] {
+            let cached = find(scenario, workers);
+            assert!(
+                cached.cache.hits > 0,
+                "{scenario} Zipf workload must hit the cache (workers={workers})"
+            );
+            let uncached = find(&format!("{scenario}_nocache"), workers);
+            assert_eq!(uncached.cache.hits + uncached.cache.misses, 0);
+            let distinct = distinct_keys(pool, cached.requests / CLIENTS, seed) as u64;
+            let c = &cached.cache;
+            eprintln!(
+                "{scenario}/{workers}: misses {} refills {} distinct keys {distinct} \
+                 stale fills {} evictions {}",
+                c.misses, c.refills, c.stale_fills, c.evictions
+            );
+            assert_eq!((c.stale_fills, c.evictions), (0, 0), "no fill lost");
+            assert!(
+                c.misses <= distinct + c.refills,
+                "misses - refills are bounded by distinct keys: {} - {} > {distinct}",
+                c.misses,
+                c.refills
+            );
+            let refill_bound = (workers as u64 - 1) * distinct;
+            assert!(
+                c.refills <= refill_bound,
+                "refills are bounded by (workers - 1) x distinct keys: {} > {refill_bound}",
+                c.refills
+            );
+        }
     }
     // The sharded conjunctive arm's accounting must close: every pool
     // frame it paid for is a metered conjunctive leg or filter fetch

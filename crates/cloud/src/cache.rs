@@ -64,6 +64,9 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// Fills rejected because an invalidation raced the compute pass.
     pub stale_fills: u64,
+    /// Fills that replaced an entry already cached: a lookup that missed
+    /// while another filler was computing the same key fills it again.
+    pub refills: u64,
 }
 
 /// Budget charge of a cached value: the approximate heap bytes it owns
@@ -116,6 +119,7 @@ pub struct EpochCache<K, V> {
     evictions: u64,
     invalidations: u64,
     stale_fills: u64,
+    refills: u64,
 }
 
 /// The server-side hot-keyword cache: full rankings keyed by label.
@@ -161,6 +165,7 @@ impl<K: Eq + Hash + Clone, V: CacheWeight> EpochCache<K, V> {
             evictions: 0,
             invalidations: 0,
             stale_fills: 0,
+            refills: 0,
         }
     }
 
@@ -226,6 +231,7 @@ impl<K: Eq + Hash + Clone, V: CacheWeight> EpochCache<K, V> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(old) = self.entries.remove(&key) {
             self.used_bytes -= old.bytes;
+            self.refills += 1;
         }
         while self.used_bytes + bytes > self.budget_bytes {
             self.evict_lru();
@@ -288,6 +294,7 @@ impl<K: Eq + Hash + Clone, V: CacheWeight> EpochCache<K, V> {
             evictions: self.evictions,
             invalidations: self.invalidations,
             stale_fills: self.stale_fills,
+            refills: self.refills,
         }
     }
 
@@ -389,6 +396,7 @@ mod tests {
         cache.insert_if_current(label(1), ranking(6), epoch);
         let hit = cache.get(&label(1)).expect("refill should stick");
         assert_eq!(hit.len(), 6);
+        assert_eq!(cache.stats().refills, 0, "the entry was gone");
     }
 
     #[test]
@@ -429,6 +437,7 @@ mod tests {
         cache.insert_if_current(label(1), ranking(10), epoch);
         assert!(cache.used_bytes() < big, "smaller refill shrinks usage");
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().refills, 1);
     }
 
     #[test]

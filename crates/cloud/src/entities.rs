@@ -19,11 +19,12 @@ use crate::codec::{BatchResult, Label, Message, SearchMode};
 use crate::error::CloudError;
 use crate::files::{EncryptedFile, FileCrypter, FileStore};
 use crate::network::{MeteredChannel, TrafficReport};
+use crate::shard::IndexPartitioner;
 use parking_lot::{RwLock, RwLockReadGuard};
 use rsse_core::entry::ENTRY_CT_LEN;
 use rsse_core::{
-    canonical_label_order, ranked_prefix, BatchReadStats, CompactionStats, ConjunctiveResult,
-    GenerationStats, MultiTrapdoor, RankedResult, Rsse, RsseIndex, RsseParams, RsseTrapdoor,
+    canonical_label_order, ranked_prefix, CompactionStats, ConjunctiveResult, GenerationStats,
+    MultiTrapdoor, RankedResult, Rsse, RsseIndex, RsseParams, RsseTrapdoor,
 };
 use rsse_crypto::SecretKey;
 use rsse_ir::{Document, FileId, InvertedIndex};
@@ -60,10 +61,11 @@ impl DataOwner {
     }
 
     /// The `Setup` phase: build the RSSE index, encrypt all files, and
-    /// emit the `Outsource` message. Its `basic_lists` are empty, so a
-    /// server booted from it answers protocols 2 and 3 with `Rejected`;
-    /// [`Deployment::bootstrap_with_basic`] ships the basic scheme's index
-    /// too.
+    /// emit the `Outsource` message — the one-shard case of
+    /// [`Self::outsource_sharded_with_filters`]. Its `basic_lists` are
+    /// empty, so a server booted from it answers protocols 2 and 3 with
+    /// `Rejected`; [`Deployment::bootstrap_with_basic`] ships the basic
+    /// scheme's index too.
     ///
     /// # Errors
     ///
@@ -75,22 +77,8 @@ impl DataOwner {
     /// [`Self::outsource`], with the basic scheme's index in `basic_lists`
     /// when `basic` is set.
     fn outsource_with(&self, docs: &[Document], basic: bool) -> Result<Message, CloudError> {
-        let plaintext_index = InvertedIndex::build(docs);
-        let (rsse_lists, opse, _) = self.rsse.build_parts(&plaintext_index)?;
-        let basic_lists = if basic {
-            self.basic
-                .build_index(&plaintext_index, Default::default())?
-                .export_parts()
-        } else {
-            Vec::new()
-        };
-        Ok(Message::Outsource {
-            rsse_lists,
-            basic_lists,
-            opse_domain: opse.domain_size(),
-            opse_range: opse.range_size(),
-            files: self.files.encrypt_collection(docs),
-        })
+        let (mut frames, _) = self.setup(docs, &IndexPartitioner::new(1), basic)?;
+        Ok(frames.pop().expect("one shard, one frame"))
     }
 
     /// Authorizes a user: in the paper, the trapdoor-generation key is
@@ -108,23 +96,24 @@ impl DataOwner {
         self.files.encrypt_collection(docs)
     }
 
-    /// Sharded `Setup`: builds the global encrypted index **once**, then
-    /// partitions its ciphertexts across the partitioner's shards by
-    /// file-id hash, emitting one `Outsource` message per shard plus the
-    /// per-shard **exact** label filters.
+    /// Sharded `Setup`: builds the global encrypted index **once**,
+    /// routing each entry to its shard as the build writes it
+    /// ([`Rsse::build_parts`]), and emits one `Outsource` message per
+    /// shard plus the per-shard **exact** label filters. With one shard
+    /// this is [`Self::outsource`], frame for frame.
     ///
-    /// Partitioning the *built* index — rather than building one index per
+    /// Partitioning the one build — rather than building one index per
     /// shard — is what makes sharded ranking byte-identical to the
     /// unsharded path: scores are computed against global collection
     /// statistics, and each OPM value is seeded per `(keyword, file)`, so
     /// a per-shard rebuild would change both. Entries are semantically
-    /// encrypted, so only the owner can route them; it does so with
-    /// [`Rsse::posting_owners`], which reproduces the build's entry order
-    /// without decrypting anything. Padding entries (positions past the
+    /// encrypted, so only the owner can route them: a real entry goes to
+    /// the shard owning its file, and padding entries (positions past the
     /// real postings) spread round-robin so every shard keeps cover
-    /// traffic. Each encrypted file is stored only on the shard owning its
-    /// id; the basic-scheme index is not sharded (single-server protocols
-    /// 2 and 3 stay on an unsharded [`Deployment::bootstrap_with_basic`]).
+    /// traffic. Every label is on every shard. Each encrypted file is
+    /// stored only on the shard owning its id; the basic-scheme index is
+    /// not sharded (single-server protocols 2 and 3 stay on an unsharded
+    /// [`Deployment::bootstrap_with_basic`]).
     ///
     /// A shard's filter is the sorted set of posting-list labels whose
     /// partition on that shard contains at least one *real* (non-padding)
@@ -132,8 +121,8 @@ impl DataOwner {
     /// (`RsseIndex::search` drops entries that fail authenticated
     /// decryption), so a router may skip any shard outside a label's
     /// filter without changing the merged ranking. Only the owner can
-    /// compute these exactly — [`Rsse::posting_owners`] tells real entries
-    /// from padding, which the server-side conservative filter cannot.
+    /// compute these exactly — the build knows which entries are real,
+    /// which the server-side conservative filter cannot tell.
     ///
     /// # Errors
     ///
@@ -141,52 +130,51 @@ impl DataOwner {
     pub fn outsource_sharded_with_filters(
         &self,
         docs: &[Document],
-        partitioner: &crate::shard::IndexPartitioner,
+        partitioner: &IndexPartitioner,
+    ) -> Result<(Vec<Message>, Vec<Vec<Label>>), CloudError> {
+        self.setup(docs, partitioner, false)
+    }
+
+    /// The one `Setup` body behind [`Self::outsource`] and
+    /// [`Self::outsource_sharded_with_filters`]: one build partitioned
+    /// across the shards, and each file encrypted onto its shard. With
+    /// `basic` set the basic scheme's index rides in the first frame, which
+    /// only an unsharded deployment asks for.
+    fn setup(
+        &self,
+        docs: &[Document],
+        partitioner: &IndexPartitioner,
+        basic: bool,
     ) -> Result<(Vec<Message>, Vec<Vec<Label>>), CloudError> {
         let plaintext_index = InvertedIndex::build(docs);
-        let rsse_index = self.rsse.build_index_from(&plaintext_index)?;
-        let opse = *rsse_index
-            .opse_params()
-            .expect("freshly built index carries parameters");
-        let owners: std::collections::HashMap<_, _> = self
-            .rsse
-            .posting_owners(&plaintext_index)
-            .into_iter()
-            .collect();
         let n = partitioner.num_shards();
-        let shard_lists = rsse_index.split_parts(n, |label, pos, _| {
-            match owners.get(label).and_then(|files| files.get(pos)) {
-                Some(file) => partitioner.shard_of(*file),
-                None => pos % n, // padding entry
-            }
-        })?;
-        let mut shard_labels: Vec<BTreeSet<Label>> = vec![BTreeSet::new(); n];
-        for (label, files) in &owners {
-            for file in files {
-                shard_labels[partitioner.shard_of(*file)].insert(*label);
-            }
-        }
+        let built = self
+            .rsse
+            .build_parts(&plaintext_index, n, |file| partitioner.shard_of(file))?;
+        let mut basic_lists = if basic {
+            self.basic
+                .build_index(&plaintext_index, Default::default())?
+                .export_parts()
+        } else {
+            Vec::new()
+        };
         let mut shard_files: Vec<Vec<EncryptedFile>> = vec![Vec::new(); n];
         for file in self.files.encrypt_collection(docs) {
             shard_files[partitioner.shard_of(file.id())].push(file);
         }
-        Ok((
-            shard_lists
-                .into_iter()
-                .zip(shard_files)
-                .map(|(rsse_lists, files)| Message::Outsource {
-                    rsse_lists,
-                    basic_lists: Vec::new(),
-                    opse_domain: opse.domain_size(),
-                    opse_range: opse.range_size(),
-                    files,
-                })
-                .collect(),
-            shard_labels
-                .into_iter()
-                .map(|labels| labels.into_iter().collect())
-                .collect(),
-        ))
+        let frames = built
+            .shards
+            .into_iter()
+            .zip(shard_files)
+            .map(|(rsse_lists, files)| Message::Outsource {
+                rsse_lists,
+                basic_lists: std::mem::take(&mut basic_lists),
+                opse_domain: built.opse.domain_size(),
+                opse_range: built.opse.range_size(),
+                files,
+            })
+            .collect();
+        Ok((frames, built.real_labels))
     }
 }
 
@@ -529,10 +517,10 @@ impl CloudServer {
         )
     }
 
-    /// Serves every query of one batch frame together, so the index can
-    /// fetch all touched posting lists in file-offset order
-    /// ([`RsseIndex::search_batch`]; [`CloudServer::batch_read_stats`]
-    /// counts the seeks saved) instead of seeking per query.
+    /// Serves every query of one batch frame together: cache probes under
+    /// one cache read guard, then each distinct missed label ranked once by
+    /// [`RsseIndex::search`] under one index read guard — a label repeated
+    /// within the frame is searched once, not once per copy.
     ///
     /// Per-query replies stay byte-identical to serial
     /// [`Self::ranked_search_with_files`] calls: cache hits take the same
@@ -576,13 +564,13 @@ impl CloudServer {
                 plans.push(Plan::Miss(slot));
             }
         }
-        let full: Vec<Arc<Vec<RankedResult>>> = self
-            .rsse_index
-            .read()
-            .search_batch(&miss_trapdoors, None)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let full: Vec<Arc<Vec<RankedResult>>> = {
+            let index = self.rsse_index.read();
+            miss_trapdoors
+                .iter()
+                .map(|trapdoor| Arc::new(index.search(trapdoor, None)))
+                .collect()
+        };
         if cache_enabled && !full.is_empty() {
             let mut cache = self.cache.write();
             for (trapdoor, ranking) in miss_trapdoors.iter().zip(&full) {
@@ -611,12 +599,6 @@ impl CloudServer {
                 self.with_files(&ranked_prefix(ranking, top_k.map(|k| k as usize)))
             })
             .collect()
-    }
-
-    /// Counters of the index's batched sorted-read path (zero on the
-    /// in-memory backend).
-    pub fn batch_read_stats(&self) -> BatchReadStats {
-        self.rsse_index.read().batch_read_stats()
     }
 
     /// Counters of the index's conjunctive pushdown path (zero until the

@@ -126,13 +126,15 @@ impl TrafficReport {
         }
     }
 
-    /// The traffic of one filter refresh: a `FilterRequest` up and the
-    /// `FilterReply` back down. One round trip, no scatter leg.
-    pub fn filter_fetch(bytes_up: usize, bytes_down: usize) -> TrafficReport {
+    /// The traffic of one filter refresh: a `FilterRequest` up and one
+    /// reply frame (a `FilterReply` or an error) back down. One round
+    /// trip, no scatter leg.
+    pub fn filter_fetch(bytes_up: usize, bytes_down: usize, is_error: bool) -> TrafficReport {
         TrafficReport {
             bytes_up,
             bytes_down,
             round_trips: 1,
+            error_frames: u32::from(is_error),
             filter_fetches: 1,
             ..TrafficReport::default()
         }
@@ -342,10 +344,14 @@ mod tests {
         assert_eq!(pruned.shard_legs, 0, "only sent legs count as shard legs");
         assert_eq!(pruned.pruned_legs, 1);
 
-        let fetch = TrafficReport::filter_fetch(13, 100);
+        let fetch = TrafficReport::filter_fetch(13, 100, false);
         assert_eq!(fetch.round_trips, 1);
         assert_eq!(fetch.filter_fetches, 1);
         assert_eq!(fetch.shard_legs, 0, "a filter refresh is not a query leg");
+        assert_eq!(fetch.error_frames, 0);
+        let refused = TrafficReport::filter_fetch(13, 40, true);
+        assert_eq!(refused.error_frames, 1, "an error reply is metered");
+        assert_eq!(refused.filter_fetches, 1);
 
         let mut total = TrafficReport::default();
         total.absorb(&pruned);

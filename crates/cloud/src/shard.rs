@@ -2,10 +2,9 @@
 //!
 //! The paper's server holds one encrypted inverted index; the ROADMAP
 //! north-star is a deployment serving millions of users, which means the
-//! index must scale *out*. This module partitions an already-built RSSE
-//! index across N independent [`CloudServer`] shards and serves ranked
-//! search by scattering the trapdoor to every shard and merging their
-//! locally ranked partial results.
+//! index must scale *out*. This module serves one RSSE build partitioned
+//! across N independent [`CloudServer`] shards: it scatters the trapdoor
+//! to every shard and merges their locally ranked partial results.
 //!
 //! # Why sharding cannot change a ranking
 //!
@@ -14,9 +13,9 @@
 //!
 //! 1. **The partition reuses the global ciphertexts.** The owner builds
 //!    the index once — scores computed against global collection
-//!    statistics, each OPM value seeded per `(keyword, file)` — and then
-//!    routes the *finished* entries to shards by file-id hash
-//!    ([`DataOwner::outsource_sharded_with_filters`]). Rebuilding per
+//!    statistics, each OPM value seeded per `(keyword, file)` — and the
+//!    build writes each entry straight onto its file's shard by file-id
+//!    hash ([`DataOwner::outsource_sharded_with_filters`]). Building per
 //!    shard would change IDF and OPM randomness, and with them the
 //!    ranking.
 //! 2. **Files partition disjointly**, so a shard's local top-k contains
@@ -631,7 +630,7 @@ impl ShardRouter {
         let reply = set.clients[replica]
             .call_async(request)
             .and_then(|pending| pending.wait(Some(LEG_DEADLINE)));
-        let down = match reply {
+        let (down, is_error) = match reply {
             Ok(reply) => {
                 let down = reply.wire_len();
                 // A `labels: None` reply means "unchanged since
@@ -650,12 +649,14 @@ impl ShardRouter {
                         cached.epoch = Some(epoch);
                     }
                 }
-                down
+                (down, false)
             }
-            Err(CloudError::Server { kind, detail }) => Message::Error { kind, detail }.wire_len(),
-            Err(_) => 0,
+            Err(CloudError::Server { kind, detail }) => {
+                (Message::Error { kind, detail }.wire_len(), true)
+            }
+            Err(_) => (0, false),
         };
-        traffic.absorb(&TrafficReport::filter_fetch(up, down));
+        traffic.absorb(&TrafficReport::filter_fetch(up, down, is_error));
     }
 
     /// The label set every leg queries, in trapdoor order, when the legs
@@ -1675,6 +1676,48 @@ mod tests {
         assert_eq!(all_pruned.shards_ok, shards as u32);
         assert_eq!(all_pruned.traffic.pruned_legs, shards as u32);
         assert_eq!(all_pruned.traffic.shard_legs, 0);
+        plain.shutdown();
+        tuned.shutdown();
+    }
+
+    #[test]
+    fn refused_filter_fetches_count_as_error_frames_and_prune_nothing() {
+        quiet_injected_panics();
+        let docs = pruning_corpus();
+        let shards = 4usize;
+        let plain = deploy(
+            b"refused filter seed",
+            &docs,
+            shards,
+            16,
+            RouterOptions::default(),
+        );
+        let tuned = ShardedDeployment::bootstrap(
+            b"refused filter seed",
+            RsseParams::default(),
+            &docs,
+            shards,
+            &Storage::Mem,
+            PoolOptions::new(1, 16).with_fault(|msg| {
+                matches!(msg, Message::FilterRequest { .. }).then_some(Fault::Panic("boom"))
+            }),
+            RouterOptions::new().with_pruning(),
+        )
+        .unwrap();
+        for keyword in ["quasar", "alpha", "quasar"] {
+            let (_, want) = plain.rsse_search(keyword, None).unwrap();
+            let (docs, got) = tuned.rsse_search(keyword, None).unwrap();
+            // Every refresh is answered by an error frame, so no filter
+            // is ever current: each query re-fetches every filter and
+            // prunes nothing, and the ranking is the full scatter's.
+            assert_eq!(got.traffic.filter_fetches, shards as u32);
+            assert_eq!(got.traffic.error_frames, got.traffic.filter_fetches);
+            assert_eq!(got.traffic.pruned_legs, 0);
+            assert_eq!(got.traffic.shard_legs, shards as u32);
+            assert!(got.is_complete());
+            assert_eq!(got.ranking, want.ranking);
+            assert_eq!(docs.len(), got.ranking.len());
+        }
         plain.shutdown();
         tuned.shutdown();
     }

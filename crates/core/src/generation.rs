@@ -70,12 +70,12 @@ use crate::error::RsseError;
 use crate::index::{merge_ranked_streams, rank_entries, Label, RankedResult, RsseTrapdoor};
 use crate::persist::{PersistError, SegmentWriter, DIR_RECORD_LEN};
 use crate::segio::{read_file, SegmentIo};
-use crate::segment::{BatchReadCounters, BatchReadStats, ListBytes, SegmentReader};
+use crate::segment::{ListBytes, SegmentReader};
 use crate::store::PostingStore;
 use crate::RsseIndex;
 use rsse_crypto::SemanticCipher;
 use rsse_opse::OpseParams;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -312,7 +312,6 @@ pub struct GenerationalBackend {
     opse: OpseParams,
     shared: Arc<GenShared>,
     overlay: PostingStore,
-    batch: Arc<BatchReadCounters>,
 }
 
 impl GenerationalBackend {
@@ -417,7 +416,6 @@ impl GenerationalBackend {
                 reclaimed,
             }),
             overlay: PostingStore::new(),
-            batch: Arc::new(BatchReadCounters::default()),
         })
     }
 
@@ -551,9 +549,11 @@ impl GenerationalBackend {
     }
 
     /// Ranked search across every generation plus the overlay (see
-    /// [`crate::RsseIndex::search`] for the contract): one
-    /// positional read of the touched list per generation, then
-    /// [`Self::rank_merged`].
+    /// [`crate::RsseIndex::search`] for the contract): one positional
+    /// read of the touched list per generation; each generation's list
+    /// (base first) and the overlay's rank as separate streams, merged
+    /// with [`merge_ranked_streams`] — byte-identical to the in-memory
+    /// ranking (see the module docs).
     ///
     /// Takes an instant snapshot of the generation stack and never
     /// touches compaction state again — a query in flight across a flip
@@ -569,61 +569,13 @@ impl GenerationalBackend {
             .iter()
             .filter_map(|s| s.reader.read_label(trapdoor.label()))
             .collect();
-        self.rank_merged(trapdoor, lists.iter(), top_k)
-    }
-
-    /// Batched [`Self::search`]: every generation file reads the posting
-    /// lists the batch touches in file-offset order (one sorted pass per
-    /// generation — see [`SegmentReader::read_lists_sorted`]), then each
-    /// query ranks against the prefetched bytes. One generation snapshot
-    /// covers the whole batch, and per-query results are byte-identical
-    /// to serial [`Self::search`] calls against that snapshot: the bytes
-    /// fetched are the same, and both rank through [`Self::rank_merged`].
-    pub(crate) fn search_batch(
-        &self,
-        trapdoors: &[RsseTrapdoor],
-        top_k: Option<usize>,
-    ) -> Vec<Vec<RankedResult>> {
-        let set = self.shared.current_set();
-        let mut per_segment: Vec<HashMap<Label, ListBytes>> =
-            Vec::with_capacity(set.segments.len());
-        let mut lists_read = 0u64;
-        let mut seeks_saved = 0u64;
-        for seg in &set.segments {
-            let (lists, seeks) = seg
-                .reader
-                .read_lists_sorted(trapdoors.iter().map(RsseTrapdoor::label));
-            lists_read += lists.len() as u64;
-            seeks_saved += seeks;
-            per_segment.push(lists);
-        }
-        self.batch.note(lists_read, seeks_saved);
-        trapdoors
-            .iter()
-            .map(|trapdoor| {
-                let lists = per_segment.iter().filter_map(|m| m.get(trapdoor.label()));
-                self.rank_merged(trapdoor, lists, top_k)
-            })
-            .collect()
-    }
-
-    /// Ranks the touched list of each generation (`lists`, base first)
-    /// and the overlay's as separate streams and merges them with
-    /// [`merge_ranked_streams`] — byte-identical to the in-memory ranking
-    /// (see the module docs).
-    fn rank_merged<'l>(
-        &self,
-        trapdoor: &RsseTrapdoor,
-        lists: impl Iterator<Item = &'l ListBytes>,
-        top_k: Option<usize>,
-    ) -> Vec<RankedResult> {
-        let mut lists = lists.peekable();
         let overlay = self.overlay.list(trapdoor.label());
-        if lists.peek().is_none() && overlay.is_none() {
+        if lists.is_empty() && overlay.is_none() {
             return Vec::new();
         }
         let cipher = SemanticCipher::new(trapdoor.list_key());
         let mut streams: Vec<Vec<RankedResult>> = lists
+            .iter()
             .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k))
             .collect();
         if let Some(pl) = overlay {
@@ -638,11 +590,6 @@ impl GenerationalBackend {
                 merge_ranked_streams(&refs, top_k)
             }
         }
-    }
-
-    /// Counters of the batched-read path since open.
-    pub fn batch_read_stats(&self) -> BatchReadStats {
-        self.batch.snapshot()
     }
 
     /// Whether a list with this label exists in any generation or the
@@ -1034,27 +981,5 @@ mod tests {
             .is_none());
         assert!(io.read(&Path::new("/gen").join(MANIFEST_TMP)).is_none());
         assert_eq!(store.stats().segments, 2);
-    }
-
-    #[test]
-    fn batch_reads_match_serial_and_count_saved_seeks() {
-        let (_io, mut store) = mem_store();
-        store.append(label(1), 6, &[0xA9; 6]).unwrap();
-        let key = rsse_crypto::SecretKey::derive(b"k", "t");
-        // Labels are written in sorted order, so offsets ascend with the
-        // label: querying 3, 2, 1 (with a duplicate) makes every unique
-        // hop a backward seek the sorted schedule eliminates.
-        let trapdoors: Vec<RsseTrapdoor> = [3u8, 2, 3, 1]
-            .iter()
-            .map(|b| RsseTrapdoor::from_parts(label(*b), key.clone()))
-            .collect();
-        let batched = store.search_batch(&trapdoors, None);
-        for (t, got) in trapdoors.iter().zip(&batched) {
-            assert_eq!(*got, store.search(t, None));
-        }
-        let stats = store.batch_read_stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.lists_read, 3, "unique lists read once each");
-        assert_eq!(stats.seeks_saved, 2, "3→2 and 2→1 were both backward");
     }
 }

@@ -17,8 +17,7 @@ use crate::error::RsseError;
 use crate::generation::{GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction};
 use crate::persist::PersistError;
 use crate::segio::{SegmentIo, StdIo};
-use crate::segment::BatchReadStats;
-use crate::store::{entries, PostingStore};
+use crate::store::PostingStore;
 use rsse_crypto::{SecretKey, SemanticCipher};
 use rsse_ir::FileId;
 use rsse_opse::OpseParams;
@@ -411,36 +410,6 @@ impl RsseIndex {
         }
     }
 
-    /// Serves a whole batch frame's queries in one call. On the disk
-    /// backend every posting list the batch touches is fetched up front
-    /// with the reads sorted into file-offset order (per generation file),
-    /// so a batch that hops around the keyword space no longer drags the
-    /// file cursor backwards between queries; [`Self::batch_read_stats`]
-    /// counts the seeks this saves. Per-query results are byte-identical
-    /// to calling [`Self::search`] per trapdoor — same bytes read, same
-    /// ranking code — which is what keeps batch replies equal across the
-    /// in-memory and disk backends.
-    pub fn search_batch(
-        &self,
-        trapdoors: &[RsseTrapdoor],
-        top_k: Option<usize>,
-    ) -> Vec<Vec<RankedResult>> {
-        match &self.backend {
-            // The arena has no seeks to save: per-query dispatch.
-            Backend::Mem(_) => trapdoors.iter().map(|t| self.search(t, top_k)).collect(),
-            Backend::Generational(g) => g.search_batch(trapdoors, top_k),
-        }
-    }
-
-    /// Counters of the batched sorted-read path (always zero for the
-    /// in-memory backend, which has no file cursor to schedule).
-    pub fn batch_read_stats(&self) -> BatchReadStats {
-        match &self.backend {
-            Backend::Mem(_) => BatchReadStats::default(),
-            Backend::Generational(g) => g.batch_read_stats(),
-        }
-    }
-
     /// Whether a list with this label exists (the access-pattern leakage of
     /// any SSE scheme — exposed explicitly for the adversary experiments).
     pub fn contains_label(&self, label: &Label) -> bool {
@@ -523,47 +492,6 @@ impl RsseIndex {
         let mut out = Vec::new();
         self.for_each_entry(label, &mut |e| out.push(e.to_vec()))
             .then_some(out)
-    }
-
-    /// Splits the index into `n` shard-local part lists, each in the shape
-    /// of [`Self::export_parts`] and ready for its shard's `Outsource`
-    /// message, routing entry `i` of the list under `label` through
-    /// `route(label, i, entry)`.
-    ///
-    /// Every label exists on every shard (possibly with an empty list), so
-    /// all shards present the same access-pattern shape and an unknown-label
-    /// probe is answered identically everywhere. Entries keep their
-    /// within-list order, and shards reuse the exact ciphertexts of this
-    /// (already built) index — which is what makes sharded ranking
-    /// byte-identical to the unsharded one: OPM scores are seeded per
-    /// `(keyword, file)`, so re-encrypting per shard would *change* them.
-    /// A route outside `0..n` is clamped to the last shard rather than
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::export_parts`].
-    pub fn split_parts(
-        &self,
-        n: usize,
-        mut route: impl FnMut(&Label, usize, &[u8]) -> usize,
-    ) -> Result<Vec<ListParts>, RsseError> {
-        let n = n.max(1);
-        let mut shards = vec![Vec::new(); n];
-        // Label order, list by list, so no full copy of the index is held.
-        let mut labels = self.labels();
-        labels.sort_unstable();
-        for label in labels {
-            let (entry_len, bytes) = self.flat_list(&label)?;
-            let mut buckets = vec![Vec::new(); n];
-            for (i, entry) in entries(entry_len as usize, &bytes).enumerate() {
-                buckets[route(&label, i, entry).min(n - 1)].extend_from_slice(entry);
-            }
-            for (shard, bucket) in shards.iter_mut().zip(buckets) {
-                shard.push((label, entry_len, bucket));
-            }
-        }
-        Ok(shards)
     }
 }
 
@@ -842,37 +770,6 @@ mod tests {
         labels.sort_unstable();
         assert_eq!(labels, vec![label(1), label(2)]);
         assert_eq!(idx.occupied_labels(), vec![label(1)]);
-    }
-
-    #[test]
-    fn split_parts_keeps_every_label_on_every_shard() {
-        let lists = [
-            ([1u8; 20], vec![vec![0xA1; 8], vec![0xA2; 8], vec![0xA3; 8]]),
-            ([2u8; 20], vec![vec![0xB1; 8]]),
-        ];
-        let parts = lists.iter().map(|(l, e)| (*l, 8, e.concat())).collect();
-        let opse = OpseParams::default();
-        let idx = RsseIndex::from_parts(parts, opse).unwrap();
-        let shards: Vec<RsseIndex> = (idx.split_parts(3, |_, i, _| i % 3).unwrap())
-            .into_iter()
-            .map(|parts| RsseIndex::from_parts(parts, opse).unwrap())
-            .collect();
-        assert_eq!(shards.len(), 3);
-        for (s, shard) in shards.iter().enumerate() {
-            // Both labels exist everywhere, even where the list is empty.
-            assert!(shard.contains_label(&[1u8; 20]));
-            assert!(shard.contains_label(&[2u8; 20]));
-            let want: Vec<Vec<u8>> = lists[0].1.iter().skip(s).step_by(3).cloned().collect();
-            assert_eq!(shard.raw_list(&[1u8; 20]).unwrap(), want);
-        }
-        // Entry counts across shards partition the originals exactly.
-        let total: usize = shards.iter().filter_map(|s| s.list_len(&[1u8; 20])).sum();
-        assert_eq!(total, 3);
-        assert_eq!(shards[1].list_len(&[2u8; 20]), Some(0));
-        // Out-of-range routes clamp to the last shard instead of panicking.
-        let clamped = idx.split_parts(2, |_, _, _| 99).unwrap();
-        assert!(clamped[0].iter().all(|(_, _, bytes)| bytes.is_empty()));
-        assert_eq!(clamped[1][0], ([1u8; 20], 8, lists[0].1.concat()));
     }
 
     #[test]

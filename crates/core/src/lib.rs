@@ -65,7 +65,6 @@ pub use index::{
 pub use multi::{canonical_label_order, ConjunctiveResult, ConjunctiveStats, MultiTrapdoor};
 pub use params::{Padding, RangePolicy, RsseParams};
 pub use persist::PersistError;
-pub use scheme::{BuildReport, IndexUpdate, IndexUpdater, Rsse, ScoreDecryptor};
+pub use scheme::{BuildReport, BuiltParts, IndexUpdate, IndexUpdater, Rsse, ScoreDecryptor};
 pub use segio::{MemIo, SegmentIo, SegmentRead, SegmentWrite, StdIo};
-pub use segment::BatchReadStats;
 pub use store::{PostingIter, PostingList, PostingStore};

@@ -15,7 +15,7 @@
 //!   IDF weighting ([`Rsse::rerank_conjunctive`]).
 
 use crate::error::RsseError;
-use crate::index::{Label, RsseIndex, RsseTrapdoor};
+use crate::index::{Label, RankedResult, RsseIndex, RsseTrapdoor};
 use crate::scheme::Rsse;
 use rsse_ir::FileId;
 use rsse_opse::OpseParams;
@@ -188,12 +188,11 @@ impl RsseIndex {
     /// The evaluation is **intersection pushdown** through the backend,
     /// not per-keyword materialization: every label's list length is
     /// probed first (a label with no list answers the query empty with
-    /// zero decryption work), all surviving lists are fetched in **one**
-    /// [`RsseIndex::search_batch`] pass — on the on-disk store a single
-    /// forward-only read schedule in file-offset order — and then the
-    /// *smallest* list drives the intersection while the others are
-    /// hash-probed. [`RsseIndex::conjunctive_stats`] counts what this
-    /// saves.
+    /// zero decryption work), each surviving list is read and ranked by
+    /// one [`RsseIndex::search`] — one positional read per generation on
+    /// the on-disk store — and then the *smallest* list drives the
+    /// intersection while the others are hash-probed.
+    /// [`RsseIndex::conjunctive_stats`] counts what this saves.
     ///
     /// The allocation count depends only on the query arity and the
     /// intersection size, never on posting-list length (pinned by the
@@ -219,10 +218,8 @@ impl RsseIndex {
                 return Vec::new();
             }
         }
-        // One batched pass over every surviving list: the on-disk store
-        // sorts the reads into file-offset order, so an n-keyword query
-        // costs one forward sweep instead of n independent seeks.
-        let rankings = self.search_batch(parts, None);
+        let rankings: Vec<Vec<RankedResult>> =
+            parts.iter().map(|part| self.search(part, None)).collect();
         let driver = (0..rankings.len())
             .min_by_key(|&i| rankings[i].len())
             .expect("non-empty parts");

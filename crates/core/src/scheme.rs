@@ -34,7 +34,8 @@ pub struct BuildReport {
     pub num_docs: u64,
     /// Padded posting-list length ν (0 with [`Padding::None`]).
     pub padded_len: usize,
-    /// Total index size in bytes.
+    /// Total index size in bytes: each list's label once, plus its
+    /// entries.
     pub index_bytes: usize,
     /// One-to-many mapping operations performed.
     pub opm_operations: u64,
@@ -74,6 +75,23 @@ impl BuildReport {
         }
         self.build_time / self.num_keywords as u32
     }
+}
+
+/// `BuildIndex` as the owner ships it, cut into shards by
+/// [`Rsse::build_parts`].
+#[derive(Debug)]
+pub struct BuiltParts {
+    /// Per shard, its slice of every posting list as `(label, entry_len,
+    /// bytes)` in label order (the order of [`RsseIndex::export_parts`]).
+    /// Every label is on every shard, its slice possibly empty.
+    pub shards: Vec<ListParts>,
+    /// Per shard, the labels whose slice holds at least one real
+    /// (non-padding) entry, in label order.
+    pub real_labels: Vec<Vec<Label>>,
+    /// The OPSE parameters the scores are mapped under.
+    pub opse: OpseParams,
+    /// The build's statistics.
+    pub report: BuildReport,
 }
 
 /// The efficient ranked searchable symmetric encryption scheme (paper §IV).
@@ -196,10 +214,10 @@ impl Rsse {
     }
 
     /// `BuildIndex` with full timing/size statistics (the Table I
-    /// measurement entry point): [`Self::build_parts`] assembled into an
-    /// in-memory index. The per-list stage runs on one worker per
-    /// available core, and the index is byte-identical whatever the worker
-    /// count.
+    /// measurement entry point): [`Self::build_parts`] on one shard,
+    /// assembled into an in-memory index. The per-list stage runs on one
+    /// worker per available core, and the index is byte-identical whatever
+    /// the worker count.
     ///
     /// # Errors
     ///
@@ -211,20 +229,35 @@ impl Rsse {
         self.build_on(index, build_workers())
     }
 
-    /// `BuildIndex` as the owner ships it: every posting list as one
-    /// `(label, entry_len, bytes)` triple in label order, the order of
-    /// [`RsseIndex::export_parts`], with the OPSE parameters and the build
-    /// report. No in-memory index is assembled, so an owner that only
-    /// sends the lists copies none of them.
+    /// `BuildIndex` as the owner ships it, cut into `shards` shards as the
+    /// lists are encrypted: real entry `i` of a list goes to
+    /// `shard_of(file_i)`, and padding position `p` to shard `p % shards`,
+    /// so every shard keeps cover traffic. Each shard's slice keeps the
+    /// list's entry order and holds the very ciphertexts of the unsharded
+    /// build — OPM values are seeded per `(keyword, file)` and scores use
+    /// the global collection statistics, so a per-shard build would change
+    /// both. Only the owner can route entries, since they are semantically
+    /// encrypted; a server could not tell real entries from padding.
+    ///
+    /// With one shard the slices are the whole lists, in label order (the
+    /// order of [`RsseIndex::export_parts`]), each written once into a
+    /// buffer sized up front; no in-memory index is assembled, so an owner
+    /// that only sends the lists copies none of them.
     ///
     /// # Errors
     ///
     /// Propagates quantizer and padding failures.
+    ///
+    /// # Panics
+    ///
+    /// When `shards` is 0, or `shard_of` names a shard at or past it.
     pub fn build_parts(
         &self,
         index: &InvertedIndex,
-    ) -> Result<(ListParts, OpseParams, BuildReport), RsseError> {
-        self.parts_on(index, build_workers())
+        shards: usize,
+        shard_of: impl Fn(FileId) -> usize + Sync,
+    ) -> Result<BuiltParts, RsseError> {
+        self.parts_on(index, shards, &shard_of, build_workers())
     }
 
     /// [`Self::build_index_with_report`] on exactly `workers` threads.
@@ -234,8 +267,13 @@ impl Rsse {
         workers: usize,
     ) -> Result<(RsseIndex, BuildReport), RsseError> {
         let started = Instant::now();
-        let (parts, opse, mut report) = self.parts_on(index, workers)?;
-        let built = RsseIndex::from_parts(parts, opse)?;
+        let BuiltParts {
+            mut shards,
+            opse,
+            mut report,
+            ..
+        } = self.parts_on(index, 1, &|_| 0, workers)?;
+        let built = RsseIndex::from_parts(shards.pop().expect("one shard"), opse)?;
         report.build_time = started.elapsed();
         Ok((built, report))
     }
@@ -244,39 +282,50 @@ impl Rsse {
     fn parts_on(
         &self,
         index: &InvertedIndex,
+        shards: usize,
+        shard_of: &ShardOf<'_>,
         workers: usize,
-    ) -> Result<(ListParts, OpseParams, BuildReport), RsseError> {
+    ) -> Result<BuiltParts, RsseError> {
         let started = Instant::now();
         let scored = self.score_terms(index);
         let (quantizer, opse) = self.fit_scored(&scored)?;
         let nu = self.padding_target(index)?;
         let jobs: Vec<ListJob<'_>> = scored
             .into_iter()
-            .map(|(term, scored)| self.list_job(term, scored, nu))
+            .map(|(term, scored)| self.list_job(term, scored, nu, shards, shard_of))
             .collect();
         let raw_index_time = started.elapsed();
 
-        let built = fan_out(jobs, workers, |job| {
-            self.encrypt_list(job, &quantizer, opse, nu)
-        });
-        let mut lists = Vec::with_capacity(built.len());
+        let mut built = fan_out(jobs, workers, |job| {
+            self.encrypt_list(job, &quantizer, opse, nu, shard_of)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        built.sort_unstable_by_key(|(label, ..)| *label);
+        let mut parts: Vec<ListParts> = (0..shards)
+            .map(|_| Vec::with_capacity(built.len()))
+            .collect();
+        let mut real_labels = vec![Vec::new(); shards];
         let (mut opm_ops, mut list_time, mut padding_time) = (0, Duration::ZERO, Duration::ZERO);
-        for list in built {
-            let (label, bytes, stats) = list?;
+        let mut index_bytes = 0;
+        for (label, slices, stats) in built {
             opm_ops += stats.opm_ops;
             list_time += stats.time;
             padding_time += stats.padding_time;
-            lists.push((label, ENTRY_CT_LEN as u32, bytes));
+            index_bytes += label.len();
+            for (shard, (bytes, real)) in slices.into_iter().enumerate() {
+                index_bytes += bytes.len();
+                if real {
+                    real_labels[shard].push(label);
+                }
+                parts[shard].push((label, ENTRY_CT_LEN as u32, bytes));
+            }
         }
-        lists.sort_unstable_by_key(|(label, ..)| *label);
         let report = BuildReport {
             num_keywords: index.num_keywords(),
             num_docs: index.num_docs(),
             padded_len: nu,
-            index_bytes: lists
-                .iter()
-                .map(|(label, _, bytes)| label.len() + bytes.len())
-                .sum(),
+            index_bytes,
             opm_operations: opm_ops,
             range_bits: opse.range_bits(),
             build_time: started.elapsed(),
@@ -285,7 +334,12 @@ impl Rsse {
             padding_time,
             workers,
         };
-        Ok((lists, opse, report))
+        Ok(BuiltParts {
+            shards: parts,
+            real_labels,
+            opse,
+            report,
+        })
     }
 
     /// Owner-side inversion: recover the quantized score level behind a
@@ -337,31 +391,6 @@ impl Rsse {
             doc_frequencies,
             opms: std::cell::RefCell::new(HashMap::new()),
         })
-    }
-
-    /// Entry → file ownership of every posting list, in build order: for
-    /// each keyword, the label `π_x(w)` together with the file ids behind
-    /// the list's *real* entries, exactly as `BuildIndex` wrote them
-    /// (positions at or past the vector's length are padding).
-    ///
-    /// This is the owner-side routing table for partitioning an
-    /// already-built encrypted index across shards. Entries are
-    /// semantically encrypted, so only the owner can say which file an
-    /// entry belongs to — and it can, without decrypting anything, because
-    /// the build orders entries deterministically by the same
-    /// `scores_for_term_with` call reproduced here.
-    pub fn posting_owners(&self, index: &InvertedIndex) -> Vec<(Label, Vec<FileId>)> {
-        index
-            .iter()
-            .map(|(term, _)| {
-                let label = KeyedLabel::new(self.keys.label_key()).label(term.as_bytes());
-                let owners = scores_for_term_with(index, term, self.params.scoring)
-                    .into_iter()
-                    .map(|(file, _)| file)
-                    .collect();
-                (label, owners)
-            })
-            .collect()
     }
 
     /// Every term's `(file, raw score)` pairs in posting order: the one
@@ -420,16 +449,37 @@ impl Rsse {
     }
 
     /// The serial part of one list's build: its label, entry cipher, coin
-    /// tape and output buffer, beside its scored postings. The buffer is
-    /// allocated here, on the calling thread, because it outlives the
-    /// worker that fills it: freed once the list is stored or sent, it
-    /// goes back to this thread's heap instead of stranding in a finished
-    /// worker's (on a 2-vCPU host, 12 MB of peak RSS in a sharded
-    /// deployment's serving run).
-    fn list_job<'t>(&self, term: &'t str, scored: Vec<(FileId, f64)>, nu: usize) -> ListJob<'t> {
+    /// tape and one output buffer per shard, sized for the entries the
+    /// shard gets, beside its scored postings. The buffers are allocated
+    /// here, on the calling thread, because they outlive the worker that
+    /// fills them: freed once the list is stored or sent, they go back to
+    /// this thread's heap instead of stranding in a finished worker's (on
+    /// a 2-vCPU host, 12 MB of peak RSS in a sharded deployment's serving
+    /// run).
+    fn list_job<'t>(
+        &self,
+        term: &'t str,
+        scored: Vec<(FileId, f64)>,
+        nu: usize,
+        shards: usize,
+        shard_of: &ShardOf<'_>,
+    ) -> ListJob<'t> {
         let list_key = Prf::new(self.keys.entry_key()).derive_key(term.as_bytes());
+        // Per shard: (entries, whether one of them is real).
+        let mut counts = vec![(0usize, false); shards];
+        for (file, _) in &scored {
+            let (entries, real) = &mut counts[shard_of(*file)];
+            *entries += 1;
+            *real = true;
+        }
+        for p in scored.len()..nu {
+            counts[p % shards].0 += 1;
+        }
         ListJob {
-            list: Vec::with_capacity(nu.max(scored.len()) * ENTRY_CT_LEN),
+            slices: counts
+                .into_iter()
+                .map(|(entries, real)| (Vec::with_capacity(entries * ENTRY_CT_LEN), real))
+                .collect(),
             term,
             label: KeyedLabel::new(self.keys.label_key()).label(term.as_bytes()),
             cipher: SemanticCipher::new(&list_key),
@@ -444,14 +494,15 @@ impl Rsse {
     }
 
     /// The per-list part of one list's build: OPM-map and encrypt every
-    /// real entry, then pad to ν.
+    /// real entry into its file's shard, then pad to ν.
     fn encrypt_list(
         &self,
         job: ListJob<'_>,
         quantizer: &ScoreQuantizer,
         opse: OpseParams,
         nu: usize,
-    ) -> Result<(Label, Vec<u8>, ListStats), RsseError> {
+        shard_of: &ShardOf<'_>,
+    ) -> Result<BuiltList, RsseError> {
         let started = Instant::now();
         let ListJob {
             term,
@@ -459,10 +510,10 @@ impl Rsse {
             cipher,
             mut tape,
             scored,
-            mut list,
+            mut slices,
         } = job;
         let opm = self.opm_for(term, opse);
-        let list_len = nu.max(scored.len()) * ENTRY_CT_LEN;
+        let real = scored.len();
         let mut opm_ops = 0u64;
         for (file, score) in scored {
             let level = quantizer.level(score);
@@ -471,23 +522,39 @@ impl Rsse {
             let plain = encode_entry(file, mapped);
             let mut nonce = [0u8; NONCE_LEN];
             tape.fill_bytes(&mut nonce);
-            cipher.encrypt_with_nonce_into(nonce, &plain, &mut list);
+            cipher.encrypt_with_nonce_into(nonce, &plain, &mut slices[shard_of(file)].0);
         }
         // Pad to ν with random entries: the ChaCha20 keystream under a key
-        // and nonce drawn off the tape after the real entries' draws.
+        // and nonce drawn off the tape after the real entries' draws. One
+        // shard takes it in place; more deal it out entry by entry.
         let padding_started = Instant::now();
-        let real = list.len();
-        list.resize(list_len, 0);
-        pad_from_tape(&mut tape, &mut list[real..]);
+        let padded = nu.max(real);
+        match slices.as_mut_slice() {
+            [(list, _)] => {
+                list.resize(padded * ENTRY_CT_LEN, 0);
+                pad_from_tape(&mut tape, &mut list[real * ENTRY_CT_LEN..]);
+            }
+            many => {
+                let mut padding = vec![0u8; (padded - real) * ENTRY_CT_LEN];
+                pad_from_tape(&mut tape, &mut padding);
+                for (p, entry) in (real..).zip(padding.chunks_exact(ENTRY_CT_LEN)) {
+                    let shard = p % many.len();
+                    many[shard].0.extend_from_slice(entry);
+                }
+            }
+        }
         let padding_time = padding_started.elapsed();
         let stats = ListStats {
             opm_ops,
             time: started.elapsed(),
             padding_time,
         };
-        Ok((label, list, stats))
+        Ok((label, slices, stats))
     }
 }
+
+/// The file → shard map a build partitions its lists by.
+type ShardOf<'f> = dyn Fn(FileId) -> usize + Sync + 'f;
 
 /// One posting list's inputs, derived before the per-list stage.
 struct ListJob<'t> {
@@ -496,8 +563,13 @@ struct ListJob<'t> {
     cipher: SemanticCipher,
     tape: Tape,
     scored: Vec<(FileId, f64)>,
-    list: Vec<u8>,
+    /// Per shard: the output buffer, and whether a real entry lands in it.
+    slices: Vec<(Vec<u8>, bool)>,
 }
+
+/// One built list: its label, per shard its slice and whether the slice
+/// holds a real entry, and its statistics.
+type BuiltList = (Label, Vec<(Vec<u8>, bool)>, ListStats);
 
 struct ListStats {
     opm_ops: u64,

@@ -1,4 +1,5 @@
 use super::*;
+use crate::entry::decode_entry;
 use crate::params::RangePolicy;
 use rsse_crypto::SecretKey;
 use rsse_ir::corpus::{CorpusParams, SyntheticCorpus};
@@ -172,9 +173,14 @@ fn build_parts_are_the_built_index_exported() {
     let corpus = SyntheticCorpus::generate(&CorpusParams::small(5));
     let index = InvertedIndex::build(corpus.documents());
     let s = scheme();
-    let (parts, opse, report) = s.build_parts(&index).unwrap();
+    let BuiltParts {
+        shards,
+        opse,
+        report,
+        ..
+    } = s.build_parts(&index, 1, |_| 0).unwrap();
     let (built, built_report) = s.build_index_with_report(&index).unwrap();
-    assert_eq!(parts, built.export_parts().unwrap());
+    assert_eq!(shards, [built.export_parts().unwrap()]);
     assert_eq!(Some(&opse), built.opse_params());
     assert_eq!(report.index_bytes, built.size_bytes());
     assert_eq!(report.opm_operations, built_report.opm_operations);
@@ -203,6 +209,79 @@ fn build_parts_are_the_built_index_exported() {
         s.updater_for(&index).unwrap().quantizer,
         s.fit_quantizer(&index).unwrap()
     );
+}
+
+#[test]
+fn partitioned_build_deals_out_the_one_build() {
+    // Cut into shards as it is encrypted, the build equals the unsharded
+    // lists dealt out entry by entry: a real entry to its file's shard,
+    // padding position p to shard p % n, list order kept, every label on
+    // every shard (empty slices included), and a shard's filter naming
+    // exactly the labels it holds a real entry for. One shard is the
+    // whole build.
+    let tiny = [
+        Document::new(FileId::new(1), "alpha beta"),
+        Document::new(FileId::new(2), "alpha gamma"),
+        Document::new(FileId::new(3), "alpha delta"),
+        Document::new(FileId::new(4), "epsilon"),
+    ];
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(5));
+    let s = scheme();
+    let n = 3;
+    let shard_of = |file: FileId| (file.as_u64() % n as u64) as usize;
+    let mut empty_slices = 0;
+    for docs in [&tiny[..], corpus.documents()] {
+        let index = InvertedIndex::build(docs);
+        let whole = s.build_index_with_report(&index).unwrap().0;
+        let whole = whole.export_parts().unwrap();
+        let one = s.build_parts(&index, 1, |_| 0).unwrap();
+        assert_eq!(one.shards, std::slice::from_ref(&whole));
+        let labels: Vec<Label> = whole.iter().map(|(label, ..)| *label).collect();
+        assert_eq!(one.real_labels, [labels]);
+
+        let built = s.build_parts(&index, n, shard_of).unwrap();
+        assert_eq!(built.opse, one.opse);
+        assert_eq!(built.report.index_bytes, one.report.index_bytes);
+        // Real entries are the ones that decrypt under the list's key.
+        let ciphers: HashMap<Label, SemanticCipher> = index
+            .iter()
+            .map(|(term, _)| {
+                let label = KeyedLabel::new(s.keys.label_key()).label(term.as_bytes());
+                let key = Prf::new(s.keys.entry_key()).derive_key(term.as_bytes());
+                (label, SemanticCipher::new(&key))
+            })
+            .collect();
+        let mut want: Vec<ListParts> = vec![Vec::new(); n];
+        let mut want_real: Vec<Vec<Label>> = vec![Vec::new(); n];
+        for (label, entry_len, list) in &whole {
+            let mut slices = vec![Vec::new(); n];
+            let mut real = vec![false; n];
+            for (p, entry) in list.chunks_exact(ENTRY_CT_LEN).enumerate() {
+                let plain = ciphers[label].decrypt(entry).unwrap();
+                let shard = match decode_entry(&plain) {
+                    Some((file, _)) => shard_of(file),
+                    None => p % n,
+                };
+                real[shard] |= decode_entry(&plain).is_some();
+                slices[shard].extend_from_slice(entry);
+            }
+            for (shard, bytes) in slices.into_iter().enumerate() {
+                if real[shard] {
+                    want_real[shard].push(*label);
+                }
+                want[shard].push((*label, *entry_len, bytes));
+            }
+        }
+        assert_eq!(built.shards, want);
+        assert_eq!(built.real_labels, want_real);
+        empty_slices += built
+            .shards
+            .iter()
+            .flatten()
+            .filter(|(_, _, bytes)| bytes.is_empty())
+            .count();
+    }
+    assert!(empty_slices > 0, "some shard holds an empty slice");
 }
 
 #[test]

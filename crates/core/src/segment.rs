@@ -25,52 +25,10 @@ use crate::index::Label;
 use crate::persist::{PersistError, DIR_RECORD_LEN, HEADER_LEN, MAGIC_V2, MAX_LEN};
 use crate::segio::{SegmentIo, SegmentRead};
 use rsse_opse::OpseParams;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Counters of the batched posting-read path: how many query frames took
-/// it, how many base lists it fetched, and how many backward file seeks
-/// the offset-sort eliminated. Snapshot via
-/// [`crate::RsseIndex::batch_read_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchReadStats {
-    /// Batch frames served through the sorted-read path.
-    pub batches: u64,
-    /// Base posting lists fetched by those batches (one read each).
-    pub lists_read: u64,
-    /// Backward seeks the in-file-order read schedule eliminated: for
-    /// each batch, the number of consecutive unique-label pairs whose
-    /// request order would have moved the file cursor backwards.
-    pub seeks_saved: u64,
-}
-
-/// Shared mutable home of [`BatchReadStats`] — lives in an `Arc` so
-/// backend clones keep one counter set.
-#[derive(Debug, Default)]
-pub(crate) struct BatchReadCounters {
-    batches: AtomicU64,
-    lists_read: AtomicU64,
-    seeks_saved: AtomicU64,
-}
-
-impl BatchReadCounters {
-    pub fn note(&self, lists_read: u64, seeks_saved: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.lists_read.fetch_add(lists_read, Ordering::Relaxed);
-        self.seeks_saved.fetch_add(seeks_saved, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> BatchReadStats {
-        BatchReadStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            lists_read: self.lists_read.load(Ordering::Relaxed),
-            seeks_saved: self.seeks_saved.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// Where one posting list's entry records live in the segment file.
 #[derive(Debug, Clone, Copy)]
@@ -301,40 +259,6 @@ impl SegmentReader {
     pub fn read_label(&self, label: &Label) -> Option<ListBytes> {
         let meta = self.directory.get(label)?;
         Some(self.read_list(meta).unwrap_or_else(|_| ListBytes::empty()))
-    }
-
-    /// Reads every base list a batch of labels touches, **in file order**:
-    /// unique present labels are collected in request order (to count the
-    /// backward seeks that order would have cost), then sorted by their
-    /// file offset before the reads are issued, so the disk cursor only
-    /// ever moves forward within the segment. Returns the lists keyed by
-    /// label plus the number of backward seeks eliminated; a list that
-    /// fails to read degrades to an empty one, exactly like
-    /// [`Self::read_label`].
-    pub fn read_lists_sorted<'a>(
-        &self,
-        labels: impl Iterator<Item = &'a Label>,
-    ) -> (HashMap<Label, ListBytes>, u64) {
-        let mut seen: HashSet<Label> = HashSet::new();
-        let mut metas: Vec<(Label, SegmentList)> = Vec::new();
-        for label in labels {
-            if seen.insert(*label) {
-                if let Some(meta) = self.directory.get(label) {
-                    metas.push((*label, *meta));
-                }
-            }
-        }
-        let seeks_saved = metas
-            .windows(2)
-            .filter(|w| w[1].1.offset < w[0].1.offset)
-            .count() as u64;
-        metas.sort_unstable_by_key(|(_, meta)| meta.offset);
-        let mut lists = HashMap::with_capacity(metas.len());
-        for (label, meta) in metas {
-            let list = self.read_list(&meta).unwrap_or_else(|_| ListBytes::empty());
-            lists.insert(label, list);
-        }
-        (lists, seeks_saved)
     }
 
     /// Visits every entry of the list under `label`, in file order.

@@ -41,12 +41,14 @@ cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
 echo "==> cargo test -q -p rsse-cloud --lib codec::"
 cargo test -q -p rsse-cloud --lib codec::
 
-# The byte pins: the coin tape's stream, the padding keystream, and the
+# The byte pins: the coin tape's stream, the padding keystream, the
 # exact lists both index builders write on a fixed corpus and seed, whole
-# and cut to their real entries. Nonces and OPM coins come off the tape,
-# real entries are AES-CTR ciphertexts, and padding is a ChaCha20
-# keystream keyed off the tape, so a speed-up of the tape, either cipher
-# or the build that moves one ciphertext byte fails here.
+# and cut to their real entries, and the sharded Setup's per-shard
+# Outsource frames and label filters, with one shard equal to the
+# unsharded Setup frame for frame. Nonces and OPM coins come off the
+# tape, real entries are AES-CTR ciphertexts, and padding is a ChaCha20
+# keystream keyed off the tape, so a speed-up of the tape, either cipher,
+# the build or its partition that moves one ciphertext byte fails here.
 echo "==> cargo test -q --test byte_pins"
 cargo test -q --test byte_pins
 

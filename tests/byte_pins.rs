@@ -5,16 +5,19 @@
 //! them; the two builders turn these into the lists the server stores, so
 //! a change to either that moves one byte changes every ciphertext the
 //! owner has ever outsourced. These tests pin SHA-256 digests of a long
-//! tape read, of 40,000 bytes of padding, and of both builders' exported
-//! lists on a fixed corpus and seed, whole and cut to their real entries.
-//! A speed-up of the tape, the cipher or the build must leave them
-//! unchanged; a change to how padding is drawn moves only the whole-list
-//! pins, and the real-entry pins show that no real entry moved with it.
+//! tape read, of 40,000 bytes of padding, of both builders' exported
+//! lists on a fixed corpus and seed, whole and cut to their real entries,
+//! and of the sharded Setup's per-shard frames and label filters. A
+//! speed-up of the tape, the cipher or the build, or a change to how the
+//! build is cut into shards, must leave them unchanged; a change to how
+//! padding is drawn moves only the whole-list and sharded-Setup pins, and
+//! the real-entry pins show that no real entry moved with it.
 
+use rsse::cloud::{DataOwner, IndexPartitioner};
 use rsse::core::{Rsse, RsseParams};
 use rsse::crypto::chacha::pad_from_tape;
 use rsse::crypto::tape::Transcript;
-use rsse::crypto::{Digest, SecretKey, Sha256, Tape};
+use rsse::crypto::{Digest, KeyMaterial, KeyedLabel, SecretKey, Sha256, Tape};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
 use rsse::sse::BasicScheme;
@@ -128,15 +131,14 @@ fn basic_build_is_pinned() {
 }
 
 /// Each list cut to its real entries: `count × entry_len` bytes, where
-/// `count` is the number of postings behind the label. The basic scheme
-/// derives the same label key from the same master seed, so
-/// [`Rsse::posting_owners`] gives the count for both builders.
+/// `count` is the length of the plaintext posting list behind the label.
+/// Both builders label a keyword `π_x(w)` under the label key derived from
+/// the same master seed, so one count table serves both.
 fn real_prefixes(lists: Vec<([u8; 20], u32, Vec<u8>)>) -> Vec<([u8; 20], u32, Vec<u8>)> {
-    let scheme = Rsse::new(MASTER_SEED, RsseParams::default());
-    let counts: HashMap<[u8; 20], usize> = scheme
-        .posting_owners(&plaintext_index())
-        .into_iter()
-        .map(|(label, owners)| (label, owners.len()))
+    let labels = KeyedLabel::new(KeyMaterial::from_master_seed(MASTER_SEED).label_key());
+    let counts: HashMap<[u8; 20], usize> = plaintext_index()
+        .iter()
+        .map(|(term, postings)| (labels.label(term.as_bytes()), postings.len()))
         .collect();
     lists
         .into_iter()
@@ -166,5 +168,49 @@ fn basic_real_entries_are_pinned() {
     assert_eq!(
         digest_lists(&real_prefixes(built.export_parts())),
         "f75338816e920593db1c6d1c50b59e6a8a694d5ab74d664c5fbe6222eb49a1fa"
+    );
+}
+
+/// The sharded Setup at three shards: the SHA-256 of each shard's encoded
+/// `Outsource` frame and of its label filter (the labels back to back).
+/// One shard is the unsharded Setup, frame for frame.
+#[test]
+fn sharded_setup_is_pinned() {
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(11));
+    let owner = DataOwner::new(MASTER_SEED, RsseParams::default());
+    let (frames, filters) = owner
+        .outsource_sharded_with_filters(corpus.documents(), &IndexPartitioner::new(3))
+        .unwrap();
+    let frames: Vec<String> = frames
+        .iter()
+        .map(|frame| hex(Sha256::digest(&frame.encode()).as_ref()))
+        .collect();
+    let filters: Vec<String> = filters
+        .iter()
+        .map(|labels| hex(Sha256::digest(&labels.concat()).as_ref()))
+        .collect();
+    assert_eq!(
+        frames,
+        [
+            "0c36f2240b805d076db9e04e145be2f7b00aff92fe8f64d48832e01dd26a4531",
+            "56140f698902e28de15d6135550119e27f906ebd797c0ac6ca26802f36d4547a",
+            "d02381fb10aa240a9e4c3370decb23e3724b15601108167d619e05768bf401fe",
+        ]
+    );
+    assert_eq!(
+        filters,
+        [
+            "96790b1ad89402187604f7213df739a77a52a8076b909d2cfd743cfc9d3d0424",
+            "77b9fb1c1fa82ca8c6ceeec470e5654675a56f957d66a03782aab505e2d29477",
+            "b4e66acbee6fa41b14b2f69a2c6576722d49bb608db5d920ded1dc6bb77e7ea7",
+        ]
+    );
+    let (one, _) = owner
+        .outsource_sharded_with_filters(corpus.documents(), &IndexPartitioner::new(1))
+        .unwrap();
+    assert_eq!(one.len(), 1);
+    assert_eq!(
+        one[0].encode(),
+        owner.outsource(corpus.documents()).unwrap().encode()
     );
 }
