@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks of the from-scratch crypto primitives.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rsse_crypto::chacha::pad_from_tape;
 use rsse_crypto::{hmac_sha256, Digest, SecretKey, SemanticCipher, Sha1, Sha256, Tape};
 use std::hint::black_box;
 
@@ -40,26 +39,15 @@ fn bench_tape(c: &mut Criterion) {
             black_box(out)
         })
     });
-    // The padding of one ν = 1000 list of 40-byte RSSE entries.
-    c.bench_function("tape_fill_40000_bytes", |b| {
-        let key = SecretKey::derive(b"bench", "tape");
-        let mut out = vec![0u8; 40_000];
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            Tape::new(&key, &i.to_be_bytes()).fill_bytes(&mut out);
-            black_box(out[out.len() - 1])
-        })
-    });
-    // The same padding as the builders draw it: a ChaCha20 keystream under
-    // a key and nonce off the list's tape.
+    // The padding of one ν = 1000 list of 40-byte RSSE entries, as the
+    // builders draw it: the list's tape read in bulk, a ChaCha20 keystream.
     c.bench_function("padding_40000_bytes", |b| {
         let key = SecretKey::derive(b"bench", "tape");
         let mut out = vec![0u8; 40_000];
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            pad_from_tape(&mut Tape::new(&key, &i.to_be_bytes()), &mut out);
+            Tape::new(&key, &i.to_be_bytes()).fill_bytes(&mut out);
             black_box(out[out.len() - 1])
         })
     });

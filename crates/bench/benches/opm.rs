@@ -1,7 +1,7 @@
 //! Criterion benchmark behind Fig. 7: single one-to-many order-preserving
 //! mapping operations across domain and range sizes, plus the cached-tree
 //! ablation (amortized cost when encrypting a whole posting list under one
-//! key).
+//! key) and a whole cold list as the Setup maps it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsse_crypto::SecretKey;
@@ -49,6 +49,22 @@ fn bench_opm_cached(c: &mut Criterion) {
     });
 }
 
+fn bench_opm_list_cold(c: &mut Criterion) {
+    // The Setup's per-list pattern: a fresh mapping (cold split memo) for
+    // one posting list, mapping 1,000 (level, file) pairs.
+    let params = OpseParams::paper_default();
+    let key = SecretKey::derive(b"bench", "opm-list");
+    c.bench_function("opm_list_cold_1000", |b| {
+        b.iter(|| {
+            let opm = Opm::new(key.clone(), params);
+            for file in 0..1000u64 {
+                let level = file * 37 % 128 + 1;
+                black_box(opm.encrypt(level, &file.to_be_bytes()).unwrap());
+            }
+        })
+    });
+}
+
 fn bench_opse_deterministic(c: &mut Criterion) {
     // Baseline ablation: deterministic OPSE (no file-ID seed) costs the
     // same tree walk; the delta is the final draw only.
@@ -82,6 +98,7 @@ criterion_group!(
     benches,
     bench_opm_single,
     bench_opm_cached,
+    bench_opm_list_cold,
     bench_opse_deterministic,
     bench_opm_decrypt
 );

@@ -530,7 +530,8 @@ impl CloudServer {
     /// one epoch snapshot taken before the index read, exactly like the
     /// single-query fill. Cache hit/miss counters follow serial order: a
     /// label missing at batch start counts one miss, its duplicates count
-    /// hits (they would have hit the just-filled entry).
+    /// hits (they would have hit the just-filled entry). The cache itself
+    /// is probed once per missing label, so its miss count is the audit's.
     fn ranked_search_batch(&self, queries: Vec<BatchQuery>) -> Vec<BatchResult> {
         /// How one query of the batch resolves: a cached full ranking, or
         /// an index into the batched miss-fill rankings.
@@ -548,7 +549,10 @@ impl CloudServer {
             cache_enabled = cache.is_enabled();
             fill_epoch = cache.epoch();
             for (label, key, _) in &queries {
-                if cache_enabled {
+                // A copy of a label that already missed in this frame
+                // would miss again under this guard: it is not probed, so
+                // the cache counts the one miss the audit counts.
+                if cache_enabled && !miss_slot.contains_key(label) {
                     if let Some(ranking) = cache.get(label) {
                         plans.push(Plan::Cached(ranking));
                         continue;

@@ -5,7 +5,6 @@ use crate::entry::{encode_entry, ENTRY_CT_LEN};
 use crate::error::RsseError;
 use crate::index::{Label, ListParts, RsseIndex, RsseTrapdoor};
 use crate::params::{Padding, RsseParams};
-use rsse_crypto::chacha::pad_from_tape;
 use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SemanticCipher, Tape};
@@ -52,7 +51,7 @@ pub struct BuildReport {
     /// summed over lists.
     pub list_time: Duration,
     /// The part of [`Self::list_time`] spent generating padding entries
-    /// (a ChaCha20 keystream keyed off each list's tape), summed over
+    /// (each list's tape read in bulk, a ChaCha20 keystream), summed over
     /// lists.
     pub padding_time: Duration,
     /// Worker threads the per-list stage ran on.
@@ -524,22 +523,22 @@ impl Rsse {
             tape.fill_bytes(&mut nonce);
             cipher.encrypt_with_nonce_into(nonce, &plain, &mut slices[shard_of(file)].0);
         }
-        // Pad to ν with random entries: the ChaCha20 keystream under a key
-        // and nonce drawn off the tape after the real entries' draws. One
-        // shard takes it in place; more deal it out entry by entry.
+        // Pad to ν with random entries: the tape's next bytes after the
+        // real entries' draws. One shard takes them in place; more deal
+        // them out entry by entry.
         let padding_started = Instant::now();
         let padded = nu.max(real);
         match slices.as_mut_slice() {
             [(list, _)] => {
                 list.resize(padded * ENTRY_CT_LEN, 0);
-                pad_from_tape(&mut tape, &mut list[real * ENTRY_CT_LEN..]);
+                tape.fill_bytes(&mut list[real * ENTRY_CT_LEN..]);
             }
             many => {
-                let mut padding = vec![0u8; (padded - real) * ENTRY_CT_LEN];
-                pad_from_tape(&mut tape, &mut padding);
-                for (p, entry) in (real..).zip(padding.chunks_exact(ENTRY_CT_LEN)) {
-                    let shard = p % many.len();
-                    many[shard].0.extend_from_slice(entry);
+                for p in real..padded {
+                    let (slice, _) = &mut many[p % many.len()];
+                    let at = slice.len();
+                    slice.resize(at + ENTRY_CT_LEN, 0);
+                    tape.fill_bytes(&mut slice[at..]);
                 }
             }
         }

@@ -3,11 +3,11 @@
 //! This is the block cipher behind [`crate::SemanticCipher`] (AES-CTR), the
 //! semantically secure encryption `E` of the paper's basic scheme, and the
 //! kernel every real posting entry and file body runs through (padding
-//! carries no plaintext and comes from [`crate::chacha`] instead). It
-//! encrypts four independent blocks per call in the layout of BearSSL's
-//! `aes_ct64`: the 512 bits of four blocks are transposed into eight
-//! 64-bit words, word `j` holding bit `j` of every byte, so each round is
-//! a fixed sequence of word-wide boolean operations.
+//! carries no plaintext and comes off the coin tape, [`crate::Tape`],
+//! instead). It encrypts four independent blocks per call in the layout
+//! of BearSSL's `aes_ct64`: the 512 bits of four blocks are transposed
+//! into eight 64-bit words, word `j` holding bit `j` of every byte, so
+//! each round is a fixed sequence of word-wide boolean operations.
 //! The S-box is the Boyar–Peralta circuit (115 gates) evaluated on all 64
 //! bytes at once; ShiftRows and MixColumns are shifts and rotations of the
 //! words. No load is indexed by a key- or data-derived value and no branch

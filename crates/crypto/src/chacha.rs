@@ -1,26 +1,23 @@
-//! The ChaCha20 keystream (Bernstein 2008; RFC 8439) and the builders'
-//! padding drawn from it.
+//! The ChaCha20 block function (Bernstein 2008; RFC 8439): the stream
+//! behind every coin the owner draws.
 //!
-//! Padding a posting list to ν (Fig. 3, step 3) carries no plaintext: it
-//! only has to look like ciphertext to anyone without the keys. It is the
-//! bulk of every index the owner builds, so it comes from the fastest
-//! keystream this crate has, not from `E`: ChaCha20's block function is
-//! twenty rounds of 32-bit additions, rotations by constants and XORs on a
-//! 16-word state, so it runs fast in plain scalar code and is
+//! [`crate::Tape`] expands each seed into the ChaCha20 keystream under it,
+//! so OPSE/OPM node coins, entry nonces and the padding that fills each
+//! posting list to ν (Fig. 3, step 3) all come off this block function.
+//! It is twenty rounds of 32-bit additions, rotations by constants and
+//! XORs on a 16-word state, so it runs fast in plain scalar code and is
 //! constant-time by construction (no table, no secret-indexed load, no
 //! secret-dependent branch). [`crate::SemanticCipher`] stays AES-128-CTR
 //! for every real entry and file body.
-
-use crate::tape::Tape;
 
 /// ChaCha20 key length in bytes.
 const KEY_LEN: usize = 32;
 
 /// ChaCha20 nonce length in bytes (RFC 8439's 96-bit nonce).
-const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 
 /// Bytes of keystream per block.
-const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// The state's first row: "expand 32-byte k" as four little-endian words.
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -38,9 +35,9 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
-/// The initial state (RFC 8439 §2.3): constants, key, block counter 0 and
-/// nonce, each read as little-endian words.
-fn initial_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
+/// The initial state (RFC 8439 §2.3): constants, key, block counter 0
+/// (word 12) and nonce, each read as little-endian words.
+pub(crate) fn initial_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
@@ -54,9 +51,9 @@ fn initial_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
 }
 
 /// The block function on a prepared state: ten double rounds, then the
-/// input added word by word, serialized little-endian.
+/// input added word by word, written little-endian into `out`.
 #[inline(always)]
-fn block_of(input: &[u32; 16]) -> [u8; BLOCK_LEN] {
+pub(crate) fn block(input: &[u32; 16], out: &mut [u8; BLOCK_LEN]) {
     let mut x = *input;
     for _ in 0..10 {
         quarter_round(&mut x, 0, 4, 8, 12);
@@ -68,72 +65,15 @@ fn block_of(input: &[u32; 16]) -> [u8; BLOCK_LEN] {
         quarter_round(&mut x, 2, 7, 8, 13);
         quarter_round(&mut x, 3, 4, 9, 14);
     }
-    let mut out = [0u8; BLOCK_LEN];
     for ((o, x), i) in out.chunks_exact_mut(4).zip(x).zip(input) {
         o.copy_from_slice(&x.wrapping_add(*i).to_le_bytes());
     }
-    out
-}
-
-/// Fills `out` with the ChaCha20 keystream under `key` and `nonce`, block
-/// counter from 0: RFC 8439 §2.4's encryption of `out.len()` zero bytes,
-/// written straight into `out`.
-///
-/// # Panics
-///
-/// Panics if `out` is longer than 2^32 blocks (256 GiB), where the block
-/// counter would wrap.
-fn keystream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], out: &mut [u8]) {
-    assert!(
-        out.len().div_ceil(BLOCK_LEN) as u64 <= 1 << 32,
-        "ChaCha20 keystream longer than 2^32 blocks"
-    );
-    let mut state = initial_state(key, nonce);
-    for chunk in out.chunks_mut(BLOCK_LEN) {
-        chunk.copy_from_slice(&block_of(&state)[..chunk.len()]);
-        state[12] = state[12].wrapping_add(1);
-    }
-}
-
-/// Fills `out` with padding: the ChaCha20 keystream under a 32-byte key
-/// and a 12-byte nonce drawn off `tape`, in that order.
-///
-/// This is how both index builders pad a posting list to ν (Fig. 3, step
-/// 3): the 44 bytes come off the list's tape right after its last real
-/// entry's draws, so real entries keep their bytes, and the keystream runs
-/// several times faster than `E`'s AES-CTR and far faster than the tape's
-/// two SHA-256 compressions per 32 bytes. Without the tape's seed the
-/// padding is pseudorandom, as the tape's own bytes were. An empty `out`
-/// draws nothing.
-///
-/// # Example
-///
-/// ```
-/// use rsse_crypto::chacha::pad_from_tape;
-/// use rsse_crypto::{SecretKey, Tape};
-///
-/// let key = SecretKey::derive(b"seed", "pad");
-/// let (mut a, mut b) = ([0u8; 100], [0u8; 100]);
-/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut a);
-/// pad_from_tape(&mut Tape::new(&key, b"list"), &mut b);
-/// assert_eq!(a, b, "same tape, same padding");
-/// assert_ne!(a, [0u8; 100]);
-/// ```
-pub fn pad_from_tape(tape: &mut Tape, out: &mut [u8]) {
-    if out.is_empty() {
-        return;
-    }
-    let mut key = [0u8; KEY_LEN];
-    let mut nonce = [0u8; NONCE_LEN];
-    tape.fill_bytes(&mut key);
-    tape.fill_bytes(&mut nonce);
-    keystream(&key, &nonce, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SecretKey;
+    use crate::{hmac_sha256, SecretKey, Tape};
 
     fn from_hex(s: &str) -> Vec<u8> {
         let s: String = s.split_whitespace().collect();
@@ -143,11 +83,19 @@ mod tests {
             .collect()
     }
 
-    /// The block function (RFC 8439 §2.3): block `counter`'s 64 bytes.
-    fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
+    /// The first `len` bytes of the keystream under `key` and `nonce`,
+    /// block counter from 0 (RFC 8439 §2.4), one block at a time.
+    fn keystream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], len: usize) -> Vec<u8> {
         let mut state = initial_state(key, nonce);
-        state[12] = counter;
-        block_of(&state)
+        let mut stream = Vec::with_capacity(len.next_multiple_of(BLOCK_LEN));
+        while stream.len() < len {
+            let mut out = [0u8; BLOCK_LEN];
+            block(&state, &mut out);
+            stream.extend_from_slice(&out);
+            state[12] += 1;
+        }
+        stream.truncate(len);
+        stream
     }
 
     /// Key `00 01 .. 1f`, the key of RFC 8439's §2.3.2 and §2.4.2 vectors.
@@ -168,7 +116,10 @@ mod tests {
     #[test]
     fn rfc8439_block_function() {
         let nonce = from_hex("00 00 00 09 00 00 00 4a 00 00 00 00");
-        let out = block(&rfc_key(), 1, nonce.as_slice().try_into().unwrap());
+        let mut state = initial_state(&rfc_key(), nonce.as_slice().try_into().unwrap());
+        state[12] = 1;
+        let mut out = [0u8; BLOCK_LEN];
+        block(&state, &mut out);
         assert_eq!(
             out.to_vec(),
             from_hex(
@@ -187,11 +138,10 @@ mod tests {
         let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
 only one tip for the future, sunscreen would be it.";
         let nonce = from_hex("00 00 00 00 00 00 00 4a 00 00 00 00");
-        let mut stream = vec![0u8; BLOCK_LEN + plaintext.len()];
-        keystream(
+        let stream = keystream(
             &rfc_key(),
             nonce.as_slice().try_into().unwrap(),
-            &mut stream,
+            BLOCK_LEN + plaintext.len(),
         );
         let ciphertext: Vec<u8> = plaintext
             .iter()
@@ -213,42 +163,38 @@ only one tip for the future, sunscreen would be it.";
         );
     }
 
-    /// The keystream as the block function gives it, one block at a time.
-    fn blockwise(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], len: usize) -> Vec<u8> {
-        (0u32..)
-            .flat_map(|counter| block(key, counter, nonce))
-            .take(len)
-            .collect()
-    }
-
     fn pin_tape() -> Tape {
         Tape::new(&SecretKey::derive(b"k", "pad"), b"list")
     }
 
+    /// A list's padding, read in one call after its real entries' nonces,
+    /// is the tape's next bytes: the ChaCha20 keystream under the seed
+    /// `HMAC(K, transcript)`, nonce 0, from where the nonces stopped.
     #[test]
-    fn padding_is_the_keystream_under_the_tapes_next_44_bytes() {
-        let mut draws = pin_tape();
-        let mut key = [0u8; KEY_LEN];
-        let mut nonce = [0u8; NONCE_LEN];
-        draws.fill_bytes(&mut key);
-        draws.fill_bytes(&mut nonce);
-        let want = blockwise(&key, &nonce, 40_000);
+    fn padding_is_the_tapes_next_bytes() {
+        let seed = hmac_sha256(SecretKey::derive(b"k", "pad").as_bytes(), b"list");
+        let nonces = 3 * 16;
+        let want = keystream(&seed, &[0; NONCE_LEN], nonces + 40_000);
         for len in (0..=300).chain([40_000]) {
+            let mut tape = pin_tape();
+            for _ in 0..3 {
+                tape.fill_bytes(&mut [0u8; 16]);
+            }
             let mut pad = vec![0xeeu8; len];
-            pad_from_tape(&mut pin_tape(), &mut pad);
-            assert_eq!(pad, want[..len], "len {len}");
+            tape.fill_bytes(&mut pad);
+            assert_eq!(pad, want[nonces..nonces + len], "len {len}");
         }
     }
 
     #[test]
-    fn padding_draws_exactly_44_bytes_and_none_when_empty() {
-        let mut skipped = pin_tape();
-        skipped.fill_bytes(&mut [0u8; KEY_LEN + NONCE_LEN]);
-        let mut padded = pin_tape();
-        pad_from_tape(&mut padded, &mut [0u8; 1]);
-        assert_eq!(padded.next_u64(), skipped.next_u64());
+    fn empty_padding_draws_nothing() {
         let mut untouched = pin_tape();
-        pad_from_tape(&mut untouched, &mut []);
+        untouched.fill_bytes(&mut []);
         assert_eq!(untouched.next_u64(), pin_tape().next_u64());
+        let (mut padded, mut plain) = (pin_tape(), pin_tape());
+        padded.fill_bytes(&mut [0u8; 16]);
+        padded.fill_bytes(&mut []);
+        plain.fill_bytes(&mut [0u8; 16]);
+        assert_eq!(padded.next_u64(), plain.next_u64());
     }
 }

@@ -7,8 +7,8 @@
 //! nonce per message gives IND-CPA security; the nonce is carried in the
 //! ciphertext header. Four counter blocks go through the bitsliced kernel
 //! per call ([`crate::aes`]). The builders' padding carries no plaintext
-//! and comes from a ChaCha20 keystream instead
-//! ([`crate::chacha::pad_from_tape`]).
+//! and comes off the list's coin tape, a ChaCha20 keystream, instead
+//! ([`crate::Tape::fill_bytes`]).
 
 use crate::aes::{Aes128, BLOCK_LEN, PARALLEL_BLOCKS};
 use crate::error::CryptoError;

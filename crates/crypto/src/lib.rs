@@ -12,12 +12,11 @@
 //!   scores and index entries in the *basic* scheme — here [`SemanticCipher`]
 //!   (AES-128 in CTR mode with a random per-message nonce);
 //! * a random-coin generator `TapeGen` consumed by the order-preserving
-//!   encryption binary search — here [`tape::Tape`] (an HMAC-DRBG style
-//!   deterministic stream keyed on the encryption key and the transcript).
+//!   encryption binary search — here [`tape::Tape`] (a seed `HMAC(K,
+//!   transcript)` expanded by the ChaCha20 keystream, RFC 8439).
 //!
-//! The padding that fills every posting list to ν (Fig. 3, step 3) is the
-//! [`chacha`] keystream (ChaCha20, RFC 8439) under a key and nonce drawn
-//! off the list's tape.
+//! The tape is the one coin generator: it also draws every entry nonce and
+//! the padding that fills each posting list to ν (Fig. 3, step 3).
 //!
 //! Everything is implemented in this crate from first principles (no external
 //! crypto dependencies) and pinned by known-answer tests from the FIPS / RFC
@@ -41,7 +40,7 @@
 
 pub mod aead;
 pub mod aes;
-pub mod chacha;
+mod chacha;
 pub mod ct;
 pub mod ctr;
 pub mod digest;

@@ -8,22 +8,21 @@
 //! HGD draw and `coin <- TapeGen(K, (D, R, 1||m, id(F)))` for the final
 //! one-to-many ciphertext choice.
 //!
-//! [`Tape`] is an HMAC-DRBG-style expander: `seed = HMAC(K, transcript)`,
-//! block_i = `HMAC(seed, i)`. The tape keys one HMAC with the seed when it
-//! is created and clones that keyed state for every block, so a 32-byte
-//! block costs two SHA-256 compressions and no allocation; a caller
-//! opening many tapes under one `K` keys `HMAC(K, ·)` once and hands it to
-//! [`Tape::with_keyed`]. Bulk bytes (the builders' padding) come from a
-//! ChaCha20 keystream keyed off the tape instead
-//! ([`crate::chacha::pad_from_tape`]). [`Transcript`] provides the
-//! canonical, injective encoding of the tuple.
+//! [`Tape`] is a PRF seed expanded by a stream cipher: `seed = HMAC(K,
+//! transcript)`, and the tape is the ChaCha20 keystream under that seed
+//! (RFC 8439, nonce 0, block counter from 0). A caller opening many tapes
+//! under one `K` keys `HMAC(K, ·)` once and hands it to
+//! [`Tape::with_keyed`]; then a transcript of at most 55 bytes costs two
+//! SHA-256 compressions, and each 64 bytes of coins one ChaCha20 block.
+//! The same stream feeds every coin the owner draws: OPSE/OPM node coins,
+//! entry nonces and, read in bulk, the padding that fills each posting
+//! list to ν. [`Transcript`] provides the canonical, injective encoding of
+//! the tuple.
 
+use crate::chacha::{self, BLOCK_LEN, NONCE_LEN};
 use crate::hmac::Hmac;
 use crate::keys::SecretKey;
 use crate::Sha256;
-
-/// Bytes per tape block: one HMAC-SHA-256 output.
-const BLOCK: usize = 32;
 
 /// Canonical injective encoder for `TapeGen` inputs.
 ///
@@ -101,21 +100,22 @@ impl Transcript {
 /// ```
 #[derive(Clone)]
 pub struct Tape {
-    /// `HMAC(seed, ·)` with the seed already absorbed into both pads.
-    keyed: Hmac<Sha256>,
-    block: [u8; BLOCK],
-    block_index: u64,
+    /// The ChaCha20 input state: constants, the seed as key words, the
+    /// next block's counter and nonce 0.
+    state: [u32; 16],
+    /// The last block drawn; the bytes from `offset` on are unread.
+    block: [u8; BLOCK_LEN],
     offset: usize,
 }
 
-/// Shows only how far the tape has run: the keyed state stands for the
+/// Shows only how far the tape has run: the state's key words are the
 /// seed, and the buffered block holds the next coins.
 impl core::fmt::Debug for Tape {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "Tape {{ block_index: {}, seed and block: <redacted> }}",
-            self.block_index
+            "Tape {{ blocks: {}, seed and block: <redacted> }}",
+            self.blocks()
         )
     }
 }
@@ -132,36 +132,47 @@ impl Tape {
     pub fn with_keyed(keyed: &Hmac<Sha256>, transcript: &[u8]) -> Self {
         let mut mac = keyed.clone();
         mac.update(transcript);
-        let seed = mac.finalize();
-        let mut tape = Tape {
-            keyed: Hmac::new(&seed),
-            block: [0u8; BLOCK],
-            block_index: 0,
-            offset: BLOCK,
-        };
-        tape.refill();
-        tape
+        Tape {
+            state: chacha::initial_state(&mac.finalize(), &[0; NONCE_LEN]),
+            block: [0; BLOCK_LEN],
+            offset: BLOCK_LEN,
+        }
     }
 
-    fn refill(&mut self) {
-        let mut mac = self.keyed.clone();
-        mac.update(&self.block_index.to_be_bytes());
-        self.block = mac.finalize();
-        self.block_index += 1;
-        self.offset = 0;
+    /// Blocks drawn so far: the block counter, whose 64 bits span state
+    /// words 12 and 13.
+    fn blocks(&self) -> u64 {
+        u64::from(self.state[12]) | u64::from(self.state[13]) << 32
     }
 
-    /// Fills `out` with pseudorandom bytes.
+    /// Writes the next keystream block into `out` and steps the counter.
+    /// Past 2^32 blocks (256 GiB) it carries into word 13, the nonce's
+    /// first word, as Bernstein's original 64-bit counter does, so the
+    /// first 2^32 blocks are RFC 8439's keystream and the tape never
+    /// repeats.
+    fn next_block(state: &mut [u32; 16], out: &mut [u8; BLOCK_LEN]) {
+        chacha::block(state, out);
+        state[12] = state[12].wrapping_add(1);
+        state[13] += u32::from(state[12] == 0);
+    }
+
+    /// Fills `out` with the tape's next bytes: what is left of the
+    /// buffered block, then whole blocks written straight into `out`,
+    /// then the head of one more block, whose rest stays buffered.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        let mut filled = 0;
-        while filled < out.len() {
-            if self.offset == BLOCK {
-                self.refill();
-            }
-            let n = (BLOCK - self.offset).min(out.len() - filled);
-            out[filled..filled + n].copy_from_slice(&self.block[self.offset..self.offset + n]);
-            self.offset += n;
-            filled += n;
+        let buffered = (BLOCK_LEN - self.offset).min(out.len());
+        let (head, rest) = out.split_at_mut(buffered);
+        head.copy_from_slice(&self.block[self.offset..self.offset + buffered]);
+        self.offset += buffered;
+        let mut whole = rest.chunks_exact_mut(BLOCK_LEN);
+        for chunk in &mut whole {
+            Self::next_block(&mut self.state, chunk.try_into().expect("one block"));
+        }
+        let tail = whole.into_remainder();
+        if !tail.is_empty() {
+            Self::next_block(&mut self.state, &mut self.block);
+            tail.copy_from_slice(&self.block[..tail.len()]);
+            self.offset = tail.len();
         }
     }
 
@@ -357,27 +368,44 @@ mod tests {
     #[test]
     fn fill_bytes_across_block_boundary() {
         let mut tape = Tape::new(&key(), b"fb");
-        let mut a = vec![0u8; 100];
+        let mut a = vec![0u8; 1000];
         tape.fill_bytes(&mut a);
-        // Same stream read in odd-sized chunks must match.
-        let mut tape2 = Tape::new(&key(), b"fb");
-        let mut b = vec![0u8; 100];
-        for chunk in b.chunks_mut(7) {
-            tape2.fill_bytes(chunk);
+        // The same stream read in chunks that start and end inside blocks
+        // and span whole ones must match.
+        for size in [1, 7, 63, 64, 65, 129, 300] {
+            let mut tape2 = Tape::new(&key(), b"fb");
+            let mut b = vec![0u8; 1000];
+            for chunk in b.chunks_mut(size) {
+                tape2.fill_bytes(chunk);
+            }
+            assert_eq!(a, b, "chunks of {size}");
         }
-        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn block_counter_carries_into_the_next_word() {
+        let mut tape = Tape::new(&key(), b"carry");
+        tape.state[12] = u32::MAX;
+        tape.fill_bytes(&mut [0u8; 2 * BLOCK_LEN]);
+        assert_eq!((tape.state[12], tape.state[13]), (1, 1));
+        assert_eq!(tape.blocks(), (1 << 32) + 1);
     }
 
     #[test]
     fn debug_redacts_the_seed_and_the_block() {
         let transcript = Transcript::new("t").u64(9).finish();
-        let tape = Tape::new(&key(), &transcript);
+        let mut tape = Tape::new(&key(), &transcript);
+        tape.next_u64();
         let seed = hmac_sha256(key().as_bytes(), &transcript);
-        let mut block = [0u8; BLOCK];
-        tape.clone().fill_bytes(&mut block);
         let shown = format!("{tape:?}");
-        assert!(shown.contains("block_index: 1"), "{shown}");
-        for secret in [seed, block] {
+        assert!(shown.contains("blocks: 1"), "{shown}");
+        for word in &tape.state[4..12] {
+            assert!(
+                !shown.contains(&word.to_string()) && !shown.contains(&format!("{word:x}")),
+                "{shown}"
+            );
+        }
+        for secret in [&seed[..], &tape.block[..]] {
             for w in secret.windows(3) {
                 let decimal = format!("{}, {}, {}", w[0], w[1], w[2]);
                 let hex = format!("{:02x}{:02x}{:02x}", w[0], w[1], w[2]);

@@ -4,9 +4,17 @@
 //! procedure): at a node covering domain `D = {d+1..d+M}` and range
 //! `R = {r+1..r+N}`, the range is halved at `y = r + N/2` and a
 //! hypergeometric draw — with coins committed to the node transcript
-//! `(D, R, 0‖y)` — decides how many domain points fall below `y`. The walk
+//! `(D, R)` — decides how many domain points fall below `y`. The walk
 //! ends when a single plaintext remains; the surviving range is that
 //! plaintext's *bucket*.
+//!
+//! The paper's transcripts `(D, R, 0‖y)` and `(D, R, 1‖m, id)` carry
+//! fields the node already fixes: `y` is a function of `R`, a leaf's `D`
+//! is `{m}`, and the `0`/`1` tags only separate the two uses, which the
+//! domain labels `opse/hgd` and `opse/ct` already do. Without them each
+//! transcript fits one SHA-256 block (at most 55 bytes with an 8-byte file
+//! id), so a node's coin tape costs two compressions under the pre-keyed
+//! HMAC.
 //!
 //! Because the coins depend only on the node (not on the plaintext), every
 //! plaintext deterministically sees the same splits, which is what makes the
@@ -20,8 +28,8 @@ use crate::params::OpseParams;
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{Hmac, SecretKey, Sha256, Tape};
 use rsse_hgd::Hypergeometric;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// The bucket (inclusive ciphertext sub-range) owned by one plaintext.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,15 +80,16 @@ pub struct WalkStats {
 
 /// The keyed search tree evaluator with an optional split memo-cache.
 ///
-/// Cloning shares nothing; each instance has its own cache. The cache maps
-/// node → split point and is sound because splits are a pure function of
-/// `(key, node)`.
+/// Each instance has its own cache, which maps node → split point and is
+/// sound because splits are a pure function of `(key, node)`. The cache
+/// takes no lock: a tree belongs to the one thread that maps its list's
+/// scores, so it is `Send` but not `Sync`.
 #[derive(Debug)]
 pub struct SearchTree {
     /// `HMAC(key, ·)` keyed once; every node's coin tape clones it.
     keyed: Hmac<Sha256>,
     params: OpseParams,
-    cache: Option<Mutex<HashMap<Node, u64>>>,
+    cache: Option<RefCell<HashMap<Node, u64>>>,
 }
 
 impl SearchTree {
@@ -90,7 +99,7 @@ impl SearchTree {
         SearchTree {
             keyed: Hmac::new(key.as_bytes()),
             params,
-            cache: Some(Mutex::new(HashMap::new())),
+            cache: Some(RefCell::new(HashMap::new())),
         }
     }
 
@@ -113,21 +122,12 @@ impl SearchTree {
     /// `x = d + HYGEINV(...)`.
     fn split(&self, node: Node, y: u64, stats: &mut WalkStats) -> u64 {
         if let Some(cache) = &self.cache {
-            if let Some(&x) = cache.lock().expect("split cache poisoned").get(&node) {
+            if let Some(&x) = cache.borrow().get(&node) {
                 stats.cache_hits += 1;
                 return x;
             }
         }
-        // Coin tape committed to the node transcript (D, R, 0 || y).
-        let transcript = Transcript::new("opse/hgd")
-            .u64(node.d)
-            .u64(node.m)
-            .u64(node.r)
-            .u64(node.n)
-            .u64(0)
-            .u64(y)
-            .finish();
-        let mut tape = Tape::with_keyed(&self.keyed, &transcript);
+        let mut tape = Tape::with_keyed(&self.keyed, &split_transcript(node));
         let draws = y - node.r;
         let hgd = Hypergeometric::new(node.n, node.m, draws)
             .expect("node invariants guarantee valid HGD parameters");
@@ -135,7 +135,7 @@ impl SearchTree {
         stats.hgd_draws += 1;
         let x = node.d + k;
         if let Some(cache) = &self.cache {
-            cache.lock().expect("split cache poisoned").insert(node, x);
+            cache.borrow_mut().insert(node, x);
         }
         x
     }
@@ -242,20 +242,37 @@ impl SearchTree {
     }
 
     /// Draws a ciphertext uniformly from `bucket`, with coins committed to
-    /// `(D, R, 1‖m)` plus an optional seed extension (the OPM file ID).
+    /// `(m, bucket)` plus an optional seed extension (the OPM file ID).
     pub fn choose_in_bucket(&self, bucket: &Bucket, extra_seed: Option<&[u8]>) -> u64 {
-        let mut t = Transcript::new("opse/ct")
-            .u64(bucket.plaintext)
-            .u64(bucket.lo)
-            .u64(bucket.hi)
-            .u64(1)
-            .u64(bucket.plaintext);
-        if let Some(seed) = extra_seed {
-            t = t.bytes(seed);
-        }
-        let mut tape = Tape::with_keyed(&self.keyed, &t.finish());
+        let mut tape = Tape::with_keyed(&self.keyed, &choice_transcript(bucket, extra_seed));
         bucket.lo + tape.uniform_below(bucket.len())
     }
+}
+
+/// The coin transcript of `node`'s HGD split: `("opse/hgd", d, m, r, n)`,
+/// 48 bytes.
+fn split_transcript(node: Node) -> Vec<u8> {
+    Transcript::new("opse/hgd")
+        .u64(node.d)
+        .u64(node.m)
+        .u64(node.r)
+        .u64(node.n)
+        .finish()
+}
+
+/// The coin transcript of the ciphertext choice in `bucket`:
+/// `("opse/ct", m, lo, hi)`, then the seed extension if there is one; 55
+/// bytes with an 8-byte file id.
+fn choice_transcript(bucket: &Bucket, extra_seed: Option<&[u8]>) -> Vec<u8> {
+    let t = Transcript::new("opse/ct")
+        .u64(bucket.plaintext)
+        .u64(bucket.lo)
+        .u64(bucket.hi);
+    match extra_seed {
+        Some(seed) => t.bytes(seed),
+        None => t,
+    }
+    .finish()
 }
 
 #[cfg(test)]
@@ -397,6 +414,27 @@ mod tests {
         let avg = total as f64 / 128.0;
         let bound = 5.0 * 128f64.log2() + 12.0;
         assert!(avg <= bound, "avg draws {avg} exceeds paper bound {bound}");
+    }
+
+    #[test]
+    fn transcripts_fit_one_sha256_block() {
+        // One SHA-256 block holds 55 message bytes beside its padding, so
+        // a pre-keyed HMAC seed costs two compressions.
+        let node = Node {
+            d: u64::MAX,
+            m: u64::MAX,
+            r: u64::MAX,
+            n: u64::MAX,
+        };
+        assert_eq!(split_transcript(node).len(), 48);
+        let bucket = Bucket {
+            plaintext: u64::MAX,
+            lo: u64::MAX,
+            hi: u64::MAX,
+        };
+        let file_id = u64::MAX.to_be_bytes();
+        assert_eq!(choice_transcript(&bucket, Some(&file_id)).len(), 55);
+        assert_eq!(choice_transcript(&bucket, None).len(), 38);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::entry::{decode_entry, encode_entry, ENTRY_CT_LEN, SCORE_CT_LEN};
 use crate::error::SseError;
-use rsse_crypto::chacha::pad_from_tape;
 use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SecretKey, SemanticCipher, Tape};
@@ -288,10 +287,10 @@ impl BasicScheme {
                 entry_cipher.encrypt_with_nonce_into(entry_nonce, &plain, &mut list);
             }
             // Pad with random strings of the same size (Fig. 3 step 3):
-            // the ChaCha20 keystream under a key and nonce off the tape.
+            // the tape's next bytes.
             let real = list.len();
             list.resize(list_len, 0);
-            pad_from_tape(&mut tape, &mut list[real..]);
+            tape.fill_bytes(&mut list[real..]);
             lists.insert(pi.label(term.as_bytes()), (ENTRY_CT_LEN as u32, list));
         }
         Ok(BasicEncryptedIndex { lists })

@@ -41,22 +41,25 @@ cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
 echo "==> cargo test -q -p rsse-cloud --lib codec::"
 cargo test -q -p rsse-cloud --lib codec::
 
-# The byte pins: the coin tape's stream, the padding keystream, the
-# exact lists both index builders write on a fixed corpus and seed, whole
-# and cut to their real entries, and the sharded Setup's per-shard
-# Outsource frames and label filters, with one shard equal to the
-# unsharded Setup frame for frame. Nonces and OPM coins come off the
-# tape, real entries are AES-CTR ciphertexts, and padding is a ChaCha20
-# keystream keyed off the tape, so a speed-up of the tape, either cipher,
-# the build or its partition that moves one ciphertext byte fails here.
+# The byte pins: the coin tape's stream, a list's padding read off it,
+# OPM values over every level, the exact lists both index builders write
+# on a fixed corpus and seed, whole and cut to their real entries, and
+# the sharded Setup's per-shard Outsource frames and label filters, with
+# one shard equal to the unsharded Setup frame for frame. The tape (an
+# HMAC-SHA-256 seed expanded by the ChaCha20 keystream) is the one coin
+# generator: OPM coins, entry nonces and padding all come off it, and
+# real entries are AES-CTR ciphertexts, so a speed-up of the tape, the
+# OPM walk, the AES kernel, the build or its partition that moves one
+# ciphertext byte fails here.
 echo "==> cargo test -q --test byte_pins"
 cargo test -q --test byte_pins
 
 # The AES-128 kernel and CTR mode against the FIPS-197 and SP 800-38A
-# vectors and the byte-wise reference cipher kept in its tests, and the
-# ChaCha20 padding keystream against the RFC 8439 vectors. Every real
-# entry and file body goes through the AES kernel, every padding byte
-# through ChaCha20.
+# vectors and the byte-wise reference cipher kept in its tests, the
+# ChaCha20 block function against the RFC 8439 vectors, and the coin
+# tape against that keystream under its HMAC seed. Every real entry and
+# file body goes through the AES kernel; every OPM coin, nonce and
+# padding byte through the tape's ChaCha20.
 echo "==> cargo test -q -p rsse-crypto"
 cargo test -q -p rsse-crypto
 

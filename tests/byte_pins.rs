@@ -1,25 +1,24 @@
 //! Byte pins: the exact bytes the owner's Setup writes.
 //!
-//! The coin tape feeds every entry nonce and OPM coin, and the key and
-//! nonce of each list's padding, which is the ChaCha20 keystream under
-//! them; the two builders turn these into the lists the server stores, so
-//! a change to either that moves one byte changes every ciphertext the
-//! owner has ever outsourced. These tests pin SHA-256 digests of a long
-//! tape read, of 40,000 bytes of padding, of both builders' exported
-//! lists on a fixed corpus and seed, whole and cut to their real entries,
-//! and of the sharded Setup's per-shard frames and label filters. A
-//! speed-up of the tape, the cipher or the build, or a change to how the
-//! build is cut into shards, must leave them unchanged; a change to how
-//! padding is drawn moves only the whole-list and sharded-Setup pins, and
-//! the real-entry pins show that no real entry moved with it.
+//! The coin tape — a seed `HMAC(K, transcript)` expanded by the ChaCha20
+//! keystream — feeds every OPM coin, every entry nonce and, read in bulk,
+//! every list's padding; the two builders turn these into the lists the
+//! server stores, so a change to either that moves one byte changes every
+//! ciphertext the owner has ever outsourced. These tests pin SHA-256
+//! digests of a long tape read, of 40,000 bytes of padding, of OPM values
+//! over every level, of both builders' exported lists on a fixed corpus
+//! and seed, whole and cut to their real entries, and of the sharded
+//! Setup's per-shard frames and label filters. A speed-up of the tape,
+//! the cipher or the build, or a change to how the build is cut into
+//! shards, must leave them unchanged.
 
 use rsse::cloud::{DataOwner, IndexPartitioner};
 use rsse::core::{Rsse, RsseParams};
-use rsse::crypto::chacha::pad_from_tape;
 use rsse::crypto::tape::Transcript;
 use rsse::crypto::{Digest, KeyMaterial, KeyedLabel, SecretKey, Sha256, Tape};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::InvertedIndex;
+use rsse::opse::{Opm, OpseParams};
 use rsse::sse::BasicScheme;
 use std::collections::HashMap;
 
@@ -54,7 +53,7 @@ fn tape() -> Tape {
 #[test]
 fn tape_stream_is_pinned() {
     // 100,003 bytes in chunks of 1, 3, 7, ... 97 bytes, so reads start and
-    // end at every offset within a 32-byte block.
+    // end at every offset within a 64-byte block and cross whole blocks.
     let mut t = tape();
     let mut h = Sha256::new();
     let mut read = 0usize;
@@ -70,7 +69,7 @@ fn tape_stream_is_pinned() {
     }
     assert_eq!(
         hex(h.finalize().as_ref()),
-        "5cdf829270cc93dc5cebe95c6724ab502d372e96470f68b543df901200f9f894"
+        "63fa7466d1d6475e90b827b5d4fcfb2e2dbc2da016234e5783ba170c48e2d810"
     );
     let draws = [
         t.next_u64(),
@@ -78,7 +77,7 @@ fn tape_stream_is_pinned() {
         t.uniform_below(1000),
         t.uniform_below(7),
     ];
-    assert_eq!(draws, [8823657265020876936, 7269564618052145687, 882, 2]);
+    assert_eq!(draws, [17784108702861625538, 17279718836220685082, 602, 4]);
 }
 
 #[test]
@@ -93,18 +92,42 @@ fn tape_draws_are_pinned() {
     ];
     assert_eq!(
         draws,
-        [7326707642233341769, 5, 14726745858331398620, 677288, 0]
+        [4280154761366982099, 7, 14595736682209956146, 745766, 2]
     );
 }
 
 #[test]
 fn padding_keystream_is_pinned() {
-    // One ν = 1000 list of 40-byte entries' padding off the pin tape.
+    // One ν = 1000 list of 40-byte entries' padding: the pin tape read in
+    // one call after a 16-byte entry nonce, as a builder reads it.
+    let mut t = tape();
+    t.fill_bytes(&mut [0u8; 16]);
     let mut out = vec![0u8; 40_000];
-    pad_from_tape(&mut tape(), &mut out);
+    t.fill_bytes(&mut out);
     assert_eq!(
         hex(Sha256::digest(&out).as_ref()),
-        "d6160fb52d8ef5ee0c8c4d442d37e72ca5e0a32c14aab1bcfec6b1fac937238a"
+        "b9c4ccb103f9538e85591103609fcf6ade2a85fcdcb5ffc99beab9020e334eb8"
+    );
+}
+
+#[test]
+fn opm_values_are_pinned() {
+    // Every level of the paper's M = 128 under one key, for four file ids:
+    // each value costs a walk's split coins and one bucket-choice coin.
+    let opm = Opm::new(
+        SecretKey::derive(b"opm pin key", "opm"),
+        OpseParams::paper_default(),
+    );
+    let mut h = Sha256::new();
+    for level in 1..=128u64 {
+        for file in [0u64, 1, 1 << 40, u64::MAX] {
+            let value = opm.encrypt(level, &file.to_be_bytes()).unwrap();
+            h.update(&value.to_be_bytes());
+        }
+    }
+    assert_eq!(
+        hex(h.finalize().as_ref()),
+        "220203d5393cf6b76e5b515eed6c9abc0eb8c45099cf9714a87a3c46ffbf1094"
     );
 }
 
@@ -114,7 +137,7 @@ fn rsse_build_is_pinned() {
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&built.export_parts().unwrap()),
-        "942cb31e89672fb489f81836e75b373548b364d7d78d1b0eb3988270d77d1257"
+        "b41fe4884bb2d3467abaa47dc3da68890e1714475255da7890dca94334ca1b16"
     );
 }
 
@@ -126,7 +149,7 @@ fn basic_build_is_pinned() {
         .unwrap();
     assert_eq!(
         digest_lists(&built.export_parts()),
-        "576da2e491f812692a5d783af7ebf0715b11332cd0aa28088acd8777f863d90c"
+        "08cc462072733972713e1ca39c32e42e32c8dadb50c949d270b1978479504fd5"
     );
 }
 
@@ -155,7 +178,7 @@ fn rsse_real_entries_are_pinned() {
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&real_prefixes(built.export_parts().unwrap())),
-        "f703b95a9d7fe7906173d00348e7c223abaa7f2d2779911b0106bde660f4221e"
+        "fecf2e416b4f30eedef263fa9c448157fae62e4ba2e6de0ec305cef6bc48616f"
     );
 }
 
@@ -167,7 +190,7 @@ fn basic_real_entries_are_pinned() {
         .unwrap();
     assert_eq!(
         digest_lists(&real_prefixes(built.export_parts())),
-        "f75338816e920593db1c6d1c50b59e6a8a694d5ab74d664c5fbe6222eb49a1fa"
+        "174e6f33ebba724d7346f0dbc8cbea9dc0629cdf0f6f62631bdd12e0bf6b65ae"
     );
 }
 
@@ -192,9 +215,9 @@ fn sharded_setup_is_pinned() {
     assert_eq!(
         frames,
         [
-            "0c36f2240b805d076db9e04e145be2f7b00aff92fe8f64d48832e01dd26a4531",
-            "56140f698902e28de15d6135550119e27f906ebd797c0ac6ca26802f36d4547a",
-            "d02381fb10aa240a9e4c3370decb23e3724b15601108167d619e05768bf401fe",
+            "e032f31902ac881dfbb9199273c2756ce2c5a407fb2467fd68c7f76edfcc4e10",
+            "a2d122f7509428e46fcf4559cbef6e17b3719dc73a80b3d3f5c0a19f5716b65d",
+            "264637e7a64f43ef3c459d5b8c48d5257310ddac87050744dcbaf6fa36b3de28",
         ]
     );
     assert_eq!(

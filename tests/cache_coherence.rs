@@ -210,3 +210,38 @@ proptest! {
         sharded.shutdown();
     }
 }
+
+/// A label repeated within one batch frame is one cold fill: the ranking
+/// cache and the audit counters both count one miss for it, the frame's
+/// other copies are served from that fill, and a second frame hits.
+#[test]
+fn repeated_batch_labels_count_one_cache_miss() {
+    let docs = corpus(7, &[vec![0, 1], vec![0, 2], vec![1, 3, 4]]);
+    let deployment = Deployment::bootstrap(
+        b"batch misses",
+        RsseParams::default(),
+        &docs,
+        &Storage::Mem,
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap();
+    let server = deployment.server();
+    for round in 1..=2 {
+        let batch = deployment
+            .user()
+            .batch_search_request(&["alpha", "alpha", "alpha"], None)
+            .unwrap();
+        let Message::BatchReply { results, .. } = server.handle(batch).unwrap() else {
+            panic!("expected BatchReply")
+        };
+        assert_eq!(results.len(), 3);
+        assert!(!results[0].0.is_empty());
+        assert!(results.iter().all(|(ranking, _)| ranking == &results[0].0));
+        let cache = server.cache_stats();
+        let report = server.serving_report();
+        assert_eq!(cache.misses, 1, "round {round}: {cache:?}");
+        assert_eq!(report.cache_misses, 1, "round {round}: {report:?}");
+        assert_eq!(report.cache_hits, 3 * round - 1, "round {round}");
+        assert!(cache.misses - cache.refills <= 1, "one distinct key");
+    }
+}
