@@ -41,8 +41,8 @@
 //!   routing wins).
 //! * **cpu_segment** — the cpu scenario again, but the server serves
 //!   straight from a one-generation on-disk store (one `RSSEIDX2` file,
-//!   one positional read per posting list) instead of the in-memory
-//!   arena. Steady state must hold at least 0.5x the mem backend's
+//!   one positional read per posting list) instead of the resident
+//!   lists. Steady state must hold at least 0.5x the in-memory server's
 //!   requests/s (gated below).
 //! * **conjunctive** — multi-keyword intersection serving: single-frame
 //!   `ConjunctiveRequest`s drawn Zipf from a small pool of two-keyword
@@ -164,8 +164,8 @@ struct Scenario {
     /// Draw keywords Zipf-distributed from the top terms instead of
     /// hammering the single hot keyword.
     zipf: bool,
-    /// Serve from a one-generation on-disk store instead of the in-memory
-    /// arena.
+    /// Serve from a one-generation on-disk store instead of the resident
+    /// lists.
     segment: bool,
     workers: &'static [usize],
 }
@@ -1330,7 +1330,7 @@ fn run_conjunctive_sharded(
 
 /// Warm-restart timings, each measured through the first answered query.
 struct ColdStart {
-    /// `RsseIndex::load` (full file into the in-memory arena) + search.
+    /// `RsseIndex::load` (full file into resident lists) + search.
     index_full_load_s: f64,
     /// `RsseIndex::open_generational` on a one-generation store
     /// (manifest + directory only) + search.
@@ -1628,7 +1628,7 @@ fn main() {
         },
         // The storage-engine pair to "cpu": same batched compute-bound
         // workload, but every posting list is read by position from a
-        // one-generation on-disk store instead of the in-memory arena.
+        // one-generation on-disk store instead of the resident lists.
         Scenario {
             name: "cpu_segment",
             io_delay: None,
@@ -1912,7 +1912,7 @@ fn main() {
     }
 
     // Acceptance gate 4: steady-state serving from a one-generation
-    // on-disk store holds at least half the in-memory arena's throughput
+    // on-disk store holds at least half the in-memory index's throughput
     // on the compute-bound path — positional reads are the only
     // difference.
     for &workers in &[1usize, 4] {

@@ -190,8 +190,8 @@ pub enum Storage {
     /// In memory, as the paper's server.
     Mem,
     /// A generational store (immutable generations under a manifest) in
-    /// this directory: served from disk, updates parked in an in-memory
-    /// overlay until [`CloudServer::flush_index`].
+    /// this directory: served from disk, updates held in memory until
+    /// [`CloudServer::flush_index`].
     Generational(PathBuf),
 }
 
@@ -897,11 +897,11 @@ impl CloudServer {
         self.filter_watch.store(filter.epoch, Ordering::Release);
     }
 
-    /// Flushes pending overlay updates to durable storage: on a
-    /// generational index this seals the overlay into a new L0 delta
-    /// generation under a brief write lock — cost proportional to the
-    /// *overlay*, never the index. The logical content is unchanged, so
-    /// cached rankings stay valid and are kept.
+    /// Flushes pending updates to durable storage: on a generational
+    /// index this seals the entries appended since the last flush into a
+    /// new L0 delta generation under a brief write lock — cost
+    /// proportional to *those entries*, never the index. The logical
+    /// content is unchanged, so cached rankings stay valid and are kept.
     ///
     /// # Errors
     ///
@@ -912,13 +912,13 @@ impl CloudServer {
     }
 
     /// Compacts a generational index **live**, on the calling thread:
-    /// flushes the overlay (brief write lock), then merges the whole
+    /// flushes pending updates (brief write lock), then merges the whole
     /// generation stack while searches keep serving from the old stack —
     /// no index lock is held during the merge; the only serving-path
     /// pause is the atomic pointer flip, reported as
     /// [`rsse_core::CompactionStats::install_pause`]. Returns the merge
     /// statistics, or `None` when there was nothing to merge (fewer than
-    /// two generations, or the in-memory backend).
+    /// two generations, or an in-memory index).
     ///
     /// # Errors
     ///

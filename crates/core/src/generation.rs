@@ -1,10 +1,12 @@
-//! The generational store — the on-disk index engine: L0 delta flushes,
-//! live background compaction, and epoch-based reclaim.
+//! The generational store — an index's optional on-disk generation
+//! stack: L0 delta flushes, live background compaction, and epoch-based
+//! reclaim.
 //!
-//! The store is a small LSM-shaped **generation stack** of immutable
-//! `RSSEIDX2` files (each read through [`crate::segment`]) plus an
-//! in-memory overlay, so heavy update streams never force a full rewrite
-//! on the serving path:
+//! An [`crate::RsseIndex`] is one engine: resident lists (see
+//! [`crate::store`]) plus, for an index served from a store directory, a
+//! small LSM-shaped **generation stack** of immutable `RSSEIDX2` files
+//! (each read through [`crate::segment`]), so heavy update streams never
+//! force a full rewrite on the serving path:
 //!
 //! ```text
 //!  dir/MANIFEST        which generations exist, in merge order
@@ -13,19 +15,20 @@
 //!  dir/gen-000002.seg  another delta ...
 //! ```
 //!
-//! Score-dynamics updates land in the in-memory overlay; a **flush**
-//! seals the overlay into a new delta generation (cheap: proportional to
-//! the overlay, not the index). A **live compaction** merges the whole
-//! stack into one fresh generation on a background thread *while queries
-//! keep serving* from the old stack + overlay, then installs it with an
-//! atomic pointer flip. A query reads the touched list with one
+//! Score-dynamics updates land in the index's resident lists; a **flush**
+//! seals them into a new delta generation (cheap: proportional to the
+//! updates, not the index). A **live compaction** merges the whole stack
+//! into one fresh generation on a background thread *while queries keep
+//! serving* from the old stack plus the resident lists, then installs it
+//! with an atomic pointer flip. A query reads the touched list with one
 //! positional read per generation, ranks each generation's list and the
-//! overlay's as separate streams, and merges them with
-//! [`merge_ranked_streams`]. Because [`crate::RankedResult`]'s order is
-//! total (OPM score descending, ties toward the smaller file id) and the
-//! generations plus the overlay hold disjoint *time slices* of each
-//! posting list — exactly the ciphertexts the in-memory arena would hold
-//! — the merged ranking is byte-identical to the in-memory one.
+//! resident one as separate streams, and merges them with
+//! [`crate::merge_ranked_streams`]. Because [`crate::RankedResult`]'s
+//! order is total (OPM score descending, ties toward the smaller file id)
+//! and the generations plus the resident lists hold disjoint *time
+//! slices* of each posting list — exactly the ciphertexts an index
+//! without a store would hold — the merged ranking is byte-identical to
+//! the in-memory one.
 //!
 //! # The flip/reclaim protocol
 //!
@@ -60,20 +63,17 @@
 //!
 //! A delta generation makes the update pattern visible per generation:
 //! the server sees which labels grew between two flushes and by how many
-//! entries — exactly what the in-memory overlay already reveals to the
+//! entries — exactly what the resident lists already reveal to the
 //! server process, now persisted. Compaction folds the generations back
 //! into one file whose layout is a deterministic function of the public
 //! shape (label set + list lengths), so the steady state leaks nothing
-//! beyond what the in-memory backend reveals. See DESIGN.md §6.6.
+//! beyond what an in-memory index reveals. See DESIGN.md §6.6.
 
-use crate::error::RsseError;
-use crate::index::{merge_ranked_streams, rank_entries, Label, RankedResult, RsseTrapdoor};
-use crate::persist::{PersistError, SegmentWriter, DIR_RECORD_LEN};
+use crate::index::Label;
+use crate::persist::{write_lists, PersistError, SegmentWriter, DIR_RECORD_LEN};
 use crate::segio::{read_file, SegmentIo};
-use crate::segment::{ListBytes, SegmentReader};
+use crate::segment::SegmentReader;
 use crate::store::PostingStore;
-use crate::RsseIndex;
-use rsse_crypto::SemanticCipher;
 use rsse_opse::OpseParams;
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -224,7 +224,7 @@ pub(crate) struct GenerationSet {
     segments: Vec<Arc<GenSegment>>,
 }
 
-/// State shared by every clone of a [`GenerationalBackend`] and by
+/// State shared by every clone of a [`GenerationStack`] and by
 /// in-flight [`LiveCompaction`] jobs.
 #[derive(Debug)]
 struct GenShared {
@@ -264,7 +264,8 @@ pub struct GenerationStats {
     pub segments: usize,
     /// Generation files deleted by epoch reclaim since open.
     pub reclaimed_segments: u64,
-    /// Entries parked in the in-memory overlay (not yet flushed).
+    /// Entries in the index's resident lists, not yet flushed into a
+    /// generation.
     pub overlay_entries: usize,
     /// Whether a live compaction is running right now.
     pub compacting: bool,
@@ -298,54 +299,47 @@ impl GenerationPin {
     pub fn segment_paths(&self) -> Vec<PathBuf> {
         self.set.segments.iter().map(|s| s.path.clone()).collect()
     }
+
+    /// Readers of the pinned generation files, in merge order.
+    pub(crate) fn readers(&self) -> impl Iterator<Item = &SegmentReader> {
+        self.set.segments.iter().map(|s| &s.reader)
+    }
 }
 
-/// A posting-list container served from a stack of generation files plus
-/// an in-memory overlay — see the module docs for layout and protocol.
+/// The generation files behind an index served from a store directory —
+/// see the module docs for layout and protocol. The index's resident
+/// lists hold every entry not yet flushed into a generation.
 ///
-/// Cloning shares the generation stack (and compaction state); each
-/// clone carries its own overlay.
+/// Cloning shares the generation stack (and compaction state).
 #[derive(Debug, Clone)]
-pub struct GenerationalBackend {
+pub(crate) struct GenerationStack {
     dir: PathBuf,
     io: Arc<dyn SegmentIo>,
     opse: OpseParams,
     shared: Arc<GenShared>,
-    overlay: PostingStore,
 }
 
-impl GenerationalBackend {
-    /// Creates a new store at `dir`: writes the base generation from
-    /// `index` and the initial manifest, all durably. The parent
-    /// directory is fsynced before the first file sync, so the store
-    /// directory's own entry survives power loss too.
+impl GenerationStack {
+    /// Creates a new store at `dir`: writes `lists` — whole lists in
+    /// label order — as the base generation, then the initial manifest,
+    /// all durably. The parent directory is fsynced before the first file
+    /// sync, so the store directory's own entry survives power loss too.
     pub fn create(
         io: Arc<dyn SegmentIo>,
-        dir: impl AsRef<Path>,
-        index: &RsseIndex,
+        dir: &Path,
+        opse: &OpseParams,
+        lists: impl ExactSizeIterator<Item = (Label, u32, impl AsRef<[u8]>)>,
     ) -> Result<Self, PersistError> {
-        let dir = dir.as_ref().to_path_buf();
-        io.create_dir_all(&dir)?;
+        io.create_dir_all(dir)?;
         let parent = dir
             .parent()
             .filter(|p| !p.as_os_str().is_empty())
             .unwrap_or(Path::new("."));
         io.fsync_dir(parent)?;
-        let opse = index
-            .opse_params()
-            .copied()
-            .unwrap_or_else(|| OpseParams::new(1, 1).expect("1/1 is valid"));
-        let path = dir.join(gen_file_name(0));
-        let parts = index.export_parts()?;
-        let out = io.create(&path)?;
-        let mut w = SegmentWriter::new(out, &opse, parts.len() as u64)?;
-        for (label, entry_len, bytes) in parts {
-            w.write_list(label, entry_len, &bytes)?;
-        }
-        let mut out = w.finish()?;
+        let mut out = write_lists(io.create(&dir.join(gen_file_name(0)))?, opse, lists)?;
         out.sync()?;
         drop(out);
-        write_manifest(io.as_ref(), &dir, 1, 1, &[0])?;
+        write_manifest(io.as_ref(), dir, 1, 1, &[0])?;
         Self::open(io, dir)
     }
 
@@ -361,8 +355,8 @@ impl GenerationalBackend {
     /// generation that is missing or corrupt fails the open — the
     /// manifest only ever references files whose contents were fsynced
     /// before it, so that state indicates real corruption, not a crash.
-    pub fn open(io: Arc<dyn SegmentIo>, dir: impl AsRef<Path>) -> Result<Self, PersistError> {
-        let dir = dir.as_ref().to_path_buf();
+    pub fn open(io: Arc<dyn SegmentIo>, dir: &Path) -> Result<Self, PersistError> {
+        let dir = dir.to_path_buf();
         let manifest = read_file(io.as_ref(), &dir.join(MANIFEST))?;
         let (epoch, stored_next, seqs) = parse_manifest(&manifest)?;
         let reclaimed = Arc::new(AtomicU64::new(0));
@@ -405,7 +399,7 @@ impl GenerationalBackend {
             }
         }
         let next_seq = stored_next.max(seqs.iter().max().map_or(0, |m| m + 1));
-        Ok(GenerationalBackend {
+        Ok(GenerationStack {
             dir,
             io,
             opse,
@@ -415,7 +409,6 @@ impl GenerationalBackend {
                 compacting: AtomicBool::new(false),
                 reclaimed,
             }),
-            overlay: PostingStore::new(),
         })
     }
 
@@ -424,27 +417,15 @@ impl GenerationalBackend {
         &self.opse
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Entries parked in the in-memory overlay (not yet flushed).
-    pub fn overlay_entries(&self) -> usize {
-        self.overlay
-            .labels()
-            .filter_map(|l| self.overlay.list_len(l))
-            .sum()
-    }
-
-    /// Current shape of the store.
-    pub fn stats(&self) -> GenerationStats {
+    /// Current shape of the store, with `overlay_entries` entries not yet
+    /// flushed.
+    pub fn stats(&self, overlay_entries: usize) -> GenerationStats {
         let set = self.shared.current_set();
         GenerationStats {
             epoch: set.epoch,
             segments: set.segments.len(),
             reclaimed_segments: self.shared.reclaimed.load(Ordering::SeqCst),
-            overlay_entries: self.overlay_entries(),
+            overlay_entries,
             compacting: self.shared.compacting.load(Ordering::SeqCst),
         }
     }
@@ -461,32 +442,19 @@ impl GenerationalBackend {
         self.shared.compacting.load(Ordering::SeqCst)
     }
 
-    /// Seals the overlay into a new L0 delta generation, durably
-    /// (data file fsync, then manifest: fsync + rename + dir fsync).
-    /// Cost is proportional to the *overlay*, never the index. Returns
-    /// `false` when the overlay is empty. On any error the overlay is
-    /// kept intact and the serving state unchanged — updates are only
-    /// dropped from memory once they are durable on disk.
-    pub fn flush(&mut self) -> Result<bool, PersistError> {
-        if self.overlay.num_lists() == 0 {
-            return Ok(false);
-        }
+    /// Seals `lists` — the entries appended since the last flush — into a
+    /// new L0 delta generation, durably (data file fsync, then manifest:
+    /// fsync + rename + dir fsync). Cost is proportional to `lists`, never
+    /// the index. On any error the serving state is unchanged, so the
+    /// caller keeps `lists` until this returns `Ok`.
+    pub fn flush(&self, lists: &PostingStore) -> Result<(), PersistError> {
         let mut writer = lock(&self.shared.writer);
         let seq = writer.next_seq;
         let path = self.dir.join(gen_file_name(seq));
-        let mut labels: Vec<Label> = self.overlay.labels().copied().collect();
-        labels.sort_unstable();
-        let out = self.io.create(&path)?;
-        let mut w = SegmentWriter::new(out, &self.opse, labels.len() as u64)?;
-        for label in &labels {
-            let pl = self.overlay.list(label).expect("label from this overlay");
-            w.begin_list(*label, pl.len() as u64)?;
-            for entry in pl.iter() {
-                w.write_entry(entry)?;
-            }
-            w.end_list();
-        }
-        let mut out = w.finish()?;
+        let flat = lists
+            .iter()
+            .map(|(label, list)| (*label, list.entry_len() as u32, list.bytes()));
+        let mut out = write_lists(self.io.create(&path)?, &self.opse, flat)?;
         out.sync()?;
         drop(out);
         let reader = SegmentReader::open(self.io.as_ref(), &path)?;
@@ -506,18 +474,18 @@ impl GenerationalBackend {
         writer.epoch = epoch;
         writer.next_seq = seq + 1;
         *write(&self.shared.current) = Arc::new(GenerationSet { epoch, segments });
-        self.overlay = PostingStore::new();
-        Ok(true)
+        Ok(())
     }
 
     /// Starts a live compaction of the current generation stack.
     ///
     /// Returns `Ok(None)` when there is nothing to merge (fewer than two
-    /// generations — flush first if the overlay should be included).
-    /// The returned job owns a snapshot of the stack and runs entirely
-    /// off the serving path: hand it to a background thread and call
-    /// [`LiveCompaction::run`]. Queries (and flushes) proceed untouched
-    /// meanwhile; dropping the job without running it aborts cleanly.
+    /// generations — flush first if the resident lists should be
+    /// included). The returned job owns a snapshot of the stack and runs
+    /// entirely off the serving path: hand it to a background thread and
+    /// call [`LiveCompaction::run`]. Queries (and flushes) proceed
+    /// untouched meanwhile; dropping the job without running it aborts
+    /// cleanly.
     ///
     /// # Errors
     ///
@@ -547,142 +515,11 @@ impl GenerationalBackend {
             out_seq,
         }))
     }
-
-    /// Ranked search across every generation plus the overlay (see
-    /// [`crate::RsseIndex::search`] for the contract): one positional
-    /// read of the touched list per generation; each generation's list
-    /// (base first) and the overlay's rank as separate streams, merged
-    /// with [`merge_ranked_streams`] — byte-identical to the in-memory
-    /// ranking (see the module docs).
-    ///
-    /// Takes an instant snapshot of the generation stack and never
-    /// touches compaction state again — a query in flight across a flip
-    /// keeps ranking against its snapshot, byte-identical either way.
-    pub(crate) fn search(
-        &self,
-        trapdoor: &RsseTrapdoor,
-        top_k: Option<usize>,
-    ) -> Vec<RankedResult> {
-        let set = self.shared.current_set();
-        let lists: Vec<ListBytes> = set
-            .segments
-            .iter()
-            .filter_map(|s| s.reader.read_label(trapdoor.label()))
-            .collect();
-        let overlay = self.overlay.list(trapdoor.label());
-        if lists.is_empty() && overlay.is_none() {
-            return Vec::new();
-        }
-        let cipher = SemanticCipher::new(trapdoor.list_key());
-        let mut streams: Vec<Vec<RankedResult>> = lists
-            .iter()
-            .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k))
-            .collect();
-        if let Some(pl) = overlay {
-            streams.push(rank_entries(pl.iter(), pl.len(), &cipher, top_k));
-        }
-        streams.retain(|s| !s.is_empty());
-        match streams.len() {
-            0 => Vec::new(),
-            1 => streams.pop().expect("one stream"),
-            _ => {
-                let refs: Vec<&[RankedResult]> = streams.iter().map(Vec::as_slice).collect();
-                merge_ranked_streams(&refs, top_k)
-            }
-        }
-    }
-
-    /// Whether a list with this label exists in any generation or the
-    /// overlay.
-    pub(crate) fn contains_label(&self, label: &Label) -> bool {
-        self.overlay.contains_label(label)
-            || self
-                .shared
-                .current_set()
-                .segments
-                .iter()
-                .any(|s| s.reader.directory().contains_key(label))
-    }
-
-    /// Number of posting lists (the union over generations and overlay).
-    pub(crate) fn num_lists(&self) -> usize {
-        self.labels().len()
-    }
-
-    /// Entry count of the list under `label` across every generation
-    /// and the overlay, if present anywhere.
-    pub(crate) fn list_len(&self, label: &Label) -> Option<usize> {
-        let set = self.shared.current_set();
-        let mut total = 0usize;
-        let mut found = false;
-        for seg in &set.segments {
-            if let Some(meta) = seg.reader.directory().get(label) {
-                total += meta.count as usize;
-                found = true;
-            }
-        }
-        if let Some(n) = self.overlay.list_len(label) {
-            total += n;
-            found = true;
-        }
-        found.then_some(total)
-    }
-
-    /// Live bytes: labels plus entry payloads.
-    pub(crate) fn size_bytes(&self) -> usize {
-        // Labels once per (union) list, payloads from every generation
-        // plus the overlay — mirrors the mem backend's accounting.
-        let set = self.shared.current_set();
-        let payload: usize = set.segments.iter().map(|s| s.reader.base_payload()).sum();
-        self.num_lists() * 20
-            + payload
-            + (self.overlay.size_bytes() - 20 * self.overlay.num_lists())
-    }
-
-    /// All labels (the union over generations and overlay), in label
-    /// order.
-    pub(crate) fn labels(&self) -> Vec<Label> {
-        let set = self.shared.current_set();
-        let mut labels: BTreeSet<Label> = BTreeSet::new();
-        for seg in &set.segments {
-            labels.extend(seg.reader.directory().keys().copied());
-        }
-        labels.extend(self.overlay.labels().copied());
-        labels.into_iter().collect()
-    }
-
-    /// Appends whole `entry_len`-byte entries to the delta overlay under
-    /// `label` (see [`PostingStore::append`]).
-    pub(crate) fn append(
-        &mut self,
-        label: Label,
-        entry_len: usize,
-        bytes: &[u8],
-    ) -> Result<(), RsseError> {
-        self.overlay.append(label, entry_len, bytes)
-    }
-
-    /// Visits every entry under `label`, generations base first, then
-    /// the overlay; `false` when the label is unknown.
-    pub(crate) fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
-        let set = self.shared.current_set();
-        let mut found = false;
-        for seg in &set.segments {
-            found |= seg.reader.for_each_entry(label, visit);
-        }
-        if let Some(pl) = self.overlay.list(label) {
-            found = true;
-            for entry in pl.iter() {
-                visit(entry);
-            }
-        }
-        found
-    }
 }
 
 /// An in-flight live compaction: merges a snapshot of the generation
 /// stack into one new generation, then installs it. Obtained from
-/// [`GenerationalBackend::begin_live_compact`]; safe to move to a
+/// [`crate::RsseIndex::begin_live_compact`]; safe to move to a
 /// background thread. Dropping without [`Self::run`] aborts cleanly
 /// (the in-progress flag clears; a partially written file becomes an
 /// orphan the next open sweeps).
@@ -805,6 +642,7 @@ impl LiveCompaction {
 mod tests {
     use super::*;
     use crate::segio::MemIo;
+    use crate::RsseIndex;
     use rsse_opse::OpseParams;
 
     fn label(b: u8) -> Label {
@@ -823,43 +661,56 @@ mod tests {
         .unwrap()
     }
 
-    fn mem_store() -> (MemIo, GenerationalBackend) {
+    fn mem_store() -> (MemIo, RsseIndex) {
         let io = MemIo::new();
-        let store =
-            GenerationalBackend::create(io.shared(), Path::new("/gen"), &sample_index()).unwrap();
+        let store = sample_index()
+            .save_generational_with_io(io.shared(), "/gen")
+            .unwrap();
         (io, store)
+    }
+
+    fn reopen(io: &MemIo) -> RsseIndex {
+        RsseIndex::open_generational_with_io(io.shared(), "/gen").unwrap()
+    }
+
+    fn segments(store: &RsseIndex) -> usize {
+        store.generation_stats().expect("generational").segments
     }
 
     #[test]
     fn create_open_roundtrip_preserves_content() {
         let (io, store) = mem_store();
-        assert_eq!(store.stats().segments, 1);
+        assert_eq!(segments(&store), 1);
         assert_eq!(store.size_bytes(), sample_index().size_bytes());
         drop(store);
-        let store = GenerationalBackend::open(io.shared(), Path::new("/gen")).unwrap();
+        let store = reopen(&io);
         assert_eq!(store.num_lists(), 3);
         assert_eq!(store.list_len(&label(1)), Some(2));
         assert_eq!(store.list_len(&label(2)), Some(0));
-        let mut got = Vec::new();
-        assert!(store.for_each_entry(&label(3), &mut |e| got.push(e.to_vec())));
-        assert_eq!(got, vec![vec![0xB1; 3], vec![0xB2; 3]]);
+        assert_eq!(
+            store.raw_list(&label(3)),
+            Some(vec![vec![0xB1; 3], vec![0xB2; 3]])
+        );
     }
 
     #[test]
     fn flush_seals_the_overlay_into_a_delta_generation() {
         let (io, mut store) = mem_store();
-        assert!(!store.flush().unwrap(), "empty overlay is a no-op");
-        store.append(label(1), 6, &[0xA3; 6]).unwrap();
-        store.append(label(9), 2, &[0xC1; 2]).unwrap();
-        assert!(store.flush().unwrap());
-        assert_eq!(store.overlay_entries(), 0, "overlay drained");
-        let stats = store.stats();
+        assert!(
+            !store.flush_updates().unwrap(),
+            "nothing resident is a no-op"
+        );
+        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
+        store.append_entries(label(9), 2, &[0xC1; 2]).unwrap();
+        assert!(store.flush_updates().unwrap());
+        let stats = store.generation_stats().unwrap();
+        assert_eq!(stats.overlay_entries, 0, "resident lists drained");
         assert_eq!(stats.segments, 2);
         assert_eq!(store.list_len(&label(1)), Some(3));
         assert_eq!(store.list_len(&label(9)), Some(1));
         // Durable: a power loss and reopen serve the same content.
         io.power_loss();
-        let store = GenerationalBackend::open(io.shared(), Path::new("/gen")).unwrap();
+        let store = reopen(&io);
         assert_eq!(store.list_len(&label(1)), Some(3));
         assert_eq!(store.list_len(&label(9)), Some(1));
     }
@@ -867,18 +718,18 @@ mod tests {
     #[test]
     fn live_compaction_merges_and_reclaims_after_last_release() {
         let (io, mut store) = mem_store();
-        store.append(label(1), 6, &[0xA3; 6]).unwrap();
-        store.flush().unwrap();
-        store.append(label(9), 2, &[0xC1; 2]).unwrap();
-        store.flush().unwrap();
-        assert_eq!(store.stats().segments, 3);
-        let pin = store.pin(); // an "in-flight query" across the flip
+        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
+        store.flush_updates().unwrap();
+        store.append_entries(label(9), 2, &[0xC1; 2]).unwrap();
+        store.flush_updates().unwrap();
+        assert_eq!(segments(&store), 3);
+        let pin = store.pin_generations().unwrap(); // an "in-flight query" across the flip
         let old_paths = pin.segment_paths();
         let job = store.begin_live_compact().unwrap().expect("work to do");
         assert_eq!(job.merging(), 3);
         let stats = job.run().unwrap();
         assert_eq!(stats.merged_segments, 3);
-        assert_eq!(store.stats().segments, 1);
+        assert_eq!(segments(&store), 1);
         // The pin holds the old generations alive: files still present.
         for p in &old_paths {
             assert!(
@@ -887,12 +738,12 @@ mod tests {
                 p.display()
             );
         }
-        assert_eq!(store.stats().reclaimed_segments, 0);
+        assert_eq!(store.generation_stats().unwrap().reclaimed_segments, 0);
         drop(pin);
         for p in &old_paths {
             assert!(io.read(p).is_none(), "{} not reclaimed", p.display());
         }
-        assert_eq!(store.stats().reclaimed_segments, 3);
+        assert_eq!(store.generation_stats().unwrap().reclaimed_segments, 3);
         assert_eq!(store.list_len(&label(1)), Some(3));
         assert_eq!(store.list_len(&label(9)), Some(1));
     }
@@ -900,8 +751,8 @@ mod tests {
     #[test]
     fn double_compact_gets_a_typed_error_not_a_block() {
         let (_io, mut store) = mem_store();
-        store.append(label(1), 6, &[0xA3; 6]).unwrap();
-        store.flush().unwrap();
+        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
+        store.flush_updates().unwrap();
         let job = store.begin_live_compact().unwrap().expect("work to do");
         assert!(matches!(
             store.begin_live_compact(),
@@ -922,7 +773,10 @@ mod tests {
     fn single_generation_has_nothing_to_merge() {
         let (_io, store) = mem_store();
         assert!(store.begin_live_compact().unwrap().is_none());
-        assert!(!store.compact_in_progress(), "flag released on None");
+        assert!(
+            !store.generation_stats().unwrap().compacting,
+            "flag released on None"
+        );
     }
 
     #[test]
@@ -951,7 +805,7 @@ mod tests {
             w.write_all(&bad).unwrap();
             drop(w);
             assert!(matches!(
-                GenerationalBackend::open(io.shared(), Path::new("/gen")),
+                GenerationStack::open(io.shared(), Path::new("/gen")),
                 Err(PersistError::BadManifest(_)) | Err(PersistError::Io(_))
             ));
         }
@@ -960,8 +814,8 @@ mod tests {
     #[test]
     fn orphan_generation_files_are_swept_at_open() {
         let (io, mut store) = mem_store();
-        store.append(label(1), 6, &[0xA3; 6]).unwrap();
-        store.flush().unwrap();
+        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
+        store.flush_updates().unwrap();
         drop(store);
         // Fake a crashed compaction: an output file nothing references.
         {
@@ -975,11 +829,11 @@ mod tests {
             w.write_all(b"stale").unwrap();
             drop(w);
         }
-        let store = GenerationalBackend::open(io.shared(), Path::new("/gen")).unwrap();
+        let store = reopen(&io);
         assert!(io
             .read(&Path::new("/gen").join(gen_file_name(77)))
             .is_none());
         assert!(io.read(&Path::new("/gen").join(MANIFEST_TMP)).is_none());
-        assert_eq!(store.stats().segments, 2);
+        assert_eq!(segments(&store), 2);
     }
 }

@@ -6,23 +6,26 @@
 //! encrypted scores*, and ranks — the whole point of the scheme: ranking
 //! happens server-side without revealing the scores themselves.
 //!
-//! The storage seam is one private enum matched in this file: the index
-//! holds either the in-memory [`PostingStore`] arena or the on-disk
-//! [`GenerationalBackend`] written by [`RsseIndex::save_generational`] and
-//! reopened by [`RsseIndex::open_generational`] (see [`crate::backend`]).
+//! The index is one storage engine: resident lists (see [`crate::store`])
+//! plus, for an index written by [`RsseIndex::save_generational`] or
+//! reopened by [`RsseIndex::open_generational`], a stack of generation
+//! files on disk (see [`crate::generation`]). Each method that reads
+//! lists has one body: the generations if there are any, then the
+//! resident lists.
 
-use crate::backend::BackendKind;
 use crate::entry::real_entries;
 use crate::error::RsseError;
-use crate::generation::{GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction};
+use crate::generation::{GenerationPin, GenerationStack, GenerationStats, LiveCompaction};
 use crate::persist::PersistError;
 use crate::segio::{SegmentIo, StdIo};
+use crate::segment::{ListBytes, SegmentReader};
 use crate::store::PostingStore;
 use rsse_crypto::{SecretKey, SemanticCipher};
 use rsse_ir::FileId;
 use rsse_opse::OpseParams;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
+use std::borrow::Cow;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -95,59 +98,69 @@ impl Ord for RankedResult {
     }
 }
 
-/// The storage engine behind an index — the one storage seam: every
-/// method of [`RsseIndex`] that touches posting lists matches on it.
-#[derive(Debug, Clone)]
-enum Backend {
-    Mem(PostingStore),
-    Generational(GenerationalBackend),
-}
-
-impl Default for Backend {
-    fn default() -> Self {
-        Backend::Mem(PostingStore::new())
-    }
-}
-
 /// The encrypted searchable index held by the cloud server.
 ///
-/// Posting lists live either in the flat in-memory [`PostingStore`]
-/// arena — one contiguous byte buffer plus a label table, so a query
-/// walks a dense range with zero per-entry allocations (see
-/// [`crate::store`]) — or, via [`RsseIndex::save_generational`] and
-/// [`RsseIndex::open_generational`], the on-disk [`GenerationalBackend`]
-/// that reads only the touched posting list per query and parks updates
-/// in a delta overlay (see [`crate::generation`]).
+/// One storage engine with two parts. The resident lists
+/// ([`PostingStore`]) keep each posting list's entries back to back in one
+/// buffer, so a query walks a dense range with zero per-entry allocations
+/// (see [`crate::store`]). An index served from a store directory
+/// ([`RsseIndex::save_generational`], [`RsseIndex::open_generational`])
+/// also has a generation stack: immutable files, one positional read of
+/// the touched list per query, holding every entry up to the last flush,
+/// while the resident lists hold the entries appended since (see
+/// [`crate::generation`]). Every read takes the generations, base first,
+/// then the resident list.
 #[derive(Debug, Clone, Default)]
 pub struct RsseIndex {
-    backend: Backend,
+    lists: PostingStore,
+    generations: Option<GenerationStack>,
     opse_params: Option<OpseParams>,
     // Conjunctive-pushdown counters (see `crate::multi`); Arc-shared so
     // clones of the same logical index report one combined tally.
     pub(crate) conjunctive: crate::multi::ConjunctiveCounters,
 }
 
+/// One whole list as `(label, entry_len, bytes)`, its bytes borrowed
+/// where they can be.
+type WholeList<'a> = (Label, u32, Cow<'a, [u8]>);
+
+/// Readers of the generation files `pin` holds, base first; none without
+/// a pin.
+fn readers(pin: &Option<GenerationPin>) -> impl Iterator<Item = &SegmentReader> {
+    pin.iter().flat_map(GenerationPin::readers)
+}
+
 impl RsseIndex {
     /// Reassembles an in-memory index from its wire parts (what the cloud
     /// server does on receiving the owner's `Outsource` message): one
     /// `(label, entry_len, bytes)` triple per list, its `entry_len`-byte
-    /// entries back to back.
+    /// entries back to back. Each list's buffer is moved in, not copied.
     ///
     /// # Errors
     ///
     /// [`RsseError::MalformedList`] when a list is not a whole number of
     /// entries, or repeats a label with another entry length.
     pub fn from_parts(parts: ListParts, opse: OpseParams) -> Result<Self, RsseError> {
-        let total = parts.iter().map(|(_, _, bytes)| bytes.len()).sum();
-        let mut store = PostingStore::with_capacity(parts.len(), total);
+        let mut lists = PostingStore::new();
         for (label, entry_len, bytes) in parts {
-            store.append(label, entry_len as usize, &bytes)?;
+            lists.insert(label, entry_len as usize, bytes)?;
         }
         Ok(RsseIndex {
-            backend: Backend::Mem(store),
+            lists,
+            generations: None,
             opse_params: Some(opse),
             conjunctive: Default::default(),
         })
+    }
+
+    /// An index served from `stack`, nothing resident yet.
+    fn on_stack(stack: GenerationStack) -> Self {
+        RsseIndex {
+            lists: PostingStore::new(),
+            opse_params: Some(*stack.opse_params()),
+            generations: Some(stack),
+            conjunctive: Default::default(),
+        }
     }
 
     /// Opens an index served from a generational store directory (see
@@ -169,18 +182,13 @@ impl RsseIndex {
         io: Arc<dyn SegmentIo>,
         dir: impl AsRef<Path>,
     ) -> Result<Self, PersistError> {
-        let store = GenerationalBackend::open(io, dir)?;
-        let opse = *store.opse_params();
-        Ok(RsseIndex {
-            backend: Backend::Generational(store),
-            opse_params: Some(opse),
-            conjunctive: Default::default(),
-        })
+        GenerationStack::open(io, dir.as_ref()).map(Self::on_stack)
     }
 
     /// Writes this index out as a new generational store at `dir` (base
     /// generation + manifest, durably) and returns the index now serving
-    /// from it — the outsource path for on-disk deployments.
+    /// from it — the outsource path for on-disk deployments. A list held
+    /// only in memory is written straight from its buffer.
     ///
     /// # Errors
     ///
@@ -195,50 +203,41 @@ impl RsseIndex {
         io: Arc<dyn SegmentIo>,
         dir: impl AsRef<Path>,
     ) -> Result<Self, PersistError> {
-        let store = GenerationalBackend::create(io, dir, self)?;
-        let opse = *store.opse_params();
-        Ok(RsseIndex {
-            backend: Backend::Generational(store),
-            opse_params: Some(opse),
-            conjunctive: Default::default(),
-        })
+        let lists = self.whole_lists()?.into_iter();
+        GenerationStack::create(io, dir.as_ref(), &self.opse_or_trivial(), lists)
+            .map(Self::on_stack)
     }
 
-    /// Which storage engine is serving this index.
-    pub fn backend_kind(&self) -> BackendKind {
-        match &self.backend {
-            Backend::Mem(_) => BackendKind::Mem,
-            Backend::Generational(_) => BackendKind::Generational,
-        }
+    /// The OPSE parameters a file of this index is written under: its own,
+    /// or 1/1 for an index that has none.
+    pub(crate) fn opse_or_trivial(&self) -> OpseParams {
+        self.opse_params
+            .unwrap_or_else(|| OpseParams::new(1, 1).expect("1/1 is valid"))
     }
 
-    /// Entries appended since the store was opened or last flushed,
-    /// still parked in the in-memory delta overlay. Always zero for the
-    /// in-memory backend (appends land in the arena directly).
-    pub fn pending_overlay_entries(&self) -> usize {
-        match &self.backend {
-            Backend::Mem(_) => 0,
-            Backend::Generational(g) => g.overlay_entries(),
-        }
-    }
-
-    /// Makes pending overlay updates durable without a full rewrite: on a
-    /// generational backend this seals the overlay into an L0 delta
-    /// generation (cost proportional to the overlay). Returns `true` when
-    /// anything was written; always `false` for the in-memory backend.
+    /// Makes the entries appended since the store was opened or last
+    /// flushed durable without a full rewrite: seals the resident lists
+    /// into an L0 delta generation (cost proportional to them). Returns
+    /// `true` when anything was written; always `false` for an index
+    /// without a generational store. On an error the resident lists stay
+    /// and keep serving.
     ///
     /// # Errors
     ///
     /// Any [`PersistError`] writing or fsyncing.
     pub fn flush_updates(&mut self) -> Result<bool, PersistError> {
-        match &mut self.backend {
-            Backend::Mem(_) => Ok(false),
-            Backend::Generational(g) => g.flush(),
+        match &self.generations {
+            Some(stack) if self.lists.num_lists() > 0 => {
+                stack.flush(&self.lists)?;
+                self.lists = PostingStore::new();
+                Ok(true)
+            }
+            _ => Ok(false),
         }
     }
 
-    /// Starts a live background compaction on a generational backend;
-    /// `Ok(None)` for the in-memory backend or when there is nothing to
+    /// Starts a live background compaction of the generation stack;
+    /// `Ok(None)` for an index without one or when there is nothing to
     /// merge. The returned job runs entirely off the serving path (see
     /// [`LiveCompaction::run`]); searches issued meanwhile never block on
     /// it.
@@ -248,38 +247,33 @@ impl RsseIndex {
     /// [`PersistError::CompactInProgress`] when a live compaction is
     /// already running — immediately, never blocking behind it.
     pub fn begin_live_compact(&self) -> Result<Option<LiveCompaction>, PersistError> {
-        match &self.backend {
-            Backend::Mem(_) => Ok(None),
-            Backend::Generational(g) => g.begin_live_compact(),
+        match &self.generations {
+            Some(stack) => stack.begin_live_compact(),
+            None => Ok(None),
         }
     }
 
-    /// Shape of the generational store, if that is the active backend.
+    /// Shape of the generational store, if the index has one.
     pub fn generation_stats(&self) -> Option<GenerationStats> {
-        match &self.backend {
-            Backend::Generational(g) => Some(g.stats()),
-            _ => None,
-        }
+        let resident = self.lists.iter().map(|(_, list)| list.len()).sum();
+        self.generations.as_ref().map(|stack| stack.stats(resident))
     }
 
-    /// Pins the current generation snapshot of a generational backend,
-    /// exactly like an in-flight query would (reclaim waits for the pin).
+    /// Pins the current generation snapshot of a generational store,
+    /// exactly like an in-flight query does (reclaim waits for the pin).
     pub fn pin_generations(&self) -> Option<GenerationPin> {
-        match &self.backend {
-            Backend::Generational(g) => Some(g.pin()),
-            _ => None,
-        }
+        self.generations.as_ref().map(GenerationStack::pin)
     }
 
     /// Folds pending updates back into compact on-disk form; returns
-    /// `true` when a rewrite happened. The overlay is flushed and the
-    /// whole generation stack is merged *inline* — the synchronous
+    /// `true` when a rewrite happened. The resident lists are flushed and
+    /// the whole generation stack is merged *inline* — the synchronous
     /// maintenance path; use [`Self::begin_live_compact`] to do the same
-    /// work off the serving path. A no-op returning `false` for the
-    /// in-memory backend or when there is nothing to fold. Callers
-    /// holding derived state (e.g. a ranking cache) need no invalidation
-    /// — compaction preserves every ranking — but the on-disk files
-    /// change identity.
+    /// work off the serving path. A no-op returning `false` for an index
+    /// without a generational store or when there is nothing to fold.
+    /// Callers holding derived state (e.g. a ranking cache) need no
+    /// invalidation — compaction preserves every ranking — but the
+    /// on-disk files change identity.
     ///
     /// # Errors
     ///
@@ -287,46 +281,43 @@ impl RsseIndex {
     /// already running; any [`PersistError`] writing, renaming, or
     /// re-validating otherwise.
     pub fn compact(&mut self) -> Result<bool, PersistError> {
-        match &mut self.backend {
-            Backend::Mem(_) => Ok(false),
-            Backend::Generational(g) => {
-                if g.compact_in_progress() {
-                    return Err(PersistError::CompactInProgress);
-                }
-                let flushed = g.flush()?;
-                match g.begin_live_compact()? {
-                    None => Ok(flushed),
-                    Some(job) => {
-                        job.run()?;
-                        Ok(true)
-                    }
-                }
+        if (self.generations.as_ref()).is_some_and(GenerationStack::compact_in_progress) {
+            return Err(PersistError::CompactInProgress);
+        }
+        let flushed = self.flush_updates()?;
+        match self.begin_live_compact()? {
+            None => Ok(flushed),
+            Some(job) => {
+                job.run()?;
+                Ok(true)
             }
         }
     }
 
-    /// All labels, in unspecified order.
+    /// All labels, in label order.
     fn labels(&self) -> Vec<Label> {
-        match &self.backend {
-            Backend::Mem(m) => m.labels().copied().collect(),
-            Backend::Generational(g) => g.labels(),
+        let pin = self.pin_generations();
+        let mut labels: BTreeSet<Label> = self.lists.labels().copied().collect();
+        for reader in readers(&pin) {
+            labels.extend(reader.directory().keys());
         }
+        labels.into_iter().collect()
     }
 
-    /// Visits every entry of the list under `label` in insertion order
-    /// (on disk: generations base first, then the delta overlay).
-    /// Returns `false` when the label is unknown.
+    /// Visits every entry of the list under `label` in insertion order:
+    /// each generation's part, base first, then the resident one. Returns
+    /// `false` when the label is unknown.
     fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
-        match &self.backend {
-            Backend::Mem(m) => {
-                let Some(list) = m.list(label) else {
-                    return false;
-                };
-                list.iter().for_each(visit);
-                true
-            }
-            Backend::Generational(g) => g.for_each_entry(label, visit),
+        let pin = self.pin_generations();
+        let mut found = false;
+        for reader in readers(&pin) {
+            found |= reader.for_each_entry(label, visit);
         }
+        if let Some(list) = self.lists.list(label) {
+            list.iter().for_each(visit);
+            found = true;
+        }
+        found
     }
 
     /// The list under `label` as `(entry_len, bytes)`: its entries back to
@@ -356,6 +347,30 @@ impl RsseIndex {
         }
     }
 
+    /// Every list as `(label, entry_len, bytes)` in label order. A list
+    /// with no part in a generation is borrowed from its resident buffer;
+    /// any other is read into one buffer ([`Self::flat_list`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::flat_list`].
+    pub(crate) fn whole_lists(&self) -> Result<Vec<WholeList<'_>>, RsseError> {
+        let pin = self.pin_generations();
+        let on_disk = |label: &Label| readers(&pin).any(|r| r.directory().contains_key(label));
+        self.labels()
+            .into_iter()
+            .map(|label| match self.lists.list(&label) {
+                Some(list) if !on_disk(&label) => {
+                    Ok((label, list.entry_len() as u32, Cow::Borrowed(list.bytes())))
+                }
+                _ => {
+                    let (entry_len, bytes) = self.flat_list(&label)?;
+                    Ok((label, entry_len, Cow::Owned(bytes)))
+                }
+            })
+            .collect()
+    }
+
     /// Exports the index as `(label, entry_len, bytes)` triples in label
     /// order (the owner's side of the `Outsource` message).
     ///
@@ -365,15 +380,11 @@ impl RsseIndex {
     /// list whose entries differ in length or are empty; an in-memory
     /// index never does.
     pub fn export_parts(&self) -> Result<ListParts, RsseError> {
-        let mut labels = self.labels();
-        labels.sort_unstable();
-        labels
+        let lists = self.whole_lists()?;
+        Ok(lists
             .into_iter()
-            .map(|label| {
-                let (entry_len, bytes) = self.flat_list(&label)?;
-                Ok((label, entry_len, bytes))
-            })
-            .collect()
+            .map(|(label, entry_len, bytes)| (label, entry_len, bytes.into_owned()))
+            .collect())
     }
 
     /// The OPSE parameters the index was built with (published alongside the
@@ -393,55 +404,64 @@ impl RsseIndex {
     /// allocates nothing per entry and nothing beyond its result vector
     /// (and, with `top_k`, the heap).
     ///
-    /// On a generational backend the touched posting list is read off disk
-    /// and ranked together with the delta overlay; the ranking is
-    /// byte-identical to the in-memory backend's (see
-    /// [`crate::generation`]).
+    /// With a generational store, each generation's part of the list is
+    /// read off disk and ranked as its own stream beside the resident
+    /// part, and the streams are merged; the ranking is byte-identical to
+    /// the one list in memory (see [`crate::generation`]). The search pins
+    /// one snapshot of the generations up front, so a query in flight
+    /// across a compaction's flip keeps ranking against that snapshot.
     pub fn search(&self, trapdoor: &RsseTrapdoor, top_k: Option<usize>) -> Vec<RankedResult> {
-        match &self.backend {
-            Backend::Mem(m) => {
-                let Some(list) = m.list(trapdoor.label()) else {
-                    return Vec::new();
-                };
-                let cipher = SemanticCipher::new(trapdoor.list_key());
-                rank_entries(list.iter(), list.len(), &cipher, top_k)
-            }
-            Backend::Generational(g) => g.search(trapdoor, top_k),
+        let label = trapdoor.label();
+        let pin = self.pin_generations();
+        let on_disk: Vec<ListBytes> = readers(&pin).filter_map(|r| r.read_label(label)).collect();
+        let resident = self.lists.list(label);
+        if on_disk.is_empty() && resident.is_none() {
+            return Vec::new();
         }
+        let cipher = SemanticCipher::new(trapdoor.list_key());
+        let mut streams = (on_disk.iter())
+            .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k))
+            .chain(resident.map(|list| rank_entries(list.iter(), list.len(), &cipher, top_k)))
+            .filter(|ranking| !ranking.is_empty());
+        let Some(first) = streams.next() else {
+            return Vec::new();
+        };
+        let Some(second) = streams.next() else {
+            return first;
+        };
+        let streams: Vec<Vec<RankedResult>> = [first, second].into_iter().chain(streams).collect();
+        let refs: Vec<&[RankedResult]> = streams.iter().map(Vec::as_slice).collect();
+        merge_ranked_streams(&refs, top_k)
     }
 
     /// Whether a list with this label exists (the access-pattern leakage of
     /// any SSE scheme — exposed explicitly for the adversary experiments).
     pub fn contains_label(&self, label: &Label) -> bool {
-        match &self.backend {
-            Backend::Mem(m) => m.contains_label(label),
-            Backend::Generational(g) => g.contains_label(label),
-        }
+        self.list_len(label).is_some()
     }
 
     /// Number of posting lists (`m`, the number of distinct keywords).
     pub fn num_lists(&self) -> usize {
-        match &self.backend {
-            Backend::Mem(m) => m.num_lists(),
-            Backend::Generational(g) => g.num_lists(),
-        }
+        self.labels().len()
     }
 
-    /// Length of the list stored under `label`, if present.
+    /// Length of the list stored under `label`, if present: its entries
+    /// in every generation plus the resident ones.
     pub fn list_len(&self, label: &Label) -> Option<usize> {
-        match &self.backend {
-            Backend::Mem(m) => m.list_len(label),
-            Backend::Generational(g) => g.list_len(label),
-        }
+        let pin = self.pin_generations();
+        let on_disk = readers(&pin).filter_map(|r| r.directory().get(label));
+        (on_disk.map(|list| list.count as usize))
+            .chain(self.lists.list_len(label))
+            .reduce(|a, b| a + b)
     }
 
-    /// Total index size in bytes (labels + entries; for a generational
-    /// backend, every generation's payload plus the delta overlay).
+    /// Total index size in bytes: labels once per list, plus the entries
+    /// of every generation and the resident ones.
     pub fn size_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Mem(m) => m.size_bytes(),
-            Backend::Generational(g) => g.size_bytes(),
-        }
+        let pin = self.pin_generations();
+        let on_disk: usize = readers(&pin).map(SegmentReader::base_payload).sum();
+        let resident = self.lists.size_bytes() - 20 * self.lists.num_lists();
+        20 * self.num_lists() + on_disk + resident
     }
 
     /// Labels whose posting lists hold at least one entry, in unspecified
@@ -450,7 +470,7 @@ impl RsseIndex {
     /// (the index cannot tell them apart without the per-list key), so the
     /// returned set is a superset of the labels with real postings — safe
     /// to prune against, never missing a label that could contribute to a
-    /// ranking. Reads only the backend directory, no entry payloads.
+    /// ranking. Reads only list lengths, no entry payloads.
     pub fn occupied_labels(&self) -> Vec<Label> {
         self.labels()
             .into_iter()
@@ -460,10 +480,10 @@ impl RsseIndex {
 
     /// Appends freshly encrypted entries to a (possibly new) posting list —
     /// the *score dynamics* operation of §VII. Existing entries are never
-    /// touched; OPM guarantees their order relative to the new ones stays
-    /// correct. On a generational backend the entries land in the
-    /// in-memory delta overlay (merged at query time) until
-    /// [`Self::flush_updates`].
+    /// touched, and no other list moves; OPM guarantees their order
+    /// relative to the new ones stays correct. The entries land in the
+    /// resident list, and with a generational store stay there (merged at
+    /// query time) until [`Self::flush_updates`].
     ///
     /// Note: growth of a list is visible to the server (an inherent leakage
     /// of dynamic updates, acknowledged by the update literature).
@@ -472,22 +492,30 @@ impl RsseIndex {
     ///
     /// [`RsseError::MalformedList`], with the index unchanged, when
     /// `bytes` is not a whole number of `entry_len`-byte entries or the
-    /// list (on disk: its overlay part) holds entries of another length.
+    /// list holds entries of another length, in any generation or in
+    /// memory. An empty list takes any length.
     pub fn append_entries(
         &mut self,
         label: Label,
         entry_len: u32,
         bytes: &[u8],
     ) -> Result<(), RsseError> {
-        match &mut self.backend {
-            Backend::Mem(m) => m.append(label, entry_len as usize, bytes),
-            Backend::Generational(g) => g.append(label, entry_len as usize, bytes),
+        // A generation's directory record gives its entries' length as
+        // `(byte_len − 8·count) / count`: each entry is framed by a u64.
+        let pin = self.pin_generations();
+        let record_len = 8 + u64::from(entry_len);
+        let fits = readers(&pin)
+            .filter_map(|r| r.directory().get(&label))
+            .all(|list| list.byte_len == list.count * record_len);
+        if !bytes.is_empty() && !fits {
+            return Err(RsseError::MalformedList(label));
         }
+        self.lists.append(label, entry_len as usize, bytes)
     }
 
     /// Raw encrypted entries of one list (what an adversary observes
     /// *before* any trapdoor is issued). Owned bytes: a generational
-    /// backend reads them off disk, so no borrow into an arena is possible.
+    /// store reads them off disk.
     pub fn raw_list(&self, label: &Label) -> Option<Vec<Vec<u8>>> {
         let mut out = Vec::new();
         self.for_each_entry(label, &mut |e| out.push(e.to_vec()))
@@ -496,7 +524,8 @@ impl RsseIndex {
 }
 
 /// Decrypts and ranks one stream of encrypted posting entries — the one
-/// decrypt path of every search (both backends, batch and conjunctive).
+/// decrypt path of every search (each generation's part of a list and
+/// the resident one, batch and conjunctive).
 /// `reserve` sizes the full-sort output vector (pass the entry count).
 /// Entries that fail to decode (padding, entries under another key or of
 /// another length) are dropped, exactly as the paper's server does; the
@@ -533,7 +562,7 @@ pub(crate) fn rank_entries<'a>(
 /// Exact duplicates across streams (impossible under a disjoint partition,
 /// but reachable with a byzantine shard) drain in stream-index order, so
 /// the output stays deterministic. The generational store leans on the
-/// same property to merge its generations with the delta overlay.
+/// same property to merge a list's generations with its resident part.
 ///
 /// The merge performs exactly two allocations — the O(#streams) head heap
 /// and the output vector — never O(total results); the coordinator
@@ -796,6 +825,38 @@ mod tests {
     }
 
     #[test]
+    fn appends_are_checked_against_the_whole_list_on_disk_too() {
+        let (long, empty) = ([1u8; 20], [2u8; 20]);
+        let parts = vec![(long, 40, vec![7u8; 80]), (empty, 0, vec![])];
+        let mut mem = RsseIndex::from_parts(parts, OpseParams::default()).unwrap();
+        let io = crate::segio::MemIo::new();
+        let mut gen = mem.save_generational_with_io(io.shared(), "/gen").unwrap();
+        for index in [&mut mem, &mut gen] {
+            let before = index.export_parts().unwrap();
+            assert_eq!(
+                index.append_entries(long, 32, &[9; 64]),
+                Err(RsseError::MalformedList(long)),
+                "32-byte entries appended to a 40-byte list"
+            );
+            assert_eq!(index.export_parts(), Ok(before));
+            assert_eq!(index.list_len(&long), Some(2));
+            // An empty append takes any length, and so does an empty list.
+            index.append_entries(long, 32, &[]).unwrap();
+            index.append_entries(empty, 32, &[9; 64]).unwrap();
+        }
+        // What the generational index flushes and compacts stays whole.
+        assert!(gen.flush_updates().unwrap());
+        gen.append_entries(long, 40, &[8; 40]).unwrap();
+        mem.append_entries(long, 40, &[8; 40]).unwrap();
+        assert!(gen.compact().unwrap());
+        assert_eq!(gen.export_parts(), mem.export_parts());
+        let (mut saved_gen, mut saved_mem) = (Vec::new(), Vec::new());
+        gen.save(&mut saved_gen).unwrap();
+        mem.save(&mut saved_mem).unwrap();
+        assert_eq!(saved_gen, saved_mem);
+    }
+
+    #[test]
     fn ranked_prefix_matches_sort_then_truncate() {
         let mut ranking: Vec<RankedResult> = (0..50).map(|i| rr(i, (i * 7919) % 101)).collect();
         ranking.sort_by(|a, b| b.cmp(a));
@@ -816,7 +877,6 @@ mod tests {
         assert!(idx.search(&t, Some(5)).is_empty());
         assert_eq!(idx.size_bytes(), 0);
         assert!(idx.opse_params().is_none());
-        assert_eq!(idx.backend_kind(), BackendKind::Mem);
-        assert_eq!(idx.pending_overlay_entries(), 0);
+        assert!(idx.generation_stats().is_none());
     }
 }

@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod entry;
 pub mod error;
 pub mod generation;
@@ -54,11 +53,8 @@ pub mod segio;
 pub mod segment;
 pub mod store;
 
-pub use backend::BackendKind;
 pub use error::RsseError;
-pub use generation::{
-    CompactionStats, GenerationPin, GenerationStats, GenerationalBackend, LiveCompaction,
-};
+pub use generation::{CompactionStats, GenerationPin, GenerationStats, LiveCompaction};
 pub use index::{
     merge_ranked_streams, ranked_prefix, Label, ListParts, RankedResult, RsseIndex, RsseTrapdoor,
 };

@@ -157,9 +157,9 @@ pub(crate) struct DirRecord {
     pub count: u64,
 }
 
-/// Streaming v2 writer shared by [`RsseIndex::save`] and the generational
-/// store's create, flush, and compaction: tracks the write position,
-/// accumulates the directory, and emits it (plus the trailer) on
+/// Streaming v2 writer behind [`write_lists`] and the generational
+/// store's compaction: tracks the write position, accumulates the
+/// directory, and emits it (plus the trailer) on
 /// [`SegmentWriter::finish`].
 pub(crate) struct SegmentWriter<W: Write> {
     w: W,
@@ -196,7 +196,7 @@ impl<W: Write> SegmentWriter<W> {
     }
 
     /// Writes one length-prefixed entry of the current list.
-    pub fn write_entry(&mut self, entry: &[u8]) -> io::Result<()> {
+    fn write_entry(&mut self, entry: &[u8]) -> io::Result<()> {
         self.w.write_all(&(entry.len() as u64).to_be_bytes())?;
         self.w.write_all(entry)?;
         self.pos += 8 + entry.len() as u64;
@@ -205,7 +205,7 @@ impl<W: Write> SegmentWriter<W> {
 
     /// Writes one whole list: `bytes` holds its `entry_len`-byte entries
     /// back to back, each written as one length-prefixed record.
-    pub fn write_list(&mut self, label: Label, entry_len: u32, bytes: &[u8]) -> io::Result<()> {
+    fn write_list(&mut self, label: Label, entry_len: u32, bytes: &[u8]) -> io::Result<()> {
         let list = entries(entry_len as usize, bytes);
         self.begin_list(label, list.len() as u64)?;
         for entry in list {
@@ -255,6 +255,22 @@ impl<W: Write> SegmentWriter<W> {
     }
 }
 
+/// Writes whole lists — `(label, entry_len, bytes)` in label order, each
+/// its `entry_len`-byte entries back to back — as one `RSSEIDX2` file and
+/// returns the writer: the one writer loop behind [`RsseIndex::save`], a
+/// generational store's base generation and its delta flushes.
+pub(crate) fn write_lists<W: Write, B: AsRef<[u8]>>(
+    out: W,
+    opse: &OpseParams,
+    lists: impl ExactSizeIterator<Item = (Label, u32, B)>,
+) -> io::Result<W> {
+    let mut w = SegmentWriter::new(out, opse, lists.len() as u64)?;
+    for (label, entry_len, bytes) in lists {
+        w.write_list(label, entry_len, bytes.as_ref())?;
+    }
+    w.finish()
+}
+
 impl RsseIndex {
     /// Serializes the index to `writer` in the `RSSEIDX2` format.
     ///
@@ -269,25 +285,17 @@ impl RsseIndex {
     /// (see [`RsseIndex::export_parts`]); [`PersistError::Io`] on I/O
     /// failures.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), PersistError> {
-        let opse = self
-            .opse_params()
-            .copied()
-            .unwrap_or_else(|| OpseParams::new(1, 1).expect("1/1 is valid"));
-        let parts = self.export_parts()?;
-        let mut w = SegmentWriter::new(BufWriter::new(writer), &opse, parts.len() as u64)?;
-        for (label, entry_len, bytes) in parts {
-            w.write_list(label, entry_len, &bytes)?;
-        }
-        w.finish()?;
+        let lists = self.whole_lists()?.into_iter();
+        write_lists(BufWriter::new(writer), &self.opse_or_trivial(), lists)?;
         Ok(())
     }
 
     /// Deserializes an index from `reader`, materializing it in memory
-    /// (the [`crate::store::PostingStore`] arena). Accepts both `RSSEIDX2` and
-    /// legacy `RSSEIDX1` files; to serve an index from disk *without*
-    /// materializing it, write it out with [`RsseIndex::save_generational`]
-    /// and reopen it with [`RsseIndex::open_generational`]. The reader is
-    /// buffered internally.
+    /// (one resident buffer per list, see [`crate::store`]). Accepts both
+    /// `RSSEIDX2` and legacy `RSSEIDX1` files; to serve an index from disk
+    /// *without* materializing it, write it out with
+    /// [`RsseIndex::save_generational`] and reopen it with
+    /// [`RsseIndex::open_generational`]. The reader is buffered internally.
     ///
     /// For v2 input the trailing directory is required to mirror the body
     /// exactly — a file whose directory disagrees with its lists is

@@ -15,7 +15,7 @@
 //! [`crate::segio`]), which is what lets the crash-torture suite kill the
 //! writer at every fsync and rename boundary.
 //!
-//! Serving from disk leaks nothing beyond the in-memory backend: the
+//! Serving from disk leaks nothing beyond an in-memory index: the
 //! server already sees which label each trapdoor touches and how many
 //! entries the list holds (the access pattern every SSE scheme reveals);
 //! the file layout is a deterministic function of exactly that public

@@ -1,56 +1,31 @@
-//! Flat posting-list arena backing [`crate::RsseIndex`].
+//! Resident posting lists backing [`crate::RsseIndex`].
 //!
 //! After padding, every entry of a posting list has the same ciphertext
 //! size ([`crate::entry::ENTRY_CT_LEN`] for the scheme's lists), so a list
 //! is one run of equal-length entries and needs no per-entry heap box.
-//! The [`PostingStore`] keeps all entries of all lists in one contiguous
-//! `Vec<u8>` arena, with a per-label table of `(offset, entry_len,
-//! count)`. A query walks one dense byte range with perfect locality and
-//! zero per-entry allocations.
-//!
-//! Layout:
+//! The [`PostingStore`] keeps each list as one `(entry_len, bytes)`
+//! buffer under its label, its entries back to back — the shape a list
+//! travels in on the wire and through every export. A query walks one
+//! dense byte range with zero per-entry allocations.
 //!
 //! ```text
-//!  arena:  [ list A entries ..... | list B entries ... | list C ... ]
-//!           ^offset_A              ^offset_B            ^offset_C
-//!  table:  A -> { offset_A, entry_len_A, count_A }
-//!          B -> { offset_B, entry_len_B, count_B }
-//!          ...
+//!  A -> (entry_len_A, [ A entry0 | A entry1 | ... ])
+//!  B -> (entry_len_B, [ B entry0 | ... ])
 //! ```
 //!
-//! A list arrives the way it travels on the wire and through every
-//! export: `(label, entry_len, bytes)`, its entries back to back. The
-//! store admits only whole lists: [`PostingStore::append`] refuses, with
-//! [`RsseError::MalformedList`] and without changing anything, bytes that
-//! are not a whole number of `entry_len`-byte entries (any bytes at all
-//! under an entry length of 0) and entries of another length than the
-//! list already holds.
-//!
-//! Score dynamics append to lists in place when the list is the arena tail;
-//! otherwise the list is relocated to the tail and its old range becomes
-//! dead space, compacted away once it exceeds half the arena.
+//! A received list is moved in whole (`PostingStore::insert`); a score
+//! dynamics append ([`PostingStore::append`]) extends the one list it
+//! touches, so no other list ever moves. The store admits only whole
+//! lists: it refuses, with [`RsseError::MalformedList`] and without
+//! changing anything, bytes that are not a whole number of
+//! `entry_len`-byte entries (any bytes at all under an entry length of 0)
+//! and entries of another length than the list already holds.
 
 use crate::error::RsseError;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A posting-list label `π_x(w)` (160 bits). Mirrors [`crate::Label`].
 type Label = [u8; 20];
-
-#[derive(Debug, Clone)]
-struct ListMeta {
-    /// Byte offset of the list's first entry in the arena.
-    offset: usize,
-    /// Number of entries.
-    count: usize,
-    /// Size of every entry in bytes; meaningful when `count > 0`.
-    entry_len: usize,
-}
-
-impl ListMeta {
-    fn byte_len(&self) -> usize {
-        self.count * self.entry_len
-    }
-}
 
 /// The `entry_len`-byte entries of a whole list, in order. An empty list
 /// yields nothing whatever its entry length (`chunks_exact(0)` would
@@ -60,15 +35,14 @@ pub fn entries(entry_len: usize, bytes: &[u8]) -> PostingIter<'_> {
     bytes.chunks_exact(entry_len.max(1))
 }
 
-/// Contiguous arena of posting-list entries with a label lookup table.
+/// Resident posting lists, one `(entry_len, bytes)` buffer per label, in
+/// label order.
 #[derive(Debug, Clone, Default)]
 pub struct PostingStore {
-    arena: Vec<u8>,
-    table: HashMap<Label, ListMeta>,
-    dead_bytes: usize,
+    lists: BTreeMap<Label, (usize, Vec<u8>)>,
 }
 
-/// Borrowed view of one posting list inside the arena.
+/// Borrowed view of one resident posting list.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingList<'a> {
     data: &'a [u8],
@@ -84,6 +58,16 @@ impl<'a> PostingList<'a> {
     /// True when the list holds no entries.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Size of every entry in bytes; 0 for an empty list.
+    pub(crate) fn entry_len(&self) -> usize {
+        self.entry_len
+    }
+
+    /// The entries back to back.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.data
     }
 
     /// Iterates the entries as borrowed byte slices, in insertion order.
@@ -103,63 +87,93 @@ impl<'a> IntoIterator for PostingList<'a> {
 /// Iterator over the entries of a [`PostingList`].
 pub type PostingIter<'a> = std::slice::ChunksExact<'a, u8>;
 
+fn view((entry_len, data): &(usize, Vec<u8>)) -> PostingList<'_> {
+    PostingList {
+        data,
+        entry_len: *entry_len,
+    }
+}
+
 impl PostingStore {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty store with room for `lists` lists of `bytes` entry bytes
-    /// in all, so filling it copies every list once.
-    pub(crate) fn with_capacity(lists: usize, bytes: usize) -> Self {
-        PostingStore {
-            arena: Vec::with_capacity(bytes),
-            table: HashMap::with_capacity(lists),
-            dead_bytes: 0,
-        }
-    }
-
     /// Number of posting lists.
     pub fn num_lists(&self) -> usize {
-        self.table.len()
+        self.lists.len()
     }
 
     /// Whether a list with this label exists.
     pub fn contains_label(&self, label: &Label) -> bool {
-        self.table.contains_key(label)
+        self.lists.contains_key(label)
     }
 
     /// Entry count of the list under `label`, if present.
     pub fn list_len(&self, label: &Label) -> Option<usize> {
-        self.table.get(label).map(|m| m.count)
+        self.list(label).map(|list| list.len())
     }
 
     /// Borrowed view of the list under `label`, if present.
     pub fn list(&self, label: &Label) -> Option<PostingList<'_>> {
-        let meta = self.table.get(label)?;
-        Some(PostingList {
-            data: &self.arena[meta.offset..meta.offset + meta.byte_len()],
-            entry_len: meta.entry_len,
-        })
+        self.lists.get(label).map(view)
     }
 
-    /// Live bytes: labels plus entry payloads (dead arena space excluded).
+    /// Every list with its label, in label order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (&Label, PostingList<'_>)> {
+        self.lists.iter().map(|(label, list)| (label, view(list)))
+    }
+
+    /// Bytes held: labels plus entry payloads.
     pub fn size_bytes(&self) -> usize {
-        self.table.iter().map(|(k, m)| k.len() + m.byte_len()).sum()
+        self.iter()
+            .map(|(l, list)| l.len() + list.bytes().len())
+            .sum()
     }
 
-    /// All labels in unspecified order.
+    /// All labels, in label order.
     pub fn labels(&self) -> impl Iterator<Item = &Label> {
-        self.table.keys()
+        self.lists.keys()
+    }
+
+    /// Checks that `bytes` are whole `entry_len`-byte entries that fit the
+    /// list under `label`: an empty list (or none) takes any length.
+    fn check(&self, label: &Label, entry_len: usize, bytes: &[u8]) -> Result<(), RsseError> {
+        // `is_multiple_of(0)` holds for 0 bytes alone.
+        let fits = |list: PostingList<'_>| list.is_empty() || list.entry_len == entry_len;
+        match bytes.len().is_multiple_of(entry_len)
+            && (bytes.is_empty() || self.list(label).is_none_or(fits))
+        {
+            true => Ok(()),
+            false => Err(RsseError::MalformedList(*label)),
+        }
+    }
+
+    /// Moves in the whole list `bytes` under `label`; a label already
+    /// present takes it as an [`Self::append`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::append`].
+    pub(crate) fn insert(
+        &mut self,
+        label: Label,
+        entry_len: usize,
+        bytes: Vec<u8>,
+    ) -> Result<(), RsseError> {
+        if self.contains_label(&label) {
+            return self.append(label, entry_len, &bytes);
+        }
+        self.check(&label, entry_len, &bytes)?;
+        let entry_len = if bytes.is_empty() { 0 } else { entry_len };
+        self.lists.insert(label, (entry_len, bytes));
+        Ok(())
     }
 
     /// Appends `bytes` — whole `entry_len`-byte entries, back to back —
-    /// to the (possibly new) list under `label`. Empty `bytes` still
-    /// materialize the label.
-    ///
-    /// The list is extended in place when it already sits at the arena tail;
-    /// otherwise it is relocated to the tail first (its old range becomes
-    /// dead space, compacted once it exceeds half the arena).
+    /// to the (possibly new) list under `label`, extending that list's
+    /// buffer alone. Empty `bytes` still materialize the label.
     ///
     /// # Errors
     ///
@@ -172,50 +186,13 @@ impl PostingStore {
         entry_len: usize,
         bytes: &[u8],
     ) -> Result<(), RsseError> {
-        // `is_multiple_of(0)` holds for 0 bytes alone, which is also where
-        // `checked_div` by entry length 0 must read as 0 entries.
-        let count = bytes.len().checked_div(entry_len).unwrap_or(0);
-        let fits = |m: &ListMeta| m.count == 0 || m.entry_len == entry_len;
-        if !bytes.len().is_multiple_of(entry_len)
-            || (count > 0 && !self.table.get(&label).is_none_or(fits))
-        {
-            return Err(RsseError::MalformedList(label));
-        }
-        let tail = self.arena.len();
-        let meta = self.table.entry(label).or_insert(ListMeta {
-            offset: tail,
-            count: 0,
-            entry_len: 0,
-        });
-        if count == 0 {
-            return Ok(());
-        }
-        if meta.offset + meta.byte_len() != tail {
-            // Relocate to the tail; the old range becomes dead.
-            let old = meta.offset..meta.offset + meta.byte_len();
-            meta.offset = tail;
-            self.dead_bytes += old.len();
-            self.arena.extend_from_within(old);
-        }
-        self.arena.extend_from_slice(bytes);
-        meta.count += count;
-        meta.entry_len = entry_len;
-        if self.dead_bytes * 2 > self.arena.len() {
-            self.compact();
+        self.check(&label, entry_len, bytes)?;
+        let (len, data) = self.lists.entry(label).or_default();
+        if !bytes.is_empty() {
+            *len = entry_len;
+            data.extend_from_slice(bytes);
         }
         Ok(())
-    }
-
-    /// Rewrites the arena without dead space, preserving per-list layout.
-    fn compact(&mut self) {
-        let mut fresh = Vec::with_capacity(self.arena.len() - self.dead_bytes);
-        for meta in self.table.values_mut() {
-            let offset = fresh.len();
-            fresh.extend_from_slice(&self.arena[meta.offset..meta.offset + meta.byte_len()]);
-            meta.offset = offset;
-        }
-        self.arena = fresh;
-        self.dead_bytes = 0;
     }
 }
 
@@ -258,13 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn appending_to_non_tail_list_relocates_and_preserves_order() {
+    fn appending_to_an_earlier_list_preserves_order() {
         let mut s = PostingStore::new();
         let a1 = entries(2, 40, 0x01);
         let b = entries(2, 40, 0x02);
         let a2 = entries(2, 40, 0x03);
         append(&mut s, label(1), 40, &a1);
-        append(&mut s, label(2), 40, &b); // list 1 no longer at tail
+        append(&mut s, label(2), 40, &b); // list 1 is no longer the last one written
         append(&mut s, label(1), 40, &a2);
         let want: Vec<Vec<u8>> = a1.into_iter().chain(a2).collect();
         assert_eq!(collect(&s, &label(1)), want);
@@ -272,10 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_appends_trigger_compaction_without_data_loss() {
+    fn interleaved_appends_lose_no_data() {
         let mut s = PostingStore::new();
-        // Ping-pong between two lists: every append relocates the other
-        // list, generating dead space and forcing repeated compaction.
+        // Ping-pong between two lists: each append lands between two
+        // appends to the other list.
         let mut want_a = Vec::new();
         let mut want_b = Vec::new();
         for round in 0..20u8 {
@@ -288,8 +265,26 @@ mod tests {
         }
         assert_eq!(collect(&s, &label(1)), want_a);
         assert_eq!(collect(&s, &label(2)), want_b);
-        // Dead space is bounded by the compaction threshold.
-        assert!(s.dead_bytes * 2 <= s.arena.len().max(1));
+    }
+
+    #[test]
+    fn an_update_never_moves_another_list() {
+        let mut s = PostingStore::new();
+        let still = entries(4, 40, 0x55);
+        append(&mut s, label(1), 40, &entries(1, 40, 0x01));
+        append(&mut s, label(2), 40, &still);
+        append(&mut s, label(3), 40, &entries(1, 40, 0x03));
+        let first_entry =
+            |s: &PostingStore| s.list(&label(2)).unwrap().iter().next().unwrap().as_ptr();
+        let before = first_entry(&s);
+        // Alternate appends to the lists either side of the untouched one,
+        // enough for their buffers to reallocate many times over.
+        for round in 0..64u8 {
+            append(&mut s, label(1), 40, &entries(2, 40, round));
+            append(&mut s, label(3), 40, &entries(2, 40, round ^ 0x80));
+        }
+        assert_eq!(first_entry(&s), before, "an untouched list moved");
+        assert_eq!(collect(&s, &label(2)), still);
     }
 
     #[test]
@@ -316,6 +311,7 @@ mod tests {
         ];
         for (l, len, bytes) in refused {
             assert_eq!(s.append(l, len, &bytes), Err(RsseError::MalformedList(l)));
+            assert_eq!(s.insert(l, len, bytes), Err(RsseError::MalformedList(l)));
         }
         assert_eq!(collect(&s, &label(1)), before);
         assert!(!s.contains_label(&label(2)));

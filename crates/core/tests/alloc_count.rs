@@ -1,9 +1,10 @@
 //! Heap-allocation accounting for the search path.
 //!
-//! Before the flat arena, `RsseIndex::search` paid one heap allocation per
-//! posting entry per query (a fresh plaintext `Vec` from `decrypt`). With
-//! the `PostingStore` arena and entries decrypted four at a time into
-//! stack buffers, the per-query allocation count must be a small constant,
+//! Before flat posting lists, `RsseIndex::search` paid one heap allocation
+//! per posting entry per query (a fresh plaintext `Vec` from `decrypt`).
+//! With each list one resident buffer of back-to-back entries
+//! (`PostingStore`) and entries decrypted four at a time into stack
+//! buffers, the per-query allocation count must be a small constant,
 //! *independent of list length* — O(1) per query instead of O(entries). A
 //! counting global allocator verifies exactly that. (The lib crate forbids
 //! `unsafe`; this integration-test crate hosts the allocator shim instead.)

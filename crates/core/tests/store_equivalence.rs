@@ -1,7 +1,8 @@
-//! Property tests pinning the flat [`PostingStore`] arena to the semantics
-//! of the old `HashMap<Label, Vec<Vec<u8>>>` index: for every corpus and
-//! every query, the arena-backed search must return **byte-identical**
-//! rankings to a straightforward per-entry-boxed reference implementation.
+//! Property tests pinning the flat resident lists (`PostingStore`, one
+//! buffer of back-to-back entries per label) to the semantics of the old
+//! `HashMap<Label, Vec<Vec<u8>>>` index: for every corpus and every query,
+//! the index's search must return **byte-identical** rankings to a
+//! straightforward per-entry-boxed reference implementation.
 
 use proptest::prelude::*;
 use rsse_core::entry::decode_entry;
@@ -38,7 +39,7 @@ fn boxed(parts: &[([u8; 20], u32, Vec<u8>)]) -> HashMap<[u8; 20], Vec<Vec<u8>>> 
         .collect()
 }
 
-/// The pre-arena index semantics: posting lists as `HashMap<Label,
+/// The old per-entry index semantics: posting lists as `HashMap<Label,
 /// Vec<Vec<u8>>>`, one heap box per entry, full sort then truncate.
 fn reference_search(
     lists: &HashMap<[u8; 20], Vec<Vec<u8>>>,
@@ -83,7 +84,7 @@ proptest! {
         let parts = enc.export_parts().unwrap();
         let reference: HashMap<[u8; 20], Vec<Vec<u8>>> = boxed(&parts);
         // Rebuild through the wire path in reversed list order, so the
-        // arena lays lists out differently than the original build.
+        // lists arrive in another order than the original build's.
         let mut reversed = parts;
         reversed.reverse();
         let rebuilt = RsseIndex::from_parts(reversed, opse).unwrap();
@@ -113,8 +114,7 @@ proptest! {
         let mut reference: HashMap<[u8; 20], Vec<Vec<u8>>> =
             boxed(&enc.export_parts().unwrap());
 
-        // One §VII append, mirrored into the reference map; this forces
-        // the arena down its relocate-to-tail path.
+        // One §VII append, mirrored into the reference map.
         let updater = scheme.updater_for(&plain_index).unwrap();
         let text: Vec<&str> = extra.iter().map(|&w| WORDS[w % WORDS.len()]).collect();
         let new_doc = Document::new(FileId::new(9_999), text.join(" "));

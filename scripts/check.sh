@@ -23,10 +23,18 @@ echo "==> cargo test -q --release --manifest-path e2ebench/Cargo.toml"
 cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
 # Every crate's tests, not only the root package's: the serving layer's
-# unit tests, the core alloc-count and store-equivalence pins and each
-# crate's property suites run nowhere else in this gate.
+# unit tests and each crate's property suites run nowhere else in this
+# gate.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+# The core index's search-path pins, named explicitly so a filtered local
+# run cannot silently skip them: a search allocates a constant number of
+# times whatever its list's length (alloc_count), and the resident lists
+# rank byte-identically to a per-entry-boxed reference index, before and
+# after score-dynamics appends (store_equivalence).
+echo "==> cargo test -q -p rsse-core --test alloc_count --test store_equivalence"
+cargo test -q -p rsse-core --test alloc_count --test store_equivalence
 
 # The serving-path hardening suites, named explicitly so a filtered local
 # run cannot silently skip them: codec fuzzing (decode never panics, never
@@ -94,9 +102,9 @@ cargo test -q --test conjunctive
 echo "==> cargo test -q -p rsse-core --test persist_roundtrip"
 cargo test -q -p rsse-core --test persist_roundtrip
 
-# The storage engine's tentpole guarantee: mem and the generational
-# on-disk store return byte-identical rankings under interleaved
-# searches, updates, flushes, and live compactions — cached,
+# The storage engine's tentpole guarantee: an index with and without a
+# generational on-disk store returns byte-identical rankings under
+# interleaved searches, updates, flushes, and live compactions — cached,
 # warm-restarted, and sharded deployments included.
 echo "==> cargo test -q --test backend_equivalence"
 cargo test -q --test backend_equivalence

@@ -1,9 +1,9 @@
 //! Backend-equivalence harness: the storage engine must be *invisible*.
 //!
-//! The index layer dispatches over two containers — the in-memory
-//! `PostingStore` arena and the on-disk generational store (generation
-//! stack + delta overlay + L0 delta flushes + *live* compaction). Both
-//! hold the same OPM ciphertexts, so for random interleavings of
+//! The index is one engine — resident per-list buffers — that an
+//! on-disk deployment extends with a generation stack (L0 delta flushes
+//! of the resident lists + *live* compaction). Both shapes hold the same
+//! OPM ciphertexts, so for random interleavings of
 //! searches, score-dynamics updates, flushes, and compactions they must
 //! return rankings **byte-identical** in every respect: same files, same
 //! encrypted scores, same tie order, same truncation — including
@@ -21,7 +21,7 @@ use rsse::cloud::{
     CloudServer, Deployment, FileCrypter, Message, PoolOptions, RouterOptions, SearchMode,
     ShardedDeployment, Storage,
 };
-use rsse::core::{BackendKind, Rsse, RsseIndex, RsseParams};
+use rsse::core::{Rsse, RsseIndex, RsseParams};
 use rsse::ir::{Document, FileId, InvertedIndex};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,8 +84,8 @@ proptest! {
 
         let gen_dir = temp_path("core_gen");
         let mut gen = mem.save_generational(&gen_dir).unwrap();
-        prop_assert_eq!(mem.backend_kind(), BackendKind::Mem);
-        prop_assert_eq!(gen.backend_kind(), BackendKind::Generational);
+        prop_assert!(mem.generation_stats().is_none());
+        prop_assert!(gen.generation_stats().is_some());
 
         let plain_index = InvertedIndex::build(&docs);
         let updater = scheme.updater_for(&plain_index).unwrap();
@@ -109,7 +109,7 @@ proptest! {
                 // install, where the old stack still serves. The merged
                 // view must not move by a byte.
                 gen.flush_updates().unwrap();
-                prop_assert_eq!(gen.pending_overlay_entries(), 0);
+                prop_assert_eq!(gen.generation_stats().unwrap().overlay_entries, 0);
                 if let Some(job) = gen.begin_live_compact().unwrap() {
                     let mid = scheme.trapdoor(word).unwrap();
                     prop_assert_eq!(
