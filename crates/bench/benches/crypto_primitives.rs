@@ -39,8 +39,10 @@ fn bench_tape(c: &mut Criterion) {
             black_box(out)
         })
     });
-    // The padding of one ν = 1000 list of 40-byte RSSE entries, as the
-    // builders draw it: the list's tape read in bulk, a ChaCha20 keystream.
+    // 40,000 bytes of padding (1,250 32-byte RSSE entries; a ν = 1000
+    // list's is at most 32,000), as the builders draw it: the list's tape
+    // read in bulk, a ChaCha20 keystream. The size is kept so the figure
+    // compares with earlier runs.
     c.bench_function("padding_40000_bytes", |b| {
         let key = SecretKey::derive(b"bench", "tape");
         let mut out = vec![0u8; 40_000];

@@ -21,7 +21,6 @@ use crate::files::{EncryptedFile, FileCrypter, FileStore};
 use crate::network::{MeteredChannel, TrafficReport};
 use crate::shard::IndexPartitioner;
 use parking_lot::{RwLock, RwLockReadGuard};
-use rsse_core::entry::ENTRY_CT_LEN;
 use rsse_core::{
     canonical_label_order, ranked_prefix, CompactionStats, ConjunctiveResult, GenerationStats,
     MultiTrapdoor, RankedResult, Rsse, RsseIndex, RsseParams, RsseTrapdoor,
@@ -282,9 +281,10 @@ impl CloudServer {
     ///
     /// Every posting list must be whole: its bytes a whole number of
     /// `entry_len`-byte entries, and an RSSE list's entries
-    /// [`ENTRY_CT_LEN`] bytes (the length of every entry the scheme
-    /// writes, updates included), unless the list is empty. Nothing is
-    /// stored or written before the lists pass.
+    /// [`rsse_core::entry::ENTRY_CT_LEN`] bytes (the length of every
+    /// entry the scheme writes, updates included), unless the list is
+    /// empty ([`RsseIndex::check_entry_len`]). Nothing is stored or
+    /// written before the lists pass.
     ///
     /// # Errors
     ///
@@ -313,18 +313,11 @@ impl CloudServer {
         };
         let opse = OpseParams::new(opse_domain, opse_range)
             .map_err(|e| CloudError::Rsse(rsse_core::RsseError::Opse(e)))?;
-        // Every RSSE entry the owner writes, updates included, is
-        // ENTRY_CT_LEN bytes: a list of another length could never grow.
-        if let Some((label, ..)) = rsse_lists
-            .iter()
-            .find(|(_, n, bytes)| *n as usize != ENTRY_CT_LEN && !bytes.is_empty())
-        {
-            return Err(rsse_core::RsseError::MalformedList(*label).into());
-        }
+        let staged = RsseIndex::from_parts(rsse_lists, opse)?;
+        staged.check_entry_len()?;
         let basic_index = (!basic_lists.is_empty())
             .then(|| BasicEncryptedIndex::from_parts(basic_lists))
             .transpose()?;
-        let staged = RsseIndex::from_parts(rsse_lists, opse)?;
         let index = match storage {
             Storage::Mem => staged,
             Storage::Generational(dir) => staged.save_generational(dir)?,
@@ -345,15 +338,22 @@ impl CloudServer {
     /// baseline protocols), so a reopened server serves the RSSE protocol
     /// only, and the owner re-supplies the file ciphertexts.
     ///
+    /// The store's lists must hold [`rsse_core::entry::ENTRY_CT_LEN`]-byte
+    /// entries, as [`CloudServer::boot`] requires of the `Outsource`
+    /// lists; only the generation directories are read to check it.
+    ///
     /// # Errors
     ///
-    /// [`CloudError::Persist`] on a malformed or unreadable store.
+    /// [`CloudError::Persist`] on a malformed or unreadable store, and
+    /// [`rsse_core::RsseError::MalformedList`] for a non-empty list of
+    /// another entry length (a store written in an older entry layout).
     pub fn reopen(
         dir: impl AsRef<std::path::Path>,
         files: Vec<EncryptedFile>,
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
         let index = RsseIndex::open_generational(dir)?;
+        index.check_entry_len()?;
         Ok(Self::assemble(index, None, files, cache_budget_bytes))
     }
 
@@ -1336,7 +1336,7 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// [`CloudError::Persist`] on a malformed or unreadable store.
+    /// As [`CloudServer::reopen`].
     pub fn reopen(
         master_seed: &[u8],
         params: RsseParams,

@@ -16,13 +16,18 @@ use rsse_cloud::{
     frame_message, CloudServer, CodecError, EncryptedFile, ErrorKind, FrameAssembler, Message,
     Storage, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
+use rsse_core::entry::ENTRY_CT_LEN;
 use rsse_ir::FileId;
 
-/// An Outsource frame in the shape the owner sends: 40-byte RSSE entries,
-/// 56-byte basic-scheme entries, an empty list under entry length 0.
+/// An Outsource frame in the shape the owner sends: RSSE entries of
+/// [`ENTRY_CT_LEN`] bytes, 56-byte basic-scheme entries, an empty list
+/// under entry length 0.
 fn outsource_seed() -> Message {
     Message::Outsource {
-        rsse_lists: vec![([1u8; 20], 40, vec![0x11; 80]), ([2u8; 20], 0, vec![])],
+        rsse_lists: vec![
+            ([1u8; 20], ENTRY_CT_LEN as u32, vec![0x11; 2 * ENTRY_CT_LEN]),
+            ([2u8; 20], 0, vec![]),
+        ],
         basic_lists: vec![([3u8; 20], 56, vec![0x33; 56])],
         opse_domain: 128,
         opse_range: 1 << 46,
@@ -30,11 +35,10 @@ fn outsource_seed() -> Message {
     }
 }
 
-/// An Update frame appending one 40-byte entry to a list of
-/// [`outsource_seed`].
+/// An Update frame appending one entry to a list of [`outsource_seed`].
 fn update_seed() -> Message {
     Message::Update {
-        rsse_lists: vec![([1u8; 20], 40, vec![0x44; 40])],
+        rsse_lists: vec![([1u8; 20], ENTRY_CT_LEN as u32, vec![0x44; ENTRY_CT_LEN])],
         files: vec![EncryptedFile::new(FileId::new(2), vec![3, 4])],
     }
 }

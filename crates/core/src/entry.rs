@@ -5,9 +5,23 @@
 //! score as a plain `u64` *inside* the per-list encryption. Once the server
 //! holds the trapdoor it unwraps the entry and can compare scores by
 //! numeric order.
+//!
+//! An entry is 32 bytes:
+//!
+//! ```text
+//! nonce (8) ‖ (0^64 ‖ id (8) ‖ OPM score (8)) ⊕ AES-CTR keystream
+//! ```
+//!
+//! The keystream is `f_y(w)`'s AES-128-CTR from the 128-bit counter
+//! block `nonce ‖ 0^64` on: block `nonce ‖ 0` covers the marker and the
+//! id, block `nonce ‖ 1` the score. The low half of the counter never
+//! carries into the nonce, so an entry is exactly
+//! [`SemanticCipher::encrypt_with_nonce`] under the widened nonce
+//! `nonce ‖ 0^64` with those 8 zero bytes left out of its header. Only
+//! this module knows the layout: both builders write entries with
+//! [`seal_entry`], and every search reads them with `real_entries`.
 
 use rsse_crypto::aes::{BLOCK_LEN, PARALLEL_BLOCKS};
-use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::SemanticCipher;
 use rsse_ir::FileId;
 
@@ -19,15 +33,17 @@ pub const ID_LEN: usize = 8;
 pub const SCORE_LEN: usize = 8;
 /// Plaintext length of one posting entry.
 pub const ENTRY_PLAIN_LEN: usize = MARKER_LEN + ID_LEN + SCORE_LEN;
+/// Length of an entry's public nonce, the high half of its CTR counter
+/// blocks.
+pub const ENTRY_NONCE_LEN: usize = 8;
 /// Ciphertext length of one posting entry (nonce + body).
-pub const ENTRY_CT_LEN: usize = NONCE_LEN + ENTRY_PLAIN_LEN;
+pub const ENTRY_CT_LEN: usize = ENTRY_NONCE_LEN + ENTRY_PLAIN_LEN;
 
 /// Encodes the entry plaintext `0^l ‖ id ‖ opm_score`.
-pub fn encode_entry(file: FileId, opm_score: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ENTRY_PLAIN_LEN);
-    out.extend_from_slice(&[0u8; MARKER_LEN]);
-    out.extend_from_slice(&file.to_bytes());
-    out.extend_from_slice(&opm_score.to_be_bytes());
+pub fn encode_entry(file: FileId, opm_score: u64) -> [u8; ENTRY_PLAIN_LEN] {
+    let mut out = [0u8; ENTRY_PLAIN_LEN];
+    out[MARKER_LEN..MARKER_LEN + ID_LEN].copy_from_slice(&file.to_bytes());
+    out[MARKER_LEN + ID_LEN..].copy_from_slice(&opm_score.to_be_bytes());
     out
 }
 
@@ -50,8 +66,43 @@ pub fn decode_entry(plain: &[u8]) -> Option<(FileId, u64)> {
 }
 
 // The first keystream block of an entry covers its marker and file id,
-// the second its score.
+// the second its score; the nonce and the block index fill one counter.
 const _: () = assert!(MARKER_LEN + ID_LEN == BLOCK_LEN && SCORE_LEN <= BLOCK_LEN);
+const _: () = assert!(ENTRY_NONCE_LEN + 8 == BLOCK_LEN);
+
+/// The counter block of keystream block `block` of the entry whose
+/// ciphertext or nonce starts `nonce`: `nonce ‖ block`, big-endian.
+fn counter(nonce: &[u8], block: u64) -> [u8; BLOCK_LEN] {
+    let mut counter = [0u8; BLOCK_LEN];
+    counter[..ENTRY_NONCE_LEN].copy_from_slice(&nonce[..ENTRY_NONCE_LEN]);
+    counter[ENTRY_NONCE_LEN..].copy_from_slice(&block.to_be_bytes());
+    counter
+}
+
+/// Seals the posting entry `(file, opm_score)` under `cipher` and
+/// `nonce`, appending its [`ENTRY_CT_LEN`] bytes to `out`: the nonce,
+/// then the plaintext of [`encode_entry`] XOR the keystream from counter
+/// block `nonce ‖ 0^64` on. One kernel call, no heap buffer.
+pub fn seal_entry(
+    cipher: &SemanticCipher,
+    nonce: [u8; ENTRY_NONCE_LEN],
+    file: FileId,
+    opm_score: u64,
+    out: &mut Vec<u8>,
+) {
+    let mut keystream = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
+    keystream[0] = counter(&nonce, 0);
+    keystream[1] = counter(&nonce, 1);
+    cipher.keystream_blocks(&mut keystream);
+    let plain = encode_entry(file, opm_score);
+    out.extend_from_slice(&nonce);
+    out.extend(
+        plain
+            .iter()
+            .zip(keystream.as_flattened())
+            .map(|(p, k)| p ^ k),
+    );
+}
 
 /// The real entries of a posting list as `(file, opm_score)`, in list
 /// order, decrypted four per kernel call with no heap buffer.
@@ -62,15 +113,13 @@ const _: () = assert!(MARKER_LEN + ID_LEN == BLOCK_LEN && SCORE_LEN <= BLOCK_LEN
 /// second block, which covers the score, is computed only for the entries
 /// that pass, again four per call. Entries that are not [`ENTRY_CT_LEN`]
 /// bytes long are dropped unread. The output equals
-/// [`SemanticCipher::decrypt_into`] then [`decode_entry`] on each entry.
+/// [`SemanticCipher::decrypt`] of each entry with its nonce widened to
+/// `nonce ‖ 0^64`, then [`decode_entry`].
 pub(crate) fn real_entries<'a, 'c, I: Iterator<Item = &'a [u8]>>(
     entries: I,
     cipher: &'c SemanticCipher,
 ) -> impl Iterator<Item = (FileId, u64)> + use<'a, 'c, I> {
     let mut entries = entries.filter(|ct| ct.len() == ENTRY_CT_LEN);
-    let nonce = |ct: &[u8]| -> [u8; NONCE_LEN] {
-        ct[..NONCE_LEN].try_into().expect("entry length checked")
-    };
     std::iter::from_fn(move || {
         let mut batch: [&[u8]; PARALLEL_BLOCKS] = [&[]; PARALLEL_BLOCKS];
         // `zip` stops at the fifth slot without pulling a fifth entry.
@@ -84,7 +133,7 @@ pub(crate) fn real_entries<'a, 'c, I: Iterator<Item = &'a [u8]>>(
         }
         let mut firsts = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
         for (block, ct) in firsts.iter_mut().zip(&batch[..n]) {
-            *block = nonce(ct);
+            *block = counter(ct, 0);
         }
         cipher.keystream_blocks(&mut firsts);
         let mut ready = [(FileId::default(), 0u64); PARALLEL_BLOCKS];
@@ -92,13 +141,14 @@ pub(crate) fn real_entries<'a, 'c, I: Iterator<Item = &'a [u8]>>(
         let mut seconds = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
         let mut len = 0;
         for (ct, keystream) in batch[..n].iter().zip(&firsts) {
-            let first: [u8; BLOCK_LEN] = core::array::from_fn(|i| ct[NONCE_LEN + i] ^ keystream[i]);
+            let body = &ct[ENTRY_NONCE_LEN..];
+            let first: [u8; BLOCK_LEN] = core::array::from_fn(|i| body[i] ^ keystream[i]);
             if first[..MARKER_LEN] != [0u8; MARKER_LEN] {
                 continue;
             }
             let id: [u8; ID_LEN] = first[MARKER_LEN..].try_into().expect("id fills the block");
             ready[len].0 = FileId::from_bytes(id);
-            seconds[len] = u128::from_be_bytes(nonce(ct)).wrapping_add(1).to_be_bytes();
+            seconds[len] = counter(ct, 1);
             passed[len] = ct;
             len += 1;
         }
@@ -106,7 +156,7 @@ pub(crate) fn real_entries<'a, 'c, I: Iterator<Item = &'a [u8]>>(
             cipher.keystream_blocks(&mut seconds);
         }
         for ((slot, ct), keystream) in ready.iter_mut().zip(passed).zip(&seconds).take(len) {
-            let score = &ct[NONCE_LEN + BLOCK_LEN..];
+            let score = &ct[ENTRY_NONCE_LEN + BLOCK_LEN..];
             slot.1 = u64::from_be_bytes(core::array::from_fn(|i| score[i] ^ keystream[i]));
         }
         Some((ready, len))
@@ -117,6 +167,7 @@ pub(crate) fn real_entries<'a, 'c, I: Iterator<Item = &'a [u8]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsse_crypto::{SecretKey, Tape};
 
     #[test]
     fn roundtrip() {
@@ -132,5 +183,101 @@ mod tests {
         assert!(decode_entry(&broken).is_none());
         assert!(decode_entry(&[]).is_none());
         assert!(decode_entry(&[0u8; ENTRY_PLAIN_LEN - 1]).is_none());
+    }
+
+    /// A random entry key, nonce, file id and score off `coins`.
+    fn random_entry(coins: &mut Tape) -> (SemanticCipher, [u8; ENTRY_NONCE_LEN], FileId, u64) {
+        let mut key = [0u8; 32];
+        coins.fill_bytes(&mut key);
+        let mut nonce = [0u8; ENTRY_NONCE_LEN];
+        coins.fill_bytes(&mut nonce);
+        let cipher = SemanticCipher::new(&SecretKey::from_bytes(key));
+        (
+            cipher,
+            nonce,
+            FileId::new(coins.next_u64()),
+            coins.next_u64(),
+        )
+    }
+
+    fn sealed(
+        cipher: &SemanticCipher,
+        nonce: [u8; ENTRY_NONCE_LEN],
+        file: FileId,
+        score: u64,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        seal_entry(cipher, nonce, file, score, &mut out);
+        out
+    }
+
+    #[test]
+    fn seal_entry_is_ctr_under_the_widened_nonce_without_its_zero_half() {
+        let mut coins = Tape::new(&SecretKey::derive(b"entry oracle", "k"), b"seal");
+        for _ in 0..256 {
+            let (cipher, nonce, file, score) = random_entry(&mut coins);
+            let mut widened = [0u8; BLOCK_LEN];
+            widened[..ENTRY_NONCE_LEN].copy_from_slice(&nonce);
+            let mut want = cipher.encrypt_with_nonce(widened, &encode_entry(file, score));
+            want.drain(ENTRY_NONCE_LEN..BLOCK_LEN);
+            let mut out = vec![0xa5];
+            seal_entry(&cipher, nonce, file, score, &mut out);
+            assert_eq!(out[0], 0xa5, "seal_entry appends");
+            assert_eq!(out[1..], want[..]);
+            assert_eq!(out.len(), 1 + ENTRY_CT_LEN);
+        }
+    }
+
+    #[test]
+    fn real_entries_return_exactly_the_sealed_pairs_in_order() {
+        let mut coins = Tape::new(&SecretKey::derive(b"entry oracle", "k"), b"open");
+        // Every list length 0..=9 crosses the four-entry batches.
+        for len in 0..=9 {
+            let (cipher, ..) = random_entry(&mut coins);
+            let mut list = Vec::new();
+            let mut want = Vec::new();
+            for _ in 0..len {
+                let (_, nonce, file, score) = random_entry(&mut coins);
+                seal_entry(&cipher, nonce, file, score, &mut list);
+                want.push((file, score));
+            }
+            let got: Vec<_> = real_entries(list.chunks_exact(ENTRY_CT_LEN), &cipher).collect();
+            assert_eq!(got, want, "len {len}");
+        }
+    }
+
+    #[test]
+    fn random_foreign_and_old_layout_entries_are_dropped() {
+        let mut coins = Tape::new(&SecretKey::derive(b"entry oracle", "k"), b"drop");
+        for round in 0..64 {
+            let (cipher, ..) = random_entry(&mut coins);
+            let (other, ..) = random_entry(&mut coins);
+            let mut list: Vec<Vec<u8>> = Vec::new();
+            let mut want = Vec::new();
+            for slot in 0..12 {
+                let (_, nonce, file, score) = random_entry(&mut coins);
+                match (round + slot) % 4 {
+                    0 => {
+                        list.push(sealed(&cipher, nonce, file, score));
+                        want.push((file, score));
+                    }
+                    1 => {
+                        let mut random = vec![0u8; ENTRY_CT_LEN];
+                        coins.fill_bytes(&mut random);
+                        list.push(random);
+                    }
+                    2 => list.push(sealed(&other, nonce, file, score)),
+                    _ => {
+                        // The 40-byte layout before 8-byte nonces: a
+                        // 16-byte nonce, then the same body, same key.
+                        let mut wide = [0u8; BLOCK_LEN];
+                        coins.fill_bytes(&mut wide);
+                        list.push(cipher.encrypt_with_nonce(wide, &encode_entry(file, score)));
+                    }
+                }
+            }
+            let got: Vec<_> = real_entries(list.iter().map(Vec::as_slice), &cipher).collect();
+            assert_eq!(got, want, "round {round}");
+        }
     }
 }

@@ -25,8 +25,9 @@ pub enum RsseError {
     /// The posting list under this label is not a whole number of
     /// entries of the length it requires: bytes under an entry length of
     /// 0, a cut-off last entry, entries of mixed lengths, or entries of
-    /// another length than the list they join (an update's entries must
-    /// be [`crate::entry::ENTRY_CT_LEN`] bytes).
+    /// another length than the list they join (an update's entries, and
+    /// those of every list a server boots or reopens, must be
+    /// [`crate::entry::ENTRY_CT_LEN`] bytes).
     MalformedList([u8; 20]),
     /// An order-preserving-encryption failure.
     Opse(OpseError),
@@ -54,7 +55,7 @@ impl fmt::Display for RsseError {
             RsseError::UnknownDocument => write!(f, "update references an unknown document"),
             RsseError::MalformedList(label) => write!(
                 f,
-                "posting list {:02x?}.. is not a whole number of equal-length entries",
+                "posting list {:02x?}.. is not a whole number of entries of the length it requires",
                 &label[..4]
             ),
             RsseError::Opse(e) => write!(f, "order-preserving encryption failure: {e}"),

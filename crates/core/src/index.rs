@@ -13,7 +13,7 @@
 //! lists has one body: the generations if there are any, then the
 //! resident lists.
 
-use crate::entry::real_entries;
+use crate::entry::{real_entries, ENTRY_CT_LEN};
 use crate::error::RsseError;
 use crate::generation::{GenerationPin, GenerationStack, GenerationStats, LiveCompaction};
 use crate::persist::PersistError;
@@ -500,17 +500,41 @@ impl RsseIndex {
         entry_len: u32,
         bytes: &[u8],
     ) -> Result<(), RsseError> {
-        // A generation's directory record gives its entries' length as
-        // `(byte_len − 8·count) / count`: each entry is framed by a u64.
         let pin = self.pin_generations();
-        let record_len = 8 + u64::from(entry_len);
         let fits = readers(&pin)
             .filter_map(|r| r.directory().get(&label))
-            .all(|list| list.byte_len == list.count * record_len);
+            .all(|list| list.fits_entry_len(entry_len as usize));
         if !bytes.is_empty() && !fits {
             return Err(RsseError::MalformedList(label));
         }
         self.lists.append(label, entry_len as usize, bytes)
+    }
+
+    /// Checks that every non-empty list holds [`ENTRY_CT_LEN`]-byte
+    /// entries, the one length the scheme writes, updates included: a
+    /// list of another length (one written in an older entry layout, say)
+    /// would rank nothing and refuse every update. Reads only lengths:
+    /// each resident list's entry length and each generation file's
+    /// directory records, which give a part's entries as `(byte_len −
+    /// 8·count) / count` bytes on average; a search drops any entry of
+    /// another length whatever the records say.
+    ///
+    /// # Errors
+    ///
+    /// [`RsseError::MalformedList`] naming the first such list in label
+    /// order.
+    pub fn check_entry_len(&self) -> Result<(), RsseError> {
+        let pin = self.pin_generations();
+        let resident = (self.lists.iter())
+            .filter(|(_, list)| !list.is_empty() && list.entry_len() != ENTRY_CT_LEN)
+            .map(|(label, _)| *label);
+        let on_disk = (readers(&pin).flat_map(|r| r.directory()))
+            .filter(|(_, list)| !list.fits_entry_len(ENTRY_CT_LEN))
+            .map(|(label, _)| *label);
+        match resident.chain(on_disk).min() {
+            Some(label) => Err(RsseError::MalformedList(label)),
+            None => Ok(()),
+        }
     }
 
     /// Raw encrypted entries of one list (what an adversary observes
@@ -645,7 +669,6 @@ fn top_k_desc(iter: impl Iterator<Item = RankedResult>, k: usize) -> Vec<RankedR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::ENTRY_CT_LEN;
 
     fn rr(file: u64, score: u64) -> RankedResult {
         RankedResult {
@@ -656,35 +679,49 @@ mod tests {
 
     #[test]
     fn batched_rank_entries_equal_per_entry_decryption() {
-        use crate::entry::{decode_entry, encode_entry};
+        use crate::entry::{decode_entry, encode_entry, seal_entry};
         use rsse_crypto::Tape;
         let key = SecretKey::derive(b"k", "list");
         let cipher = SemanticCipher::new(&key);
         let other = SemanticCipher::new(&SecretKey::derive(b"k", "other list"));
         let mut coins = Tape::new(&key, b"entries");
         // Real entries (two of them share a score), padding, an entry under
-        // another list's key, and entries of 39, 41 and 16 bytes.
+        // another list's key, entries of 31, 33 and 16 bytes, and a real
+        // entry in the 40-byte layout of a 16-byte nonce.
         let mut pool: Vec<Vec<u8>> = Vec::new();
         for i in 0..6u64 {
-            let mut nonce = [0u8; 16];
+            let mut nonce = [0u8; 8];
             coins.fill_bytes(&mut nonce);
-            let plain = encode_entry(FileId::new(100 + i), 1000 + i % 5);
-            pool.push(cipher.encrypt_with_nonce(nonce, &plain));
+            let mut entry = Vec::new();
+            seal_entry(
+                &cipher,
+                nonce,
+                FileId::new(100 + i),
+                1000 + i % 5,
+                &mut entry,
+            );
+            pool.push(entry);
         }
         let mut padding = vec![0u8; ENTRY_CT_LEN];
         coins.fill_bytes(&mut padding);
         pool.push(padding);
-        pool.push(other.encrypt_with_nonce([9; 16], &encode_entry(FileId::new(7), 5)));
+        let mut foreign = Vec::new();
+        seal_entry(&other, [9; 8], FileId::new(7), 5, &mut foreign);
+        pool.push(foreign);
         let real = pool[0].clone();
         pool.push(real[..ENTRY_CT_LEN - 1].to_vec());
         pool.push([real.as_slice(), &[0]].concat());
         pool.push(real[..16].to_vec());
+        pool.push(cipher.encrypt_with_nonce([3; 16], &encode_entry(FileId::new(8), 6)));
         let reference = |list: &[Vec<u8>], top_k: Option<usize>| {
             let mut scratch = Vec::new();
             let mut all: Vec<RankedResult> = list
                 .iter()
                 .filter_map(|ct| {
-                    cipher.decrypt_into(ct, &mut scratch).ok()?;
+                    // Widen the entry's 8-byte nonce to the 16-byte counter
+                    // block `nonce ‖ 0^64` that `SemanticCipher` reads.
+                    let widened = [ct.get(..8)?, &[0u8; 8], &ct[8..]].concat();
+                    cipher.decrypt_into(&widened, &mut scratch).ok()?;
                     let (file, encrypted_score) = decode_entry(&scratch)?;
                     Some(RankedResult {
                         file,

@@ -1,11 +1,10 @@
 //! The RSSE scheme proper: `KeyGen` / `BuildIndex` / `TrapdoorGen`, the
 //! owner-side decryption of mapped scores, and score dynamics.
 
-use crate::entry::{encode_entry, ENTRY_CT_LEN};
+use crate::entry::{seal_entry, ENTRY_CT_LEN, ENTRY_NONCE_LEN};
 use crate::error::RsseError;
 use crate::index::{Label, ListParts, RsseIndex, RsseTrapdoor};
 use crate::params::{Padding, RsseParams};
-use rsse_crypto::ctr::NONCE_LEN;
 use rsse_crypto::tape::Transcript;
 use rsse_crypto::{KeyMaterial, KeyedLabel, Prf, SemanticCipher, Tape};
 use rsse_ir::score::{scores_for_term_with, CollectionStats};
@@ -518,10 +517,9 @@ impl Rsse {
             let level = quantizer.level(score);
             let mapped = opm.encrypt(level, &file.to_bytes())?;
             opm_ops += 1;
-            let plain = encode_entry(file, mapped);
-            let mut nonce = [0u8; NONCE_LEN];
+            let mut nonce = [0u8; ENTRY_NONCE_LEN];
             tape.fill_bytes(&mut nonce);
-            cipher.encrypt_with_nonce_into(nonce, &plain, &mut slices[shard_of(file)].0);
+            seal_entry(&cipher, nonce, file, mapped, &mut slices[shard_of(file)].0);
         }
         // Pad to ν with random entries: the tape's next bytes after the
         // real entries' draws. One shard takes them in place; more deal
@@ -731,7 +729,8 @@ impl IndexUpdate {
     ///
     /// When a touched list holds entries of another length than
     /// [`ENTRY_CT_LEN`] — a programming error: no list the scheme builds
-    /// does, and the cloud server boots from no such list.
+    /// does, and the cloud server boots and reopens no such list
+    /// ([`RsseIndex::check_entry_len`]).
     pub fn apply_to(self, index: &mut RsseIndex) {
         for (label, entry_len, bytes) in self.ops {
             index
@@ -791,10 +790,10 @@ impl IndexUpdater<'_> {
                 .or_insert_with(|| self.scheme.opm_for(term, self.opse));
             let mapped = opm.encrypt(level, &doc.id().to_bytes())?;
             drop(opms);
-            let plain = encode_entry(doc.id(), mapped);
-            let mut nonce = [0u8; NONCE_LEN];
+            let mut nonce = [0u8; ENTRY_NONCE_LEN];
             tape.fill_bytes(&mut nonce);
-            let entry = entry_cipher.encrypt_with_nonce(nonce, &plain);
+            let mut entry = Vec::with_capacity(ENTRY_CT_LEN);
+            seal_entry(&entry_cipher, nonce, doc.id(), mapped, &mut entry);
             ops.push((label, ENTRY_CT_LEN as u32, entry));
         }
         Ok(IndexUpdate { ops })

@@ -211,6 +211,12 @@ fn build_parts_are_the_built_index_exported() {
     );
 }
 
+/// An entry in the 16-byte-nonce layout `SemanticCipher::decrypt` reads:
+/// its 8-byte nonce widened to `nonce ‖ 0^64`, then its body.
+fn widened(entry: &[u8]) -> Vec<u8> {
+    [&entry[..8], &[0u8; 8], &entry[8..]].concat()
+}
+
 #[test]
 fn partitioned_build_deals_out_the_one_build() {
     // Cut into shards as it is encrypted, the build equals the unsharded
@@ -257,7 +263,7 @@ fn partitioned_build_deals_out_the_one_build() {
             let mut slices = vec![Vec::new(); n];
             let mut real = vec![false; n];
             for (p, entry) in list.chunks_exact(ENTRY_CT_LEN).enumerate() {
-                let plain = ciphers[label].decrypt(entry).unwrap();
+                let plain = ciphers[label].decrypt(&widened(entry)).unwrap();
                 let shard = match decode_entry(&plain) {
                     Some((file, _)) => shard_of(file),
                     None => p % n,

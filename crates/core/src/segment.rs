@@ -41,6 +41,15 @@ pub(crate) struct SegmentList {
     pub count: u64,
 }
 
+impl SegmentList {
+    /// Whether the record fits `entry_len`-byte entries: each entry is
+    /// framed by a u64 length, so its records are `count · (8 +
+    /// entry_len)` bytes. An empty list fits any length.
+    pub(crate) fn fits_entry_len(&self, entry_len: usize) -> bool {
+        self.byte_len == self.count * (8 + entry_len as u64)
+    }
+}
+
 /// One posting list read out of the segment: the raw byte range plus the
 /// parsed entry bounds.
 pub(crate) struct ListBytes {

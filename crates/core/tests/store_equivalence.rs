@@ -53,7 +53,10 @@ fn reference_search(
     let mut all: Vec<RankedResult> = entries
         .iter()
         .filter_map(|ct| {
-            let plain = cipher.decrypt(ct).ok()?;
+            // Widen the entry's 8-byte nonce to the 16-byte counter
+            // block `nonce ‖ 0^64` that `SemanticCipher::decrypt` reads.
+            let widened = [ct.get(..8)?, &[0u8; 8], &ct[8..]].concat();
+            let plain = cipher.decrypt(&widened).ok()?;
             let (file, score) = decode_entry(&plain)?;
             Some(RankedResult {
                 file,

@@ -49,16 +49,26 @@ cargo test -q -p rsse-cloud --test codec_fuzz --test decode_alloc
 echo "==> cargo test -q -p rsse-cloud --lib codec::"
 cargo test -q -p rsse-cloud --lib codec::
 
+# The RSSE entry layout's oracle tests, named explicitly so a filtered
+# local run cannot silently skip them: `seal_entry` equals AES-CTR under
+# the nonce widened to `nonce ‖ 0^64` with the zero half left out of the
+# header, `real_entries` returns exactly the sealed pairs in order, and
+# random strings, entries under another key and 40-byte entries of the
+# earlier layout are all dropped.
+echo "==> cargo test -q -p rsse-core --lib entry::"
+cargo test -q -p rsse-core --lib entry::
+
 # The byte pins: the coin tape's stream, a list's padding read off it,
-# OPM values over every level, the exact lists both index builders write
-# on a fixed corpus and seed, whole and cut to their real entries, and
-# the sharded Setup's per-shard Outsource frames and label filters, with
-# one shard equal to the unsharded Setup frame for frame. The tape (an
-# HMAC-SHA-256 seed expanded by the ChaCha20 keystream) is the one coin
-# generator: OPM coins, entry nonces and padding all come off it, and
-# real entries are AES-CTR ciphertexts, so a speed-up of the tape, the
-# OPM walk, the AES kernel, the build or its partition that moves one
-# ciphertext byte fails here.
+# OPM values over every level, one sealed entry, the exact lists both
+# index builders write on a fixed corpus and seed, whole and cut to
+# their real entries, and the sharded Setup's per-shard Outsource frames
+# and label filters, with one shard equal to the unsharded Setup frame
+# for frame. The tape (an HMAC-SHA-256 seed expanded by the ChaCha20
+# keystream) is the one coin generator: OPM coins, entry nonces and
+# padding all come off it. An RSSE entry is 32 bytes: an 8-byte nonce,
+# then the AES-CTR body from counter block `nonce ‖ 0^64`. So a speed-up
+# of the tape, the OPM walk, the AES kernel, the build or its partition
+# that moves one ciphertext byte fails here.
 echo "==> cargo test -q --test byte_pins"
 cargo test -q --test byte_pins
 

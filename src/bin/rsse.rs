@@ -177,6 +177,19 @@ fn cmd_build_index(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads the index file at `path`, refusing one whose lists hold entries
+/// of another length than the scheme writes (an index written in an
+/// older entry layout), which no search could rank.
+fn load_index(path: &str) -> Result<RsseIndex, String> {
+    let file = fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
+    let index = RsseIndex::load(std::io::BufReader::new(file))
+        .map_err(|e| format!("loading {path}: {e}"))?;
+    index
+        .check_entry_len()
+        .map_err(|e| format!("loading {path}: {e}"))?;
+    Ok(index)
+}
+
 fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
     let scheme = scheme_from_flags(flags)?;
     let index_path = require(flags, "index")?;
@@ -185,9 +198,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("top-k")
         .map(|s| s.parse().map_err(|e| format!("--top-k: {e}")))
         .transpose()?;
-    let file = fs::File::open(index_path).map_err(|e| format!("opening {index_path}: {e}"))?;
-    let index = RsseIndex::load(std::io::BufReader::new(file))
-        .map_err(|e| format!("loading {index_path}: {e}"))?;
+    let index = load_index(index_path)?;
     let trapdoor = scheme
         .trapdoor(keyword)
         .map_err(|e| format!("trapdoor: {e}"))?;
@@ -210,9 +221,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
     let index_path = require(flags, "index")?;
-    let file = fs::File::open(index_path).map_err(|e| format!("opening {index_path}: {e}"))?;
-    let index = RsseIndex::load(std::io::BufReader::new(file))
-        .map_err(|e| format!("loading {index_path}: {e}"))?;
+    let index = load_index(index_path)?;
     println!("posting lists : {}", index.num_lists());
     println!("index bytes   : {}", index.size_bytes());
     if let Some(opse) = index.opse_params() {

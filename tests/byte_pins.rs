@@ -6,18 +6,19 @@
 //! server stores, so a change to either that moves one byte changes every
 //! ciphertext the owner has ever outsourced. These tests pin SHA-256
 //! digests of a long tape read, of 40,000 bytes of padding, of OPM values
-//! over every level, of both builders' exported lists on a fixed corpus
-//! and seed, whole and cut to their real entries, and of the sharded
-//! Setup's per-shard frames and label filters. A speed-up of the tape,
+//! over every level, of one sealed RSSE entry, of both builders' exported
+//! lists on a fixed corpus and seed, whole and cut to their real entries,
+//! and of the sharded Setup's per-shard frames and label filters. A speed-up of the tape,
 //! the cipher or the build, or a change to how the build is cut into
 //! shards, must leave them unchanged.
 
 use rsse::cloud::{DataOwner, IndexPartitioner};
+use rsse::core::entry::seal_entry;
 use rsse::core::{Rsse, RsseParams};
 use rsse::crypto::tape::Transcript;
-use rsse::crypto::{Digest, KeyMaterial, KeyedLabel, SecretKey, Sha256, Tape};
+use rsse::crypto::{Digest, KeyMaterial, KeyedLabel, SecretKey, SemanticCipher, Sha256, Tape};
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
-use rsse::ir::InvertedIndex;
+use rsse::ir::{FileId, InvertedIndex};
 use rsse::opse::{Opm, OpseParams};
 use rsse::sse::BasicScheme;
 use std::collections::HashMap;
@@ -98,8 +99,9 @@ fn tape_draws_are_pinned() {
 
 #[test]
 fn padding_keystream_is_pinned() {
-    // One ν = 1000 list of 40-byte entries' padding: the pin tape read in
-    // one call after a 16-byte entry nonce, as a builder reads it.
+    // 40,000 bytes of the pin tape read in one call after a 16-byte draw,
+    // as a builder reads a list's padding after its entry nonces: here the
+    // padding of 1,250 32-byte entries after two 8-byte nonces.
     let mut t = tape();
     t.fill_bytes(&mut [0u8; 16]);
     let mut out = vec![0u8; 40_000];
@@ -137,7 +139,21 @@ fn rsse_build_is_pinned() {
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&built.export_parts().unwrap()),
-        "b41fe4884bb2d3467abaa47dc3da68890e1714475255da7890dca94334ca1b16"
+        "b164570ec6522019053c8a202a24b2995f33db0342d4587a68883a6dcc1143e8"
+    );
+}
+
+#[test]
+fn rsse_entry_layout_is_pinned() {
+    // One entry: an 8-byte nonce, then `0^64 ‖ id ‖ OPM score` XOR the
+    // AES-CTR keystream from counter block `nonce ‖ 0^64`.
+    let cipher = SemanticCipher::new(&SecretKey::derive(b"entry pin key", "entry"));
+    let nonce = [0xf0, 0xf1, 0xf2, 0xf3, 0xf4, 0xf5, 0xf6, 0xf7];
+    let mut entry = Vec::new();
+    seal_entry(&cipher, nonce, FileId::new(4_242), 1 << 40 | 7, &mut entry);
+    assert_eq!(
+        hex(&entry),
+        "f0f1f2f3f4f5f6f7c9961ba40ef05280912f89d73db72103ff19d7b31b8f8589"
     );
 }
 
@@ -178,7 +194,7 @@ fn rsse_real_entries_are_pinned() {
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&real_prefixes(built.export_parts().unwrap())),
-        "fecf2e416b4f30eedef263fa9c448157fae62e4ba2e6de0ec305cef6bc48616f"
+        "9c8655bd3430d60efd301410c07103afa55b68ac17c601a49fef2402e1e3d04d"
     );
 }
 
@@ -215,9 +231,9 @@ fn sharded_setup_is_pinned() {
     assert_eq!(
         frames,
         [
-            "e032f31902ac881dfbb9199273c2756ce2c5a407fb2467fd68c7f76edfcc4e10",
-            "a2d122f7509428e46fcf4559cbef6e17b3719dc73a80b3d3f5c0a19f5716b65d",
-            "264637e7a64f43ef3c459d5b8c48d5257310ddac87050744dcbaf6fa36b3de28",
+            "d241cfd87899e302b07928e022acdede1ce472970f5e140923c8daded4275d6f",
+            "175bf83fadd6bffa8aa554b8312b2ae839374cda9c1cf28fddeab4f695d88cae",
+            "55f823c1385b977600c249ef360c43eed2464c6f1b0adca22491c3c3f2811876",
         ]
     );
     assert_eq!(

@@ -123,6 +123,44 @@ fn wrong_secret_finds_nothing() {
 }
 
 #[test]
+fn an_index_of_another_entry_length_is_refused() {
+    // An index file whose list holds 40-byte entries, the layout before
+    // 32-byte entries: no search could rank it, so loading refuses it.
+    use rsse::core::RsseIndex;
+    let dir = workdir("old_layout");
+    let key = dir.join("key.txt");
+    fs::write(&key, "secret").unwrap();
+    let index = dir.join("index.rsse");
+    let opse = rsse::opse::OpseParams::new(128, 1 << 46).unwrap();
+    let old = RsseIndex::from_parts(vec![([1u8; 20], 40, vec![1u8; 80])], opse).unwrap();
+    old.save(fs::File::create(&index).unwrap()).unwrap();
+
+    let search = bin()
+        .args(["search", "--secret-file"])
+        .arg(&key)
+        .args(["--index"])
+        .arg(&index)
+        .args(["--keyword", "network"])
+        .output()
+        .unwrap();
+    let inspect = bin()
+        .args(["inspect", "--index"])
+        .arg(&index)
+        .output()
+        .unwrap();
+    for out in [search, inspect] {
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("is not a whole number of entries"),
+            "{stderr}"
+        );
+    }
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_invocations_fail_cleanly() {
     // No args: usage + exit code 2.
     let out = bin().output().unwrap();

@@ -7,7 +7,8 @@ use rsse::cloud::{
     CloudError, CloudServer, DataOwner, Deployment, EncryptedFile, ErrorKind, Message,
     MeteredChannel, SearchMode, Storage,
 };
-use rsse::core::{Label, Rsse, RsseError, RsseParams, RsseTrapdoor};
+use rsse::core::entry::ENTRY_CT_LEN;
+use rsse::core::{Label, Rsse, RsseError, RsseIndex, RsseParams, RsseTrapdoor};
 use rsse::crypto::SecretKey;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::{Document, FileId};
@@ -204,9 +205,10 @@ fn malformed_update_is_rejected_and_changes_nothing() {
     let files = server.num_files();
     let epoch = server.filter_watch().load(Ordering::Acquire);
     let invalidations = server.cache_stats().invalidations;
+    let rsse_len = ENTRY_CT_LEN as u32;
     let hostile = [
-        (label, 16, vec![7u8; 32]), // entries of another length than 40
-        (label, 40, vec![7u8; 50]), // not a whole number of entries
+        (label, 40, vec![7u8; 80]), // 40-byte entries, the layout before 32
+        (label, rsse_len, vec![7u8; ENTRY_CT_LEN + 10]), // not a whole number of entries
         (label, 0, vec![7u8; 3]),   // bytes under an entry length of 0
     ];
     for list in hostile {
@@ -241,11 +243,12 @@ fn hostile_outsource_lists_fail_boot_with_a_typed_error() {
         opse_range: 1 << 46,
         files: vec![],
     };
-    let good = ([1u8; 20], 40, vec![1u8; 80]);
+    let rsse_len = ENTRY_CT_LEN as u32;
+    let good = ([1u8; 20], rsse_len, vec![1u8; 2 * ENTRY_CT_LEN]);
     let rsse_cases = [
-        ([2u8; 20], 0, vec![2u8; 3]),   // bytes under an entry length of 0
-        ([2u8; 20], 40, vec![2u8; 41]), // not a whole number of entries
-        ([2u8; 20], 16, vec![2u8; 32]), // whole, but not 40-byte RSSE entries
+        ([2u8; 20], 0, vec![2u8; 3]), // bytes under an entry length of 0
+        ([2u8; 20], rsse_len, vec![2u8; ENTRY_CT_LEN + 1]), // not a whole number of entries
+        ([2u8; 20], 40, vec![2u8; 80]), // whole, but 40-byte entries, the layout before 32
     ];
     let dir = std::env::temp_dir().join(format!("rsse_hostile_boot_{}", std::process::id()));
     for bad in rsse_cases {
@@ -267,6 +270,40 @@ fn hostile_outsource_lists_fail_boot_with_a_typed_error() {
     let empty = outsource(vec![good, ([4u8; 20], 0, vec![])], vec![]);
     let server = CloudServer::from_outsource(empty).unwrap();
     assert_eq!(server.rsse_index().list_len(&[4u8; 20]), Some(0));
+}
+
+#[test]
+fn reopen_refuses_a_store_of_another_entry_length() {
+    // A store written in the 40-byte entry layout beside a list of the
+    // scheme's entries: served, it would rank nothing from the first list
+    // and panic on an update to it, so the warm restart refuses it.
+    let (old, new) = ([1u8; 20], [2u8; 20]);
+    let parts = vec![
+        (old, 40, vec![1u8; 80]),
+        (new, ENTRY_CT_LEN as u32, vec![2u8; 2 * ENTRY_CT_LEN]),
+    ];
+    let opse = rsse::opse::OpseParams::new(128, 1 << 46).unwrap();
+    let dir = std::env::temp_dir().join(format!("rsse_reopen_old_layout_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let index = RsseIndex::from_parts(parts, opse).unwrap();
+    index.save_generational(&dir).unwrap();
+    match CloudServer::reopen(&dir, vec![], 0) {
+        Err(CloudError::Rsse(RsseError::MalformedList(label))) => assert_eq!(label, old),
+        other => panic!("expected MalformedList, got {other:?}"),
+    }
+    // The same lists as an Outsource frame fail boot with the same error.
+    let msg = Message::Outsource {
+        rsse_lists: index.export_parts().unwrap(),
+        basic_lists: vec![],
+        opse_domain: 128,
+        opse_range: 1 << 46,
+        files: vec![],
+    };
+    assert!(matches!(
+        CloudServer::from_outsource(msg),
+        Err(CloudError::Rsse(RsseError::MalformedList(label))) if label == old
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
