@@ -40,7 +40,7 @@
 //!   (gated below — the fan-out overhead may no longer swamp the
 //!   routing wins).
 //! * **cpu_segment** — the cpu scenario again, but the server serves
-//!   straight from a one-generation on-disk store (one `RSSEIDX2` file,
+//!   straight from a one-generation on-disk store (one `RSSEIDX3` file,
 //!   one positional read per posting list) instead of the resident
 //!   lists. Steady state must hold at least 0.5x the in-memory server's
 //!   requests/s (gated below).

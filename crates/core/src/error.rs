@@ -29,6 +29,10 @@ pub enum RsseError {
     /// those of every list a server boots or reopens, must be
     /// [`crate::entry::ENTRY_CT_LEN`] bytes).
     MalformedList([u8; 20]),
+    /// A posting list could not be read off the generation file that
+    /// holds it (the file was truncated, removed or failing under the
+    /// open store): the read error, as text.
+    StoreRead(String),
     /// An order-preserving-encryption failure.
     Opse(OpseError),
     /// An underlying cryptographic failure.
@@ -58,6 +62,7 @@ impl fmt::Display for RsseError {
                 "posting list {:02x?}.. is not a whole number of entries of the length it requires",
                 &label[..4]
             ),
+            RsseError::StoreRead(e) => write!(f, "posting list unreadable: {e}"),
             RsseError::Opse(e) => write!(f, "order-preserving encryption failure: {e}"),
             RsseError::Crypto(e) => write!(f, "crypto failure: {e}"),
         }

@@ -4,25 +4,30 @@
 //!
 //! An [`crate::RsseIndex`] is one engine: resident lists (see
 //! [`crate::store`]) plus, for an index served from a store directory, a
-//! small LSM-shaped **generation stack** of immutable `RSSEIDX2` files
-//! (each read through [`crate::segment`]), so heavy update streams never
-//! force a full rewrite on the serving path:
+//! small LSM-shaped **generation stack** of immutable `RSSEIDX3` files
+//! (each read through [`crate::segment`], the one reader of the format),
+//! so heavy update streams never force a full rewrite on the serving
+//! path:
 //!
 //! ```text
 //!  dir/MANIFEST        which generations exist, in merge order
-//!  dir/gen-000000.seg  the base generation   (RSSEIDX2)
-//!  dir/gen-000001.seg  an L0 delta           (RSSEIDX2)
+//!  dir/gen-000000.seg  the base generation   (RSSEIDX3)
+//!  dir/gen-000001.seg  an L0 delta           (RSSEIDX3)
 //!  dir/gen-000002.seg  another delta ...
 //! ```
+//!
+//! A store written as `RSSEIDX2` files still opens and serves: every
+//! flush after that writes an `RSSEIDX3` delta, and a compaction rewrites
+//! the stack as one `RSSEIDX3` generation.
 //!
 //! Score-dynamics updates land in the index's resident lists; a **flush**
 //! seals them into a new delta generation (cheap: proportional to the
 //! updates, not the index). A **live compaction** merges the whole stack
 //! into one fresh generation on a background thread *while queries keep
 //! serving* from the old stack plus the resident lists, then installs it
-//! with an atomic pointer flip. A query reads the touched list with one
-//! positional read per generation, ranks each generation's list and the
-//! resident one as separate streams, and merges them with
+//! with an atomic pointer flip. A query reads the touched list's parts
+//! with one positional read per generation into one buffer, ranks it and
+//! the resident part as separate streams, and merges them with
 //! [`crate::merge_ranked_streams`]. Because [`crate::RankedResult`]'s
 //! order is total (OPM score descending, ties toward the smaller file id)
 //! and the generations plus the resident lists hold disjoint *time
@@ -70,9 +75,9 @@
 //! beyond what an in-memory index reveals. See DESIGN.md §6.6.
 
 use crate::index::Label;
-use crate::persist::{write_lists, PersistError, SegmentWriter, DIR_RECORD_LEN};
+use crate::persist::{write_lists, PersistError};
 use crate::segio::{read_file, SegmentIo};
-use crate::segment::SegmentReader;
+use crate::segment::{read_list, SegmentReader};
 use crate::store::PostingStore;
 use rsse_opse::OpseParams;
 use std::collections::BTreeSet;
@@ -336,7 +341,8 @@ impl GenerationStack {
             .filter(|p| !p.as_os_str().is_empty())
             .unwrap_or(Path::new("."));
         io.fsync_dir(parent)?;
-        let mut out = write_lists(io.create(&dir.join(gen_file_name(0)))?, opse, lists)?;
+        let file = io.create(&dir.join(gen_file_name(0)))?;
+        let mut out = write_lists(file, opse, lists.map(Ok))?;
         out.sync()?;
         drop(out);
         write_manifest(io.as_ref(), dir, 1, 1, &[0])?;
@@ -453,7 +459,7 @@ impl GenerationStack {
         let path = self.dir.join(gen_file_name(seq));
         let flat = lists
             .iter()
-            .map(|(label, list)| (*label, list.entry_len() as u32, list.bytes()));
+            .map(|(label, list)| Ok((*label, list.entry_len() as u32, list.bytes())));
         let mut out = write_lists(self.io.create(&path)?, &self.opse, flat)?;
         out.sync()?;
         drop(out);
@@ -561,36 +567,24 @@ impl LiveCompaction {
     pub fn run(self) -> Result<CompactionStats, PersistError> {
         let t0 = Instant::now();
         let segs = &self.snapshot.segments;
-        let mut labels: BTreeSet<Label> = BTreeSet::new();
-        for seg in segs.iter() {
-            labels.extend(seg.reader.directory().keys().copied());
-        }
+        let readers = || segs.iter().map(|s| &s.reader);
+        let labels: BTreeSet<&Label> = readers().flat_map(|r| r.directory().keys()).collect();
+        let merged_entries = readers()
+            .flat_map(|r| r.directory().values())
+            .map(|l| l.count)
+            .sum();
+        // Each list is read whole, its parts joined in generation order,
+        // and written before the next is read.
+        let lists = labels.into_iter().map(|label| {
+            let (entry_len, bytes) = read_list(readers(), label, None)?;
+            Ok((*label, entry_len, bytes))
+        });
         let path = self.dir.join(gen_file_name(self.out_seq));
-        let out = self.io.create(&path)?;
-        let mut w = SegmentWriter::new(out, &self.opse, labels.len() as u64)?;
-        let mut merged_entries = 0u64;
-        for label in &labels {
-            let total: u64 = segs
-                .iter()
-                .filter_map(|s| s.reader.directory().get(label))
-                .map(|m| m.count)
-                .sum();
-            w.begin_list(*label, total)?;
-            for seg in segs.iter() {
-                if let Some(meta) = seg.reader.directory().get(label) {
-                    if meta.byte_len > 0 {
-                        w.write_raw_entries(&seg.reader.read_raw(meta)?)?;
-                    }
-                }
-            }
-            w.end_list();
-            merged_entries += total;
-        }
-        let bytes_written = w.position() + labels.len() as u64 * DIR_RECORD_LEN + 8;
-        let mut out = w.finish()?;
+        let mut out = write_lists(self.io.create(&path)?, &self.opse, lists)?;
         out.sync()?;
         drop(out);
         let reader = SegmentReader::open(self.io.as_ref(), &path)?;
+        let bytes_written = reader.file_len()?;
         let merged = Arc::new(GenSegment {
             seq: self.out_seq,
             path,

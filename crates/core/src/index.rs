@@ -18,8 +18,8 @@ use crate::error::RsseError;
 use crate::generation::{GenerationPin, GenerationStack, GenerationStats, LiveCompaction};
 use crate::persist::PersistError;
 use crate::segio::{SegmentIo, StdIo};
-use crate::segment::{ListBytes, SegmentReader};
-use crate::store::PostingStore;
+use crate::segment::{read_list, SegmentReader};
+use crate::store::{entries, PostingList, PostingStore};
 use rsse_crypto::{SecretKey, SemanticCipher};
 use rsse_ir::FileId;
 use rsse_opse::OpseParams;
@@ -304,47 +304,18 @@ impl RsseIndex {
         labels.into_iter().collect()
     }
 
-    /// Visits every entry of the list under `label` in insertion order:
-    /// each generation's part, base first, then the resident one. Returns
-    /// `false` when the label is unknown.
-    fn for_each_entry(&self, label: &Label, visit: &mut dyn FnMut(&[u8])) -> bool {
-        let pin = self.pin_generations();
-        let mut found = false;
-        for reader in readers(&pin) {
-            found |= reader.for_each_entry(label, visit);
-        }
-        if let Some(list) = self.lists.list(label) {
-            list.iter().for_each(visit);
-            found = true;
-        }
-        found
-    }
-
-    /// The list under `label` as `(entry_len, bytes)`: its entries back to
-    /// back in one buffer sized up front. An empty or unknown list is
-    /// `(0, [])`.
+    /// The list under `label` as `(entry_len, bytes)`: its part in each
+    /// generation, base first, then the resident one, back to back in one
+    /// buffer sized up front. An empty or unknown list is `(0, [])`.
     ///
     /// # Errors
     ///
-    /// [`RsseError::MalformedList`] when the entries differ in length or
-    /// are empty, which only a hostile on-disk list can.
-    fn flat_list(&self, label: &Label) -> Result<(u32, Vec<u8>), RsseError> {
-        let count = self.list_len(label).unwrap_or(0);
-        let mut entry_len = None;
-        let mut ragged = false;
-        let mut bytes = Vec::new();
-        self.for_each_entry(label, &mut |entry| {
-            let len = *entry_len.get_or_insert_with(|| {
-                bytes.reserve_exact(count * entry.len());
-                entry.len()
-            });
-            ragged |= entry.is_empty() || entry.len() != len;
-            bytes.extend_from_slice(entry);
-        });
-        match ragged {
-            true => Err(RsseError::MalformedList(*label)),
-            false => Ok((entry_len.unwrap_or(0) as u32, bytes)),
-        }
+    /// As [`read_list`]: [`PersistError::Rsse`] when the parts differ in
+    /// entry length, which only a hostile store can hold;
+    /// [`PersistError::Io`] when a part fails to read.
+    fn flat_list(&self, label: &Label) -> Result<(u32, Vec<u8>), PersistError> {
+        let pin = self.pin_generations();
+        read_list(readers(&pin), label, self.lists.list(label))
     }
 
     /// Every list as `(label, entry_len, bytes)` in label order. A list
@@ -354,7 +325,7 @@ impl RsseIndex {
     /// # Errors
     ///
     /// As [`Self::flat_list`].
-    pub(crate) fn whole_lists(&self) -> Result<Vec<WholeList<'_>>, RsseError> {
+    pub(crate) fn whole_lists(&self) -> Result<Vec<WholeList<'_>>, PersistError> {
         let pin = self.pin_generations();
         let on_disk = |label: &Label| readers(&pin).any(|r| r.directory().contains_key(label));
         self.labels()
@@ -377,10 +348,14 @@ impl RsseIndex {
     /// # Errors
     ///
     /// [`RsseError::MalformedList`] when a generational store holds a
-    /// list whose entries differ in length or are empty; an in-memory
-    /// index never does.
+    /// list whose parts differ in entry length; [`RsseError::StoreRead`]
+    /// when a list fails to read off its generation file. An in-memory
+    /// index never fails.
     pub fn export_parts(&self) -> Result<ListParts, RsseError> {
-        let lists = self.whole_lists()?;
+        let lists = self.whole_lists().map_err(|e| match e {
+            PersistError::Rsse(e) => e,
+            e => RsseError::StoreRead(e.to_string()),
+        })?;
         Ok(lists
             .into_iter()
             .map(|(label, entry_len, bytes)| (label, entry_len, bytes.into_owned()))
@@ -404,34 +379,34 @@ impl RsseIndex {
     /// allocates nothing per entry and nothing beyond its result vector
     /// (and, with `top_k`, the heap).
     ///
-    /// With a generational store, each generation's part of the list is
-    /// read off disk and ranked as its own stream beside the resident
-    /// part, and the streams are merged; the ranking is byte-identical to
-    /// the one list in memory (see [`crate::generation`]). The search pins
-    /// one snapshot of the generations up front, so a query in flight
-    /// across a compaction's flip keeps ranking against that snapshot.
+    /// With a generational store, the list's parts in the generations are
+    /// read off disk into one buffer (one positional read per generation)
+    /// and ranked as one stream beside the resident part, and the two
+    /// streams are merged; the ranking is byte-identical to the one list
+    /// in memory (see [`crate::generation`]). Parts that fail to read rank
+    /// as empty. The search pins one snapshot of the generations up
+    /// front, so a query in flight across a compaction's flip keeps
+    /// ranking against that snapshot.
     pub fn search(&self, trapdoor: &RsseTrapdoor, top_k: Option<usize>) -> Vec<RankedResult> {
         let label = trapdoor.label();
         let pin = self.pin_generations();
-        let on_disk: Vec<ListBytes> = readers(&pin).filter_map(|r| r.read_label(label)).collect();
-        let resident = self.lists.list(label);
-        if on_disk.is_empty() && resident.is_none() {
+        let (entry_len, on_disk) = read_list(readers(&pin), label, None).unwrap_or_default();
+        let resident = self.lists.list(label).map(PostingList::into_iter);
+        let mut parts = std::iter::once(entries(entry_len as usize, &on_disk))
+            .chain(resident)
+            .filter(|list| list.len() > 0)
+            .peekable();
+        if parts.peek().is_none() {
             return Vec::new();
         }
         let cipher = SemanticCipher::new(trapdoor.list_key());
-        let mut streams = (on_disk.iter())
-            .map(|list| rank_entries(list.entries(), list.len(), &cipher, top_k))
-            .chain(resident.map(|list| rank_entries(list.iter(), list.len(), &cipher, top_k)))
+        let mut streams = parts
+            .map(|list| rank_entries(list, &cipher, top_k))
             .filter(|ranking| !ranking.is_empty());
-        let Some(first) = streams.next() else {
-            return Vec::new();
-        };
-        let Some(second) = streams.next() else {
-            return first;
-        };
-        let streams: Vec<Vec<RankedResult>> = [first, second].into_iter().chain(streams).collect();
-        let refs: Vec<&[RankedResult]> = streams.iter().map(Vec::as_slice).collect();
-        merge_ranked_streams(&refs, top_k)
+        match (streams.next(), streams.next()) {
+            (Some(first), Some(second)) => merge_ranked_streams(&[&first, &second], top_k),
+            (first, _) => first.unwrap_or_default(),
+        }
     }
 
     /// Whether a list with this label exists (the access-pattern leakage of
@@ -515,9 +490,8 @@ impl RsseIndex {
     /// list of another length (one written in an older entry layout, say)
     /// would rank nothing and refuse every update. Reads only lengths:
     /// each resident list's entry length and each generation file's
-    /// directory records, which give a part's entries as `(byte_len −
-    /// 8·count) / count` bytes on average; a search drops any entry of
-    /// another length whatever the records say.
+    /// directory records, which give a part's entry length exactly (an
+    /// `RSSEIDX2` entry whose length prefix disagrees fails its read).
     ///
     /// # Errors
     ///
@@ -539,27 +513,31 @@ impl RsseIndex {
 
     /// Raw encrypted entries of one list (what an adversary observes
     /// *before* any trapdoor is issued). Owned bytes: a generational
-    /// store reads them off disk.
+    /// store reads them off disk. `None` for an unknown label or a list
+    /// that fails to read.
     pub fn raw_list(&self, label: &Label) -> Option<Vec<Vec<u8>>> {
-        let mut out = Vec::new();
-        self.for_each_entry(label, &mut |e| out.push(e.to_vec()))
-            .then_some(out)
+        if !self.contains_label(label) {
+            return None;
+        }
+        let (entry_len, bytes) = self.flat_list(label).ok()?;
+        let list = entries(entry_len as usize, &bytes);
+        Some(list.map(<[u8]>::to_vec).collect())
     }
 }
 
 /// Decrypts and ranks one stream of encrypted posting entries — the one
-/// decrypt path of every search (each generation's part of a list and
-/// the resident one, batch and conjunctive).
-/// `reserve` sizes the full-sort output vector (pass the entry count).
-/// Entries that fail to decode (padding, entries under another key or of
-/// another length) are dropped, exactly as the paper's server does; the
-/// rest are decrypted four per cipher call ([`real_entries`]).
+/// decrypt path of every search (a list's parts on disk and its resident
+/// one, batch and conjunctive). The entry count sizes the full-sort
+/// output vector. Entries that fail to decode (padding, entries under
+/// another key or of another length) are dropped, exactly as the paper's
+/// server does; the rest are decrypted four per cipher call
+/// ([`real_entries`]).
 pub(crate) fn rank_entries<'a>(
-    entries: impl Iterator<Item = &'a [u8]>,
-    reserve: usize,
+    entries: impl ExactSizeIterator<Item = &'a [u8]>,
     cipher: &SemanticCipher,
     top_k: Option<usize>,
 ) -> Vec<RankedResult> {
+    let reserve = entries.len();
     let decrypted = real_entries(entries, cipher).map(|(file, encrypted_score)| RankedResult {
         file,
         encrypted_score,
@@ -739,7 +717,7 @@ mod tests {
                     .map(|i| pool[(start + i * 7) % pool.len()].clone())
                     .collect();
                 for top_k in [None, Some(0), Some(1), Some(3), Some(20)] {
-                    let got = rank_entries(list.iter().map(Vec::as_slice), len, &cipher, top_k);
+                    let got = rank_entries(list.iter().map(Vec::as_slice), &cipher, top_k);
                     assert_eq!(
                         got,
                         reference(&list, top_k),
@@ -831,7 +809,7 @@ mod tests {
         assert_eq!(idx.list_len(&label(1)), Some(2));
         assert_eq!(idx.list_len(&label(2)), Some(0));
         assert_eq!(idx.raw_list(&label(1)), Some(entries));
-        assert!(!idx.for_each_entry(&label(9), &mut |_| panic!("no entries")));
+        assert_eq!(idx.raw_list(&label(9)), None);
         let mut labels = idx.labels();
         labels.sort_unstable();
         assert_eq!(labels, vec![label(1), label(2)]);

@@ -4,46 +4,54 @@
 //! version it; the server wants to survive restarts — warm, without a
 //! rebuild, from its generational store ([`crate::generation`]), every
 //! generation of which is one file in this format. The current format is
-//! `RSSEIDX2`: the `RSSEIDX1` body followed by a trailing label→offset
-//! directory, so a segment reader can serve any single posting list with
-//! one positional read instead of materializing the file:
+//! `RSSEIDX3`: each posting list's entries back to back, then a trailing
+//! label→offset directory, so a segment reader can serve any single
+//! posting list with one positional read instead of materializing the
+//! file:
 //!
 //! ```text
-//! magic "RSSEIDX2" | u64 domain | u64 range | u64 list-count
-//!   then per list (label order): 20-byte label | u64 entry-count
-//!     then per entry: u64 len | bytes
+//! magic "RSSEIDX3" | u64 domain | u64 range | u64 list-count
+//!   then per list (label order): its entries back to back
 //!   then per list (same order): 20-byte label | u64 offset | u64 byte-len
 //!                               | u64 entry-count
 //! u64 directory-offset
 //! ```
 //!
-//! `offset` is the absolute file offset of the list's first entry record
-//! (just past its label + entry-count header) and `byte-len` the total
-//! size of its entry records, so `[offset, offset + byte-len)` is exactly
-//! the slice a segment read needs. The final 8 bytes locate the
-//! directory from the end of the file.
+//! Every entry of a list has one length (a list is one run of equal-length
+//! entries, padded to ν by the owner), so nothing frames a list or an
+//! entry: the directory record alone gives a list's extent `[offset,
+//! offset + byte-len)`, and its entry length is exactly `byte-len /
+//! entry-count`. The extents tile the body exactly, in label order. The
+//! final 8 bytes locate the directory from the end of the file.
 //!
-//! `RSSEIDX1` files (no directory, no trailer) still load through
-//! [`RsseIndex::load`]: the body layout is unchanged, so a v1 file is
-//! converted on load by scanning it once. [`RsseIndex::save`] and every
-//! generation file always write v2.
+//! `segment::SegmentReader` is the one reader:
+//! [`RsseIndex::load`] and every generation of a store open through it.
+//! It also reads the previous format, `RSSEIDX2`, which put `label | u64
+//! entry-count` before each list and a u64 length before each entry (a
+//! record's offset pointed past the list's frame, and its byte length
+//! counted the entries' frames); a store in it serves as it is, and its
+//! next flush and compaction write `RSSEIDX3`. `RSSEIDX1`, which had no directory, is refused as
+//! [`PersistError::BadMagic`]: it predates 32-byte entries, and no index
+//! serves its 40-byte ones.
 //!
-//! Readers take `R: Read` and writers `W: Write` by value (a `&mut`
-//! reference also works, per the std blanket impls); both are buffered
-//! internally, so callers can hand over a bare `File`.
+//! [`RsseIndex::save`] takes `W: Write` and [`RsseIndex::load`] `R: Read`
+//! by value (a `&mut` reference also works, per the std blanket impls);
+//! `save` buffers internally and `load` reads its input whole, so callers
+//! can hand over a bare `File`.
 
 use crate::error::RsseError;
-use crate::index::{Label, RsseIndex};
+use crate::index::{Label, ListParts, RsseIndex};
+use crate::segment::{read_list, SegmentReader};
 use crate::store::entries;
 use rsse_opse::OpseParams;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
+use std::sync::Arc;
 
-/// The legacy v1 format magic (read-compat only; [`RsseIndex::save`]
-/// writes [`MAGIC_V2`]).
-pub const MAGIC: &[u8; 8] = b"RSSEIDX1";
+/// The format magic every writer emits.
+pub const MAGIC_V3: &[u8; 8] = b"RSSEIDX3";
 
-/// The current format magic: v1 body plus a trailing label→offset
-/// directory.
+/// The previous format magic, still read: entries framed by their
+/// lengths.
 pub const MAGIC_V2: &[u8; 8] = b"RSSEIDX2";
 
 /// Cap on any single length field (1 GiB) — guards hostile files.
@@ -72,9 +80,10 @@ pub enum PersistError {
         /// Stored range.
         range: u64,
     },
-    /// The v2 label→offset directory is inconsistent with the file:
-    /// out-of-range, overlapping, or unsorted list ranges, counts that
-    /// cannot fit their byte ranges, or records that contradict the body.
+    /// The label→offset directory is inconsistent with the file: a
+    /// trailer or record out of range, unsorted labels, list extents that
+    /// do not tile the body, or a byte length that is not a whole number
+    /// of its entries.
     BadDirectory(&'static str),
     /// A generational store's `MANIFEST` is malformed: bad magic, a
     /// truncated record list, a checksum mismatch, or generation entries
@@ -86,7 +95,8 @@ pub enum PersistError {
     /// generation.
     CompactInProgress,
     /// The stored index breaks a scheme invariant: a posting list whose
-    /// entries differ in length ([`RsseError::MalformedList`]).
+    /// parts or `RSSEIDX2` entries differ in length
+    /// ([`RsseError::MalformedList`]).
     Rsse(RsseError),
 }
 
@@ -131,148 +141,42 @@ impl From<RsseError> for PersistError {
     }
 }
 
-fn read_u64(mut r: impl Read) -> Result<u64, PersistError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_be_bytes(buf))
-}
-
-fn read_len(r: impl Read) -> Result<u64, PersistError> {
-    let n = read_u64(r)?;
-    if n > MAX_LEN {
-        return Err(PersistError::Oversize(n));
-    }
-    Ok(n)
-}
-
-/// One directory record: where a list's entry records live in the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DirRecord {
-    pub label: Label,
-    /// Absolute offset of the first entry record.
-    pub offset: u64,
-    /// Total bytes of the entry records (length prefixes included).
-    pub byte_len: u64,
-    /// Number of entries.
-    pub count: u64,
-}
-
-/// Streaming v2 writer behind [`write_lists`] and the generational
-/// store's compaction: tracks the write position, accumulates the
-/// directory, and emits it (plus the trailer) on
-/// [`SegmentWriter::finish`].
-pub(crate) struct SegmentWriter<W: Write> {
-    w: W,
-    pos: u64,
-    dir: Vec<DirRecord>,
-    current: Option<(Label, u64, u64)>, // label, entry offset, entry count
-}
-
-impl<W: Write> SegmentWriter<W> {
-    /// Writes the header and prepares for `begin_list` calls in label
-    /// order.
-    pub fn new(mut w: W, opse: &OpseParams, list_count: u64) -> io::Result<Self> {
-        w.write_all(MAGIC_V2)?;
-        w.write_all(&opse.domain_size().to_be_bytes())?;
-        w.write_all(&opse.range_size().to_be_bytes())?;
-        w.write_all(&list_count.to_be_bytes())?;
-        Ok(SegmentWriter {
-            w,
-            pos: HEADER_LEN,
-            dir: Vec::with_capacity(list_count as usize),
-            current: None,
-        })
-    }
-
-    /// Starts the list under `label`, which must sort after every list
-    /// already written.
-    pub fn begin_list(&mut self, label: Label, entry_count: u64) -> io::Result<()> {
-        debug_assert!(self.current.is_none(), "previous list not ended");
-        self.w.write_all(&label)?;
-        self.w.write_all(&entry_count.to_be_bytes())?;
-        self.pos += 20 + 8;
-        self.current = Some((label, self.pos, entry_count));
-        Ok(())
-    }
-
-    /// Writes one length-prefixed entry of the current list.
-    fn write_entry(&mut self, entry: &[u8]) -> io::Result<()> {
-        self.w.write_all(&(entry.len() as u64).to_be_bytes())?;
-        self.w.write_all(entry)?;
-        self.pos += 8 + entry.len() as u64;
-        Ok(())
-    }
-
-    /// Writes one whole list: `bytes` holds its `entry_len`-byte entries
-    /// back to back, each written as one length-prefixed record.
-    fn write_list(&mut self, label: Label, entry_len: u32, bytes: &[u8]) -> io::Result<()> {
-        let list = entries(entry_len as usize, bytes);
-        self.begin_list(label, list.len() as u64)?;
-        for entry in list {
-            self.write_entry(entry)?;
-        }
-        self.end_list();
-        Ok(())
-    }
-
-    /// Copies pre-encoded entry records verbatim (the compaction fast
-    /// path: a generation's list range is already in wire shape).
-    pub fn write_raw_entries(&mut self, records: &[u8]) -> io::Result<()> {
-        self.w.write_all(records)?;
-        self.pos += records.len() as u64;
-        Ok(())
-    }
-
-    /// Absolute write position: bytes emitted so far.
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Ends the current list, recording its directory entry.
-    pub fn end_list(&mut self) {
-        let (label, offset, count) = self.current.take().expect("begin_list first");
-        self.dir.push(DirRecord {
-            label,
-            offset,
-            byte_len: self.pos - offset,
-            count,
-        });
-    }
-
-    /// Writes the directory and trailer, flushes, and returns the writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        debug_assert!(self.current.is_none(), "last list not ended");
-        let dir_offset = self.pos;
-        for rec in &self.dir {
-            self.w.write_all(&rec.label)?;
-            self.w.write_all(&rec.offset.to_be_bytes())?;
-            self.w.write_all(&rec.byte_len.to_be_bytes())?;
-            self.w.write_all(&rec.count.to_be_bytes())?;
-        }
-        self.w.write_all(&dir_offset.to_be_bytes())?;
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
 /// Writes whole lists — `(label, entry_len, bytes)` in label order, each
-/// its `entry_len`-byte entries back to back — as one `RSSEIDX2` file and
-/// returns the writer: the one writer loop behind [`RsseIndex::save`], a
-/// generational store's base generation and its delta flushes.
+/// its `entry_len`-byte entries back to back — as one `RSSEIDX3` file and
+/// returns the writer: the one writer loop behind [`RsseIndex::save`] and
+/// a generational store's base generation, delta flushes and compactions.
+/// A list that arrives as an error (a compaction's failed read) ends the
+/// write with that error.
 pub(crate) fn write_lists<W: Write, B: AsRef<[u8]>>(
-    out: W,
+    mut w: W,
     opse: &OpseParams,
-    lists: impl ExactSizeIterator<Item = (Label, u32, B)>,
-) -> io::Result<W> {
-    let mut w = SegmentWriter::new(out, opse, lists.len() as u64)?;
-    for (label, entry_len, bytes) in lists {
-        w.write_list(label, entry_len, bytes.as_ref())?;
+    lists: impl ExactSizeIterator<Item = Result<(Label, u32, B), PersistError>>,
+) -> Result<W, PersistError> {
+    w.write_all(MAGIC_V3)?;
+    w.write_all(&opse.domain_size().to_be_bytes())?;
+    w.write_all(&opse.range_size().to_be_bytes())?;
+    w.write_all(&(lists.len() as u64).to_be_bytes())?;
+    let mut directory = Vec::with_capacity(lists.len() * DIR_RECORD_LEN as usize);
+    let mut offset = HEADER_LEN;
+    for list in lists {
+        let (label, entry_len, bytes) = list?;
+        let bytes = bytes.as_ref();
+        let count = entries(entry_len as usize, bytes).len() as u64;
+        w.write_all(bytes)?;
+        directory.extend_from_slice(&label);
+        for field in [offset, bytes.len() as u64, count] {
+            directory.extend_from_slice(&field.to_be_bytes());
+        }
+        offset += bytes.len() as u64;
     }
-    w.finish()
+    w.write_all(&directory)?;
+    w.write_all(&offset.to_be_bytes())?;
+    w.flush()?;
+    Ok(w)
 }
 
 impl RsseIndex {
-    /// Serializes the index to `writer` in the `RSSEIDX2` format.
+    /// Serializes the index to `writer` in the `RSSEIDX3` format.
     ///
     /// Lists are written in label order, so equal indexes produce
     /// byte-identical files. The writer is buffered internally; passing a
@@ -280,105 +184,42 @@ impl RsseIndex {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Rsse`], before anything is written, when a
-    /// generational store holds a list whose entries differ in length
-    /// (see [`RsseIndex::export_parts`]); [`PersistError::Io`] on I/O
-    /// failures.
+    /// Before anything is written: [`PersistError::Rsse`] when a
+    /// generational store holds a list whose parts differ in entry length
+    /// (see [`RsseIndex::export_parts`]), and [`PersistError::Io`] when a
+    /// list fails to read off its generation file. [`PersistError::Io`]
+    /// on a failed write.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), PersistError> {
-        let lists = self.whole_lists()?.into_iter();
+        let lists = self.whole_lists()?.into_iter().map(Ok);
         write_lists(BufWriter::new(writer), &self.opse_or_trivial(), lists)?;
         Ok(())
     }
 
     /// Deserializes an index from `reader`, materializing it in memory
-    /// (one resident buffer per list, see [`crate::store`]). Accepts both
-    /// `RSSEIDX2` and legacy `RSSEIDX1` files; to serve an index from disk
-    /// *without* materializing it, write it out with
+    /// (one resident buffer per list, see [`crate::store`]). Reads the
+    /// whole input, then opens it through the one reader, with the same
+    /// directory validation as [`RsseIndex::open_generational`], so an
+    /// `RSSEIDX3` or `RSSEIDX2` file loads whole or not at all. To serve
+    /// an index from disk *without* materializing it, write it out with
     /// [`RsseIndex::save_generational`] and reopen it with
-    /// [`RsseIndex::open_generational`]. The reader is buffered internally.
-    ///
-    /// For v2 input the trailing directory is required to mirror the body
-    /// exactly — a file whose directory disagrees with its lists is
-    /// rejected, never part-loaded. Each list is read into one buffer of
-    /// back-to-back entries, so its entries must share one length, and
-    /// none may be empty (a run of empty entries has no flat form).
+    /// [`RsseIndex::open_generational`].
     ///
     /// # Errors
     ///
-    /// [`PersistError::Rsse`] for a list whose entries differ in length
-    /// or are empty; any other [`PersistError`] on malformed or truncated
-    /// input.
-    pub fn load<R: Read>(reader: R) -> Result<Self, PersistError> {
-        let mut reader = BufReader::new(reader);
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        let v2 = match &magic {
-            m if m == MAGIC_V2 => true,
-            m if m == MAGIC => false,
-            _ => return Err(PersistError::BadMagic(magic)),
-        };
-        let domain = read_u64(&mut reader)?;
-        let range = read_u64(&mut reader)?;
-        let opse = OpseParams::new(domain, range)
-            .map_err(|_| PersistError::BadParameters { domain, range })?;
-        let num_lists = read_len(&mut reader)?;
-        let mut pos = HEADER_LEN;
-        let mut parts = Vec::with_capacity(num_lists.min(1 << 20) as usize);
-        let mut body_dir: Vec<DirRecord> = Vec::new();
-        for _ in 0..num_lists {
-            let mut label: Label = [0u8; 20];
-            reader.read_exact(&mut label)?;
-            let num_entries = read_len(&mut reader)?;
-            pos += 20 + 8;
-            let offset = pos;
-            let mut entry_len = None;
-            let mut bytes = Vec::new();
-            for _ in 0..num_entries {
-                let len = read_len(&mut reader)?;
-                if len == 0 || *entry_len.get_or_insert(len) != len {
-                    return Err(RsseError::MalformedList(label).into());
-                }
-                let start = bytes.len();
-                bytes.resize(start + len as usize, 0);
-                reader.read_exact(&mut bytes[start..])?;
-                pos += 8 + len;
-            }
-            if v2 {
-                body_dir.push(DirRecord {
-                    label,
-                    offset,
-                    byte_len: pos - offset,
-                    count: num_entries,
-                });
-            }
-            parts.push((label, entry_len.unwrap_or(0) as u32, bytes));
-        }
-        if v2 {
-            // The directory must mirror the body record for record; any
-            // disagreement means the file was corrupted or tampered with.
-            for want in &body_dir {
-                let mut label: Label = [0u8; 20];
-                reader.read_exact(&mut label)?;
-                let got = DirRecord {
-                    label,
-                    offset: read_u64(&mut reader)?,
-                    byte_len: read_u64(&mut reader)?,
-                    count: read_u64(&mut reader)?,
-                };
-                if got != *want {
-                    return Err(PersistError::BadDirectory(
-                        "directory record does not match the body",
-                    ));
-                }
-            }
-            let dir_offset = read_u64(&mut reader)?;
-            if dir_offset != pos {
-                return Err(PersistError::BadDirectory(
-                    "trailer offset does not match the body",
-                ));
-            }
-        }
-        Ok(RsseIndex::from_parts(parts, opse)?)
+    /// [`PersistError::Rsse`] for an `RSSEIDX2` list whose entries differ
+    /// in length; any other [`PersistError`] on malformed or truncated
+    /// input (`BadMagic` for an `RSSEIDX1` file).
+    pub fn load<R: Read>(mut reader: R) -> Result<Self, PersistError> {
+        let mut file = Vec::new();
+        reader.read_to_end(&mut file)?;
+        let segment = SegmentReader::from_file(Arc::new(file))?;
+        let parts = (segment.directory().keys())
+            .map(|label| {
+                let (entry_len, bytes) = read_list(std::iter::once(&segment), label, None)?;
+                Ok((*label, entry_len, bytes))
+            })
+            .collect::<Result<ListParts, PersistError>>()?;
+        Ok(RsseIndex::from_parts(parts, *segment.opse())?)
     }
 }
 
@@ -400,12 +241,21 @@ mod tests {
         (scheme, index)
     }
 
+    fn saved(index: &RsseIndex) -> Vec<u8> {
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        buf
+    }
+
+    fn be(bytes: &[u8]) -> usize {
+        u64::from_be_bytes(bytes.try_into().unwrap()) as usize
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_search_results() {
         let (scheme, index) = sample_index();
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        assert_eq!(&buf[..8], MAGIC_V2);
+        let buf = saved(&index);
+        assert_eq!(&buf[..8], MAGIC_V3);
         let loaded = RsseIndex::load(&buf[..]).unwrap();
         assert_eq!(loaded.opse_params(), index.opse_params());
         assert_eq!(loaded.num_lists(), index.num_lists());
@@ -418,37 +268,72 @@ mod tests {
     #[test]
     fn serialization_is_deterministic() {
         let (_, index) = sample_index();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        index.save(&mut a).unwrap();
-        index.save(&mut b).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(saved(&index), saved(&index));
+    }
+
+    /// One tiny index, byte for byte: a list of two 3-byte entries, an
+    /// empty list and a list of one 2-byte entry. A field order changed
+    /// alike in the writer and the reader still fails here.
+    #[test]
+    fn saved_bytes_are_pinned() {
+        let parts = vec![
+            ([0x01; 20], 3, vec![0xA1, 0xA1, 0xA1, 0xA2, 0xA2, 0xA2]),
+            ([0x02; 20], 0, vec![]),
+            ([0x03; 20], 2, vec![0xB1, 0xB2]),
+        ];
+        let opse = OpseParams::new(4, 16).unwrap();
+        let index = RsseIndex::from_parts(parts.clone(), opse).unwrap();
+        let label = |b: &str| b.repeat(20);
+        let golden = [
+            "5253534549445833", // magic "RSSEIDX3"
+            "0000000000000004", // domain
+            "0000000000000010", // range
+            "0000000000000003", // list count
+            "a1a1a1a2a2a2",     // list 01: two entries
+            "b1b2",             // list 03: one entry
+            &label("01"),       // directory: list 01
+            "0000000000000020", //   offset 32
+            "0000000000000006", //   byte length
+            "0000000000000002", //   entry count
+            &label("02"),       // list 02, empty
+            "0000000000000026", //   offset 38
+            "0000000000000000", //   byte length
+            "0000000000000000", //   entry count
+            &label("03"),       // list 03
+            "0000000000000026", //   offset 38
+            "0000000000000002", //   byte length
+            "0000000000000001", //   entry count
+            "0000000000000028", // directory offset 40
+        ]
+        .concat();
+        let hex: String = saved(&index).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
+        let loaded = RsseIndex::load(&saved(&index)[..]).unwrap();
+        assert_eq!(loaded.export_parts(), Ok(parts));
+        assert_eq!(loaded.opse_params(), Some(&opse));
     }
 
     #[test]
-    fn v2_layout_directory_locates_every_list() {
+    fn directory_records_tile_the_body() {
         let (_, index) = sample_index();
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        let dir_offset = u64::from_be_bytes(buf[buf.len() - 8..].try_into().unwrap()) as usize;
+        let buf = saved(&index);
+        let dir_offset = be(&buf[buf.len() - 8..]);
         let lists = index.num_lists();
         assert_eq!(
             buf.len(),
             dir_offset + lists * DIR_RECORD_LEN as usize + 8,
             "directory + trailer account for the file tail"
         );
-        // Each record's range holds exactly its length-prefixed entries.
+        // Each record's extent starts where the last one ended and holds
+        // a whole number of entries, nothing else.
+        let mut next = HEADER_LEN as usize;
         for rec in buf[dir_offset..buf.len() - 8].chunks_exact(DIR_RECORD_LEN as usize) {
-            let offset = u64::from_be_bytes(rec[20..28].try_into().unwrap()) as usize;
-            let byte_len = u64::from_be_bytes(rec[28..36].try_into().unwrap()) as usize;
-            let count = u64::from_be_bytes(rec[36..44].try_into().unwrap());
-            let mut pos = offset;
-            for _ in 0..count {
-                let len = u64::from_be_bytes(buf[pos..pos + 8].try_into().unwrap()) as usize;
-                pos += 8 + len;
-            }
-            assert_eq!(pos, offset + byte_len, "record range is exact");
+            let (offset, byte_len, count) = (be(&rec[20..28]), be(&rec[28..36]), be(&rec[36..44]));
+            assert_eq!(offset, next, "extents tile the body");
+            assert_eq!(byte_len, count * crate::entry::ENTRY_CT_LEN);
+            next = offset + byte_len;
         }
+        assert_eq!(next, dir_offset);
     }
 
     #[test]
@@ -458,32 +343,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_body_still_loads() {
-        // A pre-directory RSSEIDX1 file: same body, no tail.
+    fn rsseidx1_is_bad_magic() {
+        // A pre-directory RSSEIDX1 file: its entries are 40 bytes, a layout
+        // no index serves.
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(b"RSSEIDX1");
         buf.extend_from_slice(&128u64.to_be_bytes());
         buf.extend_from_slice(&(1u64 << 46).to_be_bytes());
         buf.extend_from_slice(&1u64.to_be_bytes()); // one list
         buf.extend_from_slice(&[7u8; 20]);
-        buf.extend_from_slice(&2u64.to_be_bytes()); // two entries
-        for payload in [[0xAAu8; 4], [0xBBu8; 4]] {
-            buf.extend_from_slice(&4u64.to_be_bytes());
-            buf.extend_from_slice(&payload);
-        }
-        let loaded = RsseIndex::load(&buf[..]).unwrap();
-        assert_eq!(loaded.num_lists(), 1);
-        assert_eq!(
-            loaded.raw_list(&[7u8; 20]).unwrap(),
-            vec![vec![0xAA; 4], vec![0xBB; 4]]
-        );
+        buf.extend_from_slice(&1u64.to_be_bytes()); // one entry
+        buf.extend_from_slice(&40u64.to_be_bytes());
+        buf.extend_from_slice(&[0xAA; 40]);
+        let err = RsseIndex::load(&buf[..]).unwrap_err();
+        assert!(matches!(err, PersistError::BadMagic(m) if &m == b"RSSEIDX1"));
     }
 
     #[test]
     fn truncation_anywhere_is_an_error() {
         let (_, index) = sample_index();
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
+        let buf = saved(&index);
         let step = (buf.len() / 50).max(1);
         for cut in (0..buf.len()).step_by(step) {
             assert!(RsseIndex::load(&buf[..cut]).is_err(), "cut {cut}");
@@ -492,7 +371,7 @@ mod tests {
 
     #[test]
     fn hostile_length_fields_rejected() {
-        for magic in [MAGIC, MAGIC_V2] {
+        for magic in [MAGIC_V2, MAGIC_V3] {
             let mut buf = Vec::new();
             buf.extend_from_slice(magic);
             buf.extend_from_slice(&128u64.to_be_bytes());
@@ -508,7 +387,7 @@ mod tests {
     #[test]
     fn inconsistent_parameters_rejected() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(MAGIC_V3);
         buf.extend_from_slice(&128u64.to_be_bytes());
         buf.extend_from_slice(&2u64.to_be_bytes()); // range < domain
         buf.extend_from_slice(&0u64.to_be_bytes());
@@ -521,9 +400,8 @@ mod tests {
     #[test]
     fn tampered_directory_rejected_by_load() {
         let (_, index) = sample_index();
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        let dir_offset = u64::from_be_bytes(buf[buf.len() - 8..].try_into().unwrap()) as usize;
+        let mut buf = saved(&index);
+        let dir_offset = be(&buf[buf.len() - 8..]);
         // Flip one bit in the first record's offset field.
         buf[dir_offset + 27] ^= 1;
         assert!(matches!(

@@ -80,6 +80,28 @@ pub trait SegmentIo: Send + Sync + core::fmt::Debug {
     fn list_dir(&self, dir: &Path) -> io::Result<Vec<String>>;
 }
 
+/// A file already read into memory: how [`crate::RsseIndex::load`] opens
+/// its input through the one segment reader.
+impl SegmentRead for Vec<u8> {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        let start = usize::try_from(offset).unwrap_or(usize::MAX);
+        let src = start
+            .checked_add(buf.len())
+            .and_then(|end| self.get(start..end));
+        match src {
+            Some(src) => {
+                buf.copy_from_slice(src);
+                Ok(())
+            }
+            None => Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
+        }
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        Ok(Vec::len(self) as u64)
+    }
+}
+
 /// Reads a whole file through the io layer.
 pub(crate) fn read_file(io: &dyn SegmentIo, path: &Path) -> io::Result<Vec<u8>> {
     let r = io.open_read(path)?;
@@ -354,22 +376,11 @@ struct MemRead {
 
 impl SegmentRead for MemRead {
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        let data = lock(&self.inode);
-        let start = offset as usize;
-        let end = start
-            .checked_add(buf.len())
-            .filter(|&e| e <= data.content.len());
-        match end {
-            Some(end) => {
-                buf.copy_from_slice(&data.content[start..end]);
-                Ok(())
-            }
-            None => Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
-        }
+        lock(&self.inode).content.read_exact_at(buf, offset)
     }
 
     fn len(&self) -> io::Result<u64> {
-        Ok(lock(&self.inode).content.len() as u64)
+        SegmentRead::len(&lock(&self.inode).content)
     }
 }
 

@@ -5,20 +5,69 @@
 //! entry counts and entry lengths differ from list to list, empty lists —
 //! not just the uniform padded lists the scheme happens to produce. Within
 //! one list every entry has the same length: that is the only list shape
-//! an index holds. And a loader fed hostile bytes (wrong magic, absurd
-//! length claims, files cut off mid-entry, a list whose entries differ in
-//! length) must fail with the matching [`PersistError`], never panic or
-//! mis-load — both the materializing loader and the generational store,
-//! whose every generation file is one `RSSEIDX2` file.
+//! an index holds, and the only one an `RSSEIDX3` file can hold. One
+//! reader opens every file, behind the materializing loader and behind
+//! each generation of a generational store; fed hostile bytes (wrong
+//! magic, absurd length claims, cut-off files, directories whose extents
+//! do not tile the body in whole entries) it must fail with the matching
+//! [`PersistError`] through both doors, never panic or mis-load.
+//! `RSSEIDX2` files, which framed every entry with its length, still open
+//! and rank as before; `RSSEIDX1` files are refused. A tracking allocator
+//! checks that no door ever allocates much past the size of its input,
+//! whatever lengths the file claims. (The lib crate forbids `unsafe`; this
+//! integration-test crate hosts the allocator shim.)
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rsse_core::persist::{PersistError, MAGIC, MAGIC_V2};
-use rsse_core::{Label, Rsse, RsseError, RsseIndex, RsseParams};
-use rsse_ir::{Document, FileId};
+use rsse_core::persist::{PersistError, MAGIC_V2, MAGIC_V3};
+use rsse_core::{Label, MemIo, Rsse, RsseError, RsseIndex, RsseParams, RsseTrapdoor, SegmentIo};
+use rsse_ir::{Document, FileId, InvertedIndex};
 use rsse_opse::OpseParams;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// The largest single allocation this thread made since it was last
+    /// reset to 0.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+struct TrackingAllocator;
+
+// SAFETY: delegates directly to the system allocator; the tracking is a
+// side effect on a thread-local `Cell` (constant-initialized, no
+// destructor, so touching it never allocates) that never touches the
+// returned memory.
+unsafe impl GlobalAlloc for TrackingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static TRACKER: TrackingAllocator = TrackingAllocator;
 
 /// Unique temp paths so parallel tests never collide on a store.
 fn temp_path(tag: &str) -> PathBuf {
@@ -51,15 +100,88 @@ fn ragged_index(lists: &[(usize, Vec<u8>)], salt: u8, domain: u64, extra: u64) -
     RsseIndex::from_parts(parts, opse).unwrap()
 }
 
-fn scheme_built_index() -> (Rsse, RsseIndex) {
-    let docs = vec![
+fn docs() -> Vec<Document> {
+    vec![
         Document::new(FileId::new(1), "network storage network throughput"),
         Document::new(FileId::new(2), "network packet capture"),
         Document::new(FileId::new(3), "storage arrays and controllers"),
-    ];
+    ]
+}
+
+fn scheme_built_index() -> (Rsse, RsseIndex) {
     let scheme = Rsse::new(b"roundtrip seed", RsseParams::default());
-    let index = scheme.build_index(&docs).unwrap();
+    let index = scheme.build_index(&docs()).unwrap();
     (scheme, index)
+}
+
+fn saved(index: &RsseIndex) -> Vec<u8> {
+    let mut buf = Vec::new();
+    index.save(&mut buf).unwrap();
+    buf
+}
+
+fn be(bytes: &[u8]) -> usize {
+    u64::from_be_bytes(bytes.try_into().unwrap()) as usize
+}
+
+/// Overwrites the u64 at `at`.
+fn patch(buf: &mut [u8], at: usize, value: u64) {
+    buf[at..at + 8].copy_from_slice(&value.to_be_bytes());
+}
+
+/// The base generation's path inside the store at `/gen`.
+const BASE_GENERATION: &str = "/gen/gen-000000.seg";
+
+/// A generational store in memory at `/gen` whose base generation is
+/// `bytes`, opened.
+fn store_with_base(bytes: &[u8]) -> (MemIo, Result<RsseIndex, PersistError>) {
+    let io = MemIo::new();
+    drop(RsseIndex::default().save_generational_with_io(io.shared(), "/gen"));
+    let mut base = io.create(Path::new(BASE_GENERATION)).unwrap();
+    base.write_all(bytes).unwrap();
+    drop(base);
+    let store = RsseIndex::open_generational_with_io(io.shared(), "/gen");
+    (io, store)
+}
+
+/// The two doors of the one reader: the materializing loader, and a
+/// store whose base generation the bytes are.
+const DOORS: [&str; 2] = ["load", "open_generational"];
+
+/// Opens `bytes` through both doors. Neither may allocate more than
+/// twice the input in one piece (what `load` reads it into, or the store
+/// holds it in), plus a few pages, whatever lengths the file claims.
+fn open_both(bytes: &[u8]) -> [Result<RsseIndex, PersistError>; 2] {
+    LARGEST.with(|largest| largest.set(0));
+    let opened = [RsseIndex::load(bytes), store_with_base(bytes).1];
+    let largest = LARGEST.with(Cell::get);
+    let cap = 2 * bytes.len() + (16 << 10);
+    assert!(
+        largest <= cap,
+        "allocated {largest} B for a {} B file",
+        bytes.len()
+    );
+    opened
+}
+
+/// `bytes` must be refused through both doors with an error `want`
+/// accepts — in particular, neither may panic or allocate from the
+/// hostile claims.
+fn assert_refused(bytes: &[u8], what: &str, want: fn(&PersistError) -> bool) {
+    for (door, opened) in DOORS.iter().zip(open_both(bytes)) {
+        match opened {
+            Err(e) if want(&e) => {}
+            other => panic!("{what} via {door}: got {other:?}"),
+        }
+    }
+}
+
+fn assert_bad_directory(bytes: &[u8], what: &str) {
+    assert_refused(bytes, what, |e| matches!(e, PersistError::BadDirectory(_)));
+}
+
+fn assert_oversize(bytes: &[u8], what: &str) {
+    assert_refused(bytes, what, |e| matches!(e, PersistError::Oversize(_)));
 }
 
 proptest! {
@@ -76,40 +198,35 @@ proptest! {
         extra in 0u64..(1 << 40),
     ) {
         let index = ragged_index(&lists, salt, domain, extra);
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
+        let buf = saved(&index);
         let loaded = RsseIndex::load(&buf[..]).unwrap();
         prop_assert_eq!(loaded.opse_params(), index.opse_params());
         prop_assert_eq!(loaded.export_parts(), index.export_parts());
 
         // Determinism: the reloaded index re-saves to the same bytes, so
         // backups of backups stay comparable.
-        let mut again = Vec::new();
-        loaded.save(&mut again).unwrap();
-        prop_assert_eq!(again, buf);
+        prop_assert_eq!(saved(&loaded), buf);
     }
 
-    /// Any strict prefix of a valid file is an error — the loader never
-    /// silently returns a partial index.
+    /// Any strict prefix of a valid file is an error through both doors —
+    /// neither ever returns a partial index.
     #[test]
     fn any_truncation_is_rejected(
         lists in vec((1usize..20, vec(any::<u8>(), 20..80)), 1..5),
         cut_seed in any::<u64>(),
     ) {
-        let index = ragged_index(&lists, 7, 64, 64);
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
+        let buf = saved(&ragged_index(&lists, 7, 64, 64));
         let cut = (cut_seed as usize) % buf.len();
-        prop_assert!(RsseIndex::load(&buf[..cut]).is_err(), "cut at {}", cut);
+        for (door, opened) in DOORS.iter().zip(open_both(&buf[..cut])) {
+            prop_assert!(opened.is_err(), "cut at {} via {}", cut, door);
+        }
     }
 }
 
 #[test]
 fn scheme_built_index_roundtrips_search_results() {
     let (scheme, index) = scheme_built_index();
-    let mut buf = Vec::new();
-    index.save(&mut buf).unwrap();
-    let loaded = RsseIndex::load(&buf[..]).unwrap();
+    let loaded = RsseIndex::load(&saved(&index)[..]).unwrap();
     for kw in ["network", "storage", "packet", "throughput"] {
         let t = scheme.trapdoor(kw).unwrap();
         assert_eq!(loaded.search(&t, None), index.search(&t, None), "{kw}");
@@ -124,286 +241,343 @@ fn scheme_built_index_roundtrips_search_results() {
 #[test]
 fn wrong_magic_is_bad_magic_not_io() {
     let (_, index) = scheme_built_index();
-    let mut buf = Vec::new();
-    index.save(&mut buf).unwrap();
-    buf[0] ^= 0x20; // "rSSEIDX2"
+    let mut buf = saved(&index);
+    buf[0] ^= 0x20; // "rSSEIDX3"
     match RsseIndex::load(&buf[..]).unwrap_err() {
-        PersistError::BadMagic(m) => assert_eq!(&m[1..], &MAGIC_V2[1..]),
+        PersistError::BadMagic(m) => assert_eq!(&m[1..], &MAGIC_V3[1..]),
         other => panic!("expected BadMagic, got {other:?}"),
     }
 }
 
-/// Hand-encodes a legacy `RSSEIDX1` file — written byte-for-byte the way
-/// the pre-directory format did, with no reference to the current writer.
-fn legacy_v1_bytes(lists: &[(Label, Vec<Vec<u8>>)], domain: u64, range: u64) -> Vec<u8> {
+/// Hand-encodes an `RSSEIDX2` file — byte for byte the way the writer
+/// before `RSSEIDX3` did, with no reference to the current writer: each
+/// list as `label | u64 count` then its entries, each framed by its u64
+/// length, then a directory whose record for a list (`label | offset |
+/// byte-len | count`) covers its framed entries, then the directory's
+/// offset.
+fn legacy_v2_bytes(lists: &[(Label, Vec<Vec<u8>>)], opse: &OpseParams) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&domain.to_be_bytes());
-    buf.extend_from_slice(&range.to_be_bytes());
+    buf.extend_from_slice(MAGIC_V2);
+    buf.extend_from_slice(&opse.domain_size().to_be_bytes());
+    buf.extend_from_slice(&opse.range_size().to_be_bytes());
     buf.extend_from_slice(&(lists.len() as u64).to_be_bytes());
+    let mut directory = Vec::new();
     for (label, entries) in lists {
         buf.extend_from_slice(label);
         buf.extend_from_slice(&(entries.len() as u64).to_be_bytes());
+        let offset = buf.len() as u64;
         for e in entries {
             buf.extend_from_slice(&(e.len() as u64).to_be_bytes());
             buf.extend_from_slice(e);
         }
+        directory.extend_from_slice(label);
+        directory.extend_from_slice(&offset.to_be_bytes());
+        directory.extend_from_slice(&(buf.len() as u64 - offset).to_be_bytes());
+        directory.extend_from_slice(&(entries.len() as u64).to_be_bytes());
     }
+    let dir_offset = buf.len() as u64;
+    buf.extend_from_slice(&directory);
+    buf.extend_from_slice(&dir_offset.to_be_bytes());
     buf
 }
 
-#[test]
-fn rsseidx1_files_written_before_the_directory_still_load() {
-    let lists = vec![
-        (label(0, 9), vec![vec![0xA1; 12], vec![0xA2; 12]]),
-        (label(1, 9), vec![]),
-        (label(2, 9), vec![vec![0xB1; 3], vec![0xB2; 3]]),
-    ];
-    let buf = legacy_v1_bytes(&lists, 128, 1 << 46);
+/// An `RSSEIDX1` file: the `RSSEIDX2` body with its own magic and no
+/// directory.
+fn legacy_v1_bytes(lists: &[(Label, Vec<Vec<u8>>)], opse: &OpseParams) -> Vec<u8> {
+    let v2 = legacy_v2_bytes(lists, opse);
+    let dir_offset = be(&v2[v2.len() - 8..]);
+    [&b"RSSEIDX1"[..], &v2[8..dir_offset]].concat()
+}
 
-    // Through the materializing loader.
-    let loaded = RsseIndex::load(&buf[..]).unwrap();
-    assert_eq!(loaded.num_lists(), 3);
-    for (l, entries) in &lists {
-        assert_eq!(loaded.raw_list(l).as_ref(), Some(entries), "{l:02x?}");
-    }
-    // A reload re-saves in v2; the upgraded file round-trips losslessly.
-    let mut upgraded = Vec::new();
-    loaded.save(&mut upgraded).unwrap();
-    assert_eq!(&upgraded[..8], MAGIC_V2);
-    assert_eq!(
-        RsseIndex::load(&upgraded[..]).unwrap().export_parts(),
-        loaded.export_parts()
+/// Every list of `index` as its entries, one `Vec` each.
+fn entry_lists(index: &RsseIndex) -> Vec<(Label, Vec<Vec<u8>>)> {
+    let parts = index.export_parts().unwrap();
+    let split = |len: u32, bytes: Vec<u8>| {
+        let chunks = bytes.chunks_exact(len.max(1) as usize);
+        chunks.map(<[u8]>::to_vec).collect()
+    };
+    (parts.into_iter())
+        .map(|(label, len, bytes)| (label, split(len, bytes)))
+        .collect()
+}
+
+#[test]
+fn rsseidx1_files_are_bad_magic() {
+    // Their entries are 40 bytes (a 16-byte nonce), a layout no index
+    // has served since entries became 32 bytes.
+    let lists = vec![
+        (label(0, 9), vec![vec![0xA1; 40], vec![0xA2; 40]]),
+        (label(1, 9), vec![]),
+    ];
+    let buf = legacy_v1_bytes(&lists, &OpseParams::new(128, 1 << 46).unwrap());
+    assert_refused(
+        &buf,
+        "RSSEIDX1",
+        |e| matches!(e, PersistError::BadMagic(m) if m == b"RSSEIDX1"),
     );
 }
 
-/// The base generation's file name inside a store directory.
-const BASE_GENERATION: &str = "gen-000000.seg";
+#[test]
+fn rsseidx2_files_rank_alike_and_upgrade_to_rsseidx3() {
+    let (scheme, mut mem) = scheme_built_index();
+    let v2 = legacy_v2_bytes(&entry_lists(&mem), mem.opse_params().unwrap());
+    let v3 = saved(&mem);
+    let keywords = ["network", "storage", "packet", "throughput", "controllers"];
+    let rankings = |index: &RsseIndex| {
+        keywords.map(|kw| {
+            let t = scheme.trapdoor(kw).unwrap();
+            (index.search(&t, None), index.search(&t, Some(2)))
+        })
+    };
+    let want = rankings(&RsseIndex::load(&v3[..]).unwrap());
+    assert_eq!(want, rankings(&mem));
 
-/// Saves a generational store (one base generation), returning its
-/// directory, the base generation's bytes, and the byte offset of their
-/// directory, for the hostile-directory cases to patch.
-fn saved_v2_with_dir_offset(tag: &str) -> (PathBuf, Vec<u8>, usize) {
+    // Read through `load` and as a store's base generation, the v2 file
+    // ranks as the same lists saved as v3, and re-saves as those bytes.
+    let loaded = RsseIndex::load(&v2[..]).unwrap();
+    let (io, store) = store_with_base(&v2);
+    let mut store = store.unwrap();
+    assert_eq!(rankings(&loaded), want);
+    assert_eq!(rankings(&store), want);
+    assert_eq!(saved(&loaded), v3);
+    assert_eq!(saved(&store), v3);
+
+    // The v2 store takes an update; its flush writes a v3 delta.
+    let updater = scheme.updater_for(&InvertedIndex::build(&docs())).unwrap();
+    let doc = Document::new(FileId::new(77), "network storage storage");
+    let update = updater.add_document(&doc).unwrap();
+    update.clone().apply_to(&mut mem);
+    update.apply_to(&mut store);
+    assert!(store.flush_updates().unwrap());
+    let delta = io.read(Path::new("/gen/gen-000001.seg")).unwrap();
+    assert_eq!(&delta[..8], MAGIC_V3);
+    assert_eq!(rankings(&store), rankings(&mem));
+
+    // One compaction leaves a single v3 generation.
+    assert!(store.compact().unwrap());
+    let paths = store.pin_generations().unwrap().segment_paths();
+    assert_eq!(paths.len(), 1);
+    assert_eq!(&io.read(&paths[0]).unwrap()[..8], MAGIC_V3);
+    assert_eq!(rankings(&store), rankings(&mem));
+    assert_eq!(saved(&store), saved(&mem));
+}
+
+/// A saved index of four lists — two 10-byte entries, one 4-byte entry,
+/// three 6-byte entries, then an empty list — and the byte offset of its
+/// directory, for the hostile cases to patch. Record `k` sits at
+/// `dir + 44·k`: label, then offset at `+20`, byte length at `+28`, entry
+/// count at `+36`.
+fn saved_with_dir_offset() -> (Vec<u8>, usize) {
     let lists = vec![
         (10, [[0x11; 10], [0x12; 10]].concat()),
         (4, vec![0x21; 4]),
         (6, [[0x31; 6], [0x32; 6], [0x33; 6]].concat()),
+        (0, vec![]),
     ];
-    let index = ragged_index(&lists, 5, 64, 64);
-    let dir = temp_path(tag);
-    drop(index.save_generational(&dir).unwrap());
-    let buf = std::fs::read(dir.join(BASE_GENERATION)).unwrap();
-    let dir_offset = u64::from_be_bytes(buf[buf.len() - 8..].try_into().unwrap()) as usize;
-    (dir, buf, dir_offset)
-}
-
-/// Writes `bytes` as the base generation of the store in `dir` and
-/// reopens the store, removing it afterwards.
-fn open_with_base(dir: &Path, bytes: &[u8]) -> Result<RsseIndex, PersistError> {
-    std::fs::write(dir.join(BASE_GENERATION), bytes).unwrap();
-    let opened = RsseIndex::open_generational(dir);
-    let _ = std::fs::remove_dir_all(dir);
-    opened
-}
-
-/// A store whose base generation is `bytes` must reject with
-/// `BadDirectory` at open — and in particular must neither panic nor
-/// allocate from the hostile claims.
-fn assert_bad_directory(dir: &Path, bytes: &[u8], what: &str) {
-    match open_with_base(dir, bytes) {
-        Err(PersistError::BadDirectory(_)) => {}
-        other => panic!("{what}: expected BadDirectory, got {other:?}"),
-    }
+    let buf = saved(&ragged_index(&lists, 5, 64, 64));
+    let dir_offset = be(&buf[buf.len() - 8..]);
+    (buf, dir_offset)
 }
 
 #[test]
 fn hostile_directory_out_of_range_offsets_rejected() {
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("range");
+    let (mut buf, dir) = saved_with_dir_offset();
     // First record's byte_len claims past the directory.
-    buf[dir + 28..dir + 36].copy_from_slice(&(1u64 << 29).to_be_bytes());
-    assert_bad_directory(&path, &buf, "out-of-range byte_len");
+    patch(&mut buf, dir + 28, 1 << 29);
+    assert_bad_directory(&buf, "out-of-range byte_len");
 
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("range2");
-    // First record's offset points before the file header.
-    buf[dir + 20..dir + 28].copy_from_slice(&3u64.to_be_bytes());
-    assert_bad_directory(&path, &buf, "offset inside the header");
+    let (mut buf, dir) = saved_with_dir_offset();
+    // First record's offset points into the file header.
+    patch(&mut buf, dir + 20, 3);
+    assert_bad_directory(&buf, "offset inside the header");
 }
 
 #[test]
 fn hostile_directory_overlapping_or_unsorted_offsets_rejected() {
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("overlap");
+    let (mut buf, dir) = saved_with_dir_offset();
     // Second record re-uses the first record's offset: overlapping ranges.
-    let first_offset = buf[dir + 20..dir + 28].to_vec();
-    buf[dir + 44 + 20..dir + 44 + 28].copy_from_slice(&first_offset);
-    assert_bad_directory(&path, &buf, "overlapping ranges");
+    let first_offset = be(&buf[dir + 20..dir + 28]) as u64;
+    patch(&mut buf, dir + 44 + 20, first_offset);
+    assert_bad_directory(&buf, "overlapping ranges");
 
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("unsorted");
+    let (mut buf, dir) = saved_with_dir_offset();
     // Swap the offsets of records 0 and 1: ranges run right to left.
     let (a, b) = (dir + 20, dir + 44 + 20);
-    let first = buf[a..a + 8].to_vec();
-    let second = buf[b..b + 8].to_vec();
-    buf[a..a + 8].copy_from_slice(&second);
-    buf[b..b + 8].copy_from_slice(&first);
-    assert_bad_directory(&path, &buf, "unsorted offsets");
+    let (first, second) = (be(&buf[a..a + 8]) as u64, be(&buf[b..b + 8]) as u64);
+    patch(&mut buf, a, second);
+    patch(&mut buf, b, first);
+    assert_bad_directory(&buf, "unsorted offsets");
 }
 
 #[test]
 fn hostile_directory_unsorted_labels_rejected() {
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("labels");
+    let (mut buf, dir) = saved_with_dir_offset();
     // Swap the labels of records 0 and 1 (offsets untouched).
     let first = buf[dir..dir + 20].to_vec();
     let second = buf[dir + 44..dir + 44 + 20].to_vec();
     buf[dir..dir + 20].copy_from_slice(&second);
     buf[dir + 44..dir + 44 + 20].copy_from_slice(&first);
-    assert_bad_directory(&path, &buf, "unsorted labels");
+    assert_bad_directory(&buf, "unsorted labels");
 }
 
 #[test]
 fn hostile_directory_absurd_counts_never_over_allocate() {
     // Entry count over the sanity cap: Oversize, before any allocation.
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("count");
-    buf[dir + 36..dir + 44].copy_from_slice(&(2u64 << 30).to_be_bytes());
-    assert!(matches!(
-        open_with_base(&path, &buf).unwrap_err(),
-        PersistError::Oversize(_)
-    ));
+    let (mut buf, dir) = saved_with_dir_offset();
+    patch(&mut buf, dir + 36, 2 << 30);
+    assert_oversize(&buf, "entry count over the cap");
 
-    // Entry count under the cap but impossible for its byte range (each
-    // entry needs an 8-byte prefix): BadDirectory, and the count is never
-    // trusted as an allocation size.
-    let (path, mut buf, dir) = saved_v2_with_dir_offset("count2");
-    buf[dir + 36..dir + 44].copy_from_slice(&(1u64 << 29).to_be_bytes());
-    assert_bad_directory(&path, &buf, "count cannot fit its range");
+    // Entry count under the cap but impossible for its byte range:
+    // BadDirectory, and the count is never trusted as an allocation size.
+    let (mut buf, dir) = saved_with_dir_offset();
+    patch(&mut buf, dir + 36, 1 << 29);
+    assert_bad_directory(&buf, "count cannot fit its range");
 
     // A list-count header claiming far more records than the file holds.
-    let (path, mut buf, _) = saved_v2_with_dir_offset("count3");
-    buf[24..32].copy_from_slice(&(1u64 << 20).to_be_bytes());
-    assert_bad_directory(&path, &buf, "list count beyond the file");
+    let (mut buf, _) = saved_with_dir_offset();
+    patch(&mut buf, 24, 1 << 20);
+    assert_bad_directory(&buf, "list count beyond the file");
+}
+
+#[test]
+fn hostile_directory_extents_must_hold_whole_entries_back_to_back() {
+    // 20 bytes are not a whole number of 3 entries.
+    let (mut buf, dir) = saved_with_dir_offset();
+    patch(&mut buf, dir + 36, 3);
+    assert_bad_directory(&buf, "byte length not a whole number of entries");
+
+    // The empty list claims an entry in its 0 bytes.
+    let (mut buf, dir) = saved_with_dir_offset();
+    patch(&mut buf, dir + 3 * 44 + 36, 1);
+    assert_bad_directory(&buf, "non-empty list of 0 bytes");
+
+    // The second list, made empty, starts 4 bytes past the first one's
+    // end; the third still starts where it ends.
+    let (mut buf, dir) = saved_with_dir_offset();
+    let offset = be(&buf[dir + 44 + 20..dir + 44 + 28]) as u64;
+    patch(&mut buf, dir + 44 + 20, offset + 4);
+    patch(&mut buf, dir + 44 + 28, 0);
+    patch(&mut buf, dir + 44 + 36, 0);
+    assert_bad_directory(&buf, "a gap between two extents");
+
+    // The third list drops its last entry and the empty list follows
+    // it, so the extents end 6 bytes short of the directory.
+    let (mut buf, dir) = saved_with_dir_offset();
+    patch(&mut buf, dir + 2 * 44 + 28, 12);
+    patch(&mut buf, dir + 2 * 44 + 36, 2);
+    let offset = be(&buf[dir + 3 * 44 + 20..dir + 3 * 44 + 28]) as u64;
+    patch(&mut buf, dir + 3 * 44 + 20, offset - 6);
+    assert_bad_directory(&buf, "bytes after the last extent");
 }
 
 #[test]
 fn hostile_trailer_rejected() {
-    let (path, mut buf, _) = saved_v2_with_dir_offset("trailer");
+    let (mut buf, _) = saved_with_dir_offset();
     let len = buf.len();
     // Trailer pointing past the end of the file.
-    buf[len - 8..].copy_from_slice(&(u64::MAX).to_be_bytes());
-    assert_bad_directory(&path, &buf, "trailer out of range");
+    patch(&mut buf, len - 8, u64::MAX);
+    assert_bad_directory(&buf, "trailer out of range");
 
     // A file cut short: the last 8 bytes are no longer the trailer.
-    let (path, buf, _) = saved_v2_with_dir_offset("truncated");
-    assert_bad_directory(&path, &buf[..buf.len() - 3], "truncated tail");
+    let (buf, _) = saved_with_dir_offset();
+    assert_bad_directory(&buf[..buf.len() - 3], "truncated tail");
 }
 
 #[test]
 fn oversize_claims_are_rejected_at_every_depth() {
     // A length claim over the 1 GiB sanity cap must surface as Oversize —
-    // whether it is the list count, an entry count, or an entry length.
-    let huge = (2u64 << 30).to_be_bytes();
+    // whether it is the list count, a list's entry count, or its byte
+    // length (which gives its entry length).
+    let huge = 2u64 << 30;
+    let (mut buf, _) = saved_with_dir_offset();
+    patch(&mut buf, 24, huge);
+    assert_oversize(&buf, "list count");
 
-    // Hostile list count.
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&64u64.to_be_bytes());
-    buf.extend_from_slice(&128u64.to_be_bytes());
-    buf.extend_from_slice(&huge);
-    assert!(matches!(
-        RsseIndex::load(&buf[..]).unwrap_err(),
-        PersistError::Oversize(_)
-    ));
+    let (mut buf, dir) = saved_with_dir_offset();
+    patch(&mut buf, dir + 36, huge);
+    assert_oversize(&buf, "entry count");
 
-    // Hostile entry count inside the first list.
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&64u64.to_be_bytes());
-    buf.extend_from_slice(&128u64.to_be_bytes());
-    buf.extend_from_slice(&1u64.to_be_bytes());
-    buf.extend_from_slice(&[0u8; 20]);
-    buf.extend_from_slice(&huge);
-    assert!(matches!(
-        RsseIndex::load(&buf[..]).unwrap_err(),
-        PersistError::Oversize(_)
-    ));
-
-    // Hostile entry length inside the first entry.
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&64u64.to_be_bytes());
-    buf.extend_from_slice(&128u64.to_be_bytes());
-    buf.extend_from_slice(&1u64.to_be_bytes());
-    buf.extend_from_slice(&[0u8; 20]);
-    buf.extend_from_slice(&1u64.to_be_bytes());
-    buf.extend_from_slice(&huge);
-    assert!(matches!(
-        RsseIndex::load(&buf[..]).unwrap_err(),
-        PersistError::Oversize(_)
-    ));
+    let (mut buf, dir) = saved_with_dir_offset();
+    patch(&mut buf, dir + 28, huge);
+    assert_oversize(&buf, "byte length");
 }
 
 #[test]
-fn truncation_mid_entry_is_io_error() {
-    // Cut inside the *payload* of the last entry: the header parses, the
-    // entry length is honest, but the bytes run out partway through.
-    let lists = vec![(16, [[0xAB; 16], [0xCD; 16]].concat())];
-    let index = ragged_index(&lists, 3, 64, 64);
-    let mut buf = Vec::new();
-    index.save(&mut buf).unwrap();
+fn cut_off_tails_are_bad_directory() {
+    // A file missing its last bytes: the trailer no longer locates a
+    // directory that ends the file.
+    let buf = saved(&ragged_index(
+        &[(16, [[0xAB; 16], [0xCD; 16]].concat())],
+        3,
+        64,
+        64,
+    ));
     for missing in 1..16 {
-        let cut = buf.len() - missing;
-        match RsseIndex::load(&buf[..cut]).unwrap_err() {
-            PersistError::Io(e) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}");
-            }
-            other => panic!("expected Io at cut {cut}, got {other:?}"),
-        }
+        assert_bad_directory(&buf[..buf.len() - missing], &format!("{missing} missing"));
     }
-}
-
-/// A saved one-list index whose two 6-byte entries are re-framed in place
-/// as one 2-byte and one 10-byte entry: the directory (offset, byte-len,
-/// count) still matches the body, so only the mixed entry lengths are
-/// wrong. Returns the bytes and the list's label.
-fn mixed_list_file() -> (Vec<u8>, Label) {
-    let index = ragged_index(&[(6, [[0x41; 6], [0x42; 6]].concat())], 8, 64, 64);
-    let mut buf = Vec::new();
-    index.save(&mut buf).unwrap();
-    let dir = u64::from_be_bytes(buf[buf.len() - 8..].try_into().unwrap()) as usize;
-    let offset = u64::from_be_bytes(buf[dir + 20..dir + 28].try_into().unwrap()) as usize;
-    let mut records = Vec::new();
-    for payload in [&[0x43u8; 2][..], &[0x44u8; 10][..]] {
-        records.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-        records.extend_from_slice(payload);
-    }
-    buf[offset..offset + records.len()].copy_from_slice(&records);
-    (buf, label(0, 8))
 }
 
 #[test]
 fn stored_lists_that_mix_entry_lengths_are_a_typed_error() {
-    let (bytes, mixed) = mixed_list_file();
+    // An `RSSEIDX2` list whose 2- and 10-byte entries frame like two
+    // 6-byte ones: its directory record (byte length 28, count 2) is
+    // consistent, only the entries' length prefixes disagree with it.
+    let mixed = label(0, 8);
+    let opse = OpseParams::new(64, 128).unwrap();
+    let bytes = legacy_v2_bytes(&[(mixed, vec![vec![0x43; 2], vec![0x44; 10]])], &opse);
     let malformed = |e: &PersistError| matches!(e, PersistError::Rsse(RsseError::MalformedList(l)) if *l == mixed);
-    // The materializing loader refuses the file, in both formats.
+    // The materializing loader refuses the file.
     let err = RsseIndex::load(&bytes[..]).unwrap_err();
     assert!(malformed(&err), "load: {err:?}");
-    for entries in [vec![vec![1; 3], vec![2; 5]], vec![vec![], vec![]]] {
-        let v1 = legacy_v1_bytes(&[(mixed, entries)], 64, 128);
-        let err = RsseIndex::load(&v1[..]).unwrap_err();
-        assert!(malformed(&err), "v1 load: {err:?}");
-    }
 
     // A generational store opens it (only the directory is read) and
     // serves it, but refuses to export or save it.
-    let (dir, _, _) = saved_v2_with_dir_offset("mixed");
-    std::fs::write(dir.join(BASE_GENERATION), &bytes).unwrap();
-    let store = RsseIndex::open_generational(&dir).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+    let store = store_with_base(&bytes).1.unwrap();
     assert_eq!(store.list_len(&mixed), Some(2));
     assert_eq!(store.export_parts(), Err(RsseError::MalformedList(mixed)));
     let err = store.save(Vec::new()).unwrap_err();
     assert!(malformed(&err), "save: {err:?}");
     let (scheme, _) = scheme_built_index();
-    let t = rsse_core::RsseTrapdoor::from_parts(
+    let t = RsseTrapdoor::from_parts(
         mixed,
         scheme.trapdoor("network").unwrap().list_key().clone(),
     );
     assert!(store.search(&t, None).is_empty());
+}
+
+#[test]
+fn a_generation_cut_short_under_a_live_store_is_a_typed_error() {
+    let docs: Vec<Document> = (1..=20)
+        .map(|i| {
+            let text = format!("network storage term{} term{} report", i % 3, i % 7);
+            Document::new(FileId::new(i), &text)
+        })
+        .collect();
+    let scheme = Rsse::new(b"cut short", RsseParams::default());
+    let index = scheme.build_index(&docs).unwrap();
+    let dir = temp_path("cut");
+    let store = index.save_generational(&dir).unwrap();
+    assert_eq!(store.export_parts(), index.export_parts());
+
+    // Cut the base generation to its header behind the live handle.
+    let base = std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("gen-000000.seg"));
+    base.unwrap().set_len(32).unwrap();
+    let network = scheme.trapdoor("network").unwrap();
+    let label = network.label();
+    assert_eq!(store.list_len(label), index.list_len(label), "directory");
+    assert!(matches!(store.export_parts(), Err(RsseError::StoreRead(_))));
+    assert!(matches!(store.save(Vec::new()), Err(PersistError::Io(_))));
+    let copy = temp_path("cut_copy");
+    assert!(matches!(
+        store.save_generational(&copy),
+        Err(PersistError::Io(_))
+    ));
+    assert_eq!(store.raw_list(label), None);
+    // A search still ranks an unreadable part as empty.
+    assert!(store.search(&network, None).is_empty());
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&copy);
 }

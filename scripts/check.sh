@@ -58,6 +58,15 @@ cargo test -q -p rsse-cloud --lib codec::
 echo "==> cargo test -q -p rsse-core --lib entry::"
 cargo test -q -p rsse-core --lib entry::
 
+# The file format's unit tests, named explicitly so a filtered local run
+# cannot silently skip them: the exact bytes of one tiny saved index
+# (so a field order changed alike in writer and reader still fails),
+# directory records that tile the body, RSSEIDX1 refused as BadMagic,
+# RSSEIDX2 lists read flat once their length prefixes match the record,
+# and a list's parts joined only when they share one entry length.
+echo "==> cargo test -q -p rsse-core --lib -- persist:: segment::"
+cargo test -q -p rsse-core --lib -- persist:: segment::
+
 # The byte pins: the coin tape's stream, a list's padding read off it,
 # OPM values over every level, one sealed entry, the exact lists both
 # index builders write on a fixed corpus and seed, whole and cut to
@@ -104,11 +113,16 @@ echo "==> cargo test -q --test conjunctive"
 cargo test -q --test conjunctive
 
 # The persistence format's lossless round-trip and hostile-file
-# rejection. An index holds each posting list as one run of equal-length
-# entries, so the round-trip covers lists whose entry lengths differ from
-# list to list, and a stored list whose entries differ in length is a
-# typed error from the loader and from a generational store's export and
-# save — never a panic or a partial load.
+# rejection. An RSSEIDX3 file holds each posting list as one run of
+# equal-length entries with no per-entry length, so a stored list can no
+# longer mix entry lengths; the round-trip covers lists whose entry
+# lengths differ from list to list. Hostile files are refused by the one
+# reader through both load and open_generational — never a panic or a
+# partial load. RSSEIDX2 files still open, rank alike and upgrade to v3
+# on flush and compaction (a v2 list whose length prefixes disagree is a
+# typed error from load, export and save); RSSEIDX1 files are refused as
+# BadMagic. A generation cut short under a live store is a typed error
+# from export and save, never an empty list.
 echo "==> cargo test -q -p rsse-core --test persist_roundtrip"
 cargo test -q -p rsse-core --test persist_roundtrip
 
