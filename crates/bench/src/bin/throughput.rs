@@ -1005,7 +1005,7 @@ fn measure_conjunctive_ndcg(
     for query in pool {
         let words: Vec<&str> = query.split_whitespace().collect();
         let trapdoor = scheme.multi_trapdoor(query).expect("conjunctive trapdoor");
-        let hits = index.search_conjunctive(&trapdoor, None);
+        let hits = index.search_conjunctive(&trapdoor, None).unwrap();
         if hits.is_empty() {
             continue;
         }

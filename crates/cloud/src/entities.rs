@@ -180,6 +180,10 @@ impl DataOwner {
 /// One query of a [`Message::BatchRequest`]: `(label, list key, top_k)`.
 type BatchQuery = (Label, [u8; 32], Option<u32>);
 
+/// A conjunctive reply's ranking as wire `(file id, per-keyword scores)`
+/// pairs, plus the ranked files.
+type ConjunctiveReply = (Vec<(u64, Vec<u64>)>, Vec<EncryptedFile>);
+
 /// Where a [`CloudServer`] keeps its encrypted index.
 ///
 /// A sharded deployment reads the path as the directory holding every
@@ -279,12 +283,10 @@ impl CloudServer {
     /// A later restart can skip this step on the on-disk store with
     /// [`CloudServer::reopen`].
     ///
-    /// Every posting list must be whole: its bytes a whole number of
-    /// `entry_len`-byte entries, and an RSSE list's entries
-    /// [`rsse_core::entry::ENTRY_CT_LEN`] bytes (the length of every
-    /// entry the scheme writes, updates included), unless the list is
-    /// empty ([`RsseIndex::check_entry_len`]). Nothing is stored or
-    /// written before the lists pass.
+    /// Every non-empty posting list must be whole entries of its scheme's
+    /// one entry length ([`rsse_core::entry::ENTRY_CT_LEN`] for an RSSE
+    /// list, as [`RsseIndex::from_parts`] admits them). Nothing is stored
+    /// or written before the lists pass.
     ///
     /// # Errors
     ///
@@ -314,7 +316,6 @@ impl CloudServer {
         let opse = OpseParams::new(opse_domain, opse_range)
             .map_err(|e| CloudError::Rsse(rsse_core::RsseError::Opse(e)))?;
         let staged = RsseIndex::from_parts(rsse_lists, opse)?;
-        staged.check_entry_len()?;
         let basic_index = (!basic_lists.is_empty())
             .then(|| BasicEncryptedIndex::from_parts(basic_lists))
             .transpose()?;
@@ -340,7 +341,8 @@ impl CloudServer {
     ///
     /// The store's lists must hold [`rsse_core::entry::ENTRY_CT_LEN`]-byte
     /// entries, as [`CloudServer::boot`] requires of the `Outsource`
-    /// lists; only the generation directories are read to check it.
+    /// lists; opening each generation checks its directory
+    /// ([`RsseIndex::open_generational`]).
     ///
     /// # Errors
     ///
@@ -353,7 +355,6 @@ impl CloudServer {
         cache_budget_bytes: usize,
     ) -> Result<Self, CloudError> {
         let index = RsseIndex::open_generational(dir)?;
-        index.check_entry_len()?;
         Ok(Self::assemble(index, None, files, cache_budget_bytes))
     }
 
@@ -465,12 +466,15 @@ impl CloudServer {
     ///   never park stale data (see `crate::cache`).
     /// * **Disabled** (budget 0) — direct heap top-k search, as before the
     ///   cache existed; neither hits nor misses are counted.
+    ///
+    /// A list that fails to read off the store answers its error
+    /// ([`RsseIndex::try_search`]) and fills no cache.
     fn ranked_search(
         &self,
         label: Label,
         list_key: [u8; 32],
         top_k: Option<usize>,
-    ) -> Vec<RankedResult> {
+    ) -> Result<Vec<RankedResult>, CloudError> {
         let trapdoor = RsseTrapdoor::from_parts(label, SecretKey::from_bytes(list_key));
         // The hot path holds only the read lock: `lookup` takes `&self`,
         // so concurrent hits never serialize against each other.
@@ -478,19 +482,19 @@ impl CloudServer {
         let fill_epoch = match lookup {
             Ok(ranking) => {
                 self.counters.record_cache(true);
-                return ranked_prefix(&ranking, top_k);
+                return Ok(ranked_prefix(&ranking, top_k));
             }
-            Err(None) => return self.rsse_index.read().search(&trapdoor, top_k),
+            Err(None) => return Ok(self.rsse_index.read().try_search(&trapdoor, top_k)?),
             Err(Some(epoch)) => epoch,
         };
         self.counters.record_cache(false);
         // Rank the full list so every later top-k is a prefix of this fill.
-        let full = Arc::new(self.rsse_index.read().search(&trapdoor, None));
+        let full = Arc::new(self.rsse_index.read().try_search(&trapdoor, None)?);
         let result = ranked_prefix(&full, top_k);
         self.cache
             .write()
             .insert_if_current(label, full, fill_epoch);
-        result
+        Ok(result)
     }
 
     /// Ranked ids + the matching encrypted files for one query — the body
@@ -500,8 +504,9 @@ impl CloudServer {
         label: Label,
         list_key: [u8; 32],
         top_k: Option<u32>,
-    ) -> BatchResult {
-        self.with_files(&self.ranked_search(label, list_key, top_k.map(|k| k as usize)))
+    ) -> Result<BatchResult, CloudError> {
+        let ranking = self.ranked_search(label, list_key, top_k.map(|k| k as usize))?;
+        Ok(self.with_files(&ranking))
     }
 
     /// A ranking as wire `(file id, OPM score)` pairs plus the ranked
@@ -532,7 +537,12 @@ impl CloudServer {
     /// label missing at batch start counts one miss, its duplicates count
     /// hits (they would have hit the just-filled entry). The cache itself
     /// is probed once per missing label, so its miss count is the audit's.
-    fn ranked_search_batch(&self, queries: Vec<BatchQuery>) -> Vec<BatchResult> {
+    /// A list that fails to read answers the whole frame's error and fills
+    /// no cache.
+    fn ranked_search_batch(
+        &self,
+        queries: Vec<BatchQuery>,
+    ) -> Result<Vec<BatchResult>, CloudError> {
         /// How one query of the batch resolves: a cached full ranking, or
         /// an index into the batched miss-fill rankings.
         enum Plan {
@@ -568,12 +578,26 @@ impl CloudServer {
                 plans.push(Plan::Miss(slot));
             }
         }
+        // Counted before the index read, so a frame that fails counts
+        // the probes the cache already counted.
+        let mut filled: HashSet<Label> = HashSet::new();
+        for ((label, ..), plan) in queries.iter().zip(&plans) {
+            match plan {
+                Plan::Cached(_) => self.counters.record_cache(true),
+                // First sight of the label is the miss; its duplicates
+                // would have hit the fresh fill.
+                Plan::Miss(_) if cache_enabled => {
+                    self.counters.record_cache(!filled.insert(*label));
+                }
+                Plan::Miss(_) => {}
+            }
+        }
         let full: Vec<Arc<Vec<RankedResult>>> = {
             let index = self.rsse_index.read();
             miss_trapdoors
                 .iter()
-                .map(|trapdoor| Arc::new(index.search(trapdoor, None)))
-                .collect()
+                .map(|trapdoor| index.try_search(trapdoor, None).map(Arc::new))
+                .collect::<Result<_, _>>()?
         };
         if cache_enabled && !full.is_empty() {
             let mut cache = self.cache.write();
@@ -581,28 +605,17 @@ impl CloudServer {
                 cache.insert_if_current(*trapdoor.label(), Arc::clone(ranking), fill_epoch);
             }
         }
-        let mut filled: HashSet<Label> = HashSet::new();
-        queries
+        Ok(queries
             .iter()
             .zip(&plans)
-            .map(|((label, _, top_k), plan)| {
+            .map(|((_, _, top_k), plan)| {
                 let ranking: &[RankedResult] = match plan {
-                    Plan::Cached(ranking) => {
-                        self.counters.record_cache(true);
-                        ranking
-                    }
-                    Plan::Miss(slot) => {
-                        if cache_enabled {
-                            // First sight of the label is the miss; its
-                            // duplicates would have hit the fresh fill.
-                            self.counters.record_cache(!filled.insert(*label));
-                        }
-                        &full[*slot]
-                    }
+                    Plan::Cached(ranking) => ranking,
+                    Plan::Miss(slot) => &full[*slot],
                 };
                 self.with_files(&ranked_prefix(ranking, top_k.map(|k| k as usize)))
             })
-            .collect()
+            .collect())
     }
 
     /// Counters of the index's conjunctive pushdown path (zero until the
@@ -622,12 +635,13 @@ impl CloudServer {
     /// totally ordered by (score sum, file id), which is independent of
     /// keyword order. Same epoch discipline as [`Self::ranked_search`]:
     /// the intersection runs outside the cache lock and the fill is
-    /// rejected if any invalidation happened in between.
+    /// rejected if any invalidation happened in between. A list that fails
+    /// to read answers its error and fills no cache.
     fn conjunctive_ranked_search(
         &self,
         trapdoors: Vec<(Label, [u8; 32])>,
         top_k: Option<usize>,
-    ) -> Vec<ConjunctiveResult> {
+    ) -> Result<Vec<ConjunctiveResult>, CloudError> {
         let labels: Vec<Label> = trapdoors.iter().map(|(label, _)| *label).collect();
         let parts: Vec<RsseTrapdoor> = trapdoors
             .into_iter()
@@ -635,32 +649,32 @@ impl CloudServer {
             .collect();
         let multi = MultiTrapdoor::from_parts(parts);
         if labels.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let order = canonical_label_order(&labels);
         let key: Vec<Label> = order.iter().map(|&i| labels[i]).collect();
         let lookup = self.conjunctive_cache.read().lookup(&key);
         let fill_epoch = match lookup {
-            Err(None) => return self.rsse_index.read().search_conjunctive(&multi, top_k),
+            Err(None) => return Ok(self.rsse_index.read().search_conjunctive(&multi, top_k)?),
             Err(Some(epoch)) => epoch,
             Ok(canonical) => {
                 self.counters.record_cache(true);
                 let inv = inverse_order(&order);
                 let take = top_k.unwrap_or(canonical.len()).min(canonical.len());
-                return canonical[..take]
+                return Ok(canonical[..take]
                     .iter()
                     .map(|r| ConjunctiveResult {
                         file: r.file,
                         mapped_scores: inv.iter().map(|&k| r.mapped_scores[k]).collect(),
                         score_sum: r.score_sum,
                     })
-                    .collect();
+                    .collect());
             }
         };
         self.counters.record_cache(false);
         // Intersect the full ranking so every later top-k is a prefix of
         // this fill.
-        let full = self.rsse_index.read().search_conjunctive(&multi, None);
+        let full = self.rsse_index.read().search_conjunctive(&multi, None)?;
         let canonical: Vec<ConjunctiveResult> = full
             .iter()
             .map(|r| ConjunctiveResult {
@@ -676,7 +690,7 @@ impl CloudServer {
         if let Some(k) = top_k {
             result.truncate(k);
         }
-        result
+        Ok(result)
     }
 
     /// Ranked `(id, per-keyword scores)` pairs + the matching encrypted
@@ -686,17 +700,17 @@ impl CloudServer {
         &self,
         trapdoors: Vec<(Label, [u8; 32])>,
         top_k: Option<u32>,
-    ) -> (Vec<(u64, Vec<u64>)>, Vec<EncryptedFile>) {
-        let results = self.conjunctive_ranked_search(trapdoors, top_k.map(|k| k as usize));
+    ) -> Result<ConjunctiveReply, CloudError> {
+        let results = self.conjunctive_ranked_search(trapdoors, top_k.map(|k| k as usize))?;
         let ids: Vec<FileId> = results.iter().map(|r| r.file).collect();
         let files = self.files.read().fetch_many(&ids);
-        (
+        Ok((
             results
                 .into_iter()
                 .map(|r| (r.file.as_u64(), r.mapped_scores))
                 .collect(),
             files,
-        )
+        ))
     }
 
     fn dispatch(&self, msg: Message) -> (RequestKind, Result<Message, CloudError>) {
@@ -708,10 +722,10 @@ impl CloudServer {
                 mode,
             } => {
                 if mode == SearchMode::Rsse {
-                    let (ranking, files) = self.ranked_search_with_files(label, list_key, top_k);
+                    let reply = self.ranked_search_with_files(label, list_key, top_k);
                     return (
                         RequestKind::Search,
-                        Ok(Message::RsseResponse { ranking, files }),
+                        reply.map(|(ranking, files)| Message::RsseResponse { ranking, files }),
                     );
                 }
                 // Protocols 2 and 3 need the basic-scheme index; without
@@ -749,10 +763,10 @@ impl CloudServer {
                 )
             }
             Message::ConjunctiveRequest { trapdoors, top_k } => {
-                let (ranking, files) = self.conjunctive_search_with_files(trapdoors, top_k);
+                let reply = self.conjunctive_search_with_files(trapdoors, top_k);
                 (
                     RequestKind::Conjunctive,
-                    Ok(Message::ConjunctiveResponse { ranking, files }),
+                    reply.map(|(ranking, files)| Message::ConjunctiveResponse { ranking, files }),
                 )
             }
             Message::ConjunctiveShardQuery {
@@ -767,10 +781,10 @@ impl CloudServer {
                 // router k-way merges the per-shard rankings. Served
                 // through the conjunctive cache like the direct arm, so
                 // sharded conjunctions stay byte-identical with caching on.
-                let (ranking, files) = self.conjunctive_search_with_files(trapdoors, top_k);
+                let reply = self.conjunctive_search_with_files(trapdoors, top_k);
                 (
                     RequestKind::ConjunctiveShard,
-                    Ok(Message::ConjunctiveShardReply {
+                    reply.map(|(ranking, files)| Message::ConjunctiveShardReply {
                         shard_id,
                         ranking,
                         files,
@@ -790,10 +804,10 @@ impl CloudServer {
                 // cache like every other RSSE search, so sharded rankings
                 // stay byte-identical with caching on (the cache stores
                 // this shard's own partition ranking).
-                let (ranking, files) = self.ranked_search_with_files(label, list_key, top_k);
+                let reply = self.ranked_search_with_files(label, list_key, top_k);
                 (
                     RequestKind::ShardQuery,
-                    Ok(Message::ShardReply {
+                    reply.map(|(ranking, files)| Message::ShardReply {
                         shard_id,
                         ranking,
                         files,
@@ -801,10 +815,10 @@ impl CloudServer {
                 )
             }
             Message::BatchRequest { queries, shard_id } => {
-                let results = self.ranked_search_batch(queries);
+                let reply = self.ranked_search_batch(queries);
                 (
                     RequestKind::Batch,
-                    Ok(Message::BatchReply { shard_id, results }),
+                    reply.map(|results| Message::BatchReply { shard_id, results }),
                 )
             }
             Message::Update { rsse_lists, files } => {

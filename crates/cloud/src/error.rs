@@ -126,9 +126,14 @@ impl From<RsseError> for CloudError {
     }
 }
 
+/// A stored list that breaks a scheme invariant is the scheme's error
+/// ([`CloudError::Rsse`]), whichever door it came by.
 impl From<PersistError> for CloudError {
     fn from(e: PersistError) -> Self {
-        CloudError::Persist(e)
+        match e {
+            PersistError::Rsse(e) => CloudError::Rsse(e),
+            e => CloudError::Persist(e),
+        }
     }
 }
 

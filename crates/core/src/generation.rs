@@ -26,14 +26,13 @@
 //! into one fresh generation on a background thread *while queries keep
 //! serving* from the old stack plus the resident lists, then installs it
 //! with an atomic pointer flip. A query reads the touched list's parts
-//! with one positional read per generation into one buffer, ranks it and
-//! the resident part as separate streams, and merges them with
-//! [`crate::merge_ranked_streams`]. Because [`crate::RankedResult`]'s
-//! order is total (OPM score descending, ties toward the smaller file id)
-//! and the generations plus the resident lists hold disjoint *time
-//! slices* of each posting list — exactly the ciphertexts an index
-//! without a store would hold — the merged ranking is byte-identical to
-//! the in-memory one.
+//! with one positional read per generation into one buffer, its resident
+//! part appended, and ranks that buffer. The generations plus the
+//! resident lists hold disjoint *time slices* of each posting list —
+//! exactly the ciphertexts an index without a store would hold — so,
+//! because [`crate::RankedResult`]'s order is total (OPM score
+//! descending, ties toward the smaller file id), the ranking is
+//! byte-identical to the in-memory one.
 //!
 //! # The flip/reclaim protocol
 //!
@@ -333,7 +332,7 @@ impl GenerationStack {
         io: Arc<dyn SegmentIo>,
         dir: &Path,
         opse: &OpseParams,
-        lists: impl ExactSizeIterator<Item = (Label, u32, impl AsRef<[u8]>)>,
+        lists: impl ExactSizeIterator<Item = (Label, impl AsRef<[u8]>)>,
     ) -> Result<Self, PersistError> {
         io.create_dir_all(dir)?;
         let parent = dir
@@ -457,9 +456,7 @@ impl GenerationStack {
         let mut writer = lock(&self.shared.writer);
         let seq = writer.next_seq;
         let path = self.dir.join(gen_file_name(seq));
-        let flat = lists
-            .iter()
-            .map(|(label, list)| Ok((*label, list.entry_len() as u32, list.bytes())));
+        let flat = lists.iter().map(|(label, list)| Ok((*label, list)));
         let mut out = write_lists(self.io.create(&path)?, &self.opse, flat)?;
         out.sync()?;
         drop(out);
@@ -575,10 +572,9 @@ impl LiveCompaction {
             .sum();
         // Each list is read whole, its parts joined in generation order,
         // and written before the next is read.
-        let lists = labels.into_iter().map(|label| {
-            let (entry_len, bytes) = read_list(readers(), label, None)?;
-            Ok((*label, entry_len, bytes))
-        });
+        let lists = labels
+            .into_iter()
+            .map(|label| Ok((*label, read_list(readers(), label, &[])?)));
         let path = self.dir.join(gen_file_name(self.out_seq));
         let mut out = write_lists(self.io.create(&path)?, &self.opse, lists)?;
         out.sync()?;
@@ -635,20 +631,35 @@ impl LiveCompaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::ENTRY_CT_LEN;
     use crate::segio::MemIo;
     use crate::RsseIndex;
     use rsse_opse::OpseParams;
+
+    const LEN: u32 = ENTRY_CT_LEN as u32;
 
     fn label(b: u8) -> Label {
         [b; 20]
     }
 
+    /// `n` entries, the `i`-th all `tag + i`, back to back.
+    fn entries(n: u8, tag: u8) -> Vec<u8> {
+        (0..n).flat_map(|i| [tag + i; ENTRY_CT_LEN]).collect()
+    }
+
+    /// Appends one entry, all `tag`, to the list under `label(l)`.
+    fn append(store: &mut RsseIndex, l: u8, tag: u8) {
+        store
+            .append_entries(label(l), LEN, &entries(1, tag))
+            .unwrap();
+    }
+
     fn sample_index() -> RsseIndex {
         RsseIndex::from_parts(
             vec![
-                (label(1), 6, [[0xA1; 6], [0xA2; 6]].concat()),
-                (label(2), 0, vec![]),
-                (label(3), 3, [[0xB1; 3], [0xB2; 3]].concat()),
+                (label(1), LEN, entries(2, 0xA1)),
+                (label(2), LEN, vec![]),
+                (label(3), LEN, entries(2, 0xB1)),
             ],
             OpseParams::default(),
         )
@@ -683,7 +694,7 @@ mod tests {
         assert_eq!(store.list_len(&label(2)), Some(0));
         assert_eq!(
             store.raw_list(&label(3)),
-            Some(vec![vec![0xB1; 3], vec![0xB2; 3]])
+            Some(vec![vec![0xB1; ENTRY_CT_LEN], vec![0xB2; ENTRY_CT_LEN]])
         );
     }
 
@@ -694,8 +705,8 @@ mod tests {
             !store.flush_updates().unwrap(),
             "nothing resident is a no-op"
         );
-        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
-        store.append_entries(label(9), 2, &[0xC1; 2]).unwrap();
+        append(&mut store, 1, 0xA3);
+        append(&mut store, 9, 0xC1);
         assert!(store.flush_updates().unwrap());
         let stats = store.generation_stats().unwrap();
         assert_eq!(stats.overlay_entries, 0, "resident lists drained");
@@ -712,9 +723,9 @@ mod tests {
     #[test]
     fn live_compaction_merges_and_reclaims_after_last_release() {
         let (io, mut store) = mem_store();
-        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
+        append(&mut store, 1, 0xA3);
         store.flush_updates().unwrap();
-        store.append_entries(label(9), 2, &[0xC1; 2]).unwrap();
+        append(&mut store, 9, 0xC1);
         store.flush_updates().unwrap();
         assert_eq!(segments(&store), 3);
         let pin = store.pin_generations().unwrap(); // an "in-flight query" across the flip
@@ -745,7 +756,7 @@ mod tests {
     #[test]
     fn double_compact_gets_a_typed_error_not_a_block() {
         let (_io, mut store) = mem_store();
-        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
+        append(&mut store, 1, 0xA3);
         store.flush_updates().unwrap();
         let job = store.begin_live_compact().unwrap().expect("work to do");
         assert!(matches!(
@@ -808,7 +819,7 @@ mod tests {
     #[test]
     fn orphan_generation_files_are_swept_at_open() {
         let (io, mut store) = mem_store();
-        store.append_entries(label(1), 6, &[0xA3; 6]).unwrap();
+        append(&mut store, 1, 0xA3);
         store.flush_updates().unwrap();
         drop(store);
         // Fake a crashed compaction: an output file nothing references.

@@ -19,7 +19,7 @@ use crate::generation::{GenerationPin, GenerationStack, GenerationStats, LiveCom
 use crate::persist::PersistError;
 use crate::segio::{SegmentIo, StdIo};
 use crate::segment::{read_list, SegmentReader};
-use crate::store::{entries, PostingList, PostingStore};
+use crate::store::{entries, PostingStore};
 use rsse_crypto::{SecretKey, SemanticCipher};
 use rsse_ir::FileId;
 use rsse_opse::OpseParams;
@@ -32,9 +32,10 @@ use std::sync::Arc;
 /// A posting-list label `π_x(w)` (160 bits).
 pub type Label = [u8; 20];
 
-/// Posting lists in the one shape they take from builder to store: per
-/// list `(label, entry_len, bytes)`, its `entry_len`-byte entries back to
-/// back.
+/// Posting lists in the one shape they travel in from builder to server:
+/// per list `(label, entry_len, bytes)`, its `entry_len`-byte entries
+/// back to back. The index admits a non-empty list only under an
+/// `entry_len` of [`ENTRY_CT_LEN`], and exports every list under it.
 pub type ListParts = Vec<(Label, u32, Vec<u8>)>;
 
 /// The search trapdoor `T_w = (π_x(w), f_y(w))`.
@@ -120,9 +121,9 @@ pub struct RsseIndex {
     pub(crate) conjunctive: crate::multi::ConjunctiveCounters,
 }
 
-/// One whole list as `(label, entry_len, bytes)`, its bytes borrowed
-/// where they can be.
-type WholeList<'a> = (Label, u32, Cow<'a, [u8]>);
+/// One whole list as `(label, bytes)`, its bytes borrowed where they can
+/// be.
+type WholeList<'a> = (Label, Cow<'a, [u8]>);
 
 /// Readers of the generation files `pin` holds, base first; none without
 /// a pin.
@@ -130,20 +131,46 @@ fn readers(pin: &Option<GenerationPin>) -> impl Iterator<Item = &SegmentReader> 
     pin.iter().flat_map(GenerationPin::readers)
 }
 
+/// The door every list enters the index by, at
+/// [`RsseIndex::from_parts`] and [`RsseIndex::append_entries`] (a file's
+/// lists enter by `SegmentReader::from_file`): `bytes` must be whole
+/// [`ENTRY_CT_LEN`]-byte entries under a wire `entry_len` of
+/// [`ENTRY_CT_LEN`]. An empty list passes under any entry length.
+fn admit(label: &Label, entry_len: u32, bytes: &[u8]) -> Result<(), RsseError> {
+    let whole = entry_len as usize == ENTRY_CT_LEN && bytes.len().is_multiple_of(ENTRY_CT_LEN);
+    if bytes.is_empty() || whole {
+        Ok(())
+    } else {
+        Err(RsseError::MalformedList(*label))
+    }
+}
+
+/// A list read's error as the index reports it: a scheme error as it is,
+/// any other as [`RsseError::StoreRead`].
+fn read_error(e: PersistError) -> RsseError {
+    match e {
+        PersistError::Rsse(e) => e,
+        e => RsseError::StoreRead(e.to_string()),
+    }
+}
+
 impl RsseIndex {
     /// Reassembles an in-memory index from its wire parts (what the cloud
     /// server does on receiving the owner's `Outsource` message): one
     /// `(label, entry_len, bytes)` triple per list, its `entry_len`-byte
-    /// entries back to back. Each list's buffer is moved in, not copied.
+    /// entries back to back. Each list's buffer is moved in, not copied;
+    /// a repeated label appends.
     ///
     /// # Errors
     ///
-    /// [`RsseError::MalformedList`] when a list is not a whole number of
-    /// entries, or repeats a label with another entry length.
+    /// [`RsseError::MalformedList`] for the first non-empty list that is
+    /// not whole [`ENTRY_CT_LEN`]-byte entries under an `entry_len` of
+    /// [`ENTRY_CT_LEN`].
     pub fn from_parts(parts: ListParts, opse: OpseParams) -> Result<Self, RsseError> {
         let mut lists = PostingStore::new();
         for (label, entry_len, bytes) in parts {
-            lists.insert(label, entry_len as usize, bytes)?;
+            admit(&label, entry_len, &bytes)?;
+            lists.insert(label, bytes);
         }
         Ok(RsseIndex {
             lists,
@@ -171,7 +198,9 @@ impl RsseIndex {
     ///
     /// # Errors
     ///
-    /// Any [`PersistError`] on a malformed manifest or generation file.
+    /// Any [`PersistError`] on a malformed manifest or generation file;
+    /// [`PersistError::Rsse`] ([`RsseError::MalformedList`]) for a
+    /// non-empty list of entries of another length than [`ENTRY_CT_LEN`].
     pub fn open_generational(dir: impl AsRef<Path>) -> Result<Self, PersistError> {
         Self::open_generational_with_io(StdIo::shared(), dir)
     }
@@ -255,7 +284,9 @@ impl RsseIndex {
 
     /// Shape of the generational store, if the index has one.
     pub fn generation_stats(&self) -> Option<GenerationStats> {
-        let resident = self.lists.iter().map(|(_, list)| list.len()).sum();
+        let resident = (self.lists.iter())
+            .map(|(_, list)| entries(list).len())
+            .sum();
         self.generations.as_ref().map(|stack| stack.stats(resident))
     }
 
@@ -304,61 +335,57 @@ impl RsseIndex {
         labels.into_iter().collect()
     }
 
-    /// The list under `label` as `(entry_len, bytes)`: its part in each
-    /// generation, base first, then the resident one, back to back in one
-    /// buffer sized up front. An empty or unknown list is `(0, [])`.
+    /// The list under `label`, whole: borrowed from its resident buffer
+    /// when no generation `pin` holds has a part of it, else its part in
+    /// each generation, base first, then the resident one, read back to
+    /// back into one buffer sized up front. An unknown list is empty.
     ///
     /// # Errors
     ///
-    /// As [`read_list`]: [`PersistError::Rsse`] when the parts differ in
-    /// entry length, which only a hostile store can hold;
-    /// [`PersistError::Io`] when a part fails to read.
-    fn flat_list(&self, label: &Label) -> Result<(u32, Vec<u8>), PersistError> {
-        let pin = self.pin_generations();
-        read_list(readers(&pin), label, self.lists.list(label))
+    /// As [`read_list`]: [`PersistError::Rsse`] for an `RSSEIDX2` entry
+    /// whose length prefix is not [`ENTRY_CT_LEN`], which only a hostile
+    /// store can hold; [`PersistError::Io`] when a part fails to read.
+    fn whole_list(
+        &self,
+        pin: &Option<GenerationPin>,
+        label: &Label,
+    ) -> Result<Cow<'_, [u8]>, PersistError> {
+        let resident = self.lists.list(label).unwrap_or_default();
+        if readers(pin).any(|r| r.directory().contains_key(label)) {
+            read_list(readers(pin), label, resident).map(Cow::Owned)
+        } else {
+            Ok(Cow::Borrowed(resident))
+        }
     }
 
-    /// Every list as `(label, entry_len, bytes)` in label order. A list
-    /// with no part in a generation is borrowed from its resident buffer;
-    /// any other is read into one buffer ([`Self::flat_list`]).
+    /// Every list as `(label, bytes)` in label order
+    /// ([`Self::whole_list`]).
     ///
     /// # Errors
     ///
-    /// As [`Self::flat_list`].
+    /// As [`Self::whole_list`].
     pub(crate) fn whole_lists(&self) -> Result<Vec<WholeList<'_>>, PersistError> {
         let pin = self.pin_generations();
-        let on_disk = |label: &Label| readers(&pin).any(|r| r.directory().contains_key(label));
-        self.labels()
-            .into_iter()
-            .map(|label| match self.lists.list(&label) {
-                Some(list) if !on_disk(&label) => {
-                    Ok((label, list.entry_len() as u32, Cow::Borrowed(list.bytes())))
-                }
-                _ => {
-                    let (entry_len, bytes) = self.flat_list(&label)?;
-                    Ok((label, entry_len, Cow::Owned(bytes)))
-                }
-            })
+        (self.labels().into_iter())
+            .map(|label| Ok((label, self.whole_list(&pin, &label)?)))
             .collect()
     }
 
     /// Exports the index as `(label, entry_len, bytes)` triples in label
-    /// order (the owner's side of the `Outsource` message).
+    /// order (the owner's side of the `Outsource` message), every list
+    /// under an `entry_len` of [`ENTRY_CT_LEN`].
     ///
     /// # Errors
     ///
-    /// [`RsseError::MalformedList`] when a generational store holds a
-    /// list whose parts differ in entry length; [`RsseError::StoreRead`]
-    /// when a list fails to read off its generation file. An in-memory
-    /// index never fails.
+    /// [`RsseError::MalformedList`] for an `RSSEIDX2` entry of a
+    /// generational store whose length prefix is not [`ENTRY_CT_LEN`];
+    /// [`RsseError::StoreRead`] when a list fails to read off its
+    /// generation file. An in-memory index never fails.
     pub fn export_parts(&self) -> Result<ListParts, RsseError> {
-        let lists = self.whole_lists().map_err(|e| match e {
-            PersistError::Rsse(e) => e,
-            e => RsseError::StoreRead(e.to_string()),
-        })?;
+        let lists = self.whole_lists().map_err(read_error)?;
         Ok(lists
             .into_iter()
-            .map(|(label, entry_len, bytes)| (label, entry_len, bytes.into_owned()))
+            .map(|(label, bytes)| (label, ENTRY_CT_LEN as u32, bytes.into_owned()))
             .collect())
     }
 
@@ -381,32 +408,39 @@ impl RsseIndex {
     ///
     /// With a generational store, the list's parts in the generations are
     /// read off disk into one buffer (one positional read per generation)
-    /// and ranked as one stream beside the resident part, and the two
-    /// streams are merged; the ranking is byte-identical to the one list
-    /// in memory (see [`crate::generation`]). Parts that fail to read rank
-    /// as empty. The search pins one snapshot of the generations up
-    /// front, so a query in flight across a compaction's flip keeps
-    /// ranking against that snapshot.
+    /// with the resident part appended, and that buffer is ranked; the
+    /// ranking is byte-identical to the one list in memory (see
+    /// [`crate::generation`]). A list with no part on disk is ranked in
+    /// its resident buffer, uncopied. A list that fails to read ranks as
+    /// empty here; [`Self::try_search`] reports it. The search pins one
+    /// snapshot of the generations up front, so a query in flight across
+    /// a compaction's flip keeps ranking against that snapshot.
     pub fn search(&self, trapdoor: &RsseTrapdoor, top_k: Option<usize>) -> Vec<RankedResult> {
-        let label = trapdoor.label();
+        self.try_search(trapdoor, top_k).unwrap_or_default()
+    }
+
+    /// [`Self::search`], failing where a list read fails — the server's
+    /// form, so that an unreadable store never answers an empty ranking.
+    ///
+    /// # Errors
+    ///
+    /// [`RsseError::StoreRead`] when a part of the list fails to read off
+    /// its generation file; [`RsseError::MalformedList`] for an
+    /// `RSSEIDX2` entry whose length prefix is not [`ENTRY_CT_LEN`].
+    pub fn try_search(
+        &self,
+        trapdoor: &RsseTrapdoor,
+        top_k: Option<usize>,
+    ) -> Result<Vec<RankedResult>, RsseError> {
         let pin = self.pin_generations();
-        let (entry_len, on_disk) = read_list(readers(&pin), label, None).unwrap_or_default();
-        let resident = self.lists.list(label).map(PostingList::into_iter);
-        let mut parts = std::iter::once(entries(entry_len as usize, &on_disk))
-            .chain(resident)
-            .filter(|list| list.len() > 0)
-            .peekable();
-        if parts.peek().is_none() {
-            return Vec::new();
+        let list = self
+            .whole_list(&pin, trapdoor.label())
+            .map_err(read_error)?;
+        if list.is_empty() {
+            return Ok(Vec::new());
         }
         let cipher = SemanticCipher::new(trapdoor.list_key());
-        let mut streams = parts
-            .map(|list| rank_entries(list, &cipher, top_k))
-            .filter(|ranking| !ranking.is_empty());
-        match (streams.next(), streams.next()) {
-            (Some(first), Some(second)) => merge_ranked_streams(&[&first, &second], top_k),
-            (first, _) => first.unwrap_or_default(),
-        }
+        Ok(rank_entries(entries(&list), &cipher, top_k))
     }
 
     /// Whether a list with this label exists (the access-pattern leakage of
@@ -466,49 +500,17 @@ impl RsseIndex {
     /// # Errors
     ///
     /// [`RsseError::MalformedList`], with the index unchanged, when
-    /// `bytes` is not a whole number of `entry_len`-byte entries or the
-    /// list holds entries of another length, in any generation or in
-    /// memory. An empty list takes any length.
+    /// `bytes` is not empty and not whole [`ENTRY_CT_LEN`]-byte entries
+    /// under an `entry_len` of [`ENTRY_CT_LEN`].
     pub fn append_entries(
         &mut self,
         label: Label,
         entry_len: u32,
         bytes: &[u8],
     ) -> Result<(), RsseError> {
-        let pin = self.pin_generations();
-        let fits = readers(&pin)
-            .filter_map(|r| r.directory().get(&label))
-            .all(|list| list.fits_entry_len(entry_len as usize));
-        if !bytes.is_empty() && !fits {
-            return Err(RsseError::MalformedList(label));
-        }
-        self.lists.append(label, entry_len as usize, bytes)
-    }
-
-    /// Checks that every non-empty list holds [`ENTRY_CT_LEN`]-byte
-    /// entries, the one length the scheme writes, updates included: a
-    /// list of another length (one written in an older entry layout, say)
-    /// would rank nothing and refuse every update. Reads only lengths:
-    /// each resident list's entry length and each generation file's
-    /// directory records, which give a part's entry length exactly (an
-    /// `RSSEIDX2` entry whose length prefix disagrees fails its read).
-    ///
-    /// # Errors
-    ///
-    /// [`RsseError::MalformedList`] naming the first such list in label
-    /// order.
-    pub fn check_entry_len(&self) -> Result<(), RsseError> {
-        let pin = self.pin_generations();
-        let resident = (self.lists.iter())
-            .filter(|(_, list)| !list.is_empty() && list.entry_len() != ENTRY_CT_LEN)
-            .map(|(label, _)| *label);
-        let on_disk = (readers(&pin).flat_map(|r| r.directory()))
-            .filter(|(_, list)| !list.fits_entry_len(ENTRY_CT_LEN))
-            .map(|(label, _)| *label);
-        match resident.chain(on_disk).min() {
-            Some(label) => Err(RsseError::MalformedList(label)),
-            None => Ok(()),
-        }
+        admit(&label, entry_len, bytes)?;
+        self.lists.append(label, bytes);
+        Ok(())
     }
 
     /// Raw encrypted entries of one list (what an adversary observes
@@ -519,19 +521,17 @@ impl RsseIndex {
         if !self.contains_label(label) {
             return None;
         }
-        let (entry_len, bytes) = self.flat_list(label).ok()?;
-        let list = entries(entry_len as usize, &bytes);
-        Some(list.map(<[u8]>::to_vec).collect())
+        let list = self.whole_list(&self.pin_generations(), label).ok()?;
+        Some(entries(&list).map(<[u8]>::to_vec).collect())
     }
 }
 
 /// Decrypts and ranks one stream of encrypted posting entries — the one
-/// decrypt path of every search (a list's parts on disk and its resident
-/// one, batch and conjunctive). The entry count sizes the full-sort
-/// output vector. Entries that fail to decode (padding, entries under
-/// another key or of another length) are dropped, exactly as the paper's
-/// server does; the rest are decrypted four per cipher call
-/// ([`real_entries`]).
+/// decrypt path of every search, batch and conjunctive included. The
+/// entry count sizes the full-sort output vector. Entries that fail to
+/// decode (padding, entries under another key or of another length) are
+/// dropped, exactly as the paper's server does; the rest are decrypted
+/// four per cipher call ([`real_entries`]).
 pub(crate) fn rank_entries<'a>(
     entries: impl ExactSizeIterator<Item = &'a [u8]>,
     cipher: &SemanticCipher,
@@ -551,54 +551,6 @@ pub(crate) fn rank_entries<'a>(
             all
         }
     }
-}
-
-/// Merges per-shard ranked result streams — each already sorted best-first,
-/// i.e. descending by [`RankedResult`]'s `Ord` — into one globally ranked
-/// list, truncated to `top_k` results when given.
-///
-/// This is the coordinator half of scatter-gather search: shards rank their
-/// partition of a posting list locally, and because [`RankedResult`]'s order
-/// is total (OPM score descending, ties broken toward the smaller file id),
-/// a streaming k-way merge reproduces the single-server ranking exactly.
-/// Exact duplicates across streams (impossible under a disjoint partition,
-/// but reachable with a byzantine shard) drain in stream-index order, so
-/// the output stays deterministic. The generational store leans on the
-/// same property to merge a list's generations with its resident part.
-///
-/// The merge performs exactly two allocations — the O(#streams) head heap
-/// and the output vector — never O(total results); the coordinator
-/// alloc-count regression test pins this.
-pub fn merge_ranked_streams(
-    streams: &[&[RankedResult]],
-    top_k: Option<usize>,
-) -> Vec<RankedResult> {
-    let total: usize = streams.iter().map(|s| s.len()).sum();
-    let want = top_k.unwrap_or(total).min(total);
-    let mut out = Vec::with_capacity(want);
-    if want == 0 {
-        return out;
-    }
-    // One head per stream: (head, Reverse(stream), position). The tuple
-    // order makes the heap pop the globally best head, preferring the lower
-    // stream index on exact ties.
-    let mut heads: BinaryHeap<(RankedResult, core::cmp::Reverse<usize>, usize)> =
-        BinaryHeap::with_capacity(streams.len());
-    for (s, stream) in streams.iter().enumerate() {
-        if let Some(&first) = stream.first() {
-            heads.push((first, core::cmp::Reverse(s), 0));
-        }
-    }
-    while let Some((best, core::cmp::Reverse(s), pos)) = heads.pop() {
-        out.push(best);
-        if out.len() == want {
-            break;
-        }
-        if let Some(&next) = streams[s].get(pos + 1) {
-            heads.push((next, core::cmp::Reverse(s), pos + 1));
-        }
-    }
-    out
 }
 
 /// Serves a top-k request straight off an *already ranked* result vector —
@@ -748,50 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_sorted_streams_matches_global_sort() {
-        // Duplicate OPM scores across streams: the tie-break (smaller file
-        // id ranks higher) must match the single-server sort exactly.
-        let a = vec![rr(1, 90), rr(4, 90), rr(7, 10)];
-        let b = vec![rr(2, 90), rr(5, 50)];
-        let c = vec![rr(3, 90), rr(6, 50), rr(8, 10)];
-        let mut global: Vec<RankedResult> = [a.clone(), b.clone(), c.clone()].concat();
-        global.sort_by(|x, y| y.cmp(x));
-        for k in [0usize, 1, 3, 5, 8, 20] {
-            let merged = merge_ranked_streams(&[&a, &b, &c], Some(k));
-            let mut want = global.clone();
-            want.truncate(k);
-            assert_eq!(merged, want, "k={k}");
-        }
-        assert_eq!(merge_ranked_streams(&[&a, &b, &c], None), global);
-    }
-
-    #[test]
-    fn merge_handles_empty_streams_and_k_beyond_total() {
-        let hits = vec![rr(3, 7), rr(1, 2)];
-        let empty: Vec<RankedResult> = Vec::new();
-        // Empty shards contribute nothing; k larger than the total hit
-        // count returns every hit, still ranked.
-        assert_eq!(
-            merge_ranked_streams(&[&empty, &hits, &empty], Some(10)),
-            hits
-        );
-        assert!(merge_ranked_streams(&[], Some(5)).is_empty());
-        assert!(merge_ranked_streams(&[&empty, &empty], None).is_empty());
-    }
-
-    #[test]
-    fn merge_keeps_exact_duplicates_deterministically() {
-        // A byzantine shard could echo another shard's result; both copies
-        // survive the merge in a stable order rather than corrupting it.
-        let a = vec![rr(1, 5)];
-        let b = vec![rr(1, 5), rr(2, 5)];
-        assert_eq!(
-            merge_ranked_streams(&[&a, &b], None),
-            vec![rr(1, 5), rr(1, 5), rr(2, 5)]
-        );
-    }
-
-    #[test]
     fn mem_index_round_trips_lists_through_the_storage_seam() {
         let label = |b: u8| -> Label { [b; 20] };
         let entries = vec![vec![1u8; ENTRY_CT_LEN], vec![2u8; ENTRY_CT_LEN]];
@@ -819,50 +727,71 @@ mod tests {
     #[test]
     fn hostile_lists_are_refused_whole() {
         let opse = OpseParams::default();
+        let len = ENTRY_CT_LEN as u32;
+        let good = ([9u8; 20], len, vec![1; 2 * ENTRY_CT_LEN]);
         let refused = [
-            ([1u8; 20], 0, vec![7u8; 3]),   // bytes under entry length 0
-            ([2u8; 20], 40, vec![7u8; 50]), // not a whole number of entries
+            ([1u8; 20], 0, vec![7u8; 3]), // bytes under entry length 0
+            ([2u8; 20], len, vec![7u8; ENTRY_CT_LEN + 1]), // not a whole number of entries
+            ([3u8; 20], 40, vec![7u8; 80]), // whole, but 40-byte entries
+            ([4u8; 20], 40, vec![7u8; 160]), // 40-byte entries whose bytes tile 32 too
         ];
         for (label, entry_len, bytes) in refused {
-            let parts = vec![([9u8; 20], 40, vec![1; 80]), (label, entry_len, bytes)];
+            let parts = vec![good.clone(), (label, entry_len, bytes.clone())];
             assert_eq!(
                 RsseIndex::from_parts(parts, opse).unwrap_err(),
                 RsseError::MalformedList(label)
             );
+            let mut idx = RsseIndex::from_parts(vec![good.clone()], opse).unwrap();
+            assert_eq!(
+                idx.append_entries(label, entry_len, &bytes),
+                Err(RsseError::MalformedList(label))
+            );
+            assert_eq!(idx.export_parts(), Ok(vec![good.clone()]));
         }
-        // A label repeated under another entry length is refused too; an
-        // empty list under entry length 0 is legal and iterates as empty.
-        let twice = vec![([3u8; 20], 40, vec![1; 40]), ([3u8; 20], 8, vec![1; 8])];
+        // A repeated label appends, through the same door; an empty list
+        // under any entry length is legal, iterates as empty and exports
+        // under the scheme's.
+        let twice = vec![good.clone(), (good.0, len, vec![2; ENTRY_CT_LEN])];
+        let idx = RsseIndex::from_parts(twice, opse).unwrap();
+        assert_eq!(idx.list_len(&good.0), Some(3));
+        let twice = vec![good.clone(), (good.0, 8, vec![2; 8])];
         assert!(RsseIndex::from_parts(twice, opse).is_err());
         let idx = RsseIndex::from_parts(vec![([4u8; 20], 0, vec![])], opse).unwrap();
         assert_eq!(idx.raw_list(&[4u8; 20]), Some(vec![]));
-        assert_eq!(idx.export_parts(), Ok(vec![([4u8; 20], 0, vec![])]));
+        assert_eq!(idx.export_parts(), Ok(vec![([4u8; 20], len, vec![])]));
     }
 
     #[test]
-    fn appends_are_checked_against_the_whole_list_on_disk_too() {
+    fn appends_take_only_whole_entries_on_either_engine() {
+        let len = ENTRY_CT_LEN as u32;
         let (long, empty) = ([1u8; 20], [2u8; 20]);
-        let parts = vec![(long, 40, vec![7u8; 80]), (empty, 0, vec![])];
+        let parts = vec![(long, len, vec![7u8; 2 * ENTRY_CT_LEN]), (empty, 0, vec![])];
         let mut mem = RsseIndex::from_parts(parts, OpseParams::default()).unwrap();
         let io = crate::segio::MemIo::new();
         let mut gen = mem.save_generational_with_io(io.shared(), "/gen").unwrap();
         for index in [&mut mem, &mut gen] {
             let before = index.export_parts().unwrap();
-            assert_eq!(
-                index.append_entries(long, 32, &[9; 64]),
-                Err(RsseError::MalformedList(long)),
-                "32-byte entries appended to a 40-byte list"
-            );
+            for (entry_len, bytes) in [(40, vec![9; 80]), (40, vec![9; 160]), (len, vec![9; 40])] {
+                assert_eq!(
+                    index.append_entries(long, entry_len, &bytes),
+                    Err(RsseError::MalformedList(long)),
+                    "{entry_len}-byte entries, {} bytes",
+                    bytes.len()
+                );
+            }
             assert_eq!(index.export_parts(), Ok(before));
             assert_eq!(index.list_len(&long), Some(2));
-            // An empty append takes any length, and so does an empty list.
-            index.append_entries(long, 32, &[]).unwrap();
-            index.append_entries(empty, 32, &[9; 64]).unwrap();
+            // An empty append takes any length, and an empty list takes
+            // whole entries.
+            index.append_entries(long, 40, &[]).unwrap();
+            index
+                .append_entries(empty, len, &[9; 2 * ENTRY_CT_LEN])
+                .unwrap();
         }
         // What the generational index flushes and compacts stays whole.
         assert!(gen.flush_updates().unwrap());
-        gen.append_entries(long, 40, &[8; 40]).unwrap();
-        mem.append_entries(long, 40, &[8; 40]).unwrap();
+        gen.append_entries(long, len, &[8; ENTRY_CT_LEN]).unwrap();
+        mem.append_entries(long, len, &[8; ENTRY_CT_LEN]).unwrap();
         assert!(gen.compact().unwrap());
         assert_eq!(gen.export_parts(), mem.export_parts());
         let (mut saved_gen, mut saved_mem) = (Vec::new(), Vec::new());

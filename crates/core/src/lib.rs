@@ -55,12 +55,10 @@ pub mod store;
 
 pub use error::RsseError;
 pub use generation::{CompactionStats, GenerationPin, GenerationStats, LiveCompaction};
-pub use index::{
-    merge_ranked_streams, ranked_prefix, Label, ListParts, RankedResult, RsseIndex, RsseTrapdoor,
-};
+pub use index::{ranked_prefix, Label, ListParts, RankedResult, RsseIndex, RsseTrapdoor};
 pub use multi::{canonical_label_order, ConjunctiveResult, ConjunctiveStats, MultiTrapdoor};
 pub use params::{Padding, RangePolicy, RsseParams};
 pub use persist::PersistError;
 pub use scheme::{BuildReport, BuiltParts, IndexUpdate, IndexUpdater, Rsse, ScoreDecryptor};
 pub use segio::{MemIo, SegmentIo, SegmentRead, SegmentWrite, StdIo};
-pub use store::{PostingIter, PostingList, PostingStore};
+pub use store::{PostingIter, PostingStore};

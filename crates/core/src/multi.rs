@@ -185,11 +185,16 @@ impl RsseIndex {
     /// Returns an empty vector when any keyword matches nothing (empty
     /// intersection) or the trapdoor set is empty.
     ///
+    /// # Errors
+    ///
+    /// As [`RsseIndex::try_search`], for the first list that fails to
+    /// read.
+    ///
     /// The evaluation is **intersection pushdown** through the backend,
     /// not per-keyword materialization: every label's list length is
     /// probed first (a label with no list answers the query empty with
     /// zero decryption work), each surviving list is read and ranked by
-    /// one [`RsseIndex::search`] — one positional read per generation on
+    /// one [`RsseIndex::try_search`] — one positional read per generation on
     /// the on-disk store — and then the *smallest* list drives the
     /// intersection while the others are hash-probed.
     /// [`RsseIndex::conjunctive_stats`] counts what this saves.
@@ -201,10 +206,10 @@ impl RsseIndex {
         &self,
         trapdoor: &MultiTrapdoor,
         top_k: Option<usize>,
-    ) -> Vec<ConjunctiveResult> {
+    ) -> Result<Vec<ConjunctiveResult>, RsseError> {
         let parts = trapdoor.parts();
         if parts.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let counters = &self.conjunctive.0;
         counters.queries.fetch_add(1, Ordering::Relaxed);
@@ -215,11 +220,12 @@ impl RsseIndex {
             counters.lists_probed.fetch_add(1, Ordering::Relaxed);
             if self.list_len(part.label()).is_none_or(|n| n == 0) {
                 counters.probe_shortcuts.fetch_add(1, Ordering::Relaxed);
-                return Vec::new();
+                return Ok(Vec::new());
             }
         }
-        let rankings: Vec<Vec<RankedResult>> =
-            parts.iter().map(|part| self.search(part, None)).collect();
+        let rankings: Vec<Vec<RankedResult>> = (parts.iter())
+            .map(|part| self.try_search(part, None))
+            .collect::<Result<_, _>>()?;
         let driver = (0..rankings.len())
             .min_by_key(|&i| rankings[i].len())
             .expect("non-empty parts");
@@ -227,7 +233,7 @@ impl RsseIndex {
             .driver_entries
             .fetch_add(rankings[driver].len() as u64, Ordering::Relaxed);
         if rankings[driver].is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         // Hash-probe tables for the non-driver lists, sized up front so
         // the allocation count stays flat in list length.
@@ -275,7 +281,7 @@ impl RsseIndex {
         if let Some(k) = top_k {
             results.truncate(k);
         }
-        results
+        Ok(results)
     }
 
     /// Counters of the conjunctive pushdown path (zero until the first
@@ -311,7 +317,7 @@ mod tests {
         let enc = s.build_index(&docs()).unwrap();
         let t = s.multi_trapdoor("network storage").unwrap();
         assert_eq!(t.arity(), 2);
-        let hits = enc.search_conjunctive(&t, None);
+        let hits = enc.search_conjunctive(&t, None).unwrap();
         let mut files: Vec<u64> = hits.iter().map(|r| r.file.as_u64()).collect();
         files.sort_unstable();
         assert_eq!(files, vec![1, 4]);
@@ -329,11 +335,11 @@ mod tests {
         let s = scheme();
         let enc = s.build_index(&docs()).unwrap();
         let t = s.multi_trapdoor("network zebra").unwrap();
-        assert!(enc.search_conjunctive(&t, None).is_empty());
+        assert!(enc.search_conjunctive(&t, None).unwrap().is_empty());
         // "filler" and "network" never co-occur in the corpus.
         let t = s.multi_trapdoor("filler network").unwrap();
         assert_eq!(t.arity(), 2);
-        assert!(enc.search_conjunctive(&t, None).is_empty());
+        assert!(enc.search_conjunctive(&t, None).unwrap().is_empty());
     }
 
     #[test]
@@ -344,6 +350,7 @@ mod tests {
         let single = s.trapdoor("network").unwrap();
         let a: Vec<FileId> = enc
             .search_conjunctive(&multi, None)
+            .unwrap()
             .into_iter()
             .map(|r| r.file)
             .collect();
@@ -376,8 +383,8 @@ mod tests {
         let s = scheme();
         let enc = s.build_index(&docs()).unwrap();
         let t = s.multi_trapdoor("network storage").unwrap();
-        let all = enc.search_conjunctive(&t, None);
-        let top1 = enc.search_conjunctive(&t, Some(1));
+        let all = enc.search_conjunctive(&t, None).unwrap();
+        let top1 = enc.search_conjunctive(&t, Some(1)).unwrap();
         assert_eq!(top1.len(), 1);
         assert_eq!(top1[0], all[0]);
     }
@@ -389,7 +396,7 @@ mod tests {
         let enc = s.build_index_from(&index).unwrap();
         let opse = *enc.opse_params().unwrap();
         let t = s.multi_trapdoor("network storage").unwrap();
-        let hits = enc.search_conjunctive(&t, None);
+        let hits = enc.search_conjunctive(&t, None).unwrap();
         let dfs = [
             index.document_frequency("network"),
             index.document_frequency("storage"),
@@ -412,7 +419,7 @@ mod tests {
         let s = scheme();
         let enc = s.build_index(&docs()).unwrap();
         let t = s.multi_trapdoor("network storage").unwrap();
-        let hits = enc.search_conjunctive(&t, None);
+        let hits = enc.search_conjunctive(&t, None).unwrap();
         let pos = |f: u64| hits.iter().position(|r| r.file.as_u64() == f).unwrap();
         assert!(
             pos(1) < pos(4),
@@ -479,7 +486,7 @@ mod tests {
             let t = s.multi_trapdoor(query).unwrap();
             for top_k in [None, Some(0), Some(1), Some(10)] {
                 assert_eq!(
-                    enc.search_conjunctive(&t, top_k),
+                    enc.search_conjunctive(&t, top_k).unwrap(),
                     reference_conjunctive(&enc, &t, top_k),
                     "query {query:?} top_k {top_k:?}"
                 );
@@ -494,8 +501,8 @@ mod tests {
         assert_eq!(enc.conjunctive_stats(), ConjunctiveStats::default());
 
         let t = s.multi_trapdoor("network storage").unwrap();
-        let plain = enc.search_conjunctive(&t, None);
-        assert_eq!(enc.search_conjunctive(&t, None), plain);
+        let plain = enc.search_conjunctive(&t, None).unwrap();
+        assert_eq!(enc.search_conjunctive(&t, None).unwrap(), plain);
 
         let stats = enc.conjunctive_stats();
         assert_eq!(stats.queries, 2);
@@ -514,7 +521,7 @@ mod tests {
         let s = scheme();
         let enc = s.build_index(&docs()).unwrap();
         let t = s.multi_trapdoor("network zebra").unwrap();
-        assert!(enc.search_conjunctive(&t, None).is_empty());
+        assert!(enc.search_conjunctive(&t, None).unwrap().is_empty());
         let stats = enc.conjunctive_stats();
         assert_eq!(stats.queries, 1);
         assert_eq!(stats.probe_shortcuts, 1);

@@ -17,28 +17,31 @@
 //! u64 directory-offset
 //! ```
 //!
-//! Every entry of a list has one length (a list is one run of equal-length
-//! entries, padded to ν by the owner), so nothing frames a list or an
-//! entry: the directory record alone gives a list's extent `[offset,
-//! offset + byte-len)`, and its entry length is exactly `byte-len /
-//! entry-count`. The extents tile the body exactly, in label order. The
-//! final 8 bytes locate the directory from the end of the file.
+//! Every entry is [`ENTRY_CT_LEN`] bytes (a list is one run of entries,
+//! padded to ν by the owner), so nothing frames a list or an entry: the
+//! directory record alone gives a list's extent `[offset, offset +
+//! byte-len)`, and its byte length is exactly `entry-count ×
+//! ENTRY_CT_LEN`. A non-empty list of any other entry length is refused
+//! as [`RsseError::MalformedList`]. The extents tile the body exactly, in
+//! label order. The final 8 bytes locate the directory from the end of
+//! the file.
 //!
-//! `segment::SegmentReader` is the one reader:
-//! [`RsseIndex::load`] and every generation of a store open through it.
-//! It also reads the previous format, `RSSEIDX2`, which put `label | u64
-//! entry-count` before each list and a u64 length before each entry (a
-//! record's offset pointed past the list's frame, and its byte length
-//! counted the entries' frames); a store in it serves as it is, and its
-//! next flush and compaction write `RSSEIDX3`. `RSSEIDX1`, which had no directory, is refused as
-//! [`PersistError::BadMagic`]: it predates 32-byte entries, and no index
-//! serves its 40-byte ones.
+//! `segment::SegmentReader` is the one reader: [`RsseIndex::load`] and
+//! every generation of a store open through it. It also reads the
+//! previous format, `RSSEIDX2`, which put `label | u64 entry-count`
+//! before each list and a u64 length before each entry (a record's
+//! offset pointed past the list's frame, and its byte length counted the
+//! entries' frames); a store in it serves as it is, and its next flush
+//! and compaction write `RSSEIDX3`. `RSSEIDX1`, which had no directory,
+//! is refused as [`PersistError::BadMagic`]: it predates 32-byte
+//! entries, and no index serves its 40-byte ones.
 //!
 //! [`RsseIndex::save`] takes `W: Write` and [`RsseIndex::load`] `R: Read`
 //! by value (a `&mut` reference also works, per the std blanket impls);
 //! `save` buffers internally and `load` reads its input whole, so callers
 //! can hand over a bare `File`.
 
+use crate::entry::ENTRY_CT_LEN;
 use crate::error::RsseError;
 use crate::index::{Label, ListParts, RsseIndex};
 use crate::segment::{read_list, SegmentReader};
@@ -94,8 +97,9 @@ pub enum PersistError {
     /// and can simply be retried once the running pass installs its
     /// generation.
     CompactInProgress,
-    /// The stored index breaks a scheme invariant: a posting list whose
-    /// parts or `RSSEIDX2` entries differ in length
+    /// The stored index breaks a scheme invariant: a non-empty posting
+    /// list of entries of another length than [`ENTRY_CT_LEN`], or an
+    /// `RSSEIDX2` entry whose length prefix is another
     /// ([`RsseError::MalformedList`]).
     Rsse(RsseError),
 }
@@ -141,16 +145,16 @@ impl From<RsseError> for PersistError {
     }
 }
 
-/// Writes whole lists — `(label, entry_len, bytes)` in label order, each
-/// its `entry_len`-byte entries back to back — as one `RSSEIDX3` file and
-/// returns the writer: the one writer loop behind [`RsseIndex::save`] and
-/// a generational store's base generation, delta flushes and compactions.
-/// A list that arrives as an error (a compaction's failed read) ends the
-/// write with that error.
+/// Writes whole lists — `(label, bytes)` in label order, each its
+/// [`ENTRY_CT_LEN`]-byte entries back to back — as one `RSSEIDX3` file
+/// and returns the writer: the one writer loop behind [`RsseIndex::save`]
+/// and a generational store's base generation, delta flushes and
+/// compactions. A list that arrives as an error (a compaction's failed
+/// read) ends the write with that error.
 pub(crate) fn write_lists<W: Write, B: AsRef<[u8]>>(
     mut w: W,
     opse: &OpseParams,
-    lists: impl ExactSizeIterator<Item = Result<(Label, u32, B), PersistError>>,
+    lists: impl ExactSizeIterator<Item = Result<(Label, B), PersistError>>,
 ) -> Result<W, PersistError> {
     w.write_all(MAGIC_V3)?;
     w.write_all(&opse.domain_size().to_be_bytes())?;
@@ -159,9 +163,9 @@ pub(crate) fn write_lists<W: Write, B: AsRef<[u8]>>(
     let mut directory = Vec::with_capacity(lists.len() * DIR_RECORD_LEN as usize);
     let mut offset = HEADER_LEN;
     for list in lists {
-        let (label, entry_len, bytes) = list?;
+        let (label, bytes) = list?;
         let bytes = bytes.as_ref();
-        let count = entries(entry_len as usize, bytes).len() as u64;
+        let count = entries(bytes).len() as u64;
         w.write_all(bytes)?;
         directory.extend_from_slice(&label);
         for field in [offset, bytes.len() as u64, count] {
@@ -184,11 +188,11 @@ impl RsseIndex {
     ///
     /// # Errors
     ///
-    /// Before anything is written: [`PersistError::Rsse`] when a
-    /// generational store holds a list whose parts differ in entry length
-    /// (see [`RsseIndex::export_parts`]), and [`PersistError::Io`] when a
-    /// list fails to read off its generation file. [`PersistError::Io`]
-    /// on a failed write.
+    /// Before anything is written: [`PersistError::Rsse`] for an
+    /// `RSSEIDX2` entry of a generational store whose length prefix is
+    /// not [`ENTRY_CT_LEN`] (see [`RsseIndex::export_parts`]), and
+    /// [`PersistError::Io`] when a list fails to read off its generation
+    /// file. [`PersistError::Io`] on a failed write.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), PersistError> {
         let lists = self.whole_lists()?.into_iter().map(Ok);
         write_lists(BufWriter::new(writer), &self.opse_or_trivial(), lists)?;
@@ -206,17 +210,17 @@ impl RsseIndex {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Rsse`] for an `RSSEIDX2` list whose entries differ
-    /// in length; any other [`PersistError`] on malformed or truncated
-    /// input (`BadMagic` for an `RSSEIDX1` file).
+    /// [`PersistError::Rsse`] for a non-empty list of entries of another
+    /// length than [`ENTRY_CT_LEN`]; any other [`PersistError`] on
+    /// malformed or truncated input (`BadMagic` for an `RSSEIDX1` file).
     pub fn load<R: Read>(mut reader: R) -> Result<Self, PersistError> {
         let mut file = Vec::new();
         reader.read_to_end(&mut file)?;
         let segment = SegmentReader::from_file(Arc::new(file))?;
         let parts = (segment.directory().keys())
             .map(|label| {
-                let (entry_len, bytes) = read_list(std::iter::once(&segment), label, None)?;
-                Ok((*label, entry_len, bytes))
+                let bytes = read_list(std::iter::once(&segment), label, &[])?;
+                Ok((*label, ENTRY_CT_LEN as u32, bytes))
             })
             .collect::<Result<ListParts, PersistError>>()?;
         Ok(RsseIndex::from_parts(parts, *segment.opse())?)
@@ -271,39 +275,42 @@ mod tests {
         assert_eq!(saved(&index), saved(&index));
     }
 
-    /// One tiny index, byte for byte: a list of two 3-byte entries, an
-    /// empty list and a list of one 2-byte entry. A field order changed
-    /// alike in the writer and the reader still fails here.
+    /// One tiny index, byte for byte: a list of two entries, an empty
+    /// list and a list of one entry. A field order changed alike in the
+    /// writer and the reader still fails here.
     #[test]
     fn saved_bytes_are_pinned() {
+        let len = ENTRY_CT_LEN as u32;
         let parts = vec![
-            ([0x01; 20], 3, vec![0xA1, 0xA1, 0xA1, 0xA2, 0xA2, 0xA2]),
-            ([0x02; 20], 0, vec![]),
-            ([0x03; 20], 2, vec![0xB1, 0xB2]),
+            ([0x01; 20], len, [[0xA1; 32], [0xA2; 32]].concat()),
+            ([0x02; 20], len, vec![]),
+            ([0x03; 20], len, vec![0xB1; 32]),
         ];
         let opse = OpseParams::new(4, 16).unwrap();
         let index = RsseIndex::from_parts(parts.clone(), opse).unwrap();
         let label = |b: &str| b.repeat(20);
+        let entry = |b: &str| b.repeat(32);
         let golden = [
             "5253534549445833", // magic "RSSEIDX3"
             "0000000000000004", // domain
             "0000000000000010", // range
             "0000000000000003", // list count
-            "a1a1a1a2a2a2",     // list 01: two entries
-            "b1b2",             // list 03: one entry
+            &entry("a1"),       // list 01: two entries
+            &entry("a2"),
+            &entry("b1"),       // list 03: one entry
             &label("01"),       // directory: list 01
             "0000000000000020", //   offset 32
-            "0000000000000006", //   byte length
+            "0000000000000040", //   byte length 64
             "0000000000000002", //   entry count
             &label("02"),       // list 02, empty
-            "0000000000000026", //   offset 38
+            "0000000000000060", //   offset 96
             "0000000000000000", //   byte length
             "0000000000000000", //   entry count
             &label("03"),       // list 03
-            "0000000000000026", //   offset 38
-            "0000000000000002", //   byte length
+            "0000000000000060", //   offset 96
+            "0000000000000020", //   byte length 32
             "0000000000000001", //   entry count
-            "0000000000000028", // directory offset 40
+            "0000000000000080", // directory offset 128
         ]
         .concat();
         let hex: String = saved(&index).iter().map(|b| format!("{b:02x}")).collect();
@@ -330,7 +337,7 @@ mod tests {
         for rec in buf[dir_offset..buf.len() - 8].chunks_exact(DIR_RECORD_LEN as usize) {
             let (offset, byte_len, count) = (be(&rec[20..28]), be(&rec[28..36]), be(&rec[36..44]));
             assert_eq!(offset, next, "extents tile the body");
-            assert_eq!(byte_len, count * crate::entry::ENTRY_CT_LEN);
+            assert_eq!(byte_len, count * ENTRY_CT_LEN);
             next = offset + byte_len;
         }
         assert_eq!(next, dir_offset);

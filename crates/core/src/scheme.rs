@@ -723,19 +723,14 @@ impl IndexUpdate {
         self.ops.iter().map(|(label, ..)| label)
     }
 
-    /// Applies the batch to a server-held index.
-    ///
-    /// # Panics
-    ///
-    /// When a touched list holds entries of another length than
-    /// [`ENTRY_CT_LEN`] — a programming error: no list the scheme builds
-    /// does, and the cloud server boots and reopens no such list
-    /// ([`RsseIndex::check_entry_len`]).
+    /// Applies the batch to a server-held index. Every operation is whole
+    /// [`ENTRY_CT_LEN`]-byte entries (checked when the update was built or
+    /// received), so [`RsseIndex::append_entries`] admits each.
     pub fn apply_to(self, index: &mut RsseIndex) {
         for (label, entry_len, bytes) in self.ops {
             index
                 .append_entries(label, entry_len, &bytes)
-                .expect("update entries fit the index's lists");
+                .expect("an update holds whole entries");
         }
     }
 }

@@ -10,15 +10,17 @@
 //! file is never paged in, so a server restarts warm from its store and
 //! can serve indexes larger than resident memory. Opening validates the
 //! directory against the file before anything is served: the lists must
-//! tile the body exactly, each a whole number of entries of one length,
-//! so a hostile length claim is rejected before any allocation larger
-//! than the file. `load` reads its whole input and opens it through the
-//! same validation.
+//! tile the body exactly, each a whole number of its entries, so a
+//! hostile length claim is rejected before any allocation larger than
+//! the file. Opening is also one of the index's doors: a non-empty list
+//! of entries of any length but [`ENTRY_CT_LEN`] is refused as
+//! [`RsseError::MalformedList`]. `load` reads its whole input and opens
+//! it through the same validation.
 //!
-//! A list read returns `(entry_len, bytes)`, the entries back to back —
-//! the shape a list takes from the builder to the resident store. An
-//! `RSSEIDX2` list reads into the same shape: each entry's 8-byte length
-//! prefix must equal the record's entry length and is dropped.
+//! A list read returns its entries back to back — the bytes a list
+//! travels as from the builder to the resident store. An `RSSEIDX2` list
+//! reads into the same shape: each entry's 8-byte length prefix must be
+//! [`ENTRY_CT_LEN`] and is dropped.
 //!
 //! All store file access flows through the injectable [`SegmentIo`] layer
 //! (see [`crate::segio`]), which is what lets the crash-torture suite
@@ -30,11 +32,11 @@
 //! the file layout is a deterministic function of exactly that public
 //! shape plus the ciphertexts the server stores either way.
 
+use crate::entry::ENTRY_CT_LEN;
 use crate::error::RsseError;
 use crate::index::Label;
 use crate::persist::{PersistError, DIR_RECORD_LEN, HEADER_LEN, MAGIC_V2, MAGIC_V3, MAX_LEN};
 use crate::segio::{SegmentIo, SegmentRead};
-use crate::store::PostingList;
 use rsse_opse::OpseParams;
 use std::collections::BTreeMap;
 use std::io;
@@ -49,16 +51,6 @@ pub(crate) struct SegmentList {
     offset: u64,
     /// Number of entries.
     pub count: u64,
-    /// Bytes of every entry; 0 for an empty list.
-    pub entry_len: u64,
-}
-
-impl SegmentList {
-    /// Whether the list takes `entry_len`-byte entries: an empty list
-    /// takes any length.
-    pub(crate) fn fits_entry_len(&self, entry_len: usize) -> bool {
-        self.count == 0 || self.entry_len == entry_len as u64
-    }
 }
 
 /// The read side of one immutable segment file: its validated directory
@@ -92,15 +84,17 @@ impl SegmentReader {
     /// after validating the directory against the file: labels strictly
     /// increasing, list extents in bounds and tiling the body exactly in
     /// label order, each a whole number of entries of one non-zero length
-    /// (an empty list holds no bytes).
+    /// (an empty list holds no bytes), and that length [`ENTRY_CT_LEN`].
     ///
     /// # Errors
     ///
     /// `BadMagic` for anything but an `RSSEIDX3` or `RSSEIDX2` file;
     /// [`PersistError::BadDirectory`] on any directory inconsistency;
-    /// `Oversize` for a count or length past the 1 GiB cap;
-    /// `BadParameters` for inconsistent OPSE parameters; `Io` for a file
-    /// too short to hold a header and trailer, or a failed read.
+    /// [`PersistError::Rsse`] ([`RsseError::MalformedList`]) for a
+    /// non-empty list of entries of another length; `Oversize` for a
+    /// count or length past the 1 GiB cap; `BadParameters` for
+    /// inconsistent OPSE parameters; `Io` for a file too short to hold a
+    /// header and trailer, or a failed read.
     pub fn from_file(file: Arc<dyn SegmentRead>) -> Result<Self, PersistError> {
         let mut magic = [0u8; 8];
         file.read_exact_at(&mut magic, 0)?;
@@ -179,16 +173,11 @@ impl SegmentReader {
             if count > 0 && stride <= entry_frame {
                 return Err(PersistError::BadDirectory("a list of empty entries"));
             }
-            let entry_len = stride.saturating_sub(entry_frame);
-            base_payload += (count * entry_len) as usize;
-            directory.insert(
-                label,
-                SegmentList {
-                    offset,
-                    count,
-                    entry_len,
-                },
-            );
+            if count > 0 && stride != entry_frame + ENTRY_CT_LEN as u64 {
+                return Err(RsseError::MalformedList(label).into());
+            }
+            base_payload += count as usize * ENTRY_CT_LEN;
+            directory.insert(label, SegmentList { offset, count });
         }
         if next != dir_offset {
             return Err(PersistError::BadDirectory(
@@ -223,8 +212,7 @@ impl SegmentReader {
 
     /// Appends the entries of `list` (this segment's list under `label`)
     /// to `out`, back to back, with one positional read. An `RSSEIDX2`
-    /// entry's length prefix must equal the record's entry length, and is
-    /// dropped.
+    /// entry's length prefix must be [`ENTRY_CT_LEN`], and is dropped.
     fn read_into(
         &self,
         label: &Label,
@@ -232,17 +220,17 @@ impl SegmentReader {
         out: &mut Vec<u8>,
     ) -> Result<(), PersistError> {
         let start = out.len();
-        let (frame, entry_len) = (self.entry_frame as usize, list.entry_len as usize);
-        out.resize(start + list.count as usize * (frame + entry_len), 0);
+        let frame = self.entry_frame as usize;
+        out.resize(start + list.count as usize * (frame + ENTRY_CT_LEN), 0);
         self.file.read_exact_at(&mut out[start..], list.offset)?;
         if frame > 0 {
             let mut end = start;
-            for from in (start..out.len()).step_by(frame + entry_len) {
-                if be_u64(&out[from..from + frame]) != list.entry_len {
+            for from in (start..out.len()).step_by(frame + ENTRY_CT_LEN) {
+                if be_u64(&out[from..from + frame]) != ENTRY_CT_LEN as u64 {
                     return Err(RsseError::MalformedList(*label).into());
                 }
-                out.copy_within(from + frame..from + frame + entry_len, end);
-                end += entry_len;
+                out.copy_within(from + frame..from + frame + ENTRY_CT_LEN, end);
+                end += ENTRY_CT_LEN;
             }
             out.truncate(end);
         }
@@ -250,57 +238,48 @@ impl SegmentReader {
     }
 }
 
-/// The list under `label` as one `(entry_len, bytes)` buffer, sized up
-/// front: its part in each of `segments`, in order, then `resident`. An
-/// unknown label is `(0, [])`.
+/// The list under `label` as one buffer, sized up front: its part in each
+/// of `segments`, in order, then `resident`. An unknown label is empty.
 ///
 /// # Errors
 ///
-/// [`PersistError::Rsse`] ([`RsseError::MalformedList`]) when the
-/// non-empty parts differ in entry length, or an `RSSEIDX2` entry's
-/// length prefix differs from its record's; [`PersistError::Io`] when a
-/// read fails.
+/// [`PersistError::Rsse`] ([`RsseError::MalformedList`]) when an
+/// `RSSEIDX2` entry's length prefix is not [`ENTRY_CT_LEN`];
+/// [`PersistError::Io`] when a read fails.
 pub(crate) fn read_list<'a>(
     segments: impl Iterator<Item = &'a SegmentReader>,
     label: &Label,
-    resident: Option<PostingList<'_>>,
-) -> Result<(u32, Vec<u8>), PersistError> {
+    resident: &[u8],
+) -> Result<Vec<u8>, PersistError> {
     let parts: Vec<(&SegmentReader, &SegmentList)> = segments
         .filter_map(|segment| Some((segment, segment.directory.get(label)?)))
         .collect();
-    let resident = resident.filter(|list| !list.is_empty());
-    let mut lens = (parts.iter())
-        .filter(|(_, list)| list.count > 0)
-        .map(|(_, list)| list.entry_len as usize)
-        .chain(resident.map(|list| list.entry_len()));
-    let entry_len = lens.next().unwrap_or(0);
-    if lens.any(|len| len != entry_len) {
-        return Err(RsseError::MalformedList(*label).into());
-    }
-    let on_disk: u64 = parts.iter().map(|(_, l)| l.count * l.entry_len).sum();
-    let mut bytes = Vec::with_capacity(on_disk as usize + resident.map_or(0, |l| l.bytes().len()));
+    let on_disk: u64 = parts.iter().map(|(_, list)| list.count).sum();
+    let mut bytes = Vec::with_capacity(on_disk as usize * ENTRY_CT_LEN + resident.len());
     for (segment, list) in parts {
         segment.read_into(label, list, &mut bytes)?;
     }
-    bytes.extend_from_slice(resident.map_or(&[], |list| list.bytes()));
-    Ok((entry_len as u32, bytes))
+    bytes.extend_from_slice(resident);
+    Ok(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::persist::write_lists;
-    use crate::store::PostingStore;
 
     fn opse() -> OpseParams {
         OpseParams::new(4, 16).unwrap()
     }
 
+    /// `n` whole entries, the `i`-th all `tag + i`, back to back.
+    fn entries(n: u8, tag: u8) -> Vec<u8> {
+        (0..n).flat_map(|i| [tag + i; ENTRY_CT_LEN]).collect()
+    }
+
     /// `lists` written as one `RSSEIDX3` file, opened.
-    fn v3(lists: &[(Label, u32, Vec<u8>)]) -> SegmentReader {
-        let lists = lists
-            .iter()
-            .map(|(label, len, bytes)| Ok((*label, *len, bytes)));
+    fn v3(lists: &[(Label, Vec<u8>)]) -> SegmentReader {
+        let lists = lists.iter().map(|(label, bytes)| Ok((*label, bytes)));
         let file = write_lists(Vec::new(), &opse(), lists).unwrap();
         SegmentReader::from_file(Arc::new(file)).unwrap()
     }
@@ -328,51 +307,47 @@ mod tests {
         [&MAGIC_V2[..], &header, &body, &dir, &trailer].concat()
     }
 
-    fn malformed(result: Result<(u32, Vec<u8>), PersistError>, label: Label) -> bool {
+    fn malformed<T: std::fmt::Debug>(result: Result<T, PersistError>, label: Label) -> bool {
         matches!(result, Err(PersistError::Rsse(RsseError::MalformedList(l))) if l == label)
     }
 
     #[test]
-    fn parts_join_in_order_and_share_one_entry_length() {
+    fn parts_join_in_order() {
         let (a, b, unknown) = ([1; 20], [2; 20], [9; 20]);
-        let base = v3(&[(a, 2, vec![1, 1, 2, 2]), (b, 0, vec![])]);
-        let delta = v3(&[(a, 2, vec![3, 3]), (b, 3, vec![4, 4, 4])]);
-        let mut resident = PostingStore::new();
-        resident.append(a, 2, &[5, 5]).unwrap();
+        let base = v3(&[(a, entries(2, 0x10)), (b, vec![])]);
+        let delta = v3(&[(a, entries(1, 0x20)), (b, entries(1, 0x30))]);
+        let resident = entries(1, 0x40);
         let both = || [&base, &delta].into_iter();
-        let whole = read_list(both(), &a, resident.list(&a)).unwrap();
-        assert_eq!(whole, (2, vec![1, 1, 2, 2, 3, 3, 5, 5]));
-        // An empty part takes any entry length; an unknown label is empty.
-        assert_eq!(read_list(both(), &b, None).unwrap(), (3, vec![4, 4, 4]));
-        assert_eq!(read_list(both(), &unknown, None).unwrap(), (0, vec![]));
-        // Parts of different entry lengths, on disk or resident, are not
-        // one list.
-        let other = v3(&[(a, 3, vec![6, 6, 6])]);
-        assert!(malformed(
-            read_list([&base, &other].into_iter(), &a, None),
-            a
-        ));
-        resident.append(b, 1, &[7]).unwrap();
-        assert!(malformed(read_list(both(), &b, resident.list(&b)), b));
+        let whole = read_list(both(), &a, &resident).unwrap();
+        assert_eq!(
+            whole,
+            [entries(2, 0x10), entries(1, 0x20), resident].concat()
+        );
+        // An empty part adds nothing; an unknown label is empty.
+        assert_eq!(read_list(both(), &b, &[]).unwrap(), entries(1, 0x30));
+        assert_eq!(read_list(both(), &unknown, &[]).unwrap(), vec![]);
     }
 
     #[test]
     fn rsseidx2_lists_read_flat_once_their_prefixes_check_out() {
         let (a, b, mixed) = ([1; 20], [2; 20], [3; 20]);
         let lists = [
-            (a, vec![vec![1, 1, 1], vec![2, 2, 2]]),
+            (a, vec![entries(1, 1), entries(1, 2)]),
             (b, vec![]),
-            // 2 + 4 bytes in two 8-byte frames: 11 bytes a record, so the
-            // directory reads 3-byte entries and the prefixes disagree.
-            (mixed, vec![vec![3, 3], vec![4, 4, 4, 4]]),
+            // 24 + 40 bytes in two 8-byte frames: 80 bytes a record, so the
+            // directory reads 32-byte entries and the prefixes disagree.
+            (mixed, vec![vec![3; 24], vec![4; 40]]),
         ];
         let file = SegmentReader::from_file(Arc::new(v2(&lists))).unwrap();
-        let entry_lens: Vec<u64> = file.directory().values().map(|l| l.entry_len).collect();
-        assert_eq!(entry_lens, [3, 0, 3]);
-        assert_eq!(file.base_payload(), 12);
-        let read = |label| read_list(std::iter::once(&file), label, None);
-        assert_eq!(read(&a).unwrap(), (3, vec![1, 1, 1, 2, 2, 2]));
-        assert_eq!(read(&b).unwrap(), (0, vec![]));
+        let counts: Vec<u64> = file.directory().values().map(|l| l.count).collect();
+        assert_eq!(counts, [2, 0, 2]);
+        assert_eq!(file.base_payload(), 4 * ENTRY_CT_LEN);
+        let read = |label| read_list(std::iter::once(&file), label, &[]);
+        assert_eq!(read(&a).unwrap(), entries(2, 1));
+        assert_eq!(read(&b).unwrap(), vec![]);
         assert!(malformed(read(&mixed), mixed));
+        // A list of entries of another length is refused at open.
+        let old = v2(&[(a, vec![]), (b, vec![vec![1; 40], vec![2; 40]])]);
+        assert!(malformed(SegmentReader::from_file(Arc::new(old)), b));
     }
 }

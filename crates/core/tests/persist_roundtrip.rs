@@ -2,15 +2,16 @@
 //! (`crates/core/src/persist.rs`).
 //!
 //! The format must be lossless over *wire-shaped* indexes — lists whose
-//! entry counts and entry lengths differ from list to list, empty lists —
-//! not just the uniform padded lists the scheme happens to produce. Within
-//! one list every entry has the same length: that is the only list shape
-//! an index holds, and the only one an `RSSEIDX3` file can hold. One
-//! reader opens every file, behind the materializing loader and behind
-//! each generation of a generational store; fed hostile bytes (wrong
-//! magic, absurd length claims, cut-off files, directories whose extents
-//! do not tile the body in whole entries) it must fail with the matching
-//! [`PersistError`] through both doors, never panic or mis-load.
+//! entry counts differ from list to list, empty lists, arbitrary entry
+//! bytes — not just the uniform padded lists the scheme happens to
+//! produce. Every entry is `ENTRY_CT_LEN` bytes: that is the only list
+//! shape an index admits, and a file list of any other entry length is
+//! refused as `MalformedList`. One reader opens every file, behind the
+//! materializing loader and behind each generation of a generational
+//! store; fed hostile bytes (wrong magic, absurd length claims, cut-off
+//! files, directories whose extents do not tile the body in whole
+//! entries) it must fail with the matching [`PersistError`] through both
+//! doors, never panic or mis-load.
 //! `RSSEIDX2` files, which framed every entry with its length, still open
 //! and rank as before; `RSSEIDX1` files are refused. A tracking allocator
 //! checks that no door ever allocates much past the size of its input,
@@ -19,6 +20,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rsse_core::entry::ENTRY_CT_LEN;
 use rsse_core::persist::{PersistError, MAGIC_V2, MAGIC_V3};
 use rsse_core::{Label, MemIo, Rsse, RsseError, RsseIndex, RsseParams, RsseTrapdoor, SegmentIo};
 use rsse_ir::{Document, FileId, InvertedIndex};
@@ -84,16 +86,15 @@ fn label(i: usize, salt: u8) -> Label {
     l
 }
 
-/// One list per `(entry_len, bytes)` item, under distinct labels, with
-/// `bytes` cut to whole `entry_len`-byte entries: lists differ in entry
-/// length and count, the entries of one list share a length.
-fn ragged_index(lists: &[(usize, Vec<u8>)], salt: u8, domain: u64, extra: u64) -> RsseIndex {
+/// One list per item of `lists`, under distinct labels, each cut to whole
+/// `ENTRY_CT_LEN`-byte entries: lists differ in entry count.
+fn ragged_index(lists: &[Vec<u8>], salt: u8, domain: u64, extra: u64) -> RsseIndex {
     let parts = lists
         .iter()
         .enumerate()
-        .map(|(i, (entry_len, bytes))| {
-            let whole = bytes.len() / entry_len.max(&1) * entry_len;
-            (label(i, salt), *entry_len as u32, bytes[..whole].to_vec())
+        .map(|(i, bytes)| {
+            let whole = bytes.len() / ENTRY_CT_LEN * ENTRY_CT_LEN;
+            (label(i, salt), ENTRY_CT_LEN as u32, bytes[..whole].to_vec())
         })
         .collect();
     let opse = OpseParams::new(domain, domain + extra).unwrap();
@@ -188,11 +189,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Save→load is the identity on arbitrary wire-shaped indexes whose
-    /// lists differ in entry length and count: same OPSE parameters, same
-    /// lists, same entries, byte for byte.
+    /// lists differ in entry count: same OPSE parameters, same lists, same
+    /// entries, byte for byte.
     #[test]
     fn save_load_is_identity_on_ragged_indexes(
-        lists in vec((0usize..40, vec(any::<u8>(), 0..240)), 0..8),
+        lists in vec(vec(any::<u8>(), 0..240), 0..8),
         salt in any::<u8>(),
         domain in 1u64..512,
         extra in 0u64..(1 << 40),
@@ -212,7 +213,7 @@ proptest! {
     /// neither ever returns a partial index.
     #[test]
     fn any_truncation_is_rejected(
-        lists in vec((1usize..20, vec(any::<u8>(), 20..80)), 1..5),
+        lists in vec(vec(any::<u8>(), 32..160), 1..5),
         cut_seed in any::<u64>(),
     ) {
         let buf = saved(&ragged_index(&lists, 7, 64, 64));
@@ -292,12 +293,12 @@ fn legacy_v1_bytes(lists: &[(Label, Vec<Vec<u8>>)], opse: &OpseParams) -> Vec<u8
 /// Every list of `index` as its entries, one `Vec` each.
 fn entry_lists(index: &RsseIndex) -> Vec<(Label, Vec<Vec<u8>>)> {
     let parts = index.export_parts().unwrap();
-    let split = |len: u32, bytes: Vec<u8>| {
-        let chunks = bytes.chunks_exact(len.max(1) as usize);
+    let split = |bytes: Vec<u8>| {
+        let chunks = bytes.chunks_exact(ENTRY_CT_LEN);
         chunks.map(<[u8]>::to_vec).collect()
     };
     (parts.into_iter())
-        .map(|(label, len, bytes)| (label, split(len, bytes)))
+        .map(|(label, _, bytes)| (label, split(bytes)))
         .collect()
 }
 
@@ -362,17 +363,18 @@ fn rsseidx2_files_rank_alike_and_upgrade_to_rsseidx3() {
     assert_eq!(saved(&store), saved(&mem));
 }
 
-/// A saved index of four lists — two 10-byte entries, one 4-byte entry,
-/// three 6-byte entries, then an empty list — and the byte offset of its
-/// directory, for the hostile cases to patch. Record `k` sits at
-/// `dir + 44·k`: label, then offset at `+20`, byte length at `+28`, entry
-/// count at `+36`.
+/// A saved index of four lists — two entries, one entry, three entries,
+/// then an empty list — and the byte offset of its directory, for the
+/// hostile cases to patch. Record `k` sits at `dir + 44·k`: label, then
+/// offset at `+20`, byte length at `+28`, entry count at `+36`.
 fn saved_with_dir_offset() -> (Vec<u8>, usize) {
+    let entries =
+        |tags: &[u8]| -> Vec<u8> { tags.iter().flat_map(|&tag| [tag; ENTRY_CT_LEN]).collect() };
     let lists = vec![
-        (10, [[0x11; 10], [0x12; 10]].concat()),
-        (4, vec![0x21; 4]),
-        (6, [[0x31; 6], [0x32; 6], [0x33; 6]].concat()),
-        (0, vec![]),
+        entries(&[0x11, 0x12]),
+        entries(&[0x21]),
+        entries(&[0x31, 0x32, 0x33]),
+        vec![],
     ];
     let buf = saved(&ragged_index(&lists, 5, 64, 64));
     let dir_offset = be(&buf[buf.len() - 8..]);
@@ -441,7 +443,7 @@ fn hostile_directory_absurd_counts_never_over_allocate() {
 
 #[test]
 fn hostile_directory_extents_must_hold_whole_entries_back_to_back() {
-    // 20 bytes are not a whole number of 3 entries.
+    // Two entries' bytes are not a whole number of 3 entries.
     let (mut buf, dir) = saved_with_dir_offset();
     patch(&mut buf, dir + 36, 3);
     assert_bad_directory(&buf, "byte length not a whole number of entries");
@@ -461,12 +463,13 @@ fn hostile_directory_extents_must_hold_whole_entries_back_to_back() {
     assert_bad_directory(&buf, "a gap between two extents");
 
     // The third list drops its last entry and the empty list follows
-    // it, so the extents end 6 bytes short of the directory.
+    // it, so the extents end one entry short of the directory.
     let (mut buf, dir) = saved_with_dir_offset();
-    patch(&mut buf, dir + 2 * 44 + 28, 12);
+    let entry = ENTRY_CT_LEN as u64;
+    patch(&mut buf, dir + 2 * 44 + 28, 2 * entry);
     patch(&mut buf, dir + 2 * 44 + 36, 2);
     let offset = be(&buf[dir + 3 * 44 + 20..dir + 3 * 44 + 28]) as u64;
-    patch(&mut buf, dir + 3 * 44 + 20, offset - 6);
+    patch(&mut buf, dir + 3 * 44 + 20, offset - entry);
     assert_bad_directory(&buf, "bytes after the last extent");
 }
 
@@ -507,7 +510,7 @@ fn cut_off_tails_are_bad_directory() {
     // A file missing its last bytes: the trailer no longer locates a
     // directory that ends the file.
     let buf = saved(&ragged_index(
-        &[(16, [[0xAB; 16], [0xCD; 16]].concat())],
+        &[[[0xAB; ENTRY_CT_LEN], [0xCD; ENTRY_CT_LEN]].concat()],
         3,
         64,
         64,
@@ -519,12 +522,12 @@ fn cut_off_tails_are_bad_directory() {
 
 #[test]
 fn stored_lists_that_mix_entry_lengths_are_a_typed_error() {
-    // An `RSSEIDX2` list whose 2- and 10-byte entries frame like two
-    // 6-byte ones: its directory record (byte length 28, count 2) is
+    // An `RSSEIDX2` list whose 24- and 40-byte entries frame like two
+    // 32-byte ones: its directory record (byte length 80, count 2) is
     // consistent, only the entries' length prefixes disagree with it.
     let mixed = label(0, 8);
     let opse = OpseParams::new(64, 128).unwrap();
-    let bytes = legacy_v2_bytes(&[(mixed, vec![vec![0x43; 2], vec![0x44; 10]])], &opse);
+    let bytes = legacy_v2_bytes(&[(mixed, vec![vec![0x43; 24], vec![0x44; 40]])], &opse);
     let malformed = |e: &PersistError| matches!(e, PersistError::Rsse(RsseError::MalformedList(l)) if *l == mixed);
     // The materializing loader refuses the file.
     let err = RsseIndex::load(&bytes[..]).unwrap_err();
@@ -543,6 +546,10 @@ fn stored_lists_that_mix_entry_lengths_are_a_typed_error() {
         scheme.trapdoor("network").unwrap().list_key().clone(),
     );
     assert!(store.search(&t, None).is_empty());
+    assert_eq!(
+        store.try_search(&t, None),
+        Err(RsseError::MalformedList(mixed))
+    );
 }
 
 #[test]
@@ -575,8 +582,13 @@ fn a_generation_cut_short_under_a_live_store_is_a_typed_error() {
         Err(PersistError::Io(_))
     ));
     assert_eq!(store.raw_list(label), None);
-    // A search still ranks an unreadable part as empty.
+    // A search ranks an unreadable part as empty; the server's form
+    // reports it.
     assert!(store.search(&network, None).is_empty());
+    assert!(matches!(
+        store.try_search(&network, None),
+        Err(RsseError::StoreRead(_))
+    ));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&copy);

@@ -30,12 +30,7 @@ fn docs_from(spec: &[Vec<usize>]) -> Vec<Document> {
 fn boxed(parts: &[([u8; 20], u32, Vec<u8>)]) -> HashMap<[u8; 20], Vec<Vec<u8>>> {
     parts
         .iter()
-        .map(|(label, len, bytes)| {
-            (
-                *label,
-                entries(*len as usize, bytes).map(<[u8]>::to_vec).collect(),
-            )
-        })
+        .map(|(label, _, bytes)| (*label, entries(bytes).map(<[u8]>::to_vec).collect()))
         .collect()
 }
 

@@ -83,10 +83,10 @@ pub struct ScoredFile {
 }
 
 /// The encrypted searchable index held by the cloud server: per label,
-/// `(entry_len, bytes)` — the list's equal-length entries back to back.
+/// the list's [`ENTRY_CT_LEN`]-byte entries back to back.
 #[derive(Debug, Clone, Default)]
 pub struct BasicEncryptedIndex {
-    lists: HashMap<Label, (u32, Vec<u8>)>,
+    lists: HashMap<Label, Vec<u8>>,
 }
 
 impl BasicEncryptedIndex {
@@ -95,28 +95,29 @@ impl BasicEncryptedIndex {
     ///
     /// # Errors
     ///
-    /// [`SseError::MalformedList`] when a list's bytes are not a whole
-    /// number of `entry_len`-byte entries (any bytes at all under an
-    /// entry length of 0).
+    /// [`SseError::MalformedList`] for a non-empty list that is not whole
+    /// [`ENTRY_CT_LEN`]-byte entries under an `entry_len` of
+    /// [`ENTRY_CT_LEN`]. An empty list passes under any entry length.
     pub fn from_parts(parts: Vec<(Label, u32, Vec<u8>)>) -> Result<Self, SseError> {
         let mut lists = HashMap::with_capacity(parts.len());
         for (label, entry_len, bytes) in parts {
-            // `is_multiple_of(0)` holds for 0 bytes alone.
-            if !bytes.len().is_multiple_of(entry_len as usize) {
+            let whole =
+                entry_len as usize == ENTRY_CT_LEN && bytes.len().is_multiple_of(ENTRY_CT_LEN);
+            if !bytes.is_empty() && !whole {
                 return Err(SseError::MalformedList(label));
             }
-            lists.insert(label, (entry_len, bytes));
+            lists.insert(label, bytes);
         }
         Ok(BasicEncryptedIndex { lists })
     }
 
     /// Exports the index as `(label, entry_len, bytes)` triples in label
-    /// order.
+    /// order, every list under an `entry_len` of [`ENTRY_CT_LEN`].
     pub fn export_parts(&self) -> Vec<(Label, u32, Vec<u8>)> {
         let mut parts: Vec<_> = self
             .lists
             .iter()
-            .map(|(l, (n, b))| (*l, *n, b.clone()))
+            .map(|(l, b)| (*l, ENTRY_CT_LEN as u32, b.clone()))
             .collect();
         parts.sort_by_key(|a| a.0);
         parts
@@ -127,9 +128,7 @@ impl BasicEncryptedIndex {
     /// The basic scheme's server cannot rank — it returns the whole
     /// (padded) list of opaque entries.
     pub fn search(&self, label: &Label) -> Option<Entries<'_>> {
-        let (entry_len, bytes) = self.lists.get(label)?;
-        // A whole list under entry length 0 is empty, so 1 reads it alike.
-        Some(bytes.chunks_exact((*entry_len as usize).max(1)))
+        Some(self.lists.get(label)?.chunks_exact(ENTRY_CT_LEN))
     }
 
     /// Number of posting lists (`m`, the number of distinct keywords).
@@ -142,14 +141,14 @@ impl BasicEncryptedIndex {
         self.lists
             .values()
             .next()
-            .map_or(0, |(n, b)| b.len() / (*n).max(1) as usize)
+            .map_or(0, |b| b.len() / ENTRY_CT_LEN)
     }
 
     /// Total index size in bytes (labels + entries).
     pub fn size_bytes(&self) -> usize {
         self.lists
             .iter()
-            .map(|(k, (_, bytes))| k.len() + bytes.len())
+            .map(|(k, bytes)| k.len() + bytes.len())
             .sum()
     }
 }
@@ -291,7 +290,7 @@ impl BasicScheme {
             let real = list.len();
             list.resize(list_len, 0);
             tape.fill_bytes(&mut list[real..]);
-            lists.insert(pi.label(term.as_bytes()), (ENTRY_CT_LEN as u32, list));
+            lists.insert(pi.label(term.as_bytes()), list);
         }
         Ok(BasicEncryptedIndex { lists })
     }
@@ -512,7 +511,7 @@ mod tests {
             .all(|(_, len, _)| *len as usize == ENTRY_CT_LEN));
         let back = BasicEncryptedIndex::from_parts(parts.clone()).unwrap();
         assert_eq!(back.export_parts(), parts);
-        for (entry_len, bytes) in [(0, vec![1u8; 5]), (56, vec![1u8; 57])] {
+        for (entry_len, bytes) in [(0, vec![1u8; 5]), (56, vec![1u8; 57]), (40, vec![1u8; 80])] {
             assert_eq!(
                 BasicEncryptedIndex::from_parts(vec![([7; 20], entry_len, bytes)]).unwrap_err(),
                 SseError::MalformedList([7; 20])

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let enc = scheme.build_index_from(&index)?;
     let opse = *enc.opse_params().expect("built index carries parameters");
     let t = scheme.multi_trapdoor(query)?;
-    let hits = enc.search_conjunctive(&t, None);
+    let hits = enc.search_conjunctive(&t, None).unwrap();
     let dfs = [
         index.document_frequency("kubernet"),
         index.document_frequency("outag"),

@@ -62,8 +62,9 @@ cargo test -q -p rsse-core --lib entry::
 # cannot silently skip them: the exact bytes of one tiny saved index
 # (so a field order changed alike in writer and reader still fails),
 # directory records that tile the body, RSSEIDX1 refused as BadMagic,
-# RSSEIDX2 lists read flat once their length prefixes match the record,
-# and a list's parts joined only when they share one entry length.
+# RSSEIDX2 lists read flat once their length prefixes say 32, a list of
+# another entry length refused at open, and a list's parts joined in
+# generation order.
 echo "==> cargo test -q -p rsse-core --lib -- persist:: segment::"
 cargo test -q -p rsse-core --lib -- persist:: segment::
 
@@ -114,17 +115,30 @@ cargo test -q --test conjunctive
 
 # The persistence format's lossless round-trip and hostile-file
 # rejection. An RSSEIDX3 file holds each posting list as one run of
-# equal-length entries with no per-entry length, so a stored list can no
-# longer mix entry lengths; the round-trip covers lists whose entry
-# lengths differ from list to list. Hostile files are refused by the one
-# reader through both load and open_generational — never a panic or a
-# partial load. RSSEIDX2 files still open, rank alike and upgrade to v3
-# on flush and compaction (a v2 list whose length prefixes disagree is a
-# typed error from load, export and save); RSSEIDX1 files are refused as
-# BadMagic. A generation cut short under a live store is a typed error
-# from export and save, never an empty list.
+# 32-byte entries with no per-entry length; the round-trip covers lists
+# whose entry counts differ from list to list, and any other entry
+# length is refused at every door of the index. Hostile files are
+# refused by the one reader through both load and open_generational —
+# never a panic or a partial load. RSSEIDX2 files still open, rank alike
+# and upgrade to v3 on flush and compaction (a v2 list whose length
+# prefixes disagree is a typed error from load, export, save and the
+# server's search); RSSEIDX1 files are refused as BadMagic. A generation
+# cut short under a live store is a typed error from export, save and
+# the server's search, never an empty list.
 echo "==> cargo test -q -p rsse-core --test persist_roundtrip"
 cargo test -q -p rsse-core --test persist_roundtrip
+
+# The index's one entry length, named explicitly so a filtered local run
+# cannot silently skip it: a list of 40-byte entries beside one of the
+# scheme's is refused as MalformedList naming it, with nothing changed
+# and no store written, at every door a list enters an index by —
+# from_parts, append_entries, load (RSSEIDX3 and RSSEIDX2 files written
+# byte by byte), open_generational, boot, reopen and an Update frame.
+# Beside it, every search arm of a server whose base generation is cut
+# short answers an error frame, never an empty ranking, and fills no
+# cache.
+echo "==> cargo test -q --test failure_injection -- every_door_refuses_a_list_of_another_entry_length searches_over_a_generation_cut_short_answer_an_error"
+cargo test -q --test failure_injection -- every_door_refuses_a_list_of_another_entry_length searches_over_a_generation_cut_short_answer_an_error
 
 # The storage engine's tentpole guarantee: an index with and without a
 # generational on-disk store returns byte-identical rankings under

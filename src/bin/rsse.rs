@@ -177,17 +177,12 @@ fn cmd_build_index(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads the index file at `path`, refusing one whose lists hold entries
-/// of another length than the scheme writes (an index written in an
-/// older entry layout), which no search could rank.
+/// Loads the index file at `path`. `RsseIndex::load` refuses one whose
+/// lists hold entries of another length than the scheme writes (an index
+/// written in an older entry layout), which no search could rank.
 fn load_index(path: &str) -> Result<RsseIndex, String> {
     let file = fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    let index = RsseIndex::load(std::io::BufReader::new(file))
-        .map_err(|e| format!("loading {path}: {e}"))?;
-    index
-        .check_entry_len()
-        .map_err(|e| format!("loading {path}: {e}"))?;
-    Ok(index)
+    RsseIndex::load(std::io::BufReader::new(file)).map_err(|e| format!("loading {path}: {e}"))
 }
 
 fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {

@@ -126,14 +126,23 @@ fn wrong_secret_finds_nothing() {
 fn an_index_of_another_entry_length_is_refused() {
     // An index file whose list holds 40-byte entries, the layout before
     // 32-byte entries: no search could rank it, so loading refuses it.
-    use rsse::core::RsseIndex;
     let dir = workdir("old_layout");
     let key = dir.join("key.txt");
     fs::write(&key, "secret").unwrap();
     let index = dir.join("index.rsse");
-    let opse = rsse::opse::OpseParams::new(128, 1 << 46).unwrap();
-    let old = RsseIndex::from_parts(vec![([1u8; 20], 40, vec![1u8; 80])], opse).unwrap();
-    old.save(fs::File::create(&index).unwrap()).unwrap();
+    // Written byte by byte: the `RSSEIDX3` header (domain, range, one
+    // list), the list's two entries, its directory record (label, offset
+    // 32, byte length 80, count 2), then the directory's offset.
+    let mut file = b"RSSEIDX3".to_vec();
+    for field in [128u64, 1 << 46, 1] {
+        file.extend_from_slice(&field.to_be_bytes());
+    }
+    file.extend_from_slice(&[1u8; 80]);
+    file.extend_from_slice(&[1u8; 20]);
+    for field in [32u64, 80, 2, 112] {
+        file.extend_from_slice(&field.to_be_bytes());
+    }
+    fs::write(&index, file).unwrap();
 
     let search = bin()
         .args(["search", "--secret-file"])

@@ -87,7 +87,7 @@ fn exact_rerank_agrees_with_dominance() {
     let enc = scheme.build_index_from(&index).unwrap();
     let opse = *enc.opse_params().unwrap();
     let t = scheme.multi_trapdoor("network protocol").unwrap();
-    let hits = enc.search_conjunctive(&t, None);
+    let hits = enc.search_conjunctive(&t, None).unwrap();
     if hits.len() < 2 {
         return; // corpus too sparse for this seed — covered by unit tests
     }

@@ -8,11 +8,14 @@ use rsse::cloud::{
     MeteredChannel, SearchMode, Storage,
 };
 use rsse::core::entry::ENTRY_CT_LEN;
+use rsse::core::persist::{MAGIC_V2, MAGIC_V3};
 use rsse::core::{Label, Rsse, RsseError, RsseIndex, RsseParams, RsseTrapdoor};
 use rsse::crypto::SecretKey;
 use rsse::ir::corpus::{CorpusParams, SyntheticCorpus};
 use rsse::ir::{Document, FileId};
+use rsse::opse::OpseParams;
 use rsse::sse::SseError;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 mod bytes_shim {
@@ -259,7 +262,12 @@ fn hostile_outsource_lists_fail_boot_with_a_typed_error() {
         }
         assert!(!dir.exists(), "a refused boot writes no store");
     }
-    for bad in [([3u8; 20], 0, vec![3u8; 5]), ([3u8; 20], 56, vec![3u8; 57])] {
+    let basic_cases = [
+        ([3u8; 20], 0, vec![3u8; 5]),   // bytes under an entry length of 0
+        ([3u8; 20], 56, vec![3u8; 57]), // not a whole number of entries
+        ([3u8; 20], 40, vec![3u8; 80]), // whole, but 40-byte entries
+    ];
+    for bad in basic_cases {
         let msg = outsource(vec![good.clone()], vec![bad]);
         assert!(matches!(
             CloudServer::from_outsource(msg),
@@ -272,28 +280,82 @@ fn hostile_outsource_lists_fail_boot_with_a_typed_error() {
     assert_eq!(server.rsse_index().list_len(&[4u8; 20]), Some(0));
 }
 
+/// A fresh temp path for this test process.
+fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("rsse_{tag}_{}", std::process::id()))
+}
+
+/// An index file of `lists` — `(label, entry length, entry count)`, every
+/// byte of a list's entries its label's first byte — written byte by byte
+/// from the format under `magic`. An `RSSEIDX3` list is its entries back
+/// to back; an `RSSEIDX2` list has `label | u64 count` before it and each
+/// entry's u64 length before the entry. Then one directory record per
+/// list — label, offset of its first entry (or length prefix), byte
+/// length, entry count — and the directory's offset.
+fn index_file(magic: &[u8; 8], lists: &[(Label, usize, u64)]) -> Vec<u8> {
+    let v2 = magic == MAGIC_V2;
+    let header = [128, 1 << 46, lists.len() as u64].map(u64::to_be_bytes);
+    let mut file = [&magic[..], &header.concat()].concat();
+    let mut directory = Vec::new();
+    for &(label, entry_len, count) in lists {
+        if v2 {
+            file.extend_from_slice(&label);
+            file.extend_from_slice(&count.to_be_bytes());
+        }
+        let offset = file.len() as u64;
+        for _ in 0..count {
+            if v2 {
+                file.extend_from_slice(&(entry_len as u64).to_be_bytes());
+            }
+            file.extend_from_slice(&vec![label[0]; entry_len]);
+        }
+        directory.extend_from_slice(&label);
+        for field in [offset, file.len() as u64 - offset, count] {
+            directory.extend_from_slice(&field.to_be_bytes());
+        }
+    }
+    let dir_offset = (file.len() as u64).to_be_bytes();
+    [file, directory, dir_offset.to_vec()].concat()
+}
+
+/// A generational store at a fresh temp path whose one generation, the
+/// base, is the file `base`.
+fn store_with_base(tag: &str, base: &[u8]) -> PathBuf {
+    let dir = temp_path(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    RsseIndex::default().save_generational(&dir).unwrap();
+    std::fs::write(dir.join("gen-000000.seg"), base).unwrap();
+    dir
+}
+
+/// Every file of the store at `dir` with its bytes, by name.
+fn store_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = (std::fs::read_dir(dir).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .map(|path| (path.clone(), std::fs::read(path).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn reopen_refuses_a_store_of_another_entry_length() {
     // A store written in the 40-byte entry layout beside a list of the
     // scheme's entries: served, it would rank nothing from the first list
     // and panic on an update to it, so the warm restart refuses it.
     let (old, new) = ([1u8; 20], [2u8; 20]);
-    let parts = vec![
-        (old, 40, vec![1u8; 80]),
-        (new, ENTRY_CT_LEN as u32, vec![2u8; 2 * ENTRY_CT_LEN]),
-    ];
-    let opse = rsse::opse::OpseParams::new(128, 1 << 46).unwrap();
-    let dir = std::env::temp_dir().join(format!("rsse_reopen_old_layout_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let index = RsseIndex::from_parts(parts, opse).unwrap();
-    index.save_generational(&dir).unwrap();
+    let file = index_file(MAGIC_V3, &[(old, 40, 2), (new, ENTRY_CT_LEN, 2)]);
+    let dir = store_with_base("reopen_old_layout", &file);
     match CloudServer::reopen(&dir, vec![], 0) {
         Err(CloudError::Rsse(RsseError::MalformedList(label))) => assert_eq!(label, old),
         other => panic!("expected MalformedList, got {other:?}"),
     }
     // The same lists as an Outsource frame fail boot with the same error.
     let msg = Message::Outsource {
-        rsse_lists: index.export_parts().unwrap(),
+        rsse_lists: vec![
+            (old, 40, vec![1u8; 80]),
+            (new, ENTRY_CT_LEN as u32, vec![2u8; 2 * ENTRY_CT_LEN]),
+        ],
         basic_lists: vec![],
         opse_domain: 128,
         opse_range: 1 << 46,
@@ -303,6 +365,172 @@ fn reopen_refuses_a_store_of_another_entry_length() {
         CloudServer::from_outsource(msg),
         Err(CloudError::Rsse(RsseError::MalformedList(label))) if label == old
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_door_refuses_a_list_of_another_entry_length() {
+    // A list of 40-byte entries, the layout before 32, beside one of the
+    // scheme's entries, at every door a list enters an index by.
+    let (good, old) = ([1u8; 20], [2u8; 20]);
+    let good_list = (good, ENTRY_CT_LEN as u32, vec![1u8; 2 * ENTRY_CT_LEN]);
+    let old_list = (old, 40, vec![2u8; 80]);
+    let opse = OpseParams::new(128, 1 << 46).unwrap();
+    let refused = |door: &str, result: Result<(), CloudError>| match result {
+        Err(CloudError::Rsse(RsseError::MalformedList(label))) if label == old => {}
+        other => panic!("{door}: expected MalformedList naming the list, got {other:?}"),
+    };
+    let outsource = |rsse_lists| Message::Outsource {
+        rsse_lists,
+        basic_lists: vec![],
+        opse_domain: 128,
+        opse_range: 1 << 46,
+        files: vec![],
+    };
+    let both = vec![good_list.clone(), old_list.clone()];
+
+    // The wire's doors: an Outsource frame's lists, an append, an Update.
+    let parts = RsseIndex::from_parts(both.clone(), opse);
+    refused("from_parts", parts.map(drop).map_err(Into::into));
+    let boot = |storage| CloudServer::boot(outsource(both.clone()), storage, 0).map(drop);
+    refused("boot in memory", boot(&Storage::Mem));
+    let fresh = temp_path("door_boot");
+    refused(
+        "boot onto a store",
+        boot(&Storage::Generational(fresh.clone())),
+    );
+    assert!(!fresh.exists(), "a refused boot writes no store");
+    let mut index = RsseIndex::from_parts(vec![good_list.clone()], opse).unwrap();
+    let before = index.export_parts();
+    let append = index.append_entries(old, 40, &old_list.2);
+    refused("append_entries", append.map_err(Into::into));
+    assert_eq!(
+        index.export_parts(),
+        before,
+        "a refused append changes nothing"
+    );
+    let server = CloudServer::from_outsource(outsource(vec![good_list.clone()])).unwrap();
+    let update = Message::Update {
+        rsse_lists: vec![old_list.clone()],
+        files: vec![],
+    };
+    refused("an Update frame", server.handle(update).map(drop));
+    assert_eq!(server.rsse_index().export_parts(), before);
+
+    // The file's doors: the one reader behind load, open_generational and
+    // reopen, in either format.
+    for magic in [MAGIC_V3, MAGIC_V2] {
+        let name = String::from_utf8_lossy(magic).into_owned();
+        let file = index_file(magic, &[(good, ENTRY_CT_LEN, 2), (old, 40, 2)]);
+        let load = RsseIndex::load(&file[..]).map(drop);
+        refused(&format!("load {name}"), load.map_err(Into::into));
+        let dir = store_with_base(&format!("door_{name}"), &file);
+        let stored = store_files(&dir);
+        let open = RsseIndex::open_generational(&dir).map(drop);
+        refused(
+            &format!("open_generational {name}"),
+            open.map_err(Into::into),
+        );
+        let reopen = CloudServer::reopen(&dir, vec![], 0).map(drop);
+        refused(&format!("reopen {name}"), reopen);
+        assert_eq!(store_files(&dir), stored, "a refused open writes nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn searches_over_a_generation_cut_short_answer_an_error() {
+    let corpus = SyntheticCorpus::generate(&CorpusParams::small(39));
+    let dir = temp_path("cut_short_server");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cloud = Deployment::bootstrap(
+        b"failure seed",
+        RsseParams::default(),
+        corpus.documents(),
+        &Storage::Generational(dir.clone()),
+        CloudServer::DEFAULT_CACHE_BUDGET,
+    )
+    .unwrap();
+    let (server, user) = (cloud.server(), cloud.user());
+    let search = || user.search_request("network", Some(5), SearchMode::Rsse);
+    let Ok(Message::SearchRequest {
+        label, list_key, ..
+    }) = search()
+    else {
+        panic!("no search request");
+    };
+    let Ok(Message::ConjunctiveRequest { trapdoors, .. }) =
+        user.conjunctive_request("network protocol", Some(5))
+    else {
+        panic!("no conjunctive request");
+    };
+    let requests = || {
+        [
+            ("SearchRequest", search().unwrap()),
+            (
+                "ShardQuery",
+                Message::ShardQuery {
+                    label,
+                    list_key,
+                    top_k: Some(5),
+                    shard_id: 0,
+                },
+            ),
+            (
+                "BatchRequest",
+                Message::BatchRequest {
+                    queries: vec![(label, list_key, Some(5))],
+                    shard_id: None,
+                },
+            ),
+            (
+                "ConjunctiveRequest",
+                Message::ConjunctiveRequest {
+                    trapdoors: trapdoors.clone(),
+                    top_k: Some(5),
+                },
+            ),
+            (
+                "ConjunctiveShardQuery",
+                Message::ConjunctiveShardQuery {
+                    trapdoors: trapdoors.clone(),
+                    top_k: Some(5),
+                    shard_id: 0,
+                },
+            ),
+        ]
+    };
+
+    // Cut the base generation to its header behind the live store. Each
+    // arm answers twice: a first answer that filled a cache would make the
+    // second a hit.
+    let base = std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("gen-000000.seg"));
+    base.unwrap().set_len(32).unwrap();
+    for _ in 0..2 {
+        for (arm, request) in requests() {
+            match server.handle(request) {
+                Err(CloudError::Rsse(RsseError::StoreRead(_))) => {}
+                other => panic!("{arm}: expected a StoreRead error, got {other:?}"),
+            }
+        }
+    }
+    let (ranking, conjunctive) = (server.cache_stats(), server.conjunctive_cache_stats());
+    assert_eq!(
+        ranking.hits + conjunctive.hits,
+        0,
+        "an unreadable list filled a cache"
+    );
+    // Every probe is counted once, in the caches and the audit alike,
+    // failed frames included.
+    let report = server.serving_report();
+    let misses = ranking.misses + conjunctive.misses;
+    assert_eq!(
+        (report.cache_hits, report.cache_misses, misses),
+        (0, 10, 10)
+    );
+    drop(cloud);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
