@@ -39,6 +39,19 @@ fn bench_tape(c: &mut Criterion) {
             black_box(out)
         })
     });
+    // The OPSE tree's coin tape: HChaCha20 of the tree key at a node's
+    // address, then one ChaCha20 block; beside the HMAC-seeded tape above.
+    c.bench_function("tape_at_plus_64_bytes", |b| {
+        let key = SecretKey::derive(b"bench", "tape");
+        let mut i = 0u128;
+        b.iter(|| {
+            i += 1;
+            let mut tape = Tape::at(&key, i);
+            let mut out = [0u8; 64];
+            tape.fill_bytes(&mut out);
+            black_box(out)
+        })
+    });
     // 40,000 bytes of padding (1,250 32-byte RSSE entries; a ν = 1000
     // list's is at most 32,000), as the builders draw it: the list's tape
     // read in bulk, a ChaCha20 keystream. The size is kept so the figure

@@ -22,7 +22,7 @@ fn bench_opm_single(c: &mut Criterion) {
                     b.iter(|| {
                         i += 1;
                         let level = (i % domain) + 1;
-                        black_box(opm.encrypt(level, &i.to_be_bytes()).unwrap())
+                        black_box(opm.encrypt(level, i).unwrap())
                     })
                 },
             );
@@ -38,13 +38,13 @@ fn bench_opm_cached(c: &mut Criterion) {
     let opm = Opm::new(SecretKey::derive(b"bench", "opm-cached"), params);
     // Warm the cache over the whole domain.
     for m in 1..=128 {
-        opm.encrypt(m, b"warmup").unwrap();
+        opm.encrypt(m, 0).unwrap();
     }
     let mut i = 0u64;
     c.bench_function("opm_single_cached_M128_R2^46", |b| {
         b.iter(|| {
             i += 1;
-            black_box(opm.encrypt((i % 128) + 1, &i.to_be_bytes()).unwrap())
+            black_box(opm.encrypt((i % 128) + 1, i).unwrap())
         })
     });
 }
@@ -59,7 +59,7 @@ fn bench_opm_list_cold(c: &mut Criterion) {
             let opm = Opm::new(key.clone(), params);
             for file in 0..1000u64 {
                 let level = file * 37 % 128 + 1;
-                black_box(opm.encrypt(level, &file.to_be_bytes()).unwrap());
+                black_box(opm.encrypt(level, file).unwrap());
             }
         })
     });
@@ -82,9 +82,7 @@ fn bench_opse_deterministic(c: &mut Criterion) {
 fn bench_opm_decrypt(c: &mut Criterion) {
     let params = OpseParams::paper_default();
     let opm = Opm::new_uncached(SecretKey::derive(b"bench", "opm-dec"), params);
-    let cts: Vec<u64> = (1..=128)
-        .map(|m| opm.encrypt(m, b"file").unwrap())
-        .collect();
+    let cts: Vec<u64> = (1..=128).map(|m| opm.encrypt(m, 0).unwrap()).collect();
     let mut i = 0usize;
     c.bench_function("opm_decrypt_M128_R2^46", |b| {
         b.iter(|| {

@@ -118,7 +118,7 @@ pub fn fig6_data(seed: u64) -> Fig6Data {
         let opm = Opm::new(SecretKey::derive(b"fig6", key_label), params);
         levels
             .iter()
-            .map(|(f, l)| opm.encrypt(*l, &f.to_bytes()).expect("level in domain"))
+            .map(|(f, l)| opm.encrypt(*l, f.as_u64()).expect("level in domain"))
             .collect()
     };
     let v1 = map_under("key-1");
@@ -197,7 +197,7 @@ pub fn fig7_data(trials: u32) -> Vec<Fig7Point> {
             for i in 0..trials {
                 let level = (i as u64 % domain) + 1;
                 let (_, stats) = opm
-                    .encrypt_with_stats(level, &(i as u64).to_be_bytes())
+                    .encrypt_with_stats(level, u64::from(i))
                     .expect("level in domain");
                 total_draws += stats.hgd_draws;
             }
@@ -310,11 +310,11 @@ pub fn table1(seed: u64) -> String {
         out,
         "# the per-list stage ran on {} worker(s); shares are of CPU time \
          (raw index + per-list time summed over lists); the OPM share \
-         includes the real entries' AES-CTR",
+         includes the real entries' AES-CTR and each list's label and keys",
         report.workers
     );
     // CPU time of the whole build: the serial raw stage plus every list's
-    // OPM, entry encryption and padding.
+    // label and keys, OPM, entry encryption and padding.
     let cpu = (report.raw_index_time + report.list_time)
         .as_secs_f64()
         .max(1e-12);

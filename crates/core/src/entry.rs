@@ -18,8 +18,9 @@
 //! carries into the nonce, so an entry is exactly
 //! [`SemanticCipher::encrypt_with_nonce`] under the widened nonce
 //! `nonce ‖ 0^64` with those 8 zero bytes left out of its header. Only
-//! this module knows the layout: both builders write entries with
-//! [`seal_entry`], and every search reads them with `real_entries`.
+//! this module knows the layout: the builder writes entries with
+//! [`seal_entries`], two per kernel call, the updater with [`seal_entry`],
+//! and every search reads them with `real_entries`.
 
 use rsse_crypto::aes::{BLOCK_LEN, PARALLEL_BLOCKS};
 use rsse_crypto::SemanticCipher;
@@ -79,6 +80,10 @@ fn counter(nonce: &[u8], block: u64) -> [u8; BLOCK_LEN] {
     counter
 }
 
+/// Entries sealed per kernel call: each takes two of its
+/// [`PARALLEL_BLOCKS`] keystream blocks.
+pub const ENTRIES_PER_CALL: usize = PARALLEL_BLOCKS / 2;
+
 /// Seals the posting entry `(file, opm_score)` under `cipher` and
 /// `nonce`, appending its [`ENTRY_CT_LEN`] bytes to `out`: the nonce,
 /// then the plaintext of [`encode_entry`] XOR the keystream from counter
@@ -90,18 +95,47 @@ pub fn seal_entry(
     opm_score: u64,
     out: &mut Vec<u8>,
 ) {
-    let mut keystream = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
-    keystream[0] = counter(&nonce, 0);
-    keystream[1] = counter(&nonce, 1);
-    cipher.keystream_blocks(&mut keystream);
-    let plain = encode_entry(file, opm_score);
-    out.extend_from_slice(&nonce);
-    out.extend(
-        plain
-            .iter()
-            .zip(keystream.as_flattened())
-            .map(|(p, k)| p ^ k),
+    seal_entries(cipher, &[(nonce, file, opm_score)], |_, entry| {
+        out.extend_from_slice(entry)
+    });
+}
+
+/// Seals up to [`ENTRIES_PER_CALL`] entries `(nonce, file, opm_score)`
+/// in one kernel call, handing each file and its sealed bytes, exactly
+/// what [`seal_entry`] appends, to `out` in order. A builder seals a
+/// list's real entries this way, two at a time.
+///
+/// # Panics
+///
+/// When given more than [`ENTRIES_PER_CALL`] entries.
+pub fn seal_entries(
+    cipher: &SemanticCipher,
+    entries: &[([u8; ENTRY_NONCE_LEN], FileId, u64)],
+    mut out: impl FnMut(FileId, &[u8; ENTRY_CT_LEN]),
+) {
+    assert!(
+        entries.len() <= ENTRIES_PER_CALL,
+        "one kernel call's entries"
     );
+    let mut keystream = [[0u8; BLOCK_LEN]; PARALLEL_BLOCKS];
+    for (blocks, (nonce, ..)) in keystream.chunks_exact_mut(2).zip(entries) {
+        blocks[0] = counter(nonce, 0);
+        blocks[1] = counter(nonce, 1);
+    }
+    cipher.keystream_blocks(&mut keystream);
+    for (blocks, &(nonce, file, opm_score)) in keystream.chunks_exact(2).zip(entries) {
+        let mut entry = [0u8; ENTRY_CT_LEN];
+        entry[..ENTRY_NONCE_LEN].copy_from_slice(&nonce);
+        let plain = encode_entry(file, opm_score);
+        for ((e, p), k) in entry[ENTRY_NONCE_LEN..]
+            .iter_mut()
+            .zip(&plain)
+            .zip(blocks.as_flattened())
+        {
+            *e = p ^ k;
+        }
+        out(file, &entry);
+    }
 }
 
 /// The real entries of a posting list as `(file, opm_score)`, in list
@@ -225,6 +259,29 @@ mod tests {
             assert_eq!(out[0], 0xa5, "seal_entry appends");
             assert_eq!(out[1..], want[..]);
             assert_eq!(out.len(), 1 + ENTRY_CT_LEN);
+        }
+    }
+
+    #[test]
+    fn sealing_two_per_call_equals_one_at_a_time() {
+        let mut coins = Tape::new(&SecretKey::derive(b"entry oracle", "k"), b"pairs");
+        for len in 0..=ENTRIES_PER_CALL {
+            let (cipher, ..) = random_entry(&mut coins);
+            let batch: Vec<_> = (0..len)
+                .map(|_| {
+                    let (_, nonce, file, score) = random_entry(&mut coins);
+                    (nonce, file, score)
+                })
+                .collect();
+            let mut got = Vec::new();
+            seal_entries(&cipher, &batch, |file, entry| {
+                got.push((file, entry.to_vec()))
+            });
+            let want: Vec<_> = batch
+                .iter()
+                .map(|&(nonce, file, score)| (file, sealed(&cipher, nonce, file, score)))
+                .collect();
+            assert_eq!(got, want, "len {len}");
         }
     }
 

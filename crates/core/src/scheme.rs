@@ -1,7 +1,7 @@
 //! The RSSE scheme proper: `KeyGen` / `BuildIndex` / `TrapdoorGen`, the
 //! owner-side decryption of mapped scores, and score dynamics.
 
-use crate::entry::{seal_entry, ENTRY_CT_LEN, ENTRY_NONCE_LEN};
+use crate::entry::{seal_entries, seal_entry, ENTRIES_PER_CALL, ENTRY_CT_LEN, ENTRY_NONCE_LEN};
 use crate::error::RsseError;
 use crate::index::{Label, ListParts, RsseIndex, RsseTrapdoor};
 use crate::params::{Padding, RsseParams};
@@ -19,11 +19,12 @@ use std::time::{Duration, Instant};
 ///
 /// The build runs in two stages. A serial stage scores every term once,
 /// fits the quantizer and the OPSE parameters to those scores, and
-/// derives every list's label, keys and tape ([`Self::raw_index_time`]);
-/// the per-list stage (OPM, entry encryption, padding) then runs on
-/// [`Self::workers`] threads. Its times are summed over lists, so they are
-/// CPU time and may exceed the wall-clock [`Self::build_time`] when the
-/// build ran on more than one worker.
+/// allocates every list's output buffers ([`Self::raw_index_time`]); the
+/// per-list stage (the list's label, keys and tape, OPM, entry
+/// encryption, padding) then runs on [`Self::workers`] threads. Its times
+/// are summed over lists, so they are CPU time and may exceed the
+/// wall-clock [`Self::build_time`] when the build ran on more than one
+/// worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildReport {
     /// Number of distinct keywords `m`.
@@ -44,10 +45,10 @@ pub struct BuildReport {
     /// included).
     pub build_time: Duration,
     /// Wall-clock time of the serial stage: scores, quantizer and OPSE
-    /// parameters, labels and keys (the "raw index" cost, without OPM).
+    /// parameters, and output buffers (the "raw index" cost, without OPM).
     pub raw_index_time: Duration,
-    /// Time of the per-list stage (OPM, entry encryption and padding),
-    /// summed over lists.
+    /// Time of the per-list stage (the list's label and keys, OPM, entry
+    /// encryption and padding), summed over lists.
     pub list_time: Duration,
     /// The part of [`Self::list_time`] spent generating padding entries
     /// (each list's tape read in bulk, a ChaCha20 keystream), summed over
@@ -446,14 +447,13 @@ impl Rsse {
         }
     }
 
-    /// The serial part of one list's build: its label, entry cipher, coin
-    /// tape and one output buffer per shard, sized for the entries the
-    /// shard gets, beside its scored postings. The buffers are allocated
-    /// here, on the calling thread, because they outlive the worker that
-    /// fills them: freed once the list is stored or sent, they go back to
-    /// this thread's heap instead of stranding in a finished worker's (on
-    /// a 2-vCPU host, 12 MB of peak RSS in a sharded deployment's serving
-    /// run).
+    /// The serial part of one list's build: one output buffer per shard,
+    /// sized for the entries the shard gets, beside the list's term and
+    /// scored postings. The buffers are allocated here, on the calling
+    /// thread, because they outlive the worker that fills them: freed once
+    /// the list is stored or sent, they go back to this thread's heap
+    /// instead of stranding in a finished worker's (on a 2-vCPU host,
+    /// 12 MB of peak RSS in a sharded deployment's serving run).
     fn list_job<'t>(
         &self,
         term: &'t str,
@@ -462,7 +462,6 @@ impl Rsse {
         shards: usize,
         shard_of: &ShardOf<'_>,
     ) -> ListJob<'t> {
-        let list_key = Prf::new(self.keys.entry_key()).derive_key(term.as_bytes());
         // Per shard: (entries, whether one of them is real).
         let mut counts = vec![(0usize, false); shards];
         for (file, _) in &scored {
@@ -479,20 +478,13 @@ impl Rsse {
                 .map(|(entries, real)| (Vec::with_capacity(entries * ENTRY_CT_LEN), real))
                 .collect(),
             term,
-            label: KeyedLabel::new(self.keys.label_key()).label(term.as_bytes()),
-            cipher: SemanticCipher::new(&list_key),
-            tape: Tape::new(
-                self.keys.score_key(),
-                &Transcript::new("rsse/build")
-                    .bytes(term.as_bytes())
-                    .finish(),
-            ),
             scored,
         }
     }
 
-    /// The per-list part of one list's build: OPM-map and encrypt every
-    /// real entry into its file's shard, then pad to ν.
+    /// The per-list part of one list's build: derive the list's label,
+    /// entry cipher and coin tape, OPM-map and encrypt every real entry
+    /// into its file's shard, two per AES kernel call, then pad to ν.
     fn encrypt_list(
         &self,
         job: ListJob<'_>,
@@ -504,23 +496,31 @@ impl Rsse {
         let started = Instant::now();
         let ListJob {
             term,
-            label,
-            cipher,
-            mut tape,
             scored,
             mut slices,
         } = job;
+        let label = KeyedLabel::new(self.keys.label_key()).label(term.as_bytes());
+        let cipher =
+            SemanticCipher::new(&Prf::new(self.keys.entry_key()).derive_key(term.as_bytes()));
+        let mut tape = Tape::new(
+            self.keys.score_key(),
+            &Transcript::new("rsse/build")
+                .bytes(term.as_bytes())
+                .finish(),
+        );
         let opm = self.opm_for(term, opse);
-        let real = scored.len();
-        let mut opm_ops = 0u64;
-        for (file, score) in scored {
-            let level = quantizer.level(score);
-            let mapped = opm.encrypt(level, &file.to_bytes())?;
-            opm_ops += 1;
-            let mut nonce = [0u8; ENTRY_NONCE_LEN];
-            tape.fill_bytes(&mut nonce);
-            seal_entry(&cipher, nonce, file, mapped, &mut slices[shard_of(file)].0);
+        for pair in scored.chunks(ENTRIES_PER_CALL) {
+            let mut batch = [([0u8; ENTRY_NONCE_LEN], FileId::default(), 0); ENTRIES_PER_CALL];
+            for ((nonce, file, mapped), &(posting, score)) in batch.iter_mut().zip(pair) {
+                *mapped = opm.encrypt(quantizer.level(score), posting.as_u64())?;
+                tape.fill_bytes(nonce);
+                *file = posting;
+            }
+            seal_entries(&cipher, &batch[..pair.len()], |file, entry| {
+                slices[shard_of(file)].0.extend_from_slice(entry)
+            });
         }
+        let real = scored.len();
         // Pad to ν with random entries: the tape's next bytes after the
         // real entries' draws. One shard takes them in place; more deal
         // them out entry by entry.
@@ -542,7 +542,7 @@ impl Rsse {
         }
         let padding_time = padding_started.elapsed();
         let stats = ListStats {
-            opm_ops,
+            opm_ops: real as u64,
             time: started.elapsed(),
             padding_time,
         };
@@ -553,12 +553,9 @@ impl Rsse {
 /// The file → shard map a build partitions its lists by.
 type ShardOf<'f> = dyn Fn(FileId) -> usize + Sync + 'f;
 
-/// One posting list's inputs, derived before the per-list stage.
+/// One posting list's inputs to the per-list stage.
 struct ListJob<'t> {
     term: &'t str,
-    label: Label,
-    cipher: SemanticCipher,
-    tape: Tape,
     scored: Vec<(FileId, f64)>,
     /// Per shard: the output buffer, and whether a real entry lands in it.
     slices: Vec<(Vec<u8>, bool)>,
@@ -783,7 +780,7 @@ impl IndexUpdater<'_> {
             let opm = opms
                 .entry(term.to_string())
                 .or_insert_with(|| self.scheme.opm_for(term, self.opse));
-            let mapped = opm.encrypt(level, &doc.id().to_bytes())?;
+            let mapped = opm.encrypt(level, doc.id().as_u64())?;
             drop(opms);
             let mut nonce = [0u8; ENTRY_NONCE_LEN];
             tape.fill_bytes(&mut nonce);

@@ -1,17 +1,21 @@
-//! The ChaCha20 block function (Bernstein 2008; RFC 8439): the stream
+//! The ChaCha20 block function (Bernstein 2008; RFC 8439) and HChaCha20,
+//! XChaCha20's subkey step (draft-irtf-cfrg-xchacha-03 §2.2): the stream
 //! behind every coin the owner draws.
 //!
-//! [`crate::Tape`] expands each seed into the ChaCha20 keystream under it,
-//! so OPSE/OPM node coins, entry nonces and the padding that fills each
-//! posting list to ν (Fig. 3, step 3) all come off this block function.
-//! It is twenty rounds of 32-bit additions, rotations by constants and
-//! XORs on a 16-word state, so it runs fast in plain scalar code and is
+//! [`crate::Tape`] expands a 256-bit key into the ChaCha20 keystream under
+//! it (nonce 0), so OPSE/OPM node coins, entry nonces and the padding that
+//! fills each posting list to ν (Fig. 3, step 3) all come off this block
+//! function. The key is an HMAC-SHA-256 seed of a transcript
+//! ([`crate::Tape::new`]), or HChaCha20 of a key at a 128-bit address
+//! ([`crate::Tape::at`], which is XChaCha20 at the nonce `address ‖ 0^64`).
+//! Both are twenty rounds of 32-bit additions, rotations by constants and
+//! XORs on a 16-word state, so they run fast in plain scalar code and are
 //! constant-time by construction (no table, no secret-indexed load, no
 //! secret-dependent branch). [`crate::SemanticCipher`] stays AES-128-CTR
 //! for every real entry and file body.
 
 /// ChaCha20 key length in bytes.
-const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 
 /// ChaCha20 nonce length in bytes (RFC 8439's 96-bit nonce).
 pub(crate) const NONCE_LEN: usize = 12;
@@ -50,24 +54,49 @@ pub(crate) fn initial_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u3
     state
 }
 
-/// The block function on a prepared state: ten double rounds, then the
+/// The twenty rounds: ten double rounds, each a column round then a
+/// diagonal round.
+#[inline(always)]
+fn rounds(x: &mut [u32; 16]) {
+    for _ in 0..10 {
+        quarter_round(x, 0, 4, 8, 12);
+        quarter_round(x, 1, 5, 9, 13);
+        quarter_round(x, 2, 6, 10, 14);
+        quarter_round(x, 3, 7, 11, 15);
+        quarter_round(x, 0, 5, 10, 15);
+        quarter_round(x, 1, 6, 11, 12);
+        quarter_round(x, 2, 7, 8, 13);
+        quarter_round(x, 3, 4, 9, 14);
+    }
+}
+
+/// The block function on a prepared state: the twenty rounds, then the
 /// input added word by word, written little-endian into `out`.
 #[inline(always)]
 pub(crate) fn block(input: &[u32; 16], out: &mut [u8; BLOCK_LEN]) {
     let mut x = *input;
-    for _ in 0..10 {
-        quarter_round(&mut x, 0, 4, 8, 12);
-        quarter_round(&mut x, 1, 5, 9, 13);
-        quarter_round(&mut x, 2, 6, 10, 14);
-        quarter_round(&mut x, 3, 7, 11, 15);
-        quarter_round(&mut x, 0, 5, 10, 15);
-        quarter_round(&mut x, 1, 6, 11, 12);
-        quarter_round(&mut x, 2, 7, 8, 13);
-        quarter_round(&mut x, 3, 4, 9, 14);
-    }
+    rounds(&mut x);
     for ((o, x), i) in out.chunks_exact_mut(4).zip(x).zip(input) {
         o.copy_from_slice(&x.wrapping_add(*i).to_le_bytes());
     }
+}
+
+/// HChaCha20 (draft-irtf-cfrg-xchacha-03 §2.2): the state of
+/// [`initial_state`] with `input`'s 16 little-endian bytes in words
+/// 12–15, put through the twenty rounds with no final addition; words
+/// 0–3 and 12–15, little-endian, are the 256-bit output. A PRF on 128-bit
+/// inputs, the assumption XChaCha20 rests on.
+pub(crate) fn hchacha20(key: &[u8; KEY_LEN], input: u128) -> [u8; KEY_LEN] {
+    let mut x = initial_state(key, &[0; NONCE_LEN]);
+    for (i, word) in x[12..].iter_mut().enumerate() {
+        *word = (input >> (32 * i)) as u32;
+    }
+    rounds(&mut x);
+    let mut out = [0u8; KEY_LEN];
+    for (o, x) in out.chunks_exact_mut(4).zip(x[..4].iter().chain(&x[12..])) {
+        o.copy_from_slice(&x.to_le_bytes());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -161,6 +190,40 @@ only one tip for the future, sunscreen would be it.";
                  87 4d"
             )
         );
+    }
+
+    // draft-irtf-cfrg-xchacha-03 §2.2.1: the key of RFC 8439's vectors
+    // and the 16 input bytes 00000009 0000004a 00000000 31415927.
+    #[test]
+    fn xchacha_draft_hchacha20() {
+        let input = from_hex("00 00 00 09 00 00 00 4a 00 00 00 00 31 41 59 27");
+        let input = u128::from_le_bytes(input.as_slice().try_into().unwrap());
+        assert_eq!(
+            hchacha20(&rfc_key(), input).to_vec(),
+            from_hex(
+                "82 41 3b 42 27 b2 7b fe d3 0e 42 50 8a 87 7d 73
+                 a0 f9 e4 d5 8a 74 a8 53 c1 2e c4 13 26 d3 ec dc"
+            )
+        );
+    }
+
+    /// The tape at an address is XChaCha20 there: the keystream under the
+    /// subkey `HChaCha20(K, address)`, nonce 0, block counter from 0,
+    /// however its reads cut the blocks.
+    #[test]
+    fn a_tape_at_an_address_is_the_keystream_under_its_subkey() {
+        let key = SecretKey::derive(b"k", "at");
+        for address in [0, 1, 1 << 126 | 7 << 64 | 9, u128::MAX] {
+            let want = keystream(&hchacha20(key.as_bytes(), address), &[0; NONCE_LEN], 300);
+            for size in [1, 7, 63, 64, 65, 129, 300] {
+                let mut tape = Tape::at(&key, address);
+                let mut got = vec![0u8; 300];
+                for chunk in got.chunks_mut(size) {
+                    tape.fill_bytes(chunk);
+                }
+                assert_eq!(got, want, "address {address:#x}, reads of {size}");
+            }
+        }
     }
 
     fn pin_tape() -> Tape {

@@ -12,11 +12,13 @@
 //!   scores and index entries in the *basic* scheme — here [`SemanticCipher`]
 //!   (AES-128 in CTR mode with a random per-message nonce);
 //! * a random-coin generator `TapeGen` consumed by the order-preserving
-//!   encryption binary search — here [`tape::Tape`] (a seed `HMAC(K,
-//!   transcript)` expanded by the ChaCha20 keystream, RFC 8439).
+//!   encryption binary search — here [`tape::Tape`] at a node's 128-bit
+//!   address (XChaCha20: the ChaCha20 keystream of RFC 8439 under
+//!   `HChaCha20(K, address)`).
 //!
-//! The tape is the one coin generator: it also draws every entry nonce and
-//! the padding that fills each posting list to ν (Fig. 3, step 3).
+//! The same keystream, under a seed `HMAC(K, transcript)`, draws every
+//! entry nonce and the padding that fills each posting list to ν (Fig. 3,
+//! step 3).
 //!
 //! Everything is implemented in this crate from first principles (no external
 //! crypto dependencies) and pinned by known-answer tests from the FIPS / RFC

@@ -3,26 +3,31 @@
 //!
 //! OPSE's lazy binary search needs, at every tree node, coins that are (a)
 //! pseudorandom, (b) *identical* for every plaintext reaching that node, and
-//! (c) committed to the whole transcript `(D, R, ...)` so different nodes are
-//! independent. The paper writes `coin <- TapeGen(K, (D, R, 0||y))` for the
-//! HGD draw and `coin <- TapeGen(K, (D, R, 1||m, id(F)))` for the final
-//! one-to-many ciphertext choice.
+//! (c) independent from node to node. The paper writes `coin <- TapeGen(K,
+//! (D, R, 0||y))` for the HGD draw and `coin <- TapeGen(K, (D, R, 1||m,
+//! id(F)))` for the final one-to-many ciphertext choice.
 //!
-//! [`Tape`] is a PRF seed expanded by a stream cipher: `seed = HMAC(K,
-//! transcript)`, and the tape is the ChaCha20 keystream under that seed
-//! (RFC 8439, nonce 0, block counter from 0). A caller opening many tapes
-//! under one `K` keys `HMAC(K, ·)` once and hands it to
-//! [`Tape::with_keyed`]; then a transcript of at most 55 bytes costs two
-//! SHA-256 compressions, and each 64 bytes of coins one ChaCha20 block.
-//! The same stream feeds every coin the owner draws: OPSE/OPM node coins,
-//! entry nonces and, read in bulk, the padding that fills each posting
-//! list to ν. [`Transcript`] provides the canonical, injective encoding of
-//! the tuple.
+//! A [`Tape`] is the ChaCha20 keystream (RFC 8439, nonce 0, block counter
+//! from 0) under a 256-bit key, opened one of two ways:
+//!
+//! - [`Tape::new`]`(K, transcript)` keys it with the seed `HMAC-SHA-256(K,
+//!   transcript)`, for a transcript of any length; [`Transcript`] provides
+//!   the canonical, injective encoding of a tuple. Each list's build and
+//!   each owner update opens one, for its entry nonces and padding.
+//! - [`Tape::at`]`(K, address)` keys it with `HChaCha20(K, address)` for a
+//!   128-bit address: XChaCha20's keystream at the nonce `address ‖ 0^64`.
+//!   Its twenty rounds cost about a third of an HMAC seed's two SHA-256
+//!   compressions under a key hashed into the HMAC once, so the OPSE tree,
+//!   which opens one tape per node split and per ciphertext choice,
+//!   addresses every coin this way under a tree key from [`subkey_at`].
+//!
+//! Each 64 bytes of coins then cost one ChaCha20 block. The same stream
+//! feeds every coin the owner draws: OPSE/OPM node coins, entry nonces
+//! and, read in bulk, the padding that fills each posting list to ν.
 
-use crate::chacha::{self, BLOCK_LEN, NONCE_LEN};
-use crate::hmac::Hmac;
+use crate::chacha::{self, BLOCK_LEN, KEY_LEN, NONCE_LEN};
+use crate::hmac::hmac_sha256;
 use crate::keys::SecretKey;
-use crate::Sha256;
 
 /// Canonical injective encoder for `TapeGen` inputs.
 ///
@@ -60,15 +65,6 @@ impl Transcript {
         self
     }
 
-    /// Appends a `u128` field (range endpoints can exceed 64 bits of
-    /// intermediate arithmetic; stored wide for future-proofing).
-    #[must_use]
-    pub fn u128(mut self, v: u128) -> Self {
-        self.buf.push(2);
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
     /// Appends a length-delimited byte-string field.
     #[must_use]
     pub fn bytes(mut self, v: &[u8]) -> Self {
@@ -84,7 +80,8 @@ impl Transcript {
     }
 }
 
-/// A deterministic pseudorandom coin tape keyed on `(key, transcript)`.
+/// A deterministic pseudorandom coin tape keyed on `(key, transcript)`
+/// ([`Tape::new`]) or on `(key, address)` ([`Tape::at`]).
 ///
 /// # Example
 ///
@@ -100,8 +97,8 @@ impl Transcript {
 /// ```
 #[derive(Clone)]
 pub struct Tape {
-    /// The ChaCha20 input state: constants, the seed as key words, the
-    /// next block's counter and nonce 0.
+    /// The ChaCha20 input state: constants, the seed or subkey as key
+    /// words, the next block's counter and nonce 0.
     state: [u32; 16],
     /// The last block drawn; the bytes from `offset` on are unread.
     block: [u8; BLOCK_LEN],
@@ -109,7 +106,7 @@ pub struct Tape {
 }
 
 /// Shows only how far the tape has run: the state's key words are the
-/// seed, and the buffered block holds the next coins.
+/// seed or subkey, and the buffered block holds the next coins.
 impl core::fmt::Debug for Tape {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
@@ -121,19 +118,25 @@ impl core::fmt::Debug for Tape {
 }
 
 impl Tape {
-    /// Creates a tape from `key` and an encoded transcript.
+    /// Creates a tape from `key` and an encoded transcript: the keystream
+    /// under the seed `HMAC-SHA-256(key, transcript)`.
     pub fn new(key: &SecretKey, transcript: &[u8]) -> Self {
-        Self::with_keyed(&Hmac::new(key.as_bytes()), transcript)
+        Self::keyed(&hmac_sha256(key.as_bytes(), transcript))
     }
 
-    /// [`Self::new`] from `HMAC(key, ·)` already keyed: a caller opening
-    /// many tapes under one key (an OPSE search tree) keys it once and
-    /// saves the two compressions of keying on every tape.
-    pub fn with_keyed(keyed: &Hmac<Sha256>, transcript: &[u8]) -> Self {
-        let mut mac = keyed.clone();
-        mac.update(transcript);
+    /// The tape at `address` under `key`: XChaCha20's keystream at the
+    /// 24-byte nonce `address.to_le_bytes() ‖ 0^8`, which is the keystream
+    /// under [`subkey_at`]`(key, address)`. Tapes at distinct addresses are
+    /// independent as long as HChaCha20 is a PRF.
+    pub fn at(key: &SecretKey, address: u128) -> Self {
+        Self::keyed(&chacha::hchacha20(key.as_bytes(), address))
+    }
+
+    /// The keystream under the 256-bit `key`, nonce 0, before its first
+    /// block.
+    fn keyed(key: &[u8; KEY_LEN]) -> Self {
         Tape {
-            state: chacha::initial_state(&mac.finalize(), &[0; NONCE_LEN]),
+            state: chacha::initial_state(key, &[0; NONCE_LEN]),
             block: [0; BLOCK_LEN],
             offset: BLOCK_LEN,
         }
@@ -246,10 +249,16 @@ impl Tape {
     }
 }
 
+/// HChaCha20 of `key` at `address`, as a key: the subkey [`Tape::at`]
+/// expands. An OPSE tree derives its tree key this way, once, from its
+/// key and parameters.
+pub fn subkey_at(key: &SecretKey, address: u128) -> SecretKey {
+    SecretKey::from_bytes(chacha::hchacha20(key.as_bytes(), address))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hmac::hmac_sha256;
 
     fn key() -> SecretKey {
         SecretKey::derive(b"tape test", "k")
@@ -266,17 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn pre_keyed_tapes_equal_keyed_per_tape() {
-        let keyed = Hmac::<Sha256>::new(key().as_bytes());
-        for i in 0..20u64 {
-            let t = Transcript::new("t").u64(i).bytes(&[7; 70]).finish();
-            let mut a = Tape::new(&key(), &t);
-            let mut b = Tape::with_keyed(&keyed, &t);
-            let (mut x, mut y) = ([0u8; 77], [0u8; 77]);
-            a.fill_bytes(&mut x);
-            b.fill_bytes(&mut y);
-            assert_eq!(x, y, "transcript {i}");
-        }
+    fn different_addresses_and_keys_diverge() {
+        let draw = |key: &SecretKey, address| Tape::at(key, address).next_u64();
+        let other = SecretKey::derive(b"tape test", "other");
+        assert_ne!(draw(&key(), 5), draw(&key(), 6));
+        assert_ne!(draw(&key(), 5), draw(&key(), 5 << 64));
+        assert_ne!(draw(&key(), 5), draw(&other, 5));
     }
 
     #[test]

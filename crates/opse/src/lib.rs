@@ -19,8 +19,8 @@
 //!
 //! # fn main() -> Result<(), rsse_opse::OpseError> {
 //! let opm = Opm::new(SecretKey::derive(b"seed", "w1"), OpseParams::paper_default());
-//! let a = opm.encrypt(90, b"rfc-1034")?;
-//! let b = opm.encrypt(12, b"rfc-2616")?;
+//! let a = opm.encrypt(90, 1034)?;
+//! let b = opm.encrypt(12, 2616)?;
 //! // The cloud server ranks by comparing mapped values directly:
 //! assert!(a > b);
 //! # Ok(())

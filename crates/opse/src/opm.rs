@@ -3,7 +3,9 @@
 //! Algorithm 1 of the paper keeps OPSE's random plaintext-to-bucket
 //! assignment but seeds the final ciphertext choice with the *file ID* in
 //! addition to the plaintext: `coin <- TapeGen(K, (D, R, 1‖m, id(F)))`.
-//! Equal relevance scores attached to different files therefore map to
+//! Here the choice's coins are the tape at the address `(m, id)` under
+//! the tree key ([`crate::tree`]), so a file id is a `u64`. Equal
+//! relevance scores attached to different files therefore map to
 //! *different* (uniform) points of the same bucket, flattening the
 //! keyword-specific score distribution the server could otherwise
 //! fingerprint (paper Fig. 4 vs Fig. 6) while still preserving order.
@@ -27,11 +29,11 @@ use rsse_crypto::SecretKey;
 ///     OpseParams::new(128, 1 << 46)?,
 /// );
 /// // The same score in two files maps to two different ciphertexts ...
-/// let c1 = opm.encrypt(42, b"file-001")?;
-/// let c2 = opm.encrypt(42, b"file-002")?;
+/// let c1 = opm.encrypt(42, 1)?;
+/// let c2 = opm.encrypt(42, 2)?;
 /// assert_ne!(c1, c2);
 /// // ... but order against other scores is preserved for both,
-/// let c3 = opm.encrypt(43, b"file-003")?;
+/// let c3 = opm.encrypt(43, 3)?;
 /// assert!(c1 < c3 && c2 < c3);
 /// // ... and both decrypt to the original score.
 /// assert_eq!(opm.decrypt(c1)?, 42);
@@ -65,7 +67,7 @@ impl Opm {
         self.tree.params()
     }
 
-    /// Maps score `m` for file `file_id` into the range.
+    /// Maps score `m` for the file with id `file_id` into the range.
     ///
     /// Deterministic per `(m, file_id)` pair — re-encrypting the same score
     /// of the same file yields the same ciphertext (needed for index
@@ -74,7 +76,7 @@ impl Opm {
     /// # Errors
     ///
     /// Returns [`OpseError::PlaintextOutOfDomain`] for `m` outside `{1..M}`.
-    pub fn encrypt(&self, m: u64, file_id: &[u8]) -> Result<u64, OpseError> {
+    pub fn encrypt(&self, m: u64, file_id: u64) -> Result<u64, OpseError> {
         let (bucket, _) = self.tree.bucket_of_plaintext(m)?;
         Ok(self.tree.choose_in_bucket(&bucket, Some(file_id)))
     }
@@ -84,11 +86,7 @@ impl Opm {
     /// # Errors
     ///
     /// Same as [`Self::encrypt`].
-    pub fn encrypt_with_stats(
-        &self,
-        m: u64,
-        file_id: &[u8],
-    ) -> Result<(u64, WalkStats), OpseError> {
+    pub fn encrypt_with_stats(&self, m: u64, file_id: u64) -> Result<(u64, WalkStats), OpseError> {
         let (bucket, stats) = self.tree.bucket_of_plaintext(m)?;
         Ok((self.tree.choose_in_bucket(&bucket, Some(file_id)), stats))
     }
@@ -130,8 +128,8 @@ mod tests {
     fn one_to_many_same_score_different_files() {
         let o = opm();
         let mut seen = std::collections::HashSet::new();
-        for i in 0..200u32 {
-            let c = o.encrypt(64, format!("file-{i}").as_bytes()).unwrap();
+        for i in 0..200u64 {
+            let c = o.encrypt(64, i).unwrap();
             seen.insert(c);
         }
         // With a bucket of expected size 2^40/128 = 2^33, 200 draws collide
@@ -146,10 +144,7 @@ mod tests {
     #[test]
     fn deterministic_per_file() {
         let o = opm();
-        assert_eq!(
-            o.encrypt(10, b"file-a").unwrap(),
-            o.encrypt(10, b"file-a").unwrap()
-        );
+        assert_eq!(o.encrypt(10, 0xa).unwrap(), o.encrypt(10, 0xa).unwrap());
     }
 
     #[test]
@@ -158,9 +153,9 @@ mod tests {
         // Every ciphertext of score m must sort below every ciphertext of
         // score m' > m, regardless of the file IDs involved.
         for m in (1..120).step_by(13) {
-            for df in 0..5u32 {
-                let lo = o.encrypt(m, format!("f{df}").as_bytes()).unwrap();
-                let hi = o.encrypt(m + 1, format!("g{df}").as_bytes()).unwrap();
+            for df in 0..5u64 {
+                let lo = o.encrypt(m, df).unwrap();
+                let hi = o.encrypt(m + 1, 100 + df).unwrap();
                 assert!(lo < hi, "m={m} df={df}");
             }
         }
@@ -170,8 +165,8 @@ mod tests {
     fn decrypt_recovers_score_for_every_file() {
         let o = opm();
         for m in [1u64, 2, 64, 127, 128] {
-            for f in 0..10u32 {
-                let c = o.encrypt(m, format!("file-{f}").as_bytes()).unwrap();
+            for f in 0..10u64 {
+                let c = o.encrypt(m, f).unwrap();
                 assert_eq!(o.decrypt(c).unwrap(), m);
             }
         }
@@ -181,8 +176,8 @@ mod tests {
     fn ciphertexts_stay_in_their_bucket() {
         let o = opm();
         let bucket = o.bucket(77).unwrap();
-        for f in 0..50u32 {
-            let c = o.encrypt(77, format!("file-{f}").as_bytes()).unwrap();
+        for f in 0..50u64 {
+            let c = o.encrypt(77, f).unwrap();
             assert!(bucket.contains(c));
         }
     }
@@ -206,25 +201,21 @@ mod tests {
         // changes previously mapped values, because buckets are fixed by
         // (key, score) alone.
         let o = opm();
-        let old: Vec<u64> = (1..=50)
-            .map(|m| o.encrypt(m, b"existing-file").unwrap())
-            .collect();
+        let old: Vec<u64> = (1..=50).map(|m| o.encrypt(m, 7).unwrap()).collect();
         // "Insert" many new postings.
         for m in 1..=128 {
-            for f in 0..20u32 {
-                let _ = o.encrypt(m, format!("new-{f}").as_bytes()).unwrap();
+            for f in 100..120u64 {
+                let _ = o.encrypt(m, f).unwrap();
             }
         }
-        let again: Vec<u64> = (1..=50)
-            .map(|m| o.encrypt(m, b"existing-file").unwrap())
-            .collect();
+        let again: Vec<u64> = (1..=50).map(|m| o.encrypt(m, 7).unwrap()).collect();
         assert_eq!(old, again);
     }
 
     #[test]
     fn rejects_out_of_domain() {
         let o = opm();
-        assert!(o.encrypt(0, b"f").is_err());
-        assert!(o.encrypt(129, b"f").is_err());
+        assert!(o.encrypt(0, 1).is_err());
+        assert!(o.encrypt(129, 1).is_err());
     }
 }

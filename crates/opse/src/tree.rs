@@ -3,18 +3,28 @@
 //! Both ciphers walk the same keyed tree (the paper's `BinarySearch`
 //! procedure): at a node covering domain `D = {d+1..d+M}` and range
 //! `R = {r+1..r+N}`, the range is halved at `y = r + N/2` and a
-//! hypergeometric draw — with coins committed to the node transcript
-//! `(D, R)` — decides how many domain points fall below `y`. The walk
-//! ends when a single plaintext remains; the surviving range is that
-//! plaintext's *bucket*.
+//! hypergeometric draw — with coins committed to the node — decides how
+//! many domain points fall below `y`. The walk ends when a single
+//! plaintext remains; the surviving range is that plaintext's *bucket*.
 //!
-//! The paper's transcripts `(D, R, 0‖y)` and `(D, R, 1‖m, id)` carry
-//! fields the node already fixes: `y` is a function of `R`, a leaf's `D`
-//! is `{m}`, and the `0`/`1` tags only separate the two uses, which the
-//! domain labels `opse/hgd` and `opse/ct` already do. Without them each
-//! transcript fits one SHA-256 block (at most 55 bytes with an 8-byte file
-//! id), so a node's coin tape costs two compressions under the pre-keyed
-//! HMAC.
+//! Algorithm 1 asks only that `TapeGen` be a keyed PRF of the node, and
+//! every coin fits a 128-bit address, so each coin tape is
+//! [`Tape::at`]`(k_T, address)`: XChaCha20 under the tree key `k_T` at
+//! that address, twenty rounds before its first block. Bits 126–127 tag
+//! the address's kind:
+//!
+//! - the tree key `k_T = HChaCha20(K, M << 64 | N)`, tag 0, binds the
+//!   tree to its parameters `(M, N)`, as the transcripts `(D, R, ..)` do
+//!   in the paper;
+//! - the split at node `(d, m, r, n)` is at `1 << 126 | r << 64 | n`:
+//!   `(r, n)` identifies a node, because the range intervals strictly
+//!   shrink down the tree, and `y` is a function of them;
+//! - the ciphertext choice in plaintext `m`'s bucket is at
+//!   `2 << 126 | 1 << 125 | m << 64 | id` with an OPM file id, and at
+//!   `2 << 126 | m << 64` without one (deterministic OPSE).
+//!
+//! Every field fits its bits, since `1 <= M <= N <= 2^52`, `r < 2^52` and
+//! `m <= M`, so no two coins share an address.
 //!
 //! Because the coins depend only on the node (not on the plaintext), every
 //! plaintext deterministically sees the same splits, which is what makes the
@@ -25,8 +35,8 @@
 
 use crate::error::OpseError;
 use crate::params::OpseParams;
-use rsse_crypto::tape::Transcript;
-use rsse_crypto::{Hmac, SecretKey, Sha256, Tape};
+use rsse_crypto::tape::subkey_at;
+use rsse_crypto::{SecretKey, Tape};
 use rsse_hgd::Hypergeometric;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -74,32 +84,41 @@ struct Node {
 pub struct WalkStats {
     /// Hypergeometric draws actually sampled.
     pub hgd_draws: u64,
-    /// Node splits answered from the memo cache.
+    /// Node splits, and whole plaintext walks, answered from the memo.
     pub cache_hits: u64,
 }
 
-/// The keyed search tree evaluator with an optional split memo-cache.
+/// The memo of a [`SearchTree`]: node → split point, and plaintext → its
+/// bucket, so a warm encrypt is one lookup instead of one per level.
+#[derive(Debug, Default)]
+struct Memo {
+    splits: HashMap<Node, u64>,
+    buckets: HashMap<u64, Bucket>,
+}
+
+/// The keyed search tree evaluator with an optional memo.
 ///
-/// Each instance has its own cache, which maps node → split point and is
-/// sound because splits are a pure function of `(key, node)`. The cache
-/// takes no lock: a tree belongs to the one thread that maps its list's
-/// scores, so it is `Send` but not `Sync`.
+/// Each instance has its own memo, which is sound because splits and
+/// buckets are a pure function of `(key, node)`. The memo takes no lock:
+/// a tree belongs to the one thread that maps its list's scores, so it is
+/// `Send` but not `Sync`.
 #[derive(Debug)]
 pub struct SearchTree {
-    /// `HMAC(key, ·)` keyed once; every node's coin tape clones it.
-    keyed: Hmac<Sha256>,
+    /// The tree key `k_T`: HChaCha20 of the caller's key at `(M, N)`.
+    key: SecretKey,
     params: OpseParams,
-    cache: Option<RefCell<HashMap<Node, u64>>>,
+    memo: Option<RefCell<Memo>>,
 }
 
 impl SearchTree {
-    /// Creates a tree evaluator with memoized splits (the common case:
-    /// encrypting many scores of one posting list under one key).
+    /// Creates a tree evaluator with memoized splits and buckets (the
+    /// common case: encrypting many scores of one posting list under one
+    /// key).
     pub fn new(key: SecretKey, params: OpseParams) -> Self {
         SearchTree {
-            keyed: Hmac::new(key.as_bytes()),
+            key: subkey_at(&key, tree_address(&params)),
             params,
-            cache: Some(RefCell::new(HashMap::new())),
+            memo: Some(RefCell::default()),
         }
     }
 
@@ -107,7 +126,7 @@ impl SearchTree {
     /// Fig. 7 benchmarks to measure the honest per-operation cost.
     pub fn new_uncached(key: SecretKey, params: OpseParams) -> Self {
         SearchTree {
-            cache: None,
+            memo: None,
             ..Self::new(key, params)
         }
     }
@@ -121,21 +140,21 @@ impl SearchTree {
     /// map below the midpoint `y`. Returns the absolute domain coordinate
     /// `x = d + HYGEINV(...)`.
     fn split(&self, node: Node, y: u64, stats: &mut WalkStats) -> u64 {
-        if let Some(cache) = &self.cache {
-            if let Some(&x) = cache.borrow().get(&node) {
+        if let Some(memo) = &self.memo {
+            if let Some(&x) = memo.borrow().splits.get(&node) {
                 stats.cache_hits += 1;
                 return x;
             }
         }
-        let mut tape = Tape::with_keyed(&self.keyed, &split_transcript(node));
+        let mut tape = Tape::at(&self.key, split_address(node));
         let draws = y - node.r;
         let hgd = Hypergeometric::new(node.n, node.m, draws)
             .expect("node invariants guarantee valid HGD parameters");
         let k = hgd.sample(&mut tape);
         stats.hgd_draws += 1;
         let x = node.d + k;
-        if let Some(cache) = &self.cache {
-            cache.borrow_mut().insert(node, x);
+        if let Some(memo) = &self.memo {
+            memo.borrow_mut().splits.insert(node, x);
         }
         x
     }
@@ -149,6 +168,12 @@ impl SearchTree {
     pub fn bucket_of_plaintext(&self, m: u64) -> Result<(Bucket, WalkStats), OpseError> {
         self.params.check_plaintext(m)?;
         let mut stats = WalkStats::default();
+        if let Some(memo) = &self.memo {
+            if let Some(&bucket) = memo.borrow().buckets.get(&m) {
+                stats.cache_hits += 1;
+                return Ok((bucket, stats));
+            }
+        }
         let mut node = Node {
             d: 0,
             m: self.params.domain_size(),
@@ -176,14 +201,15 @@ impl SearchTree {
             }
         }
         debug_assert_eq!(node.d + 1, m);
-        Ok((
-            Bucket {
-                plaintext: m,
-                lo: node.r + 1,
-                hi: node.r + node.n,
-            },
-            stats,
-        ))
+        let bucket = Bucket {
+            plaintext: m,
+            lo: node.r + 1,
+            hi: node.r + node.n,
+        };
+        if let Some(memo) = &self.memo {
+            memo.borrow_mut().buckets.insert(m, bucket);
+        }
+        Ok((bucket, stats))
     }
 
     /// Walks down to the bucket containing ciphertext `c`, recovering the
@@ -241,38 +267,39 @@ impl SearchTree {
         ))
     }
 
-    /// Draws a ciphertext uniformly from `bucket`, with coins committed to
-    /// `(m, bucket)` plus an optional seed extension (the OPM file ID).
-    pub fn choose_in_bucket(&self, bucket: &Bucket, extra_seed: Option<&[u8]>) -> u64 {
-        let mut tape = Tape::with_keyed(&self.keyed, &choice_transcript(bucket, extra_seed));
+    /// Draws a ciphertext uniformly from `bucket`, with coins at the
+    /// address of its plaintext's choice and, for OPM, the file `id`.
+    pub fn choose_in_bucket(&self, bucket: &Bucket, id: Option<u64>) -> u64 {
+        let mut tape = Tape::at(&self.key, choice_address(bucket.plaintext, id));
         bucket.lo + tape.uniform_below(bucket.len())
     }
 }
 
-/// The coin transcript of `node`'s HGD split: `("opse/hgd", d, m, r, n)`,
-/// 48 bytes.
-fn split_transcript(node: Node) -> Vec<u8> {
-    Transcript::new("opse/hgd")
-        .u64(node.d)
-        .u64(node.m)
-        .u64(node.r)
-        .u64(node.n)
-        .finish()
+/// The tag of a node split's address, in bits 126–127.
+const SPLIT: u128 = 1 << 126;
+/// The tag of a ciphertext choice's address.
+const CHOICE: u128 = 2 << 126;
+/// The flag of a choice whose low 64 bits hold a file id.
+const WITH_ID: u128 = 1 << 125;
+
+/// The address the tree key is derived at: `M << 64 | N`, tag 0.
+fn tree_address(params: &OpseParams) -> u128 {
+    u128::from(params.domain_size()) << 64 | u128::from(params.range_size())
 }
 
-/// The coin transcript of the ciphertext choice in `bucket`:
-/// `("opse/ct", m, lo, hi)`, then the seed extension if there is one; 55
-/// bytes with an 8-byte file id.
-fn choice_transcript(bucket: &Bucket, extra_seed: Option<&[u8]>) -> Vec<u8> {
-    let t = Transcript::new("opse/ct")
-        .u64(bucket.plaintext)
-        .u64(bucket.lo)
-        .u64(bucket.hi);
-    match extra_seed {
-        Some(seed) => t.bytes(seed),
-        None => t,
+/// The address of `node`'s HGD split coins: `(r, n)` under its tag.
+fn split_address(node: Node) -> u128 {
+    SPLIT | u128::from(node.r) << 64 | u128::from(node.n)
+}
+
+/// The address of the ciphertext choice in plaintext `m`'s bucket, with
+/// the file `id` if there is one.
+fn choice_address(m: u64, id: Option<u64>) -> u128 {
+    let address = CHOICE | u128::from(m) << 64;
+    match id {
+        Some(id) => address | WITH_ID | u128::from(id),
+        None => address,
     }
-    .finish()
 }
 
 #[cfg(test)]
@@ -310,15 +337,30 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_agree() {
+        // The memo of splits and buckets changes no coin: over every level
+        // of the paper's M = 128 and four file ids, cold and then warm, a
+        // memoized tree and an uncached one give the same buckets and
+        // ciphertexts.
         let key = SecretKey::derive(b"tree tests", "k");
-        let params = OpseParams::new(32, 1 << 16).unwrap();
+        let params = OpseParams::paper_default();
         let cached = SearchTree::new(key.clone(), params);
         let uncached = SearchTree::new_uncached(key, params);
-        for m in 1..=32 {
-            assert_eq!(
-                cached.bucket_of_plaintext(m).unwrap().0,
-                uncached.bucket_of_plaintext(m).unwrap().0
-            );
+        for pass in ["cold", "warm"] {
+            for m in 1..=128 {
+                let bucket = uncached.bucket_of_plaintext(m).unwrap().0;
+                assert_eq!(
+                    cached.bucket_of_plaintext(m).unwrap().0,
+                    bucket,
+                    "{pass} m={m}"
+                );
+                for id in [Some(0), Some(1), Some(1 << 40), Some(u64::MAX), None] {
+                    assert_eq!(
+                        cached.choose_in_bucket(&bucket, id),
+                        uncached.choose_in_bucket(&bucket, id),
+                        "{pass} m={m} id={id:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -329,7 +371,9 @@ mod tests {
         assert_eq!(first.cache_hits, 0);
         let (_, second) = t.bucket_of_plaintext(1).unwrap();
         assert_eq!(second.hgd_draws, 0);
-        assert!(second.cache_hits > 0);
+        assert_eq!(second.cache_hits, 1, "a warm walk is one bucket lookup");
+        let (_, sibling) = t.bucket_of_plaintext(2).unwrap();
+        assert!(sibling.cache_hits > 0, "a cold walk reuses memoized splits");
     }
 
     #[test]
@@ -395,7 +439,7 @@ mod tests {
         let c2 = t.choose_in_bucket(&b, None);
         assert_eq!(c1, c2, "same seed, same ciphertext");
         assert!(b.contains(c1));
-        let c3 = t.choose_in_bucket(&b, Some(b"file-17"));
+        let c3 = t.choose_in_bucket(&b, Some(17));
         assert!(b.contains(c3));
     }
 
@@ -417,24 +461,33 @@ mod tests {
     }
 
     #[test]
-    fn transcripts_fit_one_sha256_block() {
-        // One SHA-256 block holds 55 message bytes beside its padding, so
-        // a pre-keyed HMAC seed costs two compressions.
-        let node = Node {
-            d: u64::MAX,
-            m: u64::MAX,
-            r: u64::MAX,
-            n: u64::MAX,
-        };
-        assert_eq!(split_transcript(node).len(), 48);
-        let bucket = Bucket {
-            plaintext: u64::MAX,
-            lo: u64::MAX,
-            hi: u64::MAX,
-        };
-        let file_id = u64::MAX.to_be_bytes();
-        assert_eq!(choice_transcript(&bucket, Some(&file_id)).len(), 55);
-        assert_eq!(choice_transcript(&bucket, None).len(), 38);
+    fn addresses_never_collide() {
+        // Boundary fields: M = N = 2^52 at the root, the last node of the
+        // range (r = 2^52 - 1), the whole range (n = 2^52), and the largest
+        // plaintext (m = M) with id 0, id u64::MAX and no id. Bits 126-127
+        // carry the kind and every field reads back from its own bits, so
+        // the three kinds never collide and each kind is injective.
+        let max = crate::MAX_RANGE;
+        let low61 = |a: u128| (a >> 64) as u64 & ((1 << 61) - 1);
+        let mut all = std::collections::HashSet::new();
+        for (m, n) in [(max, max), (1, max), (1, 1)] {
+            let a = tree_address(&OpseParams::new(m, n).unwrap());
+            assert_eq!((a >> 126, low61(a), a as u64), (0, m, n), "{a:#x}");
+            assert!(all.insert(a));
+        }
+        for (r, n) in [(0, max), (max - 1, 1), (0, 1)] {
+            let a = split_address(Node { d: r, m: 1, r, n });
+            assert_eq!((a >> 126, low61(a), a as u64), (1, r, n), "{a:#x}");
+            assert!(all.insert(a));
+        }
+        for m in [max, 1] {
+            for id in [Some(0), Some(u64::MAX), None] {
+                let a = choice_address(m, id);
+                assert_eq!((a >> 126, a & WITH_ID != 0), (2, id.is_some()), "{a:#x}");
+                assert_eq!((low61(a), a as u64), (m, id.unwrap_or(0)), "{a:#x}");
+                assert!(all.insert(a));
+            }
+        }
     }
 
     #[test]

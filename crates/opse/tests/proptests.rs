@@ -88,7 +88,7 @@ proptest! {
             let bucket = opse.bucket(m).unwrap();
             prop_assert_eq!(bucket, opm.bucket(m).unwrap());
             prop_assert!(bucket.contains(opse.encrypt(m).unwrap()));
-            prop_assert!(bucket.contains(opm.encrypt(m, &file_id.to_be_bytes()).unwrap()));
+            prop_assert!(bucket.contains(opm.encrypt(m, file_id).unwrap()));
         }
     }
 
@@ -104,8 +104,8 @@ proptest! {
     ) {
         let params = OpseParams::new(64, 1 << 30).unwrap();
         let opm = Opm::new(key(seed), params);
-        let c1 = opm.encrypt(m1, &f1.to_be_bytes()).unwrap();
-        let c2 = opm.encrypt(m2, &f2.to_be_bytes()).unwrap();
+        let c1 = opm.encrypt(m1, f1).unwrap();
+        let c2 = opm.encrypt(m2, f2).unwrap();
         if m1 != m2 {
             prop_assert_eq!(m1 < m2, c1 < c2);
         } else {

@@ -60,10 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let observed_opm: Vec<u64> = levels
             .iter()
             .enumerate()
-            .map(|(i, &l)| {
-                opm.encrypt(l, &(i as u64).to_be_bytes())
-                    .expect("level in domain")
-            })
+            .map(|(i, &l)| opm.encrypt(l, i as u64).expect("level in domain"))
             .collect();
         let guess_opm = attack.guess(&observed_opm).expect("candidates exist");
 

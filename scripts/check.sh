@@ -52,9 +52,10 @@ cargo test -q -p rsse-cloud --lib codec::
 # The RSSE entry layout's oracle tests, named explicitly so a filtered
 # local run cannot silently skip them: `seal_entry` equals AES-CTR under
 # the nonce widened to `nonce ‖ 0^64` with the zero half left out of the
-# header, `real_entries` returns exactly the sealed pairs in order, and
-# random strings, entries under another key and 40-byte entries of the
-# earlier layout are all dropped.
+# header, `seal_entries` (the builder's two entries per kernel call)
+# equals `seal_entry` one at a time, `real_entries` returns exactly the
+# sealed pairs in order, and random strings, entries under another key
+# and 40-byte entries of the earlier layout are all dropped.
 echo "==> cargo test -q -p rsse-core --lib entry::"
 cargo test -q -p rsse-core --lib entry::
 
@@ -73,23 +74,35 @@ cargo test -q -p rsse-core --lib -- persist:: segment::
 # index builders write on a fixed corpus and seed, whole and cut to
 # their real entries, and the sharded Setup's per-shard Outsource frames
 # and label filters, with one shard equal to the unsharded Setup frame
-# for frame. The tape (an HMAC-SHA-256 seed expanded by the ChaCha20
-# keystream) is the one coin generator: OPM coins, entry nonces and
-# padding all come off it. An RSSE entry is 32 bytes: an 8-byte nonce,
-# then the AES-CTR body from counter block `nonce ‖ 0^64`. So a speed-up
-# of the tape, the OPM walk, the AES kernel, the build or its partition
-# that moves one ciphertext byte fails here.
+# for frame. Every coin is ChaCha20 keystream: entry nonces and padding
+# off each list's tape under an HMAC-SHA-256 seed of its transcript, OPM
+# coins off the OPSE tree's tapes, XChaCha20 at each node's or choice's
+# address. An RSSE entry is 32 bytes: an 8-byte nonce, then the AES-CTR
+# body from counter block `nonce ‖ 0^64`. So a speed-up of the tapes,
+# the OPM walk, the AES kernel, the build or its partition that moves
+# one ciphertext byte fails here.
 echo "==> cargo test -q --test byte_pins"
 cargo test -q --test byte_pins
 
 # The AES-128 kernel and CTR mode against the FIPS-197 and SP 800-38A
 # vectors and the byte-wise reference cipher kept in its tests, the
-# ChaCha20 block function against the RFC 8439 vectors, and the coin
-# tape against that keystream under its HMAC seed. Every real entry and
-# file body goes through the AES kernel; every OPM coin, nonce and
-# padding byte through the tape's ChaCha20.
+# ChaCha20 block function against the RFC 8439 vectors, HChaCha20
+# against draft-irtf-cfrg-xchacha-03's, and the coin tapes against that
+# keystream: under an HMAC seed (a list's nonces and padding) and under
+# the HChaCha20 subkey at an address (the OPSE tree's coins). Every real
+# entry and file body goes through the AES kernel; every OPM coin, nonce
+# and padding byte through ChaCha20.
 echo "==> cargo test -q -p rsse-crypto"
 cargo test -q -p rsse-crypto
+
+# The OPSE tree's contract, named explicitly so a filtered local run
+# cannot silently skip it: order preservation, buckets that partition
+# the range, decryption inverting encryption, a memoized tree equal to
+# an uncached one (buckets and ciphertexts over all 128 levels and four
+# file ids), coin addresses that never collide, and the OPSE/OPM
+# property tests.
+echo "==> cargo test -q -p rsse-opse"
+cargo test -q -p rsse-opse
 
 echo "==> cargo test -q --test pool_faults"
 cargo test -q --test pool_faults

@@ -1,16 +1,18 @@
 //! Byte pins: the exact bytes the owner's Setup writes.
 //!
-//! The coin tape — a seed `HMAC(K, transcript)` expanded by the ChaCha20
-//! keystream — feeds every OPM coin, every entry nonce and, read in bulk,
-//! every list's padding; the two builders turn these into the lists the
-//! server stores, so a change to either that moves one byte changes every
-//! ciphertext the owner has ever outsourced. These tests pin SHA-256
-//! digests of a long tape read, of 40,000 bytes of padding, of OPM values
-//! over every level, of one sealed RSSE entry, of both builders' exported
-//! lists on a fixed corpus and seed, whole and cut to their real entries,
-//! and of the sharded Setup's per-shard frames and label filters. A speed-up of the tape,
-//! the cipher or the build, or a change to how the build is cut into
-//! shards, must leave them unchanged.
+//! Coin tapes — the ChaCha20 keystream under an HMAC seed of a
+//! transcript (each list's nonces and padding), or XChaCha20 at an OPSE
+//! tree coin's address (every OPM value) — feed every OPM coin, every
+//! entry nonce and, read in bulk, every list's padding; the two builders
+//! turn these into the lists the server stores, so a change to either
+//! that moves one byte changes every ciphertext the owner has ever
+//! outsourced. These tests pin SHA-256 digests of a long tape read, of
+//! 40,000 bytes of padding, of OPM values over every level, of one sealed
+//! RSSE entry, of both builders' exported lists on a fixed corpus and
+//! seed, whole and cut to their real entries, and of the sharded Setup's
+//! per-shard frames and label filters. A speed-up of the tape, the
+//! cipher or the build, or a change to how the build is cut into shards,
+//! must leave them unchanged.
 
 use rsse::cloud::{DataOwner, IndexPartitioner};
 use rsse::core::entry::seal_entry;
@@ -123,13 +125,13 @@ fn opm_values_are_pinned() {
     let mut h = Sha256::new();
     for level in 1..=128u64 {
         for file in [0u64, 1, 1 << 40, u64::MAX] {
-            let value = opm.encrypt(level, &file.to_be_bytes()).unwrap();
+            let value = opm.encrypt(level, file).unwrap();
             h.update(&value.to_be_bytes());
         }
     }
     assert_eq!(
         hex(h.finalize().as_ref()),
-        "220203d5393cf6b76e5b515eed6c9abc0eb8c45099cf9714a87a3c46ffbf1094"
+        "160827600772a5b377da6cb1d04c65595d7652e54b213784379cb783517ddc5a"
     );
 }
 
@@ -139,7 +141,7 @@ fn rsse_build_is_pinned() {
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&built.export_parts().unwrap()),
-        "b164570ec6522019053c8a202a24b2995f33db0342d4587a68883a6dcc1143e8"
+        "dc9a2c20893c6988a49054514ad61d9ddb2ec14217e46ab73df494291fff54b6"
     );
 }
 
@@ -194,7 +196,7 @@ fn rsse_real_entries_are_pinned() {
     let built = scheme.build_index_from(&plaintext_index()).unwrap();
     assert_eq!(
         digest_lists(&real_prefixes(built.export_parts().unwrap())),
-        "9c8655bd3430d60efd301410c07103afa55b68ac17c601a49fef2402e1e3d04d"
+        "6a389d7ca62697ca351d6029d516bd3eccc4cb9bcc883786eae3d864162622ce"
     );
 }
 
@@ -231,9 +233,9 @@ fn sharded_setup_is_pinned() {
     assert_eq!(
         frames,
         [
-            "d241cfd87899e302b07928e022acdede1ce472970f5e140923c8daded4275d6f",
-            "175bf83fadd6bffa8aa554b8312b2ae839374cda9c1cf28fddeab4f695d88cae",
-            "55f823c1385b977600c249ef360c43eed2464c6f1b0adca22491c3c3f2811876",
+            "277868c0c93d5f201a2d82eff5278d0a7412b7897042aba45379c0fa1f0c4f1d",
+            "967746819325edaeb46d693859978c717f89bb28712ef084a34a62029ac9c8be",
+            "e5f0c43e3c9098eb8a0a8dd50d7013a18282a97cf043e2c02fc363f3d5023f05",
         ]
     );
     assert_eq!(

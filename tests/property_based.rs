@@ -56,7 +56,7 @@ proptest! {
         let opm = Opm::new(SecretKey::derive(&seed.to_be_bytes(), "o"), params);
         let mapped: Vec<(u64, u64)> = pairs
             .iter()
-            .map(|&(m, fid)| (m, opm.encrypt(m, &fid.to_be_bytes()).unwrap()))
+            .map(|&(m, fid)| (m, opm.encrypt(m, fid).unwrap()))
             .collect();
         for &(m1, c1) in &mapped {
             prop_assert_eq!(opm.decrypt(c1).unwrap(), m1);

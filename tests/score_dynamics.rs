@@ -134,9 +134,9 @@ fn static_bucketization_requires_rebuild_where_opm_does_not() {
     let opm = Opm::new(key, OpseParams::paper_default());
     let level = quantizer.level(new_score);
     assert_eq!(level, 128, "out-of-range scores clamp to the top level");
-    let mapped = opm.encrypt(level, b"new").unwrap();
+    let mapped = opm.encrypt(level, 2).unwrap();
     // And it still compares correctly against previously mapped scores.
-    let old_mapped = opm.encrypt(quantizer.level(0.5), b"old").unwrap();
+    let old_mapped = opm.encrypt(quantizer.level(0.5), 1).unwrap();
     assert!(mapped > old_mapped);
 }
 

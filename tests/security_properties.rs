@@ -55,7 +55,7 @@ fn opm_defeats_the_fingerprint_attack() {
         let observed: Vec<u64> = levels
             .iter()
             .enumerate()
-            .map(|(i, &l)| opm.encrypt(l, &(i as u64).to_be_bytes()).unwrap())
+            .map(|(i, &l)| opm.encrypt(l, i as u64).unwrap())
             .collect();
         // The OPM multiset carries no duplicate structure at all.
         assert_eq!(
@@ -87,7 +87,7 @@ fn opm_histogram_shape_is_key_randomized() {
         levels
             .iter()
             .enumerate()
-            .map(|(i, &l)| opm.encrypt(l, &(i as u64).to_be_bytes()).unwrap())
+            .map(|(i, &l)| opm.encrypt(l, i as u64).unwrap())
             .collect()
     };
     let v1 = map("k1");
@@ -118,7 +118,7 @@ fn per_list_keys_randomize_identical_score_sets() {
         levels
             .iter()
             .enumerate()
-            .map(|(i, &l)| opm.encrypt(l, &(i as u64).to_be_bytes()).unwrap())
+            .map(|(i, &l)| opm.encrypt(l, i as u64).unwrap())
             .collect()
     };
     let a = map_with("alpha");
